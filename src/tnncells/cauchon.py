@@ -15,31 +15,21 @@ sweeps are mutually inverse with no genericity assumptions.
 
 The canonical matrix of a diagram arises by seeding zeros on black cells,
 nonzero scalars on white cells, and restoring. Its identically-zero minors
-form the vanishing family of the diagram; an exact rational-function
-backend decides membership, with modular sampling available as a sound
-nonzero pre-filter (a nonzero value at one point certifies a nonzero
-minor, while zeros still get the exact treatment).
+form the vanishing family of the diagram. They are exactly the minors that
+vanish on the canonical matrix with every white cell set to 1, so one exact
+rational minor scan decides the family (see :func:`vanishing_family`).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping
 
 from . import guards
 from .diagrams import CauchonDiagram, Cell, is_cauchon
 from .errors import DomainError
-from .matrices import Matrix, MinorFamily, MinorIndex, iter_minor_indices, minor
-from .scalars import (
-    QQ,
-    PrimeFieldDomain,
-    RatFunc,
-    RationalDomain,
-    RationalFunctionDomain,
-    ScalarDomain,
-    ZERO_TEST_PRIME,
-)
+from .matrices import Matrix, MinorFamily, exact_vanishing_minors
+from .scalars import QQ, RationalDomain, RationalFunctionDomain, ScalarDomain
 
 StepIndex = tuple[int, int]
 
@@ -215,70 +205,16 @@ def ones_TC(diagram: CauchonDiagram) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-def _modular_minor_tables(
-    diagram: CauchonDiagram, samples: int, rng: random.Random
-) -> list[dict[MinorIndex, int]]:
-    dom = PrimeFieldDomain(ZERO_TEST_PRIME)
-    tables = []
-    for _ in range(samples):
-        assignment = {
-            c: rng.randrange(1, ZERO_TEST_PRIME) for c in diagram.white_cells()
-        }
-        tc = build_TC(diagram, dom, assignment)
-        tables.append(
-            {ix: minor(tc, ix) for ix in iter_minor_indices(diagram.m, diagram.p)}
-        )
-    return tables
-
-
-def sampled_vanishing_family(
-    diagram: CauchonDiagram, *, samples: int = 20, seed: int = 0
-) -> MinorFamily:
-    """Probabilistic vanishing family from modular evaluation alone.
-
-    A minor that is nonzero at any sampled point is certainly nonzero; one
-    that is zero at every sample is reported as vanishing without exact
-    confirmation. Useful as a cross-check, not as an authority.
-    """
-    if samples < 1:
-        raise DomainError("need at least one sample")
-    rng = random.Random(seed)
-    tables = _modular_minor_tables(diagram, samples, rng)
-    members = frozenset(
-        ix for ix in tables[0] if all(t[ix] == 0 for t in tables)
-    )
-    return MinorFamily(diagram.m, diagram.p, members)
-
-
-def vanishing_family(
-    diagram: CauchonDiagram,
-    *,
-    prefilter: bool = True,
-    samples: int = 3,
-    seed: int = 0,
-) -> MinorFamily:
+def vanishing_family(diagram: CauchonDiagram) -> MinorFamily:
     """The minors of the symbolic canonical matrix that vanish identically.
 
-    Verdicts are exact: the symbolic backend confirms every reported zero.
-    With the pre-filter on, modular sampling first certifies most minors
-    nonzero so that only the surviving candidates pay for symbolic
-    determinants.
+    They are read off the unit-weight canonical matrix ``ones_TC``. The
+    canonical matrix is the weighted path matrix of the diagram's planar
+    network (a path gains t[i,a] at each row-to-column turn and 1/t[i,a] at
+    each column-to-row turn), so by Lindstrom-Gessel-Viennot each minor is a
+    sum of Laurent monomials with coefficient +1, one per vertex-disjoint
+    path family. With every white cell set to 1 the minor counts those
+    families, and it is zero exactly when the symbolic minor is.
     """
-    default = (
-        guards.DEFAULT_CELL_LIMIT if prefilter else guards.EXACT_FAMILY_LIMIT
-    )
-    guards.ensure_enumerable(
-        diagram.m, diagram.p, default=default, what="symbolic minor scan"
-    )
-    candidates = list(iter_minor_indices(diagram.m, diagram.p))
-    if prefilter:
-        rng = random.Random(seed)
-        tables = _modular_minor_tables(diagram, samples, rng)
-        candidates = [
-            ix for ix in candidates if all(t[ix] == 0 for t in tables)
-        ]
-    tc = symbolic_TC(diagram)
-    members = frozenset(
-        ix for ix in candidates if minor(tc, ix).is_zero
-    )
-    return MinorFamily(diagram.m, diagram.p, members)
+    guards.ensure_enumerable(diagram.m, diagram.p, what="vanishing family")
+    return exact_vanishing_minors(ones_TC(diagram))

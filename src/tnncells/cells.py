@@ -1,12 +1,13 @@
 """Admissible minor families and cell classification of TNN matrices.
 
 A family of minors is admissible when some totally nonnegative matrix
-vanishes exactly on it. Each such family is indexed three independent ways:
-by a diagram (through the restoration algorithm), by a restricted
-permutation (through its combinatorial minor family), and by any witness
-matrix living in the cell. The theory says all three agree; this module
-computes them separately and treats any disagreement as an internal error
-rather than a tolerable approximation.
+vanishes exactly on it. Each such family is indexed two independent ways:
+by a diagram (the zero minors of its restored unit-weight canonical matrix)
+and by a restricted permutation (through its combinatorial minor family).
+A matrix living in the cell gives a third reading, its own zero minors.
+The theory says they agree; this module computes them separately and
+treats any disagreement as an internal error rather than a tolerable
+approximation.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .matrices import (
     Matrix,
     MinorFamily,
     MinorIndex,
+    exact_vanishing_minors,
     is_tnn_bruteforce,
-    iter_minor_indices,
     minor,
 )
 from .permutations import Permutation, minor_family, pipe_dream
@@ -102,20 +103,12 @@ def witness_matrix(diagram: CauchonDiagram) -> Matrix:
     return ones_TC(diagram)
 
 
-def exact_vanishing_minors(matrix: Matrix) -> MinorFamily:
-    members = frozenset(
-        ix
-        for ix in iter_minor_indices(matrix.m, matrix.p)
-        if matrix.domain.is_zero(minor(matrix, ix))
-    )
-    return MinorFamily(matrix.m, matrix.p, members)
-
-
 def cell_of(matrix: Matrix) -> CellDescriptor:
     """Classify a TNN matrix by the cell it belongs to.
 
     Three routes are computed and compared: the matrix's own vanishing
-    minors, the diagram produced by deleting derivations, and the minor
+    minors, the vanishing family of the diagram produced by deleting
+    derivations (read off that diagram's unit-weight witness), and the minor
     family of that diagram's permutation. Disagreement raises
     ConsistencyError since it would falsify the classification theorems,
     not merely this input.
@@ -180,20 +173,17 @@ class UnifyingReport:
 
 
 def _check_diagram(args: tuple[int, int, tuple[Cell, ...]]) -> dict[str, Any] | None:
-    """Worker: compare the three family routes for one diagram."""
+    """Worker: compare the diagram's family with its permutation's, and
+    check that the diagram's witness matrix tests back to the diagram."""
     m, p, black = args
     diagram = CauchonDiagram(m, p, frozenset(black))
     via_restoration = vanishing_family(diagram)
     w = pipe_dream(diagram)
     via_permutation = minor_family(w, m, p)
-    witness = witness_matrix(diagram)
-    via_witness = exact_vanishing_minors(witness)
-    witness_verdict = tnn_test(witness)
+    witness_verdict = tnn_test(witness_matrix(diagram))
     problems = []
     if via_restoration.members != via_permutation.members:
         problems.append("restoration family differs from permutation family")
-    if via_restoration.members != via_witness.members:
-        problems.append("witness matrix vanishing differs from restoration family")
     if not witness_verdict.is_tnn or witness_verdict.diagram != diagram:
         problems.append("witness matrix does not test back to its own diagram")
     if not problems:
@@ -204,12 +194,11 @@ def _check_diagram(args: tuple[int, int, tuple[Cell, ...]]) -> dict[str, Any] | 
         "problems": problems,
         "restoration": str(via_restoration),
         "permutation_family": str(via_permutation),
-        "witness": str(via_witness),
     }
 
 
 def unifying_check(m: int, p: int, *, jobs: int = 1) -> UnifyingReport:
-    """Verify the three-route agreement for every diagram of the grid."""
+    """Verify the route agreement for every diagram of the grid."""
     guards.ensure_enumerable(m, p, what="unifying check")
     started = time.monotonic()
     work = [

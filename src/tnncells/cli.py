@@ -266,15 +266,11 @@ def tc(diagram_src: str, symbolic: bool, fmt: str) -> None:
 
 @main.command()
 @click.option("--diagram", "-d", "diagram_src", required=True)
-@click.option("--no-prefilter", is_flag=True, help="Skip modular pre-filtering.")
-@click.option("--samples", default=3, show_default=True)
 @format_option
-def vanish(diagram_src: str, no_prefilter: bool, samples: int, fmt: str) -> None:
+def vanish(diagram_src: str, fmt: str) -> None:
     """The identically vanishing minors of a diagram's canonical matrix."""
     diagram = _diagram_arg(diagram_src)
-    family = cauchon_mod.vanishing_family(
-        diagram, prefilter=not no_prefilter, samples=samples
-    )
+    family = cauchon_mod.vanishing_family(diagram)
     payload = family.to_json()
     text = "\n".join(str(ix) for ix in family) or "(none)"
     _emit(fmt, payload, text)
@@ -553,7 +549,7 @@ def cells_of(matrix: str, fmt: str) -> None:
 @click.option("--jobs", default=1, show_default=True)
 @format_option
 def cells_verify(m: int, p: int, jobs: int, fmt: str) -> None:
-    """Cross-check all three family routes on every diagram."""
+    """Cross-check the family routes on every diagram."""
     report = cells_mod.unifying_check(m, p, jobs=jobs)
     text = f"{report.agreements}/{report.total} agree ({report.elapsed:.2f}s)"
     if not report.ok:
@@ -692,26 +688,19 @@ def poisson_semiclassical(m: int, p: int, fmt: str) -> None:
 @poisson.command(name="flow")
 @click.option("--path", "path_src", required=True)
 @click.option("--hamiltonian", "-H", "ham", default="a", show_default=True)
-@click.option("--grid", default=100, show_default=True)
 @format_option
-def poisson_flow(path_src: str, ham: str, grid: int, fmt: str) -> None:
+def poisson_flow(path_src: str, ham: str, fmt: str) -> None:
     """Check a closed-form path against the flow equation."""
     obj = json.loads(_read_source(path_src))
     path = poisson_mod.FlowPath.from_json(obj)
     hamiltonian = poisson_mod.parse_poisson(ham, path.m, path.p)
-    report = poisson_mod.verify_flow(
-        path, hamiltonian, [k / (grid - 1) for k in range(grid)] if grid > 1 else [0.0]
-    )
+    report = poisson_mod.verify_flow(path, hamiltonian)
     payload = {
         "symbolic_zero": report.symbolic_zero,
-        "max_residual": report.max_residual,
-        "ok": report.ok,
+        "coordinate": list(report.coordinate) if report.coordinate else None,
+        "residual": str(report.residual),
     }
-    if report.symbolic_zero:
-        text = "flow equation holds exactly"
-    else:
-        text = f"max residual {report.max_residual:.3g}"
-    _emit(fmt, payload, text, _verdict_code(report.ok))
+    _emit(fmt, payload, str(report), _verdict_code(report.symbolic_zero))
 
 
 # ---------------------------------------------------------------------------
@@ -805,9 +794,8 @@ def verify_all(m: int, p: int, jobs: int, fmt: str) -> None:
         checks.append(
             {
                 "name": f"flow:{name}",
-                "ok": flow_report.ok,
-                "detail": "exact" if flow_report.symbolic_zero
-                else f"max residual {flow_report.max_residual:.3g}",
+                "ok": flow_report.symbolic_zero,
+                "detail": str(flow_report),
             }
         )
 

@@ -4,8 +4,7 @@ Everything in this package is desk scale by design: diagrams, permutations and
 cell tables are enumerated exhaustively. The guards below keep a mistyped size
 from turning into an unbounded computation. The CAUCHON_GUARD environment
 variable (an integer, interpreted as the maximum allowed m*p) raises or lowers
-the ceiling for a whole process; individual call sites may also pass explicit
-limits.
+the ceiling for a whole process.
 """
 
 from __future__ import annotations
@@ -15,16 +14,15 @@ import os
 from .errors import ResourceGuardError
 
 DEFAULT_CELL_LIMIT = 16
-EXACT_FAMILY_LIMIT = 12
 
 GUARD_ENV_VAR = "CAUCHON_GUARD"
 
 
-def cell_limit(default: int = DEFAULT_CELL_LIMIT) -> int:
+def cell_limit() -> int:
     """Maximum m*p allowed for exhaustive enumeration."""
     raw = os.environ.get(GUARD_ENV_VAR)
     if raw is None:
-        return default
+        return DEFAULT_CELL_LIMIT
     try:
         value = int(raw)
     except ValueError as exc:
@@ -36,10 +34,9 @@ def cell_limit(default: int = DEFAULT_CELL_LIMIT) -> int:
     return value
 
 
-def ensure_enumerable(m: int, p: int, *, default: int = DEFAULT_CELL_LIMIT,
-                      what: str = "enumeration") -> None:
+def ensure_enumerable(m: int, p: int, *, what: str = "enumeration") -> None:
     """Raise ResourceGuardError when an m x p grid exceeds the guard."""
-    limit = cell_limit(default)
+    limit = cell_limit()
     if m * p > limit:
         raise ResourceGuardError(
             f"{what} for a {m}x{p} grid exceeds the guard (m*p = {m * p} > {limit}); "

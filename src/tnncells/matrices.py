@@ -5,10 +5,10 @@ The matrix type is deliberately small: immutable row-major storage plus a
 indices in the public API are 1-based; row sets and column sets are strictly
 increasing tuples, and composite minors print as ``[1,2|2,3]``.
 
-Determinants over the rationals clear denominators and run fraction-free
-Bareiss elimination on integers, which keeps intermediate growth polynomial.
-Every other domain (prime fields, rational functions) is a field here, so
-ordinary Gaussian elimination with exact division applies.
+Determinants are taken over the rationals only: they clear denominators and
+run fraction-free Bareiss elimination on integers, which keeps intermediate
+growth polynomial. Matrices over other domains (the symbolic canonical
+matrices) are for display and entrywise arithmetic, not for determinants.
 """
 
 from __future__ import annotations
@@ -238,51 +238,23 @@ def _det_rational(rows: list[list[Fraction]]) -> Fraction:
     return Fraction(_det_bareiss_int(ints), scale ** len(rows))
 
 
-def _det_field(domain: ScalarDomain, rows: list[list[Any]]) -> Any:
-    a = [row[:] for row in rows]
-    n = len(a)
-    det = domain.one()
-    for k in range(n):
-        pivot_row = next(
-            (r for r in range(k, n) if not domain.is_zero(a[r][k])), None
-        )
-        if pivot_row is None:
-            return domain.zero()
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            det = domain.neg(det)
-        pivot = a[k][k]
-        det = domain.mul(det, pivot)
-        for r in range(k + 1, n):
-            if domain.is_zero(a[r][k]):
-                continue
-            factor = domain.div(a[r][k], pivot)
-            for c in range(k + 1, n):
-                a[r][c] = domain.sub(a[r][c], domain.mul(factor, a[k][c]))
-            a[r][k] = domain.zero()
-    return det
-
-
-def determinant(matrix: Matrix) -> Any:
+def determinant(matrix: Matrix) -> Fraction:
     if matrix.m != matrix.p:
         raise DomainError(f"determinant of non-square {matrix.m}x{matrix.p}")
-    rows = [list(r) for r in matrix.rows]
-    if isinstance(matrix.domain, RationalDomain):
-        return _det_rational(rows)
-    return _det_field(matrix.domain, rows)
+    _require_rational(matrix, "a determinant")
+    return _det_rational([list(r) for r in matrix.rows])
 
 
-def minor(matrix: Matrix, ix: MinorIndex) -> Any:
-    """The exact value of one minor of the matrix."""
+def minor(matrix: Matrix, ix: MinorIndex) -> Fraction:
+    """The exact value of one minor of a rational matrix."""
     if not ix.fits(matrix.m, matrix.p):
         raise DomainError(f"{ix} does not fit in {matrix.m}x{matrix.p}")
+    _require_rational(matrix, "a minor")
     sub = [
         [matrix.rows[i - 1][a - 1] for a in ix.cols]
         for i in ix.rows
     ]
-    if isinstance(matrix.domain, RationalDomain):
-        return _det_rational(sub)
-    return _det_field(matrix.domain, sub)
+    return _det_rational(sub)
 
 
 def minor_count(m: int, p: int) -> int:
@@ -300,8 +272,16 @@ def iter_minor_indices(m: int, p: int) -> Iterator[MinorIndex]:
                 yield MinorIndex(rows, cols)
 
 
-def all_minors(matrix: Matrix) -> list[tuple[MinorIndex, Any]]:
+def all_minors(matrix: Matrix) -> list[tuple[MinorIndex, Fraction]]:
     return [(ix, minor(matrix, ix)) for ix in iter_minor_indices(matrix.m, matrix.p)]
+
+
+def exact_vanishing_minors(matrix: Matrix) -> MinorFamily:
+    """The minors of a rational matrix whose value is zero."""
+    members = frozenset(
+        ix for ix in iter_minor_indices(matrix.m, matrix.p) if minor(matrix, ix) == 0
+    )
+    return MinorFamily(matrix.m, matrix.p, members)
 
 
 def initial_minor_index(i: int, alpha: int) -> MinorIndex:

@@ -25,6 +25,7 @@ from typing import Any, Iterator
 from .diagrams import CauchonDiagram
 from .errors import DomainError, ResourceGuardError
 from .matrices import Matrix, MinorIndex, parse_rational
+from .permutations import inversion_count
 from .scalars import QQ
 
 DEFAULT_STEP_LIMIT = 1_000_000
@@ -247,15 +248,6 @@ def _paths_from(
     yield from walk(start, {start}, Fraction(1))
 
 
-def _sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
 def nonintersecting_count(
     network: PlanarNetwork,
     ix: MinorIndex,
@@ -280,7 +272,7 @@ def nonintersecting_count(
     from itertools import permutations as iter_perms
 
     for pairing in iter_perms(range(k)):
-        sign = _sign(pairing)
+        sign = -1 if inversion_count(pairing) % 2 else 1
 
         def assemble(level: int, blocked: set[str], weight: Fraction) -> Iterator[Fraction]:
             if level == k:

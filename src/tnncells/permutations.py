@@ -21,12 +21,22 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations as iter_permutations
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 from . import guards
 from .diagrams import CauchonDiagram
 from .errors import DomainError
 from .matrices import MinorFamily, MinorIndex, iter_minor_indices
+
+
+def inversion_count(images: Sequence[int]) -> int:
+    """The number of pairs i < j with images[i] > images[j]."""
+    return sum(
+        1
+        for i in range(len(images))
+        for j in range(i + 1, len(images))
+        if images[i] > images[j]
+    )
 
 
 @dataclass(frozen=True, order=True)
@@ -118,12 +128,7 @@ class Permutation:
 
     def length(self) -> int:
         """Coxeter length: the number of inversions."""
-        return sum(
-            1
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-            if self.images[i] > self.images[j]
-        )
+        return inversion_count(self.images)
 
 
 def parse_permutation(text: str, n: int | None = None) -> Permutation:

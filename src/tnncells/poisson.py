@@ -16,26 +16,22 @@ division by (q - 1) as a broken invariant rather than bad input.
 Hamiltonian paths are checked in a small closed-form function ring: sums
 p(t) * e^(l*t) with rational l and rational polynomial p. Distinct
 exponentials are linearly independent over polynomials, so a zero residual
-in this ring is an identity, not an approximation; a numeric grid fallback
-covers nothing today but keeps the reporting honest when paths stop being
-closed-form.
+in this ring is an identity, not an approximation, and a nonzero residual
+is reported as its exact expression.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from .errors import ConsistencyError, DomainError
 from .matrices import Matrix
-from .quantum import QPoly, commutator
+from .quantum import _TWO_BY_TWO_ALIASES, QPoly, commutator
 from .scalars import MPoly, Node, evaluate_node, int_const, parse_expression
 
 Cell = tuple[int, int]
-
-_TWO_BY_TWO_ALIASES = {"a": (1, 1), "b": (1, 2), "c": (2, 1), "d": (2, 2)}
 
 
 def coordinate_name(i: int, a: int) -> str:
@@ -302,15 +298,6 @@ class ExpPoly:
             parts[lam] = out
         return ExpPoly(parts)
 
-    def eval_float(self, t: float) -> float:
-        total = 0.0
-        for lam, coeffs in self.parts.items():
-            poly = 0.0
-            for c in reversed(coeffs):
-                poly = poly * t + float(c)
-            total += poly * math.exp(float(lam) * t)
-        return total
-
     def __str__(self) -> str:
         if not self.parts:
             return "0"
@@ -399,25 +386,31 @@ class FlowPath:
 
 @dataclass(frozen=True)
 class FlowReport:
-    symbolic_zero: bool
-    max_residual: float
-    worst_coordinate: Cell | None
+    """The flow equation's residual d/dt Y[i,a] - {H, Y[i,a]} along a path.
+
+    ``residual`` is the first nonzero residual in row-major order, at
+    ``coordinate``; it is zero, with no coordinate, when the path is an
+    exact flow.
+    """
+
+    residual: ExpPoly
+    coordinate: Cell | None
 
     @property
-    def ok(self) -> bool:
-        return self.symbolic_zero or self.max_residual < 1e-9
+    def symbolic_zero(self) -> bool:
+        return self.residual.is_zero
+
+    def __str__(self) -> str:
+        if self.coordinate is None:
+            return "flow equation holds exactly"
+        return f"residual at {coordinate_name(*self.coordinate)}: {self.residual}"
 
 
-def verify_flow(
-    path: FlowPath,
-    hamiltonian: MPoly,
-    ts: Iterable[float] = (),
-) -> FlowReport:
+def verify_flow(path: FlowPath, hamiltonian: MPoly) -> FlowReport:
     """Check d/dt of each path entry against {H, Y[i,a]} along the path.
 
-    Residuals are computed in the closed-form ring, so a symbolic zero is
-    exact. Nonzero residuals fall back to the sample grid and report the
-    largest absolute value encountered.
+    Residuals are computed in the closed-form ring, where zero is decided
+    exactly, so the report is exact either way.
     """
     m, p = path.m, path.p
     names = coordinate_names(m, p)
@@ -428,10 +421,6 @@ def verify_flow(
         for i in range(1, m + 1)
         for a in range(1, p + 1)
     }
-    grid = list(ts) or [k / 99 for k in range(100)]
-    worst = 0.0
-    worst_cell: Cell | None = None
-    all_zero = True
     for i in range(1, m + 1):
         for a in range(1, p + 1):
             flow_rhs = bracket(m, p, hamiltonian, coordinate(m, p, i, a))
@@ -439,12 +428,6 @@ def verify_flow(
             if isinstance(rhs, int):
                 rhs = ExpPoly.const(rhs)
             residual = path.entry(i, a).derivative() - rhs
-            if residual.is_zero:
-                continue
-            all_zero = False
-            peak = max(abs(residual.eval_float(t)) for t in grid)
-            if peak >= worst:
-                worst, worst_cell = peak, (i, a)
-    if all_zero:
-        return FlowReport(True, 0.0, None)
-    return FlowReport(False, worst, worst_cell)
+            if not residual.is_zero:
+                return FlowReport(residual, (i, a))
+    return FlowReport(ExpPoly.const(0), None)

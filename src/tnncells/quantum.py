@@ -26,6 +26,7 @@ from itertools import permutations as iter_permutations
 from typing import Any, Iterable, Literal
 
 from .errors import DomainError
+from .permutations import inversion_count
 from .scalars import LaurentQ, Node, evaluate_node, int_const, parse_expression
 
 Gen = tuple[int, int]
@@ -289,12 +290,7 @@ def quantum_minor(
     k = len(rows)
     terms: dict[Word, LaurentQ] = {}
     for sigma in iter_permutations(range(k)):
-        length = sum(
-            1
-            for x in range(k)
-            for y in range(x + 1, k)
-            if sigma[x] > sigma[y]
-        )
+        length = inversion_count(sigma)
         word = tuple((rows[t], cols[sigma[t]]) for t in range(k))
         coeff = terms.get(word, LaurentQ.ZERO) + LaurentQ.minus_q_to(length)
         terms[word] = coeff

@@ -9,8 +9,8 @@ Three concrete rings live here, all with exact zero tests:
 * :class:`LaurentQ`, Laurent polynomials in a single parameter q.
 
 On top of these, :class:`ScalarDomain` gives matrix code a uniform handle on
-"field-like arithmetic with an exact zero test"; instances cover rationals,
-prime fields and fields of rational functions.
+"field-like arithmetic with an exact zero test"; instances cover the
+rationals and fields of rational functions.
 
 The module also contains the small expression grammar shared by the command
 line tools: variables such as ``t[1,3]`` or ``a``, integer (and ``3/2``
@@ -284,21 +284,6 @@ class MPoly:
 
     def __repr__(self) -> str:
         return f"MPoly({self})"
-
-
-def eval_mod_p(poly: MPoly, point: Mapping[str, int], prime: int) -> int:
-    """Evaluate an integer polynomial at a point of a prime field."""
-    result = 0
-    for exps, coeff in poly.terms.items():
-        term = coeff % prime
-        for k, e in enumerate(exps):
-            if e:
-                name = poly.names[k]
-                if name not in point:
-                    raise DomainError(f"no value for variable {name!r}")
-                term = term * pow(point[name] % prime, e, prime) % prime
-        result = (result + term) % prime
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -648,8 +633,8 @@ LaurentQ.Q_MINUS_QINV = LaurentQ({1: 1, -1: -1})
 class ScalarDomain:
     """Field-like arithmetic with an exact zero test, as a value object.
 
-    Matrix code uses a domain instead of duck typing so that prime fields
-    (plain ints) and rationals (Fraction) can share the same elimination
+    Matrix code uses a domain instead of duck typing so that rationals
+    (Fraction) and rational functions (RatFunc) share the same sweep
     routines. ``div`` must be exact and raise ZeroDivisionError on a zero
     divisor.
     """
@@ -716,45 +701,6 @@ class RationalDomain(ScalarDomain):
         return a == 0
 
 
-class PrimeFieldDomain(ScalarDomain):
-    """Integers modulo a fixed prime, represented by ints in [0, p)."""
-
-    def __init__(self, prime: int):
-        if prime < 2:
-            raise DomainError(f"{prime} is not a prime")
-        self.prime = prime
-        self.name = f"GF({prime})"
-
-    def zero(self) -> int:
-        return 0
-
-    def one(self) -> int:
-        return 1
-
-    def from_int(self, value: int) -> int:
-        return value % self.prime
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.prime
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.prime
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.prime
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.prime
-
-    def div(self, a: int, b: int) -> int:
-        if b % self.prime == 0:
-            raise ZeroDivisionError("division by zero")
-        return a * pow(b, -1, self.prime) % self.prime
-
-    def is_zero(self, a: int) -> bool:
-        return a % self.prime == 0
-
-
 class RationalFunctionDomain(ScalarDomain):
     """The field of rational functions over a fixed variable tuple."""
 
@@ -782,9 +728,6 @@ class RationalFunctionDomain(ScalarDomain):
 
 
 QQ = RationalDomain()
-
-#: Default prime for probabilistic zero testing; 2^31 - 1 is prime.
-ZERO_TEST_PRIME = 2147483647
 
 
 # ---------------------------------------------------------------------------

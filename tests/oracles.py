@@ -8,28 +8,31 @@ None of it shares algorithms with the package.
 from fractions import Fraction
 from itertools import permutations as iter_perms
 
+from tnncells.scalars import QQ
 
-def leibniz_det(rows):
-    """Determinant as the signed sum over all permutations."""
+
+def leibniz_det(rows, domain=QQ):
+    """Determinant as the signed sum over all permutations, in any ScalarDomain.
+
+    It costs n! products, so symbolic use stays at 3x3 and below.
+    """
     n = len(rows)
     assert all(len(r) == n for r in rows)
-    total = Fraction(0)
+    total = domain.zero()
     for sigma in iter_perms(range(n)):
-        sign = 1
+        term = domain.one()
         for i in range(n):
-            for j in range(i + 1, n):
-                if sigma[i] > sigma[j]:
-                    sign = -sign
-        term = Fraction(1)
-        for i in range(n):
-            term *= Fraction(rows[i][sigma[i]])
-        total += sign * term
+            term = domain.mul(term, rows[i][sigma[i]])
+        if inversion_count(sigma) % 2:
+            total = domain.sub(total, term)
+        else:
+            total = domain.add(total, term)
     return total
 
 
-def leibniz_minor(rows, rowset, colset):
+def leibniz_minor(rows, rowset, colset, domain=QQ):
     sub = [[rows[i - 1][a - 1] for a in colset] for i in rowset]
-    return leibniz_det(sub)
+    return leibniz_det(sub, domain)
 
 
 def has_bad_black_cell(m, p, black):
@@ -75,6 +78,31 @@ def path_weight(adjacency, path):
     for a, b in zip(path, path[1:]):
         w *= dict((v, wt) for v, wt in adjacency[a])[b]
     return w
+
+
+def turn_monomials(network, source, sink):
+    """Each path source -> sink as its turn exponents {cell: power}.
+
+    Everything is read off the network's drawing: a dot at (x, y) sits in
+    cell (-y, x), and an edge that keeps x runs down a column. A path gains
+    +1 at the cell where it turns from a row into a column and -1 where it
+    turns from a column into a row.
+    """
+    adjacency = {}
+    for tail, head, weight in network.edges:
+        adjacency.setdefault(tail, []).append((head, weight))
+    xy = network.coords
+    out = []
+    for path in all_paths(adjacency, source, sink):
+        powers = {}
+        for before, here, after in zip(path, path[1:], path[2:]):
+            came_down = xy[before][0] == xy[here][0]
+            goes_down = xy[here][0] == xy[after][0]
+            if came_down != goes_down:
+                cell = (round(-xy[here][1]), round(xy[here][0]))
+                powers[cell] = powers.get(cell, 0) + (1 if goes_down else -1)
+        out.append(powers)
+    return out
 
 
 def path_sum(network, source, sink):

@@ -2,7 +2,7 @@
 
 Run with ``pytest -v tests/test_acceptance.py`` to see one line per
 criterion, or with ``-s`` for the explicit PASS/FAIL prints. Every check
-is exact except the flow fallback, which allows 1e-9 on a 100-point grid.
+is exact, the flow checks included.
 """
 
 import random
@@ -20,7 +20,6 @@ from tnncells.cauchon import (
 )
 from tnncells.cells import (
     admissible_families,
-    exact_vanishing_minors,
     is_admissible,
     unifying_check,
     witness_matrix,
@@ -226,14 +225,14 @@ def test_criterion_09_unifying_theorem():
                 ok = False
 
     all44 = list(enumerate_diagrams(4, 4))
-    picks = all44[::690][:10]
+    # the diagram of the symmetric_4x4 fixture, which every 690th pick misses
+    picks = all44[::690][:10] + [CauchonDiagram.from_ascii(".#../##../..../....")]
     for d in picks:
         route_a = frozenset(vanishing_family(d).members)
         route_b = frozenset(minor_family(pipe_dream(d), 4, 4).members)
-        route_c = frozenset(exact_vanishing_minors(witness_matrix(d)).members)
-        if not (route_a == route_b == route_c):
+        if route_a != route_b or tnn_test(witness_matrix(d)).diagram != d:
             ok = False
-    report(9, "three family routes agree to 3x3 plus 4x4 spot checks", ok)
+    report(9, "diagram and permutation routes agree to 3x3 plus 4x4 spot checks", ok)
 
 
 def test_criterion_10_quantum_identities():
@@ -302,8 +301,7 @@ def test_criterion_12_poisson_structure():
     for name in ("flow_linear_2x2", "flow_exponential_2x2"):
         path = load_flow(name)
         H = parse_poisson("a", 2, 2)
-        result = verify_flow(path, H, [k / 99 for k in range(100)])
-        if not (result.symbolic_zero or result.max_residual < 1e-9):
+        if not verify_flow(path, H).symbolic_zero:
             flows_ok = False
     report(12, "Jacobi identity and both flow fixtures", jacobi_ok and flows_ok)
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from tnncells.cauchon import (
     build_TC,
     delete_step,
@@ -13,7 +14,6 @@ from tnncells.cauchon import (
     restoration,
     restoration_stages,
     restore_step,
-    sampled_vanishing_family,
     seed_matrix,
     step_indices,
     symbolic_TC,
@@ -30,7 +30,6 @@ from tnncells.matrices import (
     all_minors,
     is_tnn_bruteforce,
     iter_minor_indices,
-    minor,
 )
 from tnncells.scalars import QQ, RationalFunctionDomain
 
@@ -208,21 +207,15 @@ class TestVanishingFamily:
         fam = vanishing_family(CauchonDiagram.all_black(2, 2))
         assert set(fam) == set(iter_minor_indices(2, 2))
 
-    def test_prefilter_agrees_with_exact(self):
-        for d in enumerate_diagrams(2, 2):
-            exact = vanishing_family(d, prefilter=False)
-            fast = vanishing_family(d, prefilter=True)
-            assert set(exact) == set(fast)
-
-    def test_sampled_family_contains_exact(self):
-        # sampling can only overreport zeros, never drop one
-        for d in enumerate_diagrams(2, 2):
-            sampled = set(sampled_vanishing_family(d, samples=8))
-            assert sampled >= set(vanishing_family(d))
-
     def test_family_matches_symbolic_minors(self):
-        T = symbolic_TC(DEMO)
-        fam = set(vanishing_family(DEMO))
-        for ix in iter_minor_indices(3, 3):
-            value = minor(T, ix)
-            assert (ix in fam) == T.domain.is_zero(value), ix
+        # the definition itself: Leibniz minors of the symbolic canonical
+        # matrix that are identically zero, on every diagram through 3x3
+        for m in range(1, 4):
+            for p in range(1, 4):
+                for d in enumerate_diagrams(m, p):
+                    T = symbolic_TC(d)
+                    dom = T.domain
+                    fam = set(vanishing_family(d))
+                    for ix in iter_minor_indices(m, p):
+                        value = oracles.leibniz_minor(T.rows, ix.rows, ix.cols, dom)
+                        assert (ix in fam) == dom.is_zero(value), (d.to_ascii(), ix)

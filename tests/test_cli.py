@@ -1,11 +1,17 @@
 """End-to-end command-line coverage, one happy path and key exits per command."""
 
 import json
+import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from tnncells import fixtures
 from tnncells.cli import main
+from tnncells.diagrams import CauchonDiagram
+from tnncells.matrices import MinorFamily
+from tnncells.permutations import minor_family, pipe_dream
 
 
 @pytest.fixture()
@@ -101,6 +107,31 @@ def test_vanish(runner, demo_diagram):
     result = runner.invoke(main, ["vanish", "-d", demo_diagram, "--format", "json"])
     payload = json.loads(result.output)
     assert len(payload["members"]) == 6
+
+
+def _timed(runner, args):
+    started = time.perf_counter()
+    result = runner.invoke(main, args)
+    return result, time.perf_counter() - started
+
+
+def test_vanish_full_4x4_family_is_quick(runner):
+    # the vanishing family of a 4x4 diagram with fifteen white cells
+    grid = "#.../..../..../...."
+    result, took = _timed(runner, ["vanish", "-d", grid, "--format", "json"])
+    assert result.exit_code == 0, result.output
+    family = MinorFamily.from_json(json.loads(result.output))
+    d = CauchonDiagram.from_ascii(grid)
+    assert family == minor_family(pipe_dream(d), 4, 4)
+    assert took < 1.0
+
+
+def test_cells_of_symmetric_fixture_is_quick(runner):
+    data = Path(fixtures.__file__).parent / "data" / "symmetric_4x4.json"
+    result, took = _timed(runner, ["cells", "of", str(data), "--format", "json"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["diagram"]["black"] == [[1, 2], [2, 1], [2, 2]]
+    assert took < 1.0
 
 
 def test_diagram_enum_and_check(runner, tmp_path):

@@ -25,6 +25,7 @@ from tnncells.matrices import (
     minor,
     minor_count,
 )
+from tnncells.scalars import RationalFunctionDomain
 
 
 def rational_matrix(m, p, lo=-5, hi=5):
@@ -85,6 +86,15 @@ def test_determinant_matches_leibniz(M):
 def test_every_minor_matches_leibniz(M):
     for ix in iter_minor_indices(M.m, M.p):
         assert minor(M, ix) == oracles.leibniz_minor(M.rows, ix.rows, ix.cols)
+
+
+def test_determinants_are_rational_only():
+    dom = RationalFunctionDomain(["x"])
+    M = Matrix.from_rows([[dom.var("x")]], dom)
+    with pytest.raises(DomainError):
+        determinant(M)
+    with pytest.raises(DomainError):
+        minor(M, MinorIndex((1,), (1,)))
 
 
 @given(any_matrices)

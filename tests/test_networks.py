@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from tnncells.cauchon import ones_TC
+from tnncells.cauchon import ones_TC, symbolic_TC, white_variable
 from tnncells.diagrams import CauchonDiagram, enumerate_diagrams
 from tnncells.errors import DomainError, ResourceGuardError
 from tnncells.matrices import MinorIndex, iter_minor_indices, minor
@@ -50,6 +50,28 @@ def test_path_matrix_equals_unit_seeded_restoration():
         for d in enumerate_diagrams(m, p):
             net = postnikov_network(d)
             assert path_matrix(net).equals(ones_TC(d)), d.to_ascii()
+
+
+def test_symbolic_TC_is_the_turn_weighted_path_matrix():
+    # the bridge behind the vanishing-family scan: restoration computes
+    # path sums whose terms are Laurent monomials with coefficient +1
+    for m in range(1, 4):
+        for p in range(1, 5):
+            for d in enumerate_diagrams(m, p):
+                T = symbolic_TC(d)
+                dom = T.domain
+                net = postnikov_network(d)
+                for i in range(1, m + 1):
+                    for a in range(1, p + 1):
+                        expect = dom.zero()
+                        for powers in oracles.turn_monomials(
+                            net, source_id(i), sink_id(a)
+                        ):
+                            term = dom.one()
+                            for cell, k in powers.items():
+                                term = term * dom.var(white_variable(cell)) ** k
+                            expect = expect + term
+                        assert dom.eq(T.entry(i, a), expect), (d.to_ascii(), i, a)
 
 
 def test_path_matrix_entries_match_exhaustive_walks():

@@ -10,7 +10,6 @@ from tnncells.scalars import (
     LaurentQ,
     MPoly,
     RatFunc,
-    eval_mod_p,
     parse_expression,
 )
 
@@ -45,13 +44,6 @@ def test_mpoly_evaluation_is_a_homomorphism(f, x, y):
     point = {"x": Fraction(x), "y": Fraction(y)}
     assert (f * g).evaluate(point) == f.evaluate(point) * g.evaluate(point)
     assert (f + g).evaluate(point) == f.evaluate(point) + g.evaluate(point)
-
-
-@given(poly_strategy(), st.integers(0, 6), st.integers(0, 6))
-def test_eval_mod_p_matches_exact_evaluation(f, x, y):
-    prime = 101
-    exact = f.evaluate({"x": Fraction(x), "y": Fraction(y)})
-    assert eval_mod_p(f, {"x": x, "y": y}, prime) == exact.numerator % prime
 
 
 def test_mpoly_str_orders_by_degree():

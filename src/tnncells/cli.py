@@ -191,9 +191,8 @@ def tnn_check(matrix: str, method: str, fmt: str) -> None:
     payload["tnn"] = verdict
     if verdict:
         text = "totally nonnegative"
-        if "deletion" in payload and payload["deletion"]["diagram"]:
-            diagram = cauchon_mod.tnn_test(M).diagram
-            text += "\n" + diagram.to_ascii()
+        if "deletion" in payload and result.diagram:
+            text += "\n" + result.diagram.to_ascii()
     else:
         text = "not totally nonnegative"
         bf = payload.get("bruteforce")
@@ -717,12 +716,14 @@ def _lindstrom_sweep(m: int, p: int) -> tuple[int, int]:
     checked = mismatched = 0
     from .matrices import iter_minor_indices
 
+    indices = list(iter_minor_indices(m, p))
     for diagram in diagrams_mod.enumerate_diagrams(m, p):
         net = networks_mod.postnikov_network(diagram)
         pm = networks_mod.path_matrix(net)
-        for ix in iter_minor_indices(m, p):
+        counts = networks_mod.nonintersecting_counts(net, indices)
+        for ix in indices:
             checked += 1
-            if minor(pm, ix) != networks_mod.nonintersecting_count(net, ix):
+            if minor(pm, ix) != counts[ix]:
                 mismatched += 1
     return checked, mismatched
 

@@ -234,7 +234,7 @@ def _det_bareiss_int(rows: list[list[int]]) -> int:
 
 def _det_rational(rows: list[list[Fraction]]) -> Fraction:
     scale = lcm(*(x.denominator for row in rows for x in row)) if rows else 1
-    ints = [[int(x * scale) for x in row] for row in rows]
+    ints = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
     return Fraction(_det_bareiss_int(ints), scale ** len(rows))
 
 

@@ -13,6 +13,12 @@ rule forbids a black cell with a white cell somewhere above and another
 somewhere to its left in just the pattern that would make a row edge cross
 a column edge, so these networks are genuinely planar and disjoint path
 families obey the determinant identity.
+
+Disjoint path families are counted by :func:`nonintersecting_counts`, which
+enumerates the paths of each needed source once and assembles the families
+of many minors from that one table; it shares no code with
+:func:`path_matrix`, so comparing the two checks the identity. Its step
+budget is per call, shared across all the minors and pairings it counts.
 """
 
 from __future__ import annotations
@@ -20,7 +26,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Iterator
+from itertools import permutations as iter_perms
+from typing import Any, Iterable
 
 from .diagrams import CauchonDiagram
 from .errors import DomainError, ResourceGuardError
@@ -216,36 +223,84 @@ def path_matrix(network: PlanarNetwork) -> Matrix:
     return Matrix(QQ, rows)
 
 
-def _paths_from(
-    network_out: dict[str, list[tuple[str, Fraction]]],
-    start: str,
-    goal: str,
-    blocked: set[str],
-    budget: list[int],
-) -> Iterator[tuple[frozenset[str], Fraction]]:
-    """All simple paths start -> goal avoiding blocked vertices."""
+def nonintersecting_counts(
+    network: PlanarNetwork,
+    indices: Iterable[MinorIndex],
+    *,
+    step_limit: int = DEFAULT_STEP_LIMIT,
+) -> dict[MinorIndex, Fraction]:
+    """Signed weighted counts of vertex-disjoint path families, one per minor.
 
-    def walk(v: str, used: set[str], weight: Fraction) -> Iterator[
-        tuple[frozenset[str], Fraction]
-    ]:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise ResourceGuardError(
-                "path family enumeration exceeded its step budget"
-            )
-        if v == goal:
-            yield frozenset(used), weight
-            return
-        for to, w in network_out[v]:
-            if to in blocked or to in used:
-                continue
-            used.add(to)
-            yield from walk(to, used, weight * w)
-            used.discard(to)
+    Each needed source is walked once, recording every path it has to every
+    sink as (vertex set, weight); the families of all the minors are then
+    assembled from that table. Every pairing of sources to sinks is summed
+    with its permutation sign, which is the determinant identity for
+    arbitrary DAGs; on planar networks the twisted pairings admit no disjoint
+    family, so each value is the plain (weighted) number of nonintersecting
+    families. One budget of ``step_limit`` steps covers the whole call: every
+    vertex the walks visit and every path tried against a partial family,
+    across all minors and pairings.
+    """
+    network.topological_order()  # rejects cycles up front
+    indices = list(indices)
+    for ix in indices:
+        if not ix.fits(network.m, network.p):
+            raise DomainError(f"{ix} does not fit a {network.m}x{network.p} network")
+    # integral weights as plain ints: exact, and far cheaper to multiply
+    out = {
+        v: [(to, w.numerator if w.denominator == 1 else w) for to, w in edges]
+        for v, edges in network.outgoing().items()
+    }
+    sink_of = {sink_id(a): a for a in range(1, network.p + 1)}
+    budget = step_limit
 
-    if start in blocked:
-        return
-    yield from walk(start, {start}, Fraction(1))
+    def spend(steps: int) -> None:
+        nonlocal budget
+        budget -= steps
+        if budget < 0:
+            raise ResourceGuardError("path family enumeration exceeded its step budget")
+
+    # paths[i][a]: every path source i -> sink a as (vertex set, weight)
+    paths: dict[int, dict[int, list[tuple[frozenset[str], Fraction | int]]]] = {}
+
+    def walk(v: str, used: list[str], weight: Fraction | int, found: dict) -> None:
+        spend(1)
+        if v in sink_of:
+            found[sink_of[v]].append((frozenset(used), weight))
+        for to, w in out[v]:
+            used.append(to)
+            walk(to, used, weight * w, found)
+            used.pop()
+
+    for i in sorted({i for ix in indices for i in ix.rows}):
+        paths[i] = {a: [] for a in range(1, network.p + 1)}
+        walk(source_id(i), [source_id(i)], 1, paths[i])
+
+    signed_pairings: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+    counts: dict[MinorIndex, Fraction] = {}
+    for ix in indices:
+        k = ix.size
+        if k not in signed_pairings:
+            signed_pairings[k] = [
+                (pairing, -1 if inversion_count(pairing) % 2 else 1)
+                for pairing in iter_perms(range(k))
+            ]
+        total: Fraction | int = 0
+        for pairing, sign in signed_pairings[k]:
+            # extend the disjoint partial families one source at a time
+            families: list[tuple[frozenset[str], Fraction | int]] = [(frozenset(), 1)]
+            for i, c in zip(ix.rows, pairing):
+                options = paths[i][ix.cols[c]]
+                spend(len(families) * len(options))
+                families = [
+                    (used | vertices, weight * path_weight)
+                    for used, weight in families
+                    for vertices, path_weight in options
+                    if used.isdisjoint(vertices)
+                ]
+            total += sign * sum(weight for _, weight in families)
+        counts[ix] = Fraction(total)
+    return counts
 
 
 def nonintersecting_count(
@@ -254,35 +309,8 @@ def nonintersecting_count(
     *,
     step_limit: int = DEFAULT_STEP_LIMIT,
 ) -> Fraction:
-    """Signed weighted count of vertex-disjoint path families rows -> cols.
+    """The signed weighted count of disjoint path families for one minor.
 
-    Every pairing of sources to sinks is enumerated with its permutation
-    sign, which is the determinant identity for arbitrary DAGs; on planar
-    networks the twisted pairings admit no disjoint family, so the value is
-    the plain (weighted) number of nonintersecting families.
+    See :func:`nonintersecting_counts`; the step budget covers this one call.
     """
-    network.topological_order()  # rejects cycles up front
-    if ix.rows[-1] > network.m or ix.cols[-1] > network.p:
-        raise DomainError(f"{ix} does not fit a {network.m}x{network.p} network")
-    out = network.outgoing()
-    budget = [step_limit]
-    k = ix.size
-    total = Fraction(0)
-
-    from itertools import permutations as iter_perms
-
-    for pairing in iter_perms(range(k)):
-        sign = -1 if inversion_count(pairing) % 2 else 1
-
-        def assemble(level: int, blocked: set[str], weight: Fraction) -> Iterator[Fraction]:
-            if level == k:
-                yield weight
-                return
-            start = source_id(ix.rows[level])
-            goal = sink_id(ix.cols[pairing[level]])
-            for used, path_weight in _paths_from(out, start, goal, blocked, budget):
-                yield from assemble(level + 1, blocked | used, weight * path_weight)
-
-        for family_weight in assemble(0, set(), Fraction(1)):
-            total += sign * family_weight
-    return total
+    return nonintersecting_counts(network, [ix], step_limit=step_limit)[ix]

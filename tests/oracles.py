@@ -6,6 +6,7 @@ None of it shares algorithms with the package.
 """
 
 from fractions import Fraction
+from itertools import combinations, product
 from itertools import permutations as iter_perms
 
 from tnncells.scalars import QQ
@@ -73,6 +74,14 @@ def all_paths(adjacency, start, goal, banned=frozenset()):
     return out
 
 
+def adjacency_of(network):
+    """The network's edges as {tail: [(head, weight), ...]}."""
+    adjacency = {}
+    for tail, head, weight in network.edges:
+        adjacency.setdefault(tail, []).append((head, weight))
+    return adjacency
+
+
 def path_weight(adjacency, path):
     w = Fraction(1)
     for a, b in zip(path, path[1:]):
@@ -88,9 +97,7 @@ def turn_monomials(network, source, sink):
     +1 at the cell where it turns from a row into a column and -1 where it
     turns from a column into a row.
     """
-    adjacency = {}
-    for tail, head, weight in network.edges:
-        adjacency.setdefault(tail, []).append((head, weight))
+    adjacency = adjacency_of(network)
     xy = network.coords
     out = []
     for path in all_paths(adjacency, source, sink):
@@ -107,10 +114,35 @@ def turn_monomials(network, source, sink):
 
 def path_sum(network, source, sink):
     """Weighted path count by exhaustive walk, for cross-checking the DP."""
-    adjacency = {}
-    for tail, head, weight in network.edges:
-        adjacency.setdefault(tail, []).append((head, weight))
+    adjacency = adjacency_of(network)
     return sum(
         (path_weight(adjacency, p) for p in all_paths(adjacency, source, sink)),
         Fraction(0),
     )
+
+
+def disjoint_family_count(network, ix):
+    """Signed weighted count of vertex-disjoint path families rows -> cols.
+
+    For every pairing of the sources s<i> (i in ix.rows) to the sinks t<a>
+    (a in ix.cols), every tuple of paths from ``all_paths`` whose vertex
+    sets are pairwise disjoint adds the product of its path weights, with
+    the pairing's sign.
+    """
+    adjacency = adjacency_of(network)
+    sources = [f"s{i}" for i in ix.rows]
+    sinks = [f"t{a}" for a in ix.cols]
+    total = Fraction(0)
+    for pairing in iter_perms(range(len(sources))):
+        sign = -1 if inversion_count(pairing) % 2 else 1
+        options = [
+            all_paths(adjacency, source, sinks[c])
+            for source, c in zip(sources, pairing)
+        ]
+        for family in product(*options):
+            if all(set(a).isdisjoint(b) for a, b in combinations(family, 2)):
+                weight = Fraction(1)
+                for path in family:
+                    weight *= path_weight(adjacency, path)
+                total += sign * weight
+    return total

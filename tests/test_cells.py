@@ -14,6 +14,7 @@ from tnncells.cells import (
 from tnncells.diagrams import CauchonDiagram, enumerate_diagrams
 from tnncells.errors import DomainError
 from tnncells.matrices import Matrix, MinorFamily, MinorIndex
+from tnncells.permutations import minor_family, pipe_dream
 
 
 DEMO = CauchonDiagram.from_ascii(".#.\n##.\n...")
@@ -60,11 +61,13 @@ def test_empty_family_is_the_big_cell():
 
 
 def test_witness_matrix_vanishing_minors_close_the_loop():
-    for d in enumerate_diagrams(2, 2):
-        W = witness_matrix(d)
-        from tnncells.cauchon import vanishing_family
-
-        assert set(exact_vanishing_minors(W)) == set(vanishing_family(d))
+    # every diagram of the grids that criterion 9's exhaustive sweep leaves out
+    for m, p in [(2, 4), (4, 2), (2, 5), (5, 2)]:
+        for d in enumerate_diagrams(m, p):
+            W = witness_matrix(d)
+            assert set(exact_vanishing_minors(W)) == set(
+                minor_family(pipe_dream(d), m, p)
+            ), d.to_ascii()
 
 
 def test_cell_of_round_trip():

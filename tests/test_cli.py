@@ -68,6 +68,23 @@ def test_tnn_check_both_routes(runner, tnn_matrix, bad_matrix):
     assert "[1,2|1,2]" in bad.output
 
 
+def test_tnn_check_runs_the_deletion_test_once(runner, tnn_matrix, monkeypatch):
+    from tnncells import cauchon
+
+    calls = []
+    real_tnn_test = cauchon.tnn_test
+
+    def counting_tnn_test(M):
+        calls.append(M)
+        return real_tnn_test(M)
+
+    monkeypatch.setattr(cauchon, "tnn_test", counting_tnn_test)
+    result = runner.invoke(main, ["tnn-check", tnn_matrix])
+    assert result.exit_code == 0
+    assert len(calls) == 1
+    assert CauchonDiagram.from_ascii(".#.\n##.\n...").to_ascii() in result.output
+
+
 def test_restore_and_delete_are_inverse_on_files(runner, tmp_path):
     seed = tmp_path / "seed.csv"
     seed.write_text("1,-1,1\n0,2,1\n1,1,1\n")

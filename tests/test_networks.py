@@ -9,11 +9,12 @@ import oracles
 from tnncells.cauchon import ones_TC, symbolic_TC, white_variable
 from tnncells.diagrams import CauchonDiagram, enumerate_diagrams
 from tnncells.errors import DomainError, ResourceGuardError
-from tnncells.matrices import MinorIndex, iter_minor_indices, minor
+from tnncells.matrices import MinorIndex, determinant, iter_minor_indices, minor
 from tnncells.networks import (
     PlanarNetwork,
     dot_id,
     nonintersecting_count,
+    nonintersecting_counts,
     path_matrix,
     postnikov_network,
     sink_id,
@@ -108,6 +109,45 @@ def test_nonintersecting_count_demo_values():
     assert nonintersecting_count(net, MinorIndex.parse("[1,2|1,2]")) == 1
     assert nonintersecting_count(net, MinorIndex.parse("[1,2|2,3]")) == 0
     assert nonintersecting_count(net, MinorIndex.parse("[1,2,3|1,2,3]")) == 0
+
+
+def test_batched_counts_match_the_family_oracle():
+    for m in range(1, 4):
+        for p in range(1, 4):
+            indices = list(iter_minor_indices(m, p))
+            for d in enumerate_diagrams(m, p):
+                net = postnikov_network(d)
+                counts = nonintersecting_counts(net, indices)
+                assert set(counts) == set(indices)
+                for ix in indices:
+                    expect = oracles.disjoint_family_count(net, ix)
+                    assert counts[ix] == expect, (d.to_ascii(), ix)
+                    assert nonintersecting_count(net, ix) == expect, (d.to_ascii(), ix)
+
+
+def test_twisted_pairings_count_with_their_sign():
+    # not planar: every source-to-own-sink family meets at the hub, so only
+    # the twisted pairing s1 -> t2, s2 -> t1 has disjoint families
+    s1, s2, t1, t2 = source_id(1), source_id(2), sink_id(1), sink_id(2)
+    crossing = ((s1, t2, Fraction(1)), (s2, t1, Fraction(1)))
+    hub = tuple((frm, to, Fraction(1)) for frm, to in [
+        (s1, "hub"), (s2, "hub"), ("hub", t1), ("hub", t2),
+    ])
+    ix = MinorIndex((1, 2), (1, 2))
+    for edges, expect in [(crossing, -1), (crossing + hub, -3)]:
+        vertices = frozenset({s1, s2, t1, t2, "hub"})
+        net = PlanarNetwork(2, 2, vertices, edges)
+        assert nonintersecting_counts(net, [ix]) == {ix: expect}
+        assert oracles.disjoint_family_count(net, ix) == expect
+        assert determinant(path_matrix(net)) == expect
+
+
+def test_batched_step_budget_is_shared_across_minors():
+    net = postnikov_network(CauchonDiagram.all_white(3, 3))
+    indices = list(iter_minor_indices(3, 3))
+    nonintersecting_counts(net, indices)
+    with pytest.raises(ResourceGuardError):
+        nonintersecting_counts(net, indices, step_limit=100)
 
 
 def test_step_budget_guard():

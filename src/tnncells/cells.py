@@ -24,9 +24,9 @@ from .matrices import (
     Matrix,
     MinorFamily,
     MinorIndex,
-    exact_vanishing_minors,
-    is_tnn_bruteforce,
-    minor,
+    _worst_minor,
+    all_minors,
+    exact_vanishing_minors,  # re-exported for callers that import it from cells
 )
 from .permutations import Permutation, minor_family, pipe_dream
 from .cauchon import ones_TC, tnn_test, vanishing_family
@@ -113,13 +113,15 @@ def cell_of(matrix: Matrix) -> CellDescriptor:
     ConsistencyError since it would falsify the classification theorems,
     not merely this input.
     """
-    ok, witness = is_tnn_bruteforce(matrix)
-    if not ok:
-        value = minor(matrix, witness)
+    values = all_minors(matrix)
+    worst = _worst_minor(values)
+    if worst is not None:
         raise DomainError(
-            f"matrix is not totally nonnegative: minor {witness} = {value}"
+            f"matrix is not totally nonnegative: minor {worst[0]} = {worst[1]}"
         )
-    direct = exact_vanishing_minors(matrix)
+    direct = MinorFamily(
+        matrix.m, matrix.p, frozenset(ix for ix, value in values if value == 0)
+    )
     verdict = tnn_test(matrix)
     if not verdict.is_tnn or verdict.diagram is None:
         raise ConsistencyError(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
@@ -25,7 +24,7 @@ from . import permutations as perm_mod
 from . import poisson as poisson_mod
 from . import quantum as quantum_mod
 from . import cauchon as cauchon_mod
-from .errors import ConsistencyError, DomainError, ResourceGuardError
+from .errors import ConsistencyError, DomainError, ResourceGuardError, parse_json
 from .matrices import (
     Matrix,
     MinorFamily,
@@ -33,12 +32,10 @@ from .matrices import (
     all_minors,
     initial_minors,
     is_tnn_bruteforce,
-    is_tp,
     load_matrix_text,
     matrix_to_json,
     minor,
 )
-from .scalars import MPoly
 
 
 class App(click.Group):
@@ -46,13 +43,13 @@ class App(click.Group):
         try:
             return super().invoke(ctx)
         except DomainError as exc:
-            click.echo(f"error: {exc}", err=True)
+            click.echo(f"error: {exc}", file=sys.stderr)
             sys.exit(2)
         except ResourceGuardError as exc:
-            click.echo(f"resource guard: {exc}", err=True)
+            click.echo(f"resource guard: {exc}", file=sys.stderr)
             sys.exit(3)
         except ConsistencyError as exc:
-            click.echo(f"consistency failure: {exc}", err=True)
+            click.echo(f"consistency failure: {exc}", file=sys.stderr)
             sys.exit(1)
 
 
@@ -98,10 +95,14 @@ def _index_list(text: str) -> tuple[int, ...]:
 
 
 def _emit(fmt: str, payload: dict[str, Any], text: str, code: int = 0) -> None:
+    # Streams are passed explicitly: click caches a wrapper per default
+    # stream and the cached wrapper of a text stream is the stream itself, so
+    # a caller that swaps sys.stdout per call (in-process use, CliRunner)
+    # would keep every call's output alive.
     if fmt == "json":
-        click.echo(json.dumps(payload, indent=2))
+        click.echo(json.dumps(payload, indent=2), file=sys.stdout)
     else:
-        click.echo(text)
+        click.echo(text, file=sys.stdout)
     sys.exit(code)
 
 
@@ -352,7 +353,7 @@ def network_from_diagram(diagram_src: str, as_dot: bool, fmt: str) -> None:
     """Build the dot-and-hook network of a diagram."""
     net = networks_mod.postnikov_network(_diagram_arg(diagram_src))
     if as_dot:
-        click.echo(net.to_dot())
+        click.echo(net.to_dot(), file=sys.stdout)
         sys.exit(0)
     _emit(fmt, net.to_json(), json.dumps(net.to_json(), indent=2))
 
@@ -512,8 +513,7 @@ def cells_enum(m: int, p: int, out: str | None, fmt: str) -> None:
 @format_option
 def cells_admissible(family_src: str, fmt: str) -> None:
     """Is a minor family the vanishing set of a nonempty cell?"""
-    obj = json.loads(_read_source(family_src))
-    family = MinorFamily.from_json(obj)
+    family = MinorFamily.from_json(parse_json(_read_source(family_src), "minor family"))
     verdict = cells_mod.is_admissible(family)
     payload = {
         "admissible": verdict.admissible,
@@ -690,8 +690,7 @@ def poisson_semiclassical(m: int, p: int, fmt: str) -> None:
 @format_option
 def poisson_flow(path_src: str, ham: str, fmt: str) -> None:
     """Check a closed-form path against the flow equation."""
-    obj = json.loads(_read_source(path_src))
-    path = poisson_mod.FlowPath.from_json(obj)
+    path = poisson_mod.FlowPath.from_json(parse_json(_read_source(path_src), "path"))
     hamiltonian = poisson_mod.parse_poisson(ham, path.m, path.p)
     report = poisson_mod.verify_flow(path, hamiltonian)
     payload = {

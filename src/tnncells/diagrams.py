@@ -10,13 +10,12 @@ output.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product
 from typing import Any, Iterator
 
 from . import guards
-from .errors import DomainError
+from .errors import DomainError, parse_json
 
 Cell = tuple[int, int]
 
@@ -172,18 +171,18 @@ class CauchonDiagram:
     def from_json(cls, obj: Any) -> "CauchonDiagram":
         if not isinstance(obj, dict) or not {"m", "p", "black"} <= set(obj):
             raise DomainError("diagram JSON needs m, p and black")
-        black = frozenset((int(i), int(a)) for i, a in obj["black"])
-        return cls(int(obj["m"]), int(obj["p"]), black)
+        try:
+            black = frozenset((int(i), int(a)) for i, a in obj["black"])
+            m, p = int(obj["m"]), int(obj["p"])
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"bad diagram JSON field: {exc}") from exc
+        return cls(m, p, black)
 
     @classmethod
     def load_text(cls, text: str) -> "CauchonDiagram":
         stripped = text.lstrip()
         if stripped.startswith("{"):
-            try:
-                obj = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise DomainError(f"bad diagram JSON: {exc}") from exc
-            return cls.from_json(obj)
+            return cls.from_json(parse_json(text, "diagram"))
         return cls.from_ascii(text)
 
     def __str__(self) -> str:

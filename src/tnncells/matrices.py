@@ -13,7 +13,6 @@ matrices) are for display and entrywise arithmetic, not for determinants.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +20,7 @@ from itertools import combinations
 from math import comb, lcm
 from typing import Any, Iterable, Iterator, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, parse_json
 from .scalars import QQ, RationalDomain, ScalarDomain
 
 # ---------------------------------------------------------------------------
@@ -84,7 +83,12 @@ class MinorIndex:
     def from_json(cls, obj: Any) -> "MinorIndex":
         if not isinstance(obj, dict) or set(obj) != {"rows", "cols"}:
             raise DomainError(f"minor index JSON needs rows and cols, got {obj!r}")
-        return cls(tuple(obj["rows"]), tuple(obj["cols"]))
+        try:
+            rows = tuple(int(x) for x in obj["rows"])
+            cols = tuple(int(x) for x in obj["cols"])
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"minor index JSON needs integer lists, got {obj!r}") from exc
+        return cls(rows, cols)
 
 
 @dataclass(frozen=True)
@@ -124,8 +128,12 @@ class MinorFamily:
     def from_json(cls, obj: Any) -> "MinorFamily":
         if not isinstance(obj, dict) or not {"m", "p", "members"} <= set(obj):
             raise DomainError("minor family JSON needs m, p and members")
-        members = frozenset(MinorIndex.from_json(x) for x in obj["members"])
-        return cls(int(obj["m"]), int(obj["p"]), members)
+        try:
+            m, p = int(obj["m"]), int(obj["p"])
+            items = list(obj["members"])
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"bad minor family JSON field: {exc}") from exc
+        return cls(m, p, frozenset(MinorIndex.from_json(x) for x in items))
 
 
 # ---------------------------------------------------------------------------
@@ -170,19 +178,8 @@ class Matrix:
             raise DomainError(f"entry ({i},{alpha}) outside {self.m}x{self.p}")
         return self.rows[i - 1][alpha - 1]
 
-    def with_entry(self, i: int, alpha: int, value: Any) -> "Matrix":
-        if not (1 <= i <= self.m and 1 <= alpha <= self.p):
-            raise DomainError(f"entry ({i},{alpha}) outside {self.m}x{self.p}")
-        rows = [list(r) for r in self.rows]
-        rows[i - 1][alpha - 1] = value
-        return Matrix(self.domain, rows)
-
     def transpose(self) -> "Matrix":
         return Matrix(self.domain, list(zip(*self.rows)))
-
-    def map(self, fn: Any, domain: ScalarDomain | None = None) -> "Matrix":
-        return Matrix(domain or self.domain,
-                      [[fn(x) for x in row] for row in self.rows])
 
     def equals(self, other: "Matrix") -> bool:
         if (self.m, self.p) != (other.m, other.p):
@@ -321,6 +318,23 @@ def is_tp(matrix: Matrix) -> bool:
     return all(value > 0 for _, value in initial_minors(matrix))
 
 
+def _worst_minor(
+    values: Iterable[tuple[MinorIndex, Fraction]],
+) -> tuple[MinorIndex, Fraction] | None:
+    """The most negative minor of the smallest failing size, or None.
+
+    ``values`` must come in :func:`iter_minor_indices` order; reading stops
+    at the first minor past the failing size.
+    """
+    worst: tuple[MinorIndex, Fraction] | None = None
+    for ix, value in values:
+        if worst is not None and ix.size > worst[0].size:
+            break
+        if value < 0 and (worst is None or value < worst[1]):
+            worst = (ix, value)
+    return worst
+
+
 def is_tnn_bruteforce(matrix: Matrix) -> tuple[bool, MinorIndex | None]:
     """Check every minor for nonnegativity; on failure report a witness.
 
@@ -328,18 +342,12 @@ def is_tnn_bruteforce(matrix: Matrix) -> tuple[bool, MinorIndex | None]:
     so it names the worst violation rather than an accident of scan order.
     """
     _require_rational(matrix, "total nonnegativity")
-    worst: tuple[Fraction, MinorIndex] | None = None
-    size = 0
-    for ix in iter_minor_indices(matrix.m, matrix.p):
-        if worst is not None and ix.size > size:
-            break
-        value = minor(matrix, ix)
-        if value < 0 and (worst is None or value < worst[0]):
-            worst = (value, ix)
-            size = ix.size
+    worst = _worst_minor(
+        (ix, minor(matrix, ix)) for ix in iter_minor_indices(matrix.m, matrix.p)
+    )
     if worst is None:
         return True, None
-    return False, worst[1]
+    return False, worst[0]
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +366,11 @@ def matrix_from_json(obj: Any) -> Matrix:
     """Read ``{"m": ..., "p": ..., "entries": [[...], ...]}`` matrices."""
     if not isinstance(obj, dict) or not {"m", "p", "entries"} <= set(obj):
         raise DomainError("matrix JSON needs m, p and entries")
-    m, p = int(obj["m"]), int(obj["p"])
-    entries = obj["entries"]
+    try:
+        m, p = int(obj["m"]), int(obj["p"])
+        entries = [list(row) for row in obj["entries"]]
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"bad matrix JSON field: {exc}") from exc
     if len(entries) != m or any(len(row) != p for row in entries):
         raise DomainError(f"entries do not form an {m}x{p} grid")
     rows = [[parse_rational(x) for x in row] for row in entries]
@@ -392,11 +403,7 @@ def load_matrix_text(text: str) -> Matrix:
     """Accept either the JSON or the CSV matrix format."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"bad matrix JSON: {exc}") from exc
-        return matrix_from_json(obj)
+        return matrix_from_json(parse_json(text, "matrix"))
     if stripped.startswith("["):
         raise DomainError(
             'matrix JSON is an object {"m", "p", "entries"}, not a bare array'

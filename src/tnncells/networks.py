@@ -23,14 +23,13 @@ budget is per call, shared across all the minors and pairings it counts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations as iter_perms
 from typing import Any, Iterable
 
 from .diagrams import CauchonDiagram
-from .errors import DomainError, ResourceGuardError
+from .errors import DomainError, ResourceGuardError, parse_json
 from .matrices import Matrix, MinorIndex, parse_rational
 from .permutations import inversion_count
 from .scalars import QQ
@@ -125,30 +124,26 @@ class PlanarNetwork:
     def from_json(cls, obj: Any) -> "PlanarNetwork":
         if not isinstance(obj, dict) or not {"m", "p", "edges"} <= set(obj):
             raise DomainError("network JSON needs m, p and edges")
-        edges = tuple(
-            (e["from"], e["to"], parse_rational(e.get("weight", "1")))
-            for e in obj["edges"]
-        )
-        vertices = set(obj.get("vertices", []))
-        for frm, to, _ in edges:
-            vertices.add(frm)
-            vertices.add(to)
-        m, p = int(obj["m"]), int(obj["p"])
+        try:
+            m, p = int(obj["m"]), int(obj["p"])
+            raw = [(e["from"], e["to"], e.get("weight", "1")) for e in obj["edges"]]
+            vertices = set(obj.get("vertices", []))
+            for frm, to, _ in raw:
+                vertices.update((frm, to))
+            coords = {
+                v: (float(x), float(y))
+                for v, (x, y) in obj.get("coords", {}).items()
+            }
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise DomainError(f"bad network JSON field: {exc!r}") from exc
+        edges = tuple((frm, to, parse_rational(w)) for frm, to, w in raw)
         vertices.update(source_id(i) for i in range(1, m + 1))
         vertices.update(sink_id(a) for a in range(1, p + 1))
-        coords = {
-            v: (float(x), float(y))
-            for v, (x, y) in obj.get("coords", {}).items()
-        }
         return cls(m, p, frozenset(vertices), edges, coords)
 
     @classmethod
     def load_text(cls, text: str) -> "PlanarNetwork":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"bad network JSON: {exc}") from exc
-        return cls.from_json(obj)
+        return cls.from_json(parse_json(text, "network"))
 
     def to_dot(self) -> str:
         lines = ["digraph network {", "  rankdir=RL;"]

@@ -13,6 +13,13 @@ label m + p + 1 - i); they leave at the left edge (row i is sink m + 1 - i)
 or the top edge (column a is sink m + a). Tracing label s to its sink gives
 w(s). The all-black grid maps to the permutation with maximal displacement
 and the all-white grid to the identity.
+
+The minor family of w collects the minors that vanish on its cell. Two
+window conditions decide membership: one on the column pool of w, one on
+its column windows. Transposing a diagram conjugates its permutation by the
+order-reversing w0, so the same two conditions read on the mirror w0 w w0,
+at the transposed size and on the transposed minor, give the other two of
+the four conditions the survey lists.
 """
 
 from __future__ import annotations
@@ -21,12 +28,12 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations as iter_permutations
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from . import guards
 from .diagrams import CauchonDiagram
 from .errors import DomainError
-from .matrices import MinorFamily, MinorIndex, iter_minor_indices
+from .matrices import MinorFamily, iter_minor_indices
 
 
 def inversion_count(images: Sequence[int]) -> int:
@@ -71,10 +78,6 @@ class Permutation:
         for i, w in enumerate(self.images, start=1):
             images[w - 1] = i
         return Permutation(tuple(images))
-
-    def apply_set(self, xs: Any) -> tuple[int, ...]:
-        """Elementwise image of an index set, sorted ascending."""
-        return tuple(sorted(self(x) for x in xs))
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -284,86 +287,73 @@ def bruhat_leq(u: Permutation, w: Permutation) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _set_leq(xs: tuple[int, ...], ys: tuple[int, ...]) -> bool:
-    # both sorted ascending, equal length
-    return all(x <= y for x, y in zip(xs, ys))
+def _window_test(
+    images: Sequence[int], m: int, p: int
+) -> Callable[[tuple[int, ...], tuple[int, ...]], bool]:
+    """Conditions 1 and 3 for the permutation with these one-line images,
+    as a test on a minor's (rows, cols) at ambient size (m, p).
 
-
-def _condition_one(w: Permutation, m: int, p: int, ix: MinorIndex) -> bool:
-    # rows must escape the flipped image of every size-k column pool subset
-    # below cols; an empty candidate set makes the condition hold
-    pool = [a for a in range(1, p + 1) if w(a) <= m]
-    k = ix.size
-    for raw in combinations(pool, k):
-        if not _set_leq(raw, ix.cols):
-            continue
-        target = tuple(sorted(m + 1 - w(a) for a in raw))
-        if _set_leq(ix.rows, target):
-            return False
-    return True
-
-
-def _condition_two(w: Permutation, m: int, p: int, ix: MinorIndex) -> bool:
-    # shifted cols must escape the image of every size-k row pool subset
-    # below rows; the pool flips through position N+1-x
-    n = m + p
-    pool = [x for x in range(1, m + 1) if w(n + 1 - x) > m]
-    k = ix.size
-    shifted = tuple(m + a for a in ix.cols)
-    for raw in combinations(pool, k):
-        if not _set_leq(raw, ix.rows):
-            continue
-        target = tuple(sorted(w(n + 1 - x) for x in raw))
-        if _set_leq(shifted, target):
-            return False
-    return True
-
-
-def _condition_three(w: Permutation, m: int, p: int, ix: MinorIndex) -> bool:
-    # some column window [r..s] holds more of cols than it has columns
-    # whose image escapes [m+r..m+s]
-    for r in range(1, p + 1):
-        for s in range(r, p + 1):
-            inside = sum(1 for a in ix.cols if r <= a <= s)
-            room = sum(1 for c in range(r, s + 1) if not (m + r <= w(c) <= m + s))
-            if inside > room:
-                return True
-    return False
-
-
-def _condition_four(w: Permutation, m: int, p: int, ix: MinorIndex) -> bool:
-    # mirror of condition three on row windows, read through both
-    # order-reversing elements
-    n = m + p
-    for r in range(1, m + 1):
-        for s in range(r, m + 1):
-            inside = sum(1 for i in ix.rows if r <= i <= s)
-            room = sum(
-                1
-                for x in range(n + 1 - s, n + 2 - r)
-                if not (m + 1 - s <= w(x) <= m + 1 - r)
+    Condition 1: no size-k subset of the column pool {a <= p : w(a) <= m}
+    lies below cols (entrywise, both sorted) while its flipped image
+    {m + 1 - w(a)} lies above rows. Condition 3: some column window [r..s]
+    holds more of cols than it has columns c with w(c) outside
+    [m + r..m + s]. Both depend on cols only through data fixed by w, so
+    that data is built once per column set here, not once per minor.
+    """
+    pool = [a for a in range(1, p + 1) if images[a - 1] <= m]
+    room = {
+        (r, s): sum(1 for c in range(r, s + 1) if not m + r <= images[c - 1] <= m + s)
+        for r in range(1, p + 1)
+        for s in range(r, p + 1)
+    }
+    # cols -> flipped targets of the pool subsets below cols; None when a
+    # window is crowded, which puts every minor on these columns in
+    escapes: dict[tuple[int, ...], list[tuple[int, ...]] | None] = {}
+    for k in range(1, min(m, p) + 1):
+        pairs = [
+            (raw, tuple(sorted(m + 1 - images[a - 1] for a in raw)))
+            for raw in combinations(pool, k)
+        ]
+        for cols in combinations(range(1, p + 1), k):
+            crowded = any(
+                sum(1 for a in cols if r <= a <= s) > free
+                for (r, s), free in room.items()
             )
-            if inside > room:
-                return True
-    return False
+            escapes[cols] = None if crowded else [
+                target
+                for raw, target in pairs
+                if all(x <= y for x, y in zip(raw, cols))
+            ]
 
+    def test(rows: tuple[int, ...], cols: tuple[int, ...]) -> bool:
+        targets = escapes[cols]
+        return targets is None or not any(
+            all(x <= y for x, y in zip(rows, target)) for target in targets
+        )
 
-def in_minor_family(w: Permutation, m: int, p: int, ix: MinorIndex) -> bool:
-    return (
-        _condition_one(w, m, p, ix)
-        or _condition_two(w, m, p, ix)
-        or _condition_three(w, m, p, ix)
-        or _condition_four(w, m, p, ix)
-    )
+    return test
 
 
 def minor_family(w: Permutation, m: int, p: int) -> MinorFamily:
-    """All minors forced to vanish on the cell labeled by w."""
+    """All minors forced to vanish on the cell labeled by w.
+
+    A minor [rows|cols] is in the family when w meets condition 1 or 3 of
+    :func:`_window_test` at (m, p), or when the mirror w'(i) = n + 1 -
+    w(n + 1 - i) (that is w0 w w0, with n = m + p) meets one of them at
+    (p, m) on the transposed minor [cols|rows]. The mirror labels the
+    transposed cell, so its two readings are the survey's conditions 2
+    and 4.
+    """
     if w.n != m + p:
         raise DomainError(f"{w} is not a permutation of 1..{m + p}")
     if not is_restricted(w, m, p):
         raise DomainError(f"{w} violates the window condition for ({m},{p})")
+    n = w.n
+    direct = _window_test(w.images, m, p)
+    mirrored = _window_test([n + 1 - w.images[n - i] for i in range(1, n + 1)], p, m)
     members = frozenset(
-        ix for ix in iter_minor_indices(m, p) if in_minor_family(w, m, p, ix)
+        ix
+        for ix in iter_minor_indices(m, p)
+        if direct(ix.rows, ix.cols) or mirrored(ix.cols, ix.rows)
     )
     return MinorFamily(m, p, members)

@@ -370,11 +370,15 @@ class FlowPath:
     def from_json(cls, obj: Any) -> "FlowPath":
         if not isinstance(obj, dict) or not {"m", "p", "entries"} <= set(obj):
             raise DomainError("path JSON needs m, p and entries")
+        try:
+            m, p = int(obj["m"]), int(obj["p"])
+            cells = [list(row) for row in obj["entries"]]
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"bad path JSON field: {exc}") from exc
         entries = tuple(
-            tuple(parse_path_entry(str(cell)) for cell in row)
-            for row in obj["entries"]
+            tuple(parse_path_entry(str(cell)) for cell in row) for row in cells
         )
-        return cls(int(obj["m"]), int(obj["p"]), entries)
+        return cls(m, p, entries)
 
     @classmethod
     def constant(cls, matrix: Matrix) -> "FlowPath":

@@ -181,21 +181,6 @@ class MPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        """Degree of the polynomial, -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
-    def constant_value(self) -> int:
-        """The value of a constant polynomial; DomainError otherwise."""
-        if not self.terms:
-            return 0
-        zero_exps = (0,) * len(self.names)
-        if set(self.terms) != {zero_exps}:
-            raise DomainError(f"{self} is not constant")
-        return self.terms[zero_exps]
-
     def partial(self, name: str) -> "MPoly":
         """Formal partial derivative with respect to ``name``."""
         names = self.names
@@ -232,24 +217,6 @@ class MPoly:
                     term = term * values[self.names[k]] ** e
             result = result + term
         return result
-
-    def map_names(self, names: Sequence[str], translate: Mapping[str, str]) -> "MPoly":
-        """Re-express the polynomial over another variable tuple."""
-        names = tuple(names)
-        index = {n: k for k, n in enumerate(names)}
-        terms: dict[tuple[int, ...], int] = {}
-        for exps, coeff in self.terms.items():
-            new = [0] * len(names)
-            for k, e in enumerate(exps):
-                if not e:
-                    continue
-                target = translate.get(self.names[k], self.names[k])
-                if target not in index:
-                    raise DomainError(f"variable {target!r} not in target universe")
-                new[index[target]] += e
-            key = tuple(new)
-            terms[key] = terms.get(key, 0) + coeff
-        return MPoly(names, terms)
 
     # -- presentation ---------------------------------------------------------
 
@@ -658,9 +625,6 @@ class ScalarDomain:
 
     def mul(self, a: Any, b: Any) -> Any:
         return a * b
-
-    def neg(self, a: Any) -> Any:
-        return -a
 
     def div(self, a: Any, b: Any) -> Any:
         raise NotImplementedError

@@ -1,6 +1,11 @@
 """Admissible families, cell classification, and the three-route cross-check."""
 
+import random
+from itertools import combinations
+
 import pytest
+
+import oracles
 
 from tnncells.cauchon import ones_TC
 from tnncells.cells import (
@@ -13,7 +18,13 @@ from tnncells.cells import (
 )
 from tnncells.diagrams import CauchonDiagram, enumerate_diagrams
 from tnncells.errors import DomainError
-from tnncells.matrices import Matrix, MinorFamily, MinorIndex
+from tnncells.matrices import (
+    Matrix,
+    MinorFamily,
+    MinorIndex,
+    is_tnn_bruteforce,
+    minor,
+)
 from tnncells.permutations import minor_family, pipe_dream
 
 
@@ -62,7 +73,7 @@ def test_empty_family_is_the_big_cell():
 
 def test_witness_matrix_vanishing_minors_close_the_loop():
     # every diagram of the grids that criterion 9's exhaustive sweep leaves out
-    for m, p in [(2, 4), (4, 2), (2, 5), (5, 2)]:
+    for m, p in [(2, 4), (4, 2), (3, 4), (4, 3), (2, 5), (5, 2)]:
         for d in enumerate_diagrams(m, p):
             W = witness_matrix(d)
             assert set(exact_vanishing_minors(W)) == set(
@@ -83,11 +94,47 @@ def test_cell_of_demo_matrix():
     assert len(descriptor.family) == 6
 
 
+def _leibniz_witness(M):
+    """The most negative minor of the smallest failing size, first in
+    (rows, cols) order on ties, from Leibniz determinants."""
+    for k in range(1, min(M.m, M.p) + 1):
+        negative = [
+            (oracles.leibniz_det([[M.rows[i - 1][a - 1] for a in cols] for i in rows]),
+             rows, cols)
+            for rows in combinations(range(1, M.m + 1), k)
+            for cols in combinations(range(1, M.p + 1), k)
+        ]
+        negative = [t for t in negative if t[0] < 0]
+        if negative:
+            value, rows, cols = min(negative)
+            return MinorIndex(rows, cols), value
+    return None
+
+
 def test_cell_of_rejects_non_tnn_with_witness():
     bad = Matrix.from_rows([[0, 1], [1, 0]])
     with pytest.raises(DomainError) as err:
         cell_of(bad)
     assert "[1,2|1,2]" in str(err.value)
+    # seeded 3x3 and 4x4 matrices: the error names the brute-force witness
+    rng = random.Random(7)
+    for size in (3, 4):
+        seen = 0
+        while seen < 20:
+            M = Matrix.from_rows(
+                [[rng.randint(-2, 5) for _ in range(size)] for _ in range(size)]
+            )
+            ok, witness = is_tnn_bruteforce(M)
+            if ok:
+                continue
+            seen += 1
+            assert (witness, minor(M, witness)) == _leibniz_witness(M)
+            with pytest.raises(DomainError) as err:
+                cell_of(M)
+            assert str(err.value) == (
+                "matrix is not totally nonnegative: "
+                f"minor {witness} = {minor(M, witness)}"
+            )
 
 
 def test_unifying_check_2x2():

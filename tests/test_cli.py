@@ -1,7 +1,11 @@
 """End-to-end command-line coverage, one happy path and key exits per command."""
 
+import contextlib
+import gc
+import io
 import json
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -299,6 +303,41 @@ def test_fixtures_export(runner, tmp_path):
 def test_domain_errors_exit_2(runner, demo_diagram):
     result = runner.invoke(main, ["tp-check", demo_diagram])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["cells", "admissible", "-f",
+         '{"m":2,"p":2,"members":[{"rows":[1],"cols":[1]}]'],
+        ["cells", "admissible", "-f",
+         '{"m":2,"p":2,"members":[{"rows":["a"],"cols":[1]}]}'],
+        ["cells", "admissible", "-f", '{"m":"x","p":2,"members":[]}'],
+        ["poisson", "flow", "--path", "nope"],
+        ["network", "lindstrom", "-n", '{"m":1,"p":1,"edges":[{"from":"s1"}]}',
+         "--rows", "1", "--cols", "1"],
+        ["tnn-check", '{"m":"a","p":2,"entries":[]}'],
+        ["tc", "-d", '{"m":2,"p":2,"black":[[1,"x"]]}'],
+    ],
+)
+def test_malformed_json_exits_2(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.exception
+    assert "Traceback" not in result.output
+    assert "error:" in result.output
+
+
+@pytest.mark.parametrize("args", [["minors", "1,1\n1,2"], ["minors", "1,x"]])
+def test_in_process_calls_release_their_streams(args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit):
+            main.main(args=args, prog_name="tnncells", standalone_mode=False)
+    assert out.getvalue() or err.getvalue()
+    refs = [weakref.ref(out), weakref.ref(err)]
+    del out, err
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_guard_exits_3(runner, monkeypatch, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from tnncells.cauchon import vanishing_family
 from tnncells.diagrams import CauchonDiagram, count_diagrams, enumerate_diagrams
 from tnncells.errors import DomainError
 from tnncells.matrices import MinorIndex, iter_minor_indices, minor_count
@@ -15,7 +16,6 @@ from tnncells.permutations import (
     bruhat_leq,
     count_restricted,
     enumerate_restricted,
-    in_minor_family,
     inverse_pipe_dream,
     is_restricted,
     longest_element,
@@ -188,9 +188,22 @@ class TestMinorFamilies:
 
     def test_membership_pins(self):
         w = parse_permutation("135246")
-        assert in_minor_family(w, 3, 3, MinorIndex.parse("[1,2|2,3]"))
-        assert not in_minor_family(w, 3, 3, MinorIndex.parse("[1,2|1,2]"))
-        assert not in_minor_family(w, 3, 3, MinorIndex.parse("[1|1]"))
+        family = minor_family(w, 3, 3)
+        assert MinorIndex.parse("[1,2|2,3]") in family
+        assert MinorIndex.parse("[1,2|1,2]") not in family
+        assert MinorIndex.parse("[1|1]") not in family
+
+    def test_transpose_mirrors_the_permutation_and_the_family(self):
+        # transposition is a bijection from m x p diagrams onto p x m ones,
+        # so the grids with m <= p cover every diagram through 3x4 and 4x3
+        for m, p in [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4),
+                     (3, 3), (3, 4)]:
+            w0 = longest_element(m + p)
+            for d in enumerate_diagrams(m, p):
+                t = d.transpose()
+                assert pipe_dream(t) == w0 @ pipe_dream(d) @ w0, d.to_ascii()
+                flipped = {ix.transposed() for ix in vanishing_family(d)}
+                assert set(vanishing_family(t)) == flipped, d.to_ascii()
 
     def test_families_are_distinct_across_the_window(self):
         fams = {

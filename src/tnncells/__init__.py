@@ -53,7 +53,7 @@ from .cauchon import (
     tnn_test,
     vanishing_family,
 )
-from .scalars import LaurentQ, MPoly, QQ, RatFunc
+from .scalars import LaurentQ, MPoly, QQ
 
 __version__ = "0.1.0"
 
@@ -74,7 +74,6 @@ __all__ = [
     "PlanarNetwork",
     "QPoly",
     "QQ",
-    "RatFunc",
     "ResourceGuardError",
     "TnnVerdict",
     "UnifyingReport",

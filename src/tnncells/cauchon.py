@@ -29,7 +29,7 @@ from . import guards
 from .diagrams import CauchonDiagram, Cell, is_cauchon
 from .errors import DomainError
 from .matrices import Matrix, MinorFamily, exact_vanishing_minors
-from .scalars import QQ, RationalDomain, RationalFunctionDomain, ScalarDomain
+from .scalars import LaurentDomain, QQ, RationalDomain, ScalarDomain
 
 StepIndex = tuple[int, int]
 
@@ -174,8 +174,8 @@ def white_variable(cell: Cell) -> str:
     return f"t[{cell[0]},{cell[1]}]"
 
 
-def symbolic_domain(diagram: CauchonDiagram) -> RationalFunctionDomain:
-    return RationalFunctionDomain(
+def symbolic_domain(diagram: CauchonDiagram) -> LaurentDomain:
+    return LaurentDomain(
         [white_variable(c) for c in diagram.white_cells()]
     )
 
@@ -184,8 +184,10 @@ def symbolic_TC(diagram: CauchonDiagram) -> Matrix:
     """The canonical matrix with an independent variable per white cell.
 
     Every pivot used during restoration is an untouched seed entry (steps at
-    row j never modify row j), so denominators stay monomial and entries are
-    honest rational functions of the white-cell variables.
+    row j never modify row j), so each division is by a single white-cell
+    variable and the entries are Laurent polynomials in those variables.
+    Deleting derivations retraces the same pivots, so the inverse sweep
+    divides only by them too.
     """
     dom = symbolic_domain(diagram)
     assignment = {c: dom.var(white_variable(c)) for c in diagram.white_cells()}

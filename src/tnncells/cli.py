@@ -74,7 +74,7 @@ def _read_source(value: str) -> str:
     if value == "-":
         return sys.stdin.read()
     path = Path(value)
-    if path.exists():
+    if path.is_file():
         return path.read_text()
     return value
 
@@ -312,26 +312,9 @@ def diagram_enum(m: int, p: int, count_only: bool, fmt: str) -> None:
 @format_option
 def diagram_check(grid: str, fmt: str) -> None:
     """Is a 0/1 or dot/hash grid a valid diagram?"""
-    text = _read_source(grid)
-    body = text.strip().replace("/", "\n")
-    lines = [line.strip() for line in body.splitlines() if line.strip()]
-    if not lines or any(len(line) != len(lines[0]) for line in lines):
-        raise DomainError("grid rows are missing or differ in length")
-    charset = set("".join(lines))
-    if charset <= {".", "#"}:
-        black_chars = {"#"}
-    elif charset <= {"0", "1"}:
-        black_chars = {"0"}
-    else:
-        raise DomainError("grid must use .# or 01 characters")
-    black = {
-        (i + 1, a + 1)
-        for i, line in enumerate(lines)
-        for a, ch in enumerate(line)
-        if ch in black_chars
-    }
-    ok = diagrams_mod.is_cauchon(len(lines), len(lines[0]), black)
-    payload = {"m": len(lines), "p": len(lines[0]), "valid": ok}
+    m, p, black = diagrams_mod.parse_grid(_read_source(grid))
+    ok = diagrams_mod.is_cauchon(m, p, black)
+    payload = {"m": m, "p": p, "valid": ok}
     _emit(fmt, payload, "valid" if ok else "not a diagram", _verdict_code(ok))
 
 

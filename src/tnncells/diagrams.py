@@ -15,7 +15,7 @@ from itertools import product
 from typing import Any, Iterator
 
 from . import guards
-from .errors import DomainError, parse_json
+from .errors import DomainError, json_int, parse_json
 
 Cell = tuple[int, int]
 
@@ -43,6 +43,38 @@ def is_cauchon(m: int, p: int, black: Any) -> bool:
         raise DomainError("grid sizes must be at least 1")
     cells = frozenset((int(i), int(a)) for i, a in black)
     return _first_violation(m, p, cells) is None
+
+
+def parse_grid(text: str) -> tuple[int, int, frozenset[Cell]]:
+    """Read a dot/hash grid or a 0/1 Le grid as (m, p, black cells).
+
+    `/` may separate rows. The coloring is not checked against the diagram
+    rule; malformed text raises DomainError.
+    """
+    body = text.strip().replace("/", "\n")
+    lines = [line.strip() for line in body.splitlines() if line.strip()]
+    if not lines:
+        raise DomainError("empty diagram text")
+    width = len(lines[0])
+    if any(len(line) != width for line in lines):
+        raise DomainError("diagram rows differ in length")
+    charset = set("".join(lines))
+    if charset <= {WHITE_CHAR, BLACK_CHAR}:
+        black_char = BLACK_CHAR
+    elif charset <= {"0", "1"}:
+        black_char = "0"
+    else:
+        raise DomainError(
+            f"diagram text must use {WHITE_CHAR}{BLACK_CHAR} or 01, "
+            f"got {''.join(sorted(charset))!r}"
+        )
+    black = frozenset(
+        (i + 1, a + 1)
+        for i, line in enumerate(lines)
+        for a, ch in enumerate(line)
+        if ch == black_char
+    )
+    return len(lines), width, black
 
 
 @dataclass(frozen=True)
@@ -113,30 +145,7 @@ class CauchonDiagram:
     @classmethod
     def from_ascii(cls, text: str) -> "CauchonDiagram":
         """Parse a dot/hash grid or a 0/1 Le grid; `/` may separate rows."""
-        body = text.strip().replace("/", "\n")
-        lines = [line.strip() for line in body.splitlines() if line.strip()]
-        if not lines:
-            raise DomainError("empty diagram text")
-        width = len(lines[0])
-        if any(len(line) != width for line in lines):
-            raise DomainError("diagram rows differ in length")
-        charset = set("".join(lines))
-        if charset <= {WHITE_CHAR, BLACK_CHAR}:
-            black_chars = {BLACK_CHAR}
-        elif charset <= {"0", "1"}:
-            black_chars = {"0"}
-        else:
-            raise DomainError(
-                f"diagram text must use {WHITE_CHAR}{BLACK_CHAR} or 01, "
-                f"got {''.join(sorted(charset))!r}"
-            )
-        black = frozenset(
-            (i + 1, a + 1)
-            for i, line in enumerate(lines)
-            for a, ch in enumerate(line)
-            if ch in black_chars
-        )
-        return cls(len(lines), width, black)
+        return cls(*parse_grid(text))
 
     def to_le_grid(self) -> list[list[int]]:
         """0/1 rows with 0 on black cells."""
@@ -171,9 +180,12 @@ class CauchonDiagram:
     def from_json(cls, obj: Any) -> "CauchonDiagram":
         if not isinstance(obj, dict) or not {"m", "p", "black"} <= set(obj):
             raise DomainError("diagram JSON needs m, p and black")
+        m, p = json_int(obj["m"], "m"), json_int(obj["p"], "p")
         try:
-            black = frozenset((int(i), int(a)) for i, a in obj["black"])
-            m, p = int(obj["m"]), int(obj["p"])
+            black = frozenset(
+                (json_int(i, "cell row"), json_int(a, "cell column"))
+                for i, a in obj["black"]
+            )
         except (TypeError, ValueError) as exc:
             raise DomainError(f"bad diagram JSON field: {exc}") from exc
         return cls(m, p, black)
@@ -201,10 +213,12 @@ def enumerate_diagrams(m: int, p: int) -> Iterator[CauchonDiagram]:
     as 1, so the all-white diagram comes first and the all-black one last.
     Backtracking checks each black placement as it is made: everything to
     the left of and above the current cell is already decided, so the check
-    is exact and no completed coloring is ever rejected.
+    is exact and no completed coloring is ever rejected. The enumeration
+    guard is checked when the call is made.
     """
     if m < 1 or p < 1:
         raise DomainError("grid sizes must be at least 1")
+    guards.ensure_enumerable(m, p, what="diagram enumeration")
     cells = [(i, a) for i in range(1, m + 1) for a in range(1, p + 1)]
     black: set[Cell] = set()
 
@@ -224,7 +238,7 @@ def enumerate_diagrams(m: int, p: int) -> Iterator[CauchonDiagram]:
             yield from walk(k + 1)
             black.discard((i, alpha))
 
-    yield from walk(0)
+    return walk(0)
 
 
 def count_diagrams(m: int, p: int) -> int:

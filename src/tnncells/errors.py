@@ -1,4 +1,4 @@
-"""Error types shared across the package, and the JSON reader that raises them."""
+"""Error types shared across the package, and the JSON readers that raise them."""
 
 import json
 from typing import Any
@@ -18,6 +18,13 @@ class ConsistencyError(RuntimeError):
     Raised by cross-validating operations; a ConsistencyError is always a bug
     (or a counterexample), never a user error.
     """
+
+
+def json_int(value: Any, what: str) -> int:
+    """A JSON integer field; anything else, floats and booleans too, raises DomainError."""
+    if type(value) is not int:
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def parse_json(text: str, what: str) -> Any:

@@ -8,7 +8,8 @@ increasing tuples, and composite minors print as ``[1,2|2,3]``.
 Determinants are taken over the rationals only: they clear denominators and
 run fraction-free Bareiss elimination on integers, which keeps intermediate
 growth polynomial. Matrices over other domains (the symbolic canonical
-matrices) are for display and entrywise arithmetic, not for determinants.
+matrices, whose entries are Laurent polynomials in the white-cell variables)
+are for display, entrywise arithmetic and the sweeps, not for determinants.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from itertools import combinations
 from math import comb, lcm
 from typing import Any, Iterable, Iterator, Sequence
 
-from .errors import DomainError, parse_json
+from .errors import DomainError, json_int, parse_json
 from .scalars import QQ, RationalDomain, ScalarDomain
 
 # ---------------------------------------------------------------------------
@@ -84,9 +85,9 @@ class MinorIndex:
         if not isinstance(obj, dict) or set(obj) != {"rows", "cols"}:
             raise DomainError(f"minor index JSON needs rows and cols, got {obj!r}")
         try:
-            rows = tuple(int(x) for x in obj["rows"])
-            cols = tuple(int(x) for x in obj["cols"])
-        except (TypeError, ValueError) as exc:
+            rows = tuple(json_int(x, "minor index row") for x in obj["rows"])
+            cols = tuple(json_int(x, "minor index column") for x in obj["cols"])
+        except TypeError as exc:
             raise DomainError(f"minor index JSON needs integer lists, got {obj!r}") from exc
         return cls(rows, cols)
 
@@ -128,10 +129,10 @@ class MinorFamily:
     def from_json(cls, obj: Any) -> "MinorFamily":
         if not isinstance(obj, dict) or not {"m", "p", "members"} <= set(obj):
             raise DomainError("minor family JSON needs m, p and members")
+        m, p = json_int(obj["m"], "m"), json_int(obj["p"], "p")
         try:
-            m, p = int(obj["m"]), int(obj["p"])
             items = list(obj["members"])
-        except (TypeError, ValueError) as exc:
+        except TypeError as exc:
             raise DomainError(f"bad minor family JSON field: {exc}") from exc
         return cls(m, p, frozenset(MinorIndex.from_json(x) for x in items))
 
@@ -366,10 +367,10 @@ def matrix_from_json(obj: Any) -> Matrix:
     """Read ``{"m": ..., "p": ..., "entries": [[...], ...]}`` matrices."""
     if not isinstance(obj, dict) or not {"m", "p", "entries"} <= set(obj):
         raise DomainError("matrix JSON needs m, p and entries")
+    m, p = json_int(obj["m"], "m"), json_int(obj["p"], "p")
     try:
-        m, p = int(obj["m"]), int(obj["p"])
         entries = [list(row) for row in obj["entries"]]
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise DomainError(f"bad matrix JSON field: {exc}") from exc
     if len(entries) != m or any(len(row) != p for row in entries):
         raise DomainError(f"entries do not form an {m}x{p} grid")

@@ -29,7 +29,7 @@ from itertools import permutations as iter_perms
 from typing import Any, Iterable
 
 from .diagrams import CauchonDiagram
-from .errors import DomainError, ResourceGuardError, parse_json
+from .errors import DomainError, ResourceGuardError, json_int, parse_json
 from .matrices import Matrix, MinorIndex, parse_rational
 from .permutations import inversion_count
 from .scalars import QQ
@@ -124,8 +124,8 @@ class PlanarNetwork:
     def from_json(cls, obj: Any) -> "PlanarNetwork":
         if not isinstance(obj, dict) or not {"m", "p", "edges"} <= set(obj):
             raise DomainError("network JSON needs m, p and edges")
+        m, p = json_int(obj["m"], "m"), json_int(obj["p"], "p")
         try:
-            m, p = int(obj["m"]), int(obj["p"])
             raw = [(e["from"], e["to"], e.get("weight", "1")) for e in obj["edges"]]
             vertices = set(obj.get("vertices", []))
             for frm, to, _ in raw:

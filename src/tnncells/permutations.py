@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations as iter_permutations
+from itertools import combinations
 from typing import Any, Callable, Iterator, Sequence
 
 from . import guards
@@ -180,13 +180,39 @@ def is_restricted(w: Permutation, m: int, p: int) -> bool:
 
 
 def enumerate_restricted(m: int, p: int) -> Iterator[Permutation]:
-    """All of S(m, p) in lexicographic one-line order."""
+    """All of S(m, p) in lexicographic one-line order.
+
+    Positions are filled left to right from their windows [i - p, i + m].
+    Value i - p leaves every later window at position i, so it is forced
+    there when still unused; then every branch completes. The enumeration
+    guard is checked when the call is made.
+    """
     if m < 1 or p < 1:
         raise DomainError("sizes must be at least 1")
+    guards.ensure_enumerable(m, p, what="restricted permutation enumeration")
     n = m + p
-    for images in iter_permutations(range(1, n + 1)):
-        if all(-p <= w - i <= m for i, w in enumerate(images, start=1)):
-            yield Permutation(images)
+    images: list[int] = []
+    used = [False] * (n + 1)
+
+    def walk(i: int) -> Iterator[Permutation]:
+        if i > n:
+            yield Permutation(tuple(images))
+            return
+        expiring = i - p
+        if expiring >= 1 and not used[expiring]:
+            candidates: Sequence[int] = (expiring,)
+        else:
+            candidates = range(max(1, i - p), min(n, i + m) + 1)
+        for w in candidates:
+            if used[w]:
+                continue
+            used[w] = True
+            images.append(w)
+            yield from walk(i + 1)
+            images.pop()
+            used[w] = False
+
+    return walk(1)
 
 
 def count_restricted(m: int, p: int) -> int:

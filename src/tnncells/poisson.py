@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
-from .errors import ConsistencyError, DomainError
-from .matrices import Matrix
+from .errors import ConsistencyError, DomainError, json_int
 from .quantum import _TWO_BY_TWO_ALIASES, QPoly, commutator
 from .scalars import MPoly, Node, evaluate_node, int_const, parse_expression
 
@@ -115,6 +114,8 @@ def parse_poisson(text: str, m: int, p: int) -> MPoly:
         raise DomainError(f"unknown coordinate {name!r} for a {m}x{p} grid")
 
     def power(base: MPoly, exponent: int) -> MPoly:
+        if exponent < 0:
+            raise DomainError("Poisson polynomials admit nonnegative powers only")
         return base ** exponent
 
     return evaluate_node(node, const=const, symbol=symbol, power=power)
@@ -370,22 +371,15 @@ class FlowPath:
     def from_json(cls, obj: Any) -> "FlowPath":
         if not isinstance(obj, dict) or not {"m", "p", "entries"} <= set(obj):
             raise DomainError("path JSON needs m, p and entries")
+        m, p = json_int(obj["m"], "m"), json_int(obj["p"], "p")
         try:
-            m, p = int(obj["m"]), int(obj["p"])
             cells = [list(row) for row in obj["entries"]]
-        except (TypeError, ValueError) as exc:
+        except TypeError as exc:
             raise DomainError(f"bad path JSON field: {exc}") from exc
         entries = tuple(
             tuple(parse_path_entry(str(cell)) for cell in row) for row in cells
         )
         return cls(m, p, entries)
-
-    @classmethod
-    def constant(cls, matrix: Matrix) -> "FlowPath":
-        entries = tuple(
-            tuple(ExpPoly.const(Fraction(x)) for x in row) for row in matrix.rows
-        )
-        return cls(matrix.m, matrix.p, entries)
 
 
 @dataclass(frozen=True)

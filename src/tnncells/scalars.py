@@ -1,23 +1,23 @@
-"""Exact scalar arithmetic: polynomials, rational functions and Laurent series in q.
+"""Exact scalar arithmetic: Laurent polynomials in many variables and in q.
 
-Three concrete rings live here, all with exact zero tests:
+Two concrete rings live here, both with exact zero tests:
 
-* :class:`MPoly`, multivariate polynomials with integer coefficients over a
-  fixed, ordered tuple of variable names;
-* :class:`RatFunc`, quotients of MPoly values reduced by content only (integer
-  gcd and per-variable monomial content; no full multivariate gcd);
+* :class:`MPoly`, multivariate Laurent polynomials with integer coefficients
+  over a fixed, ordered tuple of variable names; division is exact by a unit
+  monomial and refused otherwise;
 * :class:`LaurentQ`, Laurent polynomials in a single parameter q.
 
 On top of these, :class:`ScalarDomain` gives matrix code a uniform handle on
 "field-like arithmetic with an exact zero test"; instances cover the
-rationals and fields of rational functions.
+rationals and the Laurent polynomials that symbolic canonical matrices live
+in.
 
 The module also contains the small expression grammar shared by the command
 line tools: variables such as ``t[1,3]`` or ``a``, integer (and ``3/2``
 rational) literals, ``+ - * ^``, parentheses, and optionally function calls
 like ``exp(...)``. Text parses to a tiny AST which callers evaluate in the
 algebra of their choice, so one grammar serves commutative polynomials,
-rational functions, quantum polynomials and flow paths alike.
+Laurent polynomials, quantum polynomials and flow paths alike.
 """
 
 from __future__ import annotations
@@ -25,23 +25,22 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import DomainError
 
 # ---------------------------------------------------------------------------
-# Multivariate polynomials
+# Multivariate Laurent polynomials
 # ---------------------------------------------------------------------------
 
 
 class MPoly:
-    """A multivariate polynomial with integer coefficients.
+    """A multivariate Laurent polynomial with integer coefficients.
 
-    Terms map exponent vectors (tuples aligned with ``names``) to nonzero
-    integer coefficients. Instances are immutable; all operators return new
-    values. Two polynomials interoperate only when built over the same
-    variable tuple.
+    Terms map exponent vectors (tuples aligned with ``names``, entries of any
+    sign) to nonzero integer coefficients. Instances are immutable; all
+    operators return new values. Two polynomials interoperate only when built
+    over the same variable tuple.
     """
 
     __slots__ = ("names", "terms")
@@ -57,8 +56,6 @@ class MPoly:
                 raise DomainError(
                     f"exponent vector {exps} does not match {len(names)} variables"
                 )
-            if any(e < 0 for e in exps):
-                raise DomainError(f"negative exponent in {exps}")
             clean[exps] = coeff
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "terms", clean)
@@ -152,11 +149,28 @@ class MPoly:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other: Any) -> "MPoly":
+        """Exact division by a unit monomial: one term, coefficient +-1."""
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if other.is_zero:
+            raise ZeroDivisionError("division by the zero polynomial")
+        if len(other.terms) != 1:
+            raise DomainError(f"cannot divide by {other}: not a monomial")
+        (d, unit), = other.terms.items()
+        if abs(unit) != 1:
+            raise DomainError(f"cannot divide by {other}: coefficient is not +-1")
+        return MPoly(self.names, {
+            tuple(a - b for a, b in zip(exps, d)): coeff * unit
+            for exps, coeff in self.terms.items()
+        })
+
     def __pow__(self, exponent: int) -> "MPoly":
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
-            raise DomainError("negative powers need a rational function")
+            return (MPoly.one(self.names) / self) ** -exponent
         result = MPoly.one(self.names)
         for _ in range(exponent):
             result = result * self
@@ -200,8 +214,9 @@ class MPoly:
     def evaluate(self, values: Mapping[str, Any]) -> Any:
         """Evaluate with variable values from any commutative ring.
 
-        The ring's elements must support ``+``, ``*`` and integer ``**``; the
-        integer coefficients multiply in from the left. Every variable that
+        The ring's elements must support ``+``, ``*`` and integer ``**``
+        (negative exponents need exact inverses, e.g. Fraction); the integer
+        coefficients multiply in from the left. Every variable that
         actually occurs must be assigned.
         """
         missing = {self.names[k]
@@ -233,7 +248,7 @@ class MPoly:
             for name, e in zip(self.names, exps):
                 if e == 1:
                     factors.append(name)
-                elif e > 1:
+                elif e:
                     factors.append(f"{name}^{e}")
             if not factors:
                 body = str(abs(coeff))
@@ -251,175 +266,6 @@ class MPoly:
 
     def __repr__(self) -> str:
         return f"MPoly({self})"
-
-
-# ---------------------------------------------------------------------------
-# Rational functions
-# ---------------------------------------------------------------------------
-
-
-def _integer_content(poly: MPoly) -> int:
-    value = 0
-    for coeff in poly.terms.values():
-        value = gcd(value, abs(coeff))
-    return value or 1
-
-
-def _monomial_content(poly: MPoly) -> tuple[int, ...]:
-    if not poly.terms:
-        return (0,) * len(poly.names)
-    mins = None
-    for exps in poly.terms:
-        if mins is None:
-            mins = list(exps)
-        else:
-            mins = [min(a, b) for a, b in zip(mins, exps)]
-    return tuple(mins)  # type: ignore[arg-type]
-
-
-def _strip(poly: MPoly, monomial: tuple[int, ...], content: int) -> MPoly:
-    terms = {
-        tuple(e - s for e, s in zip(exps, monomial)): coeff // content
-        for exps, coeff in poly.terms.items()
-    }
-    return MPoly(poly.names, terms)
-
-
-class RatFunc:
-    """A quotient of integer polynomials, reduced by content only.
-
-    Denominators stay nonzero by construction. Equality is decided by cross
-    multiplication, so unequal representations of the same function compare
-    equal; the zero test needs only the numerator.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: MPoly, den: MPoly):
-        if den.is_zero:
-            raise DomainError("zero denominator")
-        if num.names != den.names:
-            raise DomainError("numerator and denominator variable universes differ")
-        if num.is_zero:
-            den = MPoly.one(num.names)
-        else:
-            content = gcd(_integer_content(num), _integer_content(den))
-            mono = tuple(min(a, b) for a, b in
-                         zip(_monomial_content(num), _monomial_content(den)))
-            if content != 1 or any(mono):
-                num = _strip(num, mono, content)
-                den = _strip(den, mono, content)
-        if den._sorted_terms()[0][1] < 0:
-            num, den = -num, -den
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("RatFunc is immutable")
-
-    @classmethod
-    def from_poly(cls, poly: MPoly) -> "RatFunc":
-        return cls(poly, MPoly.one(poly.names))
-
-    @classmethod
-    def const(cls, names: Sequence[str], value: int) -> "RatFunc":
-        return cls.from_poly(MPoly.const(names, value))
-
-    @classmethod
-    def var(cls, names: Sequence[str], name: str) -> "RatFunc":
-        return cls.from_poly(MPoly.var(names, name))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def _coerce(self, other: Any) -> "RatFunc":
-        if isinstance(other, RatFunc):
-            if self.num.names != other.num.names:
-                raise DomainError("mixed variable universes")
-            return other
-        if isinstance(other, MPoly):
-            return RatFunc.from_poly(other)
-        if isinstance(other, int):
-            return RatFunc.const(self.num.names, other)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other: Any) -> "RatFunc":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other: Any) -> "RatFunc":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: Any) -> "RatFunc":
-        return (-self) + other
-
-    def __mul__(self, other: Any) -> "RatFunc":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: Any) -> "RatFunc":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def reciprocal(self) -> "RatFunc":
-        if self.is_zero:
-            raise ZeroDivisionError("zero has no reciprocal")
-        return RatFunc(self.den, self.num)
-
-    def __pow__(self, exponent: int) -> "RatFunc":
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return self.reciprocal() ** (-exponent)
-        result = RatFunc.const(self.num.names, 1)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    def __eq__(self, other: Any) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self.num * other.den) == (other.num * self.den)
-
-    def __hash__(self) -> int:
-        # Content reduction is not a canonical form, so hashing by value is
-        # unsound in general; constants are the only values we ever pool.
-        return hash((self.num, self.den))
-
-    def __str__(self) -> str:
-        if self.den == MPoly.one(self.den.names):
-            return str(self.num)
-        num = str(self.num)
-        den = str(self.den)
-        if len(self.num.terms) > 1:
-            num = f"({num})"
-        if len(self.den.terms) > 1:
-            den = f"({den})"
-        return f"{num}/{den}"
-
-    def __repr__(self) -> str:
-        return f"RatFunc({self})"
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +447,7 @@ class ScalarDomain:
     """Field-like arithmetic with an exact zero test, as a value object.
 
     Matrix code uses a domain instead of duck typing so that rationals
-    (Fraction) and rational functions (RatFunc) share the same sweep
+    (Fraction) and Laurent polynomials (MPoly) share the same sweep
     routines. ``div`` must be exact and raise ZeroDivisionError on a zero
     divisor.
     """
@@ -665,29 +511,34 @@ class RationalDomain(ScalarDomain):
         return a == 0
 
 
-class RationalFunctionDomain(ScalarDomain):
-    """The field of rational functions over a fixed variable tuple."""
+class LaurentDomain(ScalarDomain):
+    """Laurent polynomials over a fixed variable tuple.
+
+    ``div`` is exact only by a unit monomial (one term, coefficient +-1), which
+    is every division the restoration and deletion sweeps make on a symbolic
+    canonical matrix; any other nonzero divisor raises DomainError.
+    """
 
     def __init__(self, names: Sequence[str]):
         self.names = tuple(names)
-        self.name = f"QQ({','.join(self.names)})"
+        self.name = f"ZZ[{','.join(n + '^+-1' for n in self.names)}]"
 
-    def zero(self) -> RatFunc:
-        return RatFunc.const(self.names, 0)
+    def zero(self) -> MPoly:
+        return MPoly.zero(self.names)
 
-    def one(self) -> RatFunc:
-        return RatFunc.const(self.names, 1)
+    def one(self) -> MPoly:
+        return MPoly.one(self.names)
 
-    def from_int(self, value: int) -> RatFunc:
-        return RatFunc.const(self.names, value)
+    def from_int(self, value: int) -> MPoly:
+        return MPoly.const(self.names, value)
 
-    def var(self, name: str) -> RatFunc:
-        return RatFunc.var(self.names, name)
+    def var(self, name: str) -> MPoly:
+        return MPoly.var(self.names, name)
 
-    def div(self, a: RatFunc, b: RatFunc) -> RatFunc:
+    def div(self, a: MPoly, b: MPoly) -> MPoly:
         return a / b
 
-    def is_zero(self, a: RatFunc) -> bool:
+    def is_zero(self, a: MPoly) -> bool:
         return a.is_zero
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from itertools import permutations as iter_perms
 
-from tnncells.scalars import QQ
+from tnncells.scalars import QQ, evaluate_node, int_const, parse_expression
 
 
 def leibniz_det(rows, domain=QQ):
@@ -34,6 +34,16 @@ def leibniz_det(rows, domain=QQ):
 def leibniz_minor(rows, rowset, colset, domain=QQ):
     sub = [[rows[i - 1][a - 1] for a in colset] for i in rowset]
     return leibniz_det(sub, domain)
+
+
+def read_laurent(text, domain):
+    """Printed polynomial text read back into a LaurentDomain, term by term."""
+    return evaluate_node(
+        parse_expression(text),
+        const=lambda c: domain.from_int(int_const(c)),
+        symbol=domain.var,
+        power=lambda base, e: base**e,
+    )
 
 
 def has_bad_black_cell(m, p, black):

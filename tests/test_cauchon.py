@@ -31,7 +31,7 @@ from tnncells.matrices import (
     is_tnn_bruteforce,
     iter_minor_indices,
 )
-from tnncells.scalars import QQ, RationalFunctionDomain
+from tnncells.scalars import LaurentDomain, QQ
 
 
 DEMO = CauchonDiagram.from_ascii(".#.\n##.\n...")
@@ -149,7 +149,7 @@ def test_ones_TC_demo():
 def test_symbolic_TC_demo_matches_hand_computation():
     T = symbolic_TC(DEMO)
     dom = T.domain
-    assert isinstance(dom, RationalFunctionDomain)
+    assert isinstance(dom, LaurentDomain)
 
     def v(cell):
         return dom.var(white_variable(cell))
@@ -165,6 +165,18 @@ def test_symbolic_TC_demo_matches_hand_computation():
     for i in range(3):
         for a in range(3):
             assert dom.eq(T.rows[i][a], expect[i][a]), (i, a)
+
+
+def test_symbolic_TC_entries_print_and_parse_back():
+    for m in range(1, 4):
+        for p in range(1, 4):
+            for d in enumerate_diagrams(m, p):
+                T = symbolic_TC(d)
+                dom = T.domain
+                for row in T.rows:
+                    for x in row:
+                        back = oracles.read_laurent(str(x), dom)
+                        assert back == x, (d.to_ascii(), str(x))
 
 
 @given(st.data())
@@ -209,13 +221,14 @@ class TestVanishingFamily:
 
     def test_family_matches_symbolic_minors(self):
         # the definition itself: Leibniz minors of the symbolic canonical
-        # matrix that are identically zero, on every diagram through 3x3
-        for m in range(1, 4):
-            for p in range(1, 4):
-                for d in enumerate_diagrams(m, p):
-                    T = symbolic_TC(d)
-                    dom = T.domain
-                    fam = set(vanishing_family(d))
-                    for ix in iter_minor_indices(m, p):
-                        value = oracles.leibniz_minor(T.rows, ix.rows, ix.cols, dom)
-                        assert (ix in fam) == dom.is_zero(value), (d.to_ascii(), ix)
+        # matrix that are identically zero, on every diagram through 3x3 and
+        # of 3x4 and 4x3
+        grids = [(m, p) for m in range(1, 4) for p in range(1, 4)] + [(3, 4), (4, 3)]
+        for m, p in grids:
+            for d in enumerate_diagrams(m, p):
+                T = symbolic_TC(d)
+                dom = T.domain
+                fam = set(vanishing_family(d))
+                for ix in iter_minor_indices(m, p):
+                    value = oracles.leibniz_minor(T.rows, ix.rows, ix.cols, dom)
+                    assert (ix in fam) == dom.is_zero(value), (d.to_ascii(), ix)

@@ -124,6 +124,14 @@ def test_tc_ones_and_symbolic(runner, demo_diagram):
     assert "t[3,3]" in symbolic.output
 
 
+def test_tc_symbolic_prints_laurent_entries(runner):
+    data = Path(fixtures.__file__).parent / "data" / "demo_diagram_3x3.diag"
+    result = runner.invoke(main, ["tc", "-d", str(data), "--symbolic", "--format", "json"])
+    assert result.exit_code == 0, result.output
+    entries = json.loads(result.output)["entries"]
+    assert entries[0][0] == "t[1,1] + t[1,3]*t[3,1]*t[3,3]^-1"
+
+
 def test_vanish(runner, demo_diagram):
     result = runner.invoke(main, ["vanish", "-d", demo_diagram, "--format", "json"])
     payload = json.loads(result.output)
@@ -169,6 +177,11 @@ def test_diagram_enum_and_check(runner, tmp_path):
     assert bad.exit_code == 1
     le = runner.invoke(main, ["diagram", "check", "11/10"])
     assert le.exit_code == 1
+    # malformed text, including grids that name a directory ("", "../.")
+    for grid in ["../.x", "../.", ""]:
+        malformed = runner.invoke(main, ["diagram", "check", grid])
+        assert malformed.exit_code == 2, (grid, malformed.output)
+        assert "Traceback" not in malformed.output
 
 
 def test_network_commands(runner, demo_diagram):
@@ -303,6 +316,8 @@ def test_fixtures_export(runner, tmp_path):
 def test_domain_errors_exit_2(runner, demo_diagram):
     result = runner.invoke(main, ["tp-check", demo_diagram])
     assert result.exit_code == 2
+    result = runner.invoke(main, ["poisson", "bracket", "a^-1", "b"])
+    assert result.exit_code == 2
 
 
 @pytest.mark.parametrize(
@@ -318,6 +333,10 @@ def test_domain_errors_exit_2(runner, demo_diagram):
          "--rows", "1", "--cols", "1"],
         ["tnn-check", '{"m":"a","p":2,"entries":[]}'],
         ["tc", "-d", '{"m":2,"p":2,"black":[[1,"x"]]}'],
+        ["tc", "-d", '{"m":2,"p":2,"black":[[2,1.0]]}'],
+        ["tnn-check", '{"m":2.9,"p":2,"entries":[[1,2],[3,4]]}'],
+        ["cells", "admissible", "-f",
+         '{"m":2,"p":2,"members":[{"rows":[1.7],"cols":[true]}]}'],
     ],
 )
 def test_malformed_json_exits_2(runner, args):
@@ -346,6 +365,22 @@ def test_guard_exits_3(runner, monkeypatch, tmp_path):
     big.write_text("..\n..\n")
     result = runner.invoke(main, ["vanish", "-d", str(big)])
     assert result.exit_code == 3
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["diagram", "enum", "5", "5", "--count-only"],
+        ["diagram", "enum", "5", "5"],
+        ["perm", "enum", "6", "6", "--count-only"],
+        ["perm", "enum", "6", "6"],
+    ],
+)
+def test_enumerators_honour_the_guard(runner, args):
+    result, took = _timed(runner, args)
+    assert result.exit_code == 3, result.output
+    assert "Traceback" not in result.output
+    assert took < 2.0
 
 
 def test_stdin_matrix(runner):

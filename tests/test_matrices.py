@@ -25,7 +25,7 @@ from tnncells.matrices import (
     minor,
     minor_count,
 )
-from tnncells.scalars import RationalFunctionDomain
+from tnncells.scalars import LaurentDomain
 
 
 def rational_matrix(m, p, lo=-5, hi=5, max_denominator=1):
@@ -96,7 +96,7 @@ def test_every_minor_matches_leibniz(M):
 
 
 def test_determinants_are_rational_only():
-    dom = RationalFunctionDomain(["x"])
+    dom = LaurentDomain(["x"])
     M = Matrix.from_rows([[dom.var("x")]], dom)
     with pytest.raises(DomainError):
         determinant(M)

@@ -89,16 +89,18 @@ class TestRestrictedFamily:
         assert not is_restricted(parse_permutation("4123"), 2, 2)
 
     def test_enumeration_is_lex_sorted_and_filtered(self):
-        ws = list(enumerate_restricted(2, 2))
-        assert len(ws) == 14
-        assert ws == sorted(ws)
-        assert all(is_restricted(w, 2, 2) for w in ws)
-        brute = [
-            Permutation(images)
-            for images in iter_perms(range(1, 5))
-            if all(-2 <= images[i] - (i + 1) <= 2 for i in range(4))
-        ]
-        assert ws == sorted(brute)
+        assert len(list(enumerate_restricted(2, 2))) == 14
+        for m, p in [(2, 2), (1, 4), (4, 1), (2, 3), (3, 2), (3, 3)]:
+            ws = list(enumerate_restricted(m, p))
+            assert ws == sorted(ws)
+            assert all(is_restricted(w, m, p) for w in ws)
+            n = m + p
+            brute = [
+                Permutation(images)
+                for images in iter_perms(range(1, n + 1))
+                if all(-p <= images[i] - (i + 1) <= m for i in range(n))
+            ]
+            assert ws == sorted(brute), (m, p)
 
     def test_length_profile_2x2(self):
         profile = Counter(w.length() for w in enumerate_restricted(2, 2))

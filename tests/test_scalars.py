@@ -1,15 +1,16 @@
-"""Exact scalar domains: polynomials, rational functions, Laurent ring in q."""
+"""Exact scalar domains: multivariate Laurent polynomials, Laurent ring in q."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from tnncells.errors import DomainError
 from tnncells.scalars import (
+    LaurentDomain,
     LaurentQ,
     MPoly,
-    RatFunc,
     parse_expression,
 )
 
@@ -63,27 +64,34 @@ def test_partial_derivative_product_rule():
     assert lhs == rhs
 
 
-class TestRatFunc:
-    def test_equality_crosses_denominators(self):
-        x = MPoly.var(NAMES, "x")
-        one = MPoly.one(NAMES)
-        a = RatFunc(x * x, x)
-        b = RatFunc(x, one)
-        assert a == b
+class TestLaurentMPoly:
+    @pytest.mark.parametrize("divisor", ["x", "-x*y^2", "x^-1"])
+    @given(f=poly_strategy())
+    def test_division_by_a_unit_monomial_inverts_multiplication(self, divisor, f):
+        d = _mpoly(divisor)
+        assert (f * d) / d == f
+        assert (f / d) * d == f
 
-    def test_arithmetic(self):
-        x = MPoly.var(NAMES, "x")
-        y = MPoly.var(NAMES, "y")
-        half_x = RatFunc(x, MPoly.const(NAMES, 2))
-        assert half_x + half_x == RatFunc.from_poly(x)
-        q = RatFunc(x, y)
-        assert q * q.reciprocal() == RatFunc.const(NAMES, 1)
-        assert (q - q).is_zero
-
-    def test_zero_denominator_rejected(self):
-        x = MPoly.var(NAMES, "x")
+    @pytest.mark.parametrize("divisor", ["x + 1", "2*x"])
+    def test_other_divisors_are_refused(self, divisor):
         with pytest.raises(DomainError):
-            RatFunc(x, MPoly.zero(NAMES))
+            _mpoly("x") / _mpoly(divisor)
+
+    def test_zero_divisor_raises_zero_division(self):
+        with pytest.raises(ZeroDivisionError):
+            _mpoly("x") / MPoly.zero(NAMES)
+        with pytest.raises(ZeroDivisionError):
+            LaurentDomain(NAMES).div(_mpoly("x"), MPoly.zero(NAMES))
+
+    def test_negative_powers_print_and_parse_back(self):
+        f = _mpoly("x^-2*y - 3*y^-1 + 1")
+        assert f == _mpoly("y") / _mpoly("x^2") - 3 * _mpoly("y^-1") + 1
+        assert str(f) == "1 - 3*y^-1 + x^-2*y"
+        assert _mpoly(str(f)) == f
+
+
+def _mpoly(text):
+    return oracles.read_laurent(text, LaurentDomain(NAMES))
 
 
 class TestLaurentQ:

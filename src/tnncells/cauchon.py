@@ -28,8 +28,8 @@ from typing import Any, Iterator, Mapping
 from . import guards
 from .diagrams import CauchonDiagram, Cell, is_cauchon
 from .errors import DomainError
-from .matrices import Matrix, MinorFamily, exact_vanishing_minors
-from .scalars import LaurentDomain, QQ, RationalDomain, ScalarDomain
+from .matrices import Matrix, MinorFamily, _require_rational, exact_vanishing_minors
+from .scalars import LaurentDomain, QQ, ScalarDomain
 
 StepIndex = tuple[int, int]
 
@@ -42,22 +42,20 @@ def step_indices(m: int, p: int) -> list[StepIndex]:
 def _apply_step(matrix: Matrix, j: int, beta: int, sign: int) -> Matrix:
     if not (1 <= j <= matrix.m and 1 <= beta <= matrix.p):
         raise DomainError(f"step ({j},{beta}) outside {matrix.m}x{matrix.p}")
-    dom = matrix.domain
-    pivot = matrix.rows[j - 1][beta - 1]
-    if dom.is_zero(pivot):
+    pivot_row = matrix.rows[j - 1]
+    pivot = pivot_row[beta - 1]
+    if not pivot:
         return matrix
     rows = [list(r) for r in matrix.rows]
-    for i in range(j - 1):
-        factor = dom.div(rows[i][beta - 1], pivot)
-        if dom.is_zero(factor):
+    for row in rows[:j - 1]:
+        factor = row[beta - 1] / pivot
+        if not factor:
             continue
+        if sign < 0:
+            factor = -factor
         for a in range(beta - 1):
-            delta = dom.mul(factor, rows[j - 1][a])
-            if sign > 0:
-                rows[i][a] = dom.add(rows[i][a], delta)
-            else:
-                rows[i][a] = dom.sub(rows[i][a], delta)
-    return Matrix(dom, rows)
+            row[a] += factor * pivot_row[a]
+    return Matrix(matrix.domain, rows)
 
 
 def delete_step(matrix: Matrix, j: int, beta: int) -> Matrix:
@@ -100,12 +98,11 @@ def restoration(matrix: Matrix) -> Matrix:
 
 
 def zero_pattern(matrix: Matrix) -> frozenset[Cell]:
-    dom = matrix.domain
     return frozenset(
         (i, a)
-        for i in range(1, matrix.m + 1)
-        for a in range(1, matrix.p + 1)
-        if dom.is_zero(matrix.rows[i - 1][a - 1])
+        for i, row in enumerate(matrix.rows, 1)
+        for a, x in enumerate(row, 1)
+        if not x
     )
 
 
@@ -122,8 +119,7 @@ def tnn_test(matrix: Matrix) -> TnnVerdict:
     The input is totally nonnegative exactly when the sweep's output is
     entrywise nonnegative and its zero set is a valid diagram.
     """
-    if not isinstance(matrix.domain, RationalDomain):
-        raise DomainError("the TNN test needs rational entries")
+    _require_rational(matrix, "the TNN test")
     final = deleting_derivations(matrix)
     if any(x < 0 for row in final.rows for x in row):
         return TnnVerdict(False, None, final)
@@ -154,7 +150,7 @@ def seed_matrix(
                 if (i, a) not in assignment:
                     raise DomainError(f"white cell ({i},{a}) has no assigned value")
                 value = assignment[(i, a)]
-                if domain.is_zero(value):
+                if not value:
                     raise DomainError(f"white cell ({i},{a}) assigned zero")
                 row.append(value)
         rows.append(row)

@@ -4,18 +4,24 @@ Everything in this package is desk scale by design: diagrams, permutations and
 cell tables are enumerated exhaustively. The guards below keep a mistyped size
 from turning into an unbounded computation. The CAUCHON_GUARD environment
 variable (an integer, interpreted as the maximum allowed m*p) raises or lowers
-the ceiling for a whole process.
+the ceiling for a whole process. Quantum minors have a fixed term budget
+instead: a k x k minor expands k! words.
 """
 
 from __future__ import annotations
 
 import os
+from math import factorial
 
 from .errors import ResourceGuardError
 
 DEFAULT_CELL_LIMIT = 16
 
 GUARD_ENV_VAR = "CAUCHON_GUARD"
+
+# 8! = 40,320 words take about a second; 9! take several seconds and
+# hundreds of MB.
+QUANTUM_MINOR_TERM_LIMIT = factorial(8)
 
 
 def cell_limit() -> int:
@@ -32,6 +38,15 @@ def cell_limit() -> int:
     if value < 1:
         raise ResourceGuardError(f"{GUARD_ENV_VAR} must be positive, got {value}")
     return value
+
+
+def ensure_minor_terms(k: int) -> None:
+    """Raise ResourceGuardError when a k x k quantum minor is over budget."""
+    if factorial(k) > QUANTUM_MINOR_TERM_LIMIT:
+        raise ResourceGuardError(
+            f"a {k}x{k} quantum minor expands {factorial(k)} terms, over the "
+            f"budget of {QUANTUM_MINOR_TERM_LIMIT}"
+        )
 
 
 def ensure_enumerable(m: int, p: int, *, what: str = "enumeration") -> None:

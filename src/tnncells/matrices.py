@@ -1,7 +1,8 @@
 """Exact matrices over a scalar domain, minors and positivity predicates.
 
 The matrix type is deliberately small: immutable row-major storage plus a
-:class:`~tnncells.scalars.ScalarDomain` that supplies the arithmetic. All
+:class:`~tnncells.scalars.ScalarDomain` tag naming the entries' ring; the
+entries do their own arithmetic through Python operators. All
 indices in the public API are 1-based; row sets and column sets are strictly
 increasing tuples, and composite minors print as ``[1,2|2,3]``.
 
@@ -166,12 +167,11 @@ class Matrix:
     def from_rows(
         cls, rows: Sequence[Sequence[Any]], domain: ScalarDomain = QQ
     ) -> "Matrix":
-        """Build a matrix, coercing plain ints through the domain."""
-        coerced = [
-            [domain.from_int(x) if isinstance(x, int) else x for x in row]
-            for row in rows
-        ]
-        return cls(domain, coerced)
+        """Build a matrix, lifting plain ints into the domain."""
+        zero = domain.zero()
+        return cls(domain, [
+            [zero + x if isinstance(x, int) else x for x in row] for row in rows
+        ])
 
     def entry(self, i: int, alpha: int) -> Any:
         """Entry in row i, column alpha (1-based)."""
@@ -183,16 +183,10 @@ class Matrix:
         return Matrix(self.domain, list(zip(*self.rows)))
 
     def equals(self, other: "Matrix") -> bool:
-        if (self.m, self.p) != (other.m, other.p):
-            return False
-        return all(
-            self.domain.eq(a, b)
-            for ra, rb in zip(self.rows, other.rows)
-            for a, b in zip(ra, rb)
-        )
+        return self.rows == other.rows
 
     def __str__(self) -> str:
-        cells = [[self.domain.to_str(x) for x in row] for row in self.rows]
+        cells = [[str(x) for x in row] for row in self.rows]
         width = max(len(c) for row in cells for c in row)
         return "\n".join(
             "[ " + "  ".join(c.rjust(width) for c in row) + " ]" for row in cells
@@ -357,8 +351,15 @@ def is_tnn_bruteforce(matrix: Matrix) -> tuple[bool, MinorIndex | None]:
 
 
 def parse_rational(text: str) -> Fraction:
+    """An integer, ``a/b`` or decimal literal; exponents are refused.
+
+    ``Fraction`` would expand ``1e999999999`` into a billion-digit integer.
+    """
+    text = str(text).strip()
+    if "e" in text.lower():
+        raise DomainError(f"exponent notation is not accepted in {text!r}")
     try:
-        return Fraction(str(text).strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"bad rational literal {text!r}") from exc
 

@@ -207,14 +207,16 @@ def path_matrix(network: PlanarNetwork) -> Matrix:
     out = network.outgoing()
     rows = []
     for i in range(1, network.m + 1):
-        acc: dict[str, Fraction] = {v: Fraction(0) for v in network.vertices}
-        acc[source_id(i)] = Fraction(1)
+        acc: dict[str, Fraction] = {source_id(i): Fraction(1)}
         for v in order:
-            if acc[v] == 0:
+            value = acc.get(v)
+            if not value:
                 continue
             for to, weight in out[v]:
-                acc[to] += acc[v] * weight
-        rows.append([acc[sink_id(a)] for a in range(1, network.p + 1)])
+                acc[to] = acc.get(to, 0) + value * weight
+        rows.append([
+            acc.get(sink_id(a), Fraction(0)) for a in range(1, network.p + 1)
+        ])
     return Matrix(QQ, rows)
 
 

@@ -28,7 +28,9 @@ from typing import Any, Mapping, Sequence
 
 from .errors import ConsistencyError, DomainError, json_int
 from .quantum import _TWO_BY_TWO_ALIASES, QPoly, commutator
-from .scalars import MPoly, Node, evaluate_node, int_const, parse_expression
+from .scalars import (
+    ExactValue, MPoly, Node, evaluate_node, int_const, parse_expression,
+)
 
 Cell = tuple[int, int]
 
@@ -174,7 +176,7 @@ def _strip(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     return coeffs[:n]
 
 
-class ExpPoly:
+class ExpPoly(ExactValue):
     """A finite sum of p(t) * e^(l*t) terms with rational l and p.
 
     The map l -> p is a canonical form because distinct exponentials are
@@ -191,9 +193,6 @@ class ExpPoly:
             if stripped:
                 clean[Fraction(lam)] = stripped
         object.__setattr__(self, "parts", clean)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("ExpPoly is immutable")
 
     @classmethod
     def const(cls, value: Fraction | int) -> "ExpPoly":
@@ -233,21 +232,10 @@ class ExpPoly:
                 mine[idx] += c
         return ExpPoly(parts)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "ExpPoly":
         return ExpPoly(
             {lam: tuple(-c for c in coeffs) for lam, coeffs in self.parts.items()}
         )
-
-    def __sub__(self, other: Any) -> "ExpPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: Any) -> "ExpPoly":
-        return (-self) + other
 
     def __mul__(self, other: Any) -> "ExpPoly":
         other = self._coerce(other)
@@ -267,16 +255,6 @@ class ExpPoly:
                     for y, cy in enumerate(c2):
                         conv[x + y] += cx * cy
         return ExpPoly(parts)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "ExpPoly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise DomainError("paths admit nonnegative integer powers only")
-        out = ExpPoly.const(1)
-        for _ in range(exponent):
-            out = out * self
-        return out
 
     def __eq__(self, other: Any) -> bool:
         other = self._coerce(other)

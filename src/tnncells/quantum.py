@@ -25,9 +25,12 @@ from fractions import Fraction
 from itertools import permutations as iter_permutations
 from typing import Any, Iterable, Literal
 
+from . import guards
 from .errors import DomainError
 from .permutations import inversion_count
-from .scalars import LaurentQ, Node, evaluate_node, int_const, parse_expression
+from .scalars import (
+    ExactValue, LaurentQ, Node, evaluate_node, int_const, parse_expression,
+)
 
 Gen = tuple[int, int]
 Word = tuple[Gen, ...]
@@ -78,7 +81,7 @@ def _reduce_word(
     return out
 
 
-class QPoly:
+class QPoly(ExactValue):
     """An element of the quantum matrix algebra in normal form."""
 
     __slots__ = ("m", "p", "terms")
@@ -97,9 +100,6 @@ class QPoly:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("QPoly is immutable")
 
     # -- constructors -----------------------------------------------------------
 
@@ -147,19 +147,8 @@ class QPoly:
                 terms[word] = total
         return QPoly(self.m, self.p, terms)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "QPoly":
         return QPoly(self.m, self.p, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: Any) -> "QPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: Any) -> "QPoly":
-        return (-self) + other
 
     def scaled(self, coeff: LaurentQ | int) -> "QPoly":
         factor = coeff if isinstance(coeff, LaurentQ) else LaurentQ.const(coeff)
@@ -188,19 +177,6 @@ class QPoly:
         if isinstance(other, QPoly):
             return self.multiply(other)
         return NotImplemented
-
-    def __rmul__(self, other: Any) -> "QPoly":
-        if isinstance(other, (int, LaurentQ)):
-            return self.scaled(other)
-        return NotImplemented
-
-    def __pow__(self, exponent: int) -> "QPoly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise DomainError("quantum polynomials admit nonnegative powers only")
-        result = QPoly.one(self.m, self.p)
-        for _ in range(exponent):
-            result = result.multiply(self)
-        return result
 
     @property
     def is_zero(self) -> bool:
@@ -288,6 +264,7 @@ def quantum_minor(
     if not rows:
         return QPoly.one(m, p)
     k = len(rows)
+    guards.ensure_minor_terms(k)
     terms: dict[Word, LaurentQ] = {}
     for sigma in iter_permutations(range(k)):
         length = inversion_count(sigma)

@@ -7,10 +7,13 @@ Two concrete rings live here, both with exact zero tests:
   monomial and refused otherwise;
 * :class:`LaurentQ`, Laurent polynomials in a single parameter q.
 
-On top of these, :class:`ScalarDomain` gives matrix code a uniform handle on
-"field-like arithmetic with an exact zero test"; instances cover the
-rationals and the Laurent polynomials that symbolic canonical matrices live
-in.
+Both, like ``QPoly`` (quantum) and ``ExpPoly`` (flows), derive from
+:class:`ExactValue`, which writes once the operators they share:
+immutability, subtraction, reflected operators, integer powers and
+truthiness as the exact zero test. Exact values carry their own arithmetic
+as Python operators; :class:`ScalarDomain` is only a tag naming the ring a
+matrix lives in: the rationals (:data:`QQ`, entries are ``Fraction``) or the
+Laurent polynomials of a symbolic canonical matrix (:class:`LaurentDomain`).
 
 The module also contains the small expression grammar shared by the command
 line tools: variables such as ``t[1,3]`` or ``a``, integer (and ``3/2``
@@ -30,11 +33,63 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 from .errors import DomainError
 
 # ---------------------------------------------------------------------------
+# Shared operators
+# ---------------------------------------------------------------------------
+
+
+class ExactValue:
+    """An immutable ring element with the operators its subclasses share.
+
+    Subclasses supply ``_coerce``, ``+``, unary ``-``, ``*`` and ``is_zero``.
+    ``_coerce`` returns the other operand as an element of the same ring, or
+    NotImplemented. Subclasses set their slots with ``object.__setattr__``.
+    Reflected operators serve scalars (ints, coefficients), which are
+    central. Negative powers invert through ``_inverse``, which refuses by
+    default.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __bool__(self) -> bool:
+        return not self.is_zero
+
+    def __radd__(self, other: Any) -> Any:
+        return self + other
+
+    def __rmul__(self, other: Any) -> Any:
+        return self * other
+
+    def __sub__(self, other: Any) -> Any:
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other: Any) -> Any:
+        return (-self) + other
+
+    def __pow__(self, exponent: int) -> Any:
+        if not isinstance(exponent, int):
+            return NotImplemented
+        base = self if exponent >= 0 else self._inverse()
+        result = self._coerce(1)
+        for _ in range(abs(exponent)):
+            result = result * base
+        return result
+
+    def _inverse(self) -> Any:
+        raise DomainError(f"{type(self).__name__} admits nonnegative powers only")
+
+
+# ---------------------------------------------------------------------------
 # Multivariate Laurent polynomials
 # ---------------------------------------------------------------------------
 
 
-class MPoly:
+class MPoly(ExactValue):
     """A multivariate Laurent polynomial with integer coefficients.
 
     Terms map exponent vectors (tuples aligned with ``names``, entries of any
@@ -59,9 +114,6 @@ class MPoly:
             clean[exps] = coeff
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("MPoly is immutable")
 
     # -- constructors -------------------------------------------------------
 
@@ -91,15 +143,12 @@ class MPoly:
 
     # -- ring structure ------------------------------------------------------
 
-    def _check_compatible(self, other: "MPoly") -> None:
-        if self.names != other.names:
-            raise DomainError(
-                f"mixed variable universes {self.names} and {other.names}"
-            )
-
     def _coerce(self, other: Any) -> "MPoly":
         if isinstance(other, MPoly):
-            self._check_compatible(other)
+            if self.names != other.names:
+                raise DomainError(
+                    f"mixed variable universes {self.names} and {other.names}"
+                )
             return other
         if isinstance(other, int):
             return MPoly.const(self.names, other)
@@ -118,19 +167,8 @@ class MPoly:
                 terms.pop(exps, None)
         return MPoly(self.names, terms)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "MPoly":
         return MPoly(self.names, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: Any) -> "MPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: Any) -> "MPoly":
-        return (-self) + other
 
     def __mul__(self, other: Any) -> "MPoly":
         other = self._coerce(other)
@@ -146,8 +184,6 @@ class MPoly:
                 else:
                     terms.pop(exps, None)
         return MPoly(self.names, terms)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other: Any) -> "MPoly":
         """Exact division by a unit monomial: one term, coefficient +-1."""
@@ -166,15 +202,8 @@ class MPoly:
             for exps, coeff in self.terms.items()
         })
 
-    def __pow__(self, exponent: int) -> "MPoly":
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return (MPoly.one(self.names) / self) ** -exponent
-        result = MPoly.one(self.names)
-        for _ in range(exponent):
-            result = result * self
-        return result
+    def _inverse(self) -> "MPoly":
+        return MPoly.one(self.names) / self
 
     def __eq__(self, other: Any) -> bool:
         if isinstance(other, int):
@@ -185,9 +214,6 @@ class MPoly:
 
     def __hash__(self) -> int:
         return hash((self.names, frozenset(self.terms.items())))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     # -- queries -------------------------------------------------------------
 
@@ -273,7 +299,7 @@ class MPoly:
 # ---------------------------------------------------------------------------
 
 
-class LaurentQ:
+class LaurentQ(ExactValue):
     """A Laurent polynomial in the deformation parameter q.
 
     Coefficients are arbitrary-precision integers keyed by (possibly negative)
@@ -288,9 +314,6 @@ class LaurentQ:
         object.__setattr__(
             self, "coeffs", {e: c for e, c in coeffs.items() if c != 0}
         )
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("LaurentQ is immutable")
 
     @classmethod
     def const(cls, value: int) -> "LaurentQ":
@@ -333,19 +356,8 @@ class LaurentQ:
                 coeffs.pop(e, None)
         return LaurentQ(coeffs)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "LaurentQ":
         return LaurentQ({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other: Any) -> "LaurentQ":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: Any) -> "LaurentQ":
-        return (-self) + other
 
     def __mul__(self, other: Any) -> "LaurentQ":
         other = self._coerce(other)
@@ -362,22 +374,13 @@ class LaurentQ:
                     coeffs.pop(e, None)
         return LaurentQ(coeffs)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "LaurentQ":
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            if len(self.coeffs) != 1:
-                raise DomainError("only monomials in q are invertible")
-            (e, c), = self.coeffs.items()
-            if abs(c) != 1:
-                raise DomainError("only unit monomials in q are invertible")
-            return LaurentQ({e * exponent: c if exponent % 2 else 1})
-        result = LaurentQ.const(1)
-        for _ in range(exponent):
-            result = result * self
-        return result
+    def _inverse(self) -> "LaurentQ":
+        if len(self.coeffs) != 1:
+            raise DomainError("only monomials in q are invertible")
+        (e, c), = self.coeffs.items()
+        if abs(c) != 1:
+            raise DomainError("only unit monomials in q are invertible")
+        return LaurentQ({-e: c})
 
     def __eq__(self, other: Any) -> bool:
         other = self._coerce(other)
@@ -444,48 +447,16 @@ LaurentQ.Q_MINUS_QINV = LaurentQ({1: 1, -1: -1})
 
 
 class ScalarDomain:
-    """Field-like arithmetic with an exact zero test, as a value object.
+    """A tag naming the ring a matrix's entries live in.
 
-    Matrix code uses a domain instead of duck typing so that rationals
-    (Fraction) and Laurent polynomials (MPoly) share the same sweep
-    routines. ``div`` must be exact and raise ZeroDivisionError on a zero
-    divisor.
+    The entries carry their own arithmetic; the tag gives the ring's name
+    and its zero, and lets rational-only code refuse other rings.
     """
 
     name = "abstract"
 
     def zero(self) -> Any:
         raise NotImplementedError
-
-    def one(self) -> Any:
-        raise NotImplementedError
-
-    def from_int(self, value: int) -> Any:
-        raise NotImplementedError
-
-    def add(self, a: Any, b: Any) -> Any:
-        return a + b
-
-    def sub(self, a: Any, b: Any) -> Any:
-        return a - b
-
-    def mul(self, a: Any, b: Any) -> Any:
-        return a * b
-
-    def div(self, a: Any, b: Any) -> Any:
-        raise NotImplementedError
-
-    def is_zero(self, a: Any) -> bool:
-        raise NotImplementedError
-
-    def eq(self, a: Any, b: Any) -> bool:
-        return self.is_zero(self.sub(a, b))
-
-    def to_str(self, a: Any) -> str:
-        return str(a)
-
-    def __repr__(self) -> str:
-        return f"<domain {self.name}>"
 
 
 class RationalDomain(ScalarDomain):
@@ -496,27 +467,13 @@ class RationalDomain(ScalarDomain):
     def zero(self) -> Fraction:
         return Fraction(0)
 
-    def one(self) -> Fraction:
-        return Fraction(1)
-
-    def from_int(self, value: int) -> Fraction:
-        return Fraction(value)
-
-    def div(self, a: Fraction, b: Fraction) -> Fraction:
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        return a / b
-
-    def is_zero(self, a: Fraction) -> bool:
-        return a == 0
-
 
 class LaurentDomain(ScalarDomain):
-    """Laurent polynomials over a fixed variable tuple.
+    """Laurent polynomials (MPoly) over a fixed variable tuple.
 
-    ``div`` is exact only by a unit monomial (one term, coefficient +-1), which
-    is every division the restoration and deletion sweeps make on a symbolic
-    canonical matrix; any other nonzero divisor raises DomainError.
+    ``MPoly`` division is exact only by a unit monomial (one term,
+    coefficient +-1), which is every division the restoration and deletion
+    sweeps make on a symbolic canonical matrix.
     """
 
     def __init__(self, names: Sequence[str]):
@@ -526,20 +483,8 @@ class LaurentDomain(ScalarDomain):
     def zero(self) -> MPoly:
         return MPoly.zero(self.names)
 
-    def one(self) -> MPoly:
-        return MPoly.one(self.names)
-
-    def from_int(self, value: int) -> MPoly:
-        return MPoly.const(self.names, value)
-
     def var(self, name: str) -> MPoly:
         return MPoly.var(self.names, name)
-
-    def div(self, a: MPoly, b: MPoly) -> MPoly:
-        return a / b
-
-    def is_zero(self, a: MPoly) -> bool:
-        return a.is_zero
 
 
 QQ = RationalDomain()

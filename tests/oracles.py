@@ -9,38 +9,39 @@ from fractions import Fraction
 from itertools import combinations, product
 from itertools import permutations as iter_perms
 
-from tnncells.scalars import QQ, evaluate_node, int_const, parse_expression
+from tnncells.scalars import evaluate_node, int_const, parse_expression
 
 
-def leibniz_det(rows, domain=QQ):
-    """Determinant as the signed sum over all permutations, in any ScalarDomain.
+def leibniz_det(rows):
+    """Determinant as the signed sum over all permutations, in any ring.
 
-    It costs n! products, so symbolic use stays at 3x3 and below.
+    The entries need only ``+ - *``. It costs n! products, so symbolic use
+    stays at 3x3 and below.
     """
     n = len(rows)
-    assert all(len(r) == n for r in rows)
-    total = domain.zero()
+    assert n and all(len(r) == n for r in rows)
+    total = 0
     for sigma in iter_perms(range(n)):
-        term = domain.one()
+        term = 1
         for i in range(n):
-            term = domain.mul(term, rows[i][sigma[i]])
+            term = term * rows[i][sigma[i]]
         if inversion_count(sigma) % 2:
-            total = domain.sub(total, term)
+            total = total - term
         else:
-            total = domain.add(total, term)
+            total = total + term
     return total
 
 
-def leibniz_minor(rows, rowset, colset, domain=QQ):
+def leibniz_minor(rows, rowset, colset):
     sub = [[rows[i - 1][a - 1] for a in colset] for i in rowset]
-    return leibniz_det(sub, domain)
+    return leibniz_det(sub)
 
 
 def read_laurent(text, domain):
     """Printed polynomial text read back into a LaurentDomain, term by term."""
     return evaluate_node(
         parse_expression(text),
-        const=lambda c: domain.from_int(int_const(c)),
+        const=lambda c: domain.zero() + int_const(c),
         symbol=domain.var,
         power=lambda base, e: base**e,
     )

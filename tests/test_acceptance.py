@@ -131,7 +131,7 @@ def test_criterion_03_tc_fixture():
         [t31, t32, t33],
     ]
     symbolic_ok = all(
-        dom.eq(T.rows[i][a], expect[i][a]) for i in range(3) for a in range(3)
+        T.rows[i][a] == expect[i][a] for i in range(3) for a in range(3)
     )
     ones_ok = ones_TC(DEMO).equals(
         Matrix.from_rows([[2, 1, 1], [1, 1, 1], [1, 1, 1]])

@@ -164,7 +164,7 @@ def test_symbolic_TC_demo_matches_hand_computation():
     ]
     for i in range(3):
         for a in range(3):
-            assert dom.eq(T.rows[i][a], expect[i][a]), (i, a)
+            assert T.rows[i][a] == expect[i][a], (i, a)
 
 
 def test_symbolic_TC_entries_print_and_parse_back():
@@ -227,8 +227,7 @@ class TestVanishingFamily:
         for m, p in grids:
             for d in enumerate_diagrams(m, p):
                 T = symbolic_TC(d)
-                dom = T.domain
                 fam = set(vanishing_family(d))
                 for ix in iter_minor_indices(m, p):
-                    value = oracles.leibniz_minor(T.rows, ix.rows, ix.cols, dom)
-                    assert (ix in fam) == dom.is_zero(value), (d.to_ascii(), ix)
+                    value = oracles.leibniz_minor(T.rows, ix.rows, ix.cols)
+                    assert (ix in fam) == (not value), (d.to_ascii(), ix)

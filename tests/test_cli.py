@@ -4,6 +4,9 @@ import contextlib
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 import weakref
 from pathlib import Path
@@ -380,6 +383,46 @@ def test_enumerators_honour_the_guard(runner, args):
     result, took = _timed(runner, args)
     assert result.exit_code == 3, result.output
     assert "Traceback" not in result.output
+    assert took < 2.0
+
+
+def _run_process(args, stdin=""):
+    """Run the CLI as its own process, so that a hang fails only this test."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "tnncells.cli", *args], input=stdin,
+        capture_output=True, text=True, timeout=5,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    return proc, time.perf_counter() - started
+
+
+@pytest.mark.parametrize(
+    "args, stdin",
+    [
+        (["tnn-check", '{"m":1,"p":1,"entries":[["1e999999999"]]}'], ""),
+        (["tnn-check", "-"], "1e999999999\n"),
+    ],
+)
+def test_exponent_literals_exit_2(args, stdin):
+    proc, took = _run_process(args, stdin)
+    assert proc.returncode == 2, proc.stderr
+    assert "error:" in proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert took < 2.0
+
+
+@pytest.mark.parametrize("k, code", [(10, 3), (4, 0)])
+def test_quantum_minor_term_budget(k, code):
+    index = ",".join(str(x) for x in range(1, k + 1))
+    proc, took = _run_process(
+        ["quantum", "minor", "--rows", index, "--cols", index,
+         "--m", str(k), "--p", str(k)]
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
     assert took < 2.0
 
 

@@ -24,6 +24,7 @@ from tnncells.matrices import (
     matrix_to_json,
     minor,
     minor_count,
+    parse_rational,
 )
 from tnncells.scalars import LaurentDomain
 
@@ -173,6 +174,19 @@ class TestSerialization:
             2, 2, frozenset({MinorIndex((1,), (2,)), MinorIndex((1, 2), (1, 2))})
         )
         assert MinorFamily.from_json(fam.to_json()) == fam
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("7", 7), (" -2 ", -2), ("3/4", Fraction(3, 4)), ("1.25", Fraction(5, 4)),
+         (".5", Fraction(1, 2)), (-3, -3)],
+    )
+    def test_rational_literals(self, text, value):
+        assert parse_rational(text) == value
+
+    @pytest.mark.parametrize("text", ["2.5E1", "1e-3", "x", "1/0"])
+    def test_exponents_and_junk_are_refused(self, text):
+        with pytest.raises(DomainError):
+            parse_rational(text)
 
     def test_bad_json_rejected(self):
         with pytest.raises(DomainError):

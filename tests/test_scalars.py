@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 
 import oracles
 from tnncells.errors import DomainError
+from tnncells.poisson import parse_path_entry
+from tnncells.quantum import parse_qpoly
 from tnncells.scalars import (
     LaurentDomain,
     LaurentQ,
@@ -81,7 +83,7 @@ class TestLaurentMPoly:
         with pytest.raises(ZeroDivisionError):
             _mpoly("x") / MPoly.zero(NAMES)
         with pytest.raises(ZeroDivisionError):
-            LaurentDomain(NAMES).div(_mpoly("x"), MPoly.zero(NAMES))
+            _mpoly("x") / LaurentDomain(NAMES).zero()
 
     def test_negative_powers_print_and_parse_back(self):
         f = _mpoly("x^-2*y - 3*y^-1 + 1")
@@ -121,6 +123,62 @@ class TestLaurentQ:
         v = LaurentQ(coeffs)
         prod = v * (LaurentQ.q_power(1) - LaurentQ.ONE)
         assert prod.divided_by_q_minus_one() == v
+
+
+# Two elements a, b of each exact value type, and a unit monomial (None where
+# the type has no inverses).
+EXACT_VALUES = {
+    "MPoly": lambda: (
+        _mpoly("x^2*y - 3*y^-1 + 1"), _mpoly("x - y + 2"), _mpoly("-x*y^-2")
+    ),
+    "LaurentQ": lambda: (
+        LaurentQ({1: 1, 0: -2, -1: 3}), LaurentQ({2: 1, 0: 1}), LaurentQ({3: -1})
+    ),
+    "QPoly": lambda: (
+        parse_qpoly("a*d + q*b - 2", 2, 2), parse_qpoly("c - q^-1*d", 2, 2), None
+    ),
+    "ExpPoly": lambda: (
+        parse_path_entry("t + exp(2*t) - 1/2"),
+        parse_path_entry("3*t*exp(-1*t) + 1"),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EXACT_VALUES))
+class TestSharedOperators:
+    def test_subtraction(self, kind):
+        a, b, _ = EXACT_VALUES[kind]()
+        assert a - b == a + (-b)
+        assert a - b != b - a
+        assert 1 - a == -(a - 1)
+        assert a and not a - a
+
+    def test_powers(self, kind):
+        a, _, _ = EXACT_VALUES[kind]()
+        assert a**0 == 1
+        assert a**1 == a
+        assert a**3 == a * a * a
+
+    def test_immutable(self, kind):
+        a, _, _ = EXACT_VALUES[kind]()
+        slot = type(a).__slots__[0]
+        before = getattr(a, slot)
+        with pytest.raises(AttributeError):
+            setattr(a, slot, None)
+        assert getattr(a, slot) is before
+
+    def test_negative_powers(self, kind):
+        a, _, unit = EXACT_VALUES[kind]()
+        if unit is None:
+            with pytest.raises(DomainError):
+                a**-1
+        else:
+            assert unit**-2 * unit**2 == 1
+            assert unit**-1 * unit == 1
+            for non_unit in (a, 2 * unit):
+                with pytest.raises(DomainError):
+                    non_unit**-2
 
 
 class TestParser:

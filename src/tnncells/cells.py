@@ -24,9 +24,10 @@ from .matrices import (
     Matrix,
     MinorFamily,
     MinorIndex,
-    _worst_minor,
-    all_minors,
-    exact_vanishing_minors,  # re-exported for callers that import it from cells
+    _most_negative,
+    _zero_keys,
+    exact_vanishing_minors,
+    minor_sizes,
 )
 from .permutations import Permutation, minor_family, pipe_dream
 from .cauchon import ones_TC, tnn_test, vanishing_family
@@ -113,15 +114,15 @@ def cell_of(matrix: Matrix) -> CellDescriptor:
     ConsistencyError since it would falsify the classification theorems,
     not merely this input.
     """
-    values = all_minors(matrix)
-    worst = _worst_minor(values)
-    if worst is not None:
-        raise DomainError(
-            f"matrix is not totally nonnegative: minor {worst[0]} = {worst[1]}"
-        )
-    direct = MinorFamily(
-        matrix.m, matrix.p, frozenset(ix for ix, value in values if value == 0)
-    )
+    zeros: list[MinorIndex] = []
+    for denominator, table in minor_sizes(matrix):
+        worst = _most_negative(denominator, table)
+        if worst is not None:
+            raise DomainError(
+                f"matrix is not totally nonnegative: minor {worst[0]} = {worst[1]}"
+            )
+        zeros.extend(_zero_keys(table))
+    direct = MinorFamily(matrix.m, matrix.p, frozenset(zeros))
     verdict = tnn_test(matrix)
     if not verdict.is_tnn or verdict.diagram is None:
         raise ConsistencyError(
@@ -179,10 +180,13 @@ def _check_diagram(args: tuple[int, int, tuple[Cell, ...]]) -> dict[str, Any] | 
     check that the diagram's witness matrix tests back to the diagram."""
     m, p, black = args
     diagram = CauchonDiagram(m, p, frozenset(black))
-    via_restoration = vanishing_family(diagram)
+    # the witness is ones_TC, so its zero minors are vanishing_family(diagram);
+    # unifying_check has applied that function's guard to the whole grid
+    witness = witness_matrix(diagram)
+    via_restoration = exact_vanishing_minors(witness)
     w = pipe_dream(diagram)
     via_permutation = minor_family(w, m, p)
-    witness_verdict = tnn_test(witness_matrix(diagram))
+    witness_verdict = tnn_test(witness)
     problems = []
     if via_restoration.members != via_permutation.members:
         problems.append("restoration family differs from permutation family")

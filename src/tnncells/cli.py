@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
@@ -32,9 +33,11 @@ from .matrices import (
     all_minors,
     initial_minors,
     is_tnn_bruteforce,
+    iter_minor_indices,
     load_matrix_text,
     matrix_to_json,
     minor,
+    minor_sizes,
 )
 
 
@@ -696,17 +699,15 @@ def verify() -> None:
 
 def _lindstrom_sweep(m: int, p: int) -> tuple[int, int]:
     checked = mismatched = 0
-    from .matrices import iter_minor_indices
-
-    indices = list(iter_minor_indices(m, p))
+    indices = {(ix.rows, ix.cols): ix for ix in iter_minor_indices(m, p)}
     for diagram in diagrams_mod.enumerate_diagrams(m, p):
         net = networks_mod.postnikov_network(diagram)
-        pm = networks_mod.path_matrix(net)
-        counts = networks_mod.nonintersecting_counts(net, indices)
-        for ix in indices:
-            checked += 1
-            if minor(pm, ix) != counts[ix]:
-                mismatched += 1
+        counts = networks_mod.nonintersecting_counts(net, indices.values())
+        for denominator, table in minor_sizes(networks_mod.path_matrix(net)):
+            for key, value in table.items():
+                checked += 1
+                if Fraction(value, denominator) != counts[indices[key]]:
+                    mismatched += 1
     return checked, mismatched
 
 

@@ -4,14 +4,16 @@ Everything in this package is desk scale by design: diagrams, permutations and
 cell tables are enumerated exhaustively. The guards below keep a mistyped size
 from turning into an unbounded computation. The CAUCHON_GUARD environment
 variable (an integer, interpreted as the maximum allowed m*p) raises or lowers
-the ceiling for a whole process. Quantum minors have a fixed term budget
-instead: a k x k minor expands k! words.
+the ceiling for a whole process. The other guards are fixed module constants
+counted in units of work: a k x k quantum minor expands k! words, a scan over
+all minors of an m x p matrix holds C(m + p, m) - 1 of them, and a power in
+an expression multiplies once per unit of its exponent.
 """
 
 from __future__ import annotations
 
 import os
-from math import factorial
+from math import comb, factorial
 
 from .errors import ResourceGuardError
 
@@ -22,6 +24,13 @@ GUARD_ENV_VAR = "CAUCHON_GUARD"
 # 8! = 40,320 words take about a second; 9! take several seconds and
 # hundreds of MB.
 QUANTUM_MINOR_TERM_LIMIT = factorial(8)
+
+# All minors of a 10x10 matrix (184,755) take about a second; 11x11 has
+# 705,431 and takes several.
+MINOR_TABLE_LIMIT = comb(20, 10) - 1
+
+# Largest exponent magnitude in an expression's ``^``.
+EXPONENT_LIMIT = 100
 
 
 def cell_limit() -> int:
@@ -46,6 +55,22 @@ def ensure_minor_terms(k: int) -> None:
         raise ResourceGuardError(
             f"a {k}x{k} quantum minor expands {factorial(k)} terms, over the "
             f"budget of {QUANTUM_MINOR_TERM_LIMIT}"
+        )
+
+
+def ensure_minor_table(count: int) -> None:
+    """Raise ResourceGuardError when a scan over count minors is over budget."""
+    if count > MINOR_TABLE_LIMIT:
+        raise ResourceGuardError(
+            f"scanning {count} minors exceeds the budget of {MINOR_TABLE_LIMIT}"
+        )
+
+
+def ensure_exponent(exponent: int) -> None:
+    """Raise ResourceGuardError for a power beyond EXPONENT_LIMIT."""
+    if abs(exponent) > EXPONENT_LIMIT:
+        raise ResourceGuardError(
+            f"exponent {exponent} exceeds the limit of {EXPONENT_LIMIT}"
         )
 
 

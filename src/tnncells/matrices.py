@@ -6,11 +6,15 @@ entries do their own arithmetic through Python operators. All
 indices in the public API are 1-based; row sets and column sets are strictly
 increasing tuples, and composite minors print as ``[1,2|2,3]``.
 
-Determinants are taken over the rationals only: they clear denominators and
-run fraction-free Bareiss elimination on integers, which keeps intermediate
-growth polynomial. Matrices over other domains (the symbolic canonical
-matrices, whose entries are Laurent polynomials in the white-cell variables)
-are for display, entrywise arithmetic and the sweeps, not for determinants.
+Minors are taken over the rationals only. Every scan over all minors of a
+matrix (the zero set, the listing, the brute-force TNN test) reads one
+integer table, :func:`minor_sizes`: denominators are cleared once per
+matrix, and each k-minor follows from the (k-1)-minors by Laplace expansion
+along its last row, in at most k multiply-adds with no division. Single
+determinants and minors run fraction-free Bareiss elimination on integers.
+Matrices over other domains (the symbolic canonical matrices, whose entries
+are Laurent polynomials in the white-cell variables) are for display,
+entrywise arithmetic and the sweeps, not for determinants.
 """
 
 from __future__ import annotations
@@ -20,8 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
-from typing import Any, Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Any, Iterator, Sequence
 
+from . import guards
 from .errors import DomainError, json_int, parse_json
 from .scalars import QQ, RationalDomain, ScalarDomain
 
@@ -91,6 +97,19 @@ class MinorIndex:
         except TypeError as exc:
             raise DomainError(f"minor index JSON needs integer lists, got {obj!r}") from exc
         return cls(rows, cols)
+
+
+def _key_index(rows: tuple[int, ...], cols: tuple[int, ...]) -> MinorIndex:
+    """The MinorIndex of a (rows, cols) key from :func:`minor_keys`.
+
+    Such keys are valid by construction, so the validation in
+    ``__post_init__``, which costs several times the object itself, is
+    skipped; input from outside the package goes through the constructor.
+    """
+    ix = object.__new__(MinorIndex)
+    object.__setattr__(ix, "rows", rows)
+    object.__setattr__(ix, "cols", cols)
+    return ix
 
 
 @dataclass(frozen=True)
@@ -256,22 +275,97 @@ def minor_count(m: int, p: int) -> int:
     return comb(m + p, m) - 1
 
 
-def iter_minor_indices(m: int, p: int) -> Iterator[MinorIndex]:
-    """All minor indices of an m x p matrix, ordered by size then rows, columns."""
+MinorKey = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def minor_keys(m: int, p: int) -> Iterator[MinorKey]:
+    """All (rows, cols) of an m x p matrix, ordered by size then rows, columns."""
     for k in range(1, min(m, p) + 1):
         for rows in combinations(range(1, m + 1), k):
             for cols in combinations(range(1, p + 1), k):
-                yield MinorIndex(rows, cols)
+                yield rows, cols
+
+
+def iter_minor_indices(m: int, p: int) -> Iterator[MinorIndex]:
+    """All minor indices of an m x p matrix, in :func:`minor_keys` order."""
+    for rows, cols in minor_keys(m, p):
+        yield _key_index(rows, cols)
+
+
+def minor_sizes(matrix: Matrix) -> Iterator[tuple[int, dict[MinorKey, int]]]:
+    """Every minor of a rational matrix, one size at a time.
+
+    Yields ``(denominator, table)`` for k = 1, 2, ..., min(m, p). The table
+    maps each (rows, cols) of size k, in :func:`minor_keys` order, to an
+    integer; the minor itself is ``Fraction(value, denominator)``. With s
+    the least common denominator of the entries, the table holds the
+    k-minors of the integer matrix s*A and the denominator is s^k, so signs
+    and zeros read straight off the integers. Each k-minor is the Laplace
+    expansion of s*A's (k-1)-minors along row ``rows[-1]``, and only two
+    sizes are held at a time. The whole scan is guarded by its minor count.
+    """
+    _require_rational(matrix, "a minor table")
+    guards.ensure_minor_table(minor_count(matrix.m, matrix.p))
+    scale = lcm(*(x.denominator for row in matrix.rows for x in row))
+    a = [[x.numerator * (scale // x.denominator) for x in row] for row in matrix.rows]
+    # rows -> {cols: minor}: nested, because hashing (rows, cols) pairs
+    # would cost more than the arithmetic
+    prev: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {(): {(): 1}}
+    for k in range(1, min(matrix.m, matrix.p) + 1):
+        # per column set: (column, complementary columns, sign of the cofactor)
+        expansions = [
+            (cols, [(c - 1, cols[:j - 1] + cols[j:], (k + j) % 2 == 0)
+                    for j, c in enumerate(cols, 1)])
+            for cols in combinations(range(1, matrix.p + 1), k)
+        ]
+        nested: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+        for rows in combinations(range(1, matrix.m + 1), k):
+            sub, last = prev[rows[:-1]], a[rows[-1] - 1]
+            nested[rows] = row = {}
+            for cols, terms in expansions:
+                total = 0
+                for c, rest, plus in terms:
+                    x = last[c]
+                    if x:
+                        if plus:
+                            total += x * sub[rest]
+                        else:
+                            total -= x * sub[rest]
+                row[cols] = total
+        yield scale**k, {
+            (rows, cols): value
+            for rows, row in nested.items()
+            for cols, value in row.items()
+        }
+        prev = nested
+
+
+def _zero_keys(table: dict[MinorKey, int]) -> Iterator[MinorIndex]:
+    return (_key_index(rows, cols) for (rows, cols), value in table.items() if not value)
+
+
+def _most_negative(
+    denominator: int, table: dict[MinorKey, int]
+) -> tuple[MinorIndex, Fraction] | None:
+    """The most negative minor of one size, first in order on ties, or None."""
+    (rows, cols), value = min(table.items(), key=itemgetter(1))
+    if value >= 0:
+        return None
+    return _key_index(rows, cols), Fraction(value, denominator)
 
 
 def all_minors(matrix: Matrix) -> list[tuple[MinorIndex, Fraction]]:
-    return [(ix, minor(matrix, ix)) for ix in iter_minor_indices(matrix.m, matrix.p)]
+    return [
+        (_key_index(rows, cols), Fraction(value, denominator))
+        for denominator, table in minor_sizes(matrix)
+        for (rows, cols), value in table.items()
+    ]
 
 
 def exact_vanishing_minors(matrix: Matrix) -> MinorFamily:
     """The minors of a rational matrix whose value is zero."""
     members = frozenset(
-        ix for ix in iter_minor_indices(matrix.m, matrix.p) if minor(matrix, ix) == 0
+        ix for _, table in minor_sizes(matrix) for ix in _zero_keys(table)
     )
     return MinorFamily(matrix.m, matrix.p, members)
 
@@ -313,36 +407,19 @@ def is_tp(matrix: Matrix) -> bool:
     return all(value > 0 for _, value in initial_minors(matrix))
 
 
-def _worst_minor(
-    values: Iterable[tuple[MinorIndex, Fraction]],
-) -> tuple[MinorIndex, Fraction] | None:
-    """The most negative minor of the smallest failing size, or None.
-
-    ``values`` must come in :func:`iter_minor_indices` order; reading stops
-    at the first minor past the failing size.
-    """
-    worst: tuple[MinorIndex, Fraction] | None = None
-    for ix, value in values:
-        if worst is not None and ix.size > worst[0].size:
-            break
-        if value < 0 and (worst is None or value < worst[1]):
-            worst = (ix, value)
-    return worst
-
-
 def is_tnn_bruteforce(matrix: Matrix) -> tuple[bool, MinorIndex | None]:
     """Check every minor for nonnegativity; on failure report a witness.
 
-    The witness is the most negative minor of the smallest failing size,
-    so it names the worst violation rather than an accident of scan order.
+    The witness is the most negative minor of the smallest failing size
+    (the first in (rows, cols) order on ties), so it names the worst
+    violation rather than an accident of scan order. The scan stops after
+    that size.
     """
-    _require_rational(matrix, "total nonnegativity")
-    worst = _worst_minor(
-        (ix, minor(matrix, ix)) for ix in iter_minor_indices(matrix.m, matrix.p)
-    )
-    if worst is None:
-        return True, None
-    return False, worst[0]
+    for denominator, table in minor_sizes(matrix):
+        worst = _most_negative(denominator, table)
+        if worst is not None:
+            return False, worst[0]
+    return True, None
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from typing import Any, Callable, Iterator, Sequence
 from . import guards
 from .diagrams import CauchonDiagram
 from .errors import DomainError
-from .matrices import MinorFamily, iter_minor_indices
+from .matrices import MinorFamily, _key_index, minor_keys
 
 
 def inversion_count(images: Sequence[int]) -> int:
@@ -378,8 +378,8 @@ def minor_family(w: Permutation, m: int, p: int) -> MinorFamily:
     direct = _window_test(w.images, m, p)
     mirrored = _window_test([n + 1 - w.images[n - i] for i in range(1, n + 1)], p, m)
     members = frozenset(
-        ix
-        for ix in iter_minor_indices(m, p)
-        if direct(ix.rows, ix.cols) or mirrored(ix.cols, ix.rows)
+        _key_index(rows, cols)
+        for rows, cols in minor_keys(m, p)
+        if direct(rows, cols) or mirrored(cols, rows)
     )
     return MinorFamily(m, p, members)

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
+from . import guards
 from .errors import DomainError
 
 # ---------------------------------------------------------------------------
@@ -663,7 +664,8 @@ def evaluate_node(
 
     ``const`` receives exact rationals; algebras that only admit integers
     should raise DomainError on a proper fraction. ``power`` receives the
-    evaluated base and a (possibly negative) integer exponent.
+    evaluated base and a (possibly negative) integer exponent, at most
+    ``guards.EXPONENT_LIMIT`` in magnitude (ResourceGuardError otherwise).
     """
     def walk(n: Node) -> Any:
         if isinstance(n, Num):
@@ -679,6 +681,7 @@ def evaluate_node(
         if isinstance(n, Mul):
             return walk(n.left) * walk(n.right)
         if isinstance(n, Pow):
+            guards.ensure_exponent(n.exponent)
             return power(walk(n.base), n.exponent)
         if isinstance(n, Call):
             if call is None:

@@ -37,6 +37,24 @@ def leibniz_minor(rows, rowset, colset):
     return leibniz_det(sub)
 
 
+def leibniz_witness(rows):
+    """The brute-force TNN witness rule from Leibniz minors: the most
+    negative minor of the smallest failing size, first in (rows, cols) order
+    on ties, as ((rows, cols), value); None for a TNN matrix."""
+    m, p = len(rows), len(rows[0])
+    for k in range(1, min(m, p) + 1):
+        negative = [
+            (leibniz_minor(rows, r, c), r, c)
+            for r in combinations(range(1, m + 1), k)
+            for c in combinations(range(1, p + 1), k)
+        ]
+        negative = [t for t in negative if t[0] < 0]
+        if negative:
+            value, r, c = min(negative)
+            return (r, c), value
+    return None
+
+
 def read_laurent(text, domain):
     """Printed polynomial text read back into a LaurentDomain, term by term."""
     return evaluate_node(

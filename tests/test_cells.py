@@ -1,7 +1,6 @@
 """Admissible families, cell classification, and the three-route cross-check."""
 
 import random
-from itertools import combinations
 
 import pytest
 
@@ -11,7 +10,6 @@ from tnncells.cauchon import ones_TC
 from tnncells.cells import (
     admissible_families,
     cell_of,
-    exact_vanishing_minors,
     is_admissible,
     unifying_check,
     witness_matrix,
@@ -22,6 +20,7 @@ from tnncells.matrices import (
     Matrix,
     MinorFamily,
     MinorIndex,
+    exact_vanishing_minors,
     is_tnn_bruteforce,
     minor,
 )
@@ -94,23 +93,6 @@ def test_cell_of_demo_matrix():
     assert len(descriptor.family) == 6
 
 
-def _leibniz_witness(M):
-    """The most negative minor of the smallest failing size, first in
-    (rows, cols) order on ties, from Leibniz determinants."""
-    for k in range(1, min(M.m, M.p) + 1):
-        negative = [
-            (oracles.leibniz_det([[M.rows[i - 1][a - 1] for a in cols] for i in rows]),
-             rows, cols)
-            for rows in combinations(range(1, M.m + 1), k)
-            for cols in combinations(range(1, M.p + 1), k)
-        ]
-        negative = [t for t in negative if t[0] < 0]
-        if negative:
-            value, rows, cols = min(negative)
-            return MinorIndex(rows, cols), value
-    return None
-
-
 def test_cell_of_rejects_non_tnn_with_witness():
     bad = Matrix.from_rows([[0, 1], [1, 0]])
     with pytest.raises(DomainError) as err:
@@ -128,7 +110,9 @@ def test_cell_of_rejects_non_tnn_with_witness():
             if ok:
                 continue
             seen += 1
-            assert (witness, minor(M, witness)) == _leibniz_witness(M)
+            assert ((witness.rows, witness.cols), minor(M, witness)) == (
+                oracles.leibniz_witness(M.rows)
+            )
             with pytest.raises(DomainError) as err:
                 cell_of(M)
             assert str(err.value) == (

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import weakref
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -422,6 +423,44 @@ def test_quantum_minor_term_budget(k, code):
          "--m", str(k), "--p", str(k)]
     )
     assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert took < 2.0
+
+
+def _pascal_csv(n):
+    return "\n".join(
+        ",".join(str(comb(i + a, i)) for a in range(n)) for i in range(n)
+    )
+
+
+@pytest.mark.parametrize(
+    "args, n, codes",
+    [
+        (["tnn-check", "-"], 12, {3}),
+        (["minors", "-"], 12, {3}),
+        (["cells", "of", "-"], 12, {3}),
+        (["tnn-check", "-"], 6, {0, 1}),
+    ],
+    ids=["tnn-check-12", "minors-12", "cells-of-12", "tnn-check-6"],
+)
+def test_minor_table_budget(args, n, codes):
+    proc, took = _run_process(args, _pascal_csv(n))
+    assert proc.returncode in codes, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert took < 2.0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["poisson", "bracket", "a^99999999", "b"],
+        ["quantum", "nf", "a^99999999"],
+    ],
+    ids=["poisson-bracket", "quantum-nf"],
+)
+def test_huge_powers_exit_3(args):
+    proc, took = _run_process(args)
+    assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
     assert took < 2.0
 

@@ -1,12 +1,15 @@
 """Exact matrices, minors, and positivity checks."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from tnncells.errors import DomainError
+from tnncells import guards
+from tnncells.errors import DomainError, ResourceGuardError
 from tnncells.matrices import (
     Matrix,
     MinorFamily,
@@ -24,6 +27,7 @@ from tnncells.matrices import (
     matrix_to_json,
     minor,
     minor_count,
+    minor_sizes,
     parse_rational,
 )
 from tnncells.scalars import LaurentDomain
@@ -149,6 +153,81 @@ def test_tnn_bruteforce_witness_is_negative(M):
 
 def test_tnn_zero_matrix():
     assert is_tnn_bruteforce(Matrix.from_rows([[0, 0], [0, 0]])) == (True, None)
+
+
+@st.composite
+def table_matrices(draw):
+    """Signed rationals with denominators 1-9 in rows, columns and squares up
+    to 5x5, some rows and columns zeroed."""
+    m, p = draw(
+        st.sampled_from([(1, 6), (6, 1), (5, 5)])
+        | st.tuples(st.integers(1, 6), st.just(1))
+        | st.tuples(st.just(1), st.integers(1, 6))
+        | st.tuples(st.integers(1, 4), st.integers(1, 4))
+    )
+    M = draw(rational_matrix(m, p, lo=-9, hi=9, max_denominator=9))
+    zero_rows = draw(st.sets(st.integers(1, m), max_size=2))
+    zero_cols = draw(st.sets(st.integers(1, p), max_size=2))
+    return Matrix.from_rows([
+        [0 if i in zero_rows or a in zero_cols else x for a, x in enumerate(row, 1)]
+        for i, row in enumerate(M.rows, 1)
+    ])
+
+
+@given(table_matrices())
+def test_minor_table_matches_leibniz(M):
+    keys = []
+    for k, (denominator, table) in enumerate(minor_sizes(M), 1):
+        assert denominator > 0
+        assert list(table) == [
+            (rows, cols)
+            for rows in combinations(range(1, M.m + 1), k)
+            for cols in combinations(range(1, M.p + 1), k)
+        ]
+        for (rows, cols), value in table.items():
+            assert type(value) is int
+            assert Fraction(value, denominator) == oracles.leibniz_minor(M.rows, rows, cols)
+        keys.extend(table)
+    assert len(keys) == minor_count(M.m, M.p)
+
+
+def test_minor_table_guard():
+    guards.ensure_minor_table(minor_count(10, 10))
+    with pytest.raises(ResourceGuardError):
+        next(minor_sizes(Matrix.from_rows([[0] * 11] * 11)))
+    with pytest.raises(DomainError):
+        next(minor_sizes(Matrix.from_rows([[1]], LaurentDomain(["x"]))))
+
+
+def _perturbed_tnn(rng, n):
+    """A TNN product of bidiagonal factors, with one positive entry lowered."""
+    rows = [[Fraction(int(i == a)) for a in range(n)] for i in range(n)]
+    for _ in range(n * n):
+        i = rng.randrange(n - 1)
+        r, c = (i, i + 1) if rng.random() < 0.5 else (i + 1, i)
+        weight = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+        # multiplying by I + weight*E[r][c] adds weight * column r to column c
+        for row in rows:
+            row[c] += weight * row[r]
+    positive = [(i, a) for i in range(n) for a in range(n) if rows[i][a] > 0]
+    i, a = rng.choice(positive)
+    rows[i][a] *= Fraction(rng.randint(1, 9), 10)
+    return Matrix.from_rows(rows)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_bruteforce_witness_matches_leibniz_rule(n):
+    rng = random.Random(n)
+    seen = 0
+    while seen < 20:
+        M = _perturbed_tnn(rng, n)
+        ok, witness = is_tnn_bruteforce(M)
+        expected = oracles.leibniz_witness(M.rows)
+        assert ok == (expected is None)
+        if ok:
+            continue
+        seen += 1
+        assert ((witness.rows, witness.cols), minor(M, witness)) == expected
 
 
 class TestSerialization:

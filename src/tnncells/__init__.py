@@ -40,7 +40,7 @@ from .permutations import (
     pipe_dream,
 )
 from .poisson import FlowPath, FlowReport, bracket, jacobi_check, semiclassical_check, verify_flow
-from .quantum import QPoly, commutator, is_central_2x2_determinant, q_multiply, quantum_minor
+from .quantum import QPoly, commutator, is_central_2x2_determinant, quantum_minor
 from .cauchon import (
     TnnVerdict,
     build_TC,
@@ -107,7 +107,6 @@ __all__ = [
     "path_matrix",
     "pipe_dream",
     "postnikov_network",
-    "q_multiply",
     "quantum_minor",
     "restoration",
     "restore_step",

@@ -6,8 +6,11 @@ from turning into an unbounded computation. The CAUCHON_GUARD environment
 variable (an integer, interpreted as the maximum allowed m*p) raises or lowers
 the ceiling for a whole process. The other guards are fixed module constants
 counted in units of work: a k x k quantum minor expands k! words, a scan over
-all minors of an m x p matrix holds C(m + p, m) - 1 of them, and a power in
-an expression multiplies once per unit of its exponent.
+all minors of an m x p matrix holds C(m + p, m) - 1 of them, a power in an
+expression multiplies once per unit of its exponent, and one product of exact
+values produces |f|*|g| term pairs, plus, in the quantum product, the terms
+each word rewrite sums. The product budget is checked before the pairs are
+formed and again after every rewrite, so a product over budget stops early.
 """
 
 from __future__ import annotations
@@ -31,6 +34,11 @@ MINOR_TABLE_LIMIT = comb(20, 10) - 1
 
 # Largest exponent magnitude in an expression's ``^``.
 EXPONENT_LIMIT = 100
+
+# Terms one product of exact values may produce. The largest product the 4x4
+# quantum and Poisson checks make, the 4x4 quantum determinant times itself,
+# produces 14,096.
+PRODUCT_TERM_LIMIT = 30_000
 
 
 def cell_limit() -> int:
@@ -63,6 +71,15 @@ def ensure_minor_table(count: int) -> None:
     if count > MINOR_TABLE_LIMIT:
         raise ResourceGuardError(
             f"scanning {count} minors exceeds the budget of {MINOR_TABLE_LIMIT}"
+        )
+
+
+def ensure_product_terms(count: int) -> None:
+    """Raise ResourceGuardError when a product has produced over the budget."""
+    if count > PRODUCT_TERM_LIMIT:
+        raise ResourceGuardError(
+            f"a product producing {count} terms exceeds the budget of "
+            f"{PRODUCT_TERM_LIMIT}"
         )
 
 

@@ -24,12 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from itertools import groupby
+from typing import Any, Mapping
 
 from .errors import ConsistencyError, DomainError, json_int
 from .quantum import _TWO_BY_TWO_ALIASES, QPoly, commutator
 from .scalars import (
     ExactValue, MPoly, Node, evaluate_node, int_const, parse_expression,
+    add_terms,
 )
 
 Cell = tuple[int, int]
@@ -169,46 +171,37 @@ def semiclassical_check(m: int, p: int, i: int, a: int, k: int, g: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _strip(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    n = len(coeffs)
-    while n > 0 and coeffs[n - 1] == 0:
-        n -= 1
-    return coeffs[:n]
-
-
 class ExpPoly(ExactValue):
-    """A finite sum of p(t) * e^(l*t) terms with rational l and p.
+    """A finite sum of terms c * t^d * e^(l*t) with rational c and l.
 
-    The map l -> p is a canonical form because distinct exponentials are
-    linearly independent over polynomials; consequently is_zero and
-    equality are exact.
+    Terms map ``(l, d)`` to a nonzero ``Fraction`` c. This is a canonical
+    form because the functions t^d e^(l t) are linearly independent;
+    consequently is_zero and equality are exact.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ("terms",)
 
-    def __init__(self, parts: Mapping[Fraction, Sequence[Fraction]]):
-        clean: dict[Fraction, tuple[Fraction, ...]] = {}
-        for lam, coeffs in parts.items():
-            stripped = _strip(tuple(Fraction(c) for c in coeffs))
-            if stripped:
-                clean[Fraction(lam)] = stripped
-        object.__setattr__(self, "parts", clean)
+    def __init__(self, terms: Mapping[tuple[Fraction, int], Fraction | int]):
+        clean: dict[tuple[Fraction, int], Fraction] = {}
+        for (lam, degree), coeff in terms.items():
+            if not (isinstance(degree, int) and degree >= 0):
+                raise DomainError(f"degree {degree!r} is not a nonnegative integer")
+            coeff = Fraction(coeff)
+            if coeff:
+                clean[(Fraction(lam), degree)] = coeff
+        object.__setattr__(self, "terms", clean)
 
     @classmethod
     def const(cls, value: Fraction | int) -> "ExpPoly":
-        return cls({Fraction(0): (Fraction(value),)})
+        return cls({(0, 0): value})
 
     @classmethod
     def t(cls) -> "ExpPoly":
-        return cls({Fraction(0): (Fraction(0), Fraction(1))})
+        return cls({(0, 1): 1})
 
     @classmethod
     def exponential(cls, lam: Fraction) -> "ExpPoly":
-        return cls({Fraction(lam): (Fraction(1),)})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.parts
+        return cls({(lam, 0): 1})
 
     def _coerce(self, other: Any) -> "ExpPoly":
         if isinstance(other, ExpPoly):
@@ -217,81 +210,28 @@ class ExpPoly(ExactValue):
             return ExpPoly.const(other)
         return NotImplemented  # type: ignore[return-value]
 
-    def __add__(self, other: Any) -> "ExpPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        parts: dict[Fraction, list[Fraction]] = {
-            lam: list(coeffs) for lam, coeffs in self.parts.items()
-        }
-        for lam, coeffs in other.parts.items():
-            mine = parts.setdefault(lam, [])
-            if len(mine) < len(coeffs):
-                mine.extend([Fraction(0)] * (len(coeffs) - len(mine)))
-            for idx, c in enumerate(coeffs):
-                mine[idx] += c
-        return ExpPoly(parts)
-
-    def __neg__(self) -> "ExpPoly":
-        return ExpPoly(
-            {lam: tuple(-c for c in coeffs) for lam, coeffs in self.parts.items()}
-        )
-
-    def __mul__(self, other: Any) -> "ExpPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        parts: dict[Fraction, list[Fraction]] = {}
-        for l1, c1 in self.parts.items():
-            for l2, c2 in other.parts.items():
-                lam = l1 + l2
-                conv = parts.setdefault(lam, [])
-                need = len(c1) + len(c2) - 1
-                if len(conv) < need:
-                    conv.extend([Fraction(0)] * (need - len(conv)))
-                for x, cx in enumerate(c1):
-                    if cx == 0:
-                        continue
-                    for y, cy in enumerate(c2):
-                        conv[x + y] += cx * cy
-        return ExpPoly(parts)
-
-    def __eq__(self, other: Any) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(frozenset((lam, coeffs) for lam, coeffs in self.parts.items()))
+    @staticmethod
+    def _combine(k1: tuple[Fraction, int], k2: tuple[Fraction, int]) -> tuple:
+        return (k1[0] + k2[0], k1[1] + k2[1])
 
     def derivative(self) -> "ExpPoly":
-        parts: dict[Fraction, list[Fraction]] = {}
-        for lam, coeffs in self.parts.items():
-            # (p e^{lt})' = (p' + l p) e^{lt}
-            out = [Fraction(0)] * len(coeffs)
-            for idx, c in enumerate(coeffs):
-                if idx >= 1:
-                    out[idx - 1] += idx * c
-                out[idx] += lam * c
-            parts[lam] = out
-        return ExpPoly(parts)
+        # (c t^d e^(l t))' = c d t^(d-1) e^(l t) + c l t^d e^(l t); within
+        # each part the keys stay distinct and the coefficients nonzero.
+        lowered = {(lam, d - 1): c * d for (lam, d), c in self.terms.items() if d}
+        scaled = {(lam, d): c * lam for (lam, d), c in self.terms.items() if lam}
+        return self._new(add_terms(lowered, scaled.items()))
 
     def __str__(self) -> str:
-        if not self.parts:
+        if not self.terms:
             return "0"
         chunks = []
-        for lam in sorted(self.parts):
-            coeffs = self.parts[lam]
+        by_rate = groupby(sorted(self.terms.items()), key=lambda item: item[0][0])
+        for lam, group in by_rate:
             poly = " + ".join(
-                f"{c}" if idx == 0 else (f"{c}*t" if idx == 1 else f"{c}*t^{idx}")
-                for idx, c in enumerate(coeffs)
-                if c != 0
+                f"{c}" if d == 0 else (f"{c}*t" if d == 1 else f"{c}*t^{d}")
+                for (_, d), c in group
             )
-            if lam == 0:
-                chunks.append(f"({poly})")
-            else:
-                chunks.append(f"({poly})*exp({lam}*t)")
+            chunks.append(f"({poly})" if lam == 0 else f"({poly})*exp({lam}*t)")
         return " + ".join(chunks)
 
     def __repr__(self) -> str:
@@ -318,12 +258,9 @@ def parse_path_entry(text: str) -> ExpPoly:
             raise DomainError(f"unknown function {func!r}")
         if arg.is_zero:
             return ExpPoly.const(1)
-        if set(arg.parts) != {Fraction(0)}:
+        if set(arg.terms) != {(0, 1)}:
             raise DomainError("exp arguments must be rational multiples of t")
-        coeffs = arg.parts[Fraction(0)]
-        if len(coeffs) > 2 or (len(coeffs) >= 1 and coeffs[0] != 0):
-            raise DomainError("exp arguments must be rational multiples of t")
-        return ExpPoly.exponential(coeffs[1])
+        return ExpPoly.exponential(arg.terms[(0, 1)])
 
     return evaluate_node(node, const=const, symbol=symbol, power=power, call=call)
 
@@ -400,10 +337,7 @@ def verify_flow(path: FlowPath, hamiltonian: MPoly) -> FlowReport:
     for i in range(1, m + 1):
         for a in range(1, p + 1):
             flow_rhs = bracket(m, p, hamiltonian, coordinate(m, p, i, a))
-            rhs = flow_rhs.evaluate(values) if not flow_rhs.is_zero else ExpPoly.const(0)
-            if isinstance(rhs, int):
-                rhs = ExpPoly.const(rhs)
-            residual = path.entry(i, a).derivative() - rhs
+            residual = path.entry(i, a).derivative() - flow_rhs.evaluate(values)
             if not residual.is_zero:
                 return FlowReport(residual, (i, a))
     return FlowReport(ExpPoly.const(0), None)

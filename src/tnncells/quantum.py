@@ -22,7 +22,8 @@ specialized here; the q = 1 limit belongs to the Poisson side.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations as iter_permutations
+from itertools import compress, count, islice, permutations as iter_permutations
+from operator import gt, lt
 from typing import Any, Iterable, Literal
 
 from . import guards
@@ -30,6 +31,7 @@ from .errors import DomainError
 from .permutations import inversion_count
 from .scalars import (
     ExactValue, LaurentQ, Node, evaluate_node, int_const, parse_expression,
+    add_terms,
 )
 
 Gen = tuple[int, int]
@@ -40,51 +42,84 @@ Strategy = Literal["leftmost", "rightmost"]
 _TWO_BY_TWO_ALIASES = {"a": (1, 1), "b": (1, 2), "c": (2, 1), "d": (2, 2)}
 
 
+_Q_INVERSE = LaurentQ.q_power(-1)
+_STRAIGHTENING = -LaurentQ.Q_MINUS_QINV
+
+
 def _pair_product(v: Gen, u: Gen) -> list[tuple[Word, LaurentQ]]:
     """Normal form of X_v X_u for an out-of-order pair v > u."""
     (k, g), (i, a) = v, u
     if i == k or a == g:
-        return [((u, v), LaurentQ.q_power(-1))]
+        return [((u, v), _Q_INVERSE)]
     if i < k and a > g:
         return [((u, v), LaurentQ.ONE)]
     # i < k and a < g: the straightening relation
-    return [
-        ((u, v), LaurentQ.ONE),
-        (((i, g), (k, a)), -LaurentQ.Q_MINUS_QINV),
-    ]
+    return [((u, v), LaurentQ.ONE), (((i, g), (k, a)), _STRAIGHTENING)]
 
 
-def _reduce_word(
-    word: Word, strategy: Strategy, memo: dict[Word, dict[Word, LaurentQ]]
-) -> dict[Word, LaurentQ]:
-    if word in memo:
-        return memo[word]
-    spots = [
-        t for t in range(len(word) - 1) if word[t] > word[t + 1]
+def _normal_forms(
+    words: list[Word], strategy: Strategy, spent: int
+) -> dict[Word, dict[Word, LaurentQ]]:
+    """Normal forms of ``words``, memoised for every word met on the way.
+
+    Each rewrite replaces a word by the words of one pair product at its
+    leftmost (or rightmost) out-of-order spot. An explicit stack reduces
+    those words before the word itself, so long rewrite chains need no
+    recursion. ``spent`` is the work already charged to the product; each
+    rewrite adds the terms it produces against ``guards.PRODUCT_TERM_LIMIT``.
+    """
+    memo: dict[Word, dict[Word, LaurentQ]] = {}
+    stack: list[tuple[Word, list[tuple[Word, LaurentQ]] | None]] = [
+        (word, None) for word in words
     ]
-    if not spots:
-        memo[word] = {word: LaurentQ.ONE}
-        return memo[word]
-    t = spots[0] if strategy == "leftmost" else spots[-1]
-    head, v, u, tail = word[:t], word[t], word[t + 1], word[t + 2:]
-    out: dict[Word, LaurentQ] = {}
-    for pair, coeff in _pair_product(v, u):
-        for reduced, inner in _reduce_word(
-            head + pair + tail, strategy, memo
-        ).items():
-            total = out.get(reduced, LaurentQ.ZERO) + coeff * inner
-            if total.is_zero:
-                out.pop(reduced, None)
-            else:
-                out[reduced] = total
-    memo[word] = out
-    return out
+    while stack:
+        word, children = stack.pop()
+        if children is None:
+            if word in memo:
+                continue
+            if strategy == "leftmost":
+                descents = map(gt, word, islice(word, 1, None))
+                spots = compress(count(), descents)
+            else:  # read from the right, a descent is a rise
+                descents = map(lt, reversed(word), islice(reversed(word), 1, None))
+                spots = compress(count(len(word) - 2, -1), descents)
+            t = next(spots, None)
+            if t is None:
+                memo[word] = {word: LaurentQ.ONE}
+                continue
+            head, tail = word[:t], word[t + 2:]
+            children = [
+                (head + pair + tail, coeff)
+                for pair, coeff in _pair_product(word[t], word[t + 1])
+            ]
+            pending = [(child, None) for child, _ in children if child not in memo]
+            if pending:
+                stack.append((word, children))
+                stack.extend(pending)
+                continue
+        out: dict[Word, LaurentQ] = {}
+        for child, coeff in children:
+            normal = memo[child]
+            spent += len(normal)
+            add_terms(out, normal.items() if coeff is LaurentQ.ONE else (
+                (reduced, coeff * inner) for reduced, inner in normal.items()
+            ))
+        guards.ensure_product_terms(spent)
+        memo[word] = out
+    return memo
 
 
 class QPoly(ExactValue):
-    """An element of the quantum matrix algebra in normal form."""
+    """An element of the quantum matrix algebra in normal form.
+
+    Terms map normally ordered words to nonzero ``LaurentQ`` coefficients.
+    Sums, negation, equality and hashing are the shared ones; the product
+    rewrites words back to normal form.
+    """
 
     __slots__ = ("m", "p", "terms")
+
+    _context = ("m", "p")
 
     def __init__(self, m: int, p: int, terms: dict[Word, LaurentQ]):
         clean: dict[Word, LaurentQ] = {}
@@ -134,42 +169,27 @@ class QPoly(ExactValue):
             return QPoly.const(self.m, self.p, other)
         return NotImplemented  # type: ignore[return-value]
 
-    def __add__(self, other: Any) -> "QPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        terms = dict(self.terms)
-        for word, coeff in other.terms.items():
-            total = terms.get(word, LaurentQ.ZERO) + coeff
-            if total.is_zero:
-                terms.pop(word, None)
-            else:
-                terms[word] = total
-        return QPoly(self.m, self.p, terms)
-
-    def __neg__(self) -> "QPoly":
-        return QPoly(self.m, self.p, {w: -c for w, c in self.terms.items()})
-
     def scaled(self, coeff: LaurentQ | int) -> "QPoly":
-        factor = coeff if isinstance(coeff, LaurentQ) else LaurentQ.const(coeff)
-        return QPoly(
-            self.m, self.p, {w: factor * c for w, c in self.terms.items()}
-        )
+        if not coeff:
+            return self._new({})
+        return self._new({w: coeff * c for w, c in self.terms.items()})
 
     def multiply(self, other: "QPoly", strategy: Strategy = "leftmost") -> "QPoly":
+        """The product in normal form; ``strategy`` picks the rewrite spot."""
         self._check(other)
-        memo: dict[Word, dict[Word, LaurentQ]] = {}
-        terms: dict[Word, LaurentQ] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                c12 = c1 * c2
-                for reduced, inner in _reduce_word(w1 + w2, strategy, memo).items():
-                    total = terms.get(reduced, LaurentQ.ZERO) + c12 * inner
-                    if total.is_zero:
-                        terms.pop(reduced, None)
-                    else:
-                        terms[reduced] = total
-        return QPoly(self.m, self.p, terms)
+        pairs = len(self.terms) * len(other.terms)
+        guards.ensure_product_terms(pairs)
+        products = [
+            (w1 + w2, c1 * c2)
+            for w1, c1 in self.terms.items()
+            for w2, c2 in other.terms.items()
+        ]
+        memo = _normal_forms([w for w, _ in products], strategy, pairs)
+        return self._new(add_terms({}, (
+            (reduced, coeff * inner)
+            for word, coeff in products
+            for reduced, inner in memo[word].items()
+        )))
 
     def __mul__(self, other: Any) -> "QPoly":
         if isinstance(other, (int, LaurentQ)):
@@ -177,21 +197,6 @@ class QPoly(ExactValue):
         if isinstance(other, QPoly):
             return self.multiply(other)
         return NotImplemented
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: Any) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.p, frozenset(
-            (w, frozenset(c.coeffs.items())) for w, c in self.terms.items()
-        )))
 
     # -- presentation ---------------------------------------------------------------
 
@@ -210,19 +215,19 @@ class QPoly(ExactValue):
             coeff = self.terms[word]
             # pull a negative leading q-power out so sums read "x - (...)*y"
             sign = ""
-            if coeff.coeffs[max(coeff.coeffs)] < 0:
+            if coeff.terms[max(coeff.terms)] < 0:
                 sign, coeff = "-", -coeff
             gens = "*".join(self._gen_str(g, aliases) for g in word)
             coeff_str = str(coeff)
             if word:
                 if coeff == LaurentQ.ONE:
                     body = gens
-                elif len(coeff.coeffs) > 1:
+                elif len(coeff.terms) > 1:
                     body = f"({coeff_str})*{gens}"
                 else:
                     body = f"{coeff_str}*{gens}"
             else:
-                body = coeff_str if len(coeff.coeffs) <= 1 else f"({coeff_str})"
+                body = coeff_str if len(coeff.terms) <= 1 else f"({coeff_str})"
             chunks.append(sign + body)
         out = chunks[0]
         for chunk in chunks[1:]:
@@ -239,10 +244,6 @@ class QPoly(ExactValue):
 # ---------------------------------------------------------------------------
 # Derived operations
 # ---------------------------------------------------------------------------
-
-
-def q_multiply(f: QPoly, g: QPoly, strategy: Strategy = "leftmost") -> QPoly:
-    return f.multiply(g, strategy)
 
 
 def commutator(f: QPoly, g: QPoly) -> QPoly:
@@ -263,15 +264,14 @@ def quantum_minor(
         raise DomainError("row and column sets must increase strictly")
     if not rows:
         return QPoly.one(m, p)
-    k = len(rows)
-    guards.ensure_minor_terms(k)
-    terms: dict[Word, LaurentQ] = {}
-    for sigma in iter_permutations(range(k)):
-        length = inversion_count(sigma)
-        word = tuple((rows[t], cols[sigma[t]]) for t in range(k))
-        coeff = terms.get(word, LaurentQ.ZERO) + LaurentQ.minus_q_to(length)
-        terms[word] = coeff
-    return QPoly(m, p, terms)
+    guards.ensure_minor_terms(len(rows))
+    # Distinct permutations give distinct words, so no two terms merge.
+    return QPoly(m, p, {
+        tuple(zip(rows, (cols[s] for s in sigma))): LaurentQ.minus_q_to(
+            inversion_count(sigma)
+        )
+        for sigma in iter_permutations(range(len(rows)))
+    })
 
 
 def defining_relations_hold(m: int, p: int) -> list[tuple[Gen, Gen]]:

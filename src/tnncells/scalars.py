@@ -1,19 +1,26 @@
 """Exact scalar arithmetic: Laurent polynomials in many variables and in q.
 
-Two concrete rings live here, both with exact zero tests:
+Every exact value here is a sparse sum of terms: a dict ``terms`` from a key
+to a nonzero coefficient. :class:`ExactValue` owns that representation and
+writes the ring operations on it once: the exact zero test, ``+``, unary
+``-``, ``==``, ``hash`` and the commutative product, together with
+subtraction, reflected operators and integer powers. A subclass names the
+ring its elements live in and how the keys of two terms combine in a
+product. Two concrete rings live in this module:
 
 * :class:`MPoly`, multivariate Laurent polynomials with integer coefficients
-  over a fixed, ordered tuple of variable names; division is exact by a unit
-  monomial and refused otherwise;
-* :class:`LaurentQ`, Laurent polynomials in a single parameter q.
+  over a fixed, ordered tuple of variable names, keyed by exponent vectors;
+  division is exact by a unit monomial and refused otherwise;
+* :class:`LaurentQ`, Laurent polynomials in a single parameter q, keyed by
+  the exponent of q.
 
-Both, like ``QPoly`` (quantum) and ``ExpPoly`` (flows), derive from
-:class:`ExactValue`, which writes once the operators they share:
-immutability, subtraction, reflected operators, integer powers and
-truthiness as the exact zero test. Exact values carry their own arithmetic
-as Python operators; :class:`ScalarDomain` is only a tag naming the ring a
-matrix lives in: the rationals (:data:`QQ`, entries are ``Fraction``) or the
-Laurent polynomials of a symbolic canonical matrix (:class:`LaurentDomain`).
+``QPoly`` (quantum, keyed by normal words, with its own rewriting product)
+and ``ExpPoly`` (flows, keyed by ``(l, d)`` for ``t^d e^(l t)``) derive from
+it too. Results of the shared operations are built through the trusted
+``_new``; the public constructors keep validating what comes from outside.
+:class:`ScalarDomain` is only a tag naming the ring a matrix lives in: the
+rationals (:data:`QQ`, entries are ``Fraction``) or the Laurent polynomials
+of a symbolic canonical matrix (:class:`LaurentDomain`).
 
 The module also contains the small expression grammar shared by the command
 line tools: variables such as ``t[1,3]`` or ``a``, integer (and ``3/2``
@@ -28,34 +35,112 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from operator import add
+from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from . import guards
 from .errors import DomainError
 
 # ---------------------------------------------------------------------------
-# Shared operators
+# Shared sparse-term arithmetic
 # ---------------------------------------------------------------------------
 
 
-class ExactValue:
-    """An immutable ring element with the operators its subclasses share.
+def add_terms(terms: dict, pairs: Iterable[tuple[Hashable, Any]]) -> dict:
+    """Add ``(key, nonzero coeff)`` pairs into ``terms`` in place.
 
-    Subclasses supply ``_coerce``, ``+``, unary ``-``, ``*`` and ``is_zero``.
-    ``_coerce`` returns the other operand as an element of the same ring, or
-    NotImplemented. Subclasses set their slots with ``object.__setattr__``.
-    Reflected operators serve scalars (ints, coefficients), which are
-    central. Negative powers invert through ``_inverse``, which refuses by
-    default.
+    A sum that cancels leaves its key out, so ``terms`` keeps only nonzero
+    coefficients. Returns ``terms``.
+    """
+    for key, coeff in pairs:
+        if key in terms:
+            coeff = terms[key] + coeff
+            if not coeff:
+                del terms[key]
+                continue
+        terms[key] = coeff
+    return terms
+
+
+def _signed_sum(chunks: list[tuple[Any, str]]) -> str:
+    """Print ``(coeff, body)`` terms as ``b1 - b2 + b3``; the sign is coeff's."""
+    if not chunks:
+        return "0"
+    (coeff, body), *rest = chunks
+    return ("-" if coeff < 0 else "") + body + "".join(
+        f" {'-' if c < 0 else '+'} {b}" for c, b in rest
+    )
+
+
+class ExactValue:
+    """An immutable sparse sum of terms with the ring operations written once.
+
+    A subclass declares a ``terms`` slot (key -> nonzero coefficient) and the
+    slots named in ``_context``, which fix the ring an element lives in
+    (a variable tuple, a grid size); elements interoperate only within one
+    ring. It supplies ``_coerce``, which returns the other operand as an
+    element of the same ring or NotImplemented, and ``_combine``, the key of
+    the product of two terms, for the commutative product. Reflected
+    operators serve scalars (ints, coefficients), which are central.
+    Negative powers invert through ``_inverse``, which refuses by default.
     """
 
     __slots__ = ()
 
+    _context: tuple[str, ...] = ()
+
+    def _new(self, terms: dict) -> Any:
+        """An element of this ring with trusted terms: valid keys, no zeros."""
+        out = object.__new__(type(self))
+        for slot in self._context:
+            object.__setattr__(out, slot, getattr(self, slot))
+        object.__setattr__(out, "terms", terms)
+        return out
+
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return bool(self.terms)
+
+    def __eq__(self, other: Any) -> bool:
+        if type(other) is not type(self):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self.terms == other.terms and all(
+            getattr(self, slot) == getattr(other, slot) for slot in self._context
+        )
+
+    def __hash__(self) -> int:
+        ring = tuple(getattr(self, slot) for slot in self._context)
+        return hash((ring, frozenset(self.terms.items())))
+
+    def __add__(self, other: Any) -> Any:
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._new(add_terms(dict(self.terms), other.terms.items()))
+
+    def __neg__(self) -> Any:
+        return self._new({key: -coeff for key, coeff in self.terms.items()})
+
+    def __mul__(self, other: Any) -> Any:
+        """The commutative product: coefficients multiply, keys ``_combine``."""
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        guards.ensure_product_terms(len(self.terms) * len(other.terms))
+        combine = self._combine
+        return self._new(add_terms({}, (
+            (combine(k1, k2), c1 * c2)
+            for k1, c1 in self.terms.items()
+            for k2, c2 in other.terms.items()
+        )))
 
     def __radd__(self, other: Any) -> Any:
         return self + other
@@ -96,10 +181,13 @@ class MPoly(ExactValue):
     Terms map exponent vectors (tuples aligned with ``names``, entries of any
     sign) to nonzero integer coefficients. Instances are immutable; all
     operators return new values. Two polynomials interoperate only when built
-    over the same variable tuple.
+    over the same variable tuple; across tuples ``==`` is False and the
+    other operators raise DomainError.
     """
 
     __slots__ = ("names", "terms")
+
+    _context = ("names",)
 
     def __init__(self, names: Sequence[str], terms: Mapping[tuple[int, ...], int]):
         names = tuple(names)
@@ -124,8 +212,6 @@ class MPoly(ExactValue):
 
     @classmethod
     def const(cls, names: Sequence[str], value: int) -> "MPoly":
-        if value == 0:
-            return cls(names, {})
         return cls(names, {(0,) * len(names): value})
 
     @classmethod
@@ -155,36 +241,9 @@ class MPoly(ExactValue):
             return MPoly.const(self.names, other)
         return NotImplemented  # type: ignore[return-value]
 
-    def __add__(self, other: Any) -> "MPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            new = terms.get(exps, 0) + coeff
-            if new:
-                terms[exps] = new
-            else:
-                terms.pop(exps, None)
-        return MPoly(self.names, terms)
-
-    def __neg__(self) -> "MPoly":
-        return MPoly(self.names, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other: Any) -> "MPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        terms: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                new = terms.get(exps, 0) + c1 * c2
-                if new:
-                    terms[exps] = new
-                else:
-                    terms.pop(exps, None)
-        return MPoly(self.names, terms)
+    @staticmethod
+    def _combine(e1: tuple[int, ...], e2: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(map(add, e1, e2))
 
     def __truediv__(self, other: Any) -> "MPoly":
         """Exact division by a unit monomial: one term, coefficient +-1."""
@@ -198,7 +257,7 @@ class MPoly(ExactValue):
         (d, unit), = other.terms.items()
         if abs(unit) != 1:
             raise DomainError(f"cannot divide by {other}: coefficient is not +-1")
-        return MPoly(self.names, {
+        return self._new({
             tuple(a - b for a, b in zip(exps, d)): coeff * unit
             for exps, coeff in self.terms.items()
         })
@@ -206,37 +265,19 @@ class MPoly(ExactValue):
     def _inverse(self) -> "MPoly":
         return MPoly.one(self.names) / self
 
-    def __eq__(self, other: Any) -> bool:
-        if isinstance(other, int):
-            other = MPoly.const(self.names, other)
-        if not isinstance(other, MPoly):
-            return NotImplemented
-        return self.names == other.names and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.names, frozenset(self.terms.items())))
-
     # -- queries -------------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def partial(self, name: str) -> "MPoly":
         """Formal partial derivative with respect to ``name``."""
-        names = self.names
         try:
-            k = names.index(name)
+            k = self.names.index(name)
         except ValueError:
             raise DomainError(f"unknown variable {name!r}") from None
-        terms: dict[tuple[int, ...], int] = {}
-        for exps, coeff in self.terms.items():
-            e = exps[k]
-            if e == 0:
-                continue
-            new_exps = exps[:k] + (e - 1,) + exps[k + 1:]
-            terms[new_exps] = terms.get(new_exps, 0) + coeff * e
-        return MPoly(names, terms)
+        # Distinct exponent vectors stay distinct, so no two terms merge.
+        return self._new({
+            exps[:k] + (exps[k] - 1,) + exps[k + 1:]: coeff * exps[k]
+            for exps, coeff in self.terms.items() if exps[k]
+        })
 
     def evaluate(self, values: Mapping[str, Any]) -> Any:
         """Evaluate with variable values from any commutative ring.
@@ -267,9 +308,7 @@ class MPoly(ExactValue):
                       key=lambda item: (sum(item[0]), item[0]), reverse=True)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks: list[str] = []
+        chunks = []
         for exps, coeff in self._sorted_terms():
             factors = []
             for name, e in zip(self.names, exps):
@@ -283,13 +322,8 @@ class MPoly(ExactValue):
                 body = "*".join(factors)
             else:
                 body = "*".join([str(abs(coeff))] + factors)
-            sign = "-" if coeff < 0 else "+"
-            chunks.append((sign, body))  # type: ignore[arg-type]
-        first_sign, first_body = chunks[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in chunks[1:]:
-            out += f" {sign} {body}"
-        return out
+            chunks.append((coeff, body))
+        return _signed_sum(chunks)
 
     def __repr__(self) -> str:
         return f"MPoly({self})"
@@ -303,18 +337,16 @@ class MPoly(ExactValue):
 class LaurentQ(ExactValue):
     """A Laurent polynomial in the deformation parameter q.
 
-    Coefficients are arbitrary-precision integers keyed by (possibly negative)
-    exponents of q. The parameter stays formal: nothing ever specialises q
-    except :meth:`at_one`, which implements the q=1 limit used by the
-    semiclassical comparison.
+    Terms map (possibly negative) exponents of q to arbitrary-precision
+    integer coefficients. The parameter stays formal: nothing ever
+    specialises q except :meth:`at_one`, which implements the q=1 limit used
+    by the semiclassical comparison.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("terms",)
 
-    def __init__(self, coeffs: Mapping[int, int]):
-        object.__setattr__(
-            self, "coeffs", {e: c for e, c in coeffs.items() if c != 0}
-        )
+    def __init__(self, terms: Mapping[int, int]):
+        object.__setattr__(self, "terms", {e: c for e, c in terms.items() if c != 0})
 
     @classmethod
     def const(cls, value: int) -> "LaurentQ":
@@ -333,10 +365,6 @@ class LaurentQ(ExactValue):
     ONE: "LaurentQ"
     Q_MINUS_QINV: "LaurentQ"
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def _coerce(self, other: Any) -> "LaurentQ":
         if isinstance(other, LaurentQ):
             return other
@@ -344,67 +372,29 @@ class LaurentQ(ExactValue):
             return LaurentQ.const(other)
         return NotImplemented  # type: ignore[return-value]
 
-    def __add__(self, other: Any) -> "LaurentQ":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        coeffs = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            new = coeffs.get(e, 0) + c
-            if new:
-                coeffs[e] = new
-            else:
-                coeffs.pop(e, None)
-        return LaurentQ(coeffs)
-
-    def __neg__(self) -> "LaurentQ":
-        return LaurentQ({e: -c for e, c in self.coeffs.items()})
-
-    def __mul__(self, other: Any) -> "LaurentQ":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        coeffs: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                new = coeffs.get(e, 0) + c1 * c2
-                if new:
-                    coeffs[e] = new
-                else:
-                    coeffs.pop(e, None)
-        return LaurentQ(coeffs)
+    _combine = staticmethod(add)
 
     def _inverse(self) -> "LaurentQ":
-        if len(self.coeffs) != 1:
+        if len(self.terms) != 1:
             raise DomainError("only monomials in q are invertible")
-        (e, c), = self.coeffs.items()
+        (e, c), = self.terms.items()
         if abs(c) != 1:
             raise DomainError("only unit monomials in q are invertible")
-        return LaurentQ({-e: c})
-
-    def __eq__(self, other: Any) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
+        return self._new({-e: c})
 
     def at_one(self) -> int:
         """Specialise q = 1."""
-        return sum(self.coeffs.values())
+        return sum(self.terms.values())
 
     def divided_by_q_minus_one(self) -> "LaurentQ":
         """Exact quotient by (q - 1); DomainError when it does not divide."""
         if self.is_zero:
             return LaurentQ({})
-        lo = min(self.coeffs)
-        hi = max(self.coeffs)
+        lo = min(self.terms)
+        hi = max(self.terms)
         # Shift to an ordinary polynomial, synthetic-divide at the root 1,
         # then shift back.
-        poly = [self.coeffs.get(e, 0) for e in range(lo, hi + 1)]
+        poly = [self.terms.get(e, 0) for e in range(lo, hi + 1)]
         degree = len(poly) - 1
         quotient = [0] * degree
         carry = poly[degree]
@@ -416,22 +406,16 @@ class LaurentQ(ExactValue):
         return LaurentQ({lo + k: c for k, c in enumerate(quotient)})
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        chunks: list[tuple[str, str]] = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
+        chunks = []
+        for e in sorted(self.terms, reverse=True):
+            c = self.terms[e]
             if e == 0:
                 body = str(abs(c))
             else:
                 q = "q" if e == 1 else f"q^{e}"
                 body = q if abs(c) == 1 else f"{abs(c)}*{q}"
-            chunks.append(("-" if c < 0 else "+", body))
-        first_sign, first_body = chunks[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in chunks[1:]:
-            out += f" {sign} {body}"
-        return out
+            chunks.append((c, body))
+        return _signed_sum(chunks)
 
     def __repr__(self) -> str:
         return f"LaurentQ({self})"

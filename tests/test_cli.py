@@ -455,14 +455,26 @@ def test_minor_table_budget(args, n, codes):
     [
         ["poisson", "bracket", "a^99999999", "b"],
         ["quantum", "nf", "a^99999999"],
+        ["poisson", "bracket", "(a+b+c+d)^100", "b"],
+        ["poisson", "bracket", "((a+b+c+d)^9)^9", "b"],
+        ["quantum", "nf", "((a+b+c+d)^9)^9"],
+        ["quantum", "nf", "d^35*a^35"],
     ],
-    ids=["poisson-bracket", "quantum-nf"],
+    ids=["poisson-bracket", "quantum-nf", "poisson-bracket-sum-power",
+         "poisson-bracket-nested-power", "quantum-nf-nested-power",
+         "quantum-nf-long-chain"],
 )
 def test_huge_powers_exit_3(args):
     proc, took = _run_process(args)
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
     assert took < 2.0
+
+
+def test_product_budget_admits_ninth_powers(runner):
+    result = runner.invoke(main, ["quantum", "nf", "(a+b+c+d)^9"])
+    assert result.exit_code == 0, result.output
+    assert result.output.rstrip().endswith("d*d*d*d*d*d*d*d*d")
 
 
 def test_stdin_matrix(runner):

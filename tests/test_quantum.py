@@ -10,7 +10,6 @@ from tnncells.quantum import (
     defining_relations_hold,
     is_central_2x2_determinant,
     parse_qpoly,
-    q_multiply,
     quantum_minor,
 )
 from tnncells.scalars import LaurentQ
@@ -28,7 +27,7 @@ def word_strategy(m, p, max_len=4):
 def product_of(word, m, p, strategy="leftmost"):
     acc = QPoly.one(m, p)
     for i, a in word:
-        acc = q_multiply(acc, QPoly.generator(m, p, i, a), strategy)
+        acc = acc.multiply(QPoly.generator(m, p, i, a), strategy)
     return acc
 
 
@@ -82,6 +81,14 @@ class TestNormalForm:
         h = gen(2, 2)
         assert (f * g) * h == f * (g * h)
 
+    @pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
+    def test_long_rewrite_chains_need_no_recursion(self, strategy):
+        # 1,600 rewrites in one chain, each a q-commutation: far deeper than
+        # Python's recursion limit and far inside the product budget.
+        a40, b40 = parse_qpoly("a^40", 2, 2), parse_qpoly("b^40", 2, 2)
+        expected = (a40 * b40).scaled(LaurentQ.q_power(-1600))
+        assert b40.multiply(a40, strategy) == expected
+
     def test_normal_words_pass_through(self):
         a, d = gen(1, 1), gen(2, 2)
         f = a * d
@@ -108,7 +115,7 @@ class TestQuantumMinor:
     def test_3x3_minor_has_six_terms(self):
         full = quantum_minor(3, 3, (1, 2, 3), (1, 2, 3))
         assert len(full.terms) == 6
-        signs = {c.coeffs[min(c.coeffs)] for c in full.terms.values()}
+        signs = {c.terms[min(c.terms)] for c in full.terms.values()}
         assert signs == {1, -1}
 
     def test_rows_and_cols_must_fit(self):

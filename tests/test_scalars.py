@@ -3,12 +3,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from tnncells.errors import DomainError
-from tnncells.poisson import parse_path_entry
-from tnncells.quantum import parse_qpoly
+from tnncells.poisson import ExpPoly, parse_path_entry
+from tnncells.quantum import QPoly, parse_qpoly
 from tnncells.scalars import (
     LaurentDomain,
     LaurentQ,
@@ -30,15 +30,94 @@ def poly_strategy():
     )
 
 
-@given(poly_strategy(), poly_strategy(), poly_strategy())
-def test_mpoly_ring_axioms(f, g, h):
-    assert f + g == g + f
-    assert f * g == g * f
+def _ring_axioms(f, g, h, commutative=True):
+    if commutative:
+        assert f + g == g + f
+        assert f * g == g * f
     assert (f + g) + h == f + (g + h)
     assert (f * g) * h == f * (g * h)
     assert f * (g + h) == f * g + f * h
+    assert (g + h) * f == g * f + h * f
+    assert f + 0 == f and 0 + f == f
+    assert f * 1 == f and 1 * f == f
+
+
+@given(poly_strategy(), poly_strategy(), poly_strategy())
+def test_mpoly_ring_axioms(f, g, h):
+    _ring_axioms(f, g, h)
     assert f + MPoly.zero(NAMES) == f
     assert f * MPoly.one(NAMES) == f
+
+
+def laurent_q_strategy():
+    return st.dictionaries(
+        st.integers(-3, 3), st.integers(-5, 5), max_size=4
+    ).map(LaurentQ)
+
+
+def exp_poly_strategy():
+    key = st.tuples(
+        st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(2)]),
+        st.integers(0, 2),
+    )
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    return st.dictionaries(key, coeff, max_size=4).map(ExpPoly)
+
+
+def qpoly_strategy():
+    gens = [parse_qpoly(name, 2, 2) for name in "abcd"]
+    word = st.lists(st.sampled_from(gens), max_size=2)
+    term = st.tuples(laurent_q_strategy(), word)
+    return st.lists(term, max_size=3).map(lambda ts: sum(
+        (QPoly.one(2, 2).scaled(c) * _product(w) for c, w in ts), QPoly.zero(2, 2)
+    ))
+
+
+def _product(factors):
+    out = QPoly.one(2, 2)
+    for x in factors:
+        out = out * x
+    return out
+
+
+# Each exact value type: a strategy for its elements, its validating
+# constructor applied to an element's terms, and whether its product commutes.
+RINGS = {
+    "MPoly": (poly_strategy, lambda x: MPoly(x.names, x.terms), True),
+    "LaurentQ": (laurent_q_strategy, lambda x: LaurentQ(x.terms), True),
+    "ExpPoly": (exp_poly_strategy, lambda x: ExpPoly(x.terms), True),
+    "QPoly": (qpoly_strategy, lambda x: QPoly(x.m, x.p, x.terms), False),
+}
+
+
+@pytest.mark.parametrize("kind", ["LaurentQ", "ExpPoly", "QPoly"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_ring_axioms(kind, data):
+    strategy, _, commutative = RINGS[kind]
+    f, g, h = (data.draw(strategy()) for _ in range(3))
+    _ring_axioms(f, g, h, commutative)
+
+
+@pytest.mark.parametrize("kind", sorted(RINGS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_shared_operations_keep_terms_canonical(kind, data):
+    strategy, rebuild, _ = RINGS[kind]
+    f, g = data.draw(strategy()), data.draw(strategy())
+    for x in (f + g, f * g, -f, f - g, f + (-f), (f + g) + (-g), f * g - g * f):
+        assert all(x.terms.values()), x.terms
+        assert rebuild(x) == x
+        assert hash(rebuild(x)) == hash(x)
+
+
+def test_values_of_different_rings_are_unequal():
+    x = MPoly.var(NAMES, "x")
+    other = MPoly.var(("x", "z"), "x")
+    assert x != other and x.terms == other.terms
+    with pytest.raises(DomainError):
+        x + other
+    assert QPoly.one(2, 2) != QPoly.one(2, 3)
 
 
 @given(poly_strategy(), st.integers(-4, 4), st.integers(-4, 4))

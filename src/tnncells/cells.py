@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 from . import guards
-from .diagrams import CauchonDiagram, Cell, enumerate_diagrams
+from .diagrams import CauchonDiagram, enumerate_diagrams
 from .errors import ConsistencyError, DomainError
 from .matrices import (
     Matrix,
@@ -175,17 +175,15 @@ class UnifyingReport:
         }
 
 
-def _check_diagram(args: tuple[int, int, tuple[Cell, ...]]) -> dict[str, Any] | None:
+def _check_diagram(diagram: CauchonDiagram) -> dict[str, Any] | None:
     """Worker: compare the diagram's family with its permutation's, and
     check that the diagram's witness matrix tests back to the diagram."""
-    m, p, black = args
-    diagram = CauchonDiagram(m, p, frozenset(black))
     # the witness is ones_TC, so its zero minors are vanishing_family(diagram);
     # unifying_check has applied that function's guard to the whole grid
     witness = witness_matrix(diagram)
     via_restoration = exact_vanishing_minors(witness)
     w = pipe_dream(diagram)
-    via_permutation = minor_family(w, m, p)
+    via_permutation = minor_family(w, diagram.m, diagram.p)
     witness_verdict = tnn_test(witness)
     problems = []
     if via_restoration.members != via_permutation.members:
@@ -207,10 +205,7 @@ def unifying_check(m: int, p: int, *, jobs: int = 1) -> UnifyingReport:
     """Verify the route agreement for every diagram of the grid."""
     guards.ensure_enumerable(m, p, what="unifying check")
     started = time.monotonic()
-    work = [
-        (m, p, tuple(diagram.black_sorted()))
-        for diagram in enumerate_diagrams(m, p)
-    ]
+    work = list(enumerate_diagrams(m, p))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results: Iterable[dict[str, Any] | None] = pool.map(

@@ -5,12 +5,16 @@ cell tables are enumerated exhaustively. The guards below keep a mistyped size
 from turning into an unbounded computation. The CAUCHON_GUARD environment
 variable (an integer, interpreted as the maximum allowed m*p) raises or lowers
 the ceiling for a whole process. The other guards are fixed module constants
-counted in units of work: a k x k quantum minor expands k! words, a scan over
-all minors of an m x p matrix holds C(m + p, m) - 1 of them, a power in an
-expression multiplies once per unit of its exponent, and one product of exact
-values produces |f|*|g| term pairs, plus, in the quantum product, the terms
-each word rewrite sums. The product budget is checked before the pairs are
-formed and again after every rewrite, so a product over budget stops early.
+counted in units of work and checked through :func:`ensure`: a k x k quantum
+minor expands k! words, a scan over all minors of an m x p matrix holds
+C(m + p, m) - 1 of them, a power in an expression multiplies once per unit of
+its exponent, each parenthesis in an expression costs its reader one level of
+recursion, a count of disjoint path families takes steps, and one product of
+exact values produces |f|*|g| term pairs, plus, in the quantum product, the
+terms each word rewrite sums. The product budget is checked before the pairs
+are formed and again after every rewrite, so a product over budget stops
+early. The expression reader checks its limits on a first, zero-valued read,
+before it evaluates anything.
 """
 
 from __future__ import annotations
@@ -35,6 +39,13 @@ MINOR_TABLE_LIMIT = comb(20, 10) - 1
 # Largest exponent magnitude in an expression's ``^``.
 EXPONENT_LIMIT = 100
 
+# Deepest nesting of parentheses in an expression: six Python frames a level
+# keep 100 levels well inside the default recursion limit of 1,000.
+NESTING_LIMIT = 100
+
+# Vertices visited plus paths tried in one count of disjoint path families.
+PATH_STEP_LIMIT = 1_000_000
+
 # Terms one product of exact values may produce. The largest product the 4x4
 # quantum and Poisson checks make, the 4x4 quantum determinant times itself,
 # produces 14,096.
@@ -57,38 +68,10 @@ def cell_limit() -> int:
     return value
 
 
-def ensure_minor_terms(k: int) -> None:
-    """Raise ResourceGuardError when a k x k quantum minor is over budget."""
-    if factorial(k) > QUANTUM_MINOR_TERM_LIMIT:
-        raise ResourceGuardError(
-            f"a {k}x{k} quantum minor expands {factorial(k)} terms, over the "
-            f"budget of {QUANTUM_MINOR_TERM_LIMIT}"
-        )
-
-
-def ensure_minor_table(count: int) -> None:
-    """Raise ResourceGuardError when a scan over count minors is over budget."""
-    if count > MINOR_TABLE_LIMIT:
-        raise ResourceGuardError(
-            f"scanning {count} minors exceeds the budget of {MINOR_TABLE_LIMIT}"
-        )
-
-
-def ensure_product_terms(count: int) -> None:
-    """Raise ResourceGuardError when a product has produced over the budget."""
-    if count > PRODUCT_TERM_LIMIT:
-        raise ResourceGuardError(
-            f"a product producing {count} terms exceeds the budget of "
-            f"{PRODUCT_TERM_LIMIT}"
-        )
-
-
-def ensure_exponent(exponent: int) -> None:
-    """Raise ResourceGuardError for a power beyond EXPONENT_LIMIT."""
-    if abs(exponent) > EXPONENT_LIMIT:
-        raise ResourceGuardError(
-            f"exponent {exponent} exceeds the limit of {EXPONENT_LIMIT}"
-        )
+def ensure(count: int, limit: int, what: str) -> None:
+    """Raise ResourceGuardError when ``count`` units of ``what`` exceed ``limit``."""
+    if count > limit:
+        raise ResourceGuardError(f"{what}: {count} exceeds the limit of {limit}")
 
 
 def ensure_enumerable(m: int, p: int, *, what: str = "enumeration") -> None:

@@ -305,7 +305,9 @@ def minor_sizes(matrix: Matrix) -> Iterator[tuple[int, dict[MinorKey, int]]]:
     sizes are held at a time. The whole scan is guarded by its minor count.
     """
     _require_rational(matrix, "a minor table")
-    guards.ensure_minor_table(minor_count(matrix.m, matrix.p))
+    guards.ensure(
+        minor_count(matrix.m, matrix.p), guards.MINOR_TABLE_LIMIT, "minors in one scan"
+    )
     scale = lcm(*(x.denominator for row in matrix.rows for x in row))
     a = [[x.numerator * (scale // x.denominator) for x in row] for row in matrix.rows]
     # rows -> {cols: minor}: nested, because hashing (rows, cols) pairs

@@ -28,13 +28,12 @@ from fractions import Fraction
 from itertools import permutations as iter_perms
 from typing import Any, Iterable
 
+from . import guards
 from .diagrams import CauchonDiagram
-from .errors import DomainError, ResourceGuardError, json_int, parse_json
+from .errors import DomainError, json_int, parse_json
 from .matrices import Matrix, MinorIndex, parse_rational
 from .permutations import inversion_count
 from .scalars import QQ
-
-DEFAULT_STEP_LIMIT = 1_000_000
 
 
 def source_id(i: int) -> str:
@@ -223,8 +222,6 @@ def path_matrix(network: PlanarNetwork) -> Matrix:
 def nonintersecting_counts(
     network: PlanarNetwork,
     indices: Iterable[MinorIndex],
-    *,
-    step_limit: int = DEFAULT_STEP_LIMIT,
 ) -> dict[MinorIndex, Fraction]:
     """Signed weighted counts of vertex-disjoint path families, one per minor.
 
@@ -234,9 +231,9 @@ def nonintersecting_counts(
     with its permutation sign, which is the determinant identity for
     arbitrary DAGs; on planar networks the twisted pairings admit no disjoint
     family, so each value is the plain (weighted) number of nonintersecting
-    families. One budget of ``step_limit`` steps covers the whole call: every
-    vertex the walks visit and every path tried against a partial family,
-    across all minors and pairings.
+    families. One budget of ``guards.PATH_STEP_LIMIT`` steps covers the whole
+    call: every vertex the walks visit and every path tried against a partial
+    family, across all minors and pairings.
     """
     network.topological_order()  # rejects cycles up front
     indices = list(indices)
@@ -249,13 +246,14 @@ def nonintersecting_counts(
         for v, edges in network.outgoing().items()
     }
     sink_of = {sink_id(a): a for a in range(1, network.p + 1)}
-    budget = step_limit
+    limit = guards.PATH_STEP_LIMIT
+    budget = limit
 
     def spend(steps: int) -> None:
         nonlocal budget
         budget -= steps
         if budget < 0:
-            raise ResourceGuardError("path family enumeration exceeded its step budget")
+            guards.ensure(limit - budget, limit, "steps of one path family count")
 
     # paths[i][a]: every path source i -> sink a as (vertex set, weight)
     paths: dict[int, dict[int, list[tuple[frozenset[str], Fraction | int]]]] = {}
@@ -300,14 +298,9 @@ def nonintersecting_counts(
     return counts
 
 
-def nonintersecting_count(
-    network: PlanarNetwork,
-    ix: MinorIndex,
-    *,
-    step_limit: int = DEFAULT_STEP_LIMIT,
-) -> Fraction:
+def nonintersecting_count(network: PlanarNetwork, ix: MinorIndex) -> Fraction:
     """The signed weighted count of disjoint path families for one minor.
 
     See :func:`nonintersecting_counts`; the step budget covers this one call.
     """
-    return nonintersecting_counts(network, [ix], step_limit=step_limit)[ix]
+    return nonintersecting_counts(network, [ix])[ix]

@@ -134,6 +134,17 @@ class Permutation:
         return inversion_count(self.images)
 
 
+def _entries(chunk: str, text: str) -> list[int]:
+    """The integers of a comma- or space-separated part of permutation ``text``."""
+    parts = [x for x in re.split(r"[,\s]+", chunk.strip()) if x]
+    if all(x.isascii() and x.isdigit() for x in parts):
+        try:
+            return [int(x) for x in parts]
+        except ValueError:  # more digits than int() converts
+            pass
+    raise DomainError(f"cannot parse permutation {text!r}")
+
+
 def parse_permutation(text: str, n: int | None = None) -> Permutation:
     """Read one-line (``135246`` or ``1,3,5,2,4,6``) or cycle (``(2 3 5 4)``) form."""
     text = text.strip()
@@ -141,25 +152,16 @@ def parse_permutation(text: str, n: int | None = None) -> Permutation:
         raise DomainError("empty permutation text")
     if text.startswith("("):
         chunks = re.findall(r"\(([^()]*)\)", text)
-        if "".join(chunks).strip() == "" and text != "()":
+        if not re.fullmatch(r"(\([^()]*\)\s*)+", text) or (
+            "".join(chunks).strip() == "" and text != "()"
+        ):
             raise DomainError(f"cannot parse cycles from {text!r}")
-        cycles = [
-            [int(x) for x in re.split(r"[,\s]+", chunk.strip()) if x]
-            for chunk in chunks
-            if chunk.strip()
-        ]
+        cycles = [_entries(chunk, text) for chunk in chunks if chunk.strip()]
         size = n if n is not None else max((x for c in cycles for x in c), default=1)
         return Permutation.from_cycles(size, cycles)
-    if "," in text or " " in text:
-        try:
-            parts = [int(x) for x in re.split(r"[,\s]+", text) if x]
-        except ValueError as exc:
-            raise DomainError(f"cannot parse permutation {text!r}") from exc
-    else:
-        if not text.isdigit():
-            raise DomainError(f"cannot parse permutation {text!r}")
-        parts = [int(ch) for ch in text]
-    w = Permutation(tuple(parts))
+    # without separators, each digit is one entry
+    spaced = text if "," in text or " " in text else " ".join(text)
+    w = Permutation(tuple(_entries(spaced, text)))
     if n is not None and w.n != n:
         raise DomainError(f"expected a permutation of 1..{n}, got {w.n} entries")
     return w

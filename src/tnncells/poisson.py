@@ -29,10 +29,7 @@ from typing import Any, Mapping
 
 from .errors import ConsistencyError, DomainError, json_int
 from .quantum import _TWO_BY_TWO_ALIASES, QPoly, commutator
-from .scalars import (
-    ExactValue, MPoly, Node, evaluate_node, int_const, parse_expression,
-    add_terms,
-)
+from .scalars import ExactValue, MPoly, add_terms, evaluate_expression, int_const
 
 Cell = tuple[int, int]
 
@@ -104,7 +101,6 @@ def jacobi_check(m: int, p: int, f: MPoly, g: MPoly, h: MPoly) -> MPoly:
 def parse_poisson(text: str, m: int, p: int) -> MPoly:
     """Parse a polynomial in Y[i,a] (aliases a,b,c,d at 2x2) with int coefficients."""
     names = coordinate_names(m, p)
-    node: Node = parse_expression(text)
 
     def const(value: Fraction) -> MPoly:
         return MPoly.const(names, int_const(value))
@@ -122,7 +118,7 @@ def parse_poisson(text: str, m: int, p: int) -> MPoly:
             raise DomainError("Poisson polynomials admit nonnegative powers only")
         return base ** exponent
 
-    return evaluate_node(node, const=const, symbol=symbol, power=power)
+    return evaluate_expression(text, const=const, symbol=symbol, power=power)
 
 
 # ---------------------------------------------------------------------------
@@ -240,18 +236,10 @@ class ExpPoly(ExactValue):
 
 def parse_path_entry(text: str) -> ExpPoly:
     """Parse one path coordinate: rationals, t, and exp(<rational>*t)."""
-    node = parse_expression(text, functions=("exp",))
-
-    def const(value: Fraction) -> ExpPoly:
-        return ExpPoly.const(value)
-
     def symbol(name: str) -> ExpPoly:
         if name == "t":
             return ExpPoly.t()
         raise DomainError(f"paths know only the variable t, not {name!r}")
-
-    def power(base: ExpPoly, exponent: int) -> ExpPoly:
-        return base ** exponent
 
     def call(func: str, arg: ExpPoly) -> ExpPoly:
         if func != "exp":
@@ -262,7 +250,7 @@ def parse_path_entry(text: str) -> ExpPoly:
             raise DomainError("exp arguments must be rational multiples of t")
         return ExpPoly.exponential(arg.terms[(0, 1)])
 
-    return evaluate_node(node, const=const, symbol=symbol, power=power, call=call)
+    return evaluate_expression(text, const=ExpPoly.const, symbol=symbol, call=call)
 
 
 @dataclass(frozen=True)

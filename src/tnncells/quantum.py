@@ -23,16 +23,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress, count, islice, permutations as iter_permutations
+from math import factorial
 from operator import gt, lt
 from typing import Any, Iterable, Literal
 
 from . import guards
 from .errors import DomainError
 from .permutations import inversion_count
-from .scalars import (
-    ExactValue, LaurentQ, Node, evaluate_node, int_const, parse_expression,
-    add_terms,
-)
+from .scalars import ExactValue, LaurentQ, add_terms, evaluate_expression, int_const
 
 Gen = tuple[int, int]
 Word = tuple[Gen, ...]
@@ -104,7 +102,7 @@ def _normal_forms(
             add_terms(out, normal.items() if coeff is LaurentQ.ONE else (
                 (reduced, coeff * inner) for reduced, inner in normal.items()
             ))
-        guards.ensure_product_terms(spent)
+        guards.ensure(spent, guards.PRODUCT_TERM_LIMIT, "terms of one product")
         memo[word] = out
     return memo
 
@@ -178,7 +176,7 @@ class QPoly(ExactValue):
         """The product in normal form; ``strategy`` picks the rewrite spot."""
         self._check(other)
         pairs = len(self.terms) * len(other.terms)
-        guards.ensure_product_terms(pairs)
+        guards.ensure(pairs, guards.PRODUCT_TERM_LIMIT, "terms of one product")
         products = [
             (w1 + w2, c1 * c2)
             for w1, c1 in self.terms.items()
@@ -264,7 +262,9 @@ def quantum_minor(
         raise DomainError("row and column sets must increase strictly")
     if not rows:
         return QPoly.one(m, p)
-    guards.ensure_minor_terms(len(rows))
+    k = len(rows)
+    guards.ensure(factorial(k), guards.QUANTUM_MINOR_TERM_LIMIT,
+                  f"terms of a {k}x{k} quantum minor")
     # Distinct permutations give distinct words, so no two terms merge.
     return QPoly(m, p, {
         tuple(zip(rows, (cols[s] for s in sigma))): LaurentQ.minus_q_to(
@@ -327,8 +327,6 @@ def is_central_2x2_determinant() -> bool:
 
 def parse_qpoly(text: str, m: int, p: int) -> QPoly:
     """Parse an expression over X[i,a] (a,b,c,d at 2x2), q and integers."""
-    node: Node = parse_expression(text)
-
     def const(value: Fraction) -> QPoly:
         return QPoly.const(m, p, int_const(value))
 
@@ -349,4 +347,4 @@ def parse_qpoly(text: str, m: int, p: int) -> QPoly:
             raise DomainError("negative powers only apply to powers of q")
         return base ** exponent
 
-    return evaluate_node(node, const=const, symbol=symbol, power=power)
+    return evaluate_expression(text, const=const, symbol=symbol, power=power)

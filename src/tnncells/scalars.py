@@ -24,16 +24,19 @@ of a symbolic canonical matrix (:class:`LaurentDomain`).
 
 The module also contains the small expression grammar shared by the command
 line tools: variables such as ``t[1,3]`` or ``a``, integer (and ``3/2``
-rational) literals, ``+ - * ^``, parentheses, and optionally function calls
-like ``exp(...)``. Text parses to a tiny AST which callers evaluate in the
-algebra of their choice, so one grammar serves commutative polynomials,
-Laurent polynomials, quantum polynomials and flow paths alike.
+rational) literals in ASCII digits, ``+ - * ^``, parentheses, and optionally
+function calls like ``exp(...)``. :func:`evaluate_expression` evaluates text
+as it reads it, through callbacks into the algebra of the caller's choice, so
+one grammar serves commutative polynomials, Laurent polynomials, quantum
+polynomials and flow paths alike. Sums, products and runs of minus signs are
+read in loops; only parentheses recurse, to at most ``guards.NESTING_LIMIT``
+levels. A first, zero-valued read rejects malformed text before any costly
+work.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
@@ -134,7 +137,8 @@ class ExactValue:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        guards.ensure_product_terms(len(self.terms) * len(other.terms))
+        guards.ensure(len(self.terms) * len(other.terms), guards.PRODUCT_TERM_LIMIT,
+                      "terms of one product")
         combine = self._combine
         return self._new(add_terms({}, (
             (combine(k1, k2), c1 * c2)
@@ -480,62 +484,19 @@ QQ = RationalDomain()
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z]+|\S")
 
 
-@dataclass(frozen=True)
-class Sym:
-    name: str
+class _Reader:
+    """Recursive descent over one expression, evaluating as it reads."""
 
-
-@dataclass(frozen=True)
-class Neg:
-    arg: "Node"
-
-
-@dataclass(frozen=True)
-class Add:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: "Node"
-
-
-Node = Num | Sym | Neg | Add | Sub | Mul | Pow | Call
-
-_TOKEN = re.compile(r"\d+|[A-Za-z]+|[][(),+\-*^/]|\S")
-
-
-class _Parser:
-    def __init__(self, text: str, functions: frozenset[str]):
+    def __init__(self, text: str, const: Callable, symbol: Callable,
+                 power: Callable, call: Callable | None):
+        self.text = text
         self.tokens = _TOKEN.findall(text)
         self.pos = 0
-        self.functions = functions
-        self.text = text
+        self.depth = 0
+        self.const, self.symbol, self.power, self.call = const, symbol, power, call
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -552,128 +513,125 @@ class _Parser:
         if tok != token:
             raise DomainError(f"expected {token!r}, found {tok!r} in {self.text!r}")
 
-    def parse(self) -> Node:
-        node = self.expression()
+    def integer(self, tok: str) -> int | None:
+        """The value of a token of ASCII digits; None for any other token."""
+        if not (tok.isascii() and tok.isdigit()):
+            return None
+        try:
+            return int(tok)
+        except ValueError:  # more digits than int() converts
+            raise DomainError(f"integer literal too long in {self.text!r}") from None
+
+    def read(self) -> Any:
+        value = self.sum()
         if self.peek() is not None:
             raise DomainError(f"trailing input {self.peek()!r} in {self.text!r}")
-        return node
+        return value
 
-    def expression(self) -> Node:
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            right = self.term()
-            node = Add(node, right) if op == "+" else Sub(node, right)
-        return node
+    def sum(self) -> Any:
+        value = self.product()
+        while (op := self.peek()) in ("+", "-"):
+            self.pos += 1
+            right = self.product()
+            value = value + right if op == "+" else value - right
+        return value
 
-    def term(self) -> Node:
-        node = self.unary()
+    def product(self) -> Any:
+        value = self.signed()
         while self.peek() == "*":
-            self.take()
-            node = Mul(node, self.unary())
-        return node
+            self.pos += 1
+            value = value * self.signed()
+        return value
 
-    def unary(self) -> Node:
-        if self.peek() == "-":
-            self.take()
-            return Neg(self.unary())
-        return self.power()
+    def signed(self) -> Any:
+        """A factor after any run of minus signs, which bind looser than ``^``."""
+        negate = False
+        while self.peek() == "-":
+            self.pos += 1
+            negate = not negate
+        value = self.factor()
+        return -value if negate else value
 
-    def power(self) -> Node:
+    def factor(self) -> Any:
         base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            return Pow(base, self.signed_int())
-        return base
-
-    def signed_int(self) -> int:
+        if self.peek() != "^":
+            return base
+        self.pos += 1
         sign = 1
         if self.peek() == "-":
-            self.take()
+            self.pos += 1
             sign = -1
         tok = self.take()
-        if not tok.isdigit():
+        exponent = self.integer(tok)
+        if exponent is None:
             raise DomainError(f"expected integer exponent, found {tok!r}")
-        return sign * int(tok)
+        guards.ensure(exponent, guards.EXPONENT_LIMIT, "exponent")
+        return self.power(base, sign * exponent)
 
-    def atom(self) -> Node:
+    def group(self) -> Any:
+        """The sum inside a parenthesis whose ``(`` has been read."""
+        self.depth += 1
+        guards.ensure(self.depth, guards.NESTING_LIMIT, "depth of parentheses")
+        value = self.sum()
+        self.expect(")")
+        self.depth -= 1
+        return value
+
+    def atom(self) -> Any:
         tok = self.take()
         if tok == "(":
-            node = self.expression()
-            self.expect(")")
-            return node
-        if tok.isdigit():
+            return self.group()
+        num = self.integer(tok)
+        if num is not None:
             # A '/' between two integer literals is a rational literal, not
             # an operator; general division is outside the grammar.
-            if self.peek() == "/":
-                self.take()
-                den = self.take()
-                if not den.isdigit() or int(den) == 0:
-                    raise DomainError(f"bad rational literal in {self.text!r}")
-                return Num(Fraction(int(tok), int(den)))
-            return Num(Fraction(int(tok)))
-        if tok.isalpha():
+            if self.peek() != "/":
+                return self.const(Fraction(num))
+            self.pos += 1
+            den = self.integer(self.take())
+            if not den:
+                raise DomainError(f"bad rational literal in {self.text!r}")
+            return self.const(Fraction(num, den))
+        if tok.isascii() and tok.isalpha():
             if self.peek() == "[":
-                self.take()
-                i = self.take()
+                self.pos += 1
+                i = self.integer(self.take())
                 self.expect(",")
-                j = self.take()
+                j = self.integer(self.take())
                 self.expect("]")
-                if not (i.isdigit() and j.isdigit()):
+                if i is None or j is None:
                     raise DomainError(f"bad variable index in {self.text!r}")
-                return Sym(f"{tok}[{int(i)},{int(j)}]")
-            if tok in self.functions and self.peek() == "(":
-                self.take()
-                arg = self.expression()
-                self.expect(")")
-                return Call(tok, arg)
-            return Sym(tok)
+                return self.symbol(f"{tok}[{i},{j}]")
+            if self.call is not None and self.peek() == "(":
+                self.pos += 1
+                return self.call(tok, self.group())
+            return self.symbol(tok)
         raise DomainError(f"unexpected token {tok!r} in {self.text!r}")
 
 
-def parse_expression(text: str, functions: Iterable[str] = ()) -> Node:
-    """Parse expression text to an AST; raises DomainError on bad syntax."""
-    return _Parser(text, frozenset(functions)).parse()
-
-
-def evaluate_node(
-    node: Node,
+def evaluate_expression(
+    text: str,
     *,
     const: Callable[[Fraction], Any],
     symbol: Callable[[str], Any],
-    power: Callable[[Any, int], Any],
+    power: Callable[[Any, int], Any] = pow,
     call: Callable[[str, Any], Any] | None = None,
 ) -> Any:
-    """Evaluate an AST in an arbitrary algebra.
+    """Evaluate expression text in an arbitrary algebra.
 
     ``const`` receives exact rationals; algebras that only admit integers
-    should raise DomainError on a proper fraction. ``power`` receives the
-    evaluated base and a (possibly negative) integer exponent, at most
-    ``guards.EXPONENT_LIMIT`` in magnitude (ResourceGuardError otherwise).
+    should raise DomainError on a proper fraction. ``power`` receives a value
+    and an integer exponent of magnitude at most ``guards.EXPONENT_LIMIT``.
+    ``name(...)`` is read as a call only when ``call`` is given. A first read
+    with every callback returning 0 fails malformed text (DomainError) and
+    an exponent or nesting over its limit (ResourceGuardError) before any
+    costly work; the second read evaluates.
     """
-    def walk(n: Node) -> Any:
-        if isinstance(n, Num):
-            return const(n.value)
-        if isinstance(n, Sym):
-            return symbol(n.name)
-        if isinstance(n, Neg):
-            return -walk(n.arg)
-        if isinstance(n, Add):
-            return walk(n.left) + walk(n.right)
-        if isinstance(n, Sub):
-            return walk(n.left) - walk(n.right)
-        if isinstance(n, Mul):
-            return walk(n.left) * walk(n.right)
-        if isinstance(n, Pow):
-            guards.ensure_exponent(n.exponent)
-            return power(walk(n.base), n.exponent)
-        if isinstance(n, Call):
-            if call is None:
-                raise DomainError(f"function {n.func!r} is not allowed here")
-            return call(n.func, walk(n.arg))
-        raise DomainError(f"unknown node {n!r}")
+    def zero(*args: Any) -> int:
+        return 0
 
-    return walk(node)
+    _Reader(text, zero, zero, zero, None if call is None else zero).read()
+    return _Reader(text, const, symbol, power, call).read()
 
 
 def int_const(value: Fraction) -> int:

@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from itertools import permutations as iter_perms
 
-from tnncells.scalars import evaluate_node, int_const, parse_expression
+from tnncells.scalars import evaluate_expression, int_const
 
 
 def leibniz_det(rows):
@@ -57,11 +57,8 @@ def leibniz_witness(rows):
 
 def read_laurent(text, domain):
     """Printed polynomial text read back into a LaurentDomain, term by term."""
-    return evaluate_node(
-        parse_expression(text),
-        const=lambda c: domain.zero() + int_const(c),
-        symbol=domain.var,
-        power=lambda base, e: base**e,
+    return evaluate_expression(
+        text, const=lambda c: domain.zero() + int_const(c), symbol=domain.var
     )
 
 

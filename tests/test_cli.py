@@ -322,6 +322,10 @@ def test_domain_errors_exit_2(runner, demo_diagram):
     assert result.exit_code == 2
     result = runner.invoke(main, ["poisson", "bracket", "a^-1", "b"])
     assert result.exit_code == 2
+    for args in (["perm", "mw", "(1 x)", "--m", "1", "--p", "1"],
+                 ["perm", "bruhat", "1²", "21"]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.exception
 
 
 @pytest.mark.parametrize(
@@ -469,6 +473,33 @@ def test_huge_powers_exit_3(args):
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
     assert took < 2.0
+
+
+def _nested(depth):
+    return "(" * depth + "a" + ")" * depth
+
+
+@pytest.mark.parametrize(
+    "args, code, seconds",
+    [
+        (["poisson", "bracket", "+".join(["a"] * 3000), "b"], 0, 2.0),
+        (["quantum", "nf", "*".join(["a"] * 1200)], 0, 2.0),
+        (["quantum", "nf", "--", "-" * 3001 + "a"], 0, 2.0),
+        (["poisson", "bracket", _nested(100), "b"], 0, 2.0),
+        (["poisson", "bracket", _nested(400), "b"], 3, 2.0),
+        (["quantum", "nf", "²"], 2, 2.0),
+        (["quantum", "nf", "1" * 5000], 2, 2.0),
+        # malformed text fails before the costly power is evaluated
+        (["quantum", "nf", "(a+b+c+d)^14 +"], 2, 0.5),
+    ],
+    ids=["long-sum", "long-product", "minus-run", "nesting-100", "nesting-400",
+         "superscript-digit", "long-literal", "malformed-after-power"],
+)
+def test_expression_reader_exit_codes(args, code, seconds):
+    proc, took = _run_process(args)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert took < seconds
 
 
 def test_product_budget_admits_ninth_powers(runner):

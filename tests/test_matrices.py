@@ -192,7 +192,7 @@ def test_minor_table_matches_leibniz(M):
 
 
 def test_minor_table_guard():
-    guards.ensure_minor_table(minor_count(10, 10))
+    guards.ensure(minor_count(10, 10), guards.MINOR_TABLE_LIMIT, "minors")
     with pytest.raises(ResourceGuardError):
         next(minor_sizes(Matrix.from_rows([[0] * 11] * 11)))
     with pytest.raises(DomainError):

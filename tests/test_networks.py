@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from tnncells import guards
 from tnncells.cauchon import ones_TC, symbolic_TC, white_variable
 from tnncells.diagrams import CauchonDiagram, enumerate_diagrams
 from tnncells.errors import DomainError, ResourceGuardError
@@ -142,18 +143,20 @@ def test_twisted_pairings_count_with_their_sign():
         assert determinant(path_matrix(net)) == expect
 
 
-def test_batched_step_budget_is_shared_across_minors():
+def test_batched_step_budget_is_shared_across_minors(monkeypatch):
     net = postnikov_network(CauchonDiagram.all_white(3, 3))
     indices = list(iter_minor_indices(3, 3))
     nonintersecting_counts(net, indices)
+    monkeypatch.setattr(guards, "PATH_STEP_LIMIT", 100)
     with pytest.raises(ResourceGuardError):
-        nonintersecting_counts(net, indices, step_limit=100)
+        nonintersecting_counts(net, indices)
 
 
-def test_step_budget_guard():
+def test_step_budget_guard(monkeypatch):
     net = postnikov_network(CauchonDiagram.all_white(3, 3))
+    monkeypatch.setattr(guards, "PATH_STEP_LIMIT", 2)
     with pytest.raises(ResourceGuardError):
-        nonintersecting_count(net, MinorIndex.parse("[1,2,3|1,2,3]"), step_limit=2)
+        nonintersecting_count(net, MinorIndex.parse("[1,2,3|1,2,3]"))
 
 
 def test_index_must_fit_the_network():

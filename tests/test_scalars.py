@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from tnncells.errors import DomainError
-from tnncells.poisson import ExpPoly, parse_path_entry
+from tnncells.errors import DomainError, ResourceGuardError
+from tnncells.poisson import ExpPoly, parse_path_entry, parse_poisson
 from tnncells.quantum import QPoly, parse_qpoly
 from tnncells.scalars import (
     LaurentDomain,
     LaurentQ,
     MPoly,
-    parse_expression,
+    evaluate_expression,
 )
 
 NAMES = ("x", "y")
@@ -262,33 +262,47 @@ class TestSharedOperators:
 
 class TestParser:
     def test_rational_literal(self):
-        node = parse_expression("3/4 + x")
-        total = _eval_numeric(node, {"x": Fraction(1, 4)})
+        total = _eval_numeric("3/4 + x", {"x": Fraction(1, 4)})
         assert total == 1
 
     def test_indexed_symbols(self):
-        node = parse_expression("Y[1,2] * 2")
-        assert _eval_numeric(node, {"Y[1,2]": Fraction(5)}) == 10
+        assert _eval_numeric("Y[1,2] * 2", {"Y[1,2]": Fraction(5)}) == 10
 
     def test_power_and_unary_minus(self):
-        node = parse_expression("-x^3")
-        assert _eval_numeric(node, {"x": Fraction(2)}) == -8
+        assert _eval_numeric("-x^3", {"x": Fraction(2)}) == -8
 
     def test_unbalanced_parens_rejected(self):
         with pytest.raises(DomainError):
-            parse_expression("(x + 1")
+            _eval_numeric("(x + 1", {"x": Fraction(1)})
 
     def test_unknown_character_rejected(self):
         with pytest.raises(DomainError):
-            parse_expression("x @ y")
+            _eval_numeric("x @ y", {"x": Fraction(1), "y": Fraction(1)})
 
 
-def _eval_numeric(node, env):
-    from tnncells.scalars import evaluate_node
+_EXPRESSION_TOKENS = [
+    *"abcdqt", "Y[1,2]", "X[2,1]", *"()+-*^/,[]", *"0123456789", "exp", " ",
+    "²", "@",
+]
 
-    return evaluate_node(
-        node,
-        const=lambda c: Fraction(c),
-        symbol=lambda s: env[s],
-        power=lambda b, e: b**e,
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(st.sampled_from(_EXPRESSION_TOKENS), max_size=30).map("".join),
+    st.text(max_size=20),
+))
+def test_expression_readers_raise_only_domain_or_guard_errors(text):
+    readers = (
+        lambda: parse_poisson(text, 2, 2),
+        lambda: parse_qpoly(text, 2, 2),
+        lambda: parse_path_entry(text),
     )
+    for read in readers:
+        try:
+            read()
+        except (DomainError, ResourceGuardError):
+            pass
+
+
+def _eval_numeric(text, env):
+    return evaluate_expression(text, const=Fraction, symbol=lambda s: env[s])

@@ -28,7 +28,9 @@ from typing import Any, Iterator, Mapping
 from . import guards
 from .diagrams import CauchonDiagram, Cell, is_cauchon
 from .errors import DomainError
-from .matrices import Matrix, MinorFamily, _require_rational, exact_vanishing_minors
+from .matrices import (
+    Matrix, MinorFamily, _require_rational, exact_vanishing_minors, minor_count
+)
 from .scalars import LaurentDomain, QQ, ScalarDomain
 
 StepIndex = tuple[int, int]
@@ -44,7 +46,7 @@ def _apply_step(matrix: Matrix, j: int, beta: int, sign: int) -> Matrix:
         raise DomainError(f"step ({j},{beta}) outside {matrix.m}x{matrix.p}")
     pivot_row = matrix.rows[j - 1]
     pivot = pivot_row[beta - 1]
-    if not pivot:
+    if not pivot or j == 1 or beta == 1:  # or nothing lies northwest of it
         return matrix
     rows = [list(r) for r in matrix.rows]
     for row in rows[:j - 1]:
@@ -212,7 +214,9 @@ def vanishing_family(diagram: CauchonDiagram) -> MinorFamily:
     each column-to-row turn), so by Lindstrom-Gessel-Viennot each minor is a
     sum of Laurent monomials with coefficient +1, one per vertex-disjoint
     path family. With every white cell set to 1 the minor counts those
-    families, and it is zero exactly when the symbolic minor is.
+    families, and it is zero exactly when the symbolic minor is. The minor
+    table's guard is checked before the witness's restoration sweep runs.
     """
-    guards.ensure_enumerable(diagram.m, diagram.p, what="vanishing family")
+    count = minor_count(diagram.m, diagram.p)
+    guards.ensure(count, guards.MINOR_TABLE_LIMIT, "minors in one scan")
     return exact_vanishing_minors(ones_TC(diagram))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 from typing import Any, Iterable
 
 from . import guards
@@ -55,21 +56,21 @@ class CellDescriptor:
         }
 
 
-_FAMILY_TABLE: dict[tuple[int, int], tuple[CellDescriptor, ...]] = {}
-
-
 def admissible_families(m: int, p: int) -> tuple[CellDescriptor, ...]:
     """One descriptor per diagram, in diagram enumeration order.
 
     Families come from the permutation route, which is pure combinatorics;
     the exhaustive agreement with the restoration route is the job of
     :func:`unifying_check`. Distinctness across descriptors is still
-    asserted here because admissibility testing relies on it.
+    asserted here because admissibility testing relies on it. Each grid is
+    built once per process; the guard is checked on every call.
     """
     guards.ensure_enumerable(m, p, what="cell enumeration")
-    key = (m, p)
-    if key in _FAMILY_TABLE:
-        return _FAMILY_TABLE[key]
+    return _admissible_table(m, p)
+
+
+@cache
+def _admissible_table(m: int, p: int) -> tuple[CellDescriptor, ...]:
     seen: dict[frozenset[MinorIndex], CauchonDiagram] = {}
     out = []
     for diagram in enumerate_diagrams(m, p):
@@ -81,8 +82,7 @@ def admissible_families(m: int, p: int) -> tuple[CellDescriptor, ...]:
             )
         seen[family.members] = diagram
         out.append(CellDescriptor(family, diagram, w))
-    _FAMILY_TABLE[key] = tuple(out)
-    return _FAMILY_TABLE[key]
+    return tuple(out)
 
 
 @dataclass(frozen=True)

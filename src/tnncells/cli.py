@@ -654,12 +654,10 @@ def poisson_jacobi(f: str, g: str, h: str, m: int, p: int, fmt: str) -> None:
 @format_option
 def poisson_semiclassical(m: int, p: int, fmt: str) -> None:
     """Compare quantum commutators at q -> 1 with the bracket, all pairs."""
-    gens = [(i, a) for i in range(1, m + 1) for a in range(1, p + 1)]
-    results = []
-    for s, u in enumerate(gens):
-        for v in gens[s + 1:]:
-            ok = poisson_mod.semiclassical_check(m, p, *u, *v)
-            results.append({"pair": [list(u), list(v)], "ok": ok})
+    results = [
+        {"pair": [list(u), list(v)], "ok": ok}
+        for u, v, ok in poisson_mod.semiclassical_pairs(m, p)
+    ]
     all_ok = all(r["ok"] for r in results)
     payload = {"m": m, "p": p, "pairs": results, "ok": all_ok}
     bad = [r for r in results if not r["ok"]]
@@ -699,14 +697,14 @@ def verify() -> None:
 
 def _lindstrom_sweep(m: int, p: int) -> tuple[int, int]:
     checked = mismatched = 0
-    indices = {(ix.rows, ix.cols): ix for ix in iter_minor_indices(m, p)}
+    indices = list(iter_minor_indices(m, p))
     for diagram in diagrams_mod.enumerate_diagrams(m, p):
         net = networks_mod.postnikov_network(diagram)
-        counts = networks_mod.nonintersecting_counts(net, indices.values())
+        counts = networks_mod.nonintersecting_counts(net, indices)
         for denominator, table in minor_sizes(networks_mod.path_matrix(net)):
             for key, value in table.items():
                 checked += 1
-                if Fraction(value, denominator) != counts[indices[key]]:
+                if Fraction(value, denominator) != counts[key]:
                     mismatched += 1
     return checked, mismatched
 
@@ -720,68 +718,41 @@ def verify_all(m: int, p: int, jobs: int, fmt: str) -> None:
     """Run every cross-check suite at one grid size."""
     checks: list[dict[str, Any]] = []
 
+    def check(name: str, ok: bool, detail: str) -> None:
+        checks.append({"name": name, "ok": ok, "detail": detail})
+
     report = cells_mod.unifying_check(m, p, jobs=jobs)
-    checks.append(
-        {
-            "name": "unifying",
-            "ok": report.ok,
-            "detail": f"{report.agreements}/{report.total} diagrams agree",
-        }
-    )
+    check("unifying", report.ok, f"{report.agreements}/{report.total} diagrams agree")
 
     checked, mismatched = _lindstrom_sweep(m, p)
-    checks.append(
-        {
-            "name": "lindstrom",
-            "ok": mismatched == 0,
-            "detail": f"{checked - mismatched}/{checked} minors match path counts",
-        }
+    check(
+        "lindstrom",
+        mismatched == 0,
+        f"{checked - mismatched}/{checked} minors match path counts",
     )
 
     bad_relations = quantum_mod.defining_relations_hold(m, p)
-    checks.append(
-        {
-            "name": "quantum-relations",
-            "ok": not bad_relations,
-            "detail": f"{len(bad_relations)} broken generator pairs",
-        }
+    check(
+        "quantum-relations",
+        not bad_relations,
+        f"{len(bad_relations)} broken generator pairs",
     )
     if (m, p) == (2, 2):
         central = quantum_mod.is_central_2x2_determinant()
-        checks.append(
-            {
-                "name": "quantum-determinant-central",
-                "ok": central,
-                "detail": "D_q commutes with a,b,c,d" if central else "not central",
-            }
+        check(
+            "quantum-determinant-central",
+            central,
+            "D_q commutes with a,b,c,d" if central else "not central",
         )
 
-    gens = [(i, a) for i in range(1, m + 1) for a in range(1, p + 1)]
-    pairs = [
-        (u, v) for s, u in enumerate(gens) for v in gens[s + 1:]
-    ]
-    bad_pairs = [
-        (u, v) for u, v in pairs if not poisson_mod.semiclassical_check(m, p, *u, *v)
-    ]
-    checks.append(
-        {
-            "name": "semiclassical",
-            "ok": not bad_pairs,
-            "detail": f"{len(pairs) - len(bad_pairs)}/{len(pairs)} pairs agree",
-        }
-    )
+    verdicts = [ok for _, _, ok in poisson_mod.semiclassical_pairs(m, p)]
+    check("semiclassical", all(verdicts), f"{sum(verdicts)}/{len(verdicts)} pairs agree")
 
     for name in fixtures_mod.FLOW_NAMES:
         path = fixtures_mod.load_flow(name)
         hamiltonian = poisson_mod.parse_poisson("a", path.m, path.p)
         flow_report = poisson_mod.verify_flow(path, hamiltonian)
-        checks.append(
-            {
-                "name": f"flow:{name}",
-                "ok": flow_report.symbolic_zero,
-                "detail": str(flow_report),
-            }
-        )
+        check(f"flow:{name}", flow_report.symbolic_zero, str(flow_report))
 
     passed = sum(1 for c in checks if c["ok"])
     all_ok = passed == len(checks)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Any, Iterator
+from typing import AbstractSet, Any, Iterator
 
 from . import guards
 from .errors import DomainError, json_int, parse_json
@@ -23,16 +23,19 @@ WHITE_CHAR = "."
 BLACK_CHAR = "#"
 
 
+def _may_be_black(black: AbstractSet[Cell], i: int, alpha: int) -> bool:
+    """Are all cells left of (i, alpha) black, or all cells above it?"""
+    return all((i, beta) in black for beta in range(1, alpha)) or all(
+        (j, alpha) in black for j in range(1, i)
+    )
+
+
 def _first_violation(m: int, p: int, black: frozenset[Cell]) -> Cell | None:
     for (i, alpha) in black:
         if not (1 <= i <= m and 1 <= alpha <= p):
             raise DomainError(f"cell ({i},{alpha}) outside {m}x{p} grid")
     for (i, alpha) in sorted(black):
-        left_black = all((i, beta) in black for beta in range(1, alpha))
-        if left_black:
-            continue
-        above_black = all((j, alpha) in black for j in range(1, i))
-        if not above_black:
+        if not _may_be_black(black, i, alpha):
             return (i, alpha)
     return None
 
@@ -222,18 +225,13 @@ def enumerate_diagrams(m: int, p: int) -> Iterator[CauchonDiagram]:
     cells = [(i, a) for i in range(1, m + 1) for a in range(1, p + 1)]
     black: set[Cell] = set()
 
-    def may_blacken(i: int, alpha: int) -> bool:
-        return all((i, b) in black for b in range(1, alpha)) or all(
-            (j, alpha) in black for j in range(1, i)
-        )
-
     def walk(k: int) -> Iterator[CauchonDiagram]:
         if k == len(cells):
             yield CauchonDiagram(m, p, frozenset(black))
             return
         i, alpha = cells[k]
         yield from walk(k + 1)
-        if may_blacken(i, alpha):
+        if _may_be_black(black, i, alpha):
             black.add((i, alpha))
             yield from walk(k + 1)
             black.discard((i, alpha))

@@ -4,17 +4,19 @@ Everything in this package is desk scale by design: diagrams, permutations and
 cell tables are enumerated exhaustively. The guards below keep a mistyped size
 from turning into an unbounded computation. The CAUCHON_GUARD environment
 variable (an integer, interpreted as the maximum allowed m*p) raises or lowers
-the ceiling for a whole process. The other guards are fixed module constants
-counted in units of work and checked through :func:`ensure`: a k x k quantum
-minor expands k! words, a scan over all minors of an m x p matrix holds
-C(m + p, m) - 1 of them, a power in an expression multiplies once per unit of
-its exponent, each parenthesis in an expression costs its reader one level of
-recursion, a count of disjoint path families takes steps, and one product of
-exact values produces |f|*|g| term pairs, plus, in the quantum product, the
-terms each word rewrite sums. The product budget is checked before the pairs
-are formed and again after every rewrite, so a product over budget stops
-early. The expression reader checks its limits on a first, zero-valued read,
-before it evaluates anything.
+the ceiling of the enumerations, and of nothing else, for a whole process. The
+other guards are fixed module constants counted in units of work and checked
+through :func:`ensure`: a k x k quantum minor expands k! words, a scan over
+all minors of an m x p matrix holds C(m + p, m) - 1 of them, a minor family
+scans its minors and the column windows of its two tables, a parsed
+permutation holds one entry per letter, a power in an expression multiplies
+once per unit of its exponent, each parenthesis in an expression costs its
+reader one level of recursion, a count of disjoint path families takes steps,
+and one product of exact values produces |f|*|g| term pairs, plus, in the
+quantum product, the terms each word rewrite sums. The product budget is
+checked before the pairs are formed and again after every rewrite, so a
+product over budget stops early. The expression reader checks its limits on
+a first, zero-valued read, before it evaluates anything.
 """
 
 from __future__ import annotations
@@ -45,6 +47,14 @@ NESTING_LIMIT = 100
 
 # Vertices visited plus paths tried in one count of disjoint path families.
 PATH_STEP_LIMIT = 1_000_000
+
+# Minors tested plus column windows scanned in one minor family: a 10x10
+# family is about 0.3 M units; 400x1 is 32 M and takes 24 s.
+MINOR_FAMILY_WORK_LIMIT = 1_000_000
+
+# Letters in one parsed permutation: a Bruhat comparison at 1,000 letters
+# builds two million-entry rank tables in about a second.
+PERMUTATION_LETTER_LIMIT = 1_000
 
 # Terms one product of exact values may produce. The largest product the 4x4
 # quantum and Poisson checks make, the 4x4 quantum determinant times itself,

@@ -20,12 +20,13 @@ entrywise arithmetic and the sweeps, not for determinants.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
 from operator import itemgetter
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from . import guards
 from .errors import DomainError, json_int, parse_json
@@ -36,24 +37,25 @@ from .scalars import QQ, RationalDomain, ScalarDomain
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class MinorIndex:
-    """Row and column sets of one minor, sorted ascending and 1-based."""
+class MinorIndex(namedtuple("MinorIndex", "rows cols")):
+    """Row and column sets of one minor, sorted ascending and 1-based.
 
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
+    It is the validated named tuple ``(rows, cols)``, so it equals, orders and
+    hashes as that pair. Indices known valid are built by ``_make``.
+    """
 
-    def __post_init__(self) -> None:
-        rows, cols = tuple(self.rows), tuple(self.cols)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        if len(rows) != len(cols) or not rows:
-            raise DomainError(f"need equally many rows and columns, got {self}")
-        for seq, kind in ((rows, "row"), (cols, "column")):
+    __slots__ = ()
+
+    def __new__(cls, rows: Iterable[int], cols: Iterable[int]) -> "MinorIndex":
+        ix = super().__new__(cls, tuple(rows), tuple(cols))
+        if len(ix.rows) != len(ix.cols) or not ix.rows:
+            raise DomainError(f"need equally many rows and columns, got {ix}")
+        for seq, kind in ((ix.rows, "row"), (ix.cols, "column")):
             if any(x < 1 for x in seq):
-                raise DomainError(f"{kind} indices must be positive in {self}")
+                raise DomainError(f"{kind} indices must be positive in {ix}")
             if any(a >= b for a, b in zip(seq, seq[1:])):
-                raise DomainError(f"{kind} indices must increase strictly in {self}")
+                raise DomainError(f"{kind} indices must increase strictly in {ix}")
+        return ix
 
     @property
     def size(self) -> int:
@@ -63,7 +65,7 @@ class MinorIndex:
         return self.rows[-1] <= m and self.cols[-1] <= p
 
     def transposed(self) -> "MinorIndex":
-        return MinorIndex(self.cols, self.rows)
+        return MinorIndex._make((self.cols, self.rows))
 
     def sort_key(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
         return (self.size, self.rows, self.cols)
@@ -97,19 +99,6 @@ class MinorIndex:
         except TypeError as exc:
             raise DomainError(f"minor index JSON needs integer lists, got {obj!r}") from exc
         return cls(rows, cols)
-
-
-def _key_index(rows: tuple[int, ...], cols: tuple[int, ...]) -> MinorIndex:
-    """The MinorIndex of a (rows, cols) key from :func:`minor_keys`.
-
-    Such keys are valid by construction, so the validation in
-    ``__post_init__``, which costs several times the object itself, is
-    skipped; input from outside the package goes through the constructor.
-    """
-    ix = object.__new__(MinorIndex)
-    object.__setattr__(ix, "rows", rows)
-    object.__setattr__(ix, "cols", cols)
-    return ix
 
 
 @dataclass(frozen=True)
@@ -243,9 +232,14 @@ def _det_bareiss_int(rows: list[list[int]]) -> int:
     return sign * a[-1][-1]
 
 
+def _cleared(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+    """The least common denominator s of the entries, and s times the rows."""
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return scale, [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+
+
 def _det_rational(rows: list[list[Fraction]]) -> Fraction:
-    scale = lcm(*(x.denominator for row in rows for x in row)) if rows else 1
-    ints = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+    scale, ints = _cleared(rows)
     return Fraction(_det_bareiss_int(ints), scale ** len(rows))
 
 
@@ -275,30 +269,22 @@ def minor_count(m: int, p: int) -> int:
     return comb(m + p, m) - 1
 
 
-MinorKey = tuple[tuple[int, ...], tuple[int, ...]]
-
-
-def minor_keys(m: int, p: int) -> Iterator[MinorKey]:
-    """All (rows, cols) of an m x p matrix, ordered by size then rows, columns."""
+def iter_minor_indices(m: int, p: int) -> Iterator[MinorIndex]:
+    """All minor indices of an m x p matrix, ordered by size then rows, columns."""
     for k in range(1, min(m, p) + 1):
         for rows in combinations(range(1, m + 1), k):
             for cols in combinations(range(1, p + 1), k):
-                yield rows, cols
+                yield MinorIndex._make((rows, cols))
 
 
-def iter_minor_indices(m: int, p: int) -> Iterator[MinorIndex]:
-    """All minor indices of an m x p matrix, in :func:`minor_keys` order."""
-    for rows, cols in minor_keys(m, p):
-        yield _key_index(rows, cols)
-
-
-def minor_sizes(matrix: Matrix) -> Iterator[tuple[int, dict[MinorKey, int]]]:
+def minor_sizes(matrix: Matrix) -> Iterator[tuple[int, dict[tuple, int]]]:
     """Every minor of a rational matrix, one size at a time.
 
     Yields ``(denominator, table)`` for k = 1, 2, ..., min(m, p). The table
-    maps each (rows, cols) of size k, in :func:`minor_keys` order, to an
-    integer; the minor itself is ``Fraction(value, denominator)``. With s
-    the least common denominator of the entries, the table holds the
+    maps each (rows, cols) pair of size k, in :func:`iter_minor_indices`
+    order, to an integer; the pair equals its :class:`MinorIndex`, and the
+    minor itself is ``Fraction(value, denominator)``. With s the least
+    common denominator of the entries, the table holds the
     k-minors of the integer matrix s*A and the denominator is s^k, so signs
     and zeros read straight off the integers. Each k-minor is the Laplace
     expansion of s*A's (k-1)-minors along row ``rows[-1]``, and only two
@@ -308,8 +294,7 @@ def minor_sizes(matrix: Matrix) -> Iterator[tuple[int, dict[MinorKey, int]]]:
     guards.ensure(
         minor_count(matrix.m, matrix.p), guards.MINOR_TABLE_LIMIT, "minors in one scan"
     )
-    scale = lcm(*(x.denominator for row in matrix.rows for x in row))
-    a = [[x.numerator * (scale // x.denominator) for x in row] for row in matrix.rows]
+    scale, a = _cleared(matrix.rows)
     # rows -> {cols: minor}: nested, because hashing (rows, cols) pairs
     # would cost more than the arithmetic
     prev: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {(): {(): 1}}
@@ -342,25 +327,25 @@ def minor_sizes(matrix: Matrix) -> Iterator[tuple[int, dict[MinorKey, int]]]:
         prev = nested
 
 
-def _zero_keys(table: dict[MinorKey, int]) -> Iterator[MinorIndex]:
-    return (_key_index(rows, cols) for (rows, cols), value in table.items() if not value)
+def _zero_keys(table: dict[tuple, int]) -> Iterator[MinorIndex]:
+    return (MinorIndex._make(key) for key, value in table.items() if not value)
 
 
 def _most_negative(
-    denominator: int, table: dict[MinorKey, int]
+    denominator: int, table: dict[tuple, int]
 ) -> tuple[MinorIndex, Fraction] | None:
     """The most negative minor of one size, first in order on ties, or None."""
-    (rows, cols), value = min(table.items(), key=itemgetter(1))
+    key, value = min(table.items(), key=itemgetter(1))
     if value >= 0:
         return None
-    return _key_index(rows, cols), Fraction(value, denominator)
+    return MinorIndex._make(key), Fraction(value, denominator)
 
 
 def all_minors(matrix: Matrix) -> list[tuple[MinorIndex, Fraction]]:
     return [
-        (_key_index(rows, cols), Fraction(value, denominator))
+        (MinorIndex._make(key), Fraction(value, denominator))
         for denominator, table in minor_sizes(matrix)
-        for (rows, cols), value in table.items()
+        for key, value in table.items()
     ]
 
 

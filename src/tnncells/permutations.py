@@ -19,7 +19,8 @@ window conditions decide membership: one on the column pool of w, one on
 its column windows. Transposing a diagram conjugates its permutation by the
 order-reversing w0, so the same two conditions read on the mirror w0 w w0,
 at the transposed size and on the transposed minor, give the other two of
-the four conditions the survey lists.
+the four conditions the survey lists. A parsed permutation's letters and a
+minor family's window scans are guarded before anything is built.
 """
 
 from __future__ import annotations
@@ -28,12 +29,13 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import Any, Callable, Iterator, Sequence
 
 from . import guards
 from .diagrams import CauchonDiagram
 from .errors import DomainError
-from .matrices import MinorFamily, _key_index, minor_keys
+from .matrices import MinorFamily, iter_minor_indices
 
 
 def inversion_count(images: Sequence[int]) -> int:
@@ -146,7 +148,10 @@ def _entries(chunk: str, text: str) -> list[int]:
 
 
 def parse_permutation(text: str, n: int | None = None) -> Permutation:
-    """Read one-line (``135246`` or ``1,3,5,2,4,6``) or cycle (``(2 3 5 4)``) form."""
+    """Read one-line (``135246`` or ``1,3,5,2,4,6``) or cycle (``(2 3 5 4)``) form.
+
+    The letter count (``n`` when given) is guarded before anything is built.
+    """
     text = text.strip()
     if not text:
         raise DomainError("empty permutation text")
@@ -158,10 +163,14 @@ def parse_permutation(text: str, n: int | None = None) -> Permutation:
             raise DomainError(f"cannot parse cycles from {text!r}")
         cycles = [_entries(chunk, text) for chunk in chunks if chunk.strip()]
         size = n if n is not None else max((x for c in cycles for x in c), default=1)
+        guards.ensure(size, guards.PERMUTATION_LETTER_LIMIT, "permutation letters")
         return Permutation.from_cycles(size, cycles)
     # without separators, each digit is one entry
     spaced = text if "," in text or " " in text else " ".join(text)
-    w = Permutation(tuple(_entries(spaced, text)))
+    entries = _entries(spaced, text)
+    size = n if n is not None else len(entries)
+    guards.ensure(size, guards.PERMUTATION_LETTER_LIMIT, "permutation letters")
+    w = Permutation(tuple(entries))
     if n is not None and w.n != n:
         raise DomainError(f"expected a permutation of 1..{n}, got {w.n} entries")
     return w
@@ -370,8 +379,17 @@ def minor_family(w: Permutation, m: int, p: int) -> MinorFamily:
     w(n + 1 - i) (that is w0 w w0, with n = m + p) meets one of them at
     (p, m) on the transposed minor [cols|rows]. The mirror labels the
     transposed cell, so its two readings are the survey's conditions 2
-    and 4.
+    and 4. The work of both tables is checked against the guard first.
     """
+    # minors tested, plus each column set of either table times the windows
+    # its crowding scan visits; counting stops once over the limit
+    work = 0
+    for k in range(1, min(m, p) + 1):
+        rs, cs = comb(m, k), comb(p, k)
+        work += rs * cs + cs * p * (p + 1) // 2 + rs * m * (m + 1) // 2
+        if work > guards.MINOR_FAMILY_WORK_LIMIT:
+            break
+    guards.ensure(work, guards.MINOR_FAMILY_WORK_LIMIT, "minor family work")
     if w.n != m + p:
         raise DomainError(f"{w} is not a permutation of 1..{m + p}")
     if not is_restricted(w, m, p):
@@ -380,8 +398,7 @@ def minor_family(w: Permutation, m: int, p: int) -> MinorFamily:
     direct = _window_test(w.images, m, p)
     mirrored = _window_test([n + 1 - w.images[n - i] for i in range(1, n + 1)], p, m)
     members = frozenset(
-        _key_index(rows, cols)
-        for rows, cols in minor_keys(m, p)
-        if direct(rows, cols) or mirrored(cols, rows)
+        ix for ix in iter_minor_indices(m, p)
+        if direct(*ix) or mirrored(ix.cols, ix.rows)
     )
     return MinorFamily(m, p, members)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import combinations, groupby
 from typing import Any, Mapping
 
 from .errors import ConsistencyError, DomainError, json_int
@@ -160,6 +160,14 @@ def semiclassical_check(m: int, p: int, i: int, a: int, k: int, g: int) -> bool:
     classical = semiclassical_poly(comm)
     expected = bracket(m, p, coordinate(m, p, i, a), coordinate(m, p, k, g))
     return classical == expected
+
+
+def semiclassical_pairs(m: int, p: int) -> list[tuple[Cell, Cell, bool]]:
+    """Every pair of distinct generators, row-major, with its semiclassical check."""
+    gens = [(i, a) for i in range(1, m + 1) for a in range(1, p + 1)]
+    return [
+        (u, v, semiclassical_check(m, p, *u, *v)) for u, v in combinations(gens, 2)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ specialized here; the q = 1 limit belongs to the Poisson side.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, count, islice, permutations as iter_permutations
+from itertools import combinations, compress, count, islice
+from itertools import permutations as iter_permutations
 from math import factorial
 from operator import gt, lt
 from typing import Any, Iterable, Literal
@@ -284,29 +285,26 @@ def defining_relations_hold(m: int, p: int) -> list[tuple[Gen, Gen]]:
     """
     gens = [(i, a) for i in range(1, m + 1) for a in range(1, p + 1)]
     bad = []
-    for u in gens:
-        for v in gens:
-            if not u < v:
-                continue
-            xu = QPoly.generator(m, p, *u)
-            xv = QPoly.generator(m, p, *v)
-            wrong_order = xv.multiply(xu)
-            (i, a), (k, g) = u, v
-            if i == k or a == g:
-                expected = QPoly(m, p, {(u, v): LaurentQ.q_power(-1)})
-            elif a > g:
-                expected = QPoly(m, p, {(u, v): LaurentQ.ONE})
-            else:
-                expected = QPoly(
-                    m,
-                    p,
-                    {
-                        (u, v): LaurentQ.ONE,
-                        ((i, g), (k, a)): -LaurentQ.Q_MINUS_QINV,
-                    },
-                )
-            if wrong_order != expected:
-                bad.append((u, v))
+    for u, v in combinations(gens, 2):
+        xu = QPoly.generator(m, p, *u)
+        xv = QPoly.generator(m, p, *v)
+        wrong_order = xv.multiply(xu)
+        (i, a), (k, g) = u, v
+        if i == k or a == g:
+            expected = QPoly(m, p, {(u, v): LaurentQ.q_power(-1)})
+        elif a > g:
+            expected = QPoly(m, p, {(u, v): LaurentQ.ONE})
+        else:
+            expected = QPoly(
+                m,
+                p,
+                {
+                    (u, v): LaurentQ.ONE,
+                    ((i, g), (k, a)): -LaurentQ.Q_MINUS_QINV,
+                },
+            )
+        if wrong_order != expected:
+            bad.append((u, v))
     return bad
 
 

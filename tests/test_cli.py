@@ -9,16 +9,19 @@ import subprocess
 import sys
 import time
 import weakref
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import oracles
 from tnncells import fixtures
+from tnncells.cauchon import ones_TC
 from tnncells.cli import main
 from tnncells.diagrams import CauchonDiagram
-from tnncells.matrices import MinorFamily
+from tnncells.matrices import MinorFamily, matrix_to_json
 from tnncells.permutations import minor_family, pipe_dream
 
 
@@ -367,11 +370,9 @@ def test_in_process_calls_release_their_streams(args):
     assert [ref() for ref in refs] == [None, None]
 
 
-def test_guard_exits_3(runner, monkeypatch, tmp_path):
+def test_guard_exits_3(runner, monkeypatch):
     monkeypatch.setenv("CAUCHON_GUARD", "2")
-    big = tmp_path / "big.diag"
-    big.write_text("..\n..\n")
-    result = runner.invoke(main, ["vanish", "-d", str(big)])
+    result = runner.invoke(main, ["diagram", "enum", "2", "2"])
     assert result.exit_code == 3
 
 
@@ -452,6 +453,46 @@ def test_minor_table_budget(args, n, codes):
     assert proc.returncode in codes, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
     assert took < 2.0
+
+
+def test_cells_of_6x6_reads_the_leibniz_zero_minors():
+    witness = ones_TC(CauchonDiagram.from_ascii("##.#../##..../#...../....../....../......"))
+    proc, took = _run_process(
+        ["cells", "of", "-", "--format", "json"], json.dumps(matrix_to_json(witness))
+    )
+    assert proc.returncode == 0, proc.stderr
+    family = MinorFamily.from_json(json.loads(proc.stdout)["family"])
+    rows = [list(row) for row in witness.rows]
+    zeros = {
+        (r, c)
+        for k in range(1, 7)
+        for r in combinations(range(1, 7), k)
+        for c in combinations(range(1, 7), k)
+        if oracles.leibniz_minor(rows, r, c) == 0
+    }
+    assert zeros and set(family) == zeros
+    assert took < 2.0
+
+
+@pytest.mark.parametrize(
+    "args, stdin, code, seconds",
+    [
+        (["vanish", "-d", "/".join(["." * 10] * 10)], "", 0, 2.0),
+        (["vanish", "-d", "/".join(["." * 11] * 11)], "", 3, 1.0),
+        (["perm", "mw", "(1 2)", "--m", "400", "--p", "1"], "", 3, 1.0),
+        (["perm", "bruhat", "(1 1000000)", "21"], "", 3, 1.0),
+        (["perm", "inverse-pipedream", "(1 2)", "--m", "1000000", "--p", "1"],
+         "", 3, 1.0),
+        (["cells", "of", "-"], ",".join(["1"] * 1000), 3, 1.0),
+    ],
+    ids=["vanish-10x10", "vanish-11x11", "perm-mw-400x1", "perm-bruhat-1000000",
+         "perm-inverse-pipedream-1000001", "cells-of-1x1000"],
+)
+def test_family_and_permutation_budgets(args, stdin, code, seconds):
+    proc, took = _run_process(args, stdin)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert took < seconds
 
 
 @pytest.mark.parametrize(

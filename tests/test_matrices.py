@@ -1,5 +1,6 @@
 """Exact matrices, minors, and positivity checks."""
 
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -76,6 +77,42 @@ class TestMinorIndex:
         assert [str(ix) for ix in seq] == [
             "[1|1]", "[1|2]", "[2|1]", "[2|2]", "[1,2|1,2]",
         ]
+
+    def test_is_its_rows_cols_pair(self):
+        ix = MinorIndex((1, 2), (1, 3))
+        assert ix == ((1, 2), (1, 3))
+        assert hash(ix) == hash(((1, 2), (1, 3)))
+        assert {((1, 2), (1, 3)): "found"}[ix] == "found"
+
+    def test_orders_by_rows_then_columns(self):
+        indices = list(iter_minor_indices(3, 3))
+        random.Random(5).shuffle(indices)
+        assert sorted(indices) == sorted(indices, key=lambda ix: (ix.rows, ix.cols))
+        assert MinorIndex((1, 2), (1, 2)) < MinorIndex((2,), (1,))
+        by_size = sorted(indices, key=MinorIndex.sort_key)
+        assert by_size == list(iter_minor_indices(3, 3))
+
+    @pytest.mark.parametrize(
+        "rows, cols, message",
+        [
+            ((), (), "need equally many rows and columns, got [|]"),
+            ((1, 2), (3,), "need equally many rows and columns, got [1,2|3]"),
+            ((0, 2), (1, 3), "row indices must be positive in [0,2|1,3]"),
+            ((1,), (-1,), "column indices must be positive in [1|-1]"),
+            ((2, 2), (1, 3), "row indices must increase strictly in [2,2|1,3]"),
+            ((1, 2), (3, 1), "column indices must increase strictly in [1,2|3,1]"),
+        ],
+    )
+    def test_constructor_rejects(self, rows, cols, message):
+        with pytest.raises(DomainError) as caught:
+            MinorIndex(rows, cols)
+        assert str(caught.value) == message
+
+    def test_pickle_roundtrip(self):
+        indices = list(iter_minor_indices(2, 3))
+        back = pickle.loads(pickle.dumps(indices))
+        assert back == indices
+        assert all(type(ix) is MinorIndex for ix in back)
 
 
 def test_minor_count_closed_form():

@@ -68,15 +68,29 @@ def restore_step(matrix: Matrix, j: int, beta: int) -> Matrix:
     return _apply_step(matrix, j, beta, +1)
 
 
+def _ensure_sweep(matrix: Matrix) -> None:
+    # each of the m*p steps builds a new m x p matrix
+    work = (matrix.m * matrix.p) ** 2
+    guards.ensure(work, guards.SWEEP_WORK_LIMIT, "entries one sweep rewrites")
+
+
 def deleting_stages(matrix: Matrix) -> Iterator[tuple[StepIndex, Matrix]]:
-    """Yield (step, matrix after that step) from (m,p) down to (1,1)."""
+    """Yield (step, matrix after that step) from (m,p) down to (1,1).
+
+    The sweep's work is checked against the guard before the first step.
+    """
+    _ensure_sweep(matrix)
     for j, beta in reversed(step_indices(matrix.m, matrix.p)):
         matrix = delete_step(matrix, j, beta)
         yield (j, beta), matrix
 
 
 def restoration_stages(matrix: Matrix) -> Iterator[tuple[StepIndex, Matrix]]:
-    """Yield (step, matrix after that step) from (1,1) up to (m,p)."""
+    """Yield (step, matrix after that step) from (1,1) up to (m,p).
+
+    The sweep's work is checked against the guard before the first step.
+    """
+    _ensure_sweep(matrix)
     for j, beta in step_indices(matrix.m, matrix.p):
         matrix = restore_step(matrix, j, beta)
         yield (j, beta), matrix

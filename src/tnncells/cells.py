@@ -24,9 +24,8 @@ from .errors import ConsistencyError, DomainError
 from .matrices import (
     Matrix,
     MinorFamily,
-    MinorIndex,
     _most_negative,
-    _zero_keys,
+    _zero_bits,
     exact_vanishing_minors,
     minor_sizes,
 )
@@ -66,23 +65,22 @@ def admissible_families(m: int, p: int) -> tuple[CellDescriptor, ...]:
     built once per process; the guard is checked on every call.
     """
     guards.ensure_enumerable(m, p, what="cell enumeration")
-    return _admissible_table(m, p)
+    return tuple(_admissible_table(m, p).values())
 
 
 @cache
-def _admissible_table(m: int, p: int) -> tuple[CellDescriptor, ...]:
-    seen: dict[frozenset[MinorIndex], CauchonDiagram] = {}
-    out = []
+def _admissible_table(m: int, p: int) -> dict[int, CellDescriptor]:
+    """The grid's descriptors keyed by the mask of their family."""
+    table: dict[int, CellDescriptor] = {}
     for diagram in enumerate_diagrams(m, p):
         w = pipe_dream(diagram)
         family = minor_family(w, m, p)
-        if family.members in seen:
+        if family.mask in table:
             raise ConsistencyError(
-                f"diagrams {seen[family.members]} and {diagram} share a family"
+                f"diagrams {table[family.mask].diagram} and {diagram} share a family"
             )
-        seen[family.members] = diagram
-        out.append(CellDescriptor(family, diagram, w))
-    return tuple(out)
+        table[family.mask] = CellDescriptor(family, diagram, w)
+    return table
 
 
 @dataclass(frozen=True)
@@ -93,10 +91,9 @@ class AdmissibleVerdict:
 
 def is_admissible(family: MinorFamily) -> AdmissibleVerdict:
     """Is the family the vanishing set of some nonempty cell?"""
-    for descriptor in admissible_families(family.m, family.p):
-        if descriptor.family.members == family.members:
-            return AdmissibleVerdict(True, descriptor)
-    return AdmissibleVerdict(False, None)
+    guards.ensure_enumerable(family.m, family.p, what="cell enumeration")
+    descriptor = _admissible_table(family.m, family.p).get(family.mask)
+    return AdmissibleVerdict(descriptor is not None, descriptor)
 
 
 def witness_matrix(diagram: CauchonDiagram) -> Matrix:
@@ -114,15 +111,16 @@ def cell_of(matrix: Matrix) -> CellDescriptor:
     ConsistencyError since it would falsify the classification theorems,
     not merely this input.
     """
-    zeros: list[MinorIndex] = []
+    zeros = offset = 0
     for denominator, table in minor_sizes(matrix):
         worst = _most_negative(denominator, table)
         if worst is not None:
             raise DomainError(
                 f"matrix is not totally nonnegative: minor {worst[0]} = {worst[1]}"
             )
-        zeros.extend(_zero_keys(table))
-    direct = MinorFamily(matrix.m, matrix.p, frozenset(zeros))
+        zeros |= _zero_bits(table) << offset
+        offset += len(table)
+    direct = MinorFamily._from_mask(matrix.m, matrix.p, zeros)
     verdict = tnn_test(matrix)
     if not verdict.is_tnn or verdict.diagram is None:
         raise ConsistencyError(
@@ -132,12 +130,12 @@ def cell_of(matrix: Matrix) -> CellDescriptor:
     via_restoration = vanishing_family(diagram)
     w = pipe_dream(diagram)
     via_permutation = minor_family(w, matrix.m, matrix.p)
-    if direct.members != via_permutation.members:
+    if direct.mask != via_permutation.mask:
         raise ConsistencyError(
             f"direct minors {direct} disagree with permutation family "
             f"{via_permutation} for diagram\n{diagram}"
         )
-    if direct.members != via_restoration.members:
+    if direct.mask != via_restoration.mask:
         raise ConsistencyError(
             f"direct minors {direct} disagree with restoration family "
             f"{via_restoration} for diagram\n{diagram}"
@@ -186,7 +184,7 @@ def _check_diagram(diagram: CauchonDiagram) -> dict[str, Any] | None:
     via_permutation = minor_family(w, diagram.m, diagram.p)
     witness_verdict = tnn_test(witness)
     problems = []
-    if via_restoration.members != via_permutation.members:
+    if via_restoration.mask != via_permutation.mask:
         problems.append("restoration family differs from permutation family")
     if not witness_verdict.is_tnn or witness_verdict.diagram != diagram:
         problems.append("witness matrix does not test back to its own diagram")

@@ -4,7 +4,7 @@ Exit codes follow one contract everywhere: 0 for an affirmative verdict or
 successfully reported data, 1 for a negative verdict (including any failed
 verification), 2 for usage or domain errors, 3 when a resource guard trips.
 Every subcommand takes --format text|json; JSON payloads follow the same
-schemas the library reads.
+schemas the library reads and are written on one line.
 """
 
 from __future__ import annotations
@@ -101,9 +101,10 @@ def _emit(fmt: str, payload: dict[str, Any], text: str, code: int = 0) -> None:
     # Streams are passed explicitly: click caches a wrapper per default
     # stream and the cached wrapper of a text stream is the stream itself, so
     # a caller that swaps sys.stdout per call (in-process use, CliRunner)
-    # would keep every call's output alive.
+    # would keep every call's output alive. JSON goes on one line: with an
+    # indent the json module falls back from its C encoder to pure Python.
     if fmt == "json":
-        click.echo(json.dumps(payload, indent=2), file=sys.stdout)
+        click.echo(json.dumps(payload), file=sys.stdout)
     else:
         click.echo(text, file=sys.stdout)
     sys.exit(code)
@@ -518,6 +519,8 @@ def cells_admissible(family_src: str, fmt: str) -> None:
 def cells_of(matrix: str, fmt: str) -> None:
     """Classify a TNN matrix into its cell."""
     descriptor = cells_mod.cell_of(_matrix_arg(matrix))
+    if fmt == "json":  # spares decoding the family a second time for text
+        _emit(fmt, descriptor.to_json(), "")
     text = "\n".join(
         [
             descriptor.diagram.to_ascii(),

@@ -100,6 +100,13 @@ class CauchonDiagram:
                 "and a white cell above"
             )
 
+    @classmethod
+    def _make(cls, m: int, p: int, black: frozenset[Cell]) -> "CauchonDiagram":
+        """A diagram whose coloring is known valid, built without re-checking it."""
+        diagram = object.__new__(cls)
+        diagram.__dict__.update(m=m, p=p, black=black)
+        return diagram
+
     # -- basic queries --------------------------------------------------------
 
     def is_black(self, i: int, alpha: int) -> bool:
@@ -216,8 +223,9 @@ def enumerate_diagrams(m: int, p: int) -> Iterator[CauchonDiagram]:
     as 1, so the all-white diagram comes first and the all-black one last.
     Backtracking checks each black placement as it is made: everything to
     the left of and above the current cell is already decided, so the check
-    is exact and no completed coloring is ever rejected. The enumeration
-    guard is checked when the call is made.
+    is exact and no completed coloring is ever rejected, so the diagrams are
+    built without re-validation. The enumeration guard is checked when the
+    call is made.
     """
     if m < 1 or p < 1:
         raise DomainError("grid sizes must be at least 1")
@@ -227,7 +235,7 @@ def enumerate_diagrams(m: int, p: int) -> Iterator[CauchonDiagram]:
 
     def walk(k: int) -> Iterator[CauchonDiagram]:
         if k == len(cells):
-            yield CauchonDiagram(m, p, frozenset(black))
+            yield CauchonDiagram._make(m, p, frozenset(black))
             return
         i, alpha = cells[k]
         yield from walk(k + 1)

@@ -8,15 +8,16 @@ the ceiling of the enumerations, and of nothing else, for a whole process. The
 other guards are fixed module constants counted in units of work and checked
 through :func:`ensure`: a k x k quantum minor expands k! words, a scan over
 all minors of an m x p matrix holds C(m + p, m) - 1 of them, a minor family
-scans its minors and the column windows of its two tables, a parsed
-permutation holds one entry per letter, a power in an expression multiplies
-once per unit of its exponent, each parenthesis in an expression costs its
-reader one level of recursion, a count of disjoint path families takes steps,
-and one product of exact values produces |f|*|g| term pairs, plus, in the
-quantum product, the terms each word rewrite sums. The product budget is
-checked before the pairs are formed and again after every rewrite, so a
-product over budget stops early. The expression reader checks its limits on
-a first, zero-valued read, before it evaluates anything.
+sets a bit per minor and counts each subset of its two crowding tables in
+every window, a parsed permutation holds one entry per letter, a power in an
+expression multiplies once per unit of its exponent, each parenthesis in an
+expression costs its reader one level of recursion, a count of disjoint path
+families takes steps, a restoration or deleting-derivations sweep writes
+(m*p)^2 entries, and one product of exact values produces |f|*|g| term
+pairs, plus, in the quantum product, the terms each word rewrite sums. The
+product budget is checked before the pairs are formed and again after every
+rewrite, so a product over budget stops early. The expression reader checks
+its limits on a first, zero-valued read, before it evaluates anything.
 """
 
 from __future__ import annotations
@@ -48,9 +49,15 @@ NESTING_LIMIT = 100
 # Vertices visited plus paths tried in one count of disjoint path families.
 PATH_STEP_LIMIT = 1_000_000
 
-# Minors tested plus column windows scanned in one minor family: a 10x10
-# family is about 0.3 M units; 400x1 is 32 M and takes 24 s.
+# The bits of one minor family's mask, plus each subset of its two crowding
+# tables times the windows it is counted in: a 10x10 family is about 0.3 M
+# units; 400x1 is 32 M.
 MINOR_FAMILY_WORK_LIMIT = 1_000_000
+
+# Entries one restoration or deleting-derivations sweep writes: each of its
+# m*p steps builds a new m x p matrix, (m*p)^2 in all. A 30x30 Pascal matrix
+# (0.81 M) takes 1 to 2 s; a 10x10 matrix is 10,000.
+SWEEP_WORK_LIMIT = 1_000_000
 
 # Letters in one parsed permutation: a Bruhat comparison at 1,000 letters
 # builds two million-entry rank tables in about a second.

@@ -6,6 +6,10 @@ entries do their own arithmetic through Python operators. All
 indices in the public API are 1-based; row sets and column sets are strictly
 increasing tuples, and composite minors print as ``[1,2|2,3]``.
 
+A family of minors is a bitmask over its grid's minor order (size, then
+rows, then columns), the order of :func:`iter_minor_indices` and of the
+minor tables, so comparing two families compares two integers.
+
 Minors are taken over the rationals only. Every scan over all minors of a
 matrix (the zero set, the listing, the brute-force TNN test) reads one
 integer table, :func:`minor_sizes`: denominators are cleared once per
@@ -21,8 +25,8 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import comb, lcm
 from operator import itemgetter
@@ -67,9 +71,6 @@ class MinorIndex(namedtuple("MinorIndex", "rows cols")):
     def transposed(self) -> "MinorIndex":
         return MinorIndex._make((self.cols, self.rows))
 
-    def sort_key(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        return (self.size, self.rows, self.cols)
-
     def __str__(self) -> str:
         return "[{}|{}]".format(
             ",".join(map(str, self.rows)), ",".join(map(str, self.cols))
@@ -101,28 +102,119 @@ class MinorIndex(namedtuple("MinorIndex", "rows cols")):
         return cls(rows, cols)
 
 
-@dataclass(frozen=True)
+@cache
+def subsets(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The k-subsets of 1..n as increasing tuples, in lexicographic order."""
+    return tuple(combinations(range(1, n + 1), k))
+
+
+@cache
+def subset_index(n: int, k: int) -> dict[tuple[int, ...], int]:
+    """Each k-subset of 1..n mapped to its position in :func:`subsets`."""
+    return {s: i for i, s in enumerate(subsets(n, k))}
+
+
+def _bit_positions(mask: int) -> Iterator[int]:
+    """The positions of the set bits of a nonnegative int, ascending."""
+    digits = bin(mask)[:1:-1]  # least significant first
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
+
+
 class MinorFamily:
-    """A set of minors inside a fixed ambient size."""
+    """A set of minors inside a fixed ambient size, held as a bitmask.
 
-    m: int
-    p: int
-    members: frozenset[MinorIndex]
+    Bit i stands for the i-th minor of the m x p grid in
+    :func:`iter_minor_indices` order (size, then rows, then columns), which is
+    also the order of :func:`minor_sizes`' tables. Within size k, the minor
+    on the i-th row set and j-th column set (positions in :func:`subsets`) is
+    bit ``offset + i * comb(p, k) + j``. Members are decoded from the mask
+    only when asked for. The public constructor validates its members and
+    guards the grid's minor count; code that built a mask itself uses
+    ``_from_mask``.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "members", frozenset(self.members))
-        for ix in self.members:
-            if not ix.fits(self.m, self.p):
-                raise DomainError(f"{ix} does not fit in {self.m}x{self.p}")
+    __slots__ = ("m", "p", "mask")
+
+    def __init__(self, m: int, p: int, members: Iterable[MinorIndex]) -> None:
+        # the minor count size by size, stopping at the limit: comb(m + p, m)
+        # itself would be a huge computation for a grid read from JSON
+        count = 0
+        for k in range(1, min(m, p) + 1):
+            count += comb(m, k) * comb(p, k)
+            guards.ensure(count, guards.MINOR_TABLE_LIMIT, "minors in one family")
+        mask = 0
+        for ix in members:
+            ix = MinorIndex(*ix)
+            if not ix.fits(m, p):
+                raise DomainError(f"{ix} does not fit in {m}x{p}")
+            mask |= 1 << self._bit(m, p, ix)
+        self._set(m, p, mask)
+
+    @classmethod
+    def _from_mask(cls, m: int, p: int, mask: int) -> "MinorFamily":
+        family = object.__new__(cls)
+        family._set(m, p, mask)
+        return family
+
+    def _set(self, m: int, p: int, mask: int) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "mask", mask)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError("MinorFamily is immutable")
+
+    def __reduce__(self) -> tuple[Any, tuple[int, int, int]]:
+        return (MinorFamily._from_mask, (self.m, self.p, self.mask))
+
+    @staticmethod
+    def _bit(m: int, p: int, ix: MinorIndex) -> int:
+        """The bit of a minor that fits in m x p."""
+        k = len(ix.rows)
+        offset = sum(comb(m, j) * comb(p, j) for j in range(1, k))
+        return (
+            offset
+            + subset_index(m, k)[ix.rows] * comb(p, k)
+            + subset_index(p, k)[ix.cols]
+        )
+
+    @property
+    def members(self) -> frozenset[MinorIndex]:
+        return frozenset(self)
 
     def __contains__(self, ix: MinorIndex) -> bool:
-        return ix in self.members
+        return ix.fits(self.m, self.p) and bool(
+            self.mask >> self._bit(self.m, self.p, ix) & 1
+        )
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.mask.bit_count()
 
     def __iter__(self) -> Iterator[MinorIndex]:
-        return iter(sorted(self.members, key=MinorIndex.sort_key))
+        offset = 0
+        for k in range(1, min(self.m, self.p) + 1):
+            block = self.mask >> offset
+            if not block:
+                return
+            rows, cols = subsets(self.m, k), subsets(self.p, k)
+            size = len(rows) * len(cols)
+            for i in _bit_positions(block & ((1 << size) - 1)):
+                yield MinorIndex._make((rows[i // len(cols)], cols[i % len(cols)]))
+            offset += size
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MinorFamily):
+            return NotImplemented
+        return (self.m, self.p, self.mask) == (other.m, other.p, other.mask)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.p, self.mask))
+
+    def __repr__(self) -> str:
+        return f"MinorFamily({self.m}, {self.p}, {self})"
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(ix) for ix in self) + "}"
@@ -143,7 +235,7 @@ class MinorFamily:
             items = list(obj["members"])
         except TypeError as exc:
             raise DomainError(f"bad minor family JSON field: {exc}") from exc
-        return cls(m, p, frozenset(MinorIndex.from_json(x) for x in items))
+        return cls(m, p, [MinorIndex.from_json(x) for x in items])
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +419,9 @@ def minor_sizes(matrix: Matrix) -> Iterator[tuple[int, dict[tuple, int]]]:
         prev = nested
 
 
-def _zero_keys(table: dict[tuple, int]) -> Iterator[MinorIndex]:
-    return (MinorIndex._make(key) for key, value in table.items() if not value)
+def _zero_bits(table: dict[tuple, int]) -> int:
+    """Bit i set exactly when the i-th minor of one size's table is zero."""
+    return int("".join("0" if value else "1" for value in reversed(table.values())), 2)
 
 
 def _most_negative(
@@ -351,10 +444,11 @@ def all_minors(matrix: Matrix) -> list[tuple[MinorIndex, Fraction]]:
 
 def exact_vanishing_minors(matrix: Matrix) -> MinorFamily:
     """The minors of a rational matrix whose value is zero."""
-    members = frozenset(
-        ix for _, table in minor_sizes(matrix) for ix in _zero_keys(table)
-    )
-    return MinorFamily(matrix.m, matrix.p, members)
+    mask = offset = 0
+    for _, table in minor_sizes(matrix):
+        mask |= _zero_bits(table) << offset
+        offset += len(table)
+    return MinorFamily._from_mask(matrix.m, matrix.p, mask)
 
 
 def initial_minor_index(i: int, alpha: int) -> MinorIndex:

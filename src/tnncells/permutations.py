@@ -19,23 +19,26 @@ window conditions decide membership: one on the column pool of w, one on
 its column windows. Transposing a diagram conjugates its permutation by the
 order-reversing w0, so the same two conditions read on the mirror w0 w w0,
 at the transposed size and on the transposed minor, give the other two of
-the four conditions the survey lists. A parsed permutation's letters and a
-minor family's window scans are guarded before anything is built.
+the four conditions the survey lists. The family is built as a bitmask over
+the grid's minor order, from tables of k-subsets cached per (n, k) and built
+on first use: the subsets entrywise below and above each subset, and the
+subsets crowding each window. A parsed permutation's letters and a minor
+family's work are guarded before anything is built.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations
 from math import comb
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from . import guards
 from .diagrams import CauchonDiagram
 from .errors import DomainError
-from .matrices import MinorFamily, iter_minor_indices
+from .matrices import MinorFamily, subset_index, subsets
 
 
 def inversion_count(images: Sequence[int]) -> int:
@@ -187,7 +190,7 @@ def is_restricted(w: Permutation, m: int, p: int) -> bool:
     """Does w satisfy the window condition -p <= w(i) - i <= m?"""
     if w.n != m + p:
         return False
-    return all(-p <= w(i) - i <= m for i in range(1, w.n + 1))
+    return all(-p <= x - i <= m for i, x in enumerate(w.images, 1))
 
 
 def enumerate_restricted(m: int, p: int) -> Iterator[Permutation]:
@@ -324,65 +327,122 @@ def bruhat_leq(u: Permutation, w: Permutation) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _window_test(
-    images: Sequence[int], m: int, p: int
-) -> Callable[[tuple[int, ...], tuple[int, ...]], bool]:
-    """Conditions 1 and 3 for the permutation with these one-line images,
-    as a test on a minor's (rows, cols) at ambient size (m, p).
+@cache
+def _lower(n: int, k: int) -> list[list[int]]:
+    """For each k-subset of 1..n (by position in ``subsets(n, k)``), the
+    positions of the subsets with one entry lowered by one.
 
-    Condition 1: no size-k subset of the column pool {a <= p : w(a) <= m}
-    lies below cols (entrywise, both sorted) while its flipped image
-    {m + 1 - w(a)} lies above rows. Condition 3: some column window [r..s]
-    holds more of cols than it has columns c with w(c) outside
-    [m + r..m + s]. Both depend on cols only through data fixed by w, so
-    that data is built once per column set here, not once per minor.
+    These are the covers of the entrywise order, so the subsets below t are
+    those reached from t by lowering steps. A lowered subset comes earlier
+    in lexicographic order.
     """
+    index = subset_index(n, k)
+    lower: list[list[int]] = [[] for _ in index]
+    for t, i in index.items():
+        for j in range(k):
+            s = index.get(t[:j] + (t[j] - 1,) + t[j + 1:])
+            if s is not None:
+                lower[i].append(s)
+    return lower
+
+
+def _or_below(seed: list[int], lower: list[list[int]]) -> list[int]:
+    """out[t]: the OR of seed[s] over every subset s entrywise below t."""
+    out = list(seed)
+    for i, steps in enumerate(lower):
+        for j in steps:
+            out[i] |= out[j]
+    return out
+
+
+def _or_above(seed: list[int], lower: list[list[int]]) -> list[int]:
+    """out[t]: the OR of seed[s] over every subset s entrywise above t."""
+    out = list(seed)
+    for i in reversed(range(len(out))):
+        for j in lower[i]:
+            out[j] |= out[i]
+    return out
+
+
+@cache
+def _down(n: int, k: int) -> list[int]:
+    """down(n, k)[t]: the mask of the k-subsets of 1..n entrywise below t."""
+    return _or_below([1 << i for i in range(comb(n, k))], _lower(n, k))
+
+
+@cache
+def _up(n: int, k: int) -> list[int]:
+    """up(n, k)[t]: the mask of the k-subsets of 1..n entrywise above t."""
+    return _or_above([1 << i for i in range(comb(n, k))], _lower(n, k))
+
+
+@cache
+def _crowd(n: int, k: int) -> dict[tuple[int, int, int], int]:
+    """crowd(n, k)[(r, s, free)]: the mask of the k-subsets of 1..n with more
+    than ``free`` members in [r..s]. Keys whose mask is empty are left out."""
+    table: dict[tuple[int, int, int], int] = {}
+    for i, t in enumerate(subsets(n, k)):
+        for r in range(1, n + 1):
+            for s in range(r, n + 1):
+                inside = sum(1 for a in t if r <= a <= s)
+                for free in range(inside):
+                    table[r, s, free] = table.get((r, s, free), 0) | 1 << i
+    return table
+
+
+def _rooms(images: Sequence[int], m: int, p: int) -> list[tuple[int, int, int]]:
+    """Condition 3's column windows [r..s] at (m, p), each with its room: the
+    number of columns c in [r..s] with w(c) outside [m + r..m + s]. A
+    restricted w has w(c) <= m + c <= m + s there, so those are the columns
+    with w(c) < m + r. Windows with room for all their columns can never be
+    crowded and are left out."""
+    out = []
+    for r in range(1, p + 1):
+        free = 0
+        for s in range(r, p + 1):
+            free += images[s - 1] < m + r
+            if free <= s - r:
+                out.append((r, s, free))
+    return out
+
+
+def _pool_pairs(images: Sequence[int], m: int, p: int, k: int) -> list[tuple[int, int]]:
+    """Condition 1's k-subsets raw of the column pool {a <= p : w(a) <= m},
+    each with its flipped target {m + 1 - w(a) : a in raw}, as positions in
+    ``subsets(p, k)`` and ``subsets(m, k)``."""
     pool = [a for a in range(1, p + 1) if images[a - 1] <= m]
-    room = {
-        (r, s): sum(1 for c in range(r, s + 1) if not m + r <= images[c - 1] <= m + s)
-        for r in range(1, p + 1)
-        for s in range(r, p + 1)
-    }
-    # cols -> flipped targets of the pool subsets below cols; None when a
-    # window is crowded, which puts every minor on these columns in
-    escapes: dict[tuple[int, ...], list[tuple[int, ...]] | None] = {}
-    for k in range(1, min(m, p) + 1):
-        pairs = [
-            (raw, tuple(sorted(m + 1 - images[a - 1] for a in raw)))
-            for raw in combinations(pool, k)
-        ]
-        for cols in combinations(range(1, p + 1), k):
-            crowded = any(
-                sum(1 for a in cols if r <= a <= s) > free
-                for (r, s), free in room.items()
-            )
-            escapes[cols] = None if crowded else [
-                target
-                for raw, target in pairs
-                if all(x <= y for x, y in zip(raw, cols))
-            ]
-
-    def test(rows: tuple[int, ...], cols: tuple[int, ...]) -> bool:
-        targets = escapes[cols]
-        return targets is None or not any(
-            all(x <= y for x, y in zip(rows, target)) for target in targets
-        )
-
-    return test
+    cols, rows = subset_index(p, k), subset_index(m, k)
+    return [
+        (cols[raw], rows[tuple(sorted(m + 1 - images[a - 1] for a in raw))])
+        for raw in combinations(pool, k)
+    ]
 
 
 def minor_family(w: Permutation, m: int, p: int) -> MinorFamily:
     """All minors forced to vanish on the cell labeled by w.
 
-    A minor [rows|cols] is in the family when w meets condition 1 or 3 of
-    :func:`_window_test` at (m, p), or when the mirror w'(i) = n + 1 -
-    w(n + 1 - i) (that is w0 w w0, with n = m + p) meets one of them at
-    (p, m) on the transposed minor [cols|rows]. The mirror labels the
-    transposed cell, so its two readings are the survey's conditions 2
-    and 4. The work of both tables is checked against the guard first.
+    Two window conditions, read at (m, p), put a minor [rows|cols] of size k
+    in the family. Condition 1: no k-subset raw of the column pool
+    {a <= p : w(a) <= m} has raw <= cols and rows <= target entrywise, where
+    target is raw's flipped image {m + 1 - w(a)}. Condition 3: some column
+    window [r..s] holds more of cols than its room (see :func:`_rooms`).
+    The mirror w'(i) = n + 1 - w(n + 1 - i) (that is w0 w w0, with n = m + p)
+    labels the transposed cell, so the same two conditions read for w' at
+    (p, m) on the transposed minor [cols|rows] are the survey's conditions 2
+    and 4. A minor is in the family when any of the four holds.
+
+    The family is built as a mask (see :class:`~tnncells.matrices.MinorFamily`)
+    one size at a time. For each row set R it collects the column sets C for
+    which [R|C] escapes all four conditions: C lies in ``up[raw]`` for a
+    pool subset whose target lies above R; C lies in ``down[target]`` for a
+    pool subset of the mirror whose raw, a row set here, lies below R; and
+    neither C nor R crowds a window. Two sweeps over the row sets gather the
+    first two for every R at once, and each R then costs one shift-OR. The
+    work of the mask and of both crowding tables is checked against the
+    guard first.
     """
-    # minors tested, plus each column set of either table times the windows
-    # its crowding scan visits; counting stops once over the limit
+    # the mask's bits, plus each subset of either crowding table times the
+    # windows it is counted in; counting stops once over the limit
     work = 0
     for k in range(1, min(m, p) + 1):
         rs, cs = comb(m, k), comb(p, k)
@@ -395,10 +455,31 @@ def minor_family(w: Permutation, m: int, p: int) -> MinorFamily:
     if not is_restricted(w, m, p):
         raise DomainError(f"{w} violates the window condition for ({m},{p})")
     n = w.n
-    direct = _window_test(w.images, m, p)
-    mirrored = _window_test([n + 1 - w.images[n - i] for i in range(1, n + 1)], p, m)
-    members = frozenset(
-        ix for ix in iter_minor_indices(m, p)
-        if direct(*ix) or mirrored(ix.cols, ix.rows)
-    )
-    return MinorFamily(m, p, members)
+    mirror = [n + 1 - w.images[n - i] for i in range(1, n + 1)]
+    rooms, mirror_rooms = _rooms(w.images, m, p), _rooms(mirror, p, m)
+    mask = offset = 0
+    for k in range(1, min(m, p) + 1):
+        nr, nc = comb(m, k), comb(p, k)
+        lower = _lower(m, k)
+        up, down = _up(p, k), _down(p, k)
+        covered = [0] * nr
+        for raw, target in _pool_pairs(w.images, m, p, k):
+            covered[target] |= up[raw]
+        covered = _or_above(covered, lower)
+        mirror_covered = [0] * nr
+        for raw, target in _pool_pairs(mirror, p, m, k):
+            mirror_covered[raw] |= down[target]
+        mirror_covered = _or_below(mirror_covered, lower)
+        crowd_p, crowd_m = _crowd(p, k), _crowd(m, k)
+        crowded_cols = crowded_rows = 0
+        for window in rooms:
+            crowded_cols |= crowd_p.get(window, 0)
+        for window in mirror_rooms:
+            crowded_rows |= crowd_m.get(window, 0)
+        escaping = 0
+        for r in range(nr):
+            if not crowded_rows >> r & 1:
+                escaping |= (covered[r] & mirror_covered[r] & ~crowded_cols) << (r * nc)
+        mask |= (((1 << (nr * nc)) - 1) ^ escaping) << offset
+        offset += nr * nc
+    return MinorFamily._from_mask(m, p, mask)

@@ -172,3 +172,38 @@ def disjoint_family_count(network, ix):
                     weight *= path_weight(adjacency, path)
                 total += sign * weight
     return total
+
+
+def _window_condition(images, m, p, rows, cols):
+    """Condition 1 or 3 of the permutation with these one-line images, read
+    at (m, p) on the minor (rows, cols), by direct scans."""
+    pool = [a for a in range(1, p + 1) if images[a - 1] <= m]
+    escapes = any(
+        all(x <= y for x, y in zip(raw, cols))
+        and all(x <= y for x, y in zip(rows, sorted(m + 1 - images[a - 1] for a in raw)))
+        for raw in combinations(pool, len(rows))
+    )
+    if not escapes:
+        return True
+    for r in range(1, p + 1):
+        for s in range(r, p + 1):
+            room = sum(1 for c in range(r, s + 1) if not m + r <= images[c - 1] <= m + s)
+            if sum(1 for a in cols if r <= a <= s) > room:
+                return True
+    return False
+
+
+def window_family(images, m, p):
+    """The minor family of a restricted permutation, minor by minor: every
+    (rows, cols) meeting condition 1 or 3, or whose transpose meets one of
+    them for the mirror w0 w w0 at (p, m)."""
+    n = m + p
+    mirror = [n + 1 - images[n - i] for i in range(1, n + 1)]
+    return {
+        (rows, cols)
+        for k in range(1, min(m, p) + 1)
+        for rows in combinations(range(1, m + 1), k)
+        for cols in combinations(range(1, p + 1), k)
+        if _window_condition(images, m, p, rows, cols)
+        or _window_condition(mirror, p, m, cols, rows)
+    }

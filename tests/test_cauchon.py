@@ -1,6 +1,7 @@
 """Entrywise deletion and restoration sweeps, the TNN test, and T_C."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,7 @@ from tnncells.cauchon import (
     zero_pattern,
 )
 from tnncells.diagrams import CauchonDiagram, enumerate_diagrams
-from tnncells.errors import DomainError
+from tnncells.errors import DomainError, ResourceGuardError
 from tnncells.matrices import (
     Matrix,
     MinorIndex,
@@ -47,6 +48,16 @@ def rational_matrix(m, p, lo=-4, hi=4):
 any_matrices = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
     lambda mp: rational_matrix(*mp)
 )
+
+
+def test_sweeps_are_guarded_before_the_first_step():
+    n = 40
+    pascal = Matrix.from_rows(
+        [[comb(i + a, i) for a in range(n)] for i in range(n)]
+    )
+    for sweep in (restoration, deleting_derivations):
+        with pytest.raises(ResourceGuardError):
+            sweep(pascal)
 
 
 def test_step_order_is_lexicographic():

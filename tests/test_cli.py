@@ -348,6 +348,8 @@ def test_domain_errors_exit_2(runner, demo_diagram):
         ["tnn-check", '{"m":2.9,"p":2,"entries":[[1,2],[3,4]]}'],
         ["cells", "admissible", "-f",
          '{"m":2,"p":2,"members":[{"rows":[1.7],"cols":[true]}]}'],
+        ["cells", "admissible", "-f",
+         '{"m":2,"p":2,"members":[{"rows":[3],"cols":[1]}]}'],
     ],
 )
 def test_malformed_json_exits_2(runner, args):
@@ -455,6 +457,18 @@ def test_minor_table_budget(args, n, codes):
     assert took < 2.0
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["tnn-check", "--method", "deletion", "-"], ["delete", "-"], ["restore", "-"]],
+    ids=["tnn-check-deletion", "delete", "restore"],
+)
+def test_sweep_budget(args):
+    proc, took = _run_process(args, _pascal_csv(40))
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert took < 1.0
+
+
 def test_cells_of_6x6_reads_the_leibniz_zero_minors():
     witness = ones_TC(CauchonDiagram.from_ascii("##.#../##..../#...../....../....../......"))
     proc, took = _run_process(
@@ -484,9 +498,11 @@ def test_cells_of_6x6_reads_the_leibniz_zero_minors():
         (["perm", "inverse-pipedream", "(1 2)", "--m", "1000000", "--p", "1"],
          "", 3, 1.0),
         (["cells", "of", "-"], ",".join(["1"] * 1000), 3, 1.0),
+        (["cells", "admissible", "-f",
+          '{"m":1000000000,"p":1,"members":[{"rows":[1],"cols":[1]}]}'], "", 3, 1.0),
     ],
     ids=["vanish-10x10", "vanish-11x11", "perm-mw-400x1", "perm-bruhat-1000000",
-         "perm-inverse-pipedream-1000001", "cells-of-1x1000"],
+         "perm-inverse-pipedream-1000001", "cells-of-1x1000", "cells-admissible-1e9x1"],
 )
 def test_family_and_permutation_budgets(args, stdin, code, seconds):
     proc, took = _run_process(args, stdin)

@@ -41,6 +41,14 @@ def test_enumeration_agrees_with_quantifier_scan(m, p):
     assert enumerated == valid
 
 
+def test_enumeration_equals_validated_construction():
+    # enumerated diagrams skip re-validation, so each must pass it unchanged
+    for m in range(1, 5):
+        for p in range(1, 5):
+            for d in enumerate_diagrams(m, p):
+                assert CauchonDiagram(d.m, d.p, d.black) == d, d.to_ascii()
+
+
 def test_enumeration_order_is_ascending_bitmask():
     def mask(d):
         cells = [(i, a) for i in range(1, d.m + 1) for a in range(1, d.p + 1)]

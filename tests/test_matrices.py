@@ -89,7 +89,7 @@ class TestMinorIndex:
         random.Random(5).shuffle(indices)
         assert sorted(indices) == sorted(indices, key=lambda ix: (ix.rows, ix.cols))
         assert MinorIndex((1, 2), (1, 2)) < MinorIndex((2,), (1,))
-        by_size = sorted(indices, key=MinorIndex.sort_key)
+        by_size = sorted(indices, key=lambda ix: (ix.size, ix.rows, ix.cols))
         assert by_size == list(iter_minor_indices(3, 3))
 
     @pytest.mark.parametrize(
@@ -284,6 +284,34 @@ class TestSerialization:
     def test_bare_array_gets_format_hint(self):
         with pytest.raises(DomainError, match="not a bare array"):
             load_matrix_text("[[1, 2], [3, 4]]")
+
+    def test_family_bits_follow_the_minor_order(self):
+        for m, p in [(1, 3), (2, 2), (3, 2), (3, 4), (4, 4)]:
+            for i, ix in enumerate(iter_minor_indices(m, p)):
+                assert MinorFamily(m, p, [ix]).mask == 1 << i, ix
+
+    def test_family_keeps_its_members(self):
+        for m, p in [(2, 3), (3, 3), (4, 2)]:
+            every = list(iter_minor_indices(m, p))
+            for step in (1, 2, 3, 5, 7):
+                members = frozenset(every[::step])
+                fam = MinorFamily(m, p, members)
+                assert fam.members == members
+                assert len(fam) == len(members)
+                assert list(fam) == [ix for ix in every if ix in members]
+                assert all((ix in fam) == (ix in members) for ix in every)
+                assert pickle.loads(pickle.dumps(fam)) == fam
+
+    def test_family_rejects_what_does_not_fit(self):
+        with pytest.raises(DomainError):
+            MinorFamily(2, 2, [MinorIndex((3,), (1,))])
+        assert MinorIndex((3,), (1,)) not in MinorFamily(2, 2, [])
+
+    def test_family_guards_its_grid(self):
+        MinorFamily(10, 10, [])
+        for m, p in [(11, 11), (10**9, 10**9), (10**9, 1)]:
+            with pytest.raises(ResourceGuardError):
+                MinorFamily(m, p, [])
 
     def test_family_json_roundtrip(self):
         fam = MinorFamily(

@@ -1,7 +1,7 @@
 """Permutations, the window-restricted family, pipe dreams, Bruhat order."""
 
 from collections import Counter
-from itertools import permutations as iter_perms
+from itertools import permutations as iter_perms, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,8 +11,12 @@ from tnncells.cauchon import vanishing_family
 from tnncells.diagrams import CauchonDiagram, count_diagrams, enumerate_diagrams
 from tnncells.errors import DomainError
 from tnncells.matrices import MinorIndex, iter_minor_indices, minor_count
+from tnncells.matrices import subsets
 from tnncells.permutations import (
     Permutation,
+    _crowd,
+    _down,
+    _up,
     bruhat_leq,
     count_restricted,
     enumerate_restricted,
@@ -206,6 +210,41 @@ class TestMinorFamilies:
                 assert pipe_dream(t) == w0 @ pipe_dream(d) @ w0, d.to_ascii()
                 flipped = {ix.transposed() for ix in vanishing_family(d)}
                 assert set(vanishing_family(t)) == flipped, d.to_ascii()
+
+    def test_family_matches_the_window_scan(self):
+        for m, p in [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (1, 4), (4, 1),
+                     (2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (3, 4), (4, 3)]:
+            for d in enumerate_diagrams(m, p):
+                w = pipe_dream(d)
+                assert set(minor_family(w, m, p)) == oracles.window_family(
+                    w.images, m, p
+                ), d.to_ascii()
+
+    def test_subset_tables_match_their_definitions(self):
+        def below(s, t):
+            return all(x <= y for x, y in zip(s, t))
+
+        for n in range(1, 6):
+            for k in range(1, n + 1):
+                sets = subsets(n, k)
+                assert list(sets) == sorted(
+                    s for s in product(range(1, n + 1), repeat=k)
+                    if all(x < y for x, y in zip(s, s[1:]))
+                )
+                for i, t in enumerate(sets):
+                    assert _down(n, k)[i] == sum(
+                        1 << j for j, s in enumerate(sets) if below(s, t)
+                    )
+                    assert _up(n, k)[i] == sum(
+                        1 << j for j, s in enumerate(sets) if below(t, s)
+                    )
+                for r in range(1, n + 1):
+                    for s in range(r, n + 1):
+                        for free in range(n + 1):
+                            assert _crowd(n, k).get((r, s, free), 0) == sum(
+                                1 << j for j, t in enumerate(sets)
+                                if sum(1 for a in t if r <= a <= s) > free
+                            )
 
     def test_families_are_distinct_across_the_window(self):
         fams = {

@@ -41,14 +41,12 @@ def step_indices(m: int, p: int) -> list[StepIndex]:
     return [(j, beta) for j in range(1, m + 1) for beta in range(1, p + 1)]
 
 
-def _apply_step(matrix: Matrix, j: int, beta: int, sign: int) -> Matrix:
-    if not (1 <= j <= matrix.m and 1 <= beta <= matrix.p):
-        raise DomainError(f"step ({j},{beta}) outside {matrix.m}x{matrix.p}")
-    pivot_row = matrix.rows[j - 1]
+def _apply_step(rows: list[list[Any]], j: int, beta: int, sign: int) -> None:
+    """Apply the step at (j, beta) to ``rows``, editing them in place."""
+    pivot_row = rows[j - 1]
     pivot = pivot_row[beta - 1]
     if not pivot or j == 1 or beta == 1:  # or nothing lies northwest of it
-        return matrix
-    rows = [list(r) for r in matrix.rows]
+        return
     for row in rows[:j - 1]:
         factor = row[beta - 1] / pivot
         if not factor:
@@ -57,21 +55,38 @@ def _apply_step(matrix: Matrix, j: int, beta: int, sign: int) -> Matrix:
             factor = -factor
         for a in range(beta - 1):
             row[a] += factor * pivot_row[a]
+
+
+def _step(matrix: Matrix, j: int, beta: int, sign: int) -> Matrix:
+    if not (1 <= j <= matrix.m and 1 <= beta <= matrix.p):
+        raise DomainError(f"step ({j},{beta}) outside {matrix.m}x{matrix.p}")
+    rows = [list(r) for r in matrix.rows]
+    _apply_step(rows, j, beta, sign)
     return Matrix(matrix.domain, rows)
 
 
 def delete_step(matrix: Matrix, j: int, beta: int) -> Matrix:
-    return _apply_step(matrix, j, beta, -1)
+    return _step(matrix, j, beta, -1)
 
 
 def restore_step(matrix: Matrix, j: int, beta: int) -> Matrix:
-    return _apply_step(matrix, j, beta, +1)
+    return _step(matrix, j, beta, +1)
 
 
-def _ensure_sweep(matrix: Matrix) -> None:
-    # each of the m*p steps builds a new m x p matrix
+def _sweep(matrix: Matrix, sign: int) -> Iterator[tuple[StepIndex, list[list[Any]]]]:
+    """Yield (step, rows after that step), editing one copy of the rows.
+
+    Plus steps run from (1,1) up to (m,p), minus steps the other way. The
+    sweep's work is checked against the guard before the first step.
+    """
+    # m*p steps, each rewriting at most the m*p entries of the matrix
     work = (matrix.m * matrix.p) ** 2
     guards.ensure(work, guards.SWEEP_WORK_LIMIT, "entries one sweep rewrites")
+    steps = step_indices(matrix.m, matrix.p)
+    rows = [list(r) for r in matrix.rows]
+    for j, beta in steps if sign > 0 else reversed(steps):
+        _apply_step(rows, j, beta, sign)
+        yield (j, beta), rows
 
 
 def deleting_stages(matrix: Matrix) -> Iterator[tuple[StepIndex, Matrix]]:
@@ -79,10 +94,8 @@ def deleting_stages(matrix: Matrix) -> Iterator[tuple[StepIndex, Matrix]]:
 
     The sweep's work is checked against the guard before the first step.
     """
-    _ensure_sweep(matrix)
-    for j, beta in reversed(step_indices(matrix.m, matrix.p)):
-        matrix = delete_step(matrix, j, beta)
-        yield (j, beta), matrix
+    for step, rows in _sweep(matrix, -1):
+        yield step, Matrix(matrix.domain, rows)
 
 
 def restoration_stages(matrix: Matrix) -> Iterator[tuple[StepIndex, Matrix]]:
@@ -90,22 +103,20 @@ def restoration_stages(matrix: Matrix) -> Iterator[tuple[StepIndex, Matrix]]:
 
     The sweep's work is checked against the guard before the first step.
     """
-    _ensure_sweep(matrix)
-    for j, beta in step_indices(matrix.m, matrix.p):
-        matrix = restore_step(matrix, j, beta)
-        yield (j, beta), matrix
+    for step, rows in _sweep(matrix, +1):
+        yield step, Matrix(matrix.domain, rows)
 
 
 def deleting_derivations(matrix: Matrix) -> Matrix:
-    for _, matrix in deleting_stages(matrix):
+    for _, rows in _sweep(matrix, -1):
         pass
-    return matrix
+    return Matrix(matrix.domain, rows)
 
 
 def restoration(matrix: Matrix) -> Matrix:
-    for _, matrix in restoration_stages(matrix):
+    for _, rows in _sweep(matrix, +1):
         pass
-    return matrix
+    return Matrix(matrix.domain, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import click
 
@@ -97,7 +96,10 @@ def _index_list(text: str) -> tuple[int, ...]:
         raise DomainError(f"bad index list {text!r}") from exc
 
 
-def _emit(fmt: str, payload: dict[str, Any], text: str, code: int = 0) -> None:
+def _emit(
+    fmt: str, payload: dict[str, Any], text: str | Callable[[], str], code: int = 0
+) -> None:
+    # A costly listing is passed as a callable, built only in text mode.
     # Streams are passed explicitly: click caches a wrapper per default
     # stream and the cached wrapper of a text stream is the stream itself, so
     # a caller that swaps sys.stdout per call (in-process use, CliRunner)
@@ -106,8 +108,12 @@ def _emit(fmt: str, payload: dict[str, Any], text: str, code: int = 0) -> None:
     if fmt == "json":
         click.echo(json.dumps(payload), file=sys.stdout)
     else:
-        click.echo(text, file=sys.stdout)
+        click.echo(text() if callable(text) else text, file=sys.stdout)
     sys.exit(code)
+
+
+def _listing(family: MinorFamily) -> str:
+    return "\n".join(str(ix) for ix in family) or "(none)"
 
 
 def _verdict_code(ok: bool) -> int:
@@ -275,9 +281,7 @@ def vanish(diagram_src: str, fmt: str) -> None:
     """The identically vanishing minors of a diagram's canonical matrix."""
     diagram = _diagram_arg(diagram_src)
     family = cauchon_mod.vanishing_family(diagram)
-    payload = family.to_json()
-    text = "\n".join(str(ix) for ix in family) or "(none)"
-    _emit(fmt, payload, text)
+    _emit(fmt, family.to_json(), lambda: _listing(family))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +346,8 @@ def network_from_diagram(diagram_src: str, as_dot: bool, fmt: str) -> None:
     if as_dot:
         click.echo(net.to_dot(), file=sys.stdout)
         sys.exit(0)
-    _emit(fmt, net.to_json(), json.dumps(net.to_json(), indent=2))
+    payload = net.to_json()
+    _emit(fmt, payload, json.dumps(payload, indent=2))
 
 
 def _network_arg(diagram_src: str | None, network_src: str | None):
@@ -441,8 +446,7 @@ def perm_mw(w: str, m: int, p: int, fmt: str) -> None:
     """The minor family attached to a restricted permutation."""
     perm_value = perm_mod.parse_permutation(w, m + p)
     family = perm_mod.minor_family(perm_value, m, p)
-    text = "\n".join(str(ix) for ix in family) or "(none)"
-    _emit(fmt, family.to_json(), text)
+    _emit(fmt, family.to_json(), lambda: _listing(family))
 
 
 @perm.command(name="bruhat")
@@ -707,7 +711,8 @@ def _lindstrom_sweep(m: int, p: int) -> tuple[int, int]:
         for denominator, table in minor_sizes(networks_mod.path_matrix(net)):
             for key, value in table.items():
                 checked += 1
-                if Fraction(value, denominator) != counts[key]:
+                count = counts[key]
+                if value * count.denominator != count.numerator * denominator:
                     mismatched += 1
     return checked, mismatched
 

@@ -12,7 +12,8 @@ sets a bit per minor and counts each subset of its two crowding tables in
 every window, a parsed permutation holds one entry per letter, a power in an
 expression multiplies once per unit of its exponent, each parenthesis in an
 expression costs its reader one level of recursion, a count of disjoint path
-families takes steps, a restoration or deleting-derivations sweep writes
+families takes a step per vertex its walks visit and per (partial family,
+path) pair it tries, a restoration or deleting-derivations sweep may rewrite
 (m*p)^2 entries, and one product of exact values produces |f|*|g| term
 pairs, plus, in the quantum product, the terms each word rewrite sums. The
 product budget is checked before the pairs are formed and again after every
@@ -46,7 +47,10 @@ EXPONENT_LIMIT = 100
 # keep 100 levels well inside the default recursion limit of 1,000.
 NESTING_LIMIT = 100
 
-# Vertices visited plus paths tried in one count of disjoint path families.
+# Vertices the walks visit plus (partial family, path) pairs tried in one
+# count of disjoint path families. All minors of the all-white 5x5 network
+# take about 91,000 in one call; the full minor of the all-white 6x6 network
+# is refused within a second.
 PATH_STEP_LIMIT = 1_000_000
 
 # The bits of one minor family's mask, plus each subset of its two crowding
@@ -54,9 +58,10 @@ PATH_STEP_LIMIT = 1_000_000
 # units; 400x1 is 32 M.
 MINOR_FAMILY_WORK_LIMIT = 1_000_000
 
-# Entries one restoration or deleting-derivations sweep writes: each of its
-# m*p steps builds a new m x p matrix, (m*p)^2 in all. A 30x30 Pascal matrix
-# (0.81 M) takes 1 to 2 s; a 10x10 matrix is 10,000.
+# Entries one restoration or deleting-derivations sweep may rewrite: each of
+# its m*p steps edits at most the m*p entries of one working copy, (m*p)^2 in
+# all. A 30x30 Pascal matrix (0.81 M) takes 1 to 2 s; a 10x10 matrix is
+# 10,000.
 SWEEP_WORK_LIMIT = 1_000_000
 
 # Letters in one parsed permutation: a Bruhat comparison at 1,000 letters

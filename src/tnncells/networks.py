@@ -14,25 +14,28 @@ somewhere to its left in just the pattern that would make a row edge cross
 a column edge, so these networks are genuinely planar and disjoint path
 families obey the determinant identity.
 
-Disjoint path families are counted by :func:`nonintersecting_counts`, which
-enumerates the paths of each needed source once and assembles the families
-of many minors from that one table; it shares no code with
-:func:`path_matrix`, so comparing the two checks the identity. Its step
-budget is per call, shared across all the minors and pairings it counts.
+Disjoint path families are counted by :func:`nonintersecting_counts`, one
+signed dynamic program over vertex bitmasks: each needed source is walked
+once, and the families of a minor grow one row at a time, keyed by the
+columns they use and the vertices they cover. A path to column c flips the
+sign once for each column already taken that is greater than c, so each
+family carries its pairing's sign. Prefixes of rows are shared by every
+minor that starts with them. It shares no code with :func:`path_matrix`, so
+comparing the two checks the identity. Its step budget is per call: one step
+per vertex walked, and one per (partial family, path) pair tried.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations as iter_perms
+from functools import cached_property
 from typing import Any, Iterable
 
 from . import guards
 from .diagrams import CauchonDiagram
 from .errors import DomainError, json_int, parse_json
 from .matrices import Matrix, MinorIndex, parse_rational
-from .permutations import inversion_count
 from .scalars import QQ
 
 
@@ -80,30 +83,40 @@ class PlanarNetwork:
     def sinks(self) -> tuple[str, ...]:
         return tuple(sink_id(a) for a in range(1, self.p + 1))
 
-    def outgoing(self) -> dict[str, list[tuple[str, Fraction]]]:
-        table: dict[str, list[tuple[str, Fraction]]] = {v: [] for v in self.vertices}
+    @cached_property
+    def outgoing(self) -> dict[str, list[tuple[str, Fraction | int]]]:
+        """Each vertex's edges as (head, weight), built once.
+
+        Integral weights are plain ints: exact, and far cheaper to multiply.
+        """
+        table: dict[str, list[tuple[str, Fraction | int]]] = {v: [] for v in self.vertices}
         for frm, to, weight in self.edges:
-            table[frm].append((to, weight))
+            table[frm].append(
+                (to, weight.numerator if weight.denominator == 1 else weight)
+            )
         return table
 
-    def topological_order(self) -> list[str]:
-        """Kahn's algorithm; DomainError when a directed cycle exists."""
+    @cached_property
+    def _order(self) -> tuple[str, ...]:
         indegree = {v: 0 for v in self.vertices}
         for _, to, _ in self.edges:
             indegree[to] += 1
         ready = sorted(v for v, d in indegree.items() if d == 0)
-        out = self.outgoing()
         order = []
         while ready:
             v = ready.pop()
             order.append(v)
-            for to, _ in out[v]:
+            for to, _ in self.outgoing[v]:
                 indegree[to] -= 1
                 if indegree[to] == 0:
                     ready.append(to)
         if len(order) != len(self.vertices):
             raise DomainError("network contains a directed cycle")
-        return order
+        return tuple(order)
+
+    def topological_order(self) -> tuple[str, ...]:
+        """Kahn's algorithm, run once; DomainError when a directed cycle exists."""
+        return self._order
 
     # -- serialization ---------------------------------------------------------
 
@@ -203,10 +216,10 @@ def postnikov_network(diagram: CauchonDiagram) -> PlanarNetwork:
 def path_matrix(network: PlanarNetwork) -> Matrix:
     """Weighted source-to-sink path sums by forward propagation."""
     order = network.topological_order()
-    out = network.outgoing()
+    out = network.outgoing
     rows = []
     for i in range(1, network.m + 1):
-        acc: dict[str, Fraction] = {source_id(i): Fraction(1)}
+        acc: dict[str, Fraction | int] = {source_id(i): 1}
         for v in order:
             value = acc.get(v)
             if not value:
@@ -214,7 +227,7 @@ def path_matrix(network: PlanarNetwork) -> Matrix:
             for to, weight in out[v]:
                 acc[to] = acc.get(to, 0) + value * weight
         rows.append([
-            acc.get(sink_id(a), Fraction(0)) for a in range(1, network.p + 1)
+            Fraction(acc.get(sink_id(a), 0)) for a in range(1, network.p + 1)
         ])
     return Matrix(QQ, rows)
 
@@ -225,76 +238,98 @@ def nonintersecting_counts(
 ) -> dict[MinorIndex, Fraction]:
     """Signed weighted counts of vertex-disjoint path families, one per minor.
 
-    Each needed source is walked once, recording every path it has to every
-    sink as (vertex set, weight); the families of all the minors are then
-    assembled from that table. Every pairing of sources to sinks is summed
-    with its permutation sign, which is the determinant identity for
-    arbitrary DAGs; on planar networks the twisted pairings admit no disjoint
-    family, so each value is the plain (weighted) number of nonintersecting
-    families. One budget of ``guards.PATH_STEP_LIMIT`` steps covers the whole
-    call: every vertex the walks visit and every path tried against a partial
-    family, across all minors and pairings.
+    Every vertex gets one bit, and each needed source is walked once,
+    recording every path it has to every sink as (vertex mask, weight). The
+    families of a minor [R|C] grow over the rows of R in increasing order: a
+    state maps (column set, vertex mask) to a signed weight, and appending
+    row r with a path to column c multiplies by the path's weight and flips
+    the sign once for each column already in the set that is greater than c,
+    which counts the inversions of the pairing. Equal keys merge, and the
+    states of a row prefix are built once for every minor that shares it;
+    [R|C] is the total weight of R's states whose column set is C. That sums
+    every pairing of sources to sinks with its permutation sign, the
+    determinant identity for arbitrary DAGs; on planar networks the twisted
+    pairings admit no disjoint family, so each value is the plain (weighted)
+    number of nonintersecting families. One budget of
+    ``guards.PATH_STEP_LIMIT`` steps covers the whole call: one step per
+    vertex the walks visit, and len(states) x len(paths) per extension of a
+    prefix by a row, charged before the extension runs.
     """
-    network.topological_order()  # rejects cycles up front
+    order = network.topological_order()  # rejects cycles up front
     indices = list(indices)
     for ix in indices:
         if not ix.fits(network.m, network.p):
             raise DomainError(f"{ix} does not fit a {network.m}x{network.p} network")
-    # integral weights as plain ints: exact, and far cheaper to multiply
-    out = {
-        v: [(to, w.numerator if w.denominator == 1 else w) for to, w in edges]
-        for v, edges in network.outgoing().items()
-    }
+    out = network.outgoing
+    bit = {v: 1 << k for k, v in enumerate(order)}
     sink_of = {sink_id(a): a for a in range(1, network.p + 1)}
     limit = guards.PATH_STEP_LIMIT
-    budget = limit
+    spent = 0
 
     def spend(steps: int) -> None:
-        nonlocal budget
-        budget -= steps
-        if budget < 0:
-            guards.ensure(limit - budget, limit, "steps of one path family count")
+        nonlocal spent
+        spent += steps
+        guards.ensure(spent, limit, "steps of one path family count")
 
-    # paths[i][a]: every path source i -> sink a as (vertex set, weight)
-    paths: dict[int, dict[int, list[tuple[frozenset[str], Fraction | int]]]] = {}
+    # column sets as bitmasks; wanted[prefix]: the columns some requested
+    # minor with that row prefix uses
+    col_masks = [sum(1 << a for a in ix.cols) for ix in indices]
+    wanted: dict[tuple[int, ...], int] = {}
+    for ix, cols in zip(indices, col_masks):
+        for k in range(1, ix.size + 1):
+            wanted[ix.rows[:k]] = wanted.get(ix.rows[:k], 0) | cols
 
-    def walk(v: str, used: list[str], weight: Fraction | int, found: dict) -> None:
-        spend(1)
-        if v in sink_of:
-            found[sink_of[v]].append((frozenset(used), weight))
-        for to, w in out[v]:
-            used.append(to)
-            walk(to, used, weight * w, found)
-            used.pop()
+    # paths[i]: every path source i -> some sink as (column bit, vertex mask, weight)
+    paths: dict[int, list[tuple[int, int, Fraction | int]]] = {}
+    for i in sorted({prefix[-1] for prefix in wanted}):
+        found = paths[i] = []
+        start = source_id(i)
+        stack = [(start, bit[start], 1)]
+        while stack:
+            v, mask, weight = stack.pop()
+            spend(1)
+            if v in sink_of:
+                found.append((1 << sink_of[v], mask, weight))
+            for to, w in out[v]:
+                stack.append((to, mask | bit[to], weight * w))
 
-    for i in sorted({i for ix in indices for i in ix.rows}):
-        paths[i] = {a: [] for a in range(1, network.p + 1)}
-        walk(source_id(i), [source_id(i)], 1, paths[i])
+    states: dict[tuple[int, ...], dict[tuple[int, int], Fraction | int]] = {
+        (): {(0, 0): 1}
+    }
+    for prefix in sorted(wanted):  # a prefix sorts before its extensions
+        keep = wanted[prefix]
+        before = [
+            (cols, mask, weight)
+            for (cols, mask), weight in states[prefix[:-1]].items()
+            if not cols & ~keep
+        ]
+        options = [
+            (col, -(col << 1), mask, weight)  # the bits above col
+            for col, mask, weight in paths[prefix[-1]]
+            if col & keep
+        ]
+        spend(len(before) * len(options))
+        grown: dict[tuple[int, int], Fraction | int] = {}
+        for cols, used, weight in before:
+            for col, above, mask, path_weight in options:
+                if used & mask:  # also when col is taken: its sink is in both
+                    continue
+                key = (cols | col, used | mask)
+                value = weight * path_weight
+                if (cols & above).bit_count() & 1:
+                    value = -value
+                grown[key] = grown.get(key, 0) + value
+        states[prefix] = grown
 
-    signed_pairings: dict[int, list[tuple[tuple[int, ...], int]]] = {}
     counts: dict[MinorIndex, Fraction] = {}
-    for ix in indices:
-        k = ix.size
-        if k not in signed_pairings:
-            signed_pairings[k] = [
-                (pairing, -1 if inversion_count(pairing) % 2 else 1)
-                for pairing in iter_perms(range(k))
-            ]
-        total: Fraction | int = 0
-        for pairing, sign in signed_pairings[k]:
-            # extend the disjoint partial families one source at a time
-            families: list[tuple[frozenset[str], Fraction | int]] = [(frozenset(), 1)]
-            for i, c in zip(ix.rows, pairing):
-                options = paths[i][ix.cols[c]]
-                spend(len(families) * len(options))
-                families = [
-                    (used | vertices, weight * path_weight)
-                    for used, weight in families
-                    for vertices, path_weight in options
-                    if used.isdisjoint(vertices)
-                ]
-            total += sign * sum(weight for _, weight in families)
-        counts[ix] = Fraction(total)
+    totals: dict[tuple[int, ...], dict[int, Fraction | int]] = {}
+    for ix, cols in zip(indices, col_masks):
+        by_cols = totals.get(ix.rows)
+        if by_cols is None:
+            by_cols = totals[ix.rows] = {}
+            for (final, _), weight in states[ix.rows].items():
+                by_cols[final] = by_cols.get(final, 0) + weight
+        counts[ix] = Fraction(by_cols.get(cols, 0))
     return counts
 
 

@@ -469,6 +469,17 @@ def test_sweep_budget(args):
     assert took < 1.0
 
 
+def test_lindstrom_step_budget_on_the_full_6x6_minor():
+    full = "1,2,3,4,5,6"
+    proc, took = _run_process(
+        ["network", "lindstrom", "-d", "/".join(["......"] * 6),
+         "--rows", full, "--cols", full]
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert took < 2.0
+
+
 def test_cells_of_6x6_reads_the_leibniz_zero_minors():
     witness = ones_TC(CauchonDiagram.from_ascii("##.#../##..../#...../....../....../......"))
     proc, took = _run_process(

@@ -126,6 +126,51 @@ def test_batched_counts_match_the_family_oracle():
                     assert nonintersecting_count(net, ix) == expect, (d.to_ascii(), ix)
 
 
+def test_batched_counts_match_single_minor_counts():
+    # the batch shares row-prefix states across minors; one minor alone
+    # builds only its own prefixes, restricted to its own columns
+    for m, p in [(3, 4), (4, 3)]:
+        indices = list(iter_minor_indices(m, p))
+        for d in enumerate_diagrams(m, p):
+            net = postnikov_network(d)
+            counts = nonintersecting_counts(net, indices)
+            for ix in indices:
+                assert nonintersecting_count(net, ix) == counts[ix], (d.to_ascii(), ix)
+
+
+WEIGHTS = [Fraction(w) for w in ("0", "1", "-1", "2", "1/2", "-3/2")]
+
+
+@st.composite
+def random_dags(draw):
+    """A DAG with up to 3 sources and sinks, three inner vertices and any
+    forward edges between them: in general not planar, and sinks may have
+    edges out and sources edges in."""
+    m, p = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    names = [source_id(i) for i in range(1, m + 1)]
+    names += [sink_id(a) for a in range(1, p + 1)] + ["u", "v", "w"]
+    order = draw(st.permutations(names))
+    edges = tuple(
+        (frm, to, draw(st.sampled_from(WEIGHTS)))
+        for k, frm in enumerate(order)
+        for to in order[k + 1:]
+        if draw(st.booleans())
+    )
+    return PlanarNetwork(m, p, frozenset(names), edges)
+
+
+@given(random_dags())
+@settings(max_examples=60, deadline=None)
+def test_counts_on_random_dags_match_the_oracle_and_the_minors(net):
+    M = path_matrix(net)
+    indices = list(iter_minor_indices(net.m, net.p))
+    counts = nonintersecting_counts(net, indices)
+    for ix in indices:
+        expect = oracles.disjoint_family_count(net, ix)
+        assert counts[ix] == expect == minor(M, ix), ix
+        assert nonintersecting_count(net, ix) == expect, ix
+
+
 def test_twisted_pairings_count_with_their_sign():
     # not planar: every source-to-own-sink family meets at the hub, so only
     # the twisted pairing s1 -> t2, s2 -> t1 has disjoint families

@@ -14,7 +14,6 @@ from .cells import (
     cell_of,
     is_admissible,
     unifying_check,
-    witness_matrix,
 )
 from .diagrams import CauchonDiagram, count_diagrams, enumerate_diagrams, is_cauchon, non_le_fillings
 from .errors import ConsistencyError, DomainError, ResourceGuardError
@@ -116,5 +115,4 @@ __all__ = [
     "unifying_check",
     "vanishing_family",
     "verify_flow",
-    "witness_matrix",
 ]

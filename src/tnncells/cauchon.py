@@ -23,6 +23,7 @@ rational minor scan decides the family (see :func:`vanishing_family`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Any, Iterator, Mapping
 
 from . import guards
@@ -31,7 +32,7 @@ from .errors import DomainError
 from .matrices import (
     Matrix, MinorFamily, _require_rational, exact_vanishing_minors, minor_count
 )
-from .scalars import LaurentDomain, QQ, ScalarDomain
+from .scalars import MPoly, QQ
 
 StepIndex = tuple[int, int]
 
@@ -62,7 +63,7 @@ def _step(matrix: Matrix, j: int, beta: int, sign: int) -> Matrix:
         raise DomainError(f"step ({j},{beta}) outside {matrix.m}x{matrix.p}")
     rows = [list(r) for r in matrix.rows]
     _apply_step(rows, j, beta, sign)
-    return Matrix(matrix.domain, rows)
+    return Matrix(rows)
 
 
 def delete_step(matrix: Matrix, j: int, beta: int) -> Matrix:
@@ -95,7 +96,7 @@ def deleting_stages(matrix: Matrix) -> Iterator[tuple[StepIndex, Matrix]]:
     The sweep's work is checked against the guard before the first step.
     """
     for step, rows in _sweep(matrix, -1):
-        yield step, Matrix(matrix.domain, rows)
+        yield step, Matrix(rows)
 
 
 def restoration_stages(matrix: Matrix) -> Iterator[tuple[StepIndex, Matrix]]:
@@ -104,19 +105,19 @@ def restoration_stages(matrix: Matrix) -> Iterator[tuple[StepIndex, Matrix]]:
     The sweep's work is checked against the guard before the first step.
     """
     for step, rows in _sweep(matrix, +1):
-        yield step, Matrix(matrix.domain, rows)
+        yield step, Matrix(rows)
 
 
 def deleting_derivations(matrix: Matrix) -> Matrix:
     for _, rows in _sweep(matrix, -1):
         pass
-    return Matrix(matrix.domain, rows)
+    return Matrix(rows)
 
 
 def restoration(matrix: Matrix) -> Matrix:
     for _, rows in _sweep(matrix, +1):
         pass
-    return Matrix(matrix.domain, rows)
+    return Matrix(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +147,7 @@ def tnn_test(matrix: Matrix) -> TnnVerdict:
     The input is totally nonnegative exactly when the sweep's output is
     entrywise nonnegative and its zero set is a valid diagram.
     """
-    _require_rational(matrix, "the TNN test")
+    _require_rational(matrix.rows, "the TNN test")
     final = deleting_derivations(matrix)
     if any(x < 0 for row in final.rows for x in row):
         return TnnVerdict(False, None, final)
@@ -162,17 +163,15 @@ def tnn_test(matrix: Matrix) -> TnnVerdict:
 
 
 def seed_matrix(
-    diagram: CauchonDiagram,
-    domain: ScalarDomain,
-    assignment: Mapping[Cell, Any],
+    diagram: CauchonDiagram, zero: Any, assignment: Mapping[Cell, Any]
 ) -> Matrix:
-    """Zero on black cells, the assigned nonzero scalar on white cells."""
+    """``zero`` on black cells, the assigned nonzero scalar on white cells."""
     rows = []
     for i in range(1, diagram.m + 1):
         row = []
         for a in range(1, diagram.p + 1):
             if (i, a) in diagram.black:
-                row.append(domain.zero())
+                row.append(zero)
             else:
                 if (i, a) not in assignment:
                     raise DomainError(f"white cell ({i},{a}) has no assigned value")
@@ -181,26 +180,18 @@ def seed_matrix(
                     raise DomainError(f"white cell ({i},{a}) assigned zero")
                 row.append(value)
         rows.append(row)
-    return Matrix(domain, rows)
+    return Matrix(rows)
 
 
 def build_TC(
-    diagram: CauchonDiagram,
-    domain: ScalarDomain,
-    assignment: Mapping[Cell, Any],
+    diagram: CauchonDiagram, zero: Any, assignment: Mapping[Cell, Any]
 ) -> Matrix:
-    """Restore the seeded matrix of the diagram."""
-    return restoration(seed_matrix(diagram, domain, assignment))
+    """Restore the seeded matrix of the diagram; ``zero`` is the ring's zero."""
+    return restoration(seed_matrix(diagram, zero, assignment))
 
 
 def white_variable(cell: Cell) -> str:
     return f"t[{cell[0]},{cell[1]}]"
-
-
-def symbolic_domain(diagram: CauchonDiagram) -> LaurentDomain:
-    return LaurentDomain(
-        [white_variable(c) for c in diagram.white_cells()]
-    )
 
 
 def symbolic_TC(diagram: CauchonDiagram) -> Matrix:
@@ -212,17 +203,15 @@ def symbolic_TC(diagram: CauchonDiagram) -> Matrix:
     Deleting derivations retraces the same pivots, so the inverse sweep
     divides only by them too.
     """
-    dom = symbolic_domain(diagram)
-    assignment = {c: dom.var(white_variable(c)) for c in diagram.white_cells()}
-    return build_TC(diagram, dom, assignment)
+    white = diagram.white_cells()
+    names = tuple(white_variable(c) for c in white)
+    assignment = {c: MPoly.var(names, name) for c, name in zip(white, names)}
+    return build_TC(diagram, MPoly.zero(names), assignment)
 
 
 def ones_TC(diagram: CauchonDiagram) -> Matrix:
     """The canonical matrix with every white cell set to 1 (rational entries)."""
-    from fractions import Fraction
-
-    assignment = {c: Fraction(1) for c in diagram.white_cells()}
-    return build_TC(diagram, QQ, assignment)
+    return build_TC(diagram, QQ, dict.fromkeys(diagram.white_cells(), Fraction(1)))
 
 
 # ---------------------------------------------------------------------------

@@ -96,11 +96,6 @@ def is_admissible(family: MinorFamily) -> AdmissibleVerdict:
     return AdmissibleVerdict(descriptor is not None, descriptor)
 
 
-def witness_matrix(diagram: CauchonDiagram) -> Matrix:
-    """A rational matrix inside the diagram's cell: all white cells set to 1."""
-    return ones_TC(diagram)
-
-
 def cell_of(matrix: Matrix) -> CellDescriptor:
     """Classify a TNN matrix by the cell it belongs to.
 
@@ -178,7 +173,7 @@ def _check_diagram(diagram: CauchonDiagram) -> dict[str, Any] | None:
     check that the diagram's witness matrix tests back to the diagram."""
     # the witness is ones_TC, so its zero minors are vanishing_family(diagram);
     # unifying_check has applied that function's guard to the whole grid
-    witness = witness_matrix(diagram)
+    witness = ones_TC(diagram)
     via_restoration = exact_vanishing_minors(witness)
     w = pipe_dream(diagram)
     via_permutation = minor_family(w, diagram.m, diagram.p)

@@ -97,16 +97,22 @@ def _index_list(text: str) -> tuple[int, ...]:
 
 
 def _emit(
-    fmt: str, payload: dict[str, Any], text: str | Callable[[], str], code: int = 0
+    fmt: str,
+    payload: dict[str, Any] | Callable[[], dict[str, Any]],
+    text: str | Callable[[], str],
+    code: int = 0,
 ) -> None:
-    # A costly listing is passed as a callable, built only in text mode.
+    # A costly payload or listing is passed as a callable, built only in the
+    # format that prints it.
     # Streams are passed explicitly: click caches a wrapper per default
     # stream and the cached wrapper of a text stream is the stream itself, so
     # a caller that swaps sys.stdout per call (in-process use, CliRunner)
     # would keep every call's output alive. JSON goes on one line: with an
     # indent the json module falls back from its C encoder to pure Python.
     if fmt == "json":
-        click.echo(json.dumps(payload), file=sys.stdout)
+        click.echo(
+            json.dumps(payload() if callable(payload) else payload), file=sys.stdout
+        )
     else:
         click.echo(text() if callable(text) else text, file=sys.stdout)
     sys.exit(code)
@@ -281,7 +287,7 @@ def vanish(diagram_src: str, fmt: str) -> None:
     """The identically vanishing minors of a diagram's canonical matrix."""
     diagram = _diagram_arg(diagram_src)
     family = cauchon_mod.vanishing_family(diagram)
-    _emit(fmt, family.to_json(), lambda: _listing(family))
+    _emit(fmt, family.to_json, lambda: _listing(family))
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +452,7 @@ def perm_mw(w: str, m: int, p: int, fmt: str) -> None:
     """The minor family attached to a restricted permutation."""
     perm_value = perm_mod.parse_permutation(w, m + p)
     family = perm_mod.minor_family(perm_value, m, p)
-    _emit(fmt, family.to_json(), lambda: _listing(family))
+    _emit(fmt, family.to_json, lambda: _listing(family))
 
 
 @perm.command(name="bruhat")
@@ -523,16 +529,11 @@ def cells_admissible(family_src: str, fmt: str) -> None:
 def cells_of(matrix: str, fmt: str) -> None:
     """Classify a TNN matrix into its cell."""
     descriptor = cells_mod.cell_of(_matrix_arg(matrix))
-    if fmt == "json":  # spares decoding the family a second time for text
-        _emit(fmt, descriptor.to_json(), "")
-    text = "\n".join(
-        [
-            descriptor.diagram.to_ascii(),
-            f"permutation {descriptor.permutation.one_line()}",
-            f"family {descriptor.family}",
-        ]
-    )
-    _emit(fmt, descriptor.to_json(), text)
+    _emit(fmt, descriptor.to_json, lambda: "\n".join([
+        descriptor.diagram.to_ascii(),
+        f"permutation {descriptor.permutation.one_line()}",
+        f"family {descriptor.family}",
+    ]))
 
 
 @cells_group.command(name="verify")

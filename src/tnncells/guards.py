@@ -15,7 +15,8 @@ expression costs its reader one level of recursion, a count of disjoint path
 families takes a step per vertex its walks visit and per (partial family,
 path) pair it tries, a restoration or deleting-derivations sweep may rewrite
 (m*p)^2 entries, and one product of exact values produces |f|*|g| term
-pairs, plus, in the quantum product, the terms each word rewrite sums. The
+pairs (in the quantum product, pairs of coefficient terms), plus, in the
+quantum product, the terms each word rewrite sums. The
 product budget is checked before the pairs are formed and again after every
 rewrite, so a product over budget stops early. The expression reader checks
 its limits on a first, zero-valued read, before it evaluates anything.

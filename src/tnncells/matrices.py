@@ -1,8 +1,9 @@
-"""Exact matrices over a scalar domain, minors and positivity predicates.
+"""Exact matrices, minors and positivity predicates.
 
-The matrix type is deliberately small: immutable row-major storage plus a
-:class:`~tnncells.scalars.ScalarDomain` tag naming the entries' ring; the
-entries do their own arithmetic through Python operators. All
+The matrix type is deliberately small: immutable row-major storage whose
+entries do their own arithmetic through Python operators, so a matrix's ring
+is the type of its entries (``Fraction``, or an exact value such as
+``MPoly``); plain ints are lifted to ``Fraction``. All
 indices in the public API are 1-based; row sets and column sets are strictly
 increasing tuples, and composite minors print as ``[1,2|2,3]``.
 
@@ -16,7 +17,8 @@ integer table, :func:`minor_sizes`: denominators are cleared once per
 matrix, and each k-minor follows from the (k-1)-minors by Laplace expansion
 along its last row, in at most k multiply-adds with no division. Single
 determinants and minors run fraction-free Bareiss elimination on integers.
-Matrices over other domains (the symbolic canonical matrices, whose entries
+Every rational-only call checks once that the entries it reads are
+``Fraction``. Other matrices (the symbolic canonical matrices, whose entries
 are Laurent polynomials in the white-cell variables) are for display,
 entrywise arithmetic and the sweeps, not for determinants.
 """
@@ -27,14 +29,13 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, lcm
 from operator import itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 from . import guards
 from .errors import DomainError, json_int, parse_json
-from .scalars import QQ, RationalDomain, ScalarDomain
 
 # ---------------------------------------------------------------------------
 # Minor indexing
@@ -244,34 +245,27 @@ class MinorFamily:
 
 
 class Matrix:
-    """An immutable m x p matrix over a scalar domain."""
+    """An immutable m x p matrix; plain int entries become ``Fraction``."""
 
-    __slots__ = ("domain", "m", "p", "rows")
+    __slots__ = ("m", "p", "rows")
 
-    def __init__(self, domain: ScalarDomain, rows: Sequence[Sequence[Any]]):
-        rows = tuple(tuple(r) for r in rows)
+    def __init__(self, rows: Sequence[Sequence[Any]]):
+        rows = tuple(map(tuple, rows))
+        if int in set(map(type, chain.from_iterable(rows))):
+            rows = tuple(
+                tuple(Fraction(x) if type(x) is int else x for x in r) for r in rows
+            )
         if not rows or not rows[0]:
             raise DomainError("matrices need at least one row and one column")
         p = len(rows[0])
         if any(len(r) != p for r in rows):
             raise DomainError("ragged rows")
-        object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "m", len(rows))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "rows", rows)
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("Matrix is immutable")
-
-    @classmethod
-    def from_rows(
-        cls, rows: Sequence[Sequence[Any]], domain: ScalarDomain = QQ
-    ) -> "Matrix":
-        """Build a matrix, lifting plain ints into the domain."""
-        zero = domain.zero()
-        return cls(domain, [
-            [zero + x if isinstance(x, int) else x for x in row] for row in rows
-        ])
 
     def entry(self, i: int, alpha: int) -> Any:
         """Entry in row i, column alpha (1-based)."""
@@ -280,7 +274,7 @@ class Matrix:
         return self.rows[i - 1][alpha - 1]
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.domain, list(zip(*self.rows)))
+        return Matrix(zip(*self.rows))
 
     def equals(self, other: "Matrix") -> bool:
         return self.rows == other.rows
@@ -293,7 +287,7 @@ class Matrix:
         )
 
     def __repr__(self) -> str:
-        return f"Matrix({self.m}x{self.p} over {self.domain.name})"
+        return f"Matrix({self.m}x{self.p})"
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +332,7 @@ def _det_rational(rows: list[list[Fraction]]) -> Fraction:
 def determinant(matrix: Matrix) -> Fraction:
     if matrix.m != matrix.p:
         raise DomainError(f"determinant of non-square {matrix.m}x{matrix.p}")
-    _require_rational(matrix, "a determinant")
+    _require_rational(matrix.rows, "a determinant")
     return _det_rational([list(r) for r in matrix.rows])
 
 
@@ -346,12 +340,13 @@ def minor(matrix: Matrix, ix: MinorIndex) -> Fraction:
     """The exact value of one minor of a rational matrix."""
     if not ix.fits(matrix.m, matrix.p):
         raise DomainError(f"{ix} does not fit in {matrix.m}x{matrix.p}")
-    _require_rational(matrix, "a minor")
-    sub = [
-        [matrix.rows[i - 1][a - 1] for a in ix.cols]
-        for i in ix.rows
-    ]
+    sub = _submatrix(matrix, ix)
+    _require_rational(sub, "a minor")
     return _det_rational(sub)
+
+
+def _submatrix(matrix: Matrix, ix: MinorIndex) -> list[list[Any]]:
+    return [[matrix.rows[i - 1][a - 1] for a in ix.cols] for i in ix.rows]
 
 
 def minor_count(m: int, p: int) -> int:
@@ -382,7 +377,7 @@ def minor_sizes(matrix: Matrix) -> Iterator[tuple[int, dict[tuple, int]]]:
     expansion of s*A's (k-1)-minors along row ``rows[-1]``, and only two
     sizes are held at a time. The whole scan is guarded by its minor count.
     """
-    _require_rational(matrix, "a minor table")
+    _require_rational(matrix.rows, "a minor table")
     guards.ensure(
         minor_count(matrix.m, matrix.p), guards.MINOR_TABLE_LIMIT, "minors in one scan"
     )
@@ -467,22 +462,27 @@ def initial_minors(matrix: Matrix) -> list[tuple[MinorIndex, Any]]:
     """The n^2 initial minors of a square matrix, row-major by corner entry."""
     if matrix.m != matrix.p:
         raise DomainError("initial minors are defined for square matrices")
+    _require_rational(matrix.rows, "initial minors")
     out = []
     for i in range(1, matrix.m + 1):
         for alpha in range(1, matrix.p + 1):
             ix = initial_minor_index(i, alpha)
-            out.append((ix, minor(matrix, ix)))
+            out.append((ix, _det_rational(_submatrix(matrix, ix))))
     return out
 
 
-def _require_rational(matrix: Matrix, what: str) -> None:
-    if not isinstance(matrix.domain, RationalDomain):
-        raise DomainError(f"{what} needs rational entries, not {matrix.domain.name}")
+def _require_rational(rows: Iterable[Sequence[Any]], what: str) -> None:
+    """Refuse rows with an entry that is not a ``Fraction``."""
+    for row in rows:
+        for x in row:
+            if not isinstance(x, Fraction):
+                raise DomainError(
+                    f"{what} needs rational entries, not {type(x).__name__}"
+                )
 
 
 def is_tp(matrix: Matrix) -> bool:
     """Total positivity of a square rational matrix via its initial minors."""
-    _require_rational(matrix, "total positivity")
     if matrix.m != matrix.p:
         raise DomainError("total positivity test is for square matrices")
     return all(value > 0 for _, value in initial_minors(matrix))
@@ -534,11 +534,11 @@ def matrix_from_json(obj: Any) -> Matrix:
     if len(entries) != m or any(len(row) != p for row in entries):
         raise DomainError(f"entries do not form an {m}x{p} grid")
     rows = [[parse_rational(x) for x in row] for row in entries]
-    return Matrix(QQ, rows)
+    return Matrix(rows)
 
 
 def matrix_to_json(matrix: Matrix) -> dict[str, Any]:
-    _require_rational(matrix, "JSON export")
+    _require_rational(matrix.rows, "JSON export")
     return {
         "m": matrix.m,
         "p": matrix.p,
@@ -556,7 +556,7 @@ def matrix_from_csv(text: str) -> Matrix:
         rows.append([parse_rational(cell) for cell in line.split(",")])
     if not rows:
         raise DomainError("no rows in CSV input")
-    return Matrix(QQ, rows)
+    return Matrix(rows)
 
 
 def load_matrix_text(text: str) -> Matrix:

@@ -36,7 +36,6 @@ from . import guards
 from .diagrams import CauchonDiagram
 from .errors import DomainError, json_int, parse_json
 from .matrices import Matrix, MinorIndex, parse_rational
-from .scalars import QQ
 
 
 def source_id(i: int) -> str:
@@ -226,10 +225,8 @@ def path_matrix(network: PlanarNetwork) -> Matrix:
                 continue
             for to, weight in out[v]:
                 acc[to] = acc.get(to, 0) + value * weight
-        rows.append([
-            Fraction(acc.get(sink_id(a), 0)) for a in range(1, network.p + 1)
-        ])
-    return Matrix(QQ, rows)
+        rows.append([acc.get(sink_id(a), 0) for a in range(1, network.p + 1)])
+    return Matrix(rows)
 
 
 def nonintersecting_counts(

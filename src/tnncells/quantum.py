@@ -108,6 +108,10 @@ def _normal_forms(
     return memo
 
 
+def _coefficient_terms(f: "QPoly") -> int:
+    return sum(len(coeff.terms) for coeff in f.terms.values())
+
+
 class QPoly(ExactValue):
     """An element of the quantum matrix algebra in normal form.
 
@@ -174,9 +178,13 @@ class QPoly(ExactValue):
         return self._new({w: coeff * c for w, c in self.terms.items()})
 
     def multiply(self, other: "QPoly", strategy: Strategy = "leftmost") -> "QPoly":
-        """The product in normal form; ``strategy`` picks the rewrite spot."""
+        """The product in normal form; ``strategy`` picks the rewrite spot.
+
+        It is charged one unit per pair of coefficient terms, the work of
+        multiplying the ``LaurentQ`` coefficient of every word pair.
+        """
         self._check(other)
-        pairs = len(self.terms) * len(other.terms)
+        pairs = _coefficient_terms(self) * _coefficient_terms(other)
         guards.ensure(pairs, guards.PRODUCT_TERM_LIMIT, "terms of one product")
         products = [
             (w1 + w2, c1 * c2)

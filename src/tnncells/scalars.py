@@ -18,9 +18,8 @@ product. Two concrete rings live in this module:
 and ``ExpPoly`` (flows, keyed by ``(l, d)`` for ``t^d e^(l t)``) derive from
 it too. Results of the shared operations are built through the trusted
 ``_new``; the public constructors keep validating what comes from outside.
-:class:`ScalarDomain` is only a tag naming the ring a matrix lives in: the
-rationals (:data:`QQ`, entries are ``Fraction``) or the Laurent polynomials
-of a symbolic canonical matrix (:class:`LaurentDomain`).
+A matrix's ring is the type of its entries: ``Fraction`` for the rationals,
+``MPoly`` for a symbolic canonical matrix. No separate tag names it.
 
 The module also contains the small expression grammar shared by the command
 line tools: variables such as ``t[1,3]`` or ``a``, integer (and ``3/2``
@@ -430,53 +429,10 @@ LaurentQ.ONE = LaurentQ({0: 1})
 LaurentQ.Q_MINUS_QINV = LaurentQ({1: 1, -1: -1})
 
 
-# ---------------------------------------------------------------------------
-# Scalar domains
-# ---------------------------------------------------------------------------
-
-
-class ScalarDomain:
-    """A tag naming the ring a matrix's entries live in.
-
-    The entries carry their own arithmetic; the tag gives the ring's name
-    and its zero, and lets rational-only code refuse other rings.
-    """
-
-    name = "abstract"
-
-    def zero(self) -> Any:
-        raise NotImplementedError
-
-
-class RationalDomain(ScalarDomain):
-    """Exact rational numbers (Fraction)."""
-
-    name = "QQ"
-
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-
-class LaurentDomain(ScalarDomain):
-    """Laurent polynomials (MPoly) over a fixed variable tuple.
-
-    ``MPoly`` division is exact only by a unit monomial (one term,
-    coefficient +-1), which is every division the restoration and deletion
-    sweeps make on a symbolic canonical matrix.
-    """
-
-    def __init__(self, names: Sequence[str]):
-        self.names = tuple(names)
-        self.name = f"ZZ[{','.join(n + '^+-1' for n in self.names)}]"
-
-    def zero(self) -> MPoly:
-        return MPoly.zero(self.names)
-
-    def var(self, name: str) -> MPoly:
-        return MPoly.var(self.names, name)
-
-
-QQ = RationalDomain()
+# The rational zero. A matrix's ring is the type of its entries, so no tag
+# names it; the name survives because callers pass it as the zero that
+# ``cauchon.build_TC`` seeds on black cells.
+QQ = Fraction(0)
 
 
 # ---------------------------------------------------------------------------

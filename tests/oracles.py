@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from itertools import permutations as iter_perms
 
-from tnncells.scalars import evaluate_expression, int_const
+from tnncells.scalars import MPoly, evaluate_expression, int_const
 
 
 def leibniz_det(rows):
@@ -55,10 +55,12 @@ def leibniz_witness(rows):
     return None
 
 
-def read_laurent(text, domain):
-    """Printed polynomial text read back into a LaurentDomain, term by term."""
+def read_laurent(text, names):
+    """Printed polynomial text read back into an MPoly over ``names``, term by term."""
     return evaluate_expression(
-        text, const=lambda c: domain.zero() + int_const(c), symbol=domain.var
+        text,
+        const=lambda c: MPoly.const(names, int_const(c)),
+        symbol=lambda name: MPoly.var(names, name),
     )
 
 

@@ -105,22 +105,22 @@ def test_criterion_01_matching_counts():
 
 
 def test_criterion_02_restoration_fixture():
-    seed = Matrix.from_rows([[1, -1, 1], [0, 2, 1], [1, 1, 1]])
+    seed = Matrix([[1, -1, 1], [0, 2, 1], [1, 1, 1]])
     after = {ix: stage for ix, stage in restoration_stages(seed)}
     ok = (
-        after[(2, 3)].equals(Matrix.from_rows([[1, 1, 1], [0, 2, 1], [1, 1, 1]]))
-        and after[(3, 2)].equals(Matrix.from_rows([[2, 1, 1], [2, 2, 1], [1, 1, 1]]))
-        and after[(3, 3)].equals(Matrix.from_rows([[3, 2, 1], [3, 3, 1], [1, 1, 1]]))
+        after[(2, 3)].equals(Matrix([[1, 1, 1], [0, 2, 1], [1, 1, 1]]))
+        and after[(3, 2)].equals(Matrix([[2, 1, 1], [2, 2, 1], [1, 1, 1]]))
+        and after[(3, 3)].equals(Matrix([[3, 2, 1], [3, 3, 1], [1, 1, 1]]))
     )
     report(2, "restoration intermediates and final", ok)
 
 
 def test_criterion_03_tc_fixture():
     T = symbolic_TC(DEMO)
-    dom = T.domain
+    names = [white_variable(c) for c in DEMO.white_cells()]
 
     def v(cell):
-        return dom.var(white_variable(cell))
+        return MPoly.var(names, white_variable(cell))
 
     t11, t13, t23 = v((1, 1)), v((1, 3)), v((2, 3))
     t31, t32, t33 = v((3, 1)), v((3, 2)), v((3, 3))
@@ -133,7 +133,7 @@ def test_criterion_03_tc_fixture():
         T.rows[i][a] == expect[i][a] for i in range(3) for a in range(3)
     )
     ones_ok = ones_TC(DEMO).equals(
-        Matrix.from_rows([[2, 1, 1], [1, 1, 1], [1, 1, 1]])
+        Matrix([[2, 1, 1], [1, 1, 1], [1, 1, 1]])
     )
     report(3, "symbolic T_C and unit-seeded T_C", symbolic_ok and ones_ok)
 
@@ -191,7 +191,7 @@ def test_criterion_07_tp_against_minor_oracle():
     mismatches = 0
     for _ in range(1000):
         n = rng.randint(2, 4)
-        M = Matrix.from_rows(
+        M = Matrix(
             [[Fraction(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
         )
         oracle = all(v > 0 for _, v in all_minors(M))

@@ -11,6 +11,7 @@ from tnncells.cauchon import (
     build_TC,
     delete_step,
     deleting_derivations,
+    deleting_stages,
     ones_TC,
     restoration,
     restoration_stages,
@@ -32,7 +33,7 @@ from tnncells.matrices import (
     is_tnn_bruteforce,
     iter_minor_indices,
 )
-from tnncells.scalars import LaurentDomain, QQ
+from tnncells.scalars import MPoly, QQ
 
 
 DEMO = CauchonDiagram.from_ascii(".#.\n##.\n...")
@@ -42,7 +43,7 @@ def rational_matrix(m, p, lo=-4, hi=4):
     entry = st.integers(lo, hi).map(Fraction)
     return st.lists(
         st.lists(entry, min_size=p, max_size=p), min_size=m, max_size=m
-    ).map(Matrix.from_rows)
+    ).map(Matrix)
 
 
 any_matrices = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
@@ -52,7 +53,7 @@ any_matrices = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
 
 def test_sweeps_are_guarded_before_the_first_step():
     n = 40
-    pascal = Matrix.from_rows(
+    pascal = Matrix(
         [[comb(i + a, i) for a in range(n)] for i in range(n)]
     )
     for sweep in (restoration, deleting_derivations):
@@ -65,7 +66,7 @@ def test_step_order_is_lexicographic():
 
 
 def test_single_step_touches_strict_northwest_only():
-    M = Matrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    M = Matrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     out = delete_step(M, 3, 3)
     assert out.rows[2] == M.rows[2]
     assert all(out.entry(i, 3) == M.entry(i, 3) for i in (1, 2))
@@ -73,13 +74,13 @@ def test_single_step_touches_strict_northwest_only():
 
 
 def test_zero_pivot_step_is_identity():
-    M = Matrix.from_rows([[1, 2], [3, 0]])
+    M = Matrix([[1, 2], [3, 0]])
     assert delete_step(M, 2, 2).equals(M)
     assert restore_step(M, 2, 2).equals(M)
 
 
 def test_restoration_worked_example_stage_by_stage():
-    seed = Matrix.from_rows([[1, -1, 1], [0, 2, 1], [1, 1, 1]])
+    seed = Matrix([[1, -1, 1], [0, 2, 1], [1, 1, 1]])
     after = {ix: stage for ix, stage in restoration_stages(seed)}
     expect = {
         (2, 3): [[1, 1, 1], [0, 2, 1], [1, 1, 1]],
@@ -87,21 +88,21 @@ def test_restoration_worked_example_stage_by_stage():
         (3, 3): [[3, 2, 1], [3, 3, 1], [1, 1, 1]],
     }
     for ix, rows in expect.items():
-        assert after[ix].equals(Matrix.from_rows(rows)), ix
+        assert after[ix].equals(Matrix(rows)), ix
     # steps before (2,3) leave this seed alone
     assert after[(2, 2)].equals(seed)
 
 
 def test_deleting_worked_example():
-    M = Matrix.from_rows([[2, 1, 1], [1, 1, 1], [1, 1, 1]])
+    M = Matrix([[2, 1, 1], [1, 1, 1], [1, 1, 1]])
     out = deleting_derivations(M)
-    assert out.equals(Matrix.from_rows([[1, 0, 1], [0, 0, 1], [1, 1, 1]]))
+    assert out.equals(Matrix([[1, 0, 1], [0, 0, 1], [1, 1, 1]]))
 
 
 def test_deletion_inverts_restoration_on_worked_example():
-    M = Matrix.from_rows([[3, 2, 1], [3, 3, 1], [1, 1, 1]])
+    M = Matrix([[3, 2, 1], [3, 3, 1], [1, 1, 1]])
     assert deleting_derivations(M).equals(
-        Matrix.from_rows([[1, -1, 1], [0, 2, 1], [1, 1, 1]])
+        Matrix([[1, -1, 1], [0, 2, 1], [1, 1, 1]])
     )
 
 
@@ -120,7 +121,7 @@ def test_tnn_test_agrees_with_bruteforce(M):
 
 
 def test_tnn_test_returns_the_zero_diagram():
-    M = Matrix.from_rows([[2, 1, 1], [1, 1, 1], [1, 1, 1]])
+    M = Matrix([[2, 1, 1], [1, 1, 1], [1, 1, 1]])
     verdict = tnn_test(M)
     assert verdict.is_tnn
     assert verdict.diagram == DEMO
@@ -128,9 +129,32 @@ def test_tnn_test_returns_the_zero_diagram():
 
 def test_tnn_test_rejects_with_bad_zero_pattern():
     # entrywise nonnegative output whose zeros fail the diagram rule
-    M = Matrix.from_rows([[0, 1], [1, 1]])
+    M = Matrix([[0, 1], [1, 1]])
     verdict = tnn_test(M)
     assert not verdict.is_tnn
+
+
+def test_int_entries_keep_the_verdict_exact():
+    # the determinant is -1; in floating point the sweep's last entry is 0.0
+    n = 10**17
+    M = Matrix([[n + 1, n], [n, n - 1]])
+    assert not tnn_test(M).is_tnn
+    assert is_tnn_bruteforce(M) == (False, MinorIndex((1, 2), (1, 2)))
+
+
+def test_sweep_outputs_of_int_entries_are_fractions():
+    M = Matrix([[1, 2], [3, 4]])
+    outputs = [
+        deleting_derivations(M),
+        restoration(M),
+        tnn_test(M).final,
+        delete_step(M, 2, 2),
+        restore_step(M, 2, 2),
+        *(stage for _, stage in restoration_stages(M)),
+        *(stage for _, stage in deleting_stages(M)),
+    ]
+    for out in outputs:
+        assert all(type(x) is Fraction for row in out.rows for x in row)
 
 
 class TestSeeding:
@@ -153,17 +177,16 @@ class TestSeeding:
 
 def test_ones_TC_demo():
     assert ones_TC(DEMO).equals(
-        Matrix.from_rows([[2, 1, 1], [1, 1, 1], [1, 1, 1]])
+        Matrix([[2, 1, 1], [1, 1, 1], [1, 1, 1]])
     )
 
 
 def test_symbolic_TC_demo_matches_hand_computation():
     T = symbolic_TC(DEMO)
-    dom = T.domain
-    assert isinstance(dom, LaurentDomain)
+    names = [white_variable(c) for c in DEMO.white_cells()]
 
     def v(cell):
-        return dom.var(white_variable(cell))
+        return MPoly.var(names, white_variable(cell))
 
     t11, t13 = v((1, 1)), v((1, 3))
     t23 = v((2, 3))
@@ -183,10 +206,10 @@ def test_symbolic_TC_entries_print_and_parse_back():
         for p in range(1, 4):
             for d in enumerate_diagrams(m, p):
                 T = symbolic_TC(d)
-                dom = T.domain
+                names = [white_variable(c) for c in d.white_cells()]
                 for row in T.rows:
                     for x in row:
-                        back = oracles.read_laurent(str(x), dom)
+                        back = oracles.read_laurent(str(x), names)
                         assert back == x, (d.to_ascii(), str(x))
 
 

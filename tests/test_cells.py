@@ -12,7 +12,6 @@ from tnncells.cells import (
     cell_of,
     is_admissible,
     unifying_check,
-    witness_matrix,
 )
 from tnncells.diagrams import CauchonDiagram, enumerate_diagrams
 from tnncells.errors import DomainError
@@ -70,11 +69,11 @@ def test_empty_family_is_the_big_cell():
     assert verdict.descriptor.diagram == CauchonDiagram.all_white(2, 2)
 
 
-def test_witness_matrix_vanishing_minors_close_the_loop():
+def test_ones_TC_vanishing_minors_close_the_loop():
     # every diagram of the grids that criterion 9's exhaustive sweep leaves out
     for m, p in [(2, 4), (4, 2), (3, 4), (4, 3), (2, 5), (5, 2)]:
         for d in enumerate_diagrams(m, p):
-            W = witness_matrix(d)
+            W = ones_TC(d)
             assert set(exact_vanishing_minors(W)) == set(
                 minor_family(pipe_dream(d), m, p)
             ), d.to_ascii()
@@ -87,14 +86,14 @@ def test_cell_of_round_trip():
 
 
 def test_cell_of_demo_matrix():
-    descriptor = cell_of(Matrix.from_rows([[2, 1, 1], [1, 1, 1], [1, 1, 1]]))
+    descriptor = cell_of(Matrix([[2, 1, 1], [1, 1, 1], [1, 1, 1]]))
     assert descriptor.diagram == DEMO
     assert descriptor.permutation.one_line() == "135246"
     assert len(descriptor.family) == 6
 
 
 def test_cell_of_rejects_non_tnn_with_witness():
-    bad = Matrix.from_rows([[0, 1], [1, 0]])
+    bad = Matrix([[0, 1], [1, 0]])
     with pytest.raises(DomainError) as err:
         cell_of(bad)
     assert "[1,2|1,2]" in str(err.value)
@@ -103,7 +102,7 @@ def test_cell_of_rejects_non_tnn_with_witness():
     for size in (3, 4):
         seen = 0
         while seen < 20:
-            M = Matrix.from_rows(
+            M = Matrix(
                 [[rng.randint(-2, 5) for _ in range(size)] for _ in range(size)]
             )
             ok, witness = is_tnn_bruteforce(M)

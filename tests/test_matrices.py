@@ -10,6 +10,8 @@ from hypothesis import given, strategies as st
 
 import oracles
 from tnncells import guards
+from tnncells.cauchon import tnn_test
+from tnncells.cells import cell_of
 from tnncells.errors import DomainError, ResourceGuardError
 from tnncells.matrices import (
     Matrix,
@@ -17,6 +19,7 @@ from tnncells.matrices import (
     MinorIndex,
     all_minors,
     determinant,
+    exact_vanishing_minors,
     initial_minor_index,
     initial_minors,
     is_tnn_bruteforce,
@@ -31,14 +34,14 @@ from tnncells.matrices import (
     minor_sizes,
     parse_rational,
 )
-from tnncells.scalars import LaurentDomain
+from tnncells.scalars import MPoly
 
 
 def rational_matrix(m, p, lo=-5, hi=5, max_denominator=1):
     entry = st.builds(Fraction, st.integers(lo, hi), st.integers(1, max_denominator))
     return st.lists(
         st.lists(entry, min_size=p, max_size=p), min_size=m, max_size=m
-    ).map(Matrix.from_rows)
+    ).map(Matrix)
 
 
 square_matrices = st.integers(2, 4).flatmap(lambda n: rational_matrix(n, n))
@@ -137,13 +140,28 @@ def test_every_minor_matches_leibniz(M):
         assert minor(M, ix) == oracles.leibniz_minor(M.rows, ix.rows, ix.cols)
 
 
-def test_determinants_are_rational_only():
-    dom = LaurentDomain(["x"])
-    M = Matrix.from_rows([[dom.var("x")]], dom)
+@pytest.mark.parametrize("call", [
+    determinant,
+    lambda M: minor(M, MinorIndex((1, 2), (1, 2))),
+    lambda M: next(minor_sizes(M)),
+    initial_minors,
+    is_tp,
+    is_tnn_bruteforce,
+    all_minors,
+    exact_vanishing_minors,
+    tnn_test,
+    matrix_to_json,
+    cell_of,
+], ids=[
+    "determinant", "minor", "minor_sizes", "initial_minors", "is_tp",
+    "is_tnn_bruteforce", "all_minors", "exact_vanishing_minors", "tnn_test",
+    "matrix_to_json", "cell_of",
+])
+def test_rational_only_entry_points_refuse_symbolic_entries(call):
+    x = MPoly.var(("x",), "x")
+    M = Matrix([[x, x], [x, x]])
     with pytest.raises(DomainError):
-        determinant(M)
-    with pytest.raises(DomainError):
-        minor(M, MinorIndex((1,), (1,)))
+        call(M)
 
 
 @given(any_matrices)
@@ -156,7 +174,7 @@ def test_minors_respect_transposition(M):
 def test_initial_minor_layout():
     ix = initial_minor_index(3, 2)
     assert ix == MinorIndex((2, 3), (1, 2))
-    M = Matrix.from_rows([[1, 2], [3, 4]])
+    M = Matrix([[1, 2], [3, 4]])
     labels = [ix for ix, _ in initial_minors(M)]
     assert labels[0] == MinorIndex((1,), (1,))
     assert len(labels) == 4
@@ -169,13 +187,13 @@ def test_is_tp_agrees_with_all_minors_oracle(M):
 
 
 def test_is_tp_examples():
-    assert is_tp(Matrix.from_rows([[1, 1], [1, 2]]))
-    assert not is_tp(Matrix.from_rows([[1, 1], [1, 1]]))
+    assert is_tp(Matrix([[1, 1], [1, 2]]))
+    assert not is_tp(Matrix([[1, 1], [1, 1]]))
 
 
 def test_is_tp_rejects_rectangles():
     with pytest.raises(DomainError):
-        is_tp(Matrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+        is_tp(Matrix([[1, 2, 3], [4, 5, 6]]))
 
 
 @given(any_matrices)
@@ -189,7 +207,7 @@ def test_tnn_bruteforce_witness_is_negative(M):
 
 
 def test_tnn_zero_matrix():
-    assert is_tnn_bruteforce(Matrix.from_rows([[0, 0], [0, 0]])) == (True, None)
+    assert is_tnn_bruteforce(Matrix([[0, 0], [0, 0]])) == (True, None)
 
 
 @st.composite
@@ -205,7 +223,7 @@ def table_matrices(draw):
     M = draw(rational_matrix(m, p, lo=-9, hi=9, max_denominator=9))
     zero_rows = draw(st.sets(st.integers(1, m), max_size=2))
     zero_cols = draw(st.sets(st.integers(1, p), max_size=2))
-    return Matrix.from_rows([
+    return Matrix([
         [0 if i in zero_rows or a in zero_cols else x for a, x in enumerate(row, 1)]
         for i, row in enumerate(M.rows, 1)
     ])
@@ -231,9 +249,9 @@ def test_minor_table_matches_leibniz(M):
 def test_minor_table_guard():
     guards.ensure(minor_count(10, 10), guards.MINOR_TABLE_LIMIT, "minors")
     with pytest.raises(ResourceGuardError):
-        next(minor_sizes(Matrix.from_rows([[0] * 11] * 11)))
+        next(minor_sizes(Matrix([[0] * 11] * 11)))
     with pytest.raises(DomainError):
-        next(minor_sizes(Matrix.from_rows([[1]], LaurentDomain(["x"]))))
+        next(minor_sizes(Matrix([[MPoly.one(("x",))]])))
 
 
 def _perturbed_tnn(rng, n):
@@ -249,7 +267,7 @@ def _perturbed_tnn(rng, n):
     positive = [(i, a) for i in range(n) for a in range(n) if rows[i][a] > 0]
     i, a = rng.choice(positive)
     rows[i][a] *= Fraction(rng.randint(1, 9), 10)
-    return Matrix.from_rows(rows)
+    return Matrix(rows)
 
 
 @pytest.mark.parametrize("n", [4, 6])
@@ -269,7 +287,7 @@ def test_bruteforce_witness_matches_leibniz_rule(n):
 
 class TestSerialization:
     def test_json_roundtrip(self):
-        M = Matrix.from_rows([[Fraction(1, 2), 3], [0, -2]])
+        M = Matrix([[Fraction(1, 2), 3], [0, -2]])
         assert matrix_from_json(matrix_to_json(M)).equals(M)
 
     def test_csv(self):

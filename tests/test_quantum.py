@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tnncells.errors import DomainError
+from tnncells.errors import DomainError, ResourceGuardError
 from tnncells.quantum import (
     QPoly,
     commutator,
@@ -88,6 +88,14 @@ class TestNormalForm:
         a40, b40 = parse_qpoly("a^40", 2, 2), parse_qpoly("b^40", 2, 2)
         expected = (a40 * b40).scaled(LaurentQ.q_power(-1600))
         assert b40.multiply(a40, strategy) == expected
+
+    def test_product_budget_counts_coefficient_terms(self):
+        # 10 words with 100-term coefficients: 100 word pairs, but 1,000,000
+        # pairs of coefficient terms, far over the product budget
+        coeff = LaurentQ({e: 1 for e in range(100)})
+        f = QPoly(2, 2, {((1, 1),) * k: coeff for k in range(1, 11)})
+        with pytest.raises(ResourceGuardError):
+            f.multiply(f)
 
     def test_normal_words_pass_through(self):
         a, d = gen(1, 1), gen(2, 2)

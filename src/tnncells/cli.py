@@ -220,13 +220,12 @@ def tnn_check(matrix: str, method: str, fmt: str) -> None:
 
 def _run_sweep(matrix: str, fmt: str, stages: bool, forward: bool) -> None:
     M = _matrix_arg(matrix)
-    stage_fn = (
-        cauchon_mod.restoration_stages
-        if forward
-        else cauchon_mod.deleting_stages
-    )
-    steps = list(stage_fn(M))
-    final = steps[-1][1] if steps else M
+    if forward:
+        sweep, staged = cauchon_mod.restoration, cauchon_mod.restoration_stages
+    else:
+        sweep, staged = cauchon_mod.deleting_derivations, cauchon_mod.deleting_stages
+    steps = list(staged(M)) if stages else []
+    final = steps[-1][1] if steps else sweep(M)
     payload: dict[str, Any] = {"final": matrix_to_json(final)}
     lines = []
     if stages:

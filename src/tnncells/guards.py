@@ -14,12 +14,12 @@ expression multiplies once per unit of its exponent, each parenthesis in an
 expression costs its reader one level of recursion, a count of disjoint path
 families takes a step per vertex its walks visit and per (partial family,
 path) pair it tries, a restoration or deleting-derivations sweep may rewrite
-(m*p)^2 entries, and one product of exact values produces |f|*|g| term
-pairs (in the quantum product, pairs of coefficient terms), plus, in the
-quantum product, the terms each word rewrite sums. The
-product budget is checked before the pairs are formed and again after every
-rewrite, so a product over budget stops early. The expression reader checks
-its limits on a first, zero-valued read, before it evaluates anything.
+(m*p)^2 entries, and one product of exact values or Poisson bracket produces
+|f|*|g| term pairs (in the quantum product, pairs of coefficient terms, plus
+the terms each memo entry of its letter insertions sums). The product budget
+is checked before the pairs are formed and again as the insertion memo grows,
+so a product over budget stops early. The expression reader checks its
+limits on a first, zero-valued read, before it evaluates anything.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ PERMUTATION_LETTER_LIMIT = 1_000
 
 # Terms one product of exact values may produce. The largest product the 4x4
 # quantum and Poisson checks make, the 4x4 quantum determinant times itself,
-# produces 14,096.
+# is charged 3,453; the last product of (a+b+c+d)^9 at 2x2, 12,396.
 PRODUCT_TERM_LIMIT = 30_000
 
 

@@ -24,9 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, groupby
+from operator import add
 from typing import Any, Mapping
 
+from . import guards
 from .errors import ConsistencyError, DomainError, json_int
 from .quantum import _TWO_BY_TWO_ALIASES, QPoly, commutator
 from .scalars import ExactValue, MPoly, add_terms, evaluate_expression, int_const
@@ -38,6 +41,7 @@ def coordinate_name(i: int, a: int) -> str:
     return f"Y[{i},{a}]"
 
 
+@lru_cache(maxsize=None)
 def coordinate_names(m: int, p: int) -> tuple[str, ...]:
     return tuple(
         coordinate_name(i, a)
@@ -54,39 +58,53 @@ def coordinate(m: int, p: int, i: int, a: int) -> MPoly:
 
 def _generator_bracket(m: int, p: int, u: Cell, v: Cell) -> MPoly:
     """{Y_u, Y_v} for u < v in lexicographic order."""
-    names = coordinate_names(m, p)
     (i, a), (k, g) = u, v
     if i == k or a == g:
-        return MPoly.var(names, coordinate_name(*u)) * MPoly.var(
-            names, coordinate_name(*v)
-        )
+        return coordinate(m, p, *u) * coordinate(m, p, *v)
     if a > g:
-        return MPoly.zero(names)
-    return 2 * MPoly.var(names, coordinate_name(i, g)) * MPoly.var(
-        names, coordinate_name(k, a)
-    )
+        return MPoly.zero(coordinate_names(m, p))
+    return 2 * coordinate(m, p, i, g) * coordinate(m, p, k, a)
+
+
+@lru_cache(maxsize=None)
+def _bracket_table(m: int, p: int) -> tuple[tuple[Any, ...], ...]:
+    """``table[u][v]`` for coordinates u, v (row-major) is None when
+    {Y_u, Y_v} = 0, else ``(c, shift)`` with {Y_u, Y_v} = c Y^(e_u + e_v + shift);
+    ``shift`` is None when it is zero."""
+    cells = [(i, a) for i in range(1, m + 1) for a in range(1, p + 1)]
+    table: list[list[Any]] = [[None] * len(cells) for _ in cells]
+    for s, t in combinations(range(len(cells)), 2):
+        for exps, c in _generator_bracket(m, p, cells[s], cells[t]).terms.items():
+            shift = tuple(e - (k in (s, t)) for k, e in enumerate(exps))
+            shift = shift if any(shift) else None
+            table[s][t], table[t][s] = (c, shift), (-c, shift)
+    return tuple(map(tuple, table))
 
 
 def bracket(m: int, p: int, f: MPoly, g: MPoly) -> MPoly:
-    """Extend the generator table by bilinearity and Leibniz."""
+    """{f, g}, one pair of monomials at a time: by bilinearity and Leibniz,
+    {c Y^A, d Y^B} sums c d A_u B_v {Y_u, Y_v} Y^(A + B - e_u - e_v) over the
+    u, v with A_u, B_v nonzero, for exponents of either sign. It is charged
+    one unit per pair of terms, as a product."""
     names = coordinate_names(m, p)
     if f.names != names or g.names != names:
         raise DomainError(f"operands must live in the {m}x{p} coordinate ring")
-    cells = [(i, a) for i in range(1, m + 1) for a in range(1, p + 1)]
-    total = MPoly.zero(names)
-    for s, u in enumerate(cells):
-        fu = f.partial(coordinate_name(*u))
-        gu = g.partial(coordinate_name(*u))
-        if fu.is_zero and gu.is_zero:
-            continue
-        for v in cells[s + 1:]:
-            fv = f.partial(coordinate_name(*v))
-            gv = g.partial(coordinate_name(*v))
-            pairing = fu * gv - fv * gu
-            if pairing.is_zero:
-                continue
-            total = total + _generator_bracket(m, p, u, v) * pairing
-    return total
+    guards.ensure(len(f.terms) * len(g.terms), guards.PRODUCT_TERM_LIMIT, "terms of one product")
+    table = _bracket_table(m, p)
+    right = [(B, d, [(v, b) for v, b in enumerate(B) if b]) for B, d in g.terms.items()]
+    total: dict[tuple[int, ...], int] = {}
+    for A, c in f.terms.items():
+        left = [(table[u], c * a) for u, a in enumerate(A) if a]
+        for B, d, support in right:
+            AB = tuple(map(add, A, B))
+            for row, ca in left:
+                for v, b in support:
+                    entry = row[v]
+                    if entry is not None:
+                        coeff, shift = entry
+                        key = AB if shift is None else tuple(map(add, AB, shift))
+                        total[key] = total.get(key, 0) + ca * d * b * coeff
+    return MPoly.zero(names)._new({e: c for e, c in total.items() if c})
 
 
 def jacobi_check(m: int, p: int, f: MPoly, g: MPoly, h: MPoly) -> MPoly:
@@ -126,19 +144,10 @@ def parse_poisson(text: str, m: int, p: int) -> MPoly:
 # ---------------------------------------------------------------------------
 
 
-def _word_to_poly(word: tuple[Cell, ...], m: int, p: int) -> MPoly:
-    names = coordinate_names(m, p)
-    out = MPoly.one(names)
-    for cell in word:
-        out = out * MPoly.var(names, coordinate_name(*cell))
-    return out
-
-
 def semiclassical_poly(qpoly: QPoly) -> MPoly:
     """Divide by (q - 1), set q = 1 and read the words commutatively."""
     m, p = qpoly.m, qpoly.p
-    names = coordinate_names(m, p)
-    out = MPoly.zero(names)
+    terms = {}
     for word, coeff in qpoly.terms.items():
         try:
             scaled = coeff.divided_by_q_minus_one()
@@ -146,8 +155,12 @@ def semiclassical_poly(qpoly: QPoly) -> MPoly:
             raise ConsistencyError(
                 f"coefficient {coeff} of {word} is not divisible by q - 1"
             ) from exc
-        out = out + scaled.at_one() * _word_to_poly(word, m, p)
-    return out
+        exps = [0] * (m * p)
+        for i, a in word:
+            exps[(i - 1) * p + a - 1] += 1
+        # distinct normal words are distinct multisets of generators
+        terms[tuple(exps)] = scaled.at_one()
+    return MPoly(coordinate_names(m, p), terms)
 
 
 def semiclassical_check(m: int, p: int, i: int, a: int, k: int, g: int) -> bool:

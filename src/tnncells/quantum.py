@@ -9,11 +9,11 @@ Generators X[i,a] sit at the cells of an m x p grid and satisfy, for
                                  - (q - q^(-1)) X[i,g] X[k,a]
 
 Monomials in normal form list their generators in nondecreasing
-lexicographic order; every product is rewritten back to that basis. Each
-rewrite strictly lowers the word in degree-lex order, so reduction
-terminates, and the Ore-extension presentation guarantees the basis is
-honest (confluence is exercised by tests rather than assumed: reduction
-strategies are pluggable).
+lexicographic order. A product inserts its right factor's generators one
+at a time: X_x goes into a word ending in X_v > X_x by rewriting that pair
+by the relation above. Each rewrite strictly lowers the word in degree-lex
+order, so insertion terminates, and the Ore-extension presentation
+guarantees the basis is honest (tested against leftmost word rewriting).
 
 Coefficients are integer Laurent polynomials in q. The parameter is never
 specialized here; the q = 1 limit belongs to the Poisson side.
@@ -22,11 +22,11 @@ specialized here; the q = 1 limit belongs to the Poisson side.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, compress, count, islice
+from functools import lru_cache
+from itertools import combinations
 from itertools import permutations as iter_permutations
-from math import factorial
-from operator import gt, lt
-from typing import Any, Iterable, Literal
+from math import factorial, prod
+from typing import Any, Iterable
 
 from . import guards
 from .errors import DomainError
@@ -36,80 +36,68 @@ from .scalars import ExactValue, LaurentQ, add_terms, evaluate_expression, int_c
 Gen = tuple[int, int]
 Word = tuple[Gen, ...]
 
-Strategy = Literal["leftmost", "rightmost"]
-
 _TWO_BY_TWO_ALIASES = {"a": (1, 1), "b": (1, 2), "c": (2, 1), "d": (2, 2)}
 
 
-_Q_INVERSE = LaurentQ.q_power(-1)
-_STRAIGHTENING = -LaurentQ.Q_MINUS_QINV
+@lru_cache(maxsize=None)
+def _rewrites(m: int, p: int) -> tuple[tuple[Gen, ...], dict[Gen, int], tuple]:
+    """The cells in lexicographic order, their letters (indices), and for
+    letters u < v the rewrite ``rules[v][u]`` of X_v X_u: ``(e, None)`` for
+    q^e X_u X_v (q-commute, e = -1, or commute, e = 0), ``(0, (s, t))`` for
+    X_u X_v - (q - q^(-1)) X_s X_t (straighten)."""
+    cells = tuple((i, a) for i in range(1, m + 1) for a in range(1, p + 1))
+    letter = {cell: x for x, cell in enumerate(cells)}
+    rules = tuple(tuple((-1, None) if i == k or a == g else (0, None) if a > g
+                        else (0, (letter[i, g], letter[k, a])) for i, a in cells[:v])
+                  for v, (k, g) in enumerate(cells))
+    return cells, letter, rules
 
 
-def _pair_product(v: Gen, u: Gen) -> list[tuple[Word, LaurentQ]]:
-    """Normal form of X_v X_u for an out-of-order pair v > u."""
-    (k, g), (i, a) = v, u
-    if i == k or a == g:
-        return [((u, v), _Q_INVERSE)]
-    if i < k and a > g:
-        return [((u, v), LaurentQ.ONE)]
-    # i < k and a < g: the straightening relation
-    return [((u, v), LaurentQ.ONE), (((i, g), (k, a)), _STRAIGHTENING)]
+def _insert(key: tuple, rules: tuple, memo: dict, spent: int) -> int:
+    """Memoise word * X_x for ``key = (word, x)`` as {(normal word, q-exponent): int}.
 
-
-def _normal_forms(
-    words: list[Word], strategy: Strategy, spent: int
-) -> dict[Word, dict[Word, LaurentQ]]:
-    """Normal forms of ``words``, memoised for every word met on the way.
-
-    Each rewrite replaces a word by the words of one pair product at its
-    leftmost (or rightmost) out-of-order spot. An explicit stack reduces
-    those words before the word itself, so long rewrite chains need no
-    recursion. ``spent`` is the work already charged to the product; each
-    rewrite adds the terms it produces against ``guards.PRODUCT_TERM_LIMIT``.
+    For word = head + (v,) with v > x, X_v X_x is rewritten by its rule and v
+    goes back on the right of head * X_x: no rewrite makes a letter larger
+    than its pair. A stack fills what an entry needs first, so long chains
+    need no recursion. Adds the terms each entry sums to ``spent``, checked
+    against the product budget, and returns it.
     """
-    memo: dict[Word, dict[Word, LaurentQ]] = {}
-    stack: list[tuple[Word, list[tuple[Word, LaurentQ]] | None]] = [
-        (word, None) for word in words
-    ]
+    stack = [key]
     while stack:
-        word, children = stack.pop()
-        if children is None:
-            if word in memo:
-                continue
-            if strategy == "leftmost":
-                descents = map(gt, word, islice(word, 1, None))
-                spots = compress(count(), descents)
-            else:  # read from the right, a descent is a rise
-                descents = map(lt, reversed(word), islice(reversed(word), 1, None))
-                spots = compress(count(len(word) - 2, -1), descents)
-            t = next(spots, None)
-            if t is None:
-                memo[word] = {word: LaurentQ.ONE}
-                continue
-            head, tail = word[:t], word[t + 2:]
-            children = [
-                (head + pair + tail, coeff)
-                for pair, coeff in _pair_product(word[t], word[t + 1])
-            ]
-            pending = [(child, None) for child, _ in children if child not in memo]
-            if pending:
-                stack.append((word, children))
-                stack.extend(pending)
-                continue
-        out: dict[Word, LaurentQ] = {}
-        for child, coeff in children:
-            normal = memo[child]
-            spent += len(normal)
-            add_terms(out, normal.items() if coeff is LaurentQ.ONE else (
-                (reduced, coeff * inner) for reduced, inner in normal.items()
-            ))
+        key = stack[-1]
+        word, x = key
+        if key in memo:
+            stack.pop()
+            continue
+        if not word or word[-1] <= x:
+            memo[stack.pop()] = {(word + (x,), 0): 1}
+            continue
+        head, v = word[:-1], word[-1]
+        shift, pair = rules[v][x]
+        needs = [] if (head, x) in memo else [(head, x)]
+        if pair is not None:
+            s, t = pair
+            if (head, s) not in memo:
+                needs.append((head, s))
+            else:
+                needs += [(u, t) for u, _ in memo[head, s] if (u, t) not in memo]
+        if needs:
+            stack += needs
+            continue
+        stack.pop()
+        out = {(u + (v,), e + shift): c for (u, e), c in memo[head, x].items()}
+        spent += len(out)
+        if pair is not None:
+            for (u, e), c in memo[head, s].items():
+                tail = memo[u, t]
+                spent += len(tail)
+                add_terms(out, (
+                    ((w, e + f + de), sign * c * d)
+                    for (w, f), d in tail.items() for de, sign in ((1, -1), (-1, 1))
+                ))
+        memo[key] = out
         guards.ensure(spent, guards.PRODUCT_TERM_LIMIT, "terms of one product")
-        memo[word] = out
-    return memo
-
-
-def _coefficient_terms(f: "QPoly") -> int:
-    return sum(len(coeff.terms) for coeff in f.terms.values())
+    return spent
 
 
 class QPoly(ExactValue):
@@ -177,26 +165,41 @@ class QPoly(ExactValue):
             return self._new({})
         return self._new({w: coeff * c for w, c in self.terms.items()})
 
-    def multiply(self, other: "QPoly", strategy: Strategy = "leftmost") -> "QPoly":
-        """The product in normal form; ``strategy`` picks the rewrite spot.
+    def multiply(self, other: "QPoly") -> "QPoly":
+        """The product in normal form: g's letters go into f's words one at a time.
 
-        It is charged one unit per pair of coefficient terms, the work of
-        multiplying the ``LaurentQ`` coefficient of every word pair.
+        Inside, words are cell indices and coefficients flat ints keyed by
+        (word, q-exponent). Charged a unit per pair of coefficient terms, plus
+        the terms each memo entry on (normal word, letter) sums.
         """
         self._check(other)
-        pairs = _coefficient_terms(self) * _coefficient_terms(other)
-        guards.ensure(pairs, guards.PRODUCT_TERM_LIMIT, "terms of one product")
-        products = [
-            (w1 + w2, c1 * c2)
-            for w1, c1 in self.terms.items()
-            for w2, c2 in other.terms.items()
-        ]
-        memo = _normal_forms([w for w, _ in products], strategy, pairs)
-        return self._new(add_terms({}, (
-            (reduced, coeff * inner)
-            for word, coeff in products
-            for reduced, inner in memo[word].items()
-        )))
+        cells, letter, rules = _rewrites(self.m, self.p)
+        spent = prod(sum(len(c.terms) for c in h.terms.values()) for h in (self, other))
+        guards.ensure(spent, guards.PRODUCT_TERM_LIMIT, "terms of one product")
+        start = {(tuple(map(letter.__getitem__, w)), e): k
+                 for w, c in self.terms.items() for e, k in c.terms.items()}
+        memo: dict[tuple, dict] = {}
+        flat: dict[tuple, int] = {}
+        for v, d in other.terms.items():
+            terms = start
+            for x in map(letter.__getitem__, v):
+                grown: dict[tuple, int] = {}
+                for (w, e), k in terms.items():
+                    if not w or w[-1] <= x:
+                        key = (w + (x,), e)
+                        grown[key] = grown.get(key, 0) + k
+                        continue
+                    if (w, x) not in memo:
+                        spent = _insert((w, x), rules, memo, spent)
+                    for (u, f), c in memo[w, x].items():
+                        grown[u, e + f] = grown.get((u, e + f), 0) + k * c
+                terms = {key: c for key, c in grown.items() if c}
+            add_terms(flat, (((w, e + f), k * c)
+                             for (w, e), k in terms.items() for f, c in d.terms.items()))
+        out: dict[Word, dict[int, int]] = {}
+        for (w, e), k in flat.items():
+            out.setdefault(tuple(map(cells.__getitem__, w)), {})[e] = k
+        return self._new({w: LaurentQ.ONE._new(c) for w, c in out.items()})
 
     def __mul__(self, other: Any) -> "QPoly":
         if isinstance(other, (int, LaurentQ)):

@@ -9,7 +9,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from itertools import permutations as iter_perms
 
-from tnncells.scalars import MPoly, evaluate_expression, int_const
+from tnncells.quantum import QPoly
+from tnncells.scalars import LaurentQ, MPoly, add_terms, evaluate_expression, int_const
 
 
 def leibniz_det(rows):
@@ -209,3 +210,95 @@ def window_family(images, m, p):
         if _window_condition(images, m, p, rows, cols)
         or _window_condition(mirror, p, m, cols, rows)
     }
+
+
+def _pair_product(v, u):
+    """Normal form of X_v X_u for an out-of-order pair of generators v > u."""
+    (k, g), (i, a) = v, u
+    if i == k or a == g:
+        return [((u, v), LaurentQ.q_power(-1))]
+    if i < k and a > g:
+        return [((u, v), LaurentQ.ONE)]
+    # i < k and a < g: the straightening relation
+    return [((u, v), LaurentQ.ONE), (((i, g), (k, a)), -LaurentQ.Q_MINUS_QINV)]
+
+
+def _leftmost_normal_forms(words):
+    """Normal forms of ``words``, memoised for every word met on the way.
+
+    Each rewrite replaces a word by the words of one pair product at its
+    leftmost out-of-order spot. An explicit stack reduces those words before
+    the word itself, so long rewrite chains need no recursion.
+    """
+    memo = {}
+    stack = [(word, None) for word in words]
+    while stack:
+        word, children = stack.pop()
+        if children is None:
+            if word in memo:
+                continue
+            t = next((t for t in range(len(word) - 1) if word[t] > word[t + 1]), None)
+            if t is None:
+                memo[word] = {word: LaurentQ.ONE}
+                continue
+            children = [
+                (word[:t] + pair + word[t + 2:], coeff)
+                for pair, coeff in _pair_product(word[t], word[t + 1])
+            ]
+            pending = [(child, None) for child, _ in children if child not in memo]
+            if pending:
+                stack.append((word, children))
+                stack.extend(pending)
+                continue
+        out = {}
+        for child, coeff in children:
+            add_terms(out, ((w, coeff * c) for w, c in memo[child].items()))
+        memo[word] = out
+    return memo
+
+
+def rewriting_product(f, g):
+    """f * g by leftmost rewriting of every concatenated pair of words."""
+    products = [
+        (w1 + w2, c1 * c2) for w1, c1 in f.terms.items() for w2, c2 in g.terms.items()
+    ]
+    memo = _leftmost_normal_forms([w for w, _ in products])
+    return QPoly(f.m, f.p, add_terms({}, (
+        (reduced, coeff * inner)
+        for word, coeff in products
+        for reduced, inner in memo[word].items()
+    )))
+
+
+def rewriting_normal_form(word, m, p):
+    """The normal form of one word of generators, by leftmost rewriting."""
+    return QPoly(m, p, _leftmost_normal_forms([tuple(word)])[tuple(word)])
+
+
+def partial_bracket(m, p, f, g):
+    """The Poisson bracket as the sum over generator pairs u < v of
+    {Y_u, Y_v} (df/du dg/dv - df/dv dg/du), with the generator table written
+    out here again."""
+    names = f.names
+    cells = [(i, a) for i in range(1, m + 1) for a in range(1, p + 1)]
+
+    def name(cell):
+        return f"Y[{cell[0]},{cell[1]}]"
+
+    def y(cell):
+        return MPoly.var(names, name(cell))
+
+    total = MPoly.zero(names)
+    for s, u in enumerate(cells):
+        for v in cells[s + 1:]:
+            (i, a), (k, b) = u, v
+            if i == k or a == b:
+                rule = y(u) * y(v)
+            elif a > b:
+                continue
+            else:
+                rule = 2 * y((i, b)) * y((k, a))
+            pairing = (f.partial(name(u)) * g.partial(name(v))
+                       - f.partial(name(v)) * g.partial(name(u)))
+            total = total + rule * pairing
+    return total

@@ -124,6 +124,25 @@ def test_restore_stages_flag(runner, tmp_path):
     assert len(payload["stages"]) == 9
 
 
+@pytest.mark.parametrize("command", ["restore", "delete"])
+def test_sweep_without_stages_prints_the_last_stage(runner, tmp_path, command):
+    # the sweep alone gives the final matrix that --stages ends with, in text
+    # and in JSON
+    seed = tmp_path / "seed.csv"
+    for text in ("1,-1,1\n0,2,1\n1,1,1\n", "1,1,1,1\n1,2,3,4\n1,3,6,10\n1,4,10,20\n",
+                 "2,-1\n1/2,0\n3,1\n"):
+        seed.write_text(text)
+        staged = runner.invoke(main, [command, str(seed), "--stages", "--format", "json"])
+        plain = runner.invoke(main, [command, str(seed), "--format", "json"])
+        assert plain.exit_code == staged.exit_code == 0
+        final = json.loads(staged.output)["final"]
+        assert final == json.loads(staged.output)["stages"][-1]["matrix"]
+        assert plain.output == json.dumps({"final": final}) + "\n"
+        staged, plain = (runner.invoke(main, [command, str(seed), *flag])
+                         for flag in (["--stages"], []))
+        assert staged.output.endswith("\n" + plain.output)
+
+
 def test_tc_ones_and_symbolic(runner, demo_diagram):
     ones = runner.invoke(main, ["tc", "-d", demo_diagram, "--format", "json"])
     assert json.loads(ones.output)["entries"][0] == ["2", "1", "1"]

@@ -1,6 +1,7 @@
 """Bracket table, Jacobi identity, q -> 1 limits, and flow verification."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,14 +20,16 @@ from tnncells.poisson import (
     semiclassical_poly,
     verify_flow,
 )
-from tnncells.quantum import QPoly, commutator, parse_qpoly
+from tnncells.quantum import QPoly, commutator, parse_qpoly, quantum_minor
 from tnncells.scalars import MPoly
 
+import oracles
 
-def poly_strategy(m, p, max_terms=3):
+
+def poly_strategy(m, p, max_terms=3, low=0):
     names = coordinate_names(m, p)
     width = len(names)
-    exps = st.tuples(*([st.integers(0, 2)] * width))
+    exps = st.tuples(*([st.integers(low, 2)] * width))
     term = st.tuples(exps, st.integers(-6, 6))
     return st.lists(term, max_size=max_terms).map(
         lambda ts: sum(
@@ -63,6 +66,14 @@ class TestBracketTable:
     def test_jacobi_identity_random(self, f, g, h):
         assert jacobi_check(2, 2, f, g, h).is_zero
 
+    @pytest.mark.parametrize("m, p", [(2, 2), (2, 3)])
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_bracket_matches_partial_derivatives(self, m, p, data):
+        # Laurent exponents too: verify_flow brackets any Hamiltonian
+        f, g = (data.draw(poly_strategy(m, p, low=-2)) for _ in range(2))
+        assert bracket(m, p, f, g) == oracles.partial_bracket(m, p, f, g)
+
     def test_jacobi_identity_generators_2x3(self):
         gens = [coordinate(2, 3, i, a) for i in (1, 2) for a in (1, 2, 3)]
         for x in range(len(gens)):
@@ -78,6 +89,22 @@ class TestSemiclassical:
             for s, u in enumerate(cells):
                 for v in cells[s + 1:]:
                     assert semiclassical_check(m, p, *u, *v), (m, p, u, v)
+
+    def test_every_pair_of_3x3_minors(self):
+        # [D_I, D_J] / (q - 1) at q = 1 is {d_I, d_J} for all 19 x 19 ordered
+        # pairs of quantum minors and their classical (Leibniz) minors
+        cells = [[coordinate(3, 3, i, a) for a in (1, 2, 3)] for i in (1, 2, 3)]
+        index_sets = [
+            s for k in (1, 2, 3) for s in combinations((1, 2, 3), k)
+        ]
+        minors = [
+            (quantum_minor(3, 3, r, c), oracles.leibniz_minor(cells, r, c))
+            for r in index_sets for c in index_sets if len(r) == len(c)
+        ]
+        assert len(minors) == 19
+        for qf, f in minors:
+            for qg, g in minors:
+                assert semiclassical_poly(commutator(qf, qg)) == bracket(3, 3, f, g)
 
     def test_commutator_scaling_pins_the_factor(self):
         # [a, b] = (1 - q^-1) ab has image ab under (f - f|_{q=1})/(q-1) at q=1

@@ -14,6 +14,8 @@ from tnncells.quantum import (
 )
 from tnncells.scalars import LaurentQ
 
+import oracles
+
 
 def gen(i, a, m=2, p=2):
     return QPoly.generator(m, p, i, a)
@@ -24,11 +26,30 @@ def word_strategy(m, p, max_len=4):
     return st.lists(gens, max_size=max_len)
 
 
-def product_of(word, m, p, strategy="leftmost"):
+def product_of(word, m, p):
     acc = QPoly.one(m, p)
     for i, a in word:
-        acc = acc.multiply(QPoly.generator(m, p, i, a), strategy)
+        acc = acc.multiply(QPoly.generator(m, p, i, a))
     return acc
+
+
+def qpoly_strategy(m, p, max_len):
+    """Sums of up to two words, each with a Laurent coefficient in q."""
+    coeff = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3), max_size=2)
+    term = st.tuples(coeff.map(LaurentQ), word_strategy(m, p, max_len))
+    return st.lists(term, max_size=2).map(lambda ts: sum(
+        (product_of(w, m, p).scaled(c) for c, w in ts), QPoly.zero(m, p)
+    ))
+
+
+def assert_matches_rewriting(word, m, p):
+    """Letter insertion against leftmost rewriting: the word built one
+    generator at a time, and the product of its two halves."""
+    expected = oracles.rewriting_normal_form(word, m, p)
+    assert product_of(word, m, p) == expected
+    cut = len(word) // 2
+    f, g = product_of(word[:cut], m, p), product_of(word[cut:], m, p)
+    assert f.multiply(g) == expected == oracles.rewriting_product(f, g)
 
 
 class TestRelations:
@@ -57,21 +78,34 @@ class TestRelations:
     def test_quantum_determinant_is_central(self):
         assert is_central_2x2_determinant()
 
+    def test_4x4_quantum_determinant_is_central(self):
+        full = (1, 2, 3, 4)
+        det = quantum_minor(4, 4, full, full)
+        for i in full:
+            for a in full:
+                assert commutator(det, gen(i, a, 4, 4)).is_zero, (i, a)
+
 
 class TestNormalForm:
     @given(word_strategy(2, 2))
     @settings(max_examples=40)
     def test_strategies_agree(self, word):
-        assert product_of(word, 2, 2, "leftmost") == product_of(
-            word, 2, 2, "rightmost"
-        )
+        assert_matches_rewriting(word, 2, 2)
 
     @given(word_strategy(2, 3, max_len=3))
     @settings(max_examples=30)
     def test_strategies_agree_rectangular(self, word):
-        assert product_of(word, 2, 3, "leftmost") == product_of(
-            word, 2, 3, "rightmost"
-        )
+        assert_matches_rewriting(word, 2, 3)
+
+    @given(word_strategy(3, 3))
+    @settings(max_examples=40)
+    def test_strategies_agree_3x3(self, word):
+        assert_matches_rewriting(word, 3, 3)
+
+    @given(qpoly_strategy(2, 3, 3), qpoly_strategy(2, 3, 3))
+    @settings(max_examples=30)
+    def test_products_with_q_coefficients_match_rewriting(self, f, g):
+        assert f.multiply(g) == oracles.rewriting_product(f, g)
 
     @given(word_strategy(2, 2, max_len=3), word_strategy(2, 2, max_len=2))
     @settings(max_examples=30)
@@ -81,13 +115,12 @@ class TestNormalForm:
         h = gen(2, 2)
         assert (f * g) * h == f * (g * h)
 
-    @pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
-    def test_long_rewrite_chains_need_no_recursion(self, strategy):
+    def test_long_rewrite_chains_need_no_recursion(self):
         # 1,600 rewrites in one chain, each a q-commutation: far deeper than
         # Python's recursion limit and far inside the product budget.
         a40, b40 = parse_qpoly("a^40", 2, 2), parse_qpoly("b^40", 2, 2)
         expected = (a40 * b40).scaled(LaurentQ.q_power(-1600))
-        assert b40.multiply(a40, strategy) == expected
+        assert b40.multiply(a40) == expected
 
     def test_product_budget_counts_coefficient_terms(self):
         # 10 words with 100-term coefficients: 100 word pairs, but 1,000,000

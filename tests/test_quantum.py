@@ -115,12 +115,16 @@ class TestNormalForm:
         h = gen(2, 2)
         assert (f * g) * h == f * (g * h)
 
-    def test_long_rewrite_chains_need_no_recursion(self):
+    # Letter insertion only ever rewrites the rightmost out-of-order pair, the
+    # one its new letter makes; the oracle rewrites the leftmost one.
+    @pytest.mark.parametrize("rewriting", ["leftmost", "rightmost"])
+    def test_long_rewrite_chains_need_no_recursion(self, rewriting):
         # 1,600 rewrites in one chain, each a q-commutation: far deeper than
         # Python's recursion limit and far inside the product budget.
         a40, b40 = parse_qpoly("a^40", 2, 2), parse_qpoly("b^40", 2, 2)
         expected = (a40 * b40).scaled(LaurentQ.q_power(-1600))
-        assert b40.multiply(a40) == expected
+        product = {"leftmost": oracles.rewriting_product, "rightmost": QPoly.multiply}
+        assert product[rewriting](b40, a40) == expected
 
     def test_product_budget_counts_coefficient_terms(self):
         # 10 words with 100-term coefficients: 100 word pairs, but 1,000,000

@@ -13,6 +13,10 @@ the matching plus step on any matrix whatsoever (the step never touches row
 j or column beta, so the pivot is the same on both sides), hence the two
 sweeps are mutually inverse with no genericity assumptions.
 
+A ``Fraction`` matrix is swept on integer rows, numerators over one positive
+denominator per row; a unit pivot ratio, as in every unit-weight restoration,
+needs no scaling. Entries of other rings do their own arithmetic.
+
 The canonical matrix of a diagram arises by seeding zeros on black cells,
 nonzero scalars on white cells, and restoring. Its identically-zero minors
 form the vanishing family of the diagram. They are exactly the minors that
@@ -24,13 +28,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Any, Iterator, Mapping
 
 from . import guards
 from .diagrams import CauchonDiagram, Cell, is_cauchon
 from .errors import DomainError
 from .matrices import (
-    Matrix, MinorFamily, _require_rational, exact_vanishing_minors, minor_count
+    Matrix, MinorFamily, _cleared, _require_rational, exact_vanishing_minors, minor_count
 )
 from .scalars import MPoly, QQ
 
@@ -58,12 +63,48 @@ def _apply_step(rows: list[list[Any]], j: int, beta: int, sign: int) -> None:
             row[a] += factor * pivot_row[a]
 
 
+def _apply_int_step(rows: list[list[int]], j: int, beta: int, sign: int) -> None:
+    """:func:`_apply_step` on integer rows (numerators, then a positive denominator):
+    it adds sign * f * r_j[a] / (d_i * P) to x[i,a], for f = r_i[beta] and
+    P = r_j[beta] in lowest terms, P > 0; row j's denominator cancels."""
+    pivot_row = rows[j - 1]
+    pivot = pivot_row[beta - 1]
+    if not pivot or j == 1 or beta == 1:
+        return
+    for row in rows[:j - 1]:
+        if not row[beta - 1]:
+            continue
+        g = gcd(row[beta - 1], pivot)
+        f, P = sign * row[beta - 1] // g, pivot // g
+        if P < 0:
+            f, P = -f, -P
+        if P == 1:
+            for a in range(beta - 1):
+                row[a] += f * pivot_row[a]
+        else:  # scale the row and its denominator by P, then reduce them
+            tail = [x * P for x in row[beta - 1:]]
+            row[:] = [x * P + f * y for x, y in zip(row[:beta - 1], pivot_row)] + tail
+            if (g := gcd(*row)) > 1:
+                row[:] = [x // g for x in row]
+
+
+def _working_rows(matrix: Matrix) -> tuple[list[list[Any]], Any, Any]:
+    """A sweep's working rows, the step that edits them, and their reader back to a
+    Matrix: a ``Fraction`` row becomes its numerators over its lcm denominator."""
+    if not all(isinstance(x, Fraction) for row in matrix.rows for x in row):
+        return [list(r) for r in matrix.rows], _apply_step, Matrix
+    cleared = [_cleared([r]) for r in matrix.rows]  # (lcm, [numerators]) per row
+    rows = [ints + [d] for d, (ints,) in cleared]
+    return rows, _apply_int_step, lambda int_rows: Matrix(
+        [[Fraction(n, r[-1]) for n in r[:-1]] for r in int_rows])
+
+
 def _step(matrix: Matrix, j: int, beta: int, sign: int) -> Matrix:
     if not (1 <= j <= matrix.m and 1 <= beta <= matrix.p):
         raise DomainError(f"step ({j},{beta}) outside {matrix.m}x{matrix.p}")
-    rows = [list(r) for r in matrix.rows]
-    _apply_step(rows, j, beta, sign)
-    return Matrix(rows)
+    rows, apply, read = _working_rows(matrix)
+    apply(rows, j, beta, sign)
+    return read(rows)
 
 
 def delete_step(matrix: Matrix, j: int, beta: int) -> Matrix:
@@ -74,8 +115,8 @@ def restore_step(matrix: Matrix, j: int, beta: int) -> Matrix:
     return _step(matrix, j, beta, +1)
 
 
-def _sweep(matrix: Matrix, sign: int) -> Iterator[tuple[StepIndex, list[list[Any]]]]:
-    """Yield (step, rows after that step), editing one copy of the rows.
+def _sweep(matrix: Matrix, sign: int) -> Iterator[tuple[StepIndex, list[list[Any]], Any]]:
+    """Yield (step, working rows after that step, their reader).
 
     Plus steps run from (1,1) up to (m,p), minus steps the other way. The
     sweep's work is checked against the guard before the first step.
@@ -84,10 +125,10 @@ def _sweep(matrix: Matrix, sign: int) -> Iterator[tuple[StepIndex, list[list[Any
     work = (matrix.m * matrix.p) ** 2
     guards.ensure(work, guards.SWEEP_WORK_LIMIT, "entries one sweep rewrites")
     steps = step_indices(matrix.m, matrix.p)
-    rows = [list(r) for r in matrix.rows]
+    rows, apply, read = _working_rows(matrix)
     for j, beta in steps if sign > 0 else reversed(steps):
-        _apply_step(rows, j, beta, sign)
-        yield (j, beta), rows
+        apply(rows, j, beta, sign)
+        yield (j, beta), rows, read
 
 
 def deleting_stages(matrix: Matrix) -> Iterator[tuple[StepIndex, Matrix]]:
@@ -95,8 +136,8 @@ def deleting_stages(matrix: Matrix) -> Iterator[tuple[StepIndex, Matrix]]:
 
     The sweep's work is checked against the guard before the first step.
     """
-    for step, rows in _sweep(matrix, -1):
-        yield step, Matrix(rows)
+    for step, rows, read in _sweep(matrix, -1):
+        yield step, read(rows)
 
 
 def restoration_stages(matrix: Matrix) -> Iterator[tuple[StepIndex, Matrix]]:
@@ -104,20 +145,18 @@ def restoration_stages(matrix: Matrix) -> Iterator[tuple[StepIndex, Matrix]]:
 
     The sweep's work is checked against the guard before the first step.
     """
-    for step, rows in _sweep(matrix, +1):
-        yield step, Matrix(rows)
+    for step, rows, read in _sweep(matrix, +1):
+        yield step, read(rows)
 
 
 def deleting_derivations(matrix: Matrix) -> Matrix:
-    for _, rows in _sweep(matrix, -1):
-        pass
-    return Matrix(rows)
+    *_, (_, rows, read) = _sweep(matrix, -1)
+    return read(rows)
 
 
 def restoration(matrix: Matrix) -> Matrix:
-    for _, rows in _sweep(matrix, +1):
-        pass
-    return Matrix(rows)
+    *_, (_, rows, read) = _sweep(matrix, +1)
+    return read(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -148,13 +187,13 @@ def tnn_test(matrix: Matrix) -> TnnVerdict:
     entrywise nonnegative and its zero set is a valid diagram.
     """
     _require_rational(matrix.rows, "the TNN test")
-    final = deleting_derivations(matrix)
-    if any(x < 0 for row in final.rows for x in row):
-        return TnnVerdict(False, None, final)
-    zeros = zero_pattern(final)
-    if not is_cauchon(matrix.m, matrix.p, zeros):
-        return TnnVerdict(False, None, final)
-    return TnnVerdict(True, CauchonDiagram(matrix.m, matrix.p, zeros), final)
+    *_, (_, rows, read) = _sweep(matrix, -1)
+    # the integer rows' signs and zeros are the entries', over positive denominators
+    zeros = frozenset((i, a) for i, r in enumerate(rows, 1)
+                      for a, x in enumerate(r, 1) if not x)
+    if any(x < 0 for r in rows for x in r) or not is_cauchon(matrix.m, matrix.p, zeros):
+        return TnnVerdict(False, None, read(rows))
+    return TnnVerdict(True, CauchonDiagram._make(matrix.m, matrix.p, zeros), read(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -166,20 +205,12 @@ def seed_matrix(
     diagram: CauchonDiagram, zero: Any, assignment: Mapping[Cell, Any]
 ) -> Matrix:
     """``zero`` on black cells, the assigned nonzero scalar on white cells."""
-    rows = []
-    for i in range(1, diagram.m + 1):
-        row = []
-        for a in range(1, diagram.p + 1):
-            if (i, a) in diagram.black:
-                row.append(zero)
-            else:
-                if (i, a) not in assignment:
-                    raise DomainError(f"white cell ({i},{a}) has no assigned value")
-                value = assignment[(i, a)]
-                if not value:
-                    raise DomainError(f"white cell ({i},{a}) assigned zero")
-                row.append(value)
-        rows.append(row)
+    rows = [[zero] * diagram.p for _ in range(diagram.m)]
+    for i, a in diagram.white_cells():
+        rows[i - 1][a - 1] = value = assignment.get((i, a))
+        if not value:
+            what = "assigned zero" if (i, a) in assignment else "has no assigned value"
+            raise DomainError(f"white cell ({i},{a}) {what}")
     return Matrix(rows)
 
 

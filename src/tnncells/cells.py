@@ -16,7 +16,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache
-from typing import Any, Iterable
+from typing import Any
 
 from . import guards
 from .diagrams import CauchonDiagram, enumerate_diagrams
@@ -125,16 +125,13 @@ def cell_of(matrix: Matrix) -> CellDescriptor:
     via_restoration = vanishing_family(diagram)
     w = pipe_dream(diagram)
     via_permutation = minor_family(w, matrix.m, matrix.p)
-    if direct.mask != via_permutation.mask:
-        raise ConsistencyError(
-            f"direct minors {direct} disagree with permutation family "
-            f"{via_permutation} for diagram\n{diagram}"
-        )
-    if direct.mask != via_restoration.mask:
-        raise ConsistencyError(
-            f"direct minors {direct} disagree with restoration family "
-            f"{via_restoration} for diagram\n{diagram}"
-        )
+    routes = (("permutation", via_permutation), ("restoration", via_restoration))
+    for route, family in routes:
+        if direct.mask != family.mask:
+            raise ConsistencyError(
+                f"direct minors {direct} disagree with {route} family {family} "
+                f"for diagram\n{diagram}"
+            )
     return CellDescriptor(direct, diagram, w)
 
 
@@ -201,14 +198,10 @@ def unifying_check(m: int, p: int, *, jobs: int = 1) -> UnifyingReport:
     work = list(enumerate_diagrams(m, p))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results: Iterable[dict[str, Any] | None] = pool.map(
-                _check_diagram, work, chunksize=8
-            )
-            mismatches = tuple(r for r in results if r is not None)
+            results = list(pool.map(_check_diagram, work, chunksize=8))
     else:
-        mismatches = tuple(
-            r for r in map(_check_diagram, work) if r is not None
-        )
+        results = list(map(_check_diagram, work))
+    mismatches = tuple(r for r in results if r is not None)
     elapsed = time.monotonic() - started
     return UnifyingReport(
         m, p, len(work), len(work) - len(mismatches), mismatches, elapsed

@@ -10,6 +10,7 @@ schemas the library reads and are written on one line.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Any, Callable
@@ -53,6 +54,11 @@ class App(click.Group):
         except ConsistencyError as exc:
             click.echo(f"consistency failure: {exc}", file=sys.stderr)
             sys.exit(1)
+        except ValueError as exc:  # Python's cap on the digits of a printed int
+            if "integer string conversion" not in str(exc):
+                raise
+            click.echo("resource guard: a number is too long to print", file=sys.stderr)
+            sys.exit(3)
 
 
 @click.group(cls=App)
@@ -75,9 +81,8 @@ def _read_source(value: str) -> str:
     """Resolve an argument that may be '-', a file path, or inline text."""
     if value == "-":
         return sys.stdin.read()
-    path = Path(value)
-    if path.is_file():
-        return path.read_text()
+    if os.path.isfile(value):  # False, not OSError, for text too long to be a path
+        return Path(value).read_text()
     return value
 
 

@@ -56,6 +56,32 @@ def leibniz_witness(rows):
     return None
 
 
+def sweep_step(rows, j, beta, sign):
+    """Cauchon's step at (j, beta) in plain ``Fraction`` arithmetic, as new rows.
+
+    x[i,a] -> x[i,a] + sign * x[i,beta] * x[j,a] / x[j,beta] for i < j and
+    a < beta; a zero pivot leaves the matrix as it is.
+    """
+    out = [[Fraction(x) for x in row] for row in rows]
+    pivot = out[j - 1][beta - 1]
+    if pivot != 0:
+        for i in range(j - 1):
+            for a in range(beta - 1):
+                out[i][a] += sign * out[i][beta - 1] * out[j - 1][a] / pivot
+    return out
+
+
+def sweep_stages(rows, sign):
+    """(step, rows after it) for the whole sweep: restoration (sign +1) from
+    (1,1) up to (m,p), deleting derivations (sign -1) from (m,p) down."""
+    steps = list(product(range(1, len(rows) + 1), range(1, len(rows[0]) + 1)))
+    stages = []
+    for j, beta in steps if sign > 0 else reversed(steps):
+        rows = sweep_step(rows, j, beta, sign)
+        stages.append(((j, beta), rows))
+    return stages
+
+
 def read_laurent(text, names):
     """Printed polynomial text read back into an MPoly over ``names``, term by term."""
     return evaluate_expression(

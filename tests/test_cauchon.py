@@ -157,6 +157,72 @@ def test_sweep_outputs_of_int_entries_are_fractions():
         assert all(type(x) is Fraction for row in out.rows for x in row)
 
 
+# zeros, small and negative integers, and fractions whose denominators (up
+# to 10**9, and some large primes) make every row's lcm grow
+sweep_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-4, 4).map(Fraction),
+    st.builds(
+        Fraction,
+        st.integers(-10**9, 10**9),
+        st.one_of(
+            st.integers(1, 10**9), st.sampled_from([999_999_937, 999_999_929, 3**18])
+        ),
+    ),
+)
+sweep_matrices = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda mp: st.lists(
+        st.lists(sweep_entries, min_size=mp[1], max_size=mp[1]),
+        min_size=mp[0],
+        max_size=mp[0],
+    )
+)
+
+
+def _entries(matrix):
+    assert all(type(x) is Fraction for row in matrix.rows for x in row)
+    return [list(row) for row in matrix.rows]
+
+
+@given(sweep_matrices)
+@settings(max_examples=120)
+def test_sweeps_match_the_fraction_oracle(rows):
+    M = Matrix(rows)
+    for sign, sweep, staged, single in (
+        (-1, deleting_derivations, deleting_stages, delete_step),
+        (+1, restoration, restoration_stages, restore_step),
+    ):
+        want = oracles.sweep_stages(rows, sign)
+        assert [(step, _entries(stage)) for step, stage in staged(M)] == want
+        assert _entries(sweep(M)) == want[-1][1]
+        for j, beta in step_indices(M.m, M.p):
+            want_step = oracles.sweep_step(rows, j, beta, sign)
+            assert _entries(single(M, j, beta)) == want_step, (j, beta)
+    assert restoration(deleting_derivations(M)).equals(M)
+    final = oracles.sweep_stages(rows, -1)[-1][1]
+    zeros = frozenset(
+        (i, a) for i, row in enumerate(final, 1) for a, x in enumerate(row, 1) if x == 0
+    )
+    verdict = tnn_test(M)
+    assert _entries(verdict.final) == final
+    assert verdict.is_tnn == (
+        all(x >= 0 for row in final for x in row)
+        and not oracles.has_bad_black_cell(M.m, M.p, zeros)
+    )
+    assert verdict.diagram is None or verdict.diagram.black == zeros
+
+
+def test_symbolic_TC_round_trips_through_the_generic_step():
+    for m, p in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+        for d in enumerate_diagrams(m, p):
+            names = tuple(white_variable(c) for c in d.white_cells())
+            variables = {c: MPoly.var(names, n) for c, n in zip(d.white_cells(), names)}
+            seed = seed_matrix(d, MPoly.zero(names), variables)
+            T = symbolic_TC(d)
+            assert all(isinstance(x, MPoly) for row in T.rows for x in row)
+            assert deleting_derivations(T).equals(seed), d.to_ascii()
+
+
 class TestSeeding:
     def test_seed_requires_every_white(self):
         with pytest.raises(DomainError):

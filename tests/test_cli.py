@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from tnncells import fixtures
@@ -598,3 +599,75 @@ def test_product_budget_admits_ninth_powers(runner):
 def test_stdin_matrix(runner):
     result = runner.invoke(main, ["tnn-check", "-"], input="1,1\n1,2\n")
     assert result.exit_code == 0
+
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        ("1,1\n1," + "7" * 300, 0),  # too long to be a file name
+        (f"{'7' * 4000},1\n3,{'7' * 4000}", 3),  # a result past 4,300 digits
+    ],
+    ids=["inline-text-past-a-file-name", "result-past-the-digit-cap"],
+)
+def test_long_matrix_text_keeps_the_exit_contract(runner, text, code):
+    result = runner.invoke(main, ["delete", text])
+    assert result.exit_code == code, (result.output, result.exception)
+
+# Matrix text: rectangular grids of readable entries (small, huge, and
+# fractions with huge denominators) as often as anything else, where
+# anything else mixes in zero denominators, exponents, blanks, junk and
+# ragged rows
+_ENTRY = st.one_of(
+    st.integers(-9, 9).map(str),
+    st.integers(1, 4300).map(lambda n: "7" * n),
+    st.tuples(st.integers(-10**40, 10**40), st.integers(1, 10**40)).map(
+        lambda nd: f"{nd[0]}/{nd[1]}"
+    ),
+    st.integers(1, 4300).map(lambda n: f"-1/{'3' * n}"),
+    st.sampled_from(["0", "1.5", "-0.25", " 2 ", "+3", "0/5"]),
+)
+_BAD_ENTRY = st.one_of(
+    st.integers(4301, 5000).map(lambda n: "7" * n),
+    st.sampled_from(["1/0", "0/0", "1e5", "2E-3", "", " ", "--1", "x", "1/-2",
+                     "1//2", "nan", "inf", "0x10", "١"]),
+)
+_GRIDS = st.one_of(
+    st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+        lambda mp: st.lists(
+            st.lists(_ENTRY, min_size=mp[1], max_size=mp[1]),
+            min_size=mp[0], max_size=mp[0],
+        )
+    ),
+    st.lists(st.lists(st.one_of(_ENTRY, _BAD_ENTRY), max_size=4), min_size=1, max_size=4),
+)
+_CSV_TEXT = st.tuples(_GRIDS, st.sampled_from(["\n", "\n\n", "\r\n"])).map(
+    lambda g: g[1].join(",".join(row) for row in g[0])
+)
+_JSON_TEXT = st.tuples(
+    _GRIDS,
+    st.lists(st.one_of(st.integers(-10**30, 10**30), st.floats(), st.booleans(),
+                       st.none()), max_size=2),
+    st.booleans(),
+).map(lambda t: json.dumps({
+    "m": len(t[0]), "p": len(t[0][0]) if t[0][0] else 0,
+    "entries": [row + t[1] for row in t[0]],
+})[: None if t[2] else -2])
+
+
+@settings(max_examples=80)
+@given(
+    st.one_of(_CSV_TEXT, _JSON_TEXT),
+    st.sampled_from([["tnn-check"], ["delete"], ["restore"], ["cells", "of"]]),
+    st.sampled_from(["text", "json"]),
+    st.booleans(),
+)
+def test_matrix_text_fuzz_exits_with_a_contract_code(text, command, fmt, inline):
+    # inline text may be too long for a file name; "-" reads it from stdin
+    args = [*command, text if inline else "-", "--format", fmt]
+    result = CliRunner().invoke(main, args, input=None if inline else text)
+    assert result.exit_code in (0, 1, 2, 3), (args, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        args, repr(result.exception)
+    )
+    assert "Traceback" not in result.output

@@ -164,15 +164,6 @@ def restoration(matrix: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-def zero_pattern(matrix: Matrix) -> frozenset[Cell]:
-    return frozenset(
-        (i, a)
-        for i, row in enumerate(matrix.rows, 1)
-        for a, x in enumerate(row, 1)
-        if not x
-    )
-
-
 @dataclass(frozen=True)
 class TnnVerdict:
     is_tnn: bool

@@ -79,10 +79,13 @@ def format_option(fn):
 
 def _read_source(value: str) -> str:
     """Resolve an argument that may be '-', a file path, or inline text."""
-    if value == "-":
-        return sys.stdin.read()
-    if os.path.isfile(value):  # False, not OSError, for text too long to be a path
-        return Path(value).read_text()
+    try:
+        if value == "-":
+            return sys.stdin.read()
+        if os.path.isfile(value):  # False, not OSError, for text too long to be a path
+            return Path(value).read_text(encoding="utf-8")
+    except (UnicodeDecodeError, OSError) as exc:
+        raise DomainError(f"cannot read {value!r}: {exc}") from exc
     return value
 
 

@@ -4,15 +4,26 @@ Permutations act on the left: ``(w @ u)(i) = w(u(i))``. The restricted set
 S(m, p) consists of the w in the symmetric group on m + p letters with
 -p <= w(i) - i <= m for every i.
 
-A diagram turns into a permutation by reading it as a pipe dream. Black
-cells are crossings (the pipe keeps its heading), white cells are elbows
-joining the cell's top side to its right side and its left side to its
-bottom side, so every pipe travels up and to the left. Pipes enter at the
-bottom edge (column a carries label a) and the right edge (row i carries
-label m + p + 1 - i); they leave at the left edge (row i is sink m + 1 - i)
-or the top edge (column a is sink m + a). Tracing label s to its sink gives
-w(s). The all-black grid maps to the permutation with maximal displacement
-and the all-white grid to the identity.
+A diagram turns into a permutation by reading it as a pipe dream. Its black
+cells, read in row-major order, form a reduced word for the permutation
+(Postnikov 2006, sections 19-20): cell (i, a) is the adjacent transposition
+s_k with k = m - i + a, and the permutation is the product of these, each
+swapping two neighbouring positions of the one-line word. So the number of
+black cells is the length. The all-black grid maps to the permutation with
+maximal displacement and the all-white grid to the identity.
+
+The inverse is a greedy reading of the same cells, Marsh and Rietsch's
+positive distinguished subexpression (Represent. Theory 8, 2004). Start from
+v = w. At each cell (i, a) in row-major order, with k = m - i + a, if k + 1
+stands before k in v, swap the two values (v becomes s_k v) and make the cell
+black. w has a diagram exactly when v ends at the identity, which happens
+exactly when w is restricted.
+
+Drawn as tiles, black cells are crossings and white cells are elbows, and
+each pipe runs up and to the left from its label on the bottom or right edge
+to its sink on the left or top edge, which is w of the label. The tests trace
+the tiles this way (``oracles.trace_pipe_dream``) as an independent route to
+the same permutation.
 
 The minor family of w collects the minors that vanish on its cell. Two
 window conditions decide membership: one on the column pool of w, one on
@@ -30,7 +41,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from itertools import combinations
 from math import comb
 from typing import Any, Iterator, Sequence
@@ -239,57 +250,38 @@ def count_restricted(m: int, p: int) -> int:
 
 
 def pipe_dream(diagram: CauchonDiagram) -> Permutation:
-    """Trace every pipe through the diagram and read off the permutation."""
-    m, p = diagram.m, diagram.p
-    n = m + p
-    images = [0] * n
-    for label in range(1, n + 1):
-        if label <= p:
-            i, a, heading = m, label, "up"
-        else:
-            i, a, heading = n + 1 - label, p, "left"
-        while True:
-            if (i, a) not in diagram.black:
-                heading = "left" if heading == "up" else "up"
-            if heading == "up":
-                i -= 1
-                if i < 1:
-                    images[label - 1] = m + a
-                    break
-            else:
-                a -= 1
-                if a < 1:
-                    images[label - 1] = m + 1 - i
-                    break
-        # each pipe moves only up or left, so it leaves the grid
-    w = Permutation(tuple(images))
-    if not is_restricted(w, m, p):
-        raise DomainError(f"trace produced {w}, outside the restricted window")
-    return w
-
-
-@lru_cache(maxsize=None)
-def _pipe_dream_table(m: int, p: int) -> dict[Permutation, CauchonDiagram]:
-    from .diagrams import enumerate_diagrams
-
-    table: dict[Permutation, CauchonDiagram] = {}
-    for diagram in enumerate_diagrams(m, p):
-        w = pipe_dream(diagram)
-        if w in table:
-            raise DomainError(f"two diagrams trace to {w}; labeling broken")
-        table[w] = diagram
-    return table
+    """The product s_k1 s_k2 ... of the diagram's reduced word: one s_k with
+    k = m - i + a for each black cell (i, a), in row-major order."""
+    images = list(range(1, diagram.m + diagram.p + 1))
+    for i, a in diagram.black_sorted():
+        k = diagram.m - i + a
+        images[k - 1], images[k] = images[k], images[k - 1]
+    return Permutation(tuple(images))
 
 
 def inverse_pipe_dream(w: Permutation, m: int, p: int) -> CauchonDiagram:
-    """The unique diagram tracing to w; DomainError if w is not restricted."""
-    guards.ensure_enumerable(m, p, what="pipe dream inversion")
-    if not is_restricted(w, m, p):
+    """The unique diagram whose pipe dream is w; DomainError if w is not restricted.
+
+    The greedy reading (see the module docstring) in m * p steps, on w's
+    inverse: at cell (i, a) with k = m - i + a, swapping values k and k + 1
+    of w is swapping entries k and k + 1 of its inverse.
+    """
+    guards.ensure(w.n, guards.PERMUTATION_LETTER_LIMIT, "permutation letters")
+    if m < 1 or p < 1:
+        raise DomainError("sizes must be at least 1")
+    if w.n != m + p:
+        raise DomainError(f"{w} is not a permutation of 1..{m + p}")
+    position = list(w.inverse().images)
+    black = []
+    for i in range(1, m + 1):
+        for a in range(1, p + 1):
+            k = m - i + a
+            if position[k] < position[k - 1]:
+                position[k - 1], position[k] = position[k], position[k - 1]
+                black.append((i, a))
+    if position != sorted(position):
         raise DomainError(f"{w} violates the window condition for ({m},{p})")
-    table = _pipe_dream_table(m, p)
-    if w not in table:
-        raise DomainError(f"no diagram traces to {w}")
-    return table[w]
+    return CauchonDiagram._make(m, p, frozenset(black))
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,51 @@ def has_bad_black_cell(m, p, black):
     return False
 
 
+def zero_pattern(matrix):
+    """The cells (i, a), 1-based, where the matrix has a zero entry."""
+    return frozenset(
+        (i, a)
+        for i, row in enumerate(matrix.rows, 1)
+        for a, x in enumerate(row, 1)
+        if not x
+    )
+
+
+def trace_pipe_dream(m, p, black):
+    """The one-line images of the m x p diagram's pipe dream, tile by tile.
+
+    Black cells are crossings (the pipe keeps its heading), white cells are
+    elbows joining the cell's top side to its right side and its left side
+    to its bottom side, so every pipe travels up and to the left. Pipes
+    enter at the bottom edge (column a carries label a) and the right edge
+    (row i carries label m + p + 1 - i); they leave at the left edge (row i
+    is sink m + 1 - i) or the top edge (column a is sink m + a). Label s
+    leaving at sink t means w(s) = t.
+    """
+    n = m + p
+    images = [0] * n
+    for label in range(1, n + 1):
+        if label <= p:
+            i, a, heading = m, label, "up"
+        else:
+            i, a, heading = n + 1 - label, p, "left"
+        while True:
+            if (i, a) not in black:
+                heading = "left" if heading == "up" else "up"
+            if heading == "up":
+                i -= 1
+                if i < 1:
+                    images[label - 1] = m + a
+                    break
+            else:
+                a -= 1
+                if a < 1:
+                    images[label - 1] = m + 1 - i
+                    break
+        # each pipe moves only up or left, so it leaves the grid
+    return tuple(images)
+
+
 def inversion_count(images):
     n = len(images)
     return sum(

@@ -340,6 +340,42 @@ def test_fixtures_export(runner, tmp_path):
     assert (out / "tnn_4x4.json").exists()
 
 
+def test_inverse_pipedream_needs_no_enumeration(runner, monkeypatch):
+    monkeypatch.delenv("CAUCHON_GUARD", raising=False)
+    result = runner.invoke(
+        main, ["perm", "inverse-pipedream", "123456789", "--m", "5", "--p", "4"]
+    )
+    assert result.exit_code == 0, result.output
+    assert result.output.strip() == "\n".join(["...."] * 5)
+    outside = runner.invoke(main, ["perm", "inverse-pipedream", "4123", "--m", "2", "--p", "2"])
+    assert outside.exit_code == 2, outside.output
+
+
+def test_pipedream_round_trips_a_20x20_diagram(runner, tmp_path):
+    staircase = CauchonDiagram(
+        20, 20, {(i, a) for i in range(1, 21) for a in range(1, 21) if i + a <= 21}
+    )
+    f = tmp_path / "staircase.json"
+    f.write_text(json.dumps(staircase.to_json()))
+    w = json.loads(runner.invoke(
+        main, ["perm", "pipedream", "-d", str(f), "--format", "json"]
+    ).output)["one_line"]
+    back = runner.invoke(
+        main, ["perm", "inverse-pipedream", w, "--m", "20", "--p", "20", "--format", "json"]
+    )
+    assert back.exit_code == 0, back.output
+    assert json.loads(back.output) == staircase.to_json()
+
+
+@pytest.mark.parametrize("command", [["tnn-check"], ["perm", "pipedream", "-d"]])
+def test_unreadable_files_exit_2(runner, tmp_path, command):
+    f = tmp_path / "bad.txt"
+    f.write_bytes(b"\xff\xfe1,2\n")
+    result = runner.invoke(main, [*command, str(f)])
+    assert result.exit_code == 2, result.exception
+    assert "error:" in result.output
+
+
 def test_domain_errors_exit_2(runner, demo_diagram):
     result = runner.invoke(main, ["tp-check", demo_diagram])
     assert result.exit_code == 2

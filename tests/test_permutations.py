@@ -31,6 +31,9 @@ from tnncells.permutations import (
 
 DEMO = CauchonDiagram.from_ascii(".#.\n##.\n...")
 
+# every grid through 4x4, and 2x5 and 5x2
+_PIPE_GRIDS = [(m, p) for m in range(1, 5) for p in range(1, 5)] + [(2, 5), (5, 2)]
+
 perm_strategy = st.integers(2, 6).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))
 ).map(lambda images: Permutation(tuple(images)))
@@ -141,6 +144,48 @@ class TestPipeDreams:
     def test_inverse_rejects_unrestricted(self):
         with pytest.raises(DomainError):
             inverse_pipe_dream(parse_permutation("4123"), 2, 2)
+
+    @pytest.mark.parametrize("m, p", [(0, 3), (3, 0), (2, 2)])
+    def test_inverse_rejects_a_grid_of_the_wrong_size(self, m, p):
+        with pytest.raises(DomainError):
+            inverse_pipe_dream(Permutation.identity(3), m, p)
+
+    def test_product_matches_the_tile_trace(self):
+        for m, p in _PIPE_GRIDS:
+            for d in enumerate_diagrams(m, p):
+                w = pipe_dream(d)
+                assert w.images == oracles.trace_pipe_dream(m, p, d.black), d.to_ascii()
+                assert len(d.black) == w.length(), d.to_ascii()
+
+    def test_inverse_succeeds_exactly_on_restricted_permutations(self):
+        for m, p in [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 3)]:
+            for images in iter_perms(range(1, m + p + 1)):
+                w = Permutation(images)
+                if is_restricted(w, m, p):
+                    d = inverse_pipe_dream(w, m, p)
+                    assert CauchonDiagram(m, p, d.black) == d
+                    assert pipe_dream(d) == w
+                else:
+                    with pytest.raises(DomainError):
+                        inverse_pipe_dream(w, m, p)
+
+    @given(st.data())
+    def test_random_diagrams_round_trip(self, data):
+        m, p = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+        coins = data.draw(st.lists(st.booleans(), min_size=m * p, max_size=m * p))
+        # a cell may be black when every cell to its left or every cell
+        # above it is black; deciding in row-major order keeps that true
+        black: set[tuple[int, int]] = set()
+        for (i, a), coin in zip(product(range(1, m + 1), range(1, p + 1)), coins):
+            if coin and (
+                all((i, b) in black for b in range(1, a))
+                or all((j, a) in black for j in range(1, i))
+            ):
+                black.add((i, a))
+        d = CauchonDiagram(m, p, black)
+        back = inverse_pipe_dream(pipe_dream(d), m, p)
+        assert back == d
+        assert CauchonDiagram(m, p, back.black) == back
 
 
 def _bruhat_closure(n):

@@ -20,8 +20,8 @@ needs no scaling. Entries of other rings do their own arithmetic.
 The canonical matrix of a diagram arises by seeding zeros on black cells,
 nonzero scalars on white cells, and restoring. Its identically-zero minors
 form the vanishing family of the diagram. They are exactly the minors that
-vanish on the canonical matrix with every white cell set to 1, so one exact
-rational minor scan decides the family (see :func:`vanishing_family`).
+vanish on its integer matrix of path counts with every white cell set to 1,
+so one integer minor scan decides the family (see :func:`vanishing_family`).
 """
 
 from __future__ import annotations
@@ -33,11 +33,11 @@ from typing import Any, Iterator, Mapping
 
 from . import guards
 from .diagrams import CauchonDiagram, Cell, is_cauchon
-from .errors import DomainError
+from .errors import ConsistencyError, DomainError
 from .matrices import (
-    Matrix, MinorFamily, _cleared, _require_rational, exact_vanishing_minors, minor_count
+    Matrix, MinorFamily, _cleared, _int_minor_sizes, _require_rational, _zero_mask, minor_count
 )
-from .scalars import MPoly, QQ
+from .scalars import MPoly
 
 StepIndex = tuple[int, int]
 
@@ -115,17 +115,15 @@ def restore_step(matrix: Matrix, j: int, beta: int) -> Matrix:
     return _step(matrix, j, beta, +1)
 
 
-def _sweep(matrix: Matrix, sign: int) -> Iterator[tuple[StepIndex, list[list[Any]], Any]]:
-    """Yield (step, working rows after that step, their reader).
-
-    Plus steps run from (1,1) up to (m,p), minus steps the other way. The
-    sweep's work is checked against the guard before the first step.
-    """
+def _sweep(working: tuple, m: int, p: int, sign: int) -> Iterator[tuple[StepIndex, Any, Any]]:
+    """Run one sweep on an m x p matrix's working (rows, step, reader), editing
+    the rows in place: plus steps from (1,1) up to (m,p), minus steps the other
+    way. Yield (step, rows, reader) after each step; the guard is checked first."""
     # m*p steps, each rewriting at most the m*p entries of the matrix
-    work = (matrix.m * matrix.p) ** 2
+    work = (m * p) ** 2
     guards.ensure(work, guards.SWEEP_WORK_LIMIT, "entries one sweep rewrites")
-    steps = step_indices(matrix.m, matrix.p)
-    rows, apply, read = _working_rows(matrix)
+    steps = step_indices(m, p)
+    rows, apply, read = working
     for j, beta in steps if sign > 0 else reversed(steps):
         apply(rows, j, beta, sign)
         yield (j, beta), rows, read
@@ -136,7 +134,7 @@ def deleting_stages(matrix: Matrix) -> Iterator[tuple[StepIndex, Matrix]]:
 
     The sweep's work is checked against the guard before the first step.
     """
-    for step, rows, read in _sweep(matrix, -1):
+    for step, rows, read in _sweep(_working_rows(matrix), matrix.m, matrix.p, -1):
         yield step, read(rows)
 
 
@@ -145,17 +143,17 @@ def restoration_stages(matrix: Matrix) -> Iterator[tuple[StepIndex, Matrix]]:
 
     The sweep's work is checked against the guard before the first step.
     """
-    for step, rows, read in _sweep(matrix, +1):
+    for step, rows, read in _sweep(_working_rows(matrix), matrix.m, matrix.p, +1):
         yield step, read(rows)
 
 
 def deleting_derivations(matrix: Matrix) -> Matrix:
-    *_, (_, rows, read) = _sweep(matrix, -1)
+    *_, (_, rows, read) = _sweep(_working_rows(matrix), matrix.m, matrix.p, -1)
     return read(rows)
 
 
 def restoration(matrix: Matrix) -> Matrix:
-    *_, (_, rows, read) = _sweep(matrix, +1)
+    *_, (_, rows, read) = _sweep(_working_rows(matrix), matrix.m, matrix.p, +1)
     return read(rows)
 
 
@@ -178,7 +176,7 @@ def tnn_test(matrix: Matrix) -> TnnVerdict:
     entrywise nonnegative and its zero set is a valid diagram.
     """
     _require_rational(matrix.rows, "the TNN test")
-    *_, (_, rows, read) = _sweep(matrix, -1)
+    *_, (_, rows, read) = _sweep(_working_rows(matrix), matrix.m, matrix.p, -1)
     # the integer rows' signs and zeros are the entries', over positive denominators
     zeros = frozenset((i, a) for i, r in enumerate(rows, 1)
                       for a, x in enumerate(r, 1) if not x)
@@ -231,9 +229,20 @@ def symbolic_TC(diagram: CauchonDiagram) -> Matrix:
     return build_TC(diagram, MPoly.zero(names), assignment)
 
 
+def _unit_rows(diagram: CauchonDiagram) -> list[list[int]]:
+    """The integer rows of :func:`ones_TC`: path counts, as every pivot is a 0/1 seed entry."""
+    rows = [[1] * (diagram.p + 1) for _ in range(diagram.m)]  # white, then denominator 1
+    for i, a in diagram.black:
+        rows[i - 1][a - 1] = 0
+    *_, (_, rows, _) = _sweep((rows, _apply_int_step, None), diagram.m, diagram.p, +1)
+    if any(row[-1] != 1 for row in rows):
+        raise ConsistencyError(f"unit-weight restoration left a fraction on\n{diagram}")
+    return [row[:-1] for row in rows]
+
+
 def ones_TC(diagram: CauchonDiagram) -> Matrix:
     """The canonical matrix with every white cell set to 1 (rational entries)."""
-    return build_TC(diagram, QQ, dict.fromkeys(diagram.white_cells(), Fraction(1)))
+    return Matrix(_unit_rows(diagram))
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +259,9 @@ def vanishing_family(diagram: CauchonDiagram) -> MinorFamily:
     each column-to-row turn), so by Lindstrom-Gessel-Viennot each minor is a
     sum of Laurent monomials with coefficient +1, one per vertex-disjoint
     path family. With every white cell set to 1 the minor counts those
-    families, and it is zero exactly when the symbolic minor is. The minor
+    families, and it is zero exactly when the symbolic minor is. The integer
     table's guard is checked before the witness's restoration sweep runs.
     """
-    count = minor_count(diagram.m, diagram.p)
-    guards.ensure(count, guards.MINOR_TABLE_LIMIT, "minors in one scan")
-    return exact_vanishing_minors(ones_TC(diagram))
+    m, p = diagram.m, diagram.p
+    guards.ensure(minor_count(m, p), guards.MINOR_TABLE_LIMIT, "minors in one scan")
+    return MinorFamily._from_mask(m, p, _zero_mask(_int_minor_sizes(_unit_rows(diagram), m, p)))

@@ -22,15 +22,10 @@ from . import guards
 from .diagrams import CauchonDiagram, enumerate_diagrams
 from .errors import ConsistencyError, DomainError
 from .matrices import (
-    Matrix,
-    MinorFamily,
-    _most_negative,
-    _zero_bits,
-    exact_vanishing_minors,
-    minor_sizes,
+    Matrix, MinorFamily, _int_minor_sizes, _minor_keys, _most_negative, _zero_mask, minor_sizes
 )
 from .permutations import Permutation, minor_family, pipe_dream
-from .cauchon import ones_TC, tnn_test, vanishing_family
+from .cauchon import _unit_rows, tnn_test, vanishing_family
 
 
 @dataclass(frozen=True)
@@ -106,16 +101,15 @@ def cell_of(matrix: Matrix) -> CellDescriptor:
     ConsistencyError since it would falsify the classification theorems,
     not merely this input.
     """
-    zeros = offset = 0
-    for denominator, table in minor_sizes(matrix):
-        worst = _most_negative(denominator, table)
+    sizes = []
+    for k, (denominator, values) in enumerate(minor_sizes(matrix), 1):
+        worst = _most_negative(matrix.m, matrix.p, k, denominator, values)
         if worst is not None:
             raise DomainError(
                 f"matrix is not totally nonnegative: minor {worst[0]} = {worst[1]}"
             )
-        zeros |= _zero_bits(table) << offset
-        offset += len(table)
-    direct = MinorFamily._from_mask(matrix.m, matrix.p, zeros)
+        sizes.append(values)
+    direct = MinorFamily._from_mask(matrix.m, matrix.p, _zero_mask(sizes))
     verdict = tnn_test(matrix)
     if not verdict.is_tnn or verdict.diagram is None:
         raise ConsistencyError(
@@ -166,20 +160,23 @@ class UnifyingReport:
 
 
 def _check_diagram(diagram: CauchonDiagram) -> dict[str, Any] | None:
-    """Worker: compare the diagram's family with its permutation's, and
-    check that the diagram's witness matrix tests back to the diagram."""
-    # the witness is ones_TC, so its zero minors are vanishing_family(diagram);
-    # unifying_check has applied that function's guard to the whole grid
-    witness = ones_TC(diagram)
-    via_restoration = exact_vanishing_minors(witness)
+    """Worker: from one integer minor table of the unit-weight witness ``ones_TC``,
+    compare its zero minors with the permutation's family and check Cauchon's
+    theorem, that it is TNN, which no deletion sweep can (it undoes any
+    restoration). unifying_check has applied the table's guard to the grid."""
+    m, p = diagram.m, diagram.p
+    sizes = list(_int_minor_sizes(_unit_rows(diagram), m, p))
+    via_restoration = MinorFamily._from_mask(m, p, _zero_mask(sizes))
     w = pipe_dream(diagram)
-    via_permutation = minor_family(w, diagram.m, diagram.p)
-    witness_verdict = tnn_test(witness)
+    via_permutation = minor_family(w, m, p)
     problems = []
     if via_restoration.mask != via_permutation.mask:
         problems.append("restoration family differs from permutation family")
-    if not witness_verdict.is_tnn or witness_verdict.diagram != diagram:
-        problems.append("witness matrix does not test back to its own diagram")
+    problems += [  # the first negative minor, if any
+        f"witness minor {_minor_keys(m, p, k)[i]} = {value} is negative"
+        for k, values in enumerate(sizes, 1) if min(values) < 0
+        for i, value in enumerate(values) if value < 0
+    ][:1]
     if not problems:
         return None
     return {

@@ -30,6 +30,8 @@ from .matrices import (
     Matrix,
     MinorFamily,
     MinorIndex,
+    _cleared,
+    _int_minor_sizes,
     all_minors,
     initial_minors,
     is_tnn_bruteforce,
@@ -37,7 +39,6 @@ from .matrices import (
     load_matrix_text,
     matrix_to_json,
     minor,
-    minor_sizes,
 )
 
 
@@ -716,12 +717,13 @@ def _lindstrom_sweep(m: int, p: int) -> tuple[int, int]:
     for diagram in diagrams_mod.enumerate_diagrams(m, p):
         net = networks_mod.postnikov_network(diagram)
         counts = networks_mod.nonintersecting_counts(net, indices)
-        for denominator, table in minor_sizes(networks_mod.path_matrix(net)):
-            for key, value in table.items():
-                checked += 1
-                count = counts[key]
-                if value * count.denominator != count.numerator * denominator:
-                    mismatched += 1
+        scale, rows = _cleared(networks_mod.path_matrix(net).rows)
+        values = [v for size in _int_minor_sizes(rows, m, p) for v in size]
+        checked += len(indices)
+        mismatched += sum(
+            value * counts[ix].denominator != counts[ix].numerator * scale**ix.size
+            for ix, value in zip(indices, values)
+        )
     return checked, mismatched
 
 

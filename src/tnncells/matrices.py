@@ -15,8 +15,8 @@ Minors are taken over the rationals only. Every scan over all minors of a
 matrix (the zero set, the listing, the brute-force TNN test) reads one
 integer table, :func:`minor_sizes`: denominators are cleared once per
 matrix, and each k-minor follows from the (k-1)-minors by Laplace expansion
-along its last row, in at most k multiply-adds with no division. Single
-determinants and minors run fraction-free Bareiss elimination on integers.
+along its last row, in at most k multiply-adds with no division; integer
+rows enter it directly. Single determinants and minors run Bareiss.
 Every rational-only call checks once that the entries it reads are
 ``Fraction``. Other matrices (the symbolic canonical matrices, whose entries
 are Laurent polynomials in the white-cell variables) are for display,
@@ -31,7 +31,6 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations
 from math import comb, lcm
-from operator import itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 from . import guards
@@ -364,85 +363,93 @@ def iter_minor_indices(m: int, p: int) -> Iterator[MinorIndex]:
                 yield MinorIndex._make((rows, cols))
 
 
-def minor_sizes(matrix: Matrix) -> Iterator[tuple[int, dict[tuple, int]]]:
+def minor_sizes(matrix: Matrix) -> Iterator[tuple[int, list[int]]]:
     """Every minor of a rational matrix, one size at a time.
 
-    Yields ``(denominator, table)`` for k = 1, 2, ..., min(m, p). The table
-    maps each (rows, cols) pair of size k, in :func:`iter_minor_indices`
-    order, to an integer; the pair equals its :class:`MinorIndex`, and the
-    minor itself is ``Fraction(value, denominator)``. With s the least
-    common denominator of the entries, the table holds the
-    k-minors of the integer matrix s*A and the denominator is s^k, so signs
-    and zeros read straight off the integers. Each k-minor is the Laplace
-    expansion of s*A's (k-1)-minors along row ``rows[-1]``, and only two
-    sizes are held at a time. The whole scan is guarded by its minor count.
+    Yields ``(denominator, values)`` for k = 1, 2, ..., min(m, p): the k-minors
+    of s*A as ints in :func:`iter_minor_indices` order, s the least common
+    denominator of the entries, and denominator s^k, so signs and zeros read
+    straight off the ints. The whole scan is guarded by its minor count.
     """
     _require_rational(matrix.rows, "a minor table")
     guards.ensure(
         minor_count(matrix.m, matrix.p), guards.MINOR_TABLE_LIMIT, "minors in one scan"
     )
     scale, a = _cleared(matrix.rows)
-    # rows -> {cols: minor}: nested, because hashing (rows, cols) pairs
-    # would cost more than the arithmetic
-    prev: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {(): {(): 1}}
-    for k in range(1, min(matrix.m, matrix.p) + 1):
-        # per column set: (column, complementary columns, sign of the cofactor)
-        expansions = [
-            (cols, [(c - 1, cols[:j - 1] + cols[j:], (k + j) % 2 == 0)
-                    for j, c in enumerate(cols, 1)])
-            for cols in combinations(range(1, matrix.p + 1), k)
-        ]
-        nested: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-        for rows in combinations(range(1, matrix.m + 1), k):
-            sub, last = prev[rows[:-1]], a[rows[-1] - 1]
-            nested[rows] = row = {}
-            for cols, terms in expansions:
+    for k, values in enumerate(_int_minor_sizes(a, matrix.m, matrix.p), 1):
+        yield scale**k, values
+
+
+@cache
+def _expansions(p: int, k: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+    """Per k-subset of columns, its Laplace terms as (column, position of the other
+    k-1 columns among the (k-1)-subsets): the plus terms, then the minus terms."""
+    index = subset_index(p, k - 1)
+    return tuple(
+        tuple(tuple((c - 1, index[cols[:j - 1] + cols[j:]])
+                    for j, c in enumerate(cols, 1) if (k + j) % 2 == odd) for odd in (0, 1))
+        for cols in subsets(p, k)
+    )
+
+
+def _int_minor_sizes(rows: Sequence[Sequence[int]], m: int, p: int) -> Iterator[list[int]]:
+    """Every minor of an integer m x p matrix as one list of ints per size, in
+    :func:`iter_minor_indices` order. A k-minor is the Laplace expansion of
+    (k-1)-minors along its last row: at most k multiply-adds, no division."""
+    prev = [[1]]  # per row set, its minors by column set
+    for k in range(1, min(m, p) + 1):
+        index, expansions = subset_index(m, k - 1), _expansions(p, k)
+        table, values = [], []
+        for r in subsets(m, k):
+            sub, last = prev[index[r[:-1]]], rows[r[-1] - 1]
+            out = []
+            for plus, minus in expansions:
                 total = 0
-                for c, rest, plus in terms:
-                    x = last[c]
-                    if x:
-                        if plus:
-                            total += x * sub[rest]
-                        else:
-                            total -= x * sub[rest]
-                row[cols] = total
-        yield scale**k, {
-            (rows, cols): value
-            for rows, row in nested.items()
-            for cols, value in row.items()
-        }
-        prev = nested
+                for c, rest in plus:
+                    if x := last[c]:
+                        total += x * sub[rest]
+                for c, rest in minus:
+                    if x := last[c]:
+                        total -= x * sub[rest]
+                out.append(total)
+            table.append(out)
+            values += out
+        yield values
+        prev = table
 
 
-def _zero_bits(table: dict[tuple, int]) -> int:
-    """Bit i set exactly when the i-th minor of one size's table is zero."""
-    return int("".join("0" if value else "1" for value in reversed(table.values())), 2)
+@cache
+def _minor_keys(m: int, p: int, k: int) -> tuple[MinorIndex, ...]:
+    """The k-minors of the m x p grid in :func:`iter_minor_indices` order."""
+    return tuple(MinorIndex._make((r, c)) for r in subsets(m, k) for c in subsets(p, k))
 
 
-def _most_negative(
-    denominator: int, table: dict[tuple, int]
-) -> tuple[MinorIndex, Fraction] | None:
-    """The most negative minor of one size, first in order on ties, or None."""
-    key, value = min(table.items(), key=itemgetter(1))
+def _zero_mask(sizes: Iterable[list[int]]) -> int:
+    """Bit i set exactly when the i-th value of the sizes, in order, is zero."""
+    flat = list(chain.from_iterable(sizes))
+    return int("".join("0" if value else "1" for value in reversed(flat)), 2)
+
+
+def _most_negative(m: int, p: int, k: int, denominator: int, values: list[int]
+                   ) -> tuple[MinorIndex, Fraction] | None:
+    """The most negative k-minor of an m x p matrix, first in order on ties, or None."""
+    value = min(values)
     if value >= 0:
         return None
-    return MinorIndex._make(key), Fraction(value, denominator)
+    return _minor_keys(m, p, k)[values.index(value)], Fraction(value, denominator)
 
 
 def all_minors(matrix: Matrix) -> list[tuple[MinorIndex, Fraction]]:
     return [
-        (MinorIndex._make(key), Fraction(value, denominator))
-        for denominator, table in minor_sizes(matrix)
-        for key, value in table.items()
+        (ix, Fraction(value, denominator))
+        for k, (denominator, values) in enumerate(minor_sizes(matrix), 1)
+        for ix, value in zip(_minor_keys(matrix.m, matrix.p, k), values)
     ]
 
 
 def exact_vanishing_minors(matrix: Matrix) -> MinorFamily:
     """The minors of a rational matrix whose value is zero."""
-    mask = offset = 0
-    for _, table in minor_sizes(matrix):
-        mask |= _zero_bits(table) << offset
-        offset += len(table)
+    mask = _zero_mask(values for _, values in minor_sizes(matrix))
     return MinorFamily._from_mask(matrix.m, matrix.p, mask)
 
 
@@ -496,8 +503,8 @@ def is_tnn_bruteforce(matrix: Matrix) -> tuple[bool, MinorIndex | None]:
     violation rather than an accident of scan order. The scan stops after
     that size.
     """
-    for denominator, table in minor_sizes(matrix):
-        worst = _most_negative(denominator, table)
+    for k, (denominator, values) in enumerate(minor_sizes(matrix), 1):
+        worst = _most_negative(matrix.m, matrix.p, k, denominator, values)
         if worst is not None:
             return False, worst[0]
     return True, None

@@ -232,8 +232,9 @@ def path_matrix(network: PlanarNetwork) -> Matrix:
 def nonintersecting_counts(
     network: PlanarNetwork,
     indices: Iterable[MinorIndex],
-) -> dict[MinorIndex, Fraction]:
-    """Signed weighted counts of vertex-disjoint path families, one per minor.
+) -> dict[MinorIndex, Fraction | int]:
+    """Signed weighted counts of vertex-disjoint path families, one per minor:
+    ``int`` when every edge weight is integral, else ``Fraction``.
 
     Every vertex gets one bit, and each needed source is walked once,
     recording every path it has to every sink as (vertex mask, weight). The
@@ -318,7 +319,7 @@ def nonintersecting_counts(
                 grown[key] = grown.get(key, 0) + value
         states[prefix] = grown
 
-    counts: dict[MinorIndex, Fraction] = {}
+    counts: dict[MinorIndex, Fraction | int] = {}
     totals: dict[tuple[int, ...], dict[int, Fraction | int]] = {}
     for ix, cols in zip(indices, col_masks):
         by_cols = totals.get(ix.rows)
@@ -326,11 +327,11 @@ def nonintersecting_counts(
             by_cols = totals[ix.rows] = {}
             for (final, _), weight in states[ix.rows].items():
                 by_cols[final] = by_cols.get(final, 0) + weight
-        counts[ix] = Fraction(by_cols.get(cols, 0))
+        counts[ix] = by_cols.get(cols, 0)
     return counts
 
 
-def nonintersecting_count(network: PlanarNetwork, ix: MinorIndex) -> Fraction:
+def nonintersecting_count(network: PlanarNetwork, ix: MinorIndex) -> Fraction | int:
     """The signed weighted count of disjoint path families for one minor.
 
     See :func:`nonintersecting_counts`; the step budget covers this one call.

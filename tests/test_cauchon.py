@@ -302,6 +302,18 @@ def test_TC_matrices_are_tnn():
         assert ok, d.to_ascii()
 
 
+def test_deletion_of_unit_weight_restoration_gives_back_the_seed():
+    # the sweeps' round trip on every diagram through 4x4; criterion 9 checks
+    # the witness's minor signs instead, which a round trip cannot
+    for m in range(1, 5):
+        for p in range(1, 5):
+            for d in enumerate_diagrams(m, p):
+                seed = seed_matrix(d, QQ, dict.fromkeys(d.white_cells(), Fraction(1)))
+                verdict = tnn_test(ones_TC(d))
+                assert verdict.final.equals(seed), d.to_ascii()
+                assert verdict.is_tnn and verdict.diagram == d, d.to_ascii()
+
+
 class TestVanishingFamily:
     def test_demo_family(self):
         fam = vanishing_family(DEMO)

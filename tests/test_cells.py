@@ -1,11 +1,13 @@
 """Admissible families, cell classification, and the three-route cross-check."""
 
 import random
+import re
 
 import pytest
 
 import oracles
 
+from tnncells import cauchon
 from tnncells.cauchon import ones_TC
 from tnncells.cells import (
     admissible_families,
@@ -132,6 +134,23 @@ def test_unifying_check_parallel_matches_serial():
     parallel = unifying_check(2, 2, jobs=2)
     assert serial.ok and parallel.ok
     assert serial.total == parallel.total
+
+
+def test_unifying_check_catches_a_wrong_step_sign(monkeypatch):
+    # restoring with the deletion's sign breaks Cauchon's theorem, which the
+    # sweeps' round trip cannot see: they would still invert each other
+    step = cauchon._apply_int_step
+    monkeypatch.setattr(
+        cauchon, "_apply_int_step", lambda rows, j, beta, sign: step(rows, j, beta, -sign)
+    )
+    report = unifying_check(3, 3)
+    assert (report.total, len(report.mismatches)) == (230, 126)
+    for mismatch in report.mismatches:
+        named = [p for p in mismatch["problems"] if p.startswith("witness minor")]
+        assert len(named) == 1, mismatch
+        ix, value = re.fullmatch(r"witness minor (\S+) = (-\d+) is negative", named[0]).groups()
+        witness = ones_TC(CauchonDiagram.from_json(mismatch["diagram"]))
+        assert minor(witness, MinorIndex.parse(ix)) == int(value) < 0
 
 
 def test_unifying_check_rectangular():

@@ -21,8 +21,9 @@ import oracles
 from tnncells import fixtures
 from tnncells.cauchon import ones_TC
 from tnncells.cli import main
-from tnncells.diagrams import CauchonDiagram
+from tnncells.diagrams import CauchonDiagram, enumerate_diagrams
 from tnncells.matrices import MinorFamily, matrix_to_json
+from tnncells.networks import postnikov_network
 from tnncells.permutations import minor_family, pipe_dream
 
 
@@ -707,3 +708,115 @@ def test_matrix_text_fuzz_exits_with_a_contract_code(text, command, fmt, inline)
         args, repr(result.exception)
     )
     assert "Traceback" not in result.output
+
+
+def _assert_contract(args, result):
+    assert result.exit_code in (0, 1, 2, 3), (args, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        args, repr(result.exception)
+    )
+    assert "Traceback" not in result.output
+
+
+# Diagram text: valid diagrams as ASCII or JSON as often as anything else,
+# where anything else is junk grids, ragged rows, bad sizes and cells, and
+# truncated JSON; the 40x40 all-black grid is over the sweep and minor
+# table guards
+_SIZE = st.one_of(st.integers(-1, 5), st.floats(), st.booleans(), st.just("3"))
+_DIAGRAM_TEXT = st.one_of(
+    st.sampled_from(list(enumerate_diagrams(3, 3))).flatmap(
+        lambda d: st.sampled_from([d.to_ascii(), d.to_ascii().replace("\n", "/"),
+                                   json.dumps(d.to_json())])
+    ),
+    st.tuples(
+        st.lists(st.text(".#01x /", max_size=5), min_size=1, max_size=4),
+        st.sampled_from(["\n", "/"]),
+    ).map(lambda t: t[1].join(t[0])),
+    st.tuples(
+        _SIZE, _SIZE,
+        st.lists(st.lists(st.one_of(st.integers(-1, 6), st.floats(), st.none()),
+                          max_size=3), max_size=4),
+        st.booleans(),
+    ).map(lambda t: json.dumps({"m": t[0], "p": t[1], "black": t[2]})[: None if t[3] else -3]),
+    st.just(json.dumps({"m": 40, "p": 40, "black": [[i, a] for i in range(1, 41)
+                                                    for a in range(1, 41)]})),
+)
+_INDEX_TEXT = st.sampled_from(["1", "2", "1,2", "2,3", "1,2,3", "2,1", "0", "", "x", "1,,2"])
+_INDEX_PAIR = st.one_of(
+    st.sampled_from([("1", "1"), ("2", "3"), ("1,2", "2,3"), ("1,2,3", "1,2,3")]),
+    st.tuples(_INDEX_TEXT, _INDEX_TEXT),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _DIAGRAM_TEXT,
+    st.one_of(
+        st.sampled_from([["tc"], ["tc", "--symbolic"], ["vanish"], ["perm", "pipedream"]]),
+        _INDEX_PAIR.map(lambda rc: ["network", "lindstrom", "--rows", rc[0], "--cols", rc[1]]),
+    ),
+    st.sampled_from(["text", "json"]),
+)
+def test_diagram_text_fuzz_exits_with_a_contract_code(text, command, fmt):
+    args = [*command, "-d", text, "--format", fmt]
+    _assert_contract(args, CliRunner().invoke(main, args))
+
+
+_VERTEX = st.sampled_from(["s1", "s2", "t1", "t2", "a", "b", ""])
+_NETWORK_TEXT = st.one_of(
+    st.sampled_from(list(enumerate_diagrams(2, 3))).map(
+        lambda d: json.dumps(postnikov_network(d).to_json())
+    ),
+    st.tuples(
+    _SIZE, _SIZE,
+    st.lists(
+        st.fixed_dictionaries(
+            {"from": _VERTEX, "to": _VERTEX},
+            optional={"weight": st.one_of(
+                st.sampled_from(["1", "-1", "1/2", "0", "x", "1e5", "1/0"]),
+                st.integers(-3, 3), st.floats(), st.none(),
+            )},
+        ),
+        max_size=6,
+        ),
+        st.booleans(),
+    ).map(lambda t: json.dumps({"m": t[0], "p": t[1], "edges": t[2]})[: None if t[3] else -3]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_NETWORK_TEXT, _INDEX_PAIR, st.sampled_from(["text", "json"]))
+def test_network_json_fuzz_exits_with_a_contract_code(text, index, fmt):
+    args = ["network", "lindstrom", "--network", text, "--rows", index[0],
+            "--cols", index[1], "--format", fmt]
+    _assert_contract(args, CliRunner().invoke(main, args))
+
+
+# Permutation text: a word on m + p letters as often as anything else
+_PERMUTATION_ARGS = st.one_of(
+    st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+        lambda mp: st.tuples(
+            st.permutations(range(1, sum(mp) + 1)).map(lambda w: "".join(map(str, w))),
+            st.just(mp[0]), st.just(mp[1]),
+        )
+    ),
+    st.tuples(
+        st.one_of(
+            st.text("0123456789,() x-", max_size=12),
+            st.sampled_from(["()", "(1 2)", "(1 2)(3 4)", "(1 9)", "((1 2))", "1,1,2"]),
+        ),
+        st.one_of(st.integers(-1, 6), st.just(10**6)),
+        st.integers(-1, 6),
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _PERMUTATION_ARGS,
+    st.sampled_from([["perm", "inverse-pipedream"], ["perm", "mw"]]),
+    st.sampled_from(["text", "json"]),
+)
+def test_permutation_text_fuzz_exits_with_a_contract_code(wmp, command, fmt):
+    args = [*command, wmp[0], "--m", str(wmp[1]), "--p", str(wmp[2]), "--format", fmt]
+    _assert_contract(args, CliRunner().invoke(main, args))

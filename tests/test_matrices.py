@@ -17,6 +17,8 @@ from tnncells.matrices import (
     Matrix,
     MinorFamily,
     MinorIndex,
+    _minor_keys,
+    _most_negative,
     all_minors,
     determinant,
     exact_vanishing_minors,
@@ -231,19 +233,32 @@ def table_matrices(draw):
 
 @given(table_matrices())
 def test_minor_table_matches_leibniz(M):
-    keys = []
-    for k, (denominator, table) in enumerate(minor_sizes(M), 1):
+    count = 0
+    for k, (denominator, values) in enumerate(minor_sizes(M), 1):
         assert denominator > 0
-        assert list(table) == [
+        keys = [
             (rows, cols)
             for rows in combinations(range(1, M.m + 1), k)
             for cols in combinations(range(1, M.p + 1), k)
         ]
-        for (rows, cols), value in table.items():
+        assert list(_minor_keys(M.m, M.p, k)) == keys
+        assert len(values) == len(keys)
+        for (rows, cols), value in zip(keys, values):
             assert type(value) is int
             assert Fraction(value, denominator) == oracles.leibniz_minor(M.rows, rows, cols)
-        keys.extend(table)
-    assert len(keys) == minor_count(M.m, M.p)
+        count += len(values)
+    assert count == minor_count(M.m, M.p)
+
+
+def test_most_negative_names_the_first_minor_on_ties():
+    # [1|2] and [2|1] are both -3; [1,2|1,2] = -9 is of the next size
+    M = Matrix([[0, -3], [-3, 0]])
+    (denominator, values), _ = minor_sizes(M)
+    assert values == [0, -3, -3, 0]
+    assert _most_negative(2, 2, 1, denominator, values) == (
+        MinorIndex((1,), (2,)), Fraction(-3)
+    )
+    assert is_tnn_bruteforce(M) == (False, MinorIndex((1,), (2,)))
 
 
 def test_minor_table_guard():

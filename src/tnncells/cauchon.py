@@ -34,9 +34,7 @@ from typing import Any, Iterator, Mapping
 from . import guards
 from .diagrams import CauchonDiagram, Cell, is_cauchon
 from .errors import ConsistencyError, DomainError
-from .matrices import (
-    Matrix, MinorFamily, _cleared, _int_minor_sizes, _require_rational, _zero_mask, minor_count
-)
+from .matrices import Matrix, MinorFamily, _cleared, _require_rational, scan_int_minors
 from .scalars import MPoly
 
 StepIndex = tuple[int, int]
@@ -259,9 +257,14 @@ def vanishing_family(diagram: CauchonDiagram) -> MinorFamily:
     each column-to-row turn), so by Lindstrom-Gessel-Viennot each minor is a
     sum of Laurent monomials with coefficient +1, one per vertex-disjoint
     path family. With every white cell set to 1 the minor counts those
-    families, and it is zero exactly when the symbolic minor is. The integer
-    table's guard is checked before the witness's restoration sweep runs.
+    families, and it is zero exactly when the symbolic minor is, and never
+    negative (Cauchon's theorem), so a negative one raises ConsistencyError.
+    The minor table's guard is checked before the witness is built.
     """
     m, p = diagram.m, diagram.p
-    guards.ensure(minor_count(m, p), guards.MINOR_TABLE_LIMIT, "minors in one scan")
-    return MinorFamily._from_mask(m, p, _zero_mask(_int_minor_sizes(_unit_rows(diagram), m, p)))
+    guards.ensure_minor_table(m, p)
+    scan = scan_int_minors(_unit_rows(diagram), m, p, 1)
+    if scan.negative is not None:
+        ix, value = scan.negative
+        raise ConsistencyError(f"witness minor {ix} = {value} is negative on\n{diagram}")
+    return scan.zeros

@@ -21,9 +21,7 @@ from typing import Any
 from . import guards
 from .diagrams import CauchonDiagram, enumerate_diagrams
 from .errors import ConsistencyError, DomainError
-from .matrices import (
-    Matrix, MinorFamily, _int_minor_sizes, _minor_keys, _most_negative, _zero_mask, minor_sizes
-)
+from .matrices import Matrix, MinorFamily, scan_int_minors, scan_minors
 from .permutations import Permutation, minor_family, pipe_dream
 from .cauchon import _unit_rows, tnn_test, vanishing_family
 
@@ -101,15 +99,10 @@ def cell_of(matrix: Matrix) -> CellDescriptor:
     ConsistencyError since it would falsify the classification theorems,
     not merely this input.
     """
-    sizes = []
-    for k, (denominator, values) in enumerate(minor_sizes(matrix), 1):
-        worst = _most_negative(matrix.m, matrix.p, k, denominator, values)
-        if worst is not None:
-            raise DomainError(
-                f"matrix is not totally nonnegative: minor {worst[0]} = {worst[1]}"
-            )
-        sizes.append(values)
-    direct = MinorFamily._from_mask(matrix.m, matrix.p, _zero_mask(sizes))
+    scan = scan_minors(matrix)
+    if scan.negative is not None:
+        raise DomainError("matrix is not totally nonnegative: minor {} = {}".format(*scan.negative))
+    direct = scan.zeros
     verdict = tnn_test(matrix)
     if not verdict.is_tnn or verdict.diagram is None:
         raise ConsistencyError(
@@ -160,30 +153,26 @@ class UnifyingReport:
 
 
 def _check_diagram(diagram: CauchonDiagram) -> dict[str, Any] | None:
-    """Worker: from one integer minor table of the unit-weight witness ``ones_TC``,
-    compare its zero minors with the permutation's family and check Cauchon's
-    theorem, that it is TNN, which no deletion sweep can (it undoes any
-    restoration). unifying_check has applied the table's guard to the grid."""
+    """Worker: from one minor scan of the unit-weight witness ``ones_TC``, check
+    Cauchon's theorem, that it is TNN, which no deletion sweep can (it undoes
+    any restoration), naming the scan's negative minor, then compare its zero
+    minors with the permutation's family."""
     m, p = diagram.m, diagram.p
-    sizes = list(_int_minor_sizes(_unit_rows(diagram), m, p))
-    via_restoration = MinorFamily._from_mask(m, p, _zero_mask(sizes))
+    scan = scan_int_minors(_unit_rows(diagram), m, p, 1)
     w = pipe_dream(diagram)
     via_permutation = minor_family(w, m, p)
-    problems = []
-    if via_restoration.mask != via_permutation.mask:
-        problems.append("restoration family differs from permutation family")
-    problems += [  # the first negative minor, if any
-        f"witness minor {_minor_keys(m, p, k)[i]} = {value} is negative"
-        for k, values in enumerate(sizes, 1) if min(values) < 0
-        for i, value in enumerate(values) if value < 0
-    ][:1]
-    if not problems:
+    if scan.negative is not None:
+        problem, via_restoration = "witness minor {} = {} is negative".format(*scan.negative), None
+    elif (zeros := scan.zeros).mask != via_permutation.mask:
+        problem = "restoration family differs from permutation family"
+        via_restoration = str(zeros)
+    else:
         return None
     return {
         "diagram": diagram.to_json(),
         "permutation": w.one_line(),
-        "problems": problems,
-        "restoration": str(via_restoration),
+        "problems": [problem],
+        "restoration": via_restoration,
         "permutation_family": str(via_permutation),
     }
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable
 
@@ -30,8 +31,6 @@ from .matrices import (
     Matrix,
     MinorFamily,
     MinorIndex,
-    _cleared,
-    _int_minor_sizes,
     all_minors,
     initial_minors,
     is_tnn_bruteforce,
@@ -39,6 +38,7 @@ from .matrices import (
     load_matrix_text,
     matrix_to_json,
     minor,
+    scan_minors,
 )
 
 
@@ -717,11 +717,12 @@ def _lindstrom_sweep(m: int, p: int) -> tuple[int, int]:
     for diagram in diagrams_mod.enumerate_diagrams(m, p):
         net = networks_mod.postnikov_network(diagram)
         counts = networks_mod.nonintersecting_counts(net, indices)
-        scale, rows = _cleared(networks_mod.path_matrix(net).rows)
-        values = [v for size in _int_minor_sizes(rows, m, p) for v in size]
+        # a size the scan did not reach, after a negative minor, is mismatched
+        scan = scan_minors(networks_mod.path_matrix(net))
+        scale, values = scan.scale, chain.from_iterable(scan.sizes)
         checked += len(indices)
-        mismatched += sum(
-            value * counts[ix].denominator != counts[ix].numerator * scale**ix.size
+        mismatched += len(indices) - sum(
+            value * counts[ix].denominator == counts[ix].numerator * scale**ix.size
             for ix, value in zip(indices, values)
         )
     return checked, mismatched

@@ -91,6 +91,8 @@ class CauchonDiagram:
     def __post_init__(self) -> None:
         if self.m < 1 or self.p < 1:
             raise DomainError("grid sizes must be at least 1")
+        # every diagram's pipe dream is a permutation of m + p letters
+        guards.ensure(self.m + self.p, guards.PERMUTATION_LETTER_LIMIT, "pipe dream letters")
         cells = frozenset((int(i), int(a)) for i, a in self.black)
         object.__setattr__(self, "black", cells)
         offender = _first_violation(self.m, self.p, cells)

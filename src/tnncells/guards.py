@@ -6,14 +6,15 @@ from turning into an unbounded computation. The CAUCHON_GUARD environment
 variable (an integer, interpreted as the maximum allowed m*p) raises or lowers
 the ceiling of the enumerations, and of nothing else, for a whole process. The
 other guards are fixed module constants counted in units of work and checked
-through :func:`ensure`: a k x k quantum minor expands k! words, a scan over
-all minors of an m x p matrix holds C(m + p, m) - 1 of them, a minor family
+through :func:`ensure`: a k x k quantum minor expands k! words, every minor
+table and family is counted by :func:`ensure_minor_table`, a minor family
 sets a bit per minor and counts each subset of its two crowding tables in
-every window, a parsed permutation holds one entry per letter, a power in an
-expression multiplies once per unit of its exponent, each parenthesis in an
-expression costs its reader one level of recursion, a count of disjoint path
-families takes a step per vertex its walks visit and per (partial family,
-path) pair it tries, a restoration or deleting-derivations sweep may rewrite
+every window, a parsed permutation or a diagram's pipe dream holds one entry
+per letter, a power in an expression multiplies once per unit of its
+exponent, each parenthesis in an expression costs its reader one level of
+recursion, a count of disjoint path families takes a step per vertex its
+walks visit and per (partial family, path) pair it tries, a restoration or
+deleting-derivations sweep, or the initial minors' eliminations, may rewrite
 (m*p)^2 entries, and one product of exact values or Poisson bracket produces
 |f|*|g| term pairs (in the quantum product, pairs of coefficient terms, plus
 the terms each memo entry of its letter insertions sums). The product budget
@@ -25,6 +26,7 @@ limits on a first, zero-valued read, before it evaluates anything.
 from __future__ import annotations
 
 import os
+from functools import cache
 from math import comb, factorial
 
 from .errors import ResourceGuardError
@@ -62,7 +64,8 @@ MINOR_FAMILY_WORK_LIMIT = 1_000_000
 # Entries one restoration or deleting-derivations sweep may rewrite: each of
 # its m*p steps edits at most the m*p entries of one working copy, (m*p)^2 in
 # all. A 30x30 Pascal matrix (0.81 M) takes about 0.15 s per rational sweep
-# on a 2-vCPU host; a 10x10 matrix is 10,000.
+# on a 2-vCPU host; a 10x10 matrix is 10,000. The initial minors' Bareiss
+# eliminations are charged the entries they rewrite: 954,304 at 31x31.
 SWEEP_WORK_LIMIT = 1_000_000
 
 # Letters in one parsed permutation: a Bruhat comparison at 1,000 letters
@@ -105,3 +108,12 @@ def ensure_enumerable(m: int, p: int, *, what: str = "enumeration") -> None:
             f"{what} for a {m}x{p} grid exceeds the guard (m*p = {m * p} > {limit}); "
             f"set {GUARD_ENV_VAR} to raise the limit"
         )
+
+
+@cache
+def ensure_minor_table(m: int, p: int) -> None:
+    """Refuse an m x p grid of over MINOR_TABLE_LIMIT minors, counted size by size."""
+    count = 0
+    for k in range(1, min(m, p) + 1):
+        count += comb(m, k) * comb(p, k)
+        ensure(count, MINOR_TABLE_LIMIT, f"minors of the {m}x{p} grid")

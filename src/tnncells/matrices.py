@@ -11,12 +11,12 @@ A family of minors is a bitmask over its grid's minor order (size, then
 rows, then columns), the order of :func:`iter_minor_indices` and of the
 minor tables, so comparing two families compares two integers.
 
-Minors are taken over the rationals only. Every scan over all minors of a
-matrix (the zero set, the listing, the brute-force TNN test) reads one
-integer table, :func:`minor_sizes`: denominators are cleared once per
-matrix, and each k-minor follows from the (k-1)-minors by Laplace expansion
-along its last row, in at most k multiply-adds with no division; integer
-rows enter it directly. Single determinants and minors run Bareiss.
+Minors are taken over the rationals only. Every verdict read off all minors
+of a matrix comes from one scan of one integer table, :class:`MinorScan`, and
+:func:`all_minors` lists the table: each k-minor follows from the (k-1)-minors
+by Laplace expansion along its last row, in at most k multiply-adds with no
+division. Integer rows enter directly; rational ones have their denominators
+cleared once per matrix. Single determinants and minors run Bareiss.
 Every rational-only call checks once that the entries it reads are
 ``Fraction``. Other matrices (the symbolic canonical matrices, whose entries
 are Laurent polynomials in the white-cell variables) are for display,
@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations
 from math import comb, lcm
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from . import guards
 from .errors import DomainError, json_int, parse_json
@@ -128,7 +128,7 @@ class MinorFamily:
 
     Bit i stands for the i-th minor of the m x p grid in
     :func:`iter_minor_indices` order (size, then rows, then columns), which is
-    also the order of :func:`minor_sizes`' tables. Within size k, the minor
+    also the order of the minor tables. Within size k, the minor
     on the i-th row set and j-th column set (positions in :func:`subsets`) is
     bit ``offset + i * comb(p, k) + j``. Members are decoded from the mask
     only when asked for. The public constructor validates its members and
@@ -139,12 +139,7 @@ class MinorFamily:
     __slots__ = ("m", "p", "mask")
 
     def __init__(self, m: int, p: int, members: Iterable[MinorIndex]) -> None:
-        # the minor count size by size, stopping at the limit: comb(m + p, m)
-        # itself would be a huge computation for a grid read from JSON
-        count = 0
-        for k in range(1, min(m, p) + 1):
-            count += comb(m, k) * comb(p, k)
-            guards.ensure(count, guards.MINOR_TABLE_LIMIT, "minors in one family")
+        guards.ensure_minor_table(m, p)
         mask = 0
         for ix in members:
             ix = MinorIndex(*ix)
@@ -320,6 +315,8 @@ def _det_bareiss_int(rows: list[list[int]]) -> int:
 def _cleared(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
     """The least common denominator s of the entries, and s times the rows."""
     scale = lcm(*(x.denominator for row in rows for x in row))
+    if scale == 1:  # integer entries, as in every path matrix
+        return 1, [[x.numerator for x in row] for row in rows]
     return scale, [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
 
 
@@ -361,23 +358,6 @@ def iter_minor_indices(m: int, p: int) -> Iterator[MinorIndex]:
         for rows in combinations(range(1, m + 1), k):
             for cols in combinations(range(1, p + 1), k):
                 yield MinorIndex._make((rows, cols))
-
-
-def minor_sizes(matrix: Matrix) -> Iterator[tuple[int, list[int]]]:
-    """Every minor of a rational matrix, one size at a time.
-
-    Yields ``(denominator, values)`` for k = 1, 2, ..., min(m, p): the k-minors
-    of s*A as ints in :func:`iter_minor_indices` order, s the least common
-    denominator of the entries, and denominator s^k, so signs and zeros read
-    straight off the ints. The whole scan is guarded by its minor count.
-    """
-    _require_rational(matrix.rows, "a minor table")
-    guards.ensure(
-        minor_count(matrix.m, matrix.p), guards.MINOR_TABLE_LIMIT, "minors in one scan"
-    )
-    scale, a = _cleared(matrix.rows)
-    for k, values in enumerate(_int_minor_sizes(a, matrix.m, matrix.p), 1):
-        yield scale**k, values
 
 
 @cache
@@ -424,33 +404,54 @@ def _minor_keys(m: int, p: int, k: int) -> tuple[MinorIndex, ...]:
     return tuple(MinorIndex._make((r, c)) for r in subsets(m, k) for c in subsets(p, k))
 
 
-def _zero_mask(sizes: Iterable[list[int]]) -> int:
-    """Bit i set exactly when the i-th value of the sizes, in order, is zero."""
-    flat = list(chain.from_iterable(sizes))
-    return int("".join("0" if value else "1" for value in reversed(flat)), 2)
-
-
-def _most_negative(m: int, p: int, k: int, denominator: int, values: list[int]
-                   ) -> tuple[MinorIndex, Fraction] | None:
-    """The most negative k-minor of an m x p matrix, first in order on ties, or None."""
-    value = min(values)
-    if value >= 0:
-        return None
-    return _minor_keys(m, p, k)[values.index(value)], Fraction(value, denominator)
-
-
 def all_minors(matrix: Matrix) -> list[tuple[MinorIndex, Fraction]]:
-    return [
-        (ix, Fraction(value, denominator))
-        for k, (denominator, values) in enumerate(minor_sizes(matrix), 1)
-        for ix, value in zip(_minor_keys(matrix.m, matrix.p, k), values)
-    ]
+    _require_rational(matrix.rows, "a minor table")
+    guards.ensure_minor_table(matrix.m, matrix.p)
+    scale, rows = _cleared(matrix.rows)
+    return [(ix, Fraction(value, scale**k))
+            for k, values in enumerate(_int_minor_sizes(rows, matrix.m, matrix.p), 1)
+            for ix, value in zip(_minor_keys(matrix.m, matrix.p, k), values)]
 
 
-def exact_vanishing_minors(matrix: Matrix) -> MinorFamily:
-    """The minors of a rational matrix whose value is zero."""
-    mask = _zero_mask(values for _, values in minor_sizes(matrix))
-    return MinorFamily._from_mask(matrix.m, matrix.p, mask)
+class MinorScan(NamedTuple):
+    """A scan of the minors of scale * A: ``sizes[k - 1]`` holds the k-minors as
+    ints in :func:`iter_minor_indices` order, from k = 1 up to the first size
+    with a negative minor; ``negative`` is the most negative minor of that size
+    (the first on ties) and its value in A, or None when no minor is negative."""
+
+    m: int
+    p: int
+    scale: int
+    sizes: tuple[list[int], ...]
+    negative: tuple[MinorIndex, Fraction] | None
+
+    @property
+    def zeros(self) -> MinorFamily:
+        """The zero minors among the sizes read, built when read."""
+        flat = list(chain.from_iterable(self.sizes))
+        bits = "".join("0" if value else "1" for value in reversed(flat))
+        return MinorFamily._from_mask(self.m, self.p, int(bits, 2))
+
+
+def scan_int_minors(rows: Sequence[Sequence[int]], m: int, p: int, scale: int) -> MinorScan:
+    """The :class:`MinorScan` of ``rows``, an integer m x p matrix that is
+    ``scale`` times a matrix A; the grid's minor count is guarded first."""
+    guards.ensure_minor_table(m, p)
+    sizes = []
+    negative = None
+    for k, values in enumerate(_int_minor_sizes(rows, m, p), 1):
+        sizes.append(values)
+        if (value := min(values)) < 0:
+            negative = _minor_keys(m, p, k)[values.index(value)], Fraction(value, scale**k)
+            break
+    return MinorScan(m, p, scale, tuple(sizes), negative)
+
+
+def scan_minors(matrix: Matrix) -> MinorScan:
+    """:func:`scan_int_minors` of a rational matrix, its denominators cleared once."""
+    _require_rational(matrix.rows, "a minor table")
+    scale, rows = _cleared(matrix.rows)
+    return scan_int_minors(rows, matrix.m, matrix.p, scale)
 
 
 def initial_minor_index(i: int, alpha: int) -> MinorIndex:
@@ -466,16 +467,17 @@ def initial_minor_index(i: int, alpha: int) -> MinorIndex:
 
 
 def initial_minors(matrix: Matrix) -> list[tuple[MinorIndex, Any]]:
-    """The n^2 initial minors of a square matrix, row-major by corner entry."""
+    """The n^2 initial minors of a square matrix, row-major by corner entry;
+    the entries their eliminations rewrite are guarded first."""
     if matrix.m != matrix.p:
         raise DomainError("initial minors are defined for square matrices")
     _require_rational(matrix.rows, "initial minors")
-    out = []
-    for i in range(1, matrix.m + 1):
-        for alpha in range(1, matrix.p + 1):
-            ix = initial_minor_index(i, alpha)
-            out.append((ix, _det_rational(_submatrix(matrix, ix))))
-    return out
+    n = matrix.m
+    # 2(n - k) + 1 of them are k x k, and Bareiss rewrites j^2 entries at step j < k
+    work = sum((2 * (n - k) + 1) * (k - 1) * k * (2 * k - 1) // 6 for k in range(2, n + 1))
+    guards.ensure(work, guards.SWEEP_WORK_LIMIT, "entries initial minors' eliminations rewrite")
+    indices = (initial_minor_index(i, a) for i in range(1, n + 1) for a in range(1, n + 1))
+    return [(ix, _det_rational(_submatrix(matrix, ix))) for ix in indices]
 
 
 def _require_rational(rows: Iterable[Sequence[Any]], what: str) -> None:
@@ -496,18 +498,10 @@ def is_tp(matrix: Matrix) -> bool:
 
 
 def is_tnn_bruteforce(matrix: Matrix) -> tuple[bool, MinorIndex | None]:
-    """Check every minor for nonnegativity; on failure report a witness.
-
-    The witness is the most negative minor of the smallest failing size
-    (the first in (rows, cols) order on ties), so it names the worst
-    violation rather than an accident of scan order. The scan stops after
-    that size.
-    """
-    for k, (denominator, values) in enumerate(minor_sizes(matrix), 1):
-        worst = _most_negative(matrix.m, matrix.p, k, denominator, values)
-        if worst is not None:
-            return False, worst[0]
-    return True, None
+    """Check every minor for nonnegativity; on failure report a witness, the
+    worst minor of the smallest failing size (:class:`MinorScan`'s rule)."""
+    negative = scan_minors(matrix).negative
+    return (True, None) if negative is None else (False, negative[0])
 
 
 # ---------------------------------------------------------------------------

@@ -56,28 +56,26 @@ def coordinate(m: int, p: int, i: int, a: int) -> MPoly:
     return MPoly.var(coordinate_names(m, p), coordinate_name(i, a))
 
 
-def _generator_bracket(m: int, p: int, u: Cell, v: Cell) -> MPoly:
-    """{Y_u, Y_v} for u < v in lexicographic order."""
-    (i, a), (k, g) = u, v
-    if i == k or a == g:
-        return coordinate(m, p, *u) * coordinate(m, p, *v)
-    if a > g:
-        return MPoly.zero(coordinate_names(m, p))
-    return 2 * coordinate(m, p, i, g) * coordinate(m, p, k, a)
-
-
 @lru_cache(maxsize=None)
 def _bracket_table(m: int, p: int) -> tuple[tuple[Any, ...], ...]:
     """``table[u][v]`` for coordinates u, v (row-major) is None when
     {Y_u, Y_v} = 0, else ``(c, shift)`` with {Y_u, Y_v} = c Y^(e_u + e_v + shift);
-    ``shift`` is None when it is zero."""
+    ``shift`` is None when it is zero. The entries for u < v are the three
+    cases of the bracket on generators, and antisymmetry gives the rest."""
     cells = [(i, a) for i in range(1, m + 1) for a in range(1, p + 1)]
     table: list[list[Any]] = [[None] * len(cells) for _ in cells]
     for s, t in combinations(range(len(cells)), 2):
-        for exps, c in _generator_bracket(m, p, cells[s], cells[t]).terms.items():
-            shift = tuple(e - (k in (s, t)) for k, e in enumerate(exps))
-            shift = shift if any(shift) else None
-            table[s][t], table[t][s] = (c, shift), (-c, shift)
+        (i, a), (k, g) = cells[s], cells[t]
+        if i == k or a == g:
+            entry = (1, None)
+        elif a > g:
+            continue
+        else:  # 2 Y[i,g] Y[k,a]
+            shift = [0] * len(cells)
+            shift[s] = shift[t] = -1
+            shift[(i - 1) * p + g - 1] = shift[(k - 1) * p + a - 1] = 1
+            entry = (2, tuple(shift))
+        table[s][t], table[t][s] = entry, (-entry[0], entry[1])
     return tuple(map(tuple, table))
 
 

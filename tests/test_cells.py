@@ -8,7 +8,7 @@ import pytest
 import oracles
 
 from tnncells import cauchon
-from tnncells.cauchon import ones_TC
+from tnncells.cauchon import ones_TC, vanishing_family
 from tnncells.cells import (
     admissible_families,
     cell_of,
@@ -16,14 +16,15 @@ from tnncells.cells import (
     unifying_check,
 )
 from tnncells.diagrams import CauchonDiagram, enumerate_diagrams
-from tnncells.errors import DomainError
+from tnncells.errors import ConsistencyError, DomainError
 from tnncells.matrices import (
     Matrix,
     MinorFamily,
     MinorIndex,
-    exact_vanishing_minors,
+    all_minors,
     is_tnn_bruteforce,
     minor,
+    scan_minors,
 )
 from tnncells.permutations import minor_family, pipe_dream
 
@@ -76,7 +77,7 @@ def test_ones_TC_vanishing_minors_close_the_loop():
     for m, p in [(2, 4), (4, 2), (3, 4), (4, 3), (2, 5), (5, 2)]:
         for d in enumerate_diagrams(m, p):
             W = ones_TC(d)
-            assert set(exact_vanishing_minors(W)) == set(
+            assert set(scan_minors(W).zeros) == set(
                 minor_family(pipe_dream(d), m, p)
             ), d.to_ascii()
 
@@ -136,21 +137,45 @@ def test_unifying_check_parallel_matches_serial():
     assert serial.total == parallel.total
 
 
-def test_unifying_check_catches_a_wrong_step_sign(monkeypatch):
+def _flip_restoration_sign(monkeypatch):
     # restoring with the deletion's sign breaks Cauchon's theorem, which the
     # sweeps' round trip cannot see: they would still invert each other
     step = cauchon._apply_int_step
     monkeypatch.setattr(
         cauchon, "_apply_int_step", lambda rows, j, beta, sign: step(rows, j, beta, -sign)
     )
+
+
+def test_unifying_check_catches_a_wrong_step_sign(monkeypatch):
+    _flip_restoration_sign(monkeypatch)
     report = unifying_check(3, 3)
     assert (report.total, len(report.mismatches)) == (230, 126)
     for mismatch in report.mismatches:
         named = [p for p in mismatch["problems"] if p.startswith("witness minor")]
         assert len(named) == 1, mismatch
+        assert mismatch["restoration"] is None
         ix, value = re.fullmatch(r"witness minor (\S+) = (-\d+) is negative", named[0]).groups()
+        ix = MinorIndex.parse(ix)
         witness = ones_TC(CauchonDiagram.from_json(mismatch["diagram"]))
-        assert minor(witness, MinorIndex.parse(ix)) == int(value) < 0
+        assert minor(witness, ix) == int(value) < 0
+        # the most negative minor of the smallest size with one, first on ties
+        minors = all_minors(witness)
+        size = min(jx.size for jx, v in minors if v < 0)
+        same_size = [(jx, v) for jx, v in minors if jx.size == size]
+        worst = min(v for _, v in same_size)
+        assert ix == next(jx for jx, v in same_size if v == worst)
+
+
+def test_vanishing_family_checks_cauchons_theorem(monkeypatch):
+    _flip_restoration_sign(monkeypatch)
+    refused = 0
+    for d in enumerate_diagrams(3, 3):
+        try:
+            vanishing_family(d)
+        except ConsistencyError as err:
+            assert re.match(r"witness minor \S+ = -\d+ is negative", str(err)), err
+            refused += 1
+    assert refused == 126
 
 
 def test_unifying_check_rectangular():

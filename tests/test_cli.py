@@ -18,11 +18,11 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from tnncells import fixtures
+from tnncells import cli, fixtures, networks
 from tnncells.cauchon import ones_TC
 from tnncells.cli import main
 from tnncells.diagrams import CauchonDiagram, enumerate_diagrams
-from tnncells.matrices import MinorFamily, matrix_to_json
+from tnncells.matrices import Matrix, MinorFamily, matrix_to_json
 from tnncells.networks import postnikov_network
 from tnncells.permutations import minor_family, pipe_dream
 
@@ -334,6 +334,21 @@ def test_verify_all(runner):
     assert payload["passed"] == payload["total"]
 
 
+def test_lindstrom_sweep_counts_a_stopped_scan_as_mismatched(monkeypatch):
+    # a negative [1|1] stops the path matrix's scan after size 1, so the one
+    # 2-minor of each 2x2 diagram is never compared and must count as mismatched
+    real = networks.path_matrix
+
+    def negated(net):
+        rows = [list(row) for row in real(net).rows]
+        rows[0][0] = -1
+        return Matrix(rows)
+
+    assert cli._lindstrom_sweep(2, 2) == (70, 0)
+    monkeypatch.setattr(networks, "path_matrix", negated)
+    assert cli._lindstrom_sweep(2, 2) == (70, 28)
+
+
 def test_fixtures_export(runner, tmp_path):
     out = tmp_path / "fx"
     result = runner.invoke(main, ["fixtures", "--out", str(out)])
@@ -524,6 +539,33 @@ def test_sweep_budget(args):
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
     assert took < 1.0
+
+
+@pytest.mark.parametrize(
+    "args, size",
+    [
+        (["network", "lindstrom", "--rows", "1", "--cols", "1"], 10**5),
+        (["tc"], 10**5),
+        (["vanish"], 10**6),
+    ],
+    ids=["network-lindstrom", "tc", "vanish"],
+)
+def test_huge_diagram_is_refused_before_it_is_read(runner, args, size):
+    text = json.dumps({"m": size, "p": size, "black": []})
+    started = time.perf_counter()
+    result = runner.invoke(main, [*args, "-d", text])
+    took = time.perf_counter() - started
+    assert result.exit_code == 3, result.output
+    assert "Traceback" not in result.output
+    assert took < 1.0
+
+
+@pytest.mark.parametrize("n, code", [(32, 3), (31, 0)])
+def test_tp_check_elimination_budget(n, code):
+    proc, took = _run_process(["tp-check", "-"], _pascal_csv(n))
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert took < 3.0
 
 
 def test_lindstrom_step_budget_on_the_full_6x6_minor():

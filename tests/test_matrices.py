@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,10 +19,8 @@ from tnncells.matrices import (
     MinorFamily,
     MinorIndex,
     _minor_keys,
-    _most_negative,
     all_minors,
     determinant,
-    exact_vanishing_minors,
     initial_minor_index,
     initial_minors,
     is_tnn_bruteforce,
@@ -33,8 +32,9 @@ from tnncells.matrices import (
     matrix_to_json,
     minor,
     minor_count,
-    minor_sizes,
     parse_rational,
+    scan_int_minors,
+    scan_minors,
 )
 from tnncells.scalars import MPoly
 
@@ -145,18 +145,18 @@ def test_every_minor_matches_leibniz(M):
 @pytest.mark.parametrize("call", [
     determinant,
     lambda M: minor(M, MinorIndex((1, 2), (1, 2))),
-    lambda M: next(minor_sizes(M)),
+    scan_minors,
     initial_minors,
     is_tp,
     is_tnn_bruteforce,
     all_minors,
-    exact_vanishing_minors,
+    lambda M: scan_minors(M).zeros,
     tnn_test,
     matrix_to_json,
     cell_of,
 ], ids=[
-    "determinant", "minor", "minor_sizes", "initial_minors", "is_tp",
-    "is_tnn_bruteforce", "all_minors", "exact_vanishing_minors", "tnn_test",
+    "determinant", "minor", "scan_minors", "initial_minors", "is_tp",
+    "is_tnn_bruteforce", "all_minors", "scan_minors_zeros", "tnn_test",
     "matrix_to_json", "cell_of",
 ])
 def test_rational_only_entry_points_refuse_symbolic_entries(call):
@@ -231,42 +231,128 @@ def table_matrices(draw):
     ])
 
 
+def _table_keys(m, p, k):
+    return [
+        (rows, cols)
+        for rows in combinations(range(1, m + 1), k)
+        for cols in combinations(range(1, p + 1), k)
+    ]
+
+
 @given(table_matrices())
 def test_minor_table_matches_leibniz(M):
+    # the scan reads the sizes up to its first negative one, as ints
+    scan = scan_minors(M)
+    assert scan.scale > 0
     count = 0
-    for k, (denominator, values) in enumerate(minor_sizes(M), 1):
-        assert denominator > 0
-        keys = [
-            (rows, cols)
-            for rows in combinations(range(1, M.m + 1), k)
-            for cols in combinations(range(1, M.p + 1), k)
-        ]
+    for k, values in enumerate(scan.sizes, 1):
+        denominator = scan.scale**k
+        keys = _table_keys(M.m, M.p, k)
         assert list(_minor_keys(M.m, M.p, k)) == keys
         assert len(values) == len(keys)
         for (rows, cols), value in zip(keys, values):
             assert type(value) is int
             assert Fraction(value, denominator) == oracles.leibniz_minor(M.rows, rows, cols)
         count += len(values)
-    assert count == minor_count(M.m, M.p)
+    if scan.negative is None:
+        assert count == minor_count(M.m, M.p)
+    # the listing reads the whole table
+    listing = all_minors(M)
+    assert [ix for ix, _ in listing] == [
+        key for k in range(1, min(M.m, M.p) + 1) for key in _table_keys(M.m, M.p, k)
+    ]
+    for ix, value in listing:
+        assert value == oracles.leibniz_minor(M.rows, ix.rows, ix.cols)
+    assert len(listing) == minor_count(M.m, M.p)
+
+
+@given(table_matrices())
+def test_scan_stops_after_the_first_negative_size(M):
+    scan = scan_minors(M)
+    minors = all_minors(M)
+    if scan.negative is None:
+        assert all(value >= 0 for _, value in minors)
+        return
+    ix, value = scan.negative
+    assert len(scan.sizes) == ix.size
+    assert all(v >= 0 for jx, v in minors if jx.size < ix.size)
+    same_size = [(jx, v) for jx, v in minors if jx.size == ix.size]
+    worst = min(v for _, v in same_size)
+    assert (ix, value) == next((jx, v) for jx, v in same_size if v == worst)
+    assert value == oracles.leibniz_minor(M.rows, ix.rows, ix.cols) < 0
 
 
 def test_most_negative_names_the_first_minor_on_ties():
     # [1|2] and [2|1] are both -3; [1,2|1,2] = -9 is of the next size
     M = Matrix([[0, -3], [-3, 0]])
-    (denominator, values), _ = minor_sizes(M)
-    assert values == [0, -3, -3, 0]
-    assert _most_negative(2, 2, 1, denominator, values) == (
-        MinorIndex((1,), (2,)), Fraction(-3)
-    )
+    scan = scan_minors(M)
+    assert scan.sizes == ([0, -3, -3, 0],)
+    assert scan.negative == (MinorIndex((1,), (2,)), Fraction(-3))
     assert is_tnn_bruteforce(M) == (False, MinorIndex((1,), (2,)))
+    # with a scale, the named value is the matrix's own
+    assert scan_int_minors([[0, -3], [-3, 0]], 2, 2, 6).negative == (
+        MinorIndex((1,), (2,)), Fraction(-1, 2)
+    )
+
+
+def _tnn_product(rng, m, p, steps):
+    """[I 0] or its transpose times random elementary bidiagonal factors on
+    either side, with positive weights: a TNN m x p matrix, the more zero
+    minors the fewer the steps."""
+    rows = [[Fraction(int(i == a)) for a in range(p)] for i in range(m)]
+    for _ in range(steps):
+        weight = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+        if rng.random() < 0.5 and p > 1:  # add weight * column r to column c
+            i = rng.randrange(p - 1)
+            r, c = (i, i + 1) if rng.random() < 0.5 else (i + 1, i)
+            for row in rows:
+                row[c] += weight * row[r]
+        elif m > 1:  # add weight * row r to row c
+            i = rng.randrange(m - 1)
+            r, c = (i, i + 1) if rng.random() < 0.5 else (i + 1, i)
+            rows[c] = [x + weight * y for x, y in zip(rows[c], rows[r])]
+    return Matrix(rows)
+
+
+def test_scan_zeros_match_leibniz_on_tnn_matrices():
+    rng = random.Random(11)
+    for m, p in [(1, 3), (3, 1), (2, 2), (3, 3), (3, 4), (4, 3), (4, 4), (5, 5)]:
+        for steps in (0, 2, 4, 8, 16):
+            M = _tnn_product(rng, m, p, steps)
+            scan = scan_minors(M)
+            assert scan.negative is None
+            zeros = {
+                ix for ix in iter_minor_indices(m, p)
+                if oracles.leibniz_minor(M.rows, ix.rows, ix.cols) == 0
+            }
+            assert scan.zeros.members == zeros
 
 
 def test_minor_table_guard():
-    guards.ensure(minor_count(10, 10), guards.MINOR_TABLE_LIMIT, "minors")
+    guards.ensure_minor_table(10, 10)
     with pytest.raises(ResourceGuardError):
-        next(minor_sizes(Matrix([[0] * 11] * 11)))
+        scan_minors(Matrix([[0] * 11] * 11))
+    with pytest.raises(ResourceGuardError):
+        all_minors(Matrix([[0] * 11] * 11))
+    with pytest.raises(ResourceGuardError):
+        MinorFamily(11, 11, [])
     with pytest.raises(DomainError):
-        next(minor_sizes(Matrix([[MPoly.one(("x",))]])))
+        scan_minors(Matrix([[MPoly.one(("x",))]]))
+
+
+def test_minor_table_guard_refuses_a_huge_grid_at_once():
+    started = time.monotonic()
+    with pytest.raises(ResourceGuardError, match=f"limit of {guards.MINOR_TABLE_LIMIT}"):
+        guards.ensure_minor_table(10**6, 10**6)
+    assert time.monotonic() - started < 1.0
+
+
+def test_initial_minors_guard():
+    assert len(initial_minors(Matrix([[1] * 31] * 31))) == 31 * 31
+    with pytest.raises(ResourceGuardError):
+        initial_minors(Matrix([[0] * 32] * 32))
+    with pytest.raises(ResourceGuardError):
+        is_tp(Matrix([[0] * 32] * 32))
 
 
 def _perturbed_tnn(rng, n):

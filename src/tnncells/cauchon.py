@@ -21,7 +21,10 @@ The canonical matrix of a diagram arises by seeding zeros on black cells,
 nonzero scalars on white cells, and restoring. Its identically-zero minors
 form the vanishing family of the diagram. They are exactly the minors that
 vanish on its integer matrix of path counts with every white cell set to 1,
-so one integer minor scan decides the family (see :func:`vanishing_family`).
+the unit-weight witness. Every per-diagram check reads that witness through
+one integer minor scan, :func:`witness_scan`: the family, Cauchon's theorem
+(no witness minor is negative) and the Lindstrom check of its minors against
+counts of disjoint path families (see :func:`vanishing_family`).
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Any, Iterator, Mapping
 from . import guards
 from .diagrams import CauchonDiagram, Cell, is_cauchon
 from .errors import ConsistencyError, DomainError
-from .matrices import Matrix, MinorFamily, _cleared, _require_rational, scan_int_minors
+from .matrices import Matrix, MinorFamily, MinorScan, _cleared, _require_rational, scan_int_minors
 from .scalars import MPoly
 
 StepIndex = tuple[int, int]
@@ -248,22 +251,27 @@ def ones_TC(diagram: CauchonDiagram) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
+def witness_scan(diagram: CauchonDiagram) -> MinorScan:
+    """The :class:`MinorScan` of the diagram's unit-weight witness ``ones_TC``,
+    restored and scanned in integers. The minor table's guard is checked before
+    the witness is built."""
+    guards.ensure_minor_table(diagram.m, diagram.p)
+    return scan_int_minors(_unit_rows(diagram), diagram.m, diagram.p, 1)
+
+
 def vanishing_family(diagram: CauchonDiagram) -> MinorFamily:
     """The minors of the symbolic canonical matrix that vanish identically.
 
-    They are read off the unit-weight canonical matrix ``ones_TC``. The
-    canonical matrix is the weighted path matrix of the diagram's planar
-    network (a path gains t[i,a] at each row-to-column turn and 1/t[i,a] at
-    each column-to-row turn), so by Lindstrom-Gessel-Viennot each minor is a
-    sum of Laurent monomials with coefficient +1, one per vertex-disjoint
-    path family. With every white cell set to 1 the minor counts those
-    families, and it is zero exactly when the symbolic minor is, and never
-    negative (Cauchon's theorem), so a negative one raises ConsistencyError.
-    The minor table's guard is checked before the witness is built.
+    They are the zero minors of :func:`witness_scan`. The canonical matrix is
+    the weighted path matrix of the diagram's planar network (a path gains
+    t[i,a] at each row-to-column turn and 1/t[i,a] at each column-to-row
+    turn), so by Lindstrom-Gessel-Viennot each minor is a sum of Laurent
+    monomials with coefficient +1, one per vertex-disjoint path family. With
+    every white cell set to 1 the minor counts those families, and it is zero
+    exactly when the symbolic minor is, and never negative (Cauchon's
+    theorem), so a negative one raises ConsistencyError.
     """
-    m, p = diagram.m, diagram.p
-    guards.ensure_minor_table(m, p)
-    scan = scan_int_minors(_unit_rows(diagram), m, p, 1)
+    scan = witness_scan(diagram)
     if scan.negative is not None:
         ix, value = scan.negative
         raise ConsistencyError(f"witness minor {ix} = {value} is negative on\n{diagram}")

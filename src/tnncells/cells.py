@@ -21,9 +21,9 @@ from typing import Any
 from . import guards
 from .diagrams import CauchonDiagram, enumerate_diagrams
 from .errors import ConsistencyError, DomainError
-from .matrices import Matrix, MinorFamily, scan_int_minors, scan_minors
+from .matrices import Matrix, MinorFamily, scan_minors
 from .permutations import Permutation, minor_family, pipe_dream
-from .cauchon import _unit_rows, tnn_test, vanishing_family
+from .cauchon import tnn_test, vanishing_family, witness_scan
 
 
 @dataclass(frozen=True)
@@ -153,14 +153,13 @@ class UnifyingReport:
 
 
 def _check_diagram(diagram: CauchonDiagram) -> dict[str, Any] | None:
-    """Worker: from one minor scan of the unit-weight witness ``ones_TC``, check
-    Cauchon's theorem, that it is TNN, which no deletion sweep can (it undoes
-    any restoration), naming the scan's negative minor, then compare its zero
-    minors with the permutation's family."""
-    m, p = diagram.m, diagram.p
-    scan = scan_int_minors(_unit_rows(diagram), m, p, 1)
+    """Worker: from the diagram's :func:`~tnncells.cauchon.witness_scan`, check
+    Cauchon's theorem, that the unit-weight witness is TNN, which no deletion
+    sweep can (it undoes any restoration), naming the scan's negative minor,
+    then compare its zero minors with the permutation's family."""
+    scan = witness_scan(diagram)
     w = pipe_dream(diagram)
-    via_permutation = minor_family(w, m, p)
+    via_permutation = minor_family(w, diagram.m, diagram.p)
     if scan.negative is not None:
         problem, via_restoration = "witness minor {} = {} is negative".format(*scan.negative), None
     elif (zeros := scan.zeros).mask != via_permutation.mask:

@@ -33,11 +33,9 @@ from .matrices import (
     MinorIndex,
     all_minors,
     initial_minors,
-    is_tnn_bruteforce,
     iter_minor_indices,
     load_matrix_text,
     matrix_to_json,
-    minor,
     scan_minors,
 )
 
@@ -204,12 +202,12 @@ def tnn_check(matrix: str, method: str, fmt: str) -> None:
             "diagram": result.diagram.to_json() if result.diagram else None,
         }
     if method in ("bruteforce", "both"):
-        ok, witness = is_tnn_bruteforce(M)
-        verdicts.append(ok)
+        witness = scan_minors(M).negative  # (minor, value), or None when TNN
+        verdicts.append(witness is None)
         payload["bruteforce"] = {
-            "tnn": ok,
-            "witness": str(witness) if witness else None,
-            "witness_value": str(minor(M, witness)) if witness else None,
+            "tnn": witness is None,
+            "witness": witness and str(witness[0]),
+            "witness_value": witness and str(witness[1]),
         }
     if len(set(verdicts)) > 1:
         raise ConsistencyError("deletion and brute-force verdicts disagree")
@@ -712,19 +710,19 @@ def verify() -> None:
 
 
 def _lindstrom_sweep(m: int, p: int) -> tuple[int, int]:
+    """(checked, mismatched) minors over every diagram of the grid, comparing the
+    counts of vertex-disjoint path families on the diagram's network with the
+    minors of its unit-weight witness (:func:`~tnncells.cauchon.witness_scan`),
+    as Lindstrom-Gessel-Viennot says they are equal."""
     checked = mismatched = 0
     indices = list(iter_minor_indices(m, p))
     for diagram in diagrams_mod.enumerate_diagrams(m, p):
         net = networks_mod.postnikov_network(diagram)
         counts = networks_mod.nonintersecting_counts(net, indices)
         # a size the scan did not reach, after a negative minor, is mismatched
-        scan = scan_minors(networks_mod.path_matrix(net))
-        scale, values = scan.scale, chain.from_iterable(scan.sizes)
+        values = chain.from_iterable(cauchon_mod.witness_scan(diagram).sizes)
         checked += len(indices)
-        mismatched += len(indices) - sum(
-            value * counts[ix].denominator == counts[ix].numerator * scale**ix.size
-            for ix, value in zip(indices, values)
-        )
+        mismatched += len(indices) - sum(counts[ix] == value for ix, value in zip(indices, values))
     return checked, mismatched
 
 

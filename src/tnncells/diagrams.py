@@ -31,12 +31,19 @@ def _may_be_black(black: AbstractSet[Cell], i: int, alpha: int) -> bool:
 
 
 def _first_violation(m: int, p: int, black: frozenset[Cell]) -> Cell | None:
+    """The first black cell in row-major order that breaks the rule, found in one
+    pass over the grid in that order."""
     for (i, alpha) in black:
         if not (1 <= i <= m and 1 <= alpha <= p):
             raise DomainError(f"cell ({i},{alpha}) outside {m}x{p} grid")
-    for (i, alpha) in sorted(black):
-        if not _may_be_black(black, i, alpha):
-            return (i, alpha)
+    above = [True] * p  # per column: are all cells above the current row black?
+    for i in range(1, m + 1):
+        left = True  # are all cells left of the current one black?
+        for alpha in range(1, p + 1):
+            if (i, alpha) not in black:
+                left = above[alpha - 1] = False
+            elif not (left or above[alpha - 1]):
+                return (i, alpha)
     return None
 
 

@@ -20,9 +20,10 @@ once, and the families of a minor grow one row at a time, keyed by the
 columns they use and the vertices they cover. A path to column c flips the
 sign once for each column already taken that is greater than c, so each
 family carries its pairing's sign. Prefixes of rows are shared by every
-minor that starts with them. It shares no code with :func:`path_matrix`, so
-comparing the two checks the identity. Its step budget is per call: one step
-per vertex walked, and one per (partial family, path) pair tried.
+minor that starts with them. It shares no code with the restoration sweep, so
+comparing it with the restored unit-weight witness, as ``verify all`` does,
+checks the identity. Its step budget is per call: one step per vertex walked,
+and one per (partial family, path) pair tried.
 """
 
 from __future__ import annotations

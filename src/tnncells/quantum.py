@@ -31,7 +31,7 @@ from typing import Any, Iterable
 from . import guards
 from .errors import DomainError
 from .permutations import inversion_count
-from .scalars import ExactValue, LaurentQ, add_terms, evaluate_expression, int_const
+from .scalars import ExactValue, LaurentQ, _signed_sum, add_terms, evaluate_expression, int_const
 
 Gen = tuple[int, int]
 Word = tuple[Gen, ...]
@@ -210,39 +210,23 @@ class QPoly(ExactValue):
 
     # -- presentation ---------------------------------------------------------------
 
-    def _gen_str(self, gen: Gen, aliases: bool) -> str:
-        if aliases and (self.m, self.p) == (2, 2):
+    def _gen_str(self, gen: Gen) -> str:
+        if (self.m, self.p) == (2, 2):
             for name, cell in _TWO_BY_TWO_ALIASES.items():
                 if cell == gen:
                     return name
         return f"X[{gen[0]},{gen[1]}]"
 
-    def to_str(self, aliases: bool = True) -> str:
-        if not self.terms:
-            return "0"
+    def to_str(self) -> str:
         chunks = []
-        for word in sorted(self.terms, key=lambda w: (len(w), w)):
-            coeff = self.terms[word]
+        for word, coeff in sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0])):
             # pull a negative leading q-power out so sums read "x - (...)*y"
-            sign = ""
-            if coeff.terms[max(coeff.terms)] < 0:
-                sign, coeff = "-", -coeff
-            gens = "*".join(self._gen_str(g, aliases) for g in word)
-            coeff_str = str(coeff)
-            if word:
-                if coeff == LaurentQ.ONE:
-                    body = gens
-                elif len(coeff.terms) > 1:
-                    body = f"({coeff_str})*{gens}"
-                else:
-                    body = f"{coeff_str}*{gens}"
-            else:
-                body = coeff_str if len(coeff.terms) <= 1 else f"({coeff_str})"
-            chunks.append(sign + body)
-        out = chunks[0]
-        for chunk in chunks[1:]:
-            out += f" - {chunk[1:]}" if chunk.startswith("-") else f" + {chunk}"
-        return out
+            sign = -1 if coeff.terms[max(coeff.terms)] < 0 else 1
+            coeff = sign * coeff
+            text = str(coeff) if len(coeff.terms) == 1 else f"({coeff})"
+            factors = [] if word and coeff == LaurentQ.ONE else [text]
+            chunks.append((sign, "*".join(factors + [self._gen_str(g) for g in word])))
+        return _signed_sum(chunks)
 
     def __str__(self) -> str:
         return self.to_str()

@@ -91,8 +91,9 @@ def read_laurent(text, names):
     )
 
 
-def has_bad_black_cell(m, p, black):
-    """Direct quantifier scan: some black cell sees white both left and up."""
+def first_bad_black_cell(m, p, black):
+    """Direct quantifier scan: the first black cell, row-major, that sees white
+    both left and up, or None."""
     for j in range(1, m + 1):
         for b in range(1, p + 1):
             if (j, b) not in black:
@@ -100,8 +101,12 @@ def has_bad_black_cell(m, p, black):
             white_left = any((j, a) not in black for a in range(1, b))
             white_up = any((i, b) not in black for i in range(1, j))
             if white_left and white_up:
-                return True
-    return False
+                return (j, b)
+    return None
+
+
+def has_bad_black_cell(m, p, black):
+    return first_bad_black_cell(m, p, black) is not None
 
 
 def zero_pattern(matrix):

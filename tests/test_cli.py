@@ -18,11 +18,11 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from tnncells import cli, fixtures, networks
+from tnncells import cauchon, cli, fixtures
 from tnncells.cauchon import ones_TC
 from tnncells.cli import main
 from tnncells.diagrams import CauchonDiagram, enumerate_diagrams
-from tnncells.matrices import Matrix, MinorFamily, matrix_to_json
+from tnncells.matrices import MinorFamily, matrix_to_json
 from tnncells.networks import postnikov_network
 from tnncells.permutations import minor_family, pipe_dream
 
@@ -335,18 +335,38 @@ def test_verify_all(runner):
 
 
 def test_lindstrom_sweep_counts_a_stopped_scan_as_mismatched(monkeypatch):
-    # a negative [1|1] stops the path matrix's scan after size 1, so the one
+    # a negative [1|1] stops the witness's scan after size 1, so the one
     # 2-minor of each 2x2 diagram is never compared and must count as mismatched
-    real = networks.path_matrix
+    real = cauchon._unit_rows
 
-    def negated(net):
-        rows = [list(row) for row in real(net).rows]
+    def negated(diagram):
+        rows = real(diagram)
         rows[0][0] = -1
-        return Matrix(rows)
+        return rows
 
     assert cli._lindstrom_sweep(2, 2) == (70, 0)
-    monkeypatch.setattr(networks, "path_matrix", negated)
+    monkeypatch.setattr(cauchon, "_unit_rows", negated)
     assert cli._lindstrom_sweep(2, 2) == (70, 28)
+
+
+def test_lindstrom_sweep_catches_a_wrong_step_sign(monkeypatch):
+    # restoring with the deletion's sign leaves the networks as they are, so
+    # their path-family counts no longer match the witness's minors
+    step = cauchon._apply_int_step
+    monkeypatch.setattr(
+        cauchon, "_apply_int_step", lambda rows, j, beta, sign: step(rows, j, beta, -sign)
+    )
+    assert cli._lindstrom_sweep(3, 3) == (4370, 1274)
+
+
+def test_diagram_check_is_one_pass(runner, tmp_path):
+    grid = tmp_path / "black.diag"
+    grid.write_text("\n".join(["#" * 600] * 600))
+    started = time.perf_counter()
+    result = runner.invoke(main, ["diagram", "check", str(grid)])
+    took = time.perf_counter() - started
+    assert (result.exit_code, result.output) == (0, "valid\n")
+    assert took < 3.0
 
 
 def test_fixtures_export(runner, tmp_path):

@@ -1,5 +1,6 @@
 """Grid diagrams with the left-or-above blackness rule."""
 
+import re
 from itertools import product
 
 import pytest
@@ -65,6 +66,20 @@ def test_is_cauchon_examples():
     assert is_cauchon(2, 2, {(2, 1), (2, 2)})
     assert not is_cauchon(2, 2, {(2, 2)})
     assert is_cauchon(1, 5, {(1, 3)})
+
+
+@pytest.mark.parametrize("m, p", [(m, p) for m in range(1, 5) for p in range(1, 5) if m * p < 16])
+def test_validity_rule_matches_the_quantifier_scan(m, p):
+    # every filling of the grid: the one-pass rule and the error name the
+    # same first offender as the direct scan
+    cells = [(i, a) for i in range(1, m + 1) for a in range(1, p + 1)]
+    for bits in product((0, 1), repeat=m * p):
+        black = frozenset(c for c, b in zip(cells, bits) if b)
+        offender = oracles.first_bad_black_cell(m, p, black)
+        assert is_cauchon(m, p, black) == (offender is None), black
+        if offender is not None:
+            with pytest.raises(DomainError, match=re.escape(f"cell {offender} is black")):
+                CauchonDiagram(m, p, black)
 
 
 def test_bounds_checked():

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import AbstractSet, Any, Iterator
+from typing import Any, Iterator
 
 from . import guards
 from .errors import DomainError, json_int, parse_json
@@ -21,13 +21,6 @@ Cell = tuple[int, int]
 
 WHITE_CHAR = "."
 BLACK_CHAR = "#"
-
-
-def _may_be_black(black: AbstractSet[Cell], i: int, alpha: int) -> bool:
-    """Are all cells left of (i, alpha) black, or all cells above it?"""
-    return all((i, beta) in black for beta in range(1, alpha)) or all(
-        (j, alpha) in black for j in range(1, i)
-    )
 
 
 def _first_violation(m: int, p: int, black: frozenset[Cell]) -> Cell | None:
@@ -51,8 +44,9 @@ def is_cauchon(m: int, p: int, black: Any) -> bool:
     """Does the coloring satisfy the all-left-black or all-above-black rule?"""
     if m < 1 or p < 1:
         raise DomainError("grid sizes must be at least 1")
-    cells = frozenset((int(i), int(a)) for i, a in black)
-    return _first_violation(m, p, cells) is None
+    if not isinstance(black, frozenset):  # parse_grid's cells are read as they are
+        black = frozenset((int(i), int(a)) for i, a in black)
+    return _first_violation(m, p, black) is None
 
 
 def parse_grid(text: str) -> tuple[int, int, frozenset[Cell]]:
@@ -230,30 +224,34 @@ def enumerate_diagrams(m: int, p: int) -> Iterator[CauchonDiagram]:
 
     Cells are read row-major with the first cell most significant and black
     as 1, so the all-white diagram comes first and the all-black one last.
-    Backtracking checks each black placement as it is made: everything to
-    the left of and above the current cell is already decided, so the check
-    is exact and no completed coloring is ever rejected, so the diagrams are
-    built without re-validation. The enumeration guard is checked when the
-    call is made.
+    Backtracking checks each black placement against the one-pass rule
+    check's flags: "all black to the left", carried along the row, and "all
+    black above", kept per column and restored on backtrack. Both are exact,
+    so no completed coloring is rejected and the diagrams are built without
+    re-validation. The enumeration guard is checked when the call is made.
     """
     if m < 1 or p < 1:
         raise DomainError("grid sizes must be at least 1")
     guards.ensure_enumerable(m, p, what="diagram enumeration")
     cells = [(i, a) for i in range(1, m + 1) for a in range(1, p + 1)]
     black: set[Cell] = set()
+    above = [True] * (p + 1)  # per column: are all cells above the current row black?
 
-    def walk(k: int) -> Iterator[CauchonDiagram]:
+    def walk(k: int, left: bool) -> Iterator[CauchonDiagram]:
         if k == len(cells):
             yield CauchonDiagram._make(m, p, frozenset(black))
             return
         i, alpha = cells[k]
-        yield from walk(k + 1)
-        if _may_be_black(black, i, alpha):
+        left = left or alpha == 1  # nothing is left of a row's first cell
+        was_above, above[alpha] = above[alpha], False
+        yield from walk(k + 1, False)
+        above[alpha] = was_above
+        if left or was_above:
             black.add((i, alpha))
-            yield from walk(k + 1)
+            yield from walk(k + 1, left)
             black.discard((i, alpha))
 
-    return walk(0)
+    return walk(0, True)
 
 
 def count_diagrams(m: int, p: int) -> int:

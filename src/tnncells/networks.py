@@ -15,15 +15,12 @@ a column edge, so these networks are genuinely planar and disjoint path
 families obey the determinant identity.
 
 Disjoint path families are counted by :func:`nonintersecting_counts`, one
-signed dynamic program over vertex bitmasks: each needed source is walked
-once, and the families of a minor grow one row at a time, keyed by the
-columns they use and the vertices they cover. A path to column c flips the
-sign once for each column already taken that is greater than c, so each
-family carries its pairing's sign. Prefixes of rows are shared by every
-minor that starts with them. It shares no code with the restoration sweep, so
-comparing it with the restored unit-weight witness, as ``verify all`` does,
-checks the identity. Its step budget is per call: one step per vertex walked,
-and one per (partial family, path) pair tried.
+signed dynamic program over (row set, column set, vertex mask) states, grown
+row by row; a row is left out only where some requested minor leaves it out.
+It shares no code with the restoration sweep, so comparing it with the
+restored unit-weight witness, as ``verify all`` does, checks the identity.
+Its step budget is per call: one step per vertex walked, then one per
+(state, path) pair tried.
 """
 
 from __future__ import annotations
@@ -31,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import pairwise
 from typing import Any, Iterable
 
 from . import guards
@@ -180,32 +178,25 @@ class PlanarNetwork:
 
 def postnikov_network(diagram: CauchonDiagram) -> PlanarNetwork:
     """Dots on white cells, row edges right-to-left, column edges downward."""
-    m, p = diagram.m, diagram.p
-    vertices = {source_id(i) for i in range(1, m + 1)}
-    vertices.update(sink_id(a) for a in range(1, p + 1))
-    coords: dict[str, tuple[float, float]] = {}
-    for i in range(1, m + 1):
-        coords[source_id(i)] = (p + 1.0, -float(i))
-    for a in range(1, p + 1):
-        coords[sink_id(a)] = (float(a), -(m + 1.0))
-    whites = diagram.white_cells()
-    for (i, a) in whites:
-        vertices.add(dot_id(i, a))
-        coords[dot_id(i, a)] = (float(a), -float(i))
-
+    m, p, black = diagram.m, diagram.p, diagram.black
+    coords = {source_id(i): (p + 1.0, -float(i)) for i in range(1, m + 1)}
+    coords.update((sink_id(a), (float(a), -(m + 1.0))) for a in range(1, p + 1))
     one = Fraction(1)
     edges: list[tuple[str, str, Fraction]] = []
     for i in range(1, m + 1):
-        row = sorted((a for (r, a) in whites if r == i), reverse=True)
-        chain = [source_id(i)] + [dot_id(i, a) for a in row]
-        edges.extend((frm, to, one) for frm, to in zip(chain, chain[1:]))
+        last = source_id(i)
+        for a in range(p, 0, -1):
+            if (i, a) not in black:
+                dot = dot_id(i, a)
+                coords[dot] = (float(a), -float(i))
+                edges.append((last, dot, one))
+                last = dot
     for a in range(1, p + 1):
-        col = sorted(r for (r, c) in whites if c == a)
-        if not col:
-            continue  # a fully black column never reaches its sink
-        chain = [dot_id(r, a) for r in col] + [sink_id(a)]
-        edges.extend((frm, to, one) for frm, to in zip(chain, chain[1:]))
-    return PlanarNetwork(m, p, frozenset(vertices), tuple(edges), coords)
+        chain = [dot_id(i, a) for i in range(1, m + 1) if (i, a) not in black]
+        if chain:  # a fully black column never reaches its sink
+            chain.append(sink_id(a))
+            edges.extend((frm, to, one) for frm, to in pairwise(chain))
+    return PlanarNetwork(m, p, frozenset(coords), tuple(edges), coords)
 
 
 # ---------------------------------------------------------------------------
@@ -237,99 +228,73 @@ def nonintersecting_counts(
     """Signed weighted counts of vertex-disjoint path families, one per minor:
     ``int`` when every edge weight is integral, else ``Fraction``.
 
-    Every vertex gets one bit, and each needed source is walked once,
-    recording every path it has to every sink as (vertex mask, weight). The
-    families of a minor [R|C] grow over the rows of R in increasing order: a
-    state maps (column set, vertex mask) to a signed weight, and appending
-    row r with a path to column c multiplies by the path's weight and flips
-    the sign once for each column already in the set that is greater than c,
-    which counts the inversions of the pairing. Equal keys merge, and the
-    states of a row prefix are built once for every minor that shares it;
-    [R|C] is the total weight of R's states whose column set is C. That sums
-    every pairing of sources to sinks with its permutation sign, the
-    determinant identity for arbitrary DAGs; on planar networks the twisted
-    pairings admit no disjoint family, so each value is the plain (weighted)
-    number of nonintersecting families. One budget of
-    ``guards.PATH_STEP_LIMIT`` steps covers the whole call: one step per
-    vertex the walks visit, and len(states) x len(paths) per extension of a
-    prefix by a row, charged before the extension runs.
+    Each row of some minor is walked once from its source, recording every
+    path to its minors' columns as (column bit, vertex bitmask, weight).
+    States (row set, column set, vertex mask) -> signed weight are extended
+    once per needed row, in increasing order, by each path that misses the
+    state's vertices, times its weight, with the sign flipped once per taken
+    column greater than its own. A state may leave the row out only when some
+    requested minor does. [R|C] sums the states with row set R and column
+    set C: every pairing with its sign, the determinant identity on any DAG
+    and, on planar networks, the plain weighted count. One budget of
+    ``guards.PATH_STEP_LIMIT`` steps covers the call: one per vertex walked,
+    all walks first, then len(states) x len(paths) per row, charged before
+    the extension runs.
     """
     order = network.topological_order()  # rejects cycles up front
-    indices = list(indices)
-    for ix in indices:
-        if not ix.fits(network.m, network.p):
-            raise DomainError(f"{ix} does not fit a {network.m}x{network.p} network")
     out = network.outgoing
     bit = {v: 1 << k for k, v in enumerate(order)}
-    sink_of = {sink_id(a): a for a in range(1, network.p + 1)}
-    limit = guards.PATH_STEP_LIMIT
+    sink_of = {sink_id(a): 1 << a for a in range(1, network.p + 1)}
     spent = 0
 
     def spend(steps: int) -> None:
         nonlocal spent
         spent += steps
-        guards.ensure(spent, limit, "steps of one path family count")
+        guards.ensure(spent, guards.PATH_STEP_LIMIT, "steps of one path family count")
 
-    # column sets as bitmasks; wanted[prefix]: the columns some requested
-    # minor with that row prefix uses
-    col_masks = [sum(1 << a for a in ix.cols) for ix in indices]
-    wanted: dict[tuple[int, ...], int] = {}
-    for ix, cols in zip(indices, col_masks):
-        for k in range(1, ix.size + 1):
-            wanted[ix.rows[:k]] = wanted.get(ix.rows[:k], 0) | cols
+    minors: list[tuple[MinorIndex, int, int]] = []  # with row set and column set
+    columns: dict[int, int] = {}  # needed row -> the columns of its minors
+    shared = -1  # the rows every minor uses, which no state may leave out
+    for ix in indices:
+        if not ix.fits(network.m, network.p):
+            raise DomainError(f"{ix} does not fit a {network.m}x{network.p} network")
+        rows, cols = sum(1 << r for r in ix.rows), sum(1 << a for a in ix.cols)
+        minors.append((ix, rows, cols))
+        for r in ix.rows:
+            columns[r] = columns.get(r, 0) | cols
+        shared &= rows
 
-    # paths[i]: every path source i -> some sink as (column bit, vertex mask, weight)
-    paths: dict[int, list[tuple[int, int, Fraction | int]]] = {}
-    for i in sorted({prefix[-1] for prefix in wanted}):
-        found = paths[i] = []
-        start = source_id(i)
-        stack = [(start, bit[start], 1)]
+    paths: dict[int, list[tuple[int, int, int, Fraction | int]]] = {}
+    for r, wanted in sorted(columns.items()):
+        found = paths[1 << r] = []
+        stack = [(source_id(r), bit[source_id(r)], 1)]
         while stack:
-            v, mask, weight = stack.pop()
+            v, used, weight = stack.pop()
             spend(1)
-            if v in sink_of:
-                found.append((1 << sink_of[v], mask, weight))
+            if v in sink_of and sink_of[v] & wanted:
+                found.append((sink_of[v], -(sink_of[v] << 1), used, weight))
             for to, w in out[v]:
-                stack.append((to, mask | bit[to], weight * w))
+                stack.append((to, used | bit[to], weight * w))
 
-    states: dict[tuple[int, ...], dict[tuple[int, int], Fraction | int]] = {
-        (): {(0, 0): 1}
-    }
-    for prefix in sorted(wanted):  # a prefix sorts before its extensions
-        keep = wanted[prefix]
-        before = [
-            (cols, mask, weight)
-            for (cols, mask), weight in states[prefix[:-1]].items()
-            if not cols & ~keep
-        ]
-        options = [
-            (col, -(col << 1), mask, weight)  # the bits above col
-            for col, mask, weight in paths[prefix[-1]]
-            if col & keep
-        ]
-        spend(len(before) * len(options))
-        grown: dict[tuple[int, int], Fraction | int] = {}
-        for cols, used, weight in before:
-            for col, above, mask, path_weight in options:
-                if used & mask:  # also when col is taken: its sink is in both
+    states: dict[tuple[int, int, int], Fraction | int] = {(0, 0, 0): 1}
+    for row, found in paths.items():
+        spend(len(states) * len(found))
+        grown = {} if shared & row else dict(states)
+        for (rows, cols, used), weight in states.items():
+            for col, above, vertices, path_weight in found:
+                if used & vertices:  # also when col is taken: its sink is in both
                     continue
-                key = (cols | col, used | mask)
+                key = (rows | row, cols | col, used | vertices)
                 value = weight * path_weight
                 if (cols & above).bit_count() & 1:
                     value = -value
                 grown[key] = grown.get(key, 0) + value
-        states[prefix] = grown
+        states = grown
 
-    counts: dict[MinorIndex, Fraction | int] = {}
-    totals: dict[tuple[int, ...], dict[int, Fraction | int]] = {}
-    for ix, cols in zip(indices, col_masks):
-        by_cols = totals.get(ix.rows)
-        if by_cols is None:
-            by_cols = totals[ix.rows] = {}
-            for (final, _), weight in states[ix.rows].items():
-                by_cols[final] = by_cols.get(final, 0) + weight
-        counts[ix] = by_cols.get(cols, 0)
-    return counts
+    totals: dict[tuple[int, int], Fraction | int] = {}
+    for (rows, cols, _), weight in states.items():
+        totals[rows, cols] = totals.get((rows, cols), 0) + weight
+    return {ix: totals.get((rows, cols), 0) for ix, rows, cols in minors}
 
 
 def nonintersecting_count(network: PlanarNetwork, ix: MinorIndex) -> Fraction | int:

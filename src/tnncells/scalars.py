@@ -270,18 +270,6 @@ class MPoly(ExactValue):
 
     # -- queries -------------------------------------------------------------
 
-    def partial(self, name: str) -> "MPoly":
-        """Formal partial derivative with respect to ``name``."""
-        try:
-            k = self.names.index(name)
-        except ValueError:
-            raise DomainError(f"unknown variable {name!r}") from None
-        # Distinct exponent vectors stay distinct, so no two terms merge.
-        return self._new({
-            exps[:k] + (exps[k] - 1,) + exps[k + 1:]: coeff * exps[k]
-            for exps, coeff in self.terms.items() if exps[k]
-        })
-
     def evaluate(self, values: Mapping[str, Any]) -> Any:
         """Evaluate with variable values from any commutative ring.
 

@@ -351,6 +351,16 @@ def rewriting_normal_form(word, m, p):
     return QPoly(m, p, _leftmost_normal_forms([tuple(word)])[tuple(word)])
 
 
+def partial(f, name):
+    """The formal partial derivative of the polynomial ``f`` with respect to
+    the variable ``name``, term by term."""
+    k = f.names.index(name)
+    return MPoly(f.names, {
+        exps[:k] + (exps[k] - 1,) + exps[k + 1:]: coeff * exps[k]
+        for exps, coeff in f.terms.items()
+    })
+
+
 def partial_bracket(m, p, f, g):
     """The Poisson bracket as the sum over generator pairs u < v of
     {Y_u, Y_v} (df/du dg/dv - df/dv dg/du), with the generator table written
@@ -374,7 +384,7 @@ def partial_bracket(m, p, f, g):
                 continue
             else:
                 rule = 2 * y((i, b)) * y((k, a))
-            pairing = (f.partial(name(u)) * g.partial(name(v))
-                       - f.partial(name(v)) * g.partial(name(u)))
+            pairing = (partial(f, name(u)) * partial(g, name(v))
+                       - partial(f, name(v)) * partial(g, name(u)))
             total = total + rule * pairing
     return total

@@ -129,8 +129,8 @@ def test_batched_counts_match_the_family_oracle():
 
 
 def test_batched_counts_match_single_minor_counts():
-    # the batch shares row-prefix states across minors; one minor alone
-    # builds only its own prefixes, restricted to its own columns
+    # the batch's states may leave rows out; one minor alone grows only its
+    # own families, restricted to its own columns
     for m, p in [(3, 4), (4, 3)]:
         indices = list(iter_minor_indices(m, p))
         for d in enumerate_diagrams(m, p):
@@ -173,6 +173,19 @@ def test_counts_on_random_dags_match_the_oracle_and_the_minors(net):
         assert nonintersecting_count(net, ix) == expect, ix
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_partial_batches_on_random_dags_match_the_oracle(data):
+    # a batch that leaves some rows out of some minors but not of others
+    net = data.draw(random_dags())
+    pool = list(iter_minor_indices(net.m, net.p))
+    indices = data.draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
+    counts = nonintersecting_counts(net, indices)
+    assert set(counts) == set(indices)
+    for ix in indices:
+        assert counts[ix] == oracles.disjoint_family_count(net, ix), ix
+
+
 def test_twisted_pairings_count_with_their_sign():
     # not planar: every source-to-own-sink family meets at the hub, so only
     # the twisted pairing s1 -> t2, s2 -> t1 has disjoint families
@@ -196,6 +209,22 @@ def test_batched_step_budget_is_shared_across_minors(monkeypatch):
     nonintersecting_counts(net, indices)
     monkeypatch.setattr(guards, "PATH_STEP_LIMIT", 100)
     with pytest.raises(ResourceGuardError):
+        nonintersecting_counts(net, indices)
+
+
+@pytest.mark.parametrize("n, batch, steps", [
+    (3, "all", 201), (4, "all", 3_103), (5, "all", 90_578),
+    (3, "full", 144), (4, "full", 1_599), (5, "full", 35_713),
+])
+def test_step_charges_on_all_white_networks(monkeypatch, n, batch, steps):
+    # one step per vertex walked, then len(states) x len(paths) per row
+    net = postnikov_network(CauchonDiagram.all_white(n, n))
+    full = MinorIndex(tuple(range(1, n + 1)), tuple(range(1, n + 1)))
+    indices = list(iter_minor_indices(n, n)) if batch == "all" else [full]
+    monkeypatch.setattr(guards, "PATH_STEP_LIMIT", steps)
+    nonintersecting_counts(net, indices)
+    monkeypatch.setattr(guards, "PATH_STEP_LIMIT", steps - 1)
+    with pytest.raises(ResourceGuardError, match=f"{steps} exceeds"):
         nonintersecting_counts(net, indices)
 
 

@@ -100,22 +100,6 @@ def _working_rows(matrix: Matrix) -> tuple[list[list[Any]], Any, Any]:
         [[Fraction(n, r[-1]) for n in r[:-1]] for r in int_rows])
 
 
-def _step(matrix: Matrix, j: int, beta: int, sign: int) -> Matrix:
-    if not (1 <= j <= matrix.m and 1 <= beta <= matrix.p):
-        raise DomainError(f"step ({j},{beta}) outside {matrix.m}x{matrix.p}")
-    rows, apply, read = _working_rows(matrix)
-    apply(rows, j, beta, sign)
-    return read(rows)
-
-
-def delete_step(matrix: Matrix, j: int, beta: int) -> Matrix:
-    return _step(matrix, j, beta, -1)
-
-
-def restore_step(matrix: Matrix, j: int, beta: int) -> Matrix:
-    return _step(matrix, j, beta, +1)
-
-
 def _sweep(working: tuple, m: int, p: int, sign: int) -> Iterator[tuple[StepIndex, Any, Any]]:
     """Run one sweep on an m x p matrix's working (rows, step, reader), editing
     the rows in place: plus steps from (1,1) up to (m,p), minus steps the other
@@ -207,7 +191,11 @@ def seed_matrix(
 def build_TC(
     diagram: CauchonDiagram, zero: Any, assignment: Mapping[Cell, Any]
 ) -> Matrix:
-    """Restore the seeded matrix of the diagram; ``zero`` is the ring's zero."""
+    """Restore the seeded matrix of the diagram; ``zero`` is the ring's zero.
+
+    :func:`symbolic_TC` seeds white-cell variables; the benchmark seeds
+    rational weights with ``scalars.QQ``, which keeps this name public.
+    """
     return restoration(seed_matrix(diagram, zero, assignment))
 
 

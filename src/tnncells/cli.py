@@ -333,7 +333,7 @@ def diagram_enum(m: int, p: int, count_only: bool, fmt: str) -> None:
 def diagram_check(grid: str, fmt: str) -> None:
     """Is a 0/1 or dot/hash grid a valid diagram?"""
     m, p, black = diagrams_mod.parse_grid(_read_source(grid))
-    ok = diagrams_mod.is_cauchon(m, p, black)
+    ok = diagrams_mod.is_cauchon(m, p, frozenset(black))
     payload = {"m": m, "p": p, "valid": ok}
     _emit(fmt, payload, "valid" if ok else "not a diagram", _verdict_code(ok))
 
@@ -391,7 +391,7 @@ def network_lindstrom(diagram_src, network_src, rows: str, cols: str, fmt: str) 
     """Count vertex-disjoint path families from sources to sinks."""
     net = _network_arg(diagram_src, network_src)
     ix = MinorIndex(_index_list(rows), _index_list(cols))
-    count = networks_mod.nonintersecting_count(net, ix)
+    count = networks_mod.nonintersecting_counts(net, [ix])[ix]
     payload = {"index": str(ix), "count": str(count)}
     _emit(fmt, payload, str(count))
 

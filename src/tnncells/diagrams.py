@@ -11,7 +11,6 @@ output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Any, Iterator
 
 from . import guards
@@ -44,16 +43,18 @@ def is_cauchon(m: int, p: int, black: Any) -> bool:
     """Does the coloring satisfy the all-left-black or all-above-black rule?"""
     if m < 1 or p < 1:
         raise DomainError("grid sizes must be at least 1")
-    if not isinstance(black, frozenset):  # parse_grid's cells are read as they are
+    if not isinstance(black, frozenset):  # a frozenset is read as it is
         black = frozenset((int(i), int(a)) for i, a in black)
     return _first_violation(m, p, black) is None
 
 
-def parse_grid(text: str) -> tuple[int, int, frozenset[Cell]]:
+def parse_grid(text: str) -> tuple[int, int, Iterator[Cell]]:
     """Read a dot/hash grid or a 0/1 Le grid as (m, p, black cells).
 
-    `/` may separate rows. The coloring is not checked against the diagram
-    rule; malformed text raises DomainError.
+    `/` may separate rows. Malformed text raises DomainError. The black cells
+    are yielded only as they are read, so the diagram constructor checks the
+    size, from the text's row count and width, before it reads any cell. The
+    coloring is not checked against the diagram rule.
     """
     body = text.strip().replace("/", "\n")
     lines = [line.strip() for line in body.splitlines() if line.strip()]
@@ -72,7 +73,7 @@ def parse_grid(text: str) -> tuple[int, int, frozenset[Cell]]:
             f"diagram text must use {WHITE_CHAR}{BLACK_CHAR} or 01, "
             f"got {''.join(sorted(charset))!r}"
         )
-    black = frozenset(
+    black = (
         (i + 1, a + 1)
         for i, line in enumerate(lines)
         for a, ch in enumerate(line)
@@ -90,9 +91,10 @@ class CauchonDiagram:
     black: frozenset[Cell]
 
     def __post_init__(self) -> None:
+        # the size comes first: every diagram's pipe dream is a permutation of
+        # m + p letters, and the cells may still be unread (see parse_grid)
         if self.m < 1 or self.p < 1:
             raise DomainError("grid sizes must be at least 1")
-        # every diagram's pipe dream is a permutation of m + p letters
         guards.ensure(self.m + self.p, guards.PERMUTATION_LETTER_LIMIT, "pipe dream letters")
         cells = frozenset((int(i), int(a)) for i, a in self.black)
         object.__setattr__(self, "black", cells)
@@ -111,11 +113,6 @@ class CauchonDiagram:
         return diagram
 
     # -- basic queries --------------------------------------------------------
-
-    def is_black(self, i: int, alpha: int) -> bool:
-        if not (1 <= i <= self.m and 1 <= alpha <= self.p):
-            raise DomainError(f"cell ({i},{alpha}) outside {self.m}x{self.p}")
-        return (i, alpha) in self.black
 
     def white_cells(self) -> list[Cell]:
         """All white cells in row-major order."""
@@ -159,28 +156,6 @@ class CauchonDiagram:
     def from_ascii(cls, text: str) -> "CauchonDiagram":
         """Parse a dot/hash grid or a 0/1 Le grid; `/` may separate rows."""
         return cls(*parse_grid(text))
-
-    def to_le_grid(self) -> list[list[int]]:
-        """0/1 rows with 0 on black cells."""
-        return [
-            [0 if (i, a) in self.black else 1 for a in range(1, self.p + 1)]
-            for i in range(1, self.m + 1)
-        ]
-
-    @classmethod
-    def from_le_grid(cls, grid: Any) -> "CauchonDiagram":
-        rows = [list(row) for row in grid]
-        if not rows or not rows[0]:
-            raise DomainError("empty Le grid")
-        if any(len(row) != len(rows[0]) for row in rows):
-            raise DomainError("Le grid rows differ in length")
-        black = frozenset(
-            (i + 1, a + 1)
-            for i, row in enumerate(rows)
-            for a, value in enumerate(row)
-            if value == 0
-        )
-        return cls(len(rows), len(rows[0]), black)
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -256,25 +231,3 @@ def enumerate_diagrams(m: int, p: int) -> Iterator[CauchonDiagram]:
 
 def count_diagrams(m: int, p: int) -> int:
     return sum(1 for _ in enumerate_diagrams(m, p))
-
-
-def non_le_fillings(m: int, p: int) -> list[list[list[int]]]:
-    """All 0/1 grids that are not Le-diagrams, in ascending bitmask order.
-
-    Output uses Le notation (0 = black). The full 2^(m*p) search space is
-    scanned, so sizes are capped by the enumeration guard.
-    """
-    if m < 1 or p < 1:
-        raise DomainError("grid sizes must be at least 1")
-    guards.ensure_enumerable(m, p, what="filling enumeration")
-    bad = []
-    cells = [(i, a) for i in range(1, m + 1) for a in range(1, p + 1)]
-    for bits in product((0, 1), repeat=m * p):
-        black = frozenset(c for c, bit in zip(cells, bits) if bit)
-        if _first_violation(m, p, black) is not None:
-            grid = [
-                [0 if (i, a) in black else 1 for a in range(1, p + 1)]
-                for i in range(1, m + 1)
-            ]
-            bad.append(grid)
-    return bad

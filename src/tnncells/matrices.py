@@ -1,4 +1,4 @@
-"""Exact matrices, minors and positivity predicates.
+"""Exact matrices, the scan of their minors, initial minors and text formats.
 
 The matrix type is deliberately small: immutable row-major storage whose
 entries do their own arithmetic through Python operators, so a matrix's ring
@@ -16,7 +16,8 @@ of a matrix comes from one scan of one integer table, :class:`MinorScan`, and
 :func:`all_minors` lists the table: each k-minor follows from the (k-1)-minors
 by Laplace expansion along its last row, in at most k multiply-adds with no
 division. Integer rows enter directly; rational ones have their denominators
-cleared once per matrix. Single determinants and minors run Bareiss.
+cleared once per matrix. The initial minors of a square matrix, which decide
+total positivity, are the one use of fraction-free Bareiss elimination.
 Every rational-only call checks once that the entries it reads are
 ``Fraction``. Other matrices (the symbolic canonical matrices, whose entries
 are Laurent polynomials in the white-cell variables) are for display,
@@ -320,38 +321,6 @@ def _cleared(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
     return scale, [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
 
 
-def _det_rational(rows: list[list[Fraction]]) -> Fraction:
-    scale, ints = _cleared(rows)
-    return Fraction(_det_bareiss_int(ints), scale ** len(rows))
-
-
-def determinant(matrix: Matrix) -> Fraction:
-    if matrix.m != matrix.p:
-        raise DomainError(f"determinant of non-square {matrix.m}x{matrix.p}")
-    _require_rational(matrix.rows, "a determinant")
-    return _det_rational([list(r) for r in matrix.rows])
-
-
-def minor(matrix: Matrix, ix: MinorIndex) -> Fraction:
-    """The exact value of one minor of a rational matrix."""
-    if not ix.fits(matrix.m, matrix.p):
-        raise DomainError(f"{ix} does not fit in {matrix.m}x{matrix.p}")
-    sub = _submatrix(matrix, ix)
-    _require_rational(sub, "a minor")
-    return _det_rational(sub)
-
-
-def _submatrix(matrix: Matrix, ix: MinorIndex) -> list[list[Any]]:
-    return [[matrix.rows[i - 1][a - 1] for a in ix.cols] for i in ix.rows]
-
-
-def minor_count(m: int, p: int) -> int:
-    """How many minors an m x p matrix has in total."""
-    if m < 1 or p < 1:
-        raise DomainError("sizes must be at least 1")
-    return comb(m + p, m) - 1
-
-
 def iter_minor_indices(m: int, p: int) -> Iterator[MinorIndex]:
     """All minor indices of an m x p matrix, ordered by size then rows, columns."""
     for k in range(1, min(m, p) + 1):
@@ -466,9 +435,10 @@ def initial_minor_index(i: int, alpha: int) -> MinorIndex:
     )
 
 
-def initial_minors(matrix: Matrix) -> list[tuple[MinorIndex, Any]]:
-    """The n^2 initial minors of a square matrix, row-major by corner entry;
-    the entries their eliminations rewrite are guarded first."""
+def initial_minors(matrix: Matrix) -> list[tuple[MinorIndex, Fraction]]:
+    """The n^2 initial minors of a square matrix, row-major by corner entry, each
+    by Bareiss on the matrix's cleared integer rows; the entries their
+    eliminations rewrite are guarded first."""
     if matrix.m != matrix.p:
         raise DomainError("initial minors are defined for square matrices")
     _require_rational(matrix.rows, "initial minors")
@@ -477,7 +447,10 @@ def initial_minors(matrix: Matrix) -> list[tuple[MinorIndex, Any]]:
     work = sum((2 * (n - k) + 1) * (k - 1) * k * (2 * k - 1) // 6 for k in range(2, n + 1))
     guards.ensure(work, guards.SWEEP_WORK_LIMIT, "entries initial minors' eliminations rewrite")
     indices = (initial_minor_index(i, a) for i in range(1, n + 1) for a in range(1, n + 1))
-    return [(ix, _det_rational(_submatrix(matrix, ix))) for ix in indices]
+    scale, rows = _cleared(matrix.rows)
+    return [(ix, Fraction(_det_bareiss_int([[rows[i - 1][a - 1] for a in ix.cols]
+                                            for i in ix.rows]), scale**ix.size))
+            for ix in indices]
 
 
 def _require_rational(rows: Iterable[Sequence[Any]], what: str) -> None:
@@ -488,20 +461,6 @@ def _require_rational(rows: Iterable[Sequence[Any]], what: str) -> None:
                 raise DomainError(
                     f"{what} needs rational entries, not {type(x).__name__}"
                 )
-
-
-def is_tp(matrix: Matrix) -> bool:
-    """Total positivity of a square rational matrix via its initial minors."""
-    if matrix.m != matrix.p:
-        raise DomainError("total positivity test is for square matrices")
-    return all(value > 0 for _, value in initial_minors(matrix))
-
-
-def is_tnn_bruteforce(matrix: Matrix) -> tuple[bool, MinorIndex | None]:
-    """Check every minor for nonnegativity; on failure report a witness, the
-    worst minor of the smallest failing size (:class:`MinorScan`'s rule)."""
-    negative = scan_minors(matrix).negative
-    return (True, None) if negative is None else (False, negative[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Planar networks, path matrices and the disjoint-path-family oracle.
+"""Planar networks, path matrices and counts of disjoint path families.
 
 Networks here are finite weighted DAGs with named sources s1..sm and sinks
 t1..tp. The path matrix entry (i, a) is the weighted sum over all directed
@@ -17,10 +17,12 @@ families obey the determinant identity.
 Disjoint path families are counted by :func:`nonintersecting_counts`, one
 signed dynamic program over (row set, column set, vertex mask) states, grown
 row by row; a row is left out only where some requested minor leaves it out.
-It shares no code with the restoration sweep, so comparing it with the
-restored unit-weight witness, as ``verify all`` does, checks the identity.
-Its step budget is per call: one step per vertex walked, then one per
-(state, path) pair tried.
+It is the one counter: ``network lindstrom`` asks it for one minor and
+``verify all`` for every minor of each diagram. It shares no code with the
+restoration sweep, so comparing it with the restored unit-weight witness, as
+``verify all`` does, checks the identity. Its step budget is per call: one
+step per vertex walked, then one per (state, path) pair tried. The path
+matrix, by forward propagation, serves ``network path-matrix``.
 """
 
 from __future__ import annotations
@@ -296,10 +298,3 @@ def nonintersecting_counts(
         totals[rows, cols] = totals.get((rows, cols), 0) + weight
     return {ix: totals.get((rows, cols), 0) for ix, rows, cols in minors}
 
-
-def nonintersecting_count(network: PlanarNetwork, ix: MinorIndex) -> Fraction | int:
-    """The signed weighted count of disjoint path families for one minor.
-
-    See :func:`nonintersecting_counts`; the step budget covers this one call.
-    """
-    return nonintersecting_counts(network, [ix])[ix]

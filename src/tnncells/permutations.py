@@ -190,13 +190,6 @@ def parse_permutation(text: str, n: int | None = None) -> Permutation:
     return w
 
 
-def longest_element(r: int) -> Permutation:
-    """The order-reversing permutation i -> r + 1 - i."""
-    if r < 1:
-        raise DomainError("rank must be at least 1")
-    return Permutation(tuple(r + 1 - i for i in range(1, r + 1)))
-
-
 def is_restricted(w: Permutation, m: int, p: int) -> bool:
     """Does w satisfy the window condition -p <= w(i) - i <= m?"""
     if w.n != m + p:
@@ -433,6 +426,8 @@ def minor_family(w: Permutation, m: int, p: int) -> MinorFamily:
     work of the mask and of both crowding tables is checked against the
     guard first.
     """
+    if m < 1 or p < 1:
+        raise DomainError("sizes must be at least 1")
     # the mask's bits, plus each subset of either crowding table times the
     # windows it is counted in; counting stops once over the limit
     work = 0

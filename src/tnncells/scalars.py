@@ -418,8 +418,8 @@ LaurentQ.Q_MINUS_QINV = LaurentQ({1: 1, -1: -1})
 
 
 # The rational zero. A matrix's ring is the type of its entries, so no tag
-# names it; the name survives because callers pass it as the zero that
-# ``cauchon.build_TC`` seeds on black cells.
+# names it; the name survives because the benchmark passes it as the zero
+# that ``cauchon.build_TC`` seeds on black cells.
 QQ = Fraction(0)
 
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from itertools import permutations as iter_perms
 
+from tnncells import guards
 from tnncells.quantum import QPoly
 from tnncells.scalars import LaurentQ, MPoly, add_terms, evaluate_expression, int_const
 
@@ -107,6 +108,26 @@ def first_bad_black_cell(m, p, black):
 
 def has_bad_black_cell(m, p, black):
     return first_bad_black_cell(m, p, black) is not None
+
+
+def non_le_fillings(m, p):
+    """All 0/1 grids that are not Le-diagrams, in ascending bitmask order.
+
+    Output uses Le notation (0 = black). The full 2^(m*p) search space is
+    scanned with the quantifier scan, so sizes are capped by the enumeration
+    guard.
+    """
+    guards.ensure_enumerable(m, p, what="filling enumeration")
+    cells = [(i, a) for i in range(1, m + 1) for a in range(1, p + 1)]
+    bad = []
+    for bits in product((0, 1), repeat=m * p):
+        black = frozenset(c for c, bit in zip(cells, bits) if bit)
+        if has_bad_black_cell(m, p, black):
+            bad.append([
+                [0 if (i, a) in black else 1 for a in range(1, p + 1)]
+                for i in range(1, m + 1)
+            ])
+    return bad
 
 
 def zero_pattern(matrix):

@@ -30,10 +30,9 @@ from tnncells.matrices import (
     MinorFamily,
     MinorIndex,
     all_minors,
-    is_tnn_bruteforce,
-    is_tp,
+    initial_minors,
     iter_minor_indices,
-    minor,
+    scan_minors,
 )
 from tnncells.networks import nonintersecting_counts, path_matrix, postnikov_network
 from tnncells.permutations import (
@@ -159,27 +158,25 @@ def test_criterion_05_pipe_dream_fixture():
 def test_criterion_06_tnn_fixtures():
     A = load_matrix("tnn_4x4")
     t0 = time.perf_counter()
-    a_brute, _ = is_tnn_bruteforce(A)
+    a_brute = scan_minors(A).negative is None
     a_minor_count = len(all_minors(A))
     a_algo = tnn_test(A).is_tnn
     a_time = time.perf_counter() - t0
 
     M2 = load_matrix("near_tnn_4x4")
     t0 = time.perf_counter()
-    m2_verdict, m2_witness = is_tnn_bruteforce(M2)
+    m2_witness = scan_minors(M2).negative
     m2_time = time.perf_counter() - t0
 
     M1 = load_matrix("symmetric_4x4")
     t0 = time.perf_counter()
-    m1_brute, _ = is_tnn_bruteforce(M1)
+    m1_brute = scan_minors(M1).negative is None
     m1_algo = tnn_test(M1).is_tnn
     m1_time = time.perf_counter() - t0
 
     ok = (
         a_brute and a_algo and a_minor_count == 69
-        and not m2_verdict
-        and m2_witness == MinorIndex((1, 2), (2, 3))
-        and minor(M2, m2_witness) == -5
+        and m2_witness == (MinorIndex((1, 2), (2, 3)), -5)
         and m1_brute == m1_algo
         and max(a_time, m2_time, m1_time) < 1.0
     )
@@ -195,9 +192,10 @@ def test_criterion_07_tp_against_minor_oracle():
             [[Fraction(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
         )
         oracle = all(v > 0 for _, v in all_minors(M))
-        if is_tp(M) != oracle:
+        if all(v > 0 for _, v in initial_minors(M)) != oracle:
             mismatches += 1
-    report(7, "is_tp vs all-minors oracle on 1000 random matrices", mismatches == 0)
+    report(7, "initial-minor TP test vs all-minors oracle on 1000 random matrices",
+           mismatches == 0)
 
 
 def test_criterion_08_lindstrom_sweep():
@@ -208,9 +206,8 @@ def test_criterion_08_lindstrom_sweep():
         indices = list(iter_minor_indices(m, p))
         for d in enumerate_diagrams(m, p):
             net = postnikov_network(d)
-            pm = path_matrix(net)
             counts = nonintersecting_counts(net, indices)
-            mismatches += sum(minor(pm, ix) != counts[ix] for ix in indices)
+            mismatches += sum(value != counts[ix] for ix, value in all_minors(path_matrix(net)))
     elapsed = time.perf_counter() - t0
     report(8, "path-matrix minors = disjoint path counts to 3x3, 3x4, 4x3",
            mismatches == 0 and elapsed < 60.0)

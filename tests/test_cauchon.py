@@ -9,13 +9,11 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from tnncells.cauchon import (
     build_TC,
-    delete_step,
     deleting_derivations,
     deleting_stages,
     ones_TC,
     restoration,
     restoration_stages,
-    restore_step,
     seed_matrix,
     step_indices,
     symbolic_TC,
@@ -28,9 +26,8 @@ from tnncells.errors import DomainError, ResourceGuardError
 from tnncells.matrices import (
     Matrix,
     MinorIndex,
-    all_minors,
-    is_tnn_bruteforce,
     iter_minor_indices,
+    scan_minors,
 )
 from tnncells.scalars import MPoly, QQ
 
@@ -66,16 +63,21 @@ def test_step_order_is_lexicographic():
 
 def test_single_step_touches_strict_northwest_only():
     M = Matrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    out = delete_step(M, 3, 3)
+    step, out = next(deleting_stages(M))
+    assert step == (3, 3)
     assert out.rows[2] == M.rows[2]
     assert all(out.entry(i, 3) == M.entry(i, 3) for i in (1, 2))
     assert out.entry(1, 1) == Fraction(1) - Fraction(3, 9) * 7
 
 
 def test_zero_pivot_step_is_identity():
+    # (2,2) is deletion's first step and restoration's last; the steps in row 1
+    # and column 1 have nothing northwest of their pivot
     M = Matrix([[1, 2], [3, 0]])
-    assert delete_step(M, 2, 2).equals(M)
-    assert restore_step(M, 2, 2).equals(M)
+    for staged in (deleting_stages, restoration_stages):
+        stages = dict(staged(M))
+        assert stages[(2, 2)].equals(M)
+        assert all(stage.equals(M) for stage in stages.values())
 
 
 def test_restoration_worked_example_stage_by_stage():
@@ -115,8 +117,7 @@ def test_sweeps_are_mutually_inverse(M):
 @settings(max_examples=40)
 def test_tnn_test_agrees_with_bruteforce(M):
     verdict = tnn_test(M)
-    brute, _ = is_tnn_bruteforce(M)
-    assert verdict.is_tnn == brute
+    assert verdict.is_tnn == (scan_minors(M).negative is None)
 
 
 def test_tnn_test_returns_the_zero_diagram():
@@ -138,7 +139,7 @@ def test_int_entries_keep_the_verdict_exact():
     n = 10**17
     M = Matrix([[n + 1, n], [n, n - 1]])
     assert not tnn_test(M).is_tnn
-    assert is_tnn_bruteforce(M) == (False, MinorIndex((1, 2), (1, 2)))
+    assert scan_minors(M).negative == (MinorIndex((1, 2), (1, 2)), -1)
 
 
 def test_sweep_outputs_of_int_entries_are_fractions():
@@ -147,8 +148,6 @@ def test_sweep_outputs_of_int_entries_are_fractions():
         deleting_derivations(M),
         restoration(M),
         tnn_test(M).final,
-        delete_step(M, 2, 2),
-        restore_step(M, 2, 2),
         *(stage for _, stage in restoration_stages(M)),
         *(stage for _, stage in deleting_stages(M)),
     ]
@@ -187,16 +186,13 @@ def _entries(matrix):
 @settings(max_examples=120)
 def test_sweeps_match_the_fraction_oracle(rows):
     M = Matrix(rows)
-    for sign, sweep, staged, single in (
-        (-1, deleting_derivations, deleting_stages, delete_step),
-        (+1, restoration, restoration_stages, restore_step),
+    for sign, sweep, staged in (
+        (-1, deleting_derivations, deleting_stages),
+        (+1, restoration, restoration_stages),
     ):
         want = oracles.sweep_stages(rows, sign)
         assert [(step, _entries(stage)) for step, stage in staged(M)] == want
         assert _entries(sweep(M)) == want[-1][1]
-        for j, beta in step_indices(M.m, M.p):
-            want_step = oracles.sweep_step(rows, j, beta, sign)
-            assert _entries(single(M, j, beta)) == want_step, (j, beta)
     assert restoration(deleting_derivations(M)).equals(M)
     final = oracles.sweep_stages(rows, -1)[-1][1]
     zeros = frozenset(
@@ -298,8 +294,7 @@ def test_TC_zero_pattern_round_trip(data):
 
 def test_TC_matrices_are_tnn():
     for d in enumerate_diagrams(2, 2):
-        ok, _ = is_tnn_bruteforce(ones_TC(d))
-        assert ok, d.to_ascii()
+        assert scan_minors(ones_TC(d)).negative is None, d.to_ascii()
 
 
 def test_deletion_of_unit_weight_restoration_gives_back_the_seed():

@@ -22,8 +22,6 @@ from tnncells.matrices import (
     MinorFamily,
     MinorIndex,
     all_minors,
-    is_tnn_bruteforce,
-    minor,
     scan_minors,
 )
 from tnncells.permutations import minor_family, pipe_dream
@@ -108,18 +106,16 @@ def test_cell_of_rejects_non_tnn_with_witness():
             M = Matrix(
                 [[rng.randint(-2, 5) for _ in range(size)] for _ in range(size)]
             )
-            ok, witness = is_tnn_bruteforce(M)
-            if ok:
+            negative = scan_minors(M).negative
+            if negative is None:
                 continue
             seen += 1
-            assert ((witness.rows, witness.cols), minor(M, witness)) == (
-                oracles.leibniz_witness(M.rows)
-            )
+            witness, value = negative
+            assert ((witness.rows, witness.cols), value) == oracles.leibniz_witness(M.rows)
             with pytest.raises(DomainError) as err:
                 cell_of(M)
             assert str(err.value) == (
-                "matrix is not totally nonnegative: "
-                f"minor {witness} = {minor(M, witness)}"
+                f"matrix is not totally nonnegative: minor {witness} = {value}"
             )
 
 
@@ -157,9 +153,9 @@ def test_unifying_check_catches_a_wrong_step_sign(monkeypatch):
         ix, value = re.fullmatch(r"witness minor (\S+) = (-\d+) is negative", named[0]).groups()
         ix = MinorIndex.parse(ix)
         witness = ones_TC(CauchonDiagram.from_json(mismatch["diagram"]))
-        assert minor(witness, ix) == int(value) < 0
-        # the most negative minor of the smallest size with one, first on ties
         minors = all_minors(witness)
+        assert dict(minors)[ix] == int(value) < 0
+        # the most negative minor of the smallest size with one, first on ties
         size = min(jx.size for jx, v in minors if v < 0)
         same_size = [(jx, v) for jx, v in minors if jx.size == size]
         worst = min(v for _, v in same_size)

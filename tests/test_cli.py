@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from tnncells import cauchon, cli, fixtures
@@ -879,6 +879,8 @@ _PERMUTATION_ARGS = st.one_of(
     st.sampled_from([["perm", "inverse-pipedream"], ["perm", "mw"]]),
     st.sampled_from(["text", "json"]),
 )
+# a negative size once reached the window scan and ended in an IndexError
+@example(("()", -1, 1), ["perm", "mw"], "text")
 def test_permutation_text_fuzz_exits_with_a_contract_code(wmp, command, fmt):
     args = [*command, wmp[0], "--m", str(wmp[1]), "--p", str(wmp[2]), "--format", fmt]
     _assert_contract(args, CliRunner().invoke(main, args))

@@ -1,7 +1,9 @@
 """Grid diagrams with the left-or-above blackness rule."""
 
 import re
+import time
 from itertools import product
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,7 +14,6 @@ from tnncells.diagrams import (
     count_diagrams,
     enumerate_diagrams,
     is_cauchon,
-    non_le_fillings,
 )
 from tnncells.errors import DomainError, ResourceGuardError
 
@@ -28,6 +29,26 @@ def test_counts_small():
 
 def test_count_4x4():
     assert count_diagrams(4, 4) == 6902
+
+
+def _stirling2(n, k):
+    """Set partitions of n elements into k blocks, by inclusion-exclusion."""
+    return sum((-1) ** i * comb(k, i) * (k - i) ** n for i in range(k + 1)) // factorial(k)
+
+
+def test_counts_are_poly_bernoulli_numbers():
+    # the m x p diagrams number sum_j (j!)^2 S(m+1, j+1) S(p+1, j+1), the
+    # poly-Bernoulli number B_m^(-p) (Kaneko 1997); with the fillings the
+    # quantifier scan rejects, they make up all 2^(mp) colorings
+    for m in range(1, 17):
+        for p in range(1, 16 // m + 1):
+            count = count_diagrams(m, p)
+            assert count == sum(
+                factorial(j) ** 2 * _stirling2(m + 1, j + 1) * _stirling2(p + 1, j + 1)
+                for j in range(min(m, p) + 1)
+            ), (m, p)
+            if m * p <= 12:
+                assert count + len(oracles.non_le_fillings(m, p)) == 2 ** (m * p), (m, p)
 
 
 @given(st.integers(1, 3), st.integers(1, 3))
@@ -82,24 +103,34 @@ def test_validity_rule_matches_the_quantifier_scan(m, p):
                 CauchonDiagram(m, p, black)
 
 
+def test_grid_text_is_refused_on_its_size_before_its_cells():
+    # 1600 + 1600 letters exceed a pipe dream's limit; the refusal reads the
+    # text's row count and width, not its 2.56 million cells
+    text = "\n".join(["#" * 1600] * 1600)
+    started = time.monotonic()
+    with pytest.raises(ResourceGuardError, match="pipe dream letters: 3200 exceeds"):
+        CauchonDiagram.from_ascii(text)
+    assert time.monotonic() - started < 1.0
+
+
 def test_bounds_checked():
     with pytest.raises(DomainError):
         is_cauchon(2, 2, {(3, 1)})
 
 
 def test_non_le_fillings_2x2():
-    assert non_le_fillings(2, 2) == [[[1, 1], [1, 0]], [[0, 1], [1, 0]]]
+    assert oracles.non_le_fillings(2, 2) == [[[1, 1], [1, 0]], [[0, 1], [1, 0]]]
 
 
 def test_non_le_fillings_trivial_shapes():
-    assert non_le_fillings(1, 4) == []
-    assert non_le_fillings(2, 1) == []
+    assert oracles.non_le_fillings(1, 4) == []
+    assert oracles.non_le_fillings(2, 1) == []
 
 
 def test_non_le_fillings_guard(monkeypatch):
     monkeypatch.setenv("CAUCHON_GUARD", "2")
     with pytest.raises(ResourceGuardError):
-        non_le_fillings(2, 2)
+        oracles.non_le_fillings(2, 2)
 
 
 class TestDiagramType:
@@ -110,9 +141,9 @@ class TestDiagramType:
         assert CauchonDiagram.from_ascii(".#./##./...") == DEMO
 
     def test_le_grid_roundtrip(self):
-        grid = DEMO.to_le_grid()
-        assert grid[0] == [1, 0, 1]
-        assert CauchonDiagram.from_le_grid(grid) == DEMO
+        grid = DEMO.to_ascii().translate(str.maketrans("#.", "01"))
+        assert grid.splitlines()[0] == "101"
+        assert CauchonDiagram.from_ascii(grid) == DEMO
 
     def test_json_roundtrip(self):
         assert CauchonDiagram.from_json(DEMO.to_json()) == DEMO

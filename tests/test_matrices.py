@@ -5,9 +5,10 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import oracles
 from tnncells import guards
@@ -20,18 +21,13 @@ from tnncells.matrices import (
     MinorIndex,
     _minor_keys,
     all_minors,
-    determinant,
     initial_minor_index,
     initial_minors,
-    is_tnn_bruteforce,
-    is_tp,
     iter_minor_indices,
     load_matrix_text,
     matrix_from_csv,
     matrix_from_json,
     matrix_to_json,
-    minor,
-    minor_count,
     parse_rational,
     scan_int_minors,
     scan_minors,
@@ -120,12 +116,15 @@ class TestMinorIndex:
         assert all(type(ix) is MinorIndex for ix in back)
 
 
+def _minor_count(m, p):
+    """How many minors an m x p matrix has: C(m, k) C(p, k) of each size k."""
+    return comb(m + p, m) - 1
+
+
 def test_minor_count_closed_form():
-    assert minor_count(4, 4) == 69
-    assert minor_count(3, 3) == 19
-    assert minor_count(2, 3) == 9
+    assert [_minor_count(m, p) for m, p in [(4, 4), (3, 3), (2, 3)]] == [69, 19, 9]
     assert all(
-        minor_count(m, p) == sum(1 for _ in iter_minor_indices(m, p))
+        _minor_count(m, p) == sum(1 for _ in iter_minor_indices(m, p))
         for m in range(1, 5)
         for p in range(1, 5)
     )
@@ -133,30 +132,46 @@ def test_minor_count_closed_form():
 
 @given(fractional_square_matrices)
 def test_determinant_matches_leibniz(M):
-    assert determinant(M) == oracles.leibniz_det(M.rows)
+    # the initial minor at (n, n) is the whole determinant
+    ix, value = initial_minors(M)[-1]
+    assert ix == MinorIndex(tuple(range(1, M.m + 1)), tuple(range(1, M.m + 1)))
+    assert value == oracles.leibniz_det(M.rows)
 
 
 @given(fractional_matrices)
 def test_every_minor_matches_leibniz(M):
-    for ix in iter_minor_indices(M.m, M.p):
-        assert minor(M, ix) == oracles.leibniz_minor(M.rows, ix.rows, ix.cols)
+    for ix, value in all_minors(M):
+        assert value == oracles.leibniz_minor(M.rows, ix.rows, ix.cols)
+
+
+# signed rationals, half of them zero, so Bareiss meets zero pivots: it swaps
+# in a lower row, or finds a zero column and stops
+sparse_entries = st.one_of(
+    st.just(Fraction(0)), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+)
+sparse_square_matrices = st.integers(2, 5).flatmap(
+    lambda n: st.lists(st.lists(sparse_entries, min_size=n, max_size=n), min_size=n, max_size=n)
+).map(Matrix)
+
+
+@given(sparse_square_matrices)
+# [1,2|1,2] and [1,2,3|1,2,3] start on a zero pivot with a nonzero below it
+@example(Matrix([[0, 1, 2], [3, 0, 1], [1, 1, 0]]))
+def test_initial_minors_match_leibniz_through_zero_pivots(M):
+    for ix, value in initial_minors(M):
+        assert value == oracles.leibniz_minor(M.rows, ix.rows, ix.cols), ix
 
 
 @pytest.mark.parametrize("call", [
-    determinant,
-    lambda M: minor(M, MinorIndex((1, 2), (1, 2))),
     scan_minors,
     initial_minors,
-    is_tp,
-    is_tnn_bruteforce,
     all_minors,
     lambda M: scan_minors(M).zeros,
     tnn_test,
     matrix_to_json,
     cell_of,
 ], ids=[
-    "determinant", "minor", "scan_minors", "initial_minors", "is_tp",
-    "is_tnn_bruteforce", "all_minors", "scan_minors_zeros", "tnn_test",
+    "scan_minors", "initial_minors", "all_minors", "scan_minors_zeros", "tnn_test",
     "matrix_to_json", "cell_of",
 ])
 def test_rational_only_entry_points_refuse_symbolic_entries(call):
@@ -168,9 +183,9 @@ def test_rational_only_entry_points_refuse_symbolic_entries(call):
 
 @given(any_matrices)
 def test_minors_respect_transposition(M):
-    T = M.transpose()
-    for ix in iter_minor_indices(M.m, M.p):
-        assert minor(M, ix) == minor(T, ix.transposed())
+    transposed = dict(all_minors(M.transpose()))
+    for ix, value in all_minors(M):
+        assert value == transposed[ix.transposed()]
 
 
 def test_initial_minor_layout():
@@ -182,34 +197,39 @@ def test_initial_minor_layout():
     assert len(labels) == 4
 
 
+def _is_tp(M):
+    """The verdict of ``tp-check``: every initial minor is positive."""
+    return all(value > 0 for _, value in initial_minors(M))
+
+
 @given(square_matrices)
 def test_is_tp_agrees_with_all_minors_oracle(M):
     oracle = all(v > 0 for _, v in all_minors(M))
-    assert is_tp(M) == oracle
+    assert _is_tp(M) == oracle
 
 
 def test_is_tp_examples():
-    assert is_tp(Matrix([[1, 1], [1, 2]]))
-    assert not is_tp(Matrix([[1, 1], [1, 1]]))
+    assert _is_tp(Matrix([[1, 1], [1, 2]]))
+    assert not _is_tp(Matrix([[1, 1], [1, 1]]))
 
 
 def test_is_tp_rejects_rectangles():
     with pytest.raises(DomainError):
-        is_tp(Matrix([[1, 2, 3], [4, 5, 6]]))
+        initial_minors(Matrix([[1, 2, 3], [4, 5, 6]]))
 
 
 @given(any_matrices)
 def test_tnn_bruteforce_witness_is_negative(M):
-    ok, witness = is_tnn_bruteforce(M)
-    if ok:
-        assert witness is None
+    negative = scan_minors(M).negative
+    if negative is None:
         assert all(v >= 0 for _, v in all_minors(M))
     else:
-        assert minor(M, witness) < 0
+        ix, value = negative
+        assert dict(all_minors(M))[ix] == value < 0
 
 
 def test_tnn_zero_matrix():
-    assert is_tnn_bruteforce(Matrix([[0, 0], [0, 0]])) == (True, None)
+    assert scan_minors(Matrix([[0, 0], [0, 0]])).negative is None
 
 
 @st.composite
@@ -255,7 +275,7 @@ def test_minor_table_matches_leibniz(M):
             assert Fraction(value, denominator) == oracles.leibniz_minor(M.rows, rows, cols)
         count += len(values)
     if scan.negative is None:
-        assert count == minor_count(M.m, M.p)
+        assert count == _minor_count(M.m, M.p)
     # the listing reads the whole table
     listing = all_minors(M)
     assert [ix for ix, _ in listing] == [
@@ -263,7 +283,7 @@ def test_minor_table_matches_leibniz(M):
     ]
     for ix, value in listing:
         assert value == oracles.leibniz_minor(M.rows, ix.rows, ix.cols)
-    assert len(listing) == minor_count(M.m, M.p)
+    assert len(listing) == _minor_count(M.m, M.p)
 
 
 @given(table_matrices())
@@ -288,7 +308,6 @@ def test_most_negative_names_the_first_minor_on_ties():
     scan = scan_minors(M)
     assert scan.sizes == ([0, -3, -3, 0],)
     assert scan.negative == (MinorIndex((1,), (2,)), Fraction(-3))
-    assert is_tnn_bruteforce(M) == (False, MinorIndex((1,), (2,)))
     # with a scale, the named value is the matrix's own
     assert scan_int_minors([[0, -3], [-3, 0]], 2, 2, 6).negative == (
         MinorIndex((1,), (2,)), Fraction(-1, 2)
@@ -351,8 +370,6 @@ def test_initial_minors_guard():
     assert len(initial_minors(Matrix([[1] * 31] * 31))) == 31 * 31
     with pytest.raises(ResourceGuardError):
         initial_minors(Matrix([[0] * 32] * 32))
-    with pytest.raises(ResourceGuardError):
-        is_tp(Matrix([[0] * 32] * 32))
 
 
 def _perturbed_tnn(rng, n):
@@ -377,13 +394,14 @@ def test_bruteforce_witness_matches_leibniz_rule(n):
     seen = 0
     while seen < 20:
         M = _perturbed_tnn(rng, n)
-        ok, witness = is_tnn_bruteforce(M)
+        negative = scan_minors(M).negative
         expected = oracles.leibniz_witness(M.rows)
-        assert ok == (expected is None)
-        if ok:
+        assert (negative is None) == (expected is None)
+        if negative is None:
             continue
         seen += 1
-        assert ((witness.rows, witness.cols), minor(M, witness)) == expected
+        ix, value = negative
+        assert ((ix.rows, ix.cols), value) == expected
 
 
 class TestSerialization:

@@ -8,6 +8,11 @@ A matrix living in the cell gives a third reading, its own zero minors.
 The theory says they agree; this module computes them separately and
 treats any disagreement as an internal error rather than a tolerable
 approximation.
+
+:func:`unifying_check` walks a grid once. Each diagram's witness is restored
+and scanned once, for the first two readings and, for ``verify all``, for the
+Lindstrom comparison with its network's path-family counts. The walk keeps
+only mismatches and counts, and checks its diagram count by formula.
 """
 
 from __future__ import annotations
@@ -15,13 +20,15 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cache
-from typing import Any
+from functools import cache, partial
+from itertools import chain
+from typing import Any, Iterable
 
 from . import guards
-from .diagrams import CauchonDiagram, enumerate_diagrams
+from .diagrams import CauchonDiagram, enumerate_diagrams, poly_bernoulli
 from .errors import ConsistencyError, DomainError
-from .matrices import Matrix, MinorFamily, scan_minors
+from .matrices import Matrix, MinorFamily, MinorIndex, iter_minor_indices, scan_minors
+from .networks import nonintersecting_counts, postnikov_network
 from .permutations import Permutation, minor_family, pipe_dream
 from .cauchon import tnn_test, vanishing_family, witness_scan
 
@@ -129,22 +136,30 @@ def cell_of(matrix: Matrix) -> CellDescriptor:
 
 @dataclass(frozen=True)
 class UnifyingReport:
+    """One walk over a grid. ``expected`` is its diagram count by formula, and
+    ``lindstrom`` is (checked, mismatched) minors against path-family counts,
+    None when the walk was not asked for them."""
+
     m: int
     p: int
     total: int
+    expected: int
     agreements: int
     mismatches: tuple[dict[str, Any], ...]
     elapsed: float
+    lindstrom: tuple[int, int] | None = None
 
     @property
     def ok(self) -> bool:
-        return not self.mismatches
+        """Every diagram's routes agree, and the walk saw as many as expected."""
+        return not self.mismatches and self.total == self.expected
 
     def to_json(self) -> dict[str, Any]:
         return {
             "m": self.m,
             "p": self.p,
             "total": self.total,
+            "expected": self.expected,
             "agreements": self.agreements,
             "mismatches": list(self.mismatches),
             "elapsed_seconds": round(self.elapsed, 3),
@@ -152,12 +167,22 @@ class UnifyingReport:
         }
 
 
-def _check_diagram(diagram: CauchonDiagram) -> dict[str, Any] | None:
+def _check_diagram(
+    diagram: CauchonDiagram, indices: tuple[MinorIndex, ...] | None = None
+) -> tuple[dict[str, Any] | None, int]:
     """Worker: from the diagram's :func:`~tnncells.cauchon.witness_scan`, check
     Cauchon's theorem, that the unit-weight witness is TNN, which no deletion
     sweep can (it undoes any restoration), naming the scan's negative minor,
-    then compare its zero minors with the permutation's family."""
+    then compare its zero minors with the permutation's family. Return that
+    mismatch or None, and how many of ``indices`` (the grid's minors in scan
+    order) differ from the network's disjoint path-family counts, which
+    Lindstrom-Gessel-Viennot says they equal; an unscanned size differs."""
     scan = witness_scan(diagram)
+    missed = 0
+    if indices is not None:
+        counts = nonintersecting_counts(postnikov_network(diagram), indices)
+        values = chain.from_iterable(scan.sizes)
+        missed = len(indices) - sum(counts[ix] == value for ix, value in zip(indices, values))
     w = pipe_dream(diagram)
     via_permutation = minor_family(w, diagram.m, diagram.p)
     if scan.negative is not None:
@@ -166,28 +191,46 @@ def _check_diagram(diagram: CauchonDiagram) -> dict[str, Any] | None:
         problem = "restoration family differs from permutation family"
         via_restoration = str(zeros)
     else:
-        return None
+        return None, missed
     return {
         "diagram": diagram.to_json(),
         "permutation": w.one_line(),
         "problems": [problem],
         "restoration": via_restoration,
         "permutation_family": str(via_permutation),
-    }
+    }, missed
 
 
-def unifying_check(m: int, p: int, *, jobs: int = 1) -> UnifyingReport:
-    """Verify the route agreement for every diagram of the grid."""
+def unifying_check(
+    m: int, p: int, *, jobs: int = 1, lindstrom: bool = False
+) -> UnifyingReport:
+    """Verify the route agreement for every diagram of the grid in one walk, and
+    its diagram count against :func:`~tnncells.diagrams.poly_bernoulli`. With
+    ``lindstrom``, as ``verify all`` asks, the same scans and workers also
+    compare every minor with its network's path-family count."""
     guards.ensure_enumerable(m, p, what="unifying check")
     started = time.monotonic()
-    work = list(enumerate_diagrams(m, p))
+    indices = tuple(iter_minor_indices(m, p)) if lindstrom else None
+    check = partial(_check_diagram, indices=indices)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_check_diagram, work, chunksize=8))
+            total, mismatches, missed = _tally(pool.map(check, enumerate_diagrams(m, p), chunksize=8))
     else:
-        results = list(map(_check_diagram, work))
-    mismatches = tuple(r for r in results if r is not None)
-    elapsed = time.monotonic() - started
+        total, mismatches, missed = _tally(map(check, enumerate_diagrams(m, p)))
     return UnifyingReport(
-        m, p, len(work), len(work) - len(mismatches), mismatches, elapsed
+        m, p, total, poly_bernoulli(m, p), total - len(mismatches), tuple(mismatches),
+        time.monotonic() - started,
+        None if indices is None else (total * len(indices), missed),
     )
+
+
+def _tally(results: Iterable[tuple[dict[str, Any] | None, int]]) -> tuple[int, list, int]:
+    """(diagrams, mismatches, minors missed) over the workers' results."""
+    total = missed = 0
+    mismatches = []
+    for mismatch, misses in results:
+        total += 1
+        missed += misses
+        if mismatch is not None:
+            mismatches.append(mismatch)
+    return total, mismatches, missed

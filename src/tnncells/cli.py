@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from itertools import chain
 from pathlib import Path
 from typing import Any, Callable
 
@@ -33,7 +32,6 @@ from .matrices import (
     MinorIndex,
     all_minors,
     initial_minors,
-    iter_minor_indices,
     load_matrix_text,
     matrix_to_json,
     scan_minors,
@@ -550,8 +548,9 @@ def cells_of(matrix: str, fmt: str) -> None:
 def cells_verify(m: int, p: int, jobs: int, fmt: str) -> None:
     """Cross-check the family routes on every diagram."""
     report = cells_mod.unifying_check(m, p, jobs=jobs)
-    text = f"{report.agreements}/{report.total} agree ({report.elapsed:.2f}s)"
-    if not report.ok:
+    text = (f"{report.agreements}/{report.total} agree, {report.expected} diagrams expected "
+            f"({report.elapsed:.2f}s)")
+    if report.mismatches:
         text += "\nmismatches:\n" + json.dumps(list(report.mismatches), indent=2)
     _emit(fmt, report.to_json(), text, _verdict_code(report.ok))
 
@@ -709,23 +708,6 @@ def verify() -> None:
     """Batch cross-checks."""
 
 
-def _lindstrom_sweep(m: int, p: int) -> tuple[int, int]:
-    """(checked, mismatched) minors over every diagram of the grid, comparing the
-    counts of vertex-disjoint path families on the diagram's network with the
-    minors of its unit-weight witness (:func:`~tnncells.cauchon.witness_scan`),
-    as Lindstrom-Gessel-Viennot says they are equal."""
-    checked = mismatched = 0
-    indices = list(iter_minor_indices(m, p))
-    for diagram in diagrams_mod.enumerate_diagrams(m, p):
-        net = networks_mod.postnikov_network(diagram)
-        counts = networks_mod.nonintersecting_counts(net, indices)
-        # a size the scan did not reach, after a negative minor, is mismatched
-        values = chain.from_iterable(cauchon_mod.witness_scan(diagram).sizes)
-        checked += len(indices)
-        mismatched += len(indices) - sum(counts[ix] == value for ix, value in zip(indices, values))
-    return checked, mismatched
-
-
 @verify.command(name="all")
 @click.option("--m", "m", type=int, default=2, show_default=True)
 @click.option("--p", "p", type=int, default=2, show_default=True)
@@ -738,10 +720,13 @@ def verify_all(m: int, p: int, jobs: int, fmt: str) -> None:
     def check(name: str, ok: bool, detail: str) -> None:
         checks.append({"name": name, "ok": ok, "detail": detail})
 
-    report = cells_mod.unifying_check(m, p, jobs=jobs)
-    check("unifying", report.ok, f"{report.agreements}/{report.total} diagrams agree")
+    report = cells_mod.unifying_check(m, p, jobs=jobs, lindstrom=True)
+    detail = f"{report.agreements}/{report.total} diagrams agree"
+    if report.total != report.expected:
+        detail += f", {report.expected} expected"
+    check("unifying", report.ok, detail)
 
-    checked, mismatched = _lindstrom_sweep(m, p)
+    checked, mismatched = report.lindstrom
     check(
         "lindstrom",
         mismatched == 0,

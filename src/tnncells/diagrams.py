@@ -11,6 +11,7 @@ output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 from typing import Any, Iterator
 
 from . import guards
@@ -82,6 +83,14 @@ def parse_grid(text: str) -> tuple[int, int, Iterator[Cell]]:
     return len(lines), width, black
 
 
+def _check_size(m: int, p: int) -> None:
+    """The checks a grid size passes before any cell is read: every diagram's
+    pipe dream is a permutation of m + p letters."""
+    if m < 1 or p < 1:
+        raise DomainError("grid sizes must be at least 1")
+    guards.ensure(m + p, guards.PERMUTATION_LETTER_LIMIT, "pipe dream letters")
+
+
 @dataclass(frozen=True)
 class CauchonDiagram:
     """A valid black/white coloring of the m x p grid."""
@@ -91,11 +100,8 @@ class CauchonDiagram:
     black: frozenset[Cell]
 
     def __post_init__(self) -> None:
-        # the size comes first: every diagram's pipe dream is a permutation of
-        # m + p letters, and the cells may still be unread (see parse_grid)
-        if self.m < 1 or self.p < 1:
-            raise DomainError("grid sizes must be at least 1")
-        guards.ensure(self.m + self.p, guards.PERMUTATION_LETTER_LIMIT, "pipe dream letters")
+        # the size comes first: the cells may still be unread (see parse_grid)
+        _check_size(self.m, self.p)
         cells = frozenset((int(i), int(a)) for i, a in self.black)
         object.__setattr__(self, "black", cells)
         offender = _first_violation(self.m, self.p, cells)
@@ -169,6 +175,7 @@ class CauchonDiagram:
         if not isinstance(obj, dict) or not {"m", "p", "black"} <= set(obj):
             raise DomainError("diagram JSON needs m, p and black")
         m, p = json_int(obj["m"], "m"), json_int(obj["p"], "p")
+        _check_size(m, p)  # before any cell is read
         try:
             black = frozenset(
                 (json_int(i, "cell row"), json_int(a, "cell column"))
@@ -231,3 +238,19 @@ def enumerate_diagrams(m: int, p: int) -> Iterator[CauchonDiagram]:
 
 def count_diagrams(m: int, p: int) -> int:
     return sum(1 for _ in enumerate_diagrams(m, p))
+
+
+def poly_bernoulli(m: int, p: int) -> int:
+    """The number of diagrams of the m x p grid by formula, with no enumeration:
+    the poly-Bernoulli number B_m^(-p) = sum_j (j!)^2 S(m+1, j+1) S(p+1, j+1),
+    S the Stirling numbers of the second kind."""
+    rows, cols = _stirling_row(m + 1), _stirling_row(p + 1)
+    return sum(factorial(j) ** 2 * rows[j + 1] * cols[j + 1] for j in range(min(m, p) + 1))
+
+
+def _stirling_row(n: int) -> list[int]:
+    """S(n, k) for k = 0..n, by S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
+    row = [1]
+    for _ in range(n):
+        row = [k * s + t for k, (s, t) in enumerate(zip(row + [0], [0] + row))]
+    return row

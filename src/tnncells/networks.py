@@ -21,15 +21,18 @@ It is the one counter: ``network lindstrom`` asks it for one minor and
 ``verify all`` for every minor of each diagram. It shares no code with the
 restoration sweep, so comparing it with the restored unit-weight witness, as
 ``verify all`` does, checks the identity. Its step budget is per call: one
-step per vertex walked, then one per (state, path) pair tried. The path
-matrix, by forward propagation, serves ``network path-matrix``.
+step per vertex walked, then one per (state, path) pair tried. The masks a
+call needs of its indices depend on them and the network's size alone, so
+they are built once per distinct (indices, m, p) in a small cache that a grid
+walk's networks share; a minor that does not fit is refused on every call.
+The path matrix, by forward propagation, serves ``network path-matrix``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import pairwise
 from typing import Any, Iterable
 
@@ -247,6 +250,7 @@ def nonintersecting_counts(
     out = network.outgoing
     bit = {v: 1 << k for k, v in enumerate(order)}
     sink_of = {sink_id(a): 1 << a for a in range(1, network.p + 1)}
+    minors, columns, shared = _minor_plan(tuple(indices), network.m, network.p)
     spent = 0
 
     def spend(steps: int) -> None:
@@ -254,20 +258,8 @@ def nonintersecting_counts(
         spent += steps
         guards.ensure(spent, guards.PATH_STEP_LIMIT, "steps of one path family count")
 
-    minors: list[tuple[MinorIndex, int, int]] = []  # with row set and column set
-    columns: dict[int, int] = {}  # needed row -> the columns of its minors
-    shared = -1  # the rows every minor uses, which no state may leave out
-    for ix in indices:
-        if not ix.fits(network.m, network.p):
-            raise DomainError(f"{ix} does not fit a {network.m}x{network.p} network")
-        rows, cols = sum(1 << r for r in ix.rows), sum(1 << a for a in ix.cols)
-        minors.append((ix, rows, cols))
-        for r in ix.rows:
-            columns[r] = columns.get(r, 0) | cols
-        shared &= rows
-
     paths: dict[int, list[tuple[int, int, int, Fraction | int]]] = {}
-    for r, wanted in sorted(columns.items()):
+    for r, wanted in columns:
         found = paths[1 << r] = []
         stack = [(source_id(r), bit[source_id(r)], 1)]
         while stack:
@@ -298,3 +290,24 @@ def nonintersecting_counts(
         totals[rows, cols] = totals.get((rows, cols), 0) + weight
     return {ix: totals.get((rows, cols), 0) for ix, rows, cols in minors}
 
+
+@lru_cache(maxsize=16)
+def _minor_plan(
+    indices: tuple[MinorIndex, ...], m: int, p: int
+) -> tuple[tuple[tuple[MinorIndex, int, int], ...], tuple[tuple[int, int], ...], int]:
+    """The masks :func:`nonintersecting_counts` needs of its indices on an m x p
+    network: each minor with its row and column sets, each needed row, in
+    increasing order, with its minors' columns, and the rows every minor uses,
+    which no state may leave out. A misfit raises DomainError, never cached."""
+    minors = []
+    columns: dict[int, int] = {}
+    shared = -1
+    for ix in indices:
+        if not ix.fits(m, p):
+            raise DomainError(f"{ix} does not fit a {m}x{p} network")
+        rows, cols = sum(1 << r for r in ix.rows), sum(1 << a for a in ix.cols)
+        minors.append((ix, rows, cols))
+        for r in ix.rows:
+            columns[r] = columns.get(r, 0) | cols
+        shared &= rows
+    return tuple(minors), tuple(sorted(columns.items())), shared

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 
-from tnncells import cauchon
+from tnncells import cauchon, cells
 from tnncells.cauchon import ones_TC, vanishing_family
 from tnncells.cells import (
     admissible_families,
@@ -131,6 +131,32 @@ def test_unifying_check_parallel_matches_serial():
     parallel = unifying_check(2, 2, jobs=2)
     assert serial.ok and parallel.ok
     assert serial.total == parallel.total
+
+
+def _drop_first(diagrams):
+    next(diagrams)
+    yield from diagrams
+
+
+def _repeat_first(diagrams):
+    first = next(diagrams)
+    yield first
+    yield first
+    yield from diagrams
+
+
+@pytest.mark.parametrize("m, p", [(3, 3), (3, 4)])
+@pytest.mark.parametrize("wrap", [_drop_first, _repeat_first])
+def test_unifying_check_counts_its_diagrams(monkeypatch, m, p, wrap):
+    real = cells.enumerate_diagrams
+    expected = {(3, 3): 230, (3, 4): 1066}[m, p]
+    monkeypatch.setattr(cells, "enumerate_diagrams", lambda m, p: wrap(real(m, p)))
+    report = unifying_check(m, p)
+    assert report.mismatches == ()
+    assert report.expected == expected
+    assert report.total == report.agreements != expected
+    assert not report.ok
+    assert not report.to_json()["ok"]
 
 
 def _flip_restoration_sign(monkeypatch):

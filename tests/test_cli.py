@@ -9,7 +9,7 @@ import subprocess
 import sys
 import time
 import weakref
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from pathlib import Path
 
@@ -18,7 +18,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from tnncells import cauchon, cli, fixtures
+from tnncells import cauchon, cells, fixtures
 from tnncells.cauchon import ones_TC
 from tnncells.cli import main
 from tnncells.diagrams import CauchonDiagram, enumerate_diagrams
@@ -344,9 +344,9 @@ def test_lindstrom_sweep_counts_a_stopped_scan_as_mismatched(monkeypatch):
         rows[0][0] = -1
         return rows
 
-    assert cli._lindstrom_sweep(2, 2) == (70, 0)
+    assert cells.unifying_check(2, 2, lindstrom=True).lindstrom == (70, 0)
     monkeypatch.setattr(cauchon, "_unit_rows", negated)
-    assert cli._lindstrom_sweep(2, 2) == (70, 28)
+    assert cells.unifying_check(2, 2, lindstrom=True).lindstrom == (70, 28)
 
 
 def test_lindstrom_sweep_catches_a_wrong_step_sign(monkeypatch):
@@ -356,7 +356,37 @@ def test_lindstrom_sweep_catches_a_wrong_step_sign(monkeypatch):
     monkeypatch.setattr(
         cauchon, "_apply_int_step", lambda rows, j, beta, sign: step(rows, j, beta, -sign)
     )
-    assert cli._lindstrom_sweep(3, 3) == (4370, 1274)
+    assert cells.unifying_check(3, 3, lindstrom=True).lindstrom == (4370, 1274)
+
+
+def test_verify_all_scans_each_witness_once(runner, monkeypatch):
+    calls = []
+    scan = cells.witness_scan
+    monkeypatch.setattr(cells, "witness_scan", lambda d: calls.append(d) or scan(d))
+    result = runner.invoke(main, ["verify", "all", "--m", "3", "--p", "3"])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 230
+
+
+def test_verify_all_in_two_workers_reports_as_in_one(runner):
+    reports = [
+        runner.invoke(main, ["verify", "all", "--m", "3", "--p", "3", "--jobs", jobs, "--format", "json"])
+        for jobs in ("1", "2")
+    ]
+    assert [r.exit_code for r in reports] == [0, 0]
+    assert json.loads(reports[0].output) == json.loads(reports[1].output)
+
+
+def test_a_wrong_diagram_count_fails_both_verifiers(runner, monkeypatch):
+    real = cells.enumerate_diagrams
+    monkeypatch.setattr(cells, "enumerate_diagrams", lambda m, p: islice(real(m, p), 1, None))
+    every = runner.invoke(main, ["verify", "all", "--m", "2", "--p", "2", "--format", "json"])
+    assert every.exit_code == 1
+    unifying = json.loads(every.output)["checks"][0]
+    assert unifying == {"name": "unifying", "ok": False, "detail": "13/13 diagrams agree, 14 expected"}
+    verify = runner.invoke(main, ["cells", "verify", "2", "2"])
+    assert verify.exit_code == 1
+    assert verify.output.startswith("13/13 agree, 14 diagrams expected")
 
 
 def test_diagram_check_is_one_pass(runner, tmp_path):
@@ -559,6 +589,13 @@ def test_sweep_budget(args):
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
     assert took < 1.0
+
+
+def test_huge_json_diagram_is_refused_before_a_cell_is_read(runner):
+    # the cells are malformed (exit 2 if read), so exit 3 shows none was read
+    result = runner.invoke(main, ["tc", "-d", json.dumps({"m": 600, "p": 600, "black": "##"})])
+    assert result.exit_code == 3, result.output
+    assert "pipe dream letters" in result.output
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from tnncells.diagrams import (
     count_diagrams,
     enumerate_diagrams,
     is_cauchon,
+    poly_bernoulli,
 )
 from tnncells.errors import DomainError, ResourceGuardError
 
@@ -43,6 +44,7 @@ def test_counts_are_poly_bernoulli_numbers():
     for m in range(1, 17):
         for p in range(1, 16 // m + 1):
             count = count_diagrams(m, p)
+            assert poly_bernoulli(m, p) == count, (m, p)
             assert count == sum(
                 factorial(j) ** 2 * _stirling2(m + 1, j + 1) * _stirling2(p + 1, j + 1)
                 for j in range(min(m, p) + 1)

@@ -244,6 +244,20 @@ def test_index_must_fit_the_network():
         count_one(net, MinorIndex.parse("[1,3|1,2]"))
 
 
+def test_an_index_answered_on_one_network_must_still_fit_the_next():
+    indices = list(iter_minor_indices(3, 3))
+    nonintersecting_counts(postnikov_network(CauchonDiagram.all_white(3, 3)), indices)
+    with pytest.raises(DomainError, match="does not fit a 2x2 network"):
+        nonintersecting_counts(postnikov_network(CauchonDiagram.all_white(2, 2)), indices)
+
+
+def test_indices_may_come_from_a_generator():
+    net = postnikov_network(DEMO)
+    assert nonintersecting_counts(net, iter_minor_indices(3, 3)) == nonintersecting_counts(
+        net, list(iter_minor_indices(3, 3))
+    )
+
+
 class TestNetworkType:
     def test_json_roundtrip(self):
         net = postnikov_network(DEMO)

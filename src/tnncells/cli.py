@@ -311,10 +311,11 @@ def diagram() -> None:
 @format_option
 def diagram_enum(m: int, p: int, count_only: bool, fmt: str) -> None:
     """All diagrams of the grid, in canonical order."""
+    stream = diagrams_mod.enumerate_diagrams(m, p)  # checks the sizes and the guard
     if count_only:
-        count = diagrams_mod.count_diagrams(m, p)
+        count = diagrams_mod.poly_bernoulli(m, p)
         _emit(fmt, {"m": m, "p": p, "count": count}, str(count))
-    items = list(diagrams_mod.enumerate_diagrams(m, p))
+    items = list(stream)
     payload = {
         "m": m,
         "p": p,
@@ -365,7 +366,7 @@ def _network_arg(diagram_src: str | None, network_src: str | None):
         raise DomainError("give exactly one of --diagram or --network")
     if diagram_src is not None:
         return networks_mod.postnikov_network(_diagram_arg(diagram_src))
-    return networks_mod.PlanarNetwork.load_text(_read_source(network_src))
+    return networks_mod.PlanarNetwork.from_json(parse_json(_read_source(network_src), "network"))
 
 
 @network.command(name="path-matrix")
@@ -411,10 +412,11 @@ def perm() -> None:
 @format_option
 def perm_enum(m: int, p: int, count_only: bool, fmt: str) -> None:
     """All restricted permutations in lexicographic order."""
-    if count_only:
-        count = perm_mod.count_restricted(m, p)
+    stream = perm_mod.enumerate_restricted(m, p)  # checks the sizes and the guard
+    if count_only:  # pipe dreams match them one to one with the diagrams
+        count = diagrams_mod.poly_bernoulli(m, p)
         _emit(fmt, {"m": m, "p": p, "count": count}, str(count))
-    items = list(perm_mod.enumerate_restricted(m, p))
+    items = list(stream)
     payload = {
         "m": m,
         "p": p,

@@ -141,12 +141,6 @@ class CauchonDiagram:
     def all_white(cls, m: int, p: int) -> "CauchonDiagram":
         return cls(m, p, frozenset())
 
-    @classmethod
-    def all_black(cls, m: int, p: int) -> "CauchonDiagram":
-        return cls(m, p, frozenset(
-            (i, a) for i in range(1, m + 1) for a in range(1, p + 1)
-        ))
-
     # -- text formats ----------------------------------------------------------
 
     def to_ascii(self) -> str:
@@ -234,10 +228,6 @@ def enumerate_diagrams(m: int, p: int) -> Iterator[CauchonDiagram]:
             black.discard((i, alpha))
 
     return walk(0, True)
-
-
-def count_diagrams(m: int, p: int) -> int:
-    return sum(1 for _ in enumerate_diagrams(m, p))
 
 
 def poly_bernoulli(m: int, p: int) -> int:

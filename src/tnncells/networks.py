@@ -14,31 +14,29 @@ somewhere to its left in just the pattern that would make a row edge cross
 a column edge, so these networks are genuinely planar and disjoint path
 families obey the determinant identity.
 
-Disjoint path families are counted by :func:`nonintersecting_counts`, one
-signed dynamic program over (row set, column set, vertex mask) states, grown
-row by row; a row is left out only where some requested minor leaves it out.
-It is the one counter: ``network lindstrom`` asks it for one minor and
-``verify all`` for every minor of each diagram. It shares no code with the
-restoration sweep, so comparing it with the restored unit-weight witness, as
-``verify all`` does, checks the identity. Its step budget is per call: one
-step per vertex walked, then one per (state, path) pair tried. The masks a
-call needs of its indices depend on them and the network's size alone, so
-they are built once per distinct (indices, m, p) in a small cache that a grid
-walk's networks share; a minor that does not fit is refused on every call.
-The path matrix, by forward propagation, serves ``network path-matrix``.
+Counting reads only an integer core, its vertices numbered in a topological
+order: by :func:`postnikov_network` as it walks a diagram's grid, or by one
+Kahn pass over a named network's vertices. Names are built for JSON and DOT.
+
+:func:`nonintersecting_counts` is the one counter of disjoint path families:
+``network lindstrom`` asks it for one minor and ``verify all`` for every
+minor of each diagram. It shares no code with the restoration sweep, so
+comparing it with the restored unit-weight witness, as ``verify all`` does,
+checks the identity. The path matrix serves ``network path-matrix``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 from functools import cached_property, lru_cache
 from itertools import pairwise
 from typing import Any, Iterable
 
 from . import guards
 from .diagrams import CauchonDiagram
-from .errors import DomainError, json_int, parse_json
+from .errors import DomainError, json_int
 from .matrices import Matrix, MinorIndex, parse_rational
 
 
@@ -56,7 +54,8 @@ def dot_id(i: int, a: int) -> str:
 
 @dataclass(frozen=True)
 class PlanarNetwork:
-    """A weighted DAG with ordered sources and sinks."""
+    """A weighted DAG with ordered sources and sinks, given by vertex names and
+    (tail, head, weight) edges; its core is built on first use."""
 
     m: int
     p: int
@@ -87,39 +86,34 @@ class PlanarNetwork:
         return tuple(sink_id(a) for a in range(1, self.p + 1))
 
     @cached_property
-    def outgoing(self) -> dict[str, list[tuple[str, Fraction | int]]]:
-        """Each vertex's edges as (head, weight), built once.
-
-        Integral weights are plain ints: exact, and far cheaper to multiply.
-        """
-        table: dict[str, list[tuple[str, Fraction | int]]] = {v: [] for v in self.vertices}
-        for frm, to, weight in self.edges:
-            table[frm].append(
-                (to, weight.numerator if weight.denominator == 1 else weight)
-            )
-        return table
+    def _labels(self) -> tuple[str, ...]:
+        """The vertex names in the order of one Kahn pass over their numbers."""
+        names = sorted(self.vertices)
+        number = {v: k for k, v in enumerate(names)}
+        tails: dict[int, list[int]] = {k: [] for k in range(len(names))}
+        for frm, to, _ in self.edges:
+            tails[number[to]].append(number[frm])
+        try:
+            return tuple(names[k] for k in TopologicalSorter(tails).static_order())
+        except CycleError as exc:
+            raise DomainError("network contains a directed cycle") from exc
 
     @cached_property
-    def _order(self) -> tuple[str, ...]:
-        indegree = {v: 0 for v in self.vertices}
-        for _, to, _ in self.edges:
-            indegree[to] += 1
-        ready = sorted(v for v, d in indegree.items() if d == 0)
-        order = []
-        while ready:
-            v = ready.pop()
-            order.append(v)
-            for to, _ in self.outgoing[v]:
-                indegree[to] -= 1
-                if indegree[to] == 0:
-                    ready.append(to)
-        if len(order) != len(self.vertices):
-            raise DomainError("network contains a directed cycle")
-        return tuple(order)
+    def _core(self) -> tuple[list[list[tuple[int, Fraction | int]]], list[int], list[int]]:
+        """What counting reads: the vertices as 0..n-1 in a topological order,
+        each one's (head, weight) edges, integral weights as plain ints (exact,
+        and far cheaper to multiply), the vertex of each source s_i in turn, and
+        each vertex's sink bit, 1 << a for the sink t_a, else 0."""
+        number = {v: k for k, v in enumerate(self._labels)}
+        succ: list[list[tuple[int, Fraction | int]]] = [[] for _ in number]
+        for frm, to, w in self.edges:
+            succ[number[frm]].append((number[to], w.numerator if w.denominator == 1 else w))
+        sink_of = {sink_id(a): 1 << a for a in range(1, self.p + 1)}
+        return succ, [number[v] for v in self.sources], [sink_of.get(v, 0) for v in number]
 
     def topological_order(self) -> tuple[str, ...]:
-        """Kahn's algorithm, run once; DomainError when a directed cycle exists."""
-        return self._order
+        """The vertex names in the core's order; DomainError when a directed cycle exists."""
+        return self._labels
 
     # -- serialization ---------------------------------------------------------
 
@@ -156,10 +150,6 @@ class PlanarNetwork:
         vertices.update(sink_id(a) for a in range(1, p + 1))
         return cls(m, p, frozenset(vertices), edges, coords)
 
-    @classmethod
-    def load_text(cls, text: str) -> "PlanarNetwork":
-        return cls.from_json(parse_json(text, "network"))
-
     def to_dot(self) -> str:
         lines = ["digraph network {", "  rankdir=RL;"]
         for v in sorted(self.vertices):
@@ -181,27 +171,66 @@ class PlanarNetwork:
 # ---------------------------------------------------------------------------
 
 
+class _DiagramNetwork(PlanarNetwork):
+    """A diagram's network, core first: its names, edges and coordinates are
+    drawn on first read from the vertex points and pairs of the grid walk."""
+
+    def __init__(self, m: int, p: int, core: tuple, points: list, pairs: list) -> None:
+        self.__dict__.update(m=m, p=p, _core=core, _points=points, _pairs=pairs)
+
+    @cached_property
+    def _labels(self) -> tuple[str, ...]:
+        m, p = self.m, self.p
+        return tuple(
+            source_id(i) if a > p else sink_id(a) if i > m else dot_id(i, a)
+            for i, a in self._points
+        )
+
+    @cached_property
+    def vertices(self) -> frozenset[str]:  # type: ignore[override]
+        return frozenset(self._labels)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[str, str, Fraction], ...]:  # type: ignore[override]
+        one, labels = Fraction(1), self._labels
+        return tuple((labels[frm], labels[to], one) for frm, to in self._pairs)
+
+    @cached_property
+    def coords(self) -> dict[str, tuple[float, float]]:  # type: ignore[override]
+        return {v: (float(a), -float(i)) for v, (i, a) in zip(self._labels, self._points)}
+
+
 def postnikov_network(diagram: CauchonDiagram) -> PlanarNetwork:
-    """Dots on white cells, row edges right-to-left, column edges downward."""
+    """Dots on white cells, row edges right-to-left, column edges downward.
+
+    The vertices are numbered as the grid is walked: row by row the source,
+    then the row's white dots right to left; the sinks last. Every edge runs
+    to a higher number, so the walk's order is the core's topological order.
+    Each vertex's point (i, a) places the source s_i at (i, p + 1), the sink
+    t_a at (m + 1, a) and a dot in its cell; the edges are listed as vertex
+    pairs, rows first.
+    """
     m, p, black = diagram.m, diagram.p, diagram.black
-    coords = {source_id(i): (p + 1.0, -float(i)) for i in range(1, m + 1)}
-    coords.update((sink_id(a), (float(a), -(m + 1.0))) for a in range(1, p + 1))
-    one = Fraction(1)
-    edges: list[tuple[str, str, Fraction]] = []
+    points: list[tuple[int, int]] = []
+    pairs: list[tuple[int, int]] = []
+    sources: list[int] = []
+    columns: list[list[int]] = [[] for _ in range(p)]  # each column's dots, top down
     for i in range(1, m + 1):
-        last = source_id(i)
+        sources.append(len(points))
+        points.append((i, p + 1))
         for a in range(p, 0, -1):
-            if (i, a) not in black:
-                dot = dot_id(i, a)
-                coords[dot] = (float(a), -float(i))
-                edges.append((last, dot, one))
-                last = dot
-    for a in range(1, p + 1):
-        chain = [dot_id(i, a) for i in range(1, m + 1) if (i, a) not in black]
-        if chain:  # a fully black column never reaches its sink
-            chain.append(sink_id(a))
-            edges.extend((frm, to, one) for frm, to in pairwise(chain))
-    return PlanarNetwork(m, p, frozenset(coords), tuple(edges), coords)
+            if (cell := (i, a)) not in black:
+                pairs.append((len(points) - 1, len(points)))  # from the vertex to the right
+                columns[a - 1].append(len(points))
+                points.append(cell)
+    sink_bit = [0] * len(points) + [1 << a for a in range(1, p + 1)]
+    for a, chain in enumerate(columns, 1):  # a fully black column never reaches its sink
+        pairs += pairwise(chain + [len(points)])
+        points.append((m + 1, a))
+    succ: list[list[tuple[int, Fraction | int]]] = [[] for _ in points]
+    for frm, to in pairs:
+        succ[frm].append((to, 1))
+    return _DiagramNetwork(m, p, (succ, sources, sink_bit), points, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -210,19 +239,18 @@ def postnikov_network(diagram: CauchonDiagram) -> PlanarNetwork:
 
 
 def path_matrix(network: PlanarNetwork) -> Matrix:
-    """Weighted source-to-sink path sums by forward propagation."""
-    order = network.topological_order()
-    out = network.outgoing
+    """Weighted source-to-sink path sums by forward propagation over the core."""
+    succ, sources, sink_bit = network._core
+    vertex_of = {bit: v for v, bit in enumerate(sink_bit) if bit}
     rows = []
-    for i in range(1, network.m + 1):
-        acc: dict[str, Fraction | int] = {source_id(i): 1}
-        for v in order:
-            value = acc.get(v)
-            if not value:
-                continue
-            for to, weight in out[v]:
-                acc[to] = acc.get(to, 0) + value * weight
-        rows.append([acc.get(sink_id(a), 0) for a in range(1, network.p + 1)])
+    for source in sources:
+        acc: list[Fraction | int] = [0] * len(succ)
+        acc[source] = 1
+        for v in range(source, len(succ)):  # nothing earlier is reachable
+            if value := acc[v]:
+                for to, weight in succ[v]:
+                    acc[to] += value * weight
+        rows.append([acc[vertex_of[1 << a]] for a in range(1, network.p + 1)])
     return Matrix(rows)
 
 
@@ -246,33 +274,28 @@ def nonintersecting_counts(
     all walks first, then len(states) x len(paths) per row, charged before
     the extension runs.
     """
-    order = network.topological_order()  # rejects cycles up front
-    out = network.outgoing
-    bit = {v: 1 << k for k, v in enumerate(order)}
-    sink_of = {sink_id(a): 1 << a for a in range(1, network.p + 1)}
+    succ, sources, sink_bit = network._core  # rejects cycles up front
     minors, columns, shared = _minor_plan(tuple(indices), network.m, network.p)
-    spent = 0
-
-    def spend(steps: int) -> None:
-        nonlocal spent
-        spent += steps
-        guards.ensure(spent, guards.PATH_STEP_LIMIT, "steps of one path family count")
+    limit, spent = guards.PATH_STEP_LIMIT, 0
 
     paths: dict[int, list[tuple[int, int, int, Fraction | int]]] = {}
     for r, wanted in columns:
         found = paths[1 << r] = []
-        stack = [(source_id(r), bit[source_id(r)], 1)]
+        stack: list[tuple[int, int, Fraction | int]] = [(sources[r - 1], 1 << sources[r - 1], 1)]
         while stack:
             v, used, weight = stack.pop()
-            spend(1)
-            if v in sink_of and sink_of[v] & wanted:
-                found.append((sink_of[v], -(sink_of[v] << 1), used, weight))
-            for to, w in out[v]:
-                stack.append((to, used | bit[to], weight * w))
+            spent += 1
+            if spent > limit:
+                guards.ensure(spent, limit, "steps of one path family count")
+            if (sink := sink_bit[v]) & wanted:
+                found.append((sink, -(sink << 1), used, weight))
+            for to, w in succ[v]:
+                stack.append((to, used | 1 << to, weight * w))
 
     states: dict[tuple[int, int, int], Fraction | int] = {(0, 0, 0): 1}
     for row, found in paths.items():
-        spend(len(states) * len(found))
+        spent += len(states) * len(found)
+        guards.ensure(spent, limit, "steps of one path family count")
         grown = {} if shared & row else dict(states)
         for (rows, cols, used), weight in states.items():
             for col, above, vertices, path_weight in found:

@@ -233,10 +233,6 @@ def enumerate_restricted(m: int, p: int) -> Iterator[Permutation]:
     return walk(1)
 
 
-def count_restricted(m: int, p: int) -> int:
-    return sum(1 for _ in enumerate_restricted(m, p))
-
-
 # ---------------------------------------------------------------------------
 # Pipe dreams
 # ---------------------------------------------------------------------------

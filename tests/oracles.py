@@ -10,6 +10,8 @@ from itertools import combinations, product
 from itertools import permutations as iter_perms
 
 from tnncells import guards
+from tnncells.diagrams import CauchonDiagram, enumerate_diagrams
+from tnncells.permutations import enumerate_restricted
 from tnncells.quantum import QPoly
 from tnncells.scalars import LaurentQ, MPoly, add_terms, evaluate_expression, int_const
 
@@ -90,6 +92,23 @@ def read_laurent(text, names):
         const=lambda c: MPoly.const(names, int_const(c)),
         symbol=lambda name: MPoly.var(names, name),
     )
+
+
+def all_black(m, p):
+    """The m x p diagram with every cell black."""
+    return CauchonDiagram(
+        m, p, frozenset((i, a) for i in range(1, m + 1) for a in range(1, p + 1))
+    )
+
+
+def count_diagrams(m, p):
+    """The number of m x p diagrams, by enumerating them."""
+    return sum(1 for _ in enumerate_diagrams(m, p))
+
+
+def count_restricted(m, p):
+    """The number of restricted permutations of S(m, p), by enumerating them."""
+    return sum(1 for _ in enumerate_restricted(m, p))
 
 
 def first_bad_black_cell(m, p, black):

@@ -322,7 +322,7 @@ class TestVanishingFamily:
         assert not set(fam)
 
     def test_all_black_vanishes_everywhere(self):
-        fam = vanishing_family(CauchonDiagram.all_black(2, 2))
+        fam = vanishing_family(oracles.all_black(2, 2))
         assert set(fam) == set(iter_minor_indices(2, 2))
 
     def test_family_matches_symbolic_minors(self):

@@ -236,6 +236,81 @@ def test_network_commands(runner, demo_diagram):
     assert net_json.startswith("{")
 
 
+# `network from-diagram -d demo/demo_diagram_3x3.diag` in JSON and in DOT:
+# the vertices sorted, the row edges from the top row down, then the column
+# edges from the left column right
+DEMO_NETWORK_JSON = (
+    '{"m": 3, "p": 3, "vertices": ['
+    '"dot:1,1", "dot:1,3", "dot:2,3", "dot:3,1", "dot:3,2", "dot:3,3", '
+    '"s1", "s2", "s3", "t1", "t2", "t3"], "edges": ['
+    '{"from": "s1", "to": "dot:1,3", "weight": "1"}, '
+    '{"from": "dot:1,3", "to": "dot:1,1", "weight": "1"}, '
+    '{"from": "s2", "to": "dot:2,3", "weight": "1"}, '
+    '{"from": "s3", "to": "dot:3,3", "weight": "1"}, '
+    '{"from": "dot:3,3", "to": "dot:3,2", "weight": "1"}, '
+    '{"from": "dot:3,2", "to": "dot:3,1", "weight": "1"}, '
+    '{"from": "dot:1,1", "to": "dot:3,1", "weight": "1"}, '
+    '{"from": "dot:3,1", "to": "t1", "weight": "1"}, '
+    '{"from": "dot:3,2", "to": "t2", "weight": "1"}, '
+    '{"from": "dot:1,3", "to": "dot:2,3", "weight": "1"}, '
+    '{"from": "dot:2,3", "to": "dot:3,3", "weight": "1"}, '
+    '{"from": "dot:3,3", "to": "t3", "weight": "1"}], '
+    '"coords": {'
+    '"dot:1,1": [1.0, -1.0], '
+    '"dot:1,3": [3.0, -1.0], '
+    '"dot:2,3": [3.0, -2.0], '
+    '"dot:3,1": [1.0, -3.0], '
+    '"dot:3,2": [2.0, -3.0], '
+    '"dot:3,3": [3.0, -3.0], '
+    '"s1": [4.0, -1.0], '
+    '"s2": [4.0, -2.0], '
+    '"s3": [4.0, -3.0], '
+    '"t1": [1.0, -4.0], '
+    '"t2": [2.0, -4.0], '
+    '"t3": [3.0, -4.0]}}\n'
+)
+
+DEMO_NETWORK_DOT = """\
+digraph network {
+  rankdir=RL;
+  "dot:1,1" [shape=point, pos="1.0,-1.0!", label="dot:1,1"];
+  "dot:1,3" [shape=point, pos="3.0,-1.0!", label="dot:1,3"];
+  "dot:2,3" [shape=point, pos="3.0,-2.0!", label="dot:2,3"];
+  "dot:3,1" [shape=point, pos="1.0,-3.0!", label="dot:3,1"];
+  "dot:3,2" [shape=point, pos="2.0,-3.0!", label="dot:3,2"];
+  "dot:3,3" [shape=point, pos="3.0,-3.0!", label="dot:3,3"];
+  "s1" [shape=circle, pos="4.0,-1.0!", label="s1"];
+  "s2" [shape=circle, pos="4.0,-2.0!", label="s2"];
+  "s3" [shape=circle, pos="4.0,-3.0!", label="s3"];
+  "t1" [shape=circle, pos="1.0,-4.0!", label="t1"];
+  "t2" [shape=circle, pos="2.0,-4.0!", label="t2"];
+  "t3" [shape=circle, pos="3.0,-4.0!", label="t3"];
+  "s1" -> "dot:1,3";
+  "dot:1,3" -> "dot:1,1";
+  "s2" -> "dot:2,3";
+  "s3" -> "dot:3,3";
+  "dot:3,3" -> "dot:3,2";
+  "dot:3,2" -> "dot:3,1";
+  "dot:1,1" -> "dot:3,1";
+  "dot:3,1" -> "t1";
+  "dot:3,2" -> "t2";
+  "dot:1,3" -> "dot:2,3";
+  "dot:2,3" -> "dot:3,3";
+  "dot:3,3" -> "t3";
+}
+"""
+
+
+@pytest.mark.parametrize("flag, expect", [
+    ("--format=json", DEMO_NETWORK_JSON), ("--dot", DEMO_NETWORK_DOT),
+])
+def test_network_output_is_pinned(runner, flag, expect):
+    demo = Path(fixtures.__file__).parent / "data" / "demo_diagram_3x3.diag"
+    result = runner.invoke(main, ["network", "from-diagram", "-d", str(demo), flag])
+    assert result.exit_code == 0, result.output
+    assert result.output == expect
+
+
 def test_network_needs_exactly_one_input(runner, demo_diagram):
     result = runner.invoke(main, ["network", "path-matrix"])
     assert result.exit_code == 2
@@ -514,6 +589,21 @@ def test_enumerators_honour_the_guard(runner, args):
     assert result.exit_code == 3, result.output
     assert "Traceback" not in result.output
     assert took < 2.0
+
+
+@pytest.mark.parametrize("command", ["diagram", "perm"])
+def test_count_only_enumerates_nothing(runner, monkeypatch, command):
+    # the count is the poly-Bernoulli number; the guard and the size check
+    # still come first
+    monkeypatch.setenv("CAUCHON_GUARD", "25")
+    result, took = _timed(runner, [command, "enum", "5", "5", "--count-only"])
+    assert (result.exit_code, result.output) == (0, "329462\n")
+    assert took < 0.3
+    result = runner.invoke(main, [command, "enum", "5", "6", "--count-only"])
+    assert result.exit_code == 3
+    result = runner.invoke(main, [command, "enum", "0", "3", "--count-only"])
+    assert result.exit_code == 2
+    assert "sizes must be at least 1" in result.output
 
 
 def _run_process(args, stdin=""):

@@ -1,5 +1,6 @@
 """Dot-and-hook networks, path matrices, disjoint path counts."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -249,6 +250,43 @@ def test_an_index_answered_on_one_network_must_still_fit_the_next():
     nonintersecting_counts(postnikov_network(CauchonDiagram.all_white(3, 3)), indices)
     with pytest.raises(DomainError, match="does not fit a 2x2 network"):
         nonintersecting_counts(postnikov_network(CauchonDiagram.all_white(2, 2)), indices)
+
+
+def test_diagram_and_json_networks_agree():
+    # a diagram's network is numbered by its grid walk; the same network read
+    # back from its JSON is numbered by Kahn's pass over its names
+    for m, p in [(3, 3), (3, 4), (2, 5)]:
+        indices = list(iter_minor_indices(m, p))
+        for d in enumerate_diagrams(m, p):
+            net = postnikov_network(d)
+            again = PlanarNetwork.from_json(net.to_json())
+            assert nonintersecting_counts(again, indices) == nonintersecting_counts(
+                net, indices
+            ), d.to_ascii()
+            assert path_matrix(again).equals(path_matrix(net)), d.to_ascii()
+
+
+def test_json_network_listed_out_of_order():
+    # vertices and edges listed sinks first, so no listing is a topological order
+    net = PlanarNetwork.from_json(json.loads("""{
+        "m": 2, "p": 2,
+        "vertices": ["t2", "t1", "y", "x", "s2", "s1"],
+        "edges": [
+            {"from": "y", "to": "t2"},
+            {"from": "x", "to": "y", "weight": "2"},
+            {"from": "s2", "to": "y"},
+            {"from": "x", "to": "t1"},
+            {"from": "s1", "to": "x"}
+        ]
+    }"""))
+    order = net.topological_order()
+    assert all(order.index(frm) < order.index(to) for frm, to, _ in net.edges)
+    assert [[int(x) for x in row] for row in path_matrix(net).rows] == [[1, 2], [0, 1]]
+    indices = list(iter_minor_indices(2, 2))
+    counts = nonintersecting_counts(net, indices)
+    assert counts == {ix: oracles.disjoint_family_count(net, ix) for ix in indices}
+    assert counts[MinorIndex((1, 2), (1, 2))] == 1
+    assert counts[MinorIndex((1,), (2,))] == 2
 
 
 def test_indices_may_come_from_a_generator():

@@ -22,6 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import chain
+from operator import eq
 from typing import Any, Iterable
 
 from . import guards
@@ -181,8 +182,7 @@ def _check_diagram(
     missed = 0
     if indices is not None:
         counts = nonintersecting_counts(postnikov_network(diagram), indices)
-        values = chain.from_iterable(scan.sizes)
-        missed = len(indices) - sum(counts[ix] == value for ix, value in zip(indices, values))
+        missed = len(indices) - sum(map(eq, counts, chain(*scan.sizes)))
     w = pipe_dream(diagram)
     via_permutation = minor_family(w, diagram.m, diagram.p)
     if scan.negative is not None:

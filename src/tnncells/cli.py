@@ -390,7 +390,7 @@ def network_lindstrom(diagram_src, network_src, rows: str, cols: str, fmt: str) 
     """Count vertex-disjoint path families from sources to sinks."""
     net = _network_arg(diagram_src, network_src)
     ix = MinorIndex(_index_list(rows), _index_list(cols))
-    count = networks_mod.nonintersecting_counts(net, [ix])[ix]
+    [count] = networks_mod.nonintersecting_counts(net, [ix])
     payload = {"index": str(ix), "count": str(count)}
     _emit(fmt, payload, str(count))
 

@@ -137,10 +137,6 @@ class CauchonDiagram:
             self.p, self.m, frozenset((a, i) for (i, a) in self.black)
         )
 
-    @classmethod
-    def all_white(cls, m: int, p: int) -> "CauchonDiagram":
-        return cls(m, p, frozenset())
-
     # -- text formats ----------------------------------------------------------
 
     def to_ascii(self) -> str:

@@ -10,10 +10,12 @@ through :func:`ensure`: a k x k quantum minor expands k! words, every minor
 table and family is counted by :func:`ensure_minor_table`, a minor family
 sets a bit per minor and counts each subset of its two crowding tables in
 every window, a parsed permutation or a diagram's pipe dream holds one entry
-per letter, a power in an expression multiplies once per unit of its
+per letter and a network read from JSON one source or sink per letter, a
+power in an expression multiplies once per unit of its
 exponent, each parenthesis in an expression costs its reader one level of
 recursion, a count of disjoint path families takes a step per vertex its
-walks visit and per (partial family, path) pair it tries, a restoration or
+walks visit and per (partial family, path) pair it tries, a path matrix a
+step per vertex and edge each source's propagation may visit, a restoration or
 deleting-derivations sweep, or the initial minors' eliminations, may rewrite
 (m*p)^2 entries, and one product of exact values or Poisson bracket produces
 |f|*|g| term pairs (in the quantum product, pairs of coefficient terms, plus
@@ -53,7 +55,8 @@ NESTING_LIMIT = 100
 # Vertices the walks visit plus (partial family, path) pairs tried in one
 # count of disjoint path families. All minors of the all-white 5x5 network
 # take about 91,000 in one call; the full minor of the all-white 6x6 network
-# is refused within a second.
+# is refused within a second. One path matrix is charged the vertices and
+# edges from each source on: 1,805 at 10x10 all-white, 976,315 at 86x86.
 PATH_STEP_LIMIT = 1_000_000
 
 # The bits of one minor family's mask, plus each subset of its two crowding
@@ -69,7 +72,8 @@ MINOR_FAMILY_WORK_LIMIT = 1_000_000
 SWEEP_WORK_LIMIT = 1_000_000
 
 # Letters in one parsed permutation: a Bruhat comparison at 1,000 letters
-# builds two million-entry rank tables in about a second.
+# builds two million-entry rank tables in about a second. A diagram's or a
+# JSON network's m + p is held to the same limit.
 PERMUTATION_LETTER_LIMIT = 1_000
 
 # Terms one product of exact values may produce. The largest product the 4x4

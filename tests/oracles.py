@@ -94,6 +94,11 @@ def read_laurent(text, names):
     )
 
 
+def all_white(m, p):
+    """The m x p diagram with every cell white."""
+    return CauchonDiagram(m, p, frozenset())
+
+
 def all_black(m, p):
     """The m x p diagram with every cell black."""
     return CauchonDiagram(
@@ -220,10 +225,10 @@ def all_paths(adjacency, start, goal, banned=frozenset()):
 
 
 def adjacency_of(network):
-    """The network's edges as {tail: [(head, weight), ...]}."""
-    adjacency = {}
+    """The network's edges as {tail: [(head, weight), ...]}, by vertex name."""
+    adjacency, names = {}, network.names
     for tail, head, weight in network.edges:
-        adjacency.setdefault(tail, []).append((head, weight))
+        adjacency.setdefault(names[tail], []).append((names[head], weight))
     return adjacency
 
 

@@ -207,7 +207,8 @@ def test_criterion_08_lindstrom_sweep():
         for d in enumerate_diagrams(m, p):
             net = postnikov_network(d)
             counts = nonintersecting_counts(net, indices)
-            mismatches += sum(value != counts[ix] for ix, value in all_minors(path_matrix(net)))
+            minors = all_minors(path_matrix(net))  # in the order of indices
+            mismatches += sum(value != count for (_, value), count in zip(minors, counts))
     elapsed = time.perf_counter() - t0
     report(8, "path-matrix minors = disjoint path counts to 3x3, 3x4, 4x3",
            mismatches == 0 and elapsed < 60.0)

@@ -318,7 +318,7 @@ class TestVanishingFamily:
         }
 
     def test_all_white_has_no_vanishing_minors(self):
-        fam = vanishing_family(CauchonDiagram.all_white(2, 2))
+        fam = vanishing_family(oracles.all_white(2, 2))
         assert not set(fam)
 
     def test_all_black_vanishes_everywhere(self):

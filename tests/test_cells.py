@@ -67,7 +67,7 @@ def test_is_admissible_rejects_single_corner_minor():
 def test_empty_family_is_the_big_cell():
     verdict = is_admissible(MinorFamily(2, 2, frozenset()))
     assert verdict.admissible
-    assert verdict.descriptor.diagram == CauchonDiagram.all_white(2, 2)
+    assert verdict.descriptor.diagram == oracles.all_white(2, 2)
 
 
 def test_ones_TC_vanishing_minors_close_the_loop():

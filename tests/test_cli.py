@@ -715,6 +715,57 @@ def test_tp_check_elimination_budget(n, code):
     assert took < 3.0
 
 
+def test_path_matrix_of_an_all_white_400x400_grid_is_refused():
+    # the propagation is charged before it runs: about 96 M steps here
+    proc, took = _run_process(
+        ["network", "path-matrix", "-d", "-"], "\n".join(["." * 400] * 400)
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "steps of one path matrix" in proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert took < 2.0
+
+
+@pytest.mark.parametrize(
+    "command, size, edges",
+    [
+        (["path-matrix"], 600, []),
+        (["path-matrix"], 20_000, "not a list"),  # exit 2 had the edges been read
+        (["lindstrom", "--rows", "1", "--cols", "1"], 10**5, []),
+    ],
+    ids=["path-matrix", "path-matrix-edges-unread", "lindstrom"],
+)
+def test_huge_json_network_is_refused_before_a_vertex_is_read(runner, command, size, edges):
+    text = json.dumps({"m": size, "p": size, "edges": edges})
+    started = time.perf_counter()
+    result = runner.invoke(main, ["network", command[0], "-n", text, *command[1:]])
+    took = time.perf_counter() - started
+    assert result.exit_code == 3, result.output
+    assert "network sources and sinks" in result.output
+    assert took < 1.0
+
+
+@pytest.mark.parametrize(
+    "command", [["path-matrix"], ["lindstrom", "--rows", "1", "--cols", "1"]],
+    ids=["path-matrix", "lindstrom"],
+)
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"m":1,"p":1,"edges":[{"from":1,"to":"t1"},{"from":"s1","to":1}]}', "must be strings"),
+        ('{"m":1,"p":1,"vertices":[null],"edges":[]}', "must be strings"),
+        ('{"m":1,"p":1,"vertices":["s1","t1"],"edges":[{"from":["s1"],"to":"t1"}]}',
+         "must be strings"),
+        ('{"m":1,"p":1,"vertices":"s1t1","edges":[]}', "must be a list"),  # not 4 letters
+    ],
+    ids=["int-endpoint", "null-vertex", "list-endpoint", "string-vertices"],
+)
+def test_json_network_names_must_be_strings(runner, command, text, message):
+    result = runner.invoke(main, ["network", command[0], "-n", text, *command[1:]])
+    assert result.exit_code == 2, repr(result.exception)
+    assert message in result.output
+
+
 def test_lindstrom_step_budget_on_the_full_6x6_minor():
     full = "1,2,3,4,5,6"
     proc, took = _run_process(

@@ -165,5 +165,5 @@ class TestDiagramType:
         assert len(whites) + len(DEMO.black) == 9
 
     def test_all_white_all_black(self):
-        assert CauchonDiagram.all_white(2, 2).black == frozenset()
+        assert oracles.all_white(2, 2).black == frozenset()
         assert len(oracles.all_black(2, 2).black) == 4

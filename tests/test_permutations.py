@@ -114,7 +114,7 @@ class TestPipeDreams:
         assert pipe_dream(DEMO).one_line() == "135246"
 
     def test_all_white_is_identity(self):
-        assert pipe_dream(CauchonDiagram.all_white(2, 3)) == Permutation.identity(5)
+        assert pipe_dream(oracles.all_white(2, 3)) == Permutation.identity(5)
 
     def test_all_black_is_the_window_maximum(self):
         w = pipe_dream(oracles.all_black(3, 3))

@@ -124,7 +124,7 @@ def _emit(
 
 
 def _listing(family: MinorFamily) -> str:
-    return "\n".join(str(ix) for ix in family) or "(none)"
+    return "\n".join(family.labels()) or "(none)"
 
 
 def _verdict_code(ok: bool) -> int:

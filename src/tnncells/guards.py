@@ -7,19 +7,21 @@ variable (an integer, interpreted as the maximum allowed m*p) raises or lowers
 the ceiling of the enumerations, and of nothing else, for a whole process. The
 other guards are fixed module constants counted in units of work and checked
 through :func:`ensure`: a k x k quantum minor expands k! words, every minor
-table and family is counted by :func:`ensure_minor_table`, a minor family
-sets a bit per minor and counts each subset of its two crowding tables in
-every window, a parsed permutation or a diagram's pipe dream holds one entry
-per letter and a network read from JSON one source or sink per letter, a
-power in an expression multiplies once per unit of its
-exponent, each parenthesis in an expression costs its reader one level of
-recursion, a count of disjoint path families takes a step per vertex its
-walks visit and per (partial family, path) pair it tries, a path matrix a
-step per vertex and edge each source's propagation may visit, a restoration or
-deleting-derivations sweep, or the initial minors' eliminations, may rewrite
-(m*p)^2 entries, and one product of exact values or Poisson bracket produces
-|f|*|g| term pairs (in the quantum product, pairs of coefficient terms, plus
-the terms each memo entry of its letter insertions sums). The product budget
+table and family is counted by :func:`ensure_minor_table`, a minor family's
+grid by its size (a bit per minor, plus each row and column set times the
+intervals of its side), a quantum or Poisson grid by its (mp)^2 generator
+pairs before any of its tables is built, a parsed permutation or a diagram's
+pipe dream holds one entry per letter and a network read from JSON one
+source or sink per letter, a power in an expression multiplies once per unit
+of its exponent, each parenthesis in an expression costs its reader one
+level of recursion, a count of disjoint path families takes a step per
+vertex its walks visit and per (partial family, path) pair it tries, a path
+matrix a step per vertex and edge each source's propagation may visit, a
+restoration or deleting-derivations sweep, or the initial minors'
+eliminations, may rewrite (m*p)^2 entries, and one product of exact values
+or Poisson bracket produces |f|*|g| term pairs (in the quantum product,
+pairs of coefficient terms, plus the terms each memo entry of its letter
+insertions sums). The product budget
 is checked before the pairs are formed and again as the insertion memo grows,
 so a product over budget stops early. The expression reader checks its
 limits on a first, zero-valued read, before it evaluates anything.
@@ -59,9 +61,10 @@ NESTING_LIMIT = 100
 # edges from each source on: 1,805 at 10x10 all-white, 976,315 at 86x86.
 PATH_STEP_LIMIT = 1_000_000
 
-# The bits of one minor family's mask, plus each subset of its two crowding
-# tables times the windows it is counted in: a 10x10 family is about 0.3 M
-# units; 400x1 is 32 M.
+# A bound on the grid of one minor family, counted as the bits of its mask
+# plus each row and column set times the intervals [r..s] of its side: 10x10
+# is about 0.3 M units, 11x11 about 0.98 M (a cold family in about 0.3 s),
+# 12x12 over the limit, and 400x1 is 32 M.
 MINOR_FAMILY_WORK_LIMIT = 1_000_000
 
 # Entries one restoration or deleting-derivations sweep may rewrite: each of
@@ -75,6 +78,14 @@ SWEEP_WORK_LIMIT = 1_000_000
 # builds two million-entry rank tables in about a second. A diagram's or a
 # JSON network's m + p is held to the same limit.
 PERMUTATION_LETTER_LIMIT = 1_000
+
+# Ordered generator pairs, (mp)^2, of one quantum or Poisson grid, checked
+# before any of its tables is built: the coordinate names, the bracket table
+# (an entry per pair), the product's rewrite rules and the semiclassical
+# check's pair list. At 10x10 (10,000) the bracket table takes about 10 ms and
+# the semiclassical check of all 4,950 pairs about a second; the 20x20 bracket
+# table would take 0.5 s and 140 MB.
+ALGEBRA_PAIR_LIMIT = 10_000
 
 # Terms one product of exact values may produce. The largest product the 4x4
 # quantum and Poisson checks make, the 4x4 quantum determinant times itself,

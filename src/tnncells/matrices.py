@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations
 from math import comb, lcm
-from typing import Any, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import guards
 from .errors import DomainError, json_int, parse_json
@@ -110,18 +110,15 @@ def subsets(n: int, k: int) -> tuple[tuple[int, ...], ...]:
 
 
 @cache
+def _subset_labels(n: int, k: int) -> tuple[str, ...]:
+    """The k-subsets of 1..n as comma-separated text, in :func:`subsets` order."""
+    return tuple(",".join(map(str, s)) for s in subsets(n, k))
+
+
+@cache
 def subset_index(n: int, k: int) -> dict[tuple[int, ...], int]:
     """Each k-subset of 1..n mapped to its position in :func:`subsets`."""
     return {s: i for i, s in enumerate(subsets(n, k))}
-
-
-def _bit_positions(mask: int) -> Iterator[int]:
-    """The positions of the set bits of a nonnegative int, ascending."""
-    digits = bin(mask)[:1:-1]  # least significant first
-    i = digits.find("1")
-    while i >= 0:
-        yield i
-        i = digits.find("1", i + 1)
 
 
 class MinorFamily:
@@ -189,17 +186,36 @@ class MinorFamily:
     def __len__(self) -> int:
         return self.mask.bit_count()
 
-    def __iter__(self) -> Iterator[MinorIndex]:
+    def _rows(
+        self, sides: Callable[[int, int], Sequence[Any]]
+    ) -> Iterator[tuple[Any, list[Any]]]:
+        """Per row set with members, in minor order: its entry and those of its
+        column sets, each read from ``sides(n, k)`` by its position in
+        :func:`subsets`."""
         offset = 0
         for k in range(1, min(self.m, self.p) + 1):
             block = self.mask >> offset
             if not block:
                 return
-            rows, cols = subsets(self.m, k), subsets(self.p, k)
-            size = len(rows) * len(cols)
-            for i in _bit_positions(block & ((1 << size) - 1)):
-                yield MinorIndex._make((rows[i // len(cols)], cols[i % len(cols)]))
+            rows, cols = sides(self.m, k), sides(self.p, k)
+            width, size = len(cols), len(rows) * len(cols)
+            digits = bin(block & ((1 << size) - 1))[:1:-1]  # least significant first
+            for r, row in enumerate(rows):
+                part = digits[r * width:(r + 1) * width]
+                if "1" in part:
+                    yield row, [col for col, digit in zip(cols, part) if digit == "1"]
             offset += size
+
+    def __iter__(self) -> Iterator[MinorIndex]:
+        for rows, members in self._rows(subsets):
+            for cols in members:
+                yield MinorIndex._make((rows, cols))
+
+    def labels(self) -> Iterator[str]:
+        """Each member as ``str`` prints its index, with no index built."""
+        for row, members in self._rows(_subset_labels):
+            head = "[" + row + "|"
+            yield from [head + cols + "]" for cols in members]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MinorFamily):
@@ -213,7 +229,7 @@ class MinorFamily:
         return f"MinorFamily({self.m}, {self.p}, {self})"
 
     def __str__(self) -> str:
-        return "{" + ", ".join(str(ix) for ix in self) + "}"
+        return "{" + ", ".join(self.labels()) + "}"
 
     def to_json(self) -> dict[str, Any]:
         return {

@@ -25,31 +25,37 @@ to its sink on the left or top edge, which is w of the label. The tests trace
 the tiles this way (``oracles.trace_pipe_dream``) as an independent route to
 the same permutation.
 
-The minor family of w collects the minors that vanish on its cell. Two
-window conditions decide membership: one on the column pool of w, one on
-its column windows. Transposing a diagram conjugates its permutation by the
-order-reversing w0, so the same two conditions read on the mirror w0 w w0,
-at the transposed size and on the transposed minor, give the other two of
-the four conditions the survey lists. The family is built as a bitmask over
-the grid's minor order, from tables of k-subsets cached per (n, k) and built
-on first use: the subsets entrywise below and above each subset, and the
-subsets crowding each window. A parsed permutation's letters and a minor
-family's work are guarded before anything is built.
+The minor family of w collects the minors that vanish on its cell, read off
+the cell's Grassmann necklace (Postnikov 2006). With n = m + p, the
+decorated permutation π(w(k)) = k + m (mod n) has fixed points in [m]
+(coloops) and above m (loops). The necklace starts at I_1, the
+anti-excedances {j : π⁻¹(j) > j} plus the coloops, which for a restricted w
+is [m]: the window condition gives π⁻¹(j) = w(j + p) >= j for j <= m and
+π⁻¹(j) = w(j - m) <= j above m. Then I_{i+1} = I_i - {i} ∪ {π(i)}. The
+usual step keeps I_{i+1} = I_i when i is a loop; here the loop i joins
+I_{i+1}, ..., I_n instead, which changes no verdict. A loop below i' lies in
+an interval [i'..x] only when the interval wraps past n and reaches the
+loop, which is above m, so the interval holds all of [m]. Since [m] is the
+set of the empty minor, I_{i'} already has m members there, and no m-set
+exceeds that. Oh's theorem turns the necklace into a rank test on cyclic
+intervals (see :func:`minor_family`). A parsed permutation's letters and a
+minor family's grid are guarded before anything is built.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 from itertools import combinations
 from math import comb
+from operator import or_
 from typing import Any, Iterator, Sequence
 
 from . import guards
 from .diagrams import CauchonDiagram
 from .errors import DomainError
-from .matrices import MinorFamily, subset_index, subsets
+from .matrices import MinorFamily
 
 
 def inversion_count(images: Sequence[int]) -> int:
@@ -308,124 +314,60 @@ def bruhat_leq(u: Permutation, w: Permutation) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@cache
-def _lower(n: int, k: int) -> list[list[int]]:
-    """For each k-subset of 1..n (by position in ``subsets(n, k)``), the
-    positions of the subsets with one entry lowered by one.
+# An exhaustive walk uses about n^3 / 8 tables (42 at 3x4, 64 at 4x4, 125 at
+# 5x5) and one 11x11 call up to 242; each is a list of pointers to k + 2
+# masks per size k.
+@lru_cache(maxsize=1024)
+def _crowded(m: int, p: int, start: int, stop: int, bound: int) -> list[int]:
+    """For the cyclic interval J = [start..stop] of 1..m + p, per row set R of
+    the m x p grid (size by size, in lexicographic order), the mask over the
+    k-subsets C of 1..p, in the same order, of those for which the set S of
+    [R|C] has more than ``bound`` members in J.
 
-    These are the covers of the entrywise order, so the subsets below t are
-    those reached from t by lowering steps. A lowered subset comes earlier
-    in lexicographic order.
+    |S ∩ J| = |J ∩ [m]| - |R ∩ flip(J ∩ [m])| + |C ∩ (J - m)|, so the row set
+    fixes how many of C's members J may hold, and the masks are shared among
+    the row sets that fix the same number.
     """
-    index = subset_index(n, k)
-    lower: list[list[int]] = [[] for _ in index]
-    for t, i in index.items():
-        for j in range(k):
-            s = index.get(t[:j] + (t[j] - 1,) + t[j + 1:])
-            if s is not None:
-                lower[i].append(s)
-    return lower
-
-
-def _or_below(seed: list[int], lower: list[list[int]]) -> list[int]:
-    """out[t]: the OR of seed[s] over every subset s entrywise below t."""
-    out = list(seed)
-    for i, steps in enumerate(lower):
-        for j in steps:
-            out[i] |= out[j]
-    return out
-
-
-def _or_above(seed: list[int], lower: list[list[int]]) -> list[int]:
-    """out[t]: the OR of seed[s] over every subset s entrywise above t."""
-    out = list(seed)
-    for i in reversed(range(len(out))):
-        for j in lower[i]:
-            out[j] |= out[i]
-    return out
-
-
-@cache
-def _down(n: int, k: int) -> list[int]:
-    """down(n, k)[t]: the mask of the k-subsets of 1..n entrywise below t."""
-    return _or_below([1 << i for i in range(comb(n, k))], _lower(n, k))
-
-
-@cache
-def _up(n: int, k: int) -> list[int]:
-    """up(n, k)[t]: the mask of the k-subsets of 1..n entrywise above t."""
-    return _or_above([1 << i for i in range(comb(n, k))], _lower(n, k))
-
-
-@cache
-def _crowd(n: int, k: int) -> dict[tuple[int, int, int], int]:
-    """crowd(n, k)[(r, s, free)]: the mask of the k-subsets of 1..n with more
-    than ``free`` members in [r..s]. Keys whose mask is empty are left out."""
-    table: dict[tuple[int, int, int], int] = {}
-    for i, t in enumerate(subsets(n, k)):
-        for r in range(1, n + 1):
-            for s in range(r, n + 1):
-                inside = sum(1 for a in t if r <= a <= s)
-                for free in range(inside):
-                    table[r, s, free] = table.get((r, s, free), 0) | 1 << i
+    n = m + p
+    inside = [int((j - start) % n <= (stop - start) % n) for j in range(1, n + 1)]
+    rows, cols = inside[m - 1::-1], inside[m:]  # row r is m + 1 - r, column c is m + c
+    table = []
+    for k in range(1, min(m, p) + 1):
+        at_least = [0] * (k + 2)  # by |C ∩ (J - m)|, then summed from above
+        for i, count in enumerate(map(sum, combinations(cols, k))):
+            at_least[count] |= 1 << i
+        for count in reversed(range(k + 1)):
+            at_least[count] |= at_least[count + 1]
+        first = bound - sum(rows) + 1  # the least |C ∩ (J - m)| that crowds J
+        by_shared = [at_least[min(max(first + shared, 0), k + 1)] for shared in range(k + 1)]
+        table += map(by_shared.__getitem__, map(sum, combinations(rows, k)))
     return table
-
-
-def _rooms(images: Sequence[int], m: int, p: int) -> list[tuple[int, int, int]]:
-    """Condition 3's column windows [r..s] at (m, p), each with its room: the
-    number of columns c in [r..s] with w(c) outside [m + r..m + s]. A
-    restricted w has w(c) <= m + c <= m + s there, so those are the columns
-    with w(c) < m + r. Windows with room for all their columns can never be
-    crowded and are left out."""
-    out = []
-    for r in range(1, p + 1):
-        free = 0
-        for s in range(r, p + 1):
-            free += images[s - 1] < m + r
-            if free <= s - r:
-                out.append((r, s, free))
-    return out
-
-
-def _pool_pairs(images: Sequence[int], m: int, p: int, k: int) -> list[tuple[int, int]]:
-    """Condition 1's k-subsets raw of the column pool {a <= p : w(a) <= m},
-    each with its flipped target {m + 1 - w(a) : a in raw}, as positions in
-    ``subsets(p, k)`` and ``subsets(m, k)``."""
-    pool = [a for a in range(1, p + 1) if images[a - 1] <= m]
-    cols, rows = subset_index(p, k), subset_index(m, k)
-    return [
-        (cols[raw], rows[tuple(sorted(m + 1 - images[a - 1] for a in raw))])
-        for raw in combinations(pool, k)
-    ]
 
 
 def minor_family(w: Permutation, m: int, p: int) -> MinorFamily:
     """All minors forced to vanish on the cell labeled by w.
 
-    Two window conditions, read at (m, p), put a minor [rows|cols] of size k
-    in the family. Condition 1: no k-subset raw of the column pool
-    {a <= p : w(a) <= m} has raw <= cols and rows <= target entrywise, where
-    target is raw's flipped image {m + 1 - w(a)}. Condition 3: some column
-    window [r..s] holds more of cols than its room (see :func:`_rooms`).
-    The mirror w'(i) = n + 1 - w(n + 1 - i) (that is w0 w w0, with n = m + p)
-    labels the transposed cell, so the same two conditions read for w' at
-    (p, m) on the transposed minor [cols|rows] are the survey's conditions 2
-    and 4. A minor is in the family when any of the four holds.
+    With n = m + p, the minor [R|C] is read as the m-subset
+    S = ([m] - {m + 1 - r : r in R}) ∪ {m + c : c in C} of 1..n; the empty
+    minor is S = [m]. The cell's Grassmann necklace (see the module
+    docstring) is I_1 = [m] and I_{i+1} = I_i - {i} ∪ {π(i)}, with
+    π(w(k)) = k + m (mod n). By Oh's theorem (Oh, "Positroids and Schubert
+    matroids", JCTA 2011; Postnikov, "Total positivity, Grassmannians, and
+    networks", arXiv:math/0609764) [R|C] is nonzero on the cell exactly when
+    S lies above every I_i in the Gale order from i: when no cyclic interval
+    J = [i..x] holds more of S than of I_i. Only x outside I_i and before
+    I_i's m-th member in the cyclic order from i need testing, since a
+    member of I_i adds one to its count and at most one to S's, and from the
+    m-th member on I_i's count is m. Each test is one cached table of
+    :func:`_crowded`, so a call ORs at most n * p tables into the mask, row
+    set by row set.
 
-    The family is built as a mask (see :class:`~tnncells.matrices.MinorFamily`)
-    one size at a time. For each row set R it collects the column sets C for
-    which [R|C] escapes all four conditions: C lies in ``up[raw]`` for a
-    pool subset whose target lies above R; C lies in ``down[target]`` for a
-    pool subset of the mirror whose raw, a row set here, lies below R; and
-    neither C nor R crowds a window. Two sweeps over the row sets gather the
-    first two for every R at once, and each R then costs one shift-OR. The
-    work of the mask and of both crowding tables is checked against the
-    guard first.
+    The grid's size is checked against the guard first.
     """
     if m < 1 or p < 1:
         raise DomainError("sizes must be at least 1")
-    # the mask's bits, plus each subset of either crowding table times the
-    # windows it is counted in; counting stops once over the limit
+    # the grid's size: the mask's bits, plus each row and column set times
+    # the intervals [r..s] of its side; counting stops once over the limit
     work = 0
     for k in range(1, min(m, p) + 1):
         rs, cs = comb(m, k), comb(p, k)
@@ -438,31 +380,25 @@ def minor_family(w: Permutation, m: int, p: int) -> MinorFamily:
     if not is_restricted(w, m, p):
         raise DomainError(f"{w} violates the window condition for ({m},{p})")
     n = w.n
-    mirror = [n + 1 - w.images[n - i] for i in range(1, n + 1)]
-    rooms, mirror_rooms = _rooms(w.images, m, p), _rooms(mirror, p, m)
+    pi = [0] * (n + 1)
+    for k, x in enumerate(w.images, 1):
+        pi[x] = (k + m - 1) % n + 1
+    widths = [comb(p, k) for k in range(1, min(m, p) + 1) for _ in range(comb(m, k))]
+    crowded = [0] * len(widths)
+    necklace = set(range(1, m + 1))
+    for i in range(1, n + 1):
+        seen = 0
+        for x in [*range(i, n + 1), *range(1, i)]:
+            if x in necklace:
+                seen += 1
+                if seen == m:
+                    break
+            else:
+                crowded = list(map(or_, crowded, _crowded(m, p, i, x, seen)))
+        necklace.discard(i)
+        necklace.add(pi[i])
     mask = offset = 0
-    for k in range(1, min(m, p) + 1):
-        nr, nc = comb(m, k), comb(p, k)
-        lower = _lower(m, k)
-        up, down = _up(p, k), _down(p, k)
-        covered = [0] * nr
-        for raw, target in _pool_pairs(w.images, m, p, k):
-            covered[target] |= up[raw]
-        covered = _or_above(covered, lower)
-        mirror_covered = [0] * nr
-        for raw, target in _pool_pairs(mirror, p, m, k):
-            mirror_covered[raw] |= down[target]
-        mirror_covered = _or_below(mirror_covered, lower)
-        crowd_p, crowd_m = _crowd(p, k), _crowd(m, k)
-        crowded_cols = crowded_rows = 0
-        for window in rooms:
-            crowded_cols |= crowd_p.get(window, 0)
-        for window in mirror_rooms:
-            crowded_rows |= crowd_m.get(window, 0)
-        escaping = 0
-        for r in range(nr):
-            if not crowded_rows >> r & 1:
-                escaping |= (covered[r] & mirror_covered[r] & ~crowded_cols) << (r * nc)
-        mask |= (((1 << (nr * nc)) - 1) ^ escaping) << offset
-        offset += nr * nc
+    for cols, width in zip(crowded, widths):
+        mask |= cols << offset
+        offset += width
     return MinorFamily._from_mask(m, p, mask)

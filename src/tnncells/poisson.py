@@ -31,7 +31,7 @@ from typing import Any, Mapping
 
 from . import guards
 from .errors import ConsistencyError, DomainError, json_int
-from .quantum import _TWO_BY_TWO_ALIASES, QPoly, commutator
+from .quantum import _TWO_BY_TWO_ALIASES, QPoly, _check_grid, commutator
 from .scalars import ExactValue, MPoly, add_terms, evaluate_expression, int_const
 
 Cell = tuple[int, int]
@@ -43,6 +43,7 @@ def coordinate_name(i: int, a: int) -> str:
 
 @lru_cache(maxsize=None)
 def coordinate_names(m: int, p: int) -> tuple[str, ...]:
+    _check_grid(m, p)
     return tuple(
         coordinate_name(i, a)
         for i in range(1, m + 1)
@@ -62,6 +63,7 @@ def _bracket_table(m: int, p: int) -> tuple[tuple[Any, ...], ...]:
     {Y_u, Y_v} = 0, else ``(c, shift)`` with {Y_u, Y_v} = c Y^(e_u + e_v + shift);
     ``shift`` is None when it is zero. The entries for u < v are the three
     cases of the bracket on generators, and antisymmetry gives the rest."""
+    _check_grid(m, p)
     cells = [(i, a) for i in range(1, m + 1) for a in range(1, p + 1)]
     table: list[list[Any]] = [[None] * len(cells) for _ in cells]
     for s, t in combinations(range(len(cells)), 2):
@@ -175,6 +177,7 @@ def semiclassical_check(m: int, p: int, i: int, a: int, k: int, g: int) -> bool:
 
 def semiclassical_pairs(m: int, p: int) -> list[tuple[Cell, Cell, bool]]:
     """Every pair of distinct generators, row-major, with its semiclassical check."""
+    _check_grid(m, p)
     gens = [(i, a) for i in range(1, m + 1) for a in range(1, p + 1)]
     return [
         (u, v, semiclassical_check(m, p, *u, *v)) for u, v in combinations(gens, 2)

@@ -39,12 +39,21 @@ Word = tuple[Gen, ...]
 _TWO_BY_TWO_ALIASES = {"a": (1, 1), "b": (1, 2), "c": (2, 1), "d": (2, 2)}
 
 
+def _check_grid(m: int, p: int) -> None:
+    """Refuse sizes below 1, and a grid over the algebra guard before any of
+    its per-grid tables is built."""
+    if m < 1 or p < 1:
+        raise DomainError("sizes must be at least 1")
+    guards.ensure((m * p) ** 2, guards.ALGEBRA_PAIR_LIMIT, f"generator pairs of the {m}x{p} grid")
+
+
 @lru_cache(maxsize=None)
 def _rewrites(m: int, p: int) -> tuple[tuple[Gen, ...], dict[Gen, int], tuple]:
     """The cells in lexicographic order, their letters (indices), and for
     letters u < v the rewrite ``rules[v][u]`` of X_v X_u: ``(e, None)`` for
     q^e X_u X_v (q-commute, e = -1, or commute, e = 0), ``(0, (s, t))`` for
     X_u X_v - (q - q^(-1)) X_s X_t (straighten)."""
+    _check_grid(m, p)
     cells = tuple((i, a) for i in range(1, m + 1) for a in range(1, p + 1))
     letter = {cell: x for x, cell in enumerate(cells)}
     rules = tuple(tuple((-1, None) if i == k or a == g else (0, None) if a > g
@@ -320,6 +329,8 @@ def is_central_2x2_determinant() -> bool:
 
 def parse_qpoly(text: str, m: int, p: int) -> QPoly:
     """Parse an expression over X[i,a] (a,b,c,d at 2x2), q and integers."""
+    _check_grid(m, p)
+
     def const(value: Fraction) -> QPoly:
         return QPoly.const(m, p, int_const(value))
 

@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -606,15 +607,21 @@ def test_count_only_enumerates_nothing(runner, monkeypatch, command):
     assert "sizes must be at least 1" in result.output
 
 
-def _run_process(args, stdin=""):
-    """Run the CLI as its own process, so that a hang fails only this test."""
+def _run_process(args, stdin="", address_space=None):
+    """Run the CLI as its own process, so that a hang fails only this test;
+    ``address_space`` (bytes) caps the memory the process may map."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     started = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "tnncells.cli", *args], input=stdin,
         capture_output=True, text=True, timeout=5,
         env=dict(os.environ, PYTHONPATH=path),
+        preexec_fn=None if address_space is None else limit,
     )
     return proc, time.perf_counter() - started
 
@@ -808,9 +815,13 @@ def test_cells_of_6x6_reads_the_leibniz_zero_minors():
         (["cells", "of", "-"], ",".join(["1"] * 1000), 3, 1.0),
         (["cells", "admissible", "-f",
           '{"m":1000000000,"p":1,"members":[{"rows":[1],"cols":[1]}]}'], "", 3, 1.0),
+        (["perm", "mw", "()", "--m", "11", "--p", "11"], "", 0, 2.0),
+        (["perm", "mw", pipe_dream(oracles.all_black(11, 11)).one_line(), "--m", "11", "--p", "11"],
+         "", 0, 2.0),
     ],
     ids=["vanish-10x10", "vanish-11x11", "perm-mw-400x1", "perm-bruhat-1000000",
-         "perm-inverse-pipedream-1000001", "cells-of-1x1000", "cells-admissible-1e9x1"],
+         "perm-inverse-pipedream-1000001", "cells-of-1x1000", "cells-admissible-1e9x1",
+         "perm-mw-11x11-identity", "perm-mw-11x11-all-black"],
 )
 def test_family_and_permutation_budgets(args, stdin, code, seconds):
     proc, took = _run_process(args, stdin)
@@ -838,6 +849,30 @@ def test_huge_powers_exit_3(args):
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
     assert took < 2.0
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["quantum", "nf", "1", "--m", "0", "--p", "0"], 2),
+        (["poisson", "semiclassical", "--m", "-1", "--p", "-1"], 2),
+        (["poisson", "flow", "--path", '{"m":0,"p":0,"entries":[]}', "-H", "1"], 2),
+        (["poisson", "bracket", "1", "1", "--m", "100000", "--p", "100000"], 3),
+        (["quantum", "nf", "X[1,2]*X[1,1]", "--m", "300", "--p", "300"], 3),
+        (["poisson", "semiclassical", "--m", "100", "--p", "100"], 3),
+        (["poisson", "bracket", "Y[1,1]", "Y[1,2]", "--m", "300", "--p", "300"], 3),
+    ],
+    ids=["quantum-nf-0x0", "poisson-semiclassical-negative", "poisson-flow-0x0",
+         "poisson-bracket-1e5x1e5", "quantum-nf-300x300", "poisson-semiclassical-100x100",
+         "poisson-bracket-300x300"],
+)
+def test_algebra_grid_sizes_keep_the_exit_contract(args, code):
+    # under a 2 GB address-space limit, as in CI, so that a table built
+    # before its guard fails fast instead of filling the host's memory
+    proc, took = _run_process(args, address_space=2_000_000_000)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert took < 1.0
 
 
 def _nested(depth):

@@ -436,6 +436,7 @@ class TestSerialization:
                 assert fam.members == members
                 assert len(fam) == len(members)
                 assert list(fam) == [ix for ix in every if ix in members]
+                assert list(fam.labels()) == [str(ix) for ix in fam]
                 assert all((ix in fam) == (ix in members) for ix in every)
                 assert pickle.loads(pickle.dumps(fam)) == fam
 

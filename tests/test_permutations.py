@@ -14,9 +14,7 @@ from tnncells.matrices import MinorIndex, iter_minor_indices
 from tnncells.matrices import subsets
 from tnncells.permutations import (
     Permutation,
-    _crowd,
-    _down,
-    _up,
+    _crowded,
     bruhat_leq,
     enumerate_restricted,
     inverse_pipe_dream,
@@ -261,30 +259,32 @@ class TestMinorFamilies:
                 ), d.to_ascii()
 
     def test_subset_tables_match_their_definitions(self):
-        def below(s, t):
-            return all(x <= y for x, y in zip(s, t))
-
         for n in range(1, 6):
             for k in range(1, n + 1):
-                sets = subsets(n, k)
-                assert list(sets) == sorted(
+                assert list(subsets(n, k)) == sorted(
                     s for s in product(range(1, n + 1), repeat=k)
                     if all(x < y for x, y in zip(s, s[1:]))
                 )
-                for i, t in enumerate(sets):
-                    assert _down(n, k)[i] == sum(
-                        1 << j for j, s in enumerate(sets) if below(s, t)
-                    )
-                    assert _up(n, k)[i] == sum(
-                        1 << j for j, s in enumerate(sets) if below(t, s)
-                    )
-                for r in range(1, n + 1):
-                    for s in range(r, n + 1):
-                        for free in range(n + 1):
-                            assert _crowd(n, k).get((r, s, free), 0) == sum(
-                                1 << j for j, t in enumerate(sets)
-                                if sum(1 for a in t if r <= a <= s) > free
-                            )
+        # each interval table against a direct count of |S ∩ J|
+        for n in range(2, 7):
+            for m in range(1, n):
+                p = n - m
+                for start, stop in product(range(1, n + 1), repeat=2):
+                    interval, j = {start}, start
+                    while j != stop:
+                        j = j % n + 1
+                        interval.add(j)
+                    for bound in range(m + 1):
+                        want = [
+                            sum(1 << c for c, cols in enumerate(subsets(p, k))
+                                if len(interval & (set(range(1, m + 1))
+                                                   - {m + 1 - r for r in rows}
+                                                   | {m + a for a in cols})) > bound)
+                            for k in range(1, min(m, p) + 1)
+                            for rows in subsets(m, k)
+                        ]
+                        assert _crowded(m, p, start, stop, bound) == want, (
+                            m, p, start, stop, bound)
 
     def test_families_are_distinct_across_the_window(self):
         fams = {

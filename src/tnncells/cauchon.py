@@ -21,10 +21,17 @@ The canonical matrix of a diagram arises by seeding zeros on black cells,
 nonzero scalars on white cells, and restoring. Its identically-zero minors
 form the vanishing family of the diagram. They are exactly the minors that
 vanish on its integer matrix of path counts with every white cell set to 1,
-the unit-weight witness. Every per-diagram check reads that witness through
-one integer minor scan, :func:`witness_scan`: the family, Cauchon's theorem
-(no witness minor is negative) and the Lindstrom check of its minors against
-counts of disjoint path families (see :func:`vanishing_family`).
+the unit-weight witness. Its row i depends only on the seed rows i..m, as
+restoration step (j, beta) edits only rows above j, through row j, which is
+still the seed when the step runs; with 0/1 seeds every pivot is 1, so
+:func:`witness_row` restores a row by additions alone, with no division.
+The exhaustive check of :mod:`tnncells.cells` walks the diagrams from the
+bottom row up and restores each row once per walk node; :func:`ones_TC`,
+which :func:`witness_scan` scans, is that walk along one diagram's path.
+The sweeps stay for ``restore``, ``delete``, :func:`tnn_test` and
+:func:`symbolic_TC`, and the tests compare the two kernels on every diagram
+through 4x4. A witness
+minor that is negative breaks Cauchon's theorem (see :func:`vanishing_family`).
 """
 
 from __future__ import annotations
@@ -32,7 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Any, Iterator, Mapping
+from functools import lru_cache
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from . import guards
 from .diagrams import CauchonDiagram, Cell, is_cauchon
@@ -104,14 +112,19 @@ def _sweep(working: tuple, m: int, p: int, sign: int) -> Iterator[tuple[StepInde
     """Run one sweep on an m x p matrix's working (rows, step, reader), editing
     the rows in place: plus steps from (1,1) up to (m,p), minus steps the other
     way. Yield (step, rows, reader) after each step; the guard is checked first."""
-    # m*p steps, each rewriting at most the m*p entries of the matrix
-    work = (m * p) ** 2
-    guards.ensure(work, guards.SWEEP_WORK_LIMIT, "entries one sweep rewrites")
+    _ensure_sweep(m, p)
     steps = step_indices(m, p)
     rows, apply, read = working
     for j, beta in steps if sign > 0 else reversed(steps):
         apply(rows, j, beta, sign)
         yield (j, beta), rows, read
+
+
+def _ensure_sweep(m: int, p: int) -> None:
+    """Charge a sweep's m*p steps, each rewriting at most the m*p entries of the
+    matrix, before the first; the unit-weight witness, restored row by row in
+    about (m*p)^2 / 4 additions, is charged the same."""
+    guards.ensure((m * p) ** 2, guards.SWEEP_WORK_LIMIT, "entries one sweep rewrites")
 
 
 def deleting_stages(matrix: Matrix) -> Iterator[tuple[StepIndex, Matrix]]:
@@ -218,20 +231,47 @@ def symbolic_TC(diagram: CauchonDiagram) -> Matrix:
     return build_TC(diagram, MPoly.zero(names), assignment)
 
 
-def _unit_rows(diagram: CauchonDiagram) -> list[list[int]]:
-    """The integer rows of :func:`ones_TC`: path counts, as every pivot is a 0/1 seed entry."""
-    rows = [[1] * (diagram.p + 1) for _ in range(diagram.m)]  # white, then denominator 1
-    for i, a in diagram.black:
-        rows[i - 1][a - 1] = 0
-    *_, (_, rows, _) = _sweep((rows, _apply_int_step, None), diagram.m, diagram.p, +1)
-    if any(row[-1] != 1 for row in rows):
-        raise ConsistencyError(f"unit-weight restoration left a fraction on\n{diagram}")
-    return [row[:-1] for row in rows]
+@lru_cache(maxsize=4096)
+def _pivots(seed: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The steps a 0/1 seed row j makes on every row above it: per white column
+    beta > 1, in increasing order, (beta - 1, the 0-based white columns left of it)."""
+    white = [a for a, x in enumerate(seed) if x]
+    return tuple((b, tuple(white[:t])) for t, b in enumerate(white) if t)
+
+
+def witness_row(seed: Sequence[int], below: Iterable[Sequence[int]]) -> list[int]:
+    """Row i of the unit-weight witness from its 0/1 seed row (1 on white cells) and
+    the seed rows i+1..m below it, tuples in increasing order: the restoration's steps
+    (j, beta) edit row i only through seed row j, which no earlier step has
+    touched, and every pivot is a 0/1 seed entry, so row i is restored by
+    x[a] += x[beta] wherever seed row j has 1 at both beta and a < beta, for
+    j = i+1..m, then beta = 2..p. Its entries count paths, with no division."""
+    x = list(seed)
+    for pattern in below:
+        for b, lefts in _pivots(pattern):
+            if xb := x[b]:
+                for a in lefts:
+                    x[a] += xb
+    return x
+
+
+def _witness_rows(diagram: CauchonDiagram) -> list[list[int]]:
+    """The integer rows of :func:`ones_TC`, each restored by :func:`witness_row`
+    from the bottom row up: the diagram walk along one path, charged as a sweep
+    before the first row."""
+    _ensure_sweep(diagram.m, diagram.p)
+    rows: list[list[int]] = []
+    below: list[tuple[int, ...]] = []
+    for i in range(diagram.m, 0, -1):
+        seed = tuple(int((i, a) not in diagram.black) for a in range(1, diagram.p + 1))
+        rows.insert(0, witness_row(seed, below))
+        below.insert(0, seed)
+    return rows
 
 
 def ones_TC(diagram: CauchonDiagram) -> Matrix:
     """The canonical matrix with every white cell set to 1 (rational entries)."""
-    return Matrix(_unit_rows(diagram))
+    return Matrix(_witness_rows(diagram))
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +281,10 @@ def ones_TC(diagram: CauchonDiagram) -> Matrix:
 
 def witness_scan(diagram: CauchonDiagram) -> MinorScan:
     """The :class:`MinorScan` of the diagram's unit-weight witness ``ones_TC``,
-    restored and scanned in integers. The minor table's guard is checked before
-    the witness is built."""
+    restored row by row and scanned in integers. The minor table's guard is
+    checked before the witness is built."""
     guards.ensure_minor_table(diagram.m, diagram.p)
-    return scan_int_minors(_unit_rows(diagram), diagram.m, diagram.p, 1)
+    return scan_int_minors(_witness_rows(diagram), diagram.m, diagram.p, 1)
 
 
 def vanishing_family(diagram: CauchonDiagram) -> MinorFamily:

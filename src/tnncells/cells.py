@@ -9,10 +9,14 @@ The theory says they agree; this module computes them separately and
 treats any disagreement as an internal error rather than a tolerable
 approximation.
 
-:func:`unifying_check` walks a grid once. Each diagram's witness is restored
-and scanned once, for the first two readings and, for ``verify all``, for the
-Lindstrom comparison with its network's path-family counts. The walk keeps
-only mismatches and counts, and checks its diagram count by formula.
+:func:`unifying_check` walks a grid once, depth first from the bottom row up
+(see :class:`_Walk`). Witness row i and every path from source i depend only
+on diagram rows i..m, so a walk node restores row i, adds the minor tables
+with top row i and, for ``verify all``, extends the disjoint path families
+and compares the new minors with their counts, once for every diagram above
+it; each leaf, one diagram, compares its zero mask with its permutation's
+family. The walk keeps only mismatches and counts, checks its diagram count
+by formula, and splits across workers by bottom row.
 """
 
 from __future__ import annotations
@@ -20,18 +24,19 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from itertools import chain
-from operator import eq
-from typing import Any, Iterable
+from math import comb
+from operator import itemgetter, ne
+from typing import Any, Iterator
 
 from . import guards
 from .diagrams import CauchonDiagram, enumerate_diagrams, poly_bernoulli
 from .errors import ConsistencyError, DomainError
-from .matrices import Matrix, MinorFamily, MinorIndex, iter_minor_indices, scan_minors
-from .networks import nonintersecting_counts, postnikov_network
-from .permutations import Permutation, minor_family, pipe_dream
-from .cauchon import tnn_test, vanishing_family, witness_scan
+from .matrices import Matrix, MinorFamily, _add_top_row, scan_int_minors, scan_minors, subsets
+from .networks import GridNetwork, _extend, _paths
+from .permutations import Permutation, minor_family, pipe_dream, pipe_dream_suffix
+from .cauchon import _ensure_sweep, tnn_test, vanishing_family, witness_row
 
 
 @dataclass(frozen=True)
@@ -168,69 +173,192 @@ class UnifyingReport:
         }
 
 
-def _check_diagram(
-    diagram: CauchonDiagram, indices: tuple[MinorIndex, ...] | None = None
-) -> tuple[dict[str, Any] | None, int]:
-    """Worker: from the diagram's :func:`~tnncells.cauchon.witness_scan`, check
-    Cauchon's theorem, that the unit-weight witness is TNN, which no deletion
-    sweep can (it undoes any restoration), naming the scan's negative minor,
-    then compare its zero minors with the permutation's family. Return that
-    mismatch or None, and how many of ``indices`` (the grid's minors in scan
-    order) differ from the network's disjoint path-family counts, which
-    Lindstrom-Gessel-Viennot says they equal; an unscanned size differs."""
-    scan = witness_scan(diagram)
-    missed = 0
-    if indices is not None:
-        counts = nonintersecting_counts(postnikov_network(diagram), indices)
-        missed = len(indices) - sum(map(eq, counts, chain(*scan.sizes)))
-    w = pipe_dream(diagram)
-    via_permutation = minor_family(w, diagram.m, diagram.p)
-    if scan.negative is not None:
-        problem, via_restoration = "witness minor {} = {} is negative".format(*scan.negative), None
-    elif (zeros := scan.zeros).mask != via_permutation.mask:
-        problem = "restoration family differs from permutation family"
-        via_restoration = str(zeros)
-    else:
-        return None, missed
-    return {
-        "diagram": diagram.to_json(),
-        "permutation": w.one_line(),
-        "problems": [problem],
-        "restoration": via_restoration,
-        "permutation_family": str(via_permutation),
-    }, missed
-
-
 def unifying_check(
     m: int, p: int, *, jobs: int = 1, lindstrom: bool = False
 ) -> UnifyingReport:
-    """Verify the route agreement for every diagram of the grid in one walk, and
-    its diagram count against :func:`~tnncells.diagrams.poly_bernoulli`. With
-    ``lindstrom``, as ``verify all`` asks, the same scans and workers also
-    compare every minor with its network's path-family count."""
+    """Verify the route agreement for every diagram of the grid in one walk
+    (see :class:`_Walk`), and its diagram count against
+    :func:`~tnncells.diagrams.poly_bernoulli`. With ``lindstrom``, as ``verify
+    all`` asks, the walk also compares every minor with its network's
+    path-family count. ``jobs`` workers split the walk by bottom row, one task
+    per pattern, and return only counts and mismatches; mismatches are
+    reported in :func:`~tnncells.diagrams.enumerate_diagrams` order."""
     guards.ensure_enumerable(m, p, what="unifying check")
+    if m < 1 or p < 1:
+        raise DomainError("grid sizes must be at least 1")
+    if jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {jobs}")
+    guards.ensure(jobs, guards.WORKER_LIMIT, "worker processes")
+    guards.ensure_minor_table(m, p)
+    _ensure_sweep(m, p)
+    guards.ensure_minor_family(m, p)
     started = time.monotonic()
-    indices = tuple(iter_minor_indices(m, p)) if lindstrom else None
-    check = partial(_check_diagram, indices=indices)
+    walk = partial(_walk_bottom, m, p, lindstrom)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            total, mismatches, missed = _tally(pool.map(check, enumerate_diagrams(m, p), chunksize=8))
+        # the fewer columns a bottom row forces black, the more diagrams lie
+        # above it; the largest tasks first keep the workers busy to the end
+        tasks = sorted(_row_patterns(p, 0), key=lambda task: task[1].bit_count())
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            results = list(pool.map(walk, tasks))
     else:
-        total, mismatches, missed = _tally(map(check, enumerate_diagrams(m, p)))
+        results = map(walk, _row_patterns(p, 0))
+    total = missed = 0
+    found: list[tuple[int, dict[str, Any]]] = []
+    for count, mismatches, misses in results:
+        total += count
+        missed += misses
+        found += mismatches
+    found.sort(key=itemgetter(0))
+    minors = sum(comb(m, k) * comb(p, k) for k in range(1, min(m, p) + 1))
     return UnifyingReport(
-        m, p, total, poly_bernoulli(m, p), total - len(mismatches), tuple(mismatches),
-        time.monotonic() - started,
-        None if indices is None else (total * len(indices), missed),
+        m, p, total, poly_bernoulli(m, p), total - len(found),
+        tuple(mismatch for _, mismatch in found), time.monotonic() - started,
+        (total * minors, missed) if lindstrom else None,
     )
 
 
-def _tally(results: Iterable[tuple[dict[str, Any] | None, int]]) -> tuple[int, list, int]:
-    """(diagrams, mismatches, minors missed) over the workers' results."""
-    total = missed = 0
-    mismatches = []
-    for mismatch, misses in results:
-        total += 1
-        missed += misses
-        if mismatch is not None:
-            mismatches.append(mismatch)
-    return total, mismatches, missed
+def _walk_bottom(
+    m: int, p: int, lindstrom: bool, bottom: tuple[tuple[int, ...], int]
+) -> tuple[int, list[tuple[int, dict[str, Any]]], int]:
+    """Worker: walk the diagrams whose bottom row is ``bottom``, a (seed row,
+    forced columns) of :func:`_row_patterns`. Returns their count, their
+    mismatches keyed by diagram bitmask, and the minors the Lindstrom check
+    missed."""
+    walk = _Walk(m, p, lindstrom)
+    count = walk.node(m, *bottom)
+    return count, walk.mismatches, walk.missed
+
+
+def _row_patterns(p: int, forced: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each seed row (1 on white cells) the diagram rule allows below rows whose
+    columns ``forced`` (bit a - 1 for column a) are black, with the columns it
+    forces black in every row above: a black cell with a white cell to its
+    left, and those already forced. Streamed, as a wide grid has 2^p rows."""
+    free, extra = ~forced & ((1 << p) - 1), 0
+    while True:
+        seed, forces = _row_pattern(p, forced | extra)
+        yield seed, forced | forces
+        if extra == free:
+            return
+        extra = (extra - free) & free  # the next subset of the free columns
+
+
+@lru_cache(maxsize=4096)
+def _row_pattern(p: int, black: int) -> tuple[tuple[int, ...], int]:
+    """The seed row of the black columns ``black``, and those with a white cell
+    to their left."""
+    seed = tuple(1 - (black >> a & 1) for a in range(p))
+    first_white = seed.index(1) if 1 in seed else p
+    return seed, black & -(2 << first_white)
+
+
+@cache
+def _column_positions(p: int) -> dict[int, int]:
+    """Each column set as a sink mask (bit a for column a) mapped to its position
+    among the sets of its size in :func:`~tnncells.matrices.subsets` order."""
+    return {sum(1 << a for a in cols): j
+            for k in range(1, p + 1) for j, cols in enumerate(subsets(p, k))}
+
+
+class _Walk:
+    """One depth-first walk over the diagrams of an m x p grid from row m up.
+
+    A node fixes one seed row i under the rows its path fixed (``seeds``). It
+    restores witness row i from them (:func:`~tnncells.cauchon.witness_row`),
+    adds the minor tables with top row i by Laplace along it, and ORs their
+    zero bits into its parent's mask; it left-multiplies its parent's pipe
+    dream suffix by row i. With a network it also walks the paths from source
+    i on rows i..m, extends its parent's disjoint path-family states by them,
+    and compares its new minors with their counts, once on behalf of every
+    diagram above it. The rows above it are those of :func:`_row_patterns`.
+    A leaf, row 1, is one diagram, checked by :meth:`leaf`. Per-row state is
+    kept by row index, row m + 1 holding the empty path's.
+    """
+
+    def __init__(self, m: int, p: int, lindstrom: bool) -> None:
+        self.m, self.p = m, p
+        self.seeds: list[tuple[int, ...]] = [()] * (m + 2)
+        self.rows: list[list[int]] = [[]] * (m + 2)  # witness rows, scanned on a negative
+        self.tables: dict[int, list[int]] = {0: [1]}  # by row set mask, see _add_top_row
+        self.zeros, self.negative = [0] * (m + 2), [False] * (m + 2)
+        self.inverse = [tuple(range(1, m + p + 1))] * (m + 2)
+        self.network = GridNetwork(m, p) if lindstrom else None
+        if self.network is not None:
+            self.heads = [self.network.sinks] * (m + 2)
+            self.states: list[list[dict]] = [[{(0, 0, 0): 1}]] * (m + 2)
+            self.spent = [0] * (m + 2)
+        self.missed = 0
+        self.mismatches: list[tuple[int, dict[str, Any]]] = []
+
+    def node(self, i: int, seed: tuple[int, ...], forced: int) -> int:
+        """Visit the node of seed row i, whose rows above may not whiten the
+        columns ``forced``; returns its leaves."""
+        m, p, tables = self.m, self.p, self.tables
+        self.seeds[i] = seed
+        self.rows[i] = row = witness_row(seed, self.seeds[i + 1:m + 1])
+        plan = _add_top_row(tables, row, m, p, i)
+        zeros, negative = self.zeros[i + 1], self.negative[i + 1]
+        for rows, _, _, bit in plan:
+            for j, value in enumerate(tables[rows], bit):
+                if not value:
+                    zeros |= 1 << j
+                elif value < 0:
+                    negative = True
+        self.zeros[i], self.negative[i] = zeros, negative
+        self.inverse[i] = pipe_dream_suffix(self.inverse[i + 1], m, i, seed)
+        missed = 0 if self.network is None else self._lindstrom(i, seed, plan)
+        if i == 1:
+            self.leaf()
+            leaves = 1
+        else:
+            leaves = sum(self.node(i - 1, *above) for above in _row_patterns(p, forced))
+        self.missed += missed * leaves
+        return leaves
+
+    def _lindstrom(self, i: int, seed: tuple[int, ...], plan: Any) -> int:
+        """Extend the path-family states by the paths from source i; the number
+        of new minors (those of ``plan``) that differ from their counts."""
+        network, states = self.network, self.states[i + 1]
+        source, self.heads[i] = network.add_row(i, seed, self.heads[i + 1])
+        found, spent = _paths(network, source, -1, self.spent[i + 1], upward=True)
+        spent += sum(map(len, states)) * len(found)
+        guards.ensure(spent, guards.PATH_STEP_LIMIT, "steps of one path family count")
+        new = _extend(chain.from_iterable(map(dict.items, states)), 1 << i, found)
+        self.states[i], self.spent[i] = states + [new], spent
+        counts = {rows: [0] * len(self.tables[rows]) for rows, *_ in plan}
+        position = _column_positions(self.p)
+        for (rows, cols, _), weight in new.items():
+            counts[rows][position[cols]] += weight
+        return sum(sum(map(ne, values, self.tables[rows]))
+                   for rows, values in counts.items() if values != self.tables[rows])
+
+    def leaf(self) -> None:
+        """Check the diagram the path fixed: Cauchon's theorem, that no witness
+        minor is negative, which no deletion sweep can (it undoes any
+        restoration), naming the most negative minor of the first size with
+        one, then that its zero minors are its permutation's family. Keep a
+        mismatch with the diagram's bitmask."""
+        m, p = self.m, self.p
+        images = [0] * (m + p)
+        for x, at in enumerate(self.inverse[1], 1):
+            images[at - 1] = x
+        w = Permutation(tuple(images))
+        via_permutation = minor_family(w, m, p)
+        if self.negative[1]:
+            scan = scan_int_minors(self.rows[1:m + 1], m, p, 1)
+            problem, via_restoration = "witness minor {} = {} is negative".format(*scan.negative), None
+        elif self.zeros[1] != via_permutation.mask:
+            problem = "restoration family differs from permutation family"
+            via_restoration = str(MinorFamily._from_mask(m, p, self.zeros[1]))
+        else:
+            return
+        seeds = self.seeds[1:m + 1]
+        black = frozenset((i, a) for i, seed in enumerate(seeds, 1)
+                          for a, white in enumerate(seed, 1) if not white)
+        self.mismatches.append((int("".join(str(1 - x) for seed in seeds for x in seed), 2), {
+            "diagram": CauchonDiagram._make(m, p, black).to_json(),
+            "permutation": w.one_line(),
+            "problems": [problem],
+            "restoration": via_restoration,
+            "permutation_family": str(via_permutation),
+        }))

@@ -375,8 +375,10 @@ def _network_arg(diagram_src: str | None, network_src: str | None):
 @format_option
 def network_path_matrix(diagram_src, network_src, fmt: str) -> None:
     """Weighted source-to-sink path sums."""
-    net = _network_arg(diagram_src, network_src)
-    M = networks_mod.path_matrix(net)
+    if diagram_src is not None and network_src is None:  # charged before it is built
+        M = networks_mod.diagram_path_matrix(_diagram_arg(diagram_src))
+    else:
+        M = networks_mod.path_matrix(_network_arg(diagram_src, network_src))
     _emit(fmt, matrix_to_json(M), str(M))
 
 

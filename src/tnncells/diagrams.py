@@ -196,6 +196,8 @@ def enumerate_diagrams(m: int, p: int) -> Iterator[CauchonDiagram]:
 
     Cells are read row-major with the first cell most significant and black
     as 1, so the all-white diagram comes first and the all-black one last.
+    ``diagram enum`` prints this order, and the verifiers, which walk the
+    grid from the bottom row up, report their mismatches in it.
     Backtracking checks each black placement against the one-pass rule
     check's flags: "all black to the left", carried along the row, and "all
     black above", kept per column and restored on backtrack. Both are exact,

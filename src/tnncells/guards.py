@@ -18,7 +18,8 @@ level of recursion, a count of disjoint path families takes a step per
 vertex its walks visit and per (partial family, path) pair it tries, a path
 matrix a step per vertex and edge each source's propagation may visit, a
 restoration or deleting-derivations sweep, or the initial minors'
-eliminations, may rewrite (m*p)^2 entries, and one product of exact values
+eliminations, may rewrite (m*p)^2 entries, one ``--jobs`` may start a
+bounded number of worker processes, and one product of exact values
 or Poisson bracket produces |f|*|g| term pairs (in the quantum product,
 pairs of coefficient terms, plus the terms each memo entry of its letter
 insertions sums). The product budget
@@ -87,6 +88,11 @@ PERMUTATION_LETTER_LIMIT = 1_000
 # table would take 0.5 s and 140 MB.
 ALGEBRA_PAIR_LIMIT = 10_000
 
+# Worker processes one ``--jobs`` may start. The walk of ``cells verify`` and
+# ``verify all`` has one task per bottom-row pattern (32 at 5x5) and never
+# starts more workers than tasks; each worker is a whole Python process.
+WORKER_LIMIT = 64
+
 # Terms one product of exact values may produce. The largest product the 4x4
 # quantum and Poisson checks make, the 4x4 quantum determinant times itself,
 # is charged 3,453; the last product of (a+b+c+d)^9 at 2x2, 12,396.
@@ -123,6 +129,20 @@ def ensure_enumerable(m: int, p: int, *, what: str = "enumeration") -> None:
             f"{what} for a {m}x{p} grid exceeds the guard (m*p = {m * p} > {limit}); "
             f"set {GUARD_ENV_VAR} to raise the limit"
         )
+
+
+@cache
+def ensure_minor_family(m: int, p: int) -> None:
+    """Refuse an m x p grid whose minor family would cost over
+    MINOR_FAMILY_WORK_LIMIT units: a bit per minor, plus each row and column set
+    times the intervals [r..s] of its side, counted size by size."""
+    work = 0
+    for k in range(1, min(m, p) + 1):
+        rs, cs = comb(m, k), comb(p, k)
+        work += rs * cs + cs * p * (p + 1) // 2 + rs * m * (m + 1) // 2
+        if work > MINOR_FAMILY_WORK_LIMIT:
+            break
+    ensure(work, MINOR_FAMILY_WORK_LIMIT, "minor family work")
 
 
 @cache

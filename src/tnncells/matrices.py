@@ -14,9 +14,12 @@ minor tables, so comparing two families compares two integers.
 Minors are taken over the rationals only. Every verdict read off all minors
 of a matrix comes from one scan of one integer table, :class:`MinorScan`, and
 :func:`all_minors` lists the table: each k-minor follows from the (k-1)-minors
-by Laplace expansion along its last row, in at most k multiply-adds with no
-division. Integer rows enter directly; rational ones have their denominators
-cleared once per matrix. The initial minors of a square matrix, which decide
+of the rows below its first by Laplace expansion along that top row, in at
+most k multiply-adds with no division. One kernel, :func:`_laplace_top`,
+builds every table: a scan size by size, and the diagram walk of
+:mod:`tnncells.cells` row by row from the bottom up, adding the row sets
+whose top row is the new one. Integer rows enter directly; rational ones
+have their denominators cleared once per matrix. The initial minors of a square matrix, which decide
 total positivity, are the one use of fraction-free Bareiss elimination.
 Every rational-only call checks once that the entries it reads are
 ``Fraction``. Other matrices (the symbolic canonical matrices, whose entries
@@ -347,40 +350,87 @@ def iter_minor_indices(m: int, p: int) -> Iterator[MinorIndex]:
 
 @cache
 def _expansions(p: int, k: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
-    """Per k-subset of columns, its Laplace terms as (column, position of the other
-    k-1 columns among the (k-1)-subsets): the plus terms, then the minus terms."""
+    """Per k-subset of columns, its Laplace terms along the top row as (column,
+    position of the other k-1 columns among the (k-1)-subsets): the plus terms,
+    then the minus terms."""
     index = subset_index(p, k - 1)
     return tuple(
         tuple(tuple((c - 1, index[cols[:j - 1] + cols[j:]])
-                    for j, c in enumerate(cols, 1) if (k + j) % 2 == odd) for odd in (0, 1))
+                    for j, c in enumerate(cols, 1) if (1 + j) % 2 == odd) for odd in (0, 1))
         for cols in subsets(p, k)
     )
 
 
+def _laplace_top(top: Sequence[int], sub: Sequence[int], expansions: Any) -> list[int]:
+    """The k-minors, by column set, on the row ``top`` above rows whose (k-1)-minors,
+    by column set, are ``sub``: each the Laplace expansion along the top row, at
+    most k multiply-adds and no division. ``expansions`` is :func:`_expansions`
+    of size k."""
+    out = []
+    for plus, minus in expansions:
+        total = 0
+        for c, rest in plus:  # a product with 0 costs less than a test for it
+            total += top[c] * sub[rest]
+        for c, rest in minus:
+            total -= top[c] * sub[rest]
+        out.append(total)
+    return out
+
+
 def _int_minor_sizes(rows: Sequence[Sequence[int]], m: int, p: int) -> Iterator[list[int]]:
     """Every minor of an integer m x p matrix as one list of ints per size, in
-    :func:`iter_minor_indices` order. A k-minor is the Laplace expansion of
-    (k-1)-minors along its last row: at most k multiply-adds, no division."""
+    :func:`iter_minor_indices` order, size by size, so a reader may stop early.
+    A k-minor is :func:`_laplace_top` of its first row over the (k-1)-minors of
+    its other rows."""
     prev = [[1]]  # per row set, its minors by column set
     for k in range(1, min(m, p) + 1):
-        index, expansions = subset_index(m, k - 1), _expansions(p, k)
+        expansions = _expansions(p, k)
         table, values = [], []
-        for r in subsets(m, k):
-            sub, last = prev[index[r[:-1]]], rows[r[-1] - 1]
-            out = []
-            for plus, minus in expansions:
-                total = 0
-                for c, rest in plus:
-                    if x := last[c]:
-                        total += x * sub[rest]
-                for c, rest in minus:
-                    if x := last[c]:
-                        total -= x * sub[rest]
-                out.append(total)
+        for first, rest in _split_row_sets(m, k):
+            out = _laplace_top(rows[first], prev[rest], expansions)
             table.append(out)
             values += out
         yield values
         prev = table
+
+
+@cache
+def _split_row_sets(m: int, k: int) -> tuple[tuple[int, int], ...]:
+    """Per k-subset of rows, in :func:`subsets` order: its first row, 0-based,
+    and the position of its other rows among the (k-1)-subsets."""
+    index = subset_index(m, k - 1)
+    return tuple((r[0] - 1, index[r[1:]]) for r in subsets(m, k))
+
+
+def _row_mask(rows: Iterable[int]) -> int:
+    """A row set as a mask: bit r for row r."""
+    return sum(1 << r for r in rows)
+
+
+@cache
+def _top_row_plan(m: int, p: int, i: int) -> tuple[tuple[int, int, Any, int], ...]:
+    """Per row set R of rows i..m with top row i and at most p rows: (the mask of R,
+    the mask of R - {i}, the :func:`_expansions` of its size, the bit of its first
+    minor in :func:`iter_minor_indices` order), by size, then rows."""
+    plan = []
+    for k in range(1, min(m - i + 1, p) + 1):
+        first = sum(comb(m, j) * comb(p, j) for j in range(1, k))
+        index, width = subset_index(m, k), comb(p, k)
+        for rest in combinations(range(i + 1, m + 1), k - 1):
+            plan.append((_row_mask((i, *rest)), _row_mask(rest), _expansions(p, k),
+                         first + index[(i, *rest)] * width))
+    return tuple(plan)
+
+
+def _add_top_row(tables: dict[int, list[int]], top: Sequence[int], m: int, p: int, i: int) -> Any:
+    """Add row ``top``, row i of an integer m x p matrix, to ``tables``, which maps
+    the mask of each row set within rows i+1..m (0 to [1]) to its minors by column
+    set: each row set with top row i gets its table by :func:`_laplace_top`.
+    Returns the :func:`_top_row_plan` of the tables added."""
+    plan = _top_row_plan(m, p, i)
+    for rows, rest, expansions, _ in plan:
+        tables[rows] = _laplace_top(top, tables[rest], expansions)
+    return plan
 
 
 @cache

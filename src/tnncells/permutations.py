@@ -47,7 +47,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 from operator import or_
 from typing import Any, Iterator, Sequence
@@ -254,6 +254,22 @@ def pipe_dream(diagram: CauchonDiagram) -> Permutation:
     return Permutation(tuple(images))
 
 
+def pipe_dream_suffix(
+    inverse: tuple[int, ...], m: int, i: int, seed: Sequence[int]
+) -> tuple[int, ...]:
+    """The inverse of s_k1 ... s_kr u, from the inverse of u, for row i's black
+    cells (i, a1), ..., (i, ar) in order, 0 in the 0/1 ``seed``, k = m - i + a.
+    Multiplying by s_k on the left swaps the values k and k + 1, so entries k
+    and k + 1 of the inverse. From the identity, row m first, this builds the
+    inverse of :func:`pipe_dream` from the bottom row up."""
+    word = list(inverse)
+    for a in range(len(seed), 0, -1):
+        if not seed[a - 1]:
+            k = m - i + a
+            word[k - 1], word[k] = word[k], word[k - 1]
+    return tuple(word)
+
+
 def inverse_pipe_dream(w: Permutation, m: int, p: int) -> CauchonDiagram:
     """The unique diagram whose pipe dream is w; DomainError if w is not restricted.
 
@@ -366,15 +382,7 @@ def minor_family(w: Permutation, m: int, p: int) -> MinorFamily:
     """
     if m < 1 or p < 1:
         raise DomainError("sizes must be at least 1")
-    # the grid's size: the mask's bits, plus each row and column set times
-    # the intervals [r..s] of its side; counting stops once over the limit
-    work = 0
-    for k in range(1, min(m, p) + 1):
-        rs, cs = comb(m, k), comb(p, k)
-        work += rs * cs + cs * p * (p + 1) // 2 + rs * m * (m + 1) // 2
-        if work > guards.MINOR_FAMILY_WORK_LIMIT:
-            break
-    guards.ensure(work, guards.MINOR_FAMILY_WORK_LIMIT, "minor family work")
+    guards.ensure_minor_family(m, p)
     if w.n != m + p:
         raise DomainError(f"{w} is not a permutation of 1..{m + p}")
     if not is_restricted(w, m, p):
@@ -383,8 +391,8 @@ def minor_family(w: Permutation, m: int, p: int) -> MinorFamily:
     pi = [0] * (n + 1)
     for k, x in enumerate(w.images, 1):
         pi[x] = (k + m - 1) % n + 1
-    widths = [comb(p, k) for k in range(1, min(m, p) + 1) for _ in range(comb(m, k))]
-    crowded = [0] * len(widths)
+    offsets = _row_set_offsets(m, p)
+    crowded = [0] * len(offsets)
     necklace = set(range(1, m + 1))
     for i in range(1, n + 1):
         seen = 0
@@ -397,8 +405,15 @@ def minor_family(w: Permutation, m: int, p: int) -> MinorFamily:
                 crowded = list(map(or_, crowded, _crowded(m, p, i, x, seen)))
         necklace.discard(i)
         necklace.add(pi[i])
-    mask = offset = 0
-    for cols, width in zip(crowded, widths):
+    mask = 0
+    for cols, offset in zip(crowded, offsets):
         mask |= cols << offset
-        offset += width
     return MinorFamily._from_mask(m, p, mask)
+
+
+@lru_cache(maxsize=64)
+def _row_set_offsets(m: int, p: int) -> tuple[int, ...]:
+    """The bit of each row set's first minor in the m x p grid's mask, size by
+    size, then in lexicographic order."""
+    widths = [comb(p, k) for k in range(1, min(m, p) + 1) for _ in range(comb(m, k))]
+    return tuple(accumulate([0] + widths[:-1]))

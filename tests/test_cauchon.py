@@ -20,6 +20,7 @@ from tnncells.cauchon import (
     tnn_test,
     vanishing_family,
     white_variable,
+    witness_scan,
 )
 from tnncells.diagrams import CauchonDiagram, enumerate_diagrams
 from tnncells.errors import DomainError, ResourceGuardError
@@ -240,6 +241,14 @@ def test_ones_TC_demo():
     assert ones_TC(DEMO).equals(
         Matrix([[2, 1, 1], [1, 1, 1], [1, 1, 1]])
     )
+
+
+@pytest.mark.parametrize("build", [ones_TC, witness_scan], ids=["ones_TC", "witness_scan"])
+def test_the_witness_is_charged_as_the_sweep_it_replaces(build):
+    # (2 x 501)^2 = 1,004,004 entries, over the limit, though the minor table fits
+    with pytest.raises(ResourceGuardError, match="entries one sweep rewrites: 1004004"):
+        build(oracles.all_white(2, 501))
+    assert build(oracles.all_white(2, 500))
 
 
 def test_symbolic_TC_demo_matches_hand_computation():

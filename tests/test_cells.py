@@ -6,9 +6,10 @@ import re
 import pytest
 
 import oracles
+from test_mutants import restore_with_the_deletion_sign
 
-from tnncells import cauchon, cells
-from tnncells.cauchon import ones_TC, vanishing_family
+from tnncells import cells
+from tnncells.cauchon import ones_TC, restoration, seed_matrix, vanishing_family
 from tnncells.cells import (
     admissible_families,
     cell_of,
@@ -148,9 +149,10 @@ def _repeat_first(diagrams):
 @pytest.mark.parametrize("m, p", [(3, 3), (3, 4)])
 @pytest.mark.parametrize("wrap", [_drop_first, _repeat_first])
 def test_unifying_check_counts_its_diagrams(monkeypatch, m, p, wrap):
-    real = cells.enumerate_diagrams
+    # the walk's row-pattern loop drops or repeats its first row at every node
+    real = cells._row_patterns
     expected = {(3, 3): 230, (3, 4): 1066}[m, p]
-    monkeypatch.setattr(cells, "enumerate_diagrams", lambda m, p: wrap(real(m, p)))
+    monkeypatch.setattr(cells, "_row_patterns", lambda p, forced: wrap(real(p, forced)))
     report = unifying_check(m, p)
     assert report.mismatches == ()
     assert report.expected == expected
@@ -159,17 +161,8 @@ def test_unifying_check_counts_its_diagrams(monkeypatch, m, p, wrap):
     assert not report.to_json()["ok"]
 
 
-def _flip_restoration_sign(monkeypatch):
-    # restoring with the deletion's sign breaks Cauchon's theorem, which the
-    # sweeps' round trip cannot see: they would still invert each other
-    step = cauchon._apply_int_step
-    monkeypatch.setattr(
-        cauchon, "_apply_int_step", lambda rows, j, beta, sign: step(rows, j, beta, -sign)
-    )
-
-
 def test_unifying_check_catches_a_wrong_step_sign(monkeypatch):
-    _flip_restoration_sign(monkeypatch)
+    restore_with_the_deletion_sign(monkeypatch)
     report = unifying_check(3, 3)
     assert (report.total, len(report.mismatches)) == (230, 126)
     for mismatch in report.mismatches:
@@ -189,7 +182,7 @@ def test_unifying_check_catches_a_wrong_step_sign(monkeypatch):
 
 
 def test_vanishing_family_checks_cauchons_theorem(monkeypatch):
-    _flip_restoration_sign(monkeypatch)
+    restore_with_the_deletion_sign(monkeypatch)
     refused = 0
     for d in enumerate_diagrams(3, 3):
         try:
@@ -198,6 +191,35 @@ def test_vanishing_family_checks_cauchons_theorem(monkeypatch):
             assert re.match(r"witness minor \S+ = -\d+ is negative", str(err)), err
             refused += 1
     assert refused == 126
+
+
+@pytest.mark.parametrize("m, p", [(m, p) for m in range(1, 5) for p in range(1, 5)]
+                         + [(2, 5), (5, 2)])
+def test_the_walk_agrees_with_the_sweep_and_the_pipe_dream(m, p):
+    """Each leaf's witness rows are the restoration sweep's unit-weight matrix,
+    its zero mask that matrix's scan, and its suffix the pipe dream."""
+    leaves = []
+
+    class Recorded(cells._Walk):
+        def leaf(self):
+            leaves.append((self.seeds[1:m + 1], self.rows[1:m + 1], self.inverse[1],
+                           self.zeros[1], self.negative[1]))
+
+    for bottom in cells._row_patterns(p, 0):
+        Recorded(m, p, False).node(m, *bottom)
+    seen = set()
+    for seeds, rows, inverse, zeros, negative in leaves:
+        black = frozenset((i, a) for i, seed in enumerate(seeds, 1)
+                          for a, white in enumerate(seed, 1) if not white)
+        d = CauchonDiagram(m, p, black)
+        witness = restoration(seed_matrix(d, 0, {cell: 1 for cell in d.white_cells()}))
+        assert [list(row) for row in witness.rows] == rows, d
+        scan = scan_minors(witness)
+        assert scan.negative is None and not negative
+        assert scan.zeros.mask == zeros, d
+        assert pipe_dream(d).inverse().images == inverse, d
+        seen.add(black)
+    assert len(seen) == len(leaves) == oracles.count_diagrams(m, p)
 
 
 def test_unifying_check_rectangular():

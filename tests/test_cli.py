@@ -10,7 +10,7 @@ import subprocess
 import sys
 import time
 import weakref
-from itertools import combinations, islice
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
@@ -19,7 +19,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from tnncells import cauchon, cells, fixtures
+from tnncells import cells, fixtures
 from tnncells.cauchon import ones_TC
 from tnncells.cli import main
 from tnncells.diagrams import CauchonDiagram, enumerate_diagrams
@@ -410,38 +410,50 @@ def test_verify_all(runner):
     assert payload["passed"] == payload["total"]
 
 
-def test_lindstrom_sweep_counts_a_stopped_scan_as_mismatched(monkeypatch):
-    # a negative [1|1] stops the witness's scan after size 1, so the one
-    # 2-minor of each 2x2 diagram is never compared and must count as mismatched
-    real = cauchon._unit_rows
-
-    def negated(diagram):
-        rows = real(diagram)
-        rows[0][0] = -1
-        return rows
-
-    assert cells.unifying_check(2, 2, lindstrom=True).lindstrom == (70, 0)
-    monkeypatch.setattr(cauchon, "_unit_rows", negated)
-    assert cells.unifying_check(2, 2, lindstrom=True).lindstrom == (70, 28)
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("no worker process may start")
 
 
-def test_lindstrom_sweep_catches_a_wrong_step_sign(monkeypatch):
-    # restoring with the deletion's sign leaves the networks as they are, so
-    # their path-family counts no longer match the witness's minors
-    step = cauchon._apply_int_step
-    monkeypatch.setattr(
-        cauchon, "_apply_int_step", lambda rows, j, beta, sign: step(rows, j, beta, -sign)
-    )
-    assert cells.unifying_check(3, 3, lindstrom=True).lindstrom == (4370, 1274)
+@pytest.mark.parametrize(
+    "command", [["cells", "verify", "2", "2"], ["verify", "all", "--m", "2", "--p", "2"]],
+    ids=["cells-verify", "verify-all"],
+)
+@pytest.mark.parametrize(
+    "jobs, code, message",
+    [("0", 2, "jobs must be at least 1, got 0"), ("-3", 2, "jobs must be at least 1, got -3"),
+     ("5000", 3, "worker processes: 5000 exceeds the limit of 64")],
+    ids=["zero", "negative", "5000"],
+)
+def test_jobs_out_of_range_are_refused_before_a_worker_starts(
+    runner, monkeypatch, command, jobs, code, message
+):
+    monkeypatch.setattr(cells, "ProcessPoolExecutor", _NoPool)
+    result = runner.invoke(main, [*command, "--jobs", jobs])
+    assert result.exit_code == code, result.output
+    assert message in result.output
 
 
-def test_verify_all_scans_each_witness_once(runner, monkeypatch):
-    calls = []
-    scan = cells.witness_scan
-    monkeypatch.setattr(cells, "witness_scan", lambda d: calls.append(d) or scan(d))
-    result = runner.invoke(main, ["verify", "all", "--m", "3", "--p", "3"])
+def test_workers_never_outnumber_the_bottom_rows(runner, monkeypatch):
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cells, "ProcessPoolExecutor", InProcessPool)
+    result = runner.invoke(main, ["cells", "verify", "2", "2", "--jobs", "64"])
     assert result.exit_code == 0, result.output
-    assert len(calls) == 230
+    assert started == [4]  # one task per bottom row of the 2x2 grid
 
 
 def test_verify_all_in_two_workers_reports_as_in_one(runner):
@@ -453,16 +465,33 @@ def test_verify_all_in_two_workers_reports_as_in_one(runner):
     assert json.loads(reports[0].output) == json.loads(reports[1].output)
 
 
-def test_a_wrong_diagram_count_fails_both_verifiers(runner, monkeypatch):
-    real = cells.enumerate_diagrams
-    monkeypatch.setattr(cells, "enumerate_diagrams", lambda m, p: islice(real(m, p), 1, None))
-    every = runner.invoke(main, ["verify", "all", "--m", "2", "--p", "2", "--format", "json"])
-    assert every.exit_code == 1
-    unifying = json.loads(every.output)["checks"][0]
-    assert unifying == {"name": "unifying", "ok": False, "detail": "13/13 diagrams agree, 14 expected"}
-    verify = runner.invoke(main, ["cells", "verify", "2", "2"])
-    assert verify.exit_code == 1
-    assert verify.output.startswith("13/13 agree, 14 diagrams expected")
+@pytest.mark.skipif(
+    not os.environ.get("TNNCELLS_TARGETS"),
+    reason="about 40 s on two cores; set TNNCELLS_TARGETS=1 to run",
+)
+def test_cells_verify_5x5_in_two_workers_meets_its_targets():
+    """All 329,462 diagrams of 5x5 in under 40 s with two workers, while the
+    parent, which holds no diagram, stays under 50 MB."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    # the peak of this process alone: ru_maxrss would keep the launcher's across exec
+    program = (
+        "import atexit, sys\n"
+        "atexit.register(lambda: print(*[line.split()[1] for line in open('/proc/self/status')"
+        " if line.startswith('VmHWM')], file=sys.stderr))\n"
+        "from tnncells.cli import main\n"
+        "main(['cells', 'verify', '5', '5', '--jobs', '2', '--format', 'json'])\n"
+    )
+    env = dict(os.environ, CAUCHON_GUARD="25",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
+                          timeout=300, env=env)
+    took = time.perf_counter() - started
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["agreements"] == report["total"] == report["expected"] == 329_462
+    assert int(proc.stderr.split()[-1]) < 50 * 1024  # KiB
+    assert took < 40
 
 
 def test_diagram_check_is_one_pass(runner, tmp_path):
@@ -696,22 +725,24 @@ def test_huge_json_diagram_is_refused_before_a_cell_is_read(runner):
 
 
 @pytest.mark.parametrize(
-    "args, size",
+    "args, size, seconds",
     [
-        (["network", "lindstrom", "--rows", "1", "--cols", "1"], 10**5),
-        (["tc"], 10**5),
-        (["vanish"], 10**6),
+        (["network", "lindstrom", "--rows", "1", "--cols", "1"], 10**5, 1.0),
+        (["tc"], 10**5, 1.0),
+        (["vanish"], 10**6, 1.0),
+        # read, but charged before its network is built: building it took 0.6 s
+        (["network", "path-matrix"], 400, 0.25),
     ],
-    ids=["network-lindstrom", "tc", "vanish"],
+    ids=["network-lindstrom", "tc", "vanish", "network-path-matrix-400x400"],
 )
-def test_huge_diagram_is_refused_before_it_is_read(runner, args, size):
+def test_huge_diagram_is_refused_before_it_is_read(runner, args, size, seconds):
     text = json.dumps({"m": size, "p": size, "black": []})
     started = time.perf_counter()
     result = runner.invoke(main, [*args, "-d", text])
     took = time.perf_counter() - started
     assert result.exit_code == 3, result.output
     assert "Traceback" not in result.output
-    assert took < 1.0
+    assert took < seconds
 
 
 @pytest.mark.parametrize("n, code", [(32, 3), (31, 0)])

@@ -2,17 +2,20 @@
 
 Each mutant is a patched copy of one function's source: one text edit,
 which must occur exactly once, so that a mutant whose target text has
-changed fails here instead of silently testing the original.
+changed fails here instead of silently testing the original. A few wrap a
+function of the diagram walk instead, where the fault is one input.
 """
 
 import inspect
 import json
+from itertools import islice
 
 import pytest
 from click.testing import CliRunner
 
-from tnncells import cells, permutations
+from tnncells import cauchon, cells, permutations
 from tnncells.cli import main
+from tnncells.diagrams import CauchonDiagram, enumerate_diagrams
 
 
 def _mutated(module, name, old, new):
@@ -21,6 +24,19 @@ def _mutated(module, name, old, new):
     namespace = dict(vars(module))
     exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
     return namespace[name]
+
+
+def restore_with_the_deletion_sign(monkeypatch):
+    """Restore each witness row with x[a] -= x[beta]. This breaks Cauchon's
+    theorem, which the sweeps' round trip cannot see: they would still invert
+    each other."""
+    mutant = _mutated(cauchon, "witness_row", "x[a] += xb", "x[a] -= xb")
+    for module in (cauchon, cells):  # the one-path walk and the whole walk
+        monkeypatch.setattr(module, "witness_row", mutant)
+
+
+def _verify(*args):
+    return CliRunner().invoke(main, [*args, "--format", "json"])
 
 
 @pytest.mark.parametrize(
@@ -46,3 +62,82 @@ def test_necklace_mutants_fail_both_verifiers(monkeypatch, old, new, mismatches)
     result = CliRunner().invoke(main, ["cells", "verify", "3", "4", "--format", "json"])
     assert result.exit_code == 1, result.output
     assert len(json.loads(result.output)["mismatches"]) == mismatches
+
+
+def test_cells_verify_reports_a_mutant_alike_in_one_and_two_workers(monkeypatch):
+    """Forked workers inherit the mutant; the parent merges their mismatches
+    into enumeration order."""
+    mutant = _mutated(permutations, "minor_family", "pi[x] = (k + m - 1) % n + 1", "pi[x] = (k + m) % n + 1")
+    monkeypatch.setattr(cells, "minor_family", mutant)
+    one, two = (_verify("cells", "verify", "3", "4", "--jobs", jobs) for jobs in ("1", "2"))
+    assert (one.exit_code, two.exit_code) == (1, 1)
+    one, two = json.loads(one.output), json.loads(two.output)
+    del one["elapsed_seconds"], two["elapsed_seconds"]
+    assert one == two and len(one["mismatches"]) == 1065
+
+
+def test_lindstrom_check_catches_a_wrong_step_sign(monkeypatch):
+    """The networks stay as they are, so 680 of the 3x3 grid's 4,370 minors no
+    longer match their path-family counts. (The per-diagram scan stopped at
+    the first negative size and counted every unscanned minor as missed,
+    1,274; the walk compares every minor.)"""
+    restore_with_the_deletion_sign(monkeypatch)
+    assert cells.unifying_check(3, 3, lindstrom=True).lindstrom == (4370, 680)
+    result = _verify("verify", "all", "--m", "3", "--p", "3")
+    assert result.exit_code == 1
+    assert json.loads(result.output)["checks"][1] == {
+        "name": "lindstrom", "ok": False, "detail": "3690/4370 minors match path counts"}
+
+
+def test_lindstrom_check_counts_only_minors_that_differ(monkeypatch):
+    """A negated witness entry (1,1) makes [1|1] differ on the 8 diagrams of 2x2
+    where it is nonzero, and [1,2|1,2] on the 5 of them where (2,2) is white."""
+    real = cells.witness_row
+
+    def negated(seed, below):
+        row = real(seed, below)
+        if len(below) == 1:  # row 1 of a 2x2 grid
+            row[0] = -row[0]
+        return row
+
+    assert cells.unifying_check(2, 2, lindstrom=True).lindstrom == (70, 0)
+    monkeypatch.setattr(cells, "witness_row", negated)
+    report = cells.unifying_check(2, 2, lindstrom=True)
+    assert report.lindstrom == (70, 13)
+    assert len(report.mismatches) == 8
+    assert _verify("verify", "all", "--m", "2", "--p", "2").exit_code == 1
+
+
+def test_verify_all_restores_each_witness_row_once_per_node(monkeypatch):
+    """The 3x3 walk has 8 + 46 + 230 nodes, where one witness per diagram would
+    restore 230 x 3 = 690 rows."""
+    calls = []
+    real = cells.witness_row
+    monkeypatch.setattr(cells, "witness_row", lambda seed, below: calls.append(seed) or real(seed, below))
+    result = _verify("verify", "all", "--m", "3", "--p", "3")
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 284
+
+
+def test_a_wrong_diagram_count_fails_both_verifiers(monkeypatch):
+    """The walk's row-pattern loop skips its first row at every node: half the
+    2x2 diagrams go unseen, and nothing but the count can tell."""
+    real = cells._row_patterns
+    monkeypatch.setattr(cells, "_row_patterns", lambda p, forced: islice(real(p, forced), 1, None))
+    every = _verify("verify", "all", "--m", "2", "--p", "2")
+    assert every.exit_code == 1
+    unifying = json.loads(every.output)["checks"][0]
+    assert unifying == {"name": "unifying", "ok": False, "detail": "7/7 diagrams agree, 14 expected"}
+    verify = CliRunner().invoke(main, ["cells", "verify", "2", "2"])
+    assert verify.exit_code == 1
+    assert verify.output.startswith("7/7 agree, 14 diagrams expected")
+
+
+def test_mismatches_come_in_enumeration_order(monkeypatch):
+    mutant = _mutated(permutations, "minor_family", "necklace = set(range(1, m + 1))",
+                      "necklace = {j for j in range(1, m + 1) if pi[j] != j}")
+    monkeypatch.setattr(cells, "minor_family", mutant)
+    report = cells.unifying_check(3, 4)
+    order = {black: k for k, black in enumerate(d.black for d in enumerate_diagrams(3, 4))}
+    keys = [order[CauchonDiagram.from_json(x["diagram"]).black] for x in report.mismatches]
+    assert len(keys) == 390 and keys == sorted(keys)

@@ -15,8 +15,9 @@ on diagram rows i..m, so a walk node restores row i, adds the minor tables
 with top row i and, for ``verify all``, extends the disjoint path families
 and compares the new minors with their counts, once for every diagram above
 it; each leaf, one diagram, compares its zero mask with its permutation's
-family. The walk keeps only mismatches and counts, checks its diagram count
-by formula, and splits across workers by bottom row.
+family, read off necklace terms the walk keeps. The walk keeps only
+mismatches and counts, checks its diagram count by formula, and splits
+across workers by bottom row.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ from .diagrams import CauchonDiagram, enumerate_diagrams, poly_bernoulli
 from .errors import ConsistencyError, DomainError
 from .matrices import Matrix, MinorFamily, _add_top_row, scan_int_minors, scan_minors, subsets
 from .networks import GridNetwork, _extend, _paths
-from .permutations import Permutation, minor_family, pipe_dream, pipe_dream_suffix
+from .permutations import (
+    Permutation, _necklace_mask, is_restricted, minor_family, pipe_dream, pipe_dream_suffix,
+)
 from .cauchon import _ensure_sweep, tnn_test, vanishing_family, witness_row
 
 
@@ -78,9 +81,10 @@ def admissible_families(m: int, p: int) -> tuple[CellDescriptor, ...]:
 def _admissible_table(m: int, p: int) -> dict[int, CellDescriptor]:
     """The grid's descriptors keyed by the mask of their family."""
     table: dict[int, CellDescriptor] = {}
+    terms: dict[tuple[int, int], list[int]] = {}  # necklace terms, see _necklace_mask
     for diagram in enumerate_diagrams(m, p):
         w = pipe_dream(diagram)
-        family = minor_family(w, m, p)
+        family = MinorFamily._from_mask(m, p, _necklace_mask(w.inverse().images, m, p, terms))
         if family.mask in table:
             raise ConsistencyError(
                 f"diagrams {table[family.mask].diagram} and {diagram} share a family"
@@ -271,8 +275,12 @@ class _Walk:
     i on rows i..m, extends its parent's disjoint path-family states by them,
     and compares its new minors with their counts, once on behalf of every
     diagram above it. The rows above it are those of :func:`_row_patterns`.
-    A leaf, row 1, is one diagram, checked by :meth:`leaf`. Per-row state is
-    kept by row index, row m + 1 holding the empty path's.
+    A leaf, row 1, is one diagram, checked by :meth:`leaf` against the family
+    read off its suffix, the inverse of its pipe dream, by
+    :func:`~tnncells.permutations._necklace_mask`. That family is an OR of
+    necklace terms, one per (i, I_i), which ``terms`` keeps for the walk's
+    lifetime: at most n * C(n, m) of them, shared by all its leaves. Per-row
+    state is kept by row index, row m + 1 holding the empty path's.
     """
 
     def __init__(self, m: int, p: int, lindstrom: bool) -> None:
@@ -282,6 +290,7 @@ class _Walk:
         self.tables: dict[int, list[int]] = {0: [1]}  # by row set mask, see _add_top_row
         self.zeros, self.negative = [0] * (m + 2), [False] * (m + 2)
         self.inverse = [tuple(range(1, m + p + 1))] * (m + 2)
+        self.terms: dict[tuple[int, int], list[int]] = {}  # necklace terms, see _necklace_mask
         self.network = GridNetwork(m, p) if lindstrom else None
         if self.network is not None:
             self.heads = [self.network.sinks] * (m + 2)
@@ -336,29 +345,31 @@ class _Walk:
         """Check the diagram the path fixed: Cauchon's theorem, that no witness
         minor is negative, which no deletion sweep can (it undoes any
         restoration), naming the most negative minor of the first size with
-        one, then that its zero minors are its permutation's family. Keep a
-        mismatch with the diagram's bitmask."""
+        one, then that its zero minors are its permutation's family, read off
+        the walk's necklace terms. Keep a mismatch with the diagram's bitmask;
+        only then is the permutation built, from the suffix, and a permutation
+        the walk made outside the window is reported with it."""
         m, p = self.m, self.p
-        images = [0] * (m + p)
-        for x, at in enumerate(self.inverse[1], 1):
-            images[at - 1] = x
-        w = Permutation(tuple(images))
-        via_permutation = minor_family(w, m, p)
+        via_permutation = _necklace_mask(self.inverse[1], m, p, self.terms)
         if self.negative[1]:
             scan = scan_int_minors(self.rows[1:m + 1], m, p, 1)
-            problem, via_restoration = "witness minor {} = {} is negative".format(*scan.negative), None
-        elif self.zeros[1] != via_permutation.mask:
-            problem = "restoration family differs from permutation family"
+            problems = ["witness minor {} = {} is negative".format(*scan.negative)]
+            via_restoration = None
+        elif self.zeros[1] != via_permutation:
+            problems = ["restoration family differs from permutation family"]
             via_restoration = str(MinorFamily._from_mask(m, p, self.zeros[1]))
         else:
             return
+        w = Permutation(self.inverse[1]).inverse()
+        if not is_restricted(w, m, p):
+            problems.append(f"permutation {w} violates the window condition for ({m},{p})")
         seeds = self.seeds[1:m + 1]
         black = frozenset((i, a) for i, seed in enumerate(seeds, 1)
                           for a, white in enumerate(seed, 1) if not white)
         self.mismatches.append((int("".join(str(1 - x) for seed in seeds for x in seed), 2), {
             "diagram": CauchonDiagram._make(m, p, black).to_json(),
             "permutation": w.one_line(),
-            "problems": [problem],
+            "problems": problems,
             "restoration": via_restoration,
-            "permutation_family": str(via_permutation),
+            "permutation_family": str(MinorFamily._from_mask(m, p, via_permutation)),
         }))

@@ -235,11 +235,13 @@ class MinorFamily:
         return "{" + ", ".join(self.labels()) + "}"
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "m": self.m,
-            "p": self.p,
-            "members": [ix.to_json() for ix in self],
-        }
+        """Each member as ``MinorIndex.to_json`` writes it, with no index built;
+        the members of one row set share its ``rows`` list."""
+        members = []
+        for rows, cols in self._rows(subsets):
+            shared = list(rows)
+            members += [{"rows": shared, "cols": list(c)} for c in cols]
+        return {"m": self.m, "p": self.p, "members": members}
 
     @classmethod
     def from_json(cls, obj: Any) -> "MinorFamily":

@@ -8,7 +8,7 @@ import pytest
 import oracles
 from test_mutants import restore_with_the_deletion_sign
 
-from tnncells import cells
+from tnncells import cells, permutations
 from tnncells.cauchon import ones_TC, restoration, seed_matrix, vanishing_family
 from tnncells.cells import (
     admissible_families,
@@ -195,20 +195,26 @@ def test_vanishing_family_checks_cauchons_theorem(monkeypatch):
 
 @pytest.mark.parametrize("m, p", [(m, p) for m in range(1, 5) for p in range(1, 5)]
                          + [(2, 5), (5, 2)])
-def test_the_walk_agrees_with_the_sweep_and_the_pipe_dream(m, p):
+def test_the_walk_agrees_with_the_sweep_and_the_pipe_dream(monkeypatch, m, p):
     """Each leaf's witness rows are the restoration sweep's unit-weight matrix,
-    its zero mask that matrix's scan, and its suffix the pipe dream."""
-    leaves = []
+    its zero mask that matrix's scan, its suffix the pipe dream, and the mask
+    it reads off the walk's necklace terms that pipe dream's family."""
+    leaves, masks = [], []
+    real = cells._necklace_mask
+    monkeypatch.setattr(cells, "_necklace_mask", lambda *args: masks.append(real(*args)) or masks[-1])
 
     class Recorded(cells._Walk):
         def leaf(self):
             leaves.append((self.seeds[1:m + 1], self.rows[1:m + 1], self.inverse[1],
                            self.zeros[1], self.negative[1]))
+            super().leaf()
+            assert not self.mismatches
 
     for bottom in cells._row_patterns(p, 0):
         Recorded(m, p, False).node(m, *bottom)
     seen = set()
-    for seeds, rows, inverse, zeros, negative in leaves:
+    assert len(masks) == len(leaves)
+    for (seeds, rows, inverse, zeros, negative), mask in zip(leaves, masks):
         black = frozenset((i, a) for i, seed in enumerate(seeds, 1)
                           for a, white in enumerate(seed, 1) if not white)
         d = CauchonDiagram(m, p, black)
@@ -218,8 +224,26 @@ def test_the_walk_agrees_with_the_sweep_and_the_pipe_dream(m, p):
         assert scan.negative is None and not negative
         assert scan.zeros.mask == zeros, d
         assert pipe_dream(d).inverse().images == inverse, d
+        assert minor_family(pipe_dream(d), m, p).mask == mask, d
         seen.add(black)
     assert len(seen) == len(leaves) == oracles.count_diagrams(m, p)
+
+
+def test_the_walk_keeps_its_necklace_terms_and_no_module_does():
+    """A term is one (i, I_i), so a 4x4 walk holds at most 8 * C(8, 4) = 560 of
+    them, and they die with it: the only caches the permutation route keeps
+    are its interval tables and row set offsets."""
+    walk = cells._Walk(4, 4, False)
+    assert sum(walk.node(4, *bottom) for bottom in cells._row_patterns(4, 0)) == 6902
+    assert 0 < len(walk.terms) <= 560
+    assert all(1 <= i <= 8 and necklace.bit_count() == 4 for i, necklace in walk.terms)
+    cached = {name for name, value in vars(permutations).items() if hasattr(value, "cache_info")}
+    assert cached == {"_crowded", "_row_set_offsets"}
+    before = {name: len(value) for name, value in vars(permutations).items()
+              if isinstance(value, (dict, list, set))}
+    minor_family(pipe_dream(DEMO), 3, 3)
+    assert before == {name: len(value) for name, value in vars(permutations).items()
+                      if isinstance(value, (dict, list, set))}
 
 
 def test_unifying_check_rectangular():

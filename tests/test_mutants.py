@@ -13,7 +13,7 @@ from itertools import islice
 import pytest
 from click.testing import CliRunner
 
-from tnncells import cauchon, cells, permutations
+from tnncells import cauchon, cells, diagrams, matrices, permutations
 from tnncells.cli import main
 from tnncells.diagrams import CauchonDiagram, enumerate_diagrams
 
@@ -39,24 +39,37 @@ def _verify(*args):
     return CliRunner().invoke(main, [*args, "--format", "json"])
 
 
+COLOOPS_LEFT_OUT_OF_I1 = (
+    "necklace = (1 << m) - 1",
+    "necklace = sum(1 << j - 1 for j in range(1, m + 1) if (inverse[j - 1] + m - 1) % n + 1 != j)",
+)
+PI_SHIFTED_BY_ONE = ("1 << (image + m - 1) % n", "1 << (image + m) % n")
+
+
+def necklace_mutant(monkeypatch, old, new):
+    """Patch the necklace mask the walk reads each leaf's family from."""
+    monkeypatch.setattr(cells, "_necklace_mask", _mutated(permutations, "_necklace_mask", old, new))
+
+
 @pytest.mark.parametrize(
     "old, new, mismatches",
     [
-        ("necklace = set(range(1, m + 1))",
-         "necklace = {j for j in range(1, m + 1) if pi[j] != j}", 390),
-        ("pi[x] = (k + m - 1) % n + 1", "pi[x] = (k + m) % n + 1", 1065),
-        ("_crowded(m, p, i, x, seen)", "_crowded(m, p, i, x, seen + 1)", 1065),
+        (*COLOOPS_LEFT_OUT_OF_I1, 390),
+        (*PI_SHIFTED_BY_ONE, 1065),
+        ("_crowded(m, p, i, (x - 1) % n + 1, seen)",
+         "_crowded(m, p, i, (x - 1) % n + 1, seen + 1)", 1065),
     ],
     ids=["coloops-left-out-of-I1", "pi-shifted-by-one", "rank-bound-raised-by-one"],
 )
 def test_necklace_mutants_fail_both_verifiers(monkeypatch, old, new, mismatches):
     """Each necklace mutant changes the families of hundreds of 3x4 cells.
 
-    The usual necklace step keeps a loop i out of I_{i+1}; ``minor_family``
-    has no branch for it (the ``permutations`` module docstring shows why
-    the extra loop changes no family), so there is no such branch to drop.
+    Blind spot: dropping the loop branch, so that a loop i joins I_{i+1},
+    changes no family (the ``permutations`` module docstring shows why), and
+    no verifier can see it. What the branch buys is the bound on the walk's
+    necklace terms, which ``test_cells`` pins.
     """
-    monkeypatch.setattr(cells, "minor_family", _mutated(permutations, "minor_family", old, new))
+    necklace_mutant(monkeypatch, old, new)
     report = cells.unifying_check(3, 4)
     assert (report.total, len(report.mismatches)) == (1066, mismatches)
     result = CliRunner().invoke(main, ["cells", "verify", "3", "4", "--format", "json"])
@@ -67,13 +80,65 @@ def test_necklace_mutants_fail_both_verifiers(monkeypatch, old, new, mismatches)
 def test_cells_verify_reports_a_mutant_alike_in_one_and_two_workers(monkeypatch):
     """Forked workers inherit the mutant; the parent merges their mismatches
     into enumeration order."""
-    mutant = _mutated(permutations, "minor_family", "pi[x] = (k + m - 1) % n + 1", "pi[x] = (k + m) % n + 1")
-    monkeypatch.setattr(cells, "minor_family", mutant)
+    necklace_mutant(monkeypatch, *PI_SHIFTED_BY_ONE)
     one, two = (_verify("cells", "verify", "3", "4", "--jobs", jobs) for jobs in ("1", "2"))
     assert (one.exit_code, two.exit_code) == (1, 1)
     one, two = json.loads(one.output), json.loads(two.output)
     del one["elapsed_seconds"], two["elapsed_seconds"]
     assert one == two and len(one["mismatches"]) == 1065
+
+
+def test_a_mirrored_pipe_dream_index_is_a_mismatch(monkeypatch):
+    """Mirroring the column index of each row's pipe dream suffix, a to
+    p + 1 - a, gives 1,062 of the 3x4 leaves a wrong permutation, 321 of
+    them outside the window. The leaf reads its family off that permutation
+    without validating it, which loses no check: every unrestricted one is
+    a mismatch that names the window condition, and the verifier exits 1
+    rather than refusing an input the user never gave."""
+    old, new = "k = m - i + a\n", "k = m - i + len(seed) + 1 - a\n"
+    mutant = _mutated(permutations, "pipe_dream_suffix", old, new)
+    monkeypatch.setattr(cells, "pipe_dream_suffix", mutant)
+    result = _verify("cells", "verify", "3", "4")
+    assert result.exit_code == 1, result.output
+    mismatches = json.loads(result.output)["mismatches"]
+    assert len(mismatches) == 1062
+    unrestricted = set()
+    for d in enumerate_diagrams(3, 4):
+        inverse = tuple(range(1, 8))
+        for i in range(3, 0, -1):
+            inverse = mutant(inverse, 3, i, [int((i, a) not in d.black) for a in range(1, 5)])
+        w = permutations.Permutation(inverse).inverse()
+        if not permutations.is_restricted(w, 3, 4):
+            unrestricted.add((d.black, w.one_line()))
+    named = {(CauchonDiagram.from_json(x["diagram"]).black, x["permutation"]) for x in mismatches
+             if f"permutation {x['permutation']} violates the window condition for (3,4)"
+             in x["problems"]}
+    assert len(unrestricted) == 321 and named == unrestricted
+
+
+def test_a_wrong_laplace_sign_fails_cells_verify(monkeypatch):
+    """Adding the Laplace expansion's minus terms turns every witness minor
+    into a permanent: the zero minors of 560 of the 1,066 3x4 cells change."""
+    mutant = _mutated(matrices, "_laplace_top", "total -= top[c] * sub[rest]",
+                      "total += top[c] * sub[rest]")
+    monkeypatch.setattr(matrices, "_laplace_top", mutant)
+    result = _verify("cells", "verify", "3", "4")
+    assert result.exit_code == 1, result.output
+    assert len(json.loads(result.output)["mismatches"]) == 560
+
+
+def test_a_shifted_stirling_row_fails_both_verifiers(monkeypatch):
+    """Reading S(m + 1, j) for S(m + 1, j + 1) in the poly-Bernoulli formula
+    expects the wrong number of diagrams; every diagram still agrees."""
+    mutant = _mutated(diagrams, "poly_bernoulli", "rows[j + 1] * cols[j + 1]",
+                      "rows[j] * cols[j + 1]")
+    monkeypatch.setattr(cells, "poly_bernoulli", mutant)
+    verify = CliRunner().invoke(main, ["cells", "verify", "3", "4"])
+    assert verify.exit_code == 1
+    assert verify.output.startswith(f"1066/1066 agree, {mutant(3, 4)} diagrams expected")
+    every = _verify("verify", "all", "--m", "3", "--p", "4")
+    assert every.exit_code == 1
+    assert not json.loads(every.output)["checks"][0]["ok"]
 
 
 def test_lindstrom_check_catches_a_wrong_step_sign(monkeypatch):
@@ -134,9 +199,7 @@ def test_a_wrong_diagram_count_fails_both_verifiers(monkeypatch):
 
 
 def test_mismatches_come_in_enumeration_order(monkeypatch):
-    mutant = _mutated(permutations, "minor_family", "necklace = set(range(1, m + 1))",
-                      "necklace = {j for j in range(1, m + 1) if pi[j] != j}")
-    monkeypatch.setattr(cells, "minor_family", mutant)
+    necklace_mutant(monkeypatch, *COLOOPS_LEFT_OUT_OF_I1)
     report = cells.unifying_check(3, 4)
     order = {black: k for k, black in enumerate(d.black for d in enumerate_diagrams(3, 4))}
     keys = [order[CauchonDiagram.from_json(x["diagram"]).black] for x in report.mismatches]

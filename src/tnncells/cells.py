@@ -272,7 +272,9 @@ class _Walk:
     adds the minor tables with top row i by Laplace along it, and ORs their
     zero bits into its parent's mask; it left-multiplies its parent's pipe
     dream suffix by row i. With a network it also walks the paths from source
-    i on rows i..m, extends its parent's disjoint path-family states by them,
+    i on rows i..m, extends its parent's disjoint path-family states by them
+    (:func:`~tnncells.networks._extend` with ``planar``: a family that is not
+    disjoint cannot cancel in the count),
     and compares its new minors with their counts, once on behalf of every
     diagram above it. The rows above it are those of :func:`_row_patterns`.
     A leaf, row 1, is one diagram, checked by :meth:`leaf` against the family
@@ -332,7 +334,7 @@ class _Walk:
         found, spent = _paths(network, source, -1, self.spent[i + 1], upward=True)
         spent += sum(map(len, states)) * len(found)
         guards.ensure(spent, guards.PATH_STEP_LIMIT, "steps of one path family count")
-        new = _extend(chain.from_iterable(map(dict.items, states)), 1 << i, found)
+        new = _extend(chain.from_iterable(map(dict.items, states)), 1 << i, found, planar=True)
         self.states[i], self.spent[i] = states + [new], spent
         counts = {rows: [0] * len(self.tables[rows]) for rows, *_ in plan}
         position = _column_positions(self.p)

@@ -15,12 +15,18 @@ Minors are taken over the rationals only. Every verdict read off all minors
 of a matrix comes from one scan of one integer table, :class:`MinorScan`, and
 :func:`all_minors` lists the table: each k-minor follows from the (k-1)-minors
 of the rows below its first by Laplace expansion along that top row, in at
-most k multiply-adds with no division. One kernel, :func:`_laplace_top`,
-builds every table: a scan size by size, and the diagram walk of
-:mod:`tnncells.cells` row by row from the bottom up, adding the row sets
-whose top row is the new one. Integer rows enter directly; rational ones
-have their denominators cleared once per matrix. The initial minors of a square matrix, which decide
-total positivity, are the one use of fraction-free Bareiss elimination.
+most k multiply-adds with no division. The expansions are compiled: per
+column count p and size k, :func:`_expansions` generates one straight-line
+kernel, once, and the kernels build every table: a scan size by size, and
+the diagram walk of :mod:`tnncells.cells` row by row from the bottom up,
+adding the row sets whose top row is the new one. The kernels on p columns
+hold p 2^(p-1) terms in all, so a scan expands along the matrix's shorter
+side, through the transpose of a wide matrix: under the minor-table guard p
+is then at most 10, and its kernels hold at most 5,120 terms. The walk's
+kernels span its grid's columns, which its grid guard bounds. Integer rows
+enter directly; rational ones have their denominators cleared once per
+matrix. The initial minors of a square matrix, which decide total
+positivity, are the one use of fraction-free Bareiss elimination.
 Every rational-only call checks once that the entries it reads are
 ``Fraction``. Other matrices (the symbolic canonical matrices, whose entries
 are Laurent polynomials in the white-cell variables) are for display,
@@ -351,48 +357,41 @@ def iter_minor_indices(m: int, p: int) -> Iterator[MinorIndex]:
 
 
 @cache
-def _expansions(p: int, k: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
-    """Per k-subset of columns, its Laplace terms along the top row as (column,
-    position of the other k-1 columns among the (k-1)-subsets): the plus terms,
-    then the minus terms."""
+def _expansions(p: int, k: int) -> Callable[[Sequence[int], Sequence[int]], list[int]]:
+    """The Laplace kernel of size k on p columns, compiled once: ``kernel(top, sub)``
+    is the k-minors, by column set, on the row ``top`` above rows whose
+    (k-1)-minors, by column set, are ``sub``. Each is one straight-line expansion
+    along the top row, such as ``t0*s5 - t1*s3 + t2*s0``, over locals unpacked
+    from both rows: at most k products and no division. The kernel holds
+    k C(p, k) terms, which its callers bound by taking p from the shorter side."""
     index = subset_index(p, k - 1)
-    return tuple(
-        tuple(tuple((c - 1, index[cols[:j - 1] + cols[j:]])
-                    for j, c in enumerate(cols, 1) if (1 + j) % 2 == odd) for odd in (0, 1))
-        for cols in subsets(p, k)
-    )
-
-
-def _laplace_top(top: Sequence[int], sub: Sequence[int], expansions: Any) -> list[int]:
-    """The k-minors, by column set, on the row ``top`` above rows whose (k-1)-minors,
-    by column set, are ``sub``: each the Laplace expansion along the top row, at
-    most k multiply-adds and no division. ``expansions`` is :func:`_expansions`
-    of size k."""
-    out = []
-    for plus, minus in expansions:
-        total = 0
-        for c, rest in plus:  # a product with 0 costs less than a test for it
-            total += top[c] * sub[rest]
-        for c, rest in minus:
-            total -= top[c] * sub[rest]
-        out.append(total)
-    return out
+    minors = (" ".join(f"{'+-'[j % 2]} t{c - 1}*s{index[cols[:j] + cols[j + 1:]]}"
+                       for j, c in enumerate(cols))[2:]  # no sign on the first term
+              for cols in subsets(p, k))
+    source = (f"def kernel(top, sub):\n"
+              f"    {''.join(f't{a}, ' for a in range(p))}= top\n"
+              f"    {''.join(f's{j}, ' for j in range(comb(p, k - 1)))}= sub\n"
+              f"    return [{', '.join(minors)}]\n")
+    namespace: dict[str, Any] = {}
+    exec(compile(source, f"<laplace kernel of size {k} on {p} columns>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def _int_minor_sizes(rows: Sequence[Sequence[int]], m: int, p: int) -> Iterator[list[int]]:
     """Every minor of an integer m x p matrix as one list of ints per size, in
     :func:`iter_minor_indices` order, size by size, so a reader may stop early.
-    A k-minor is :func:`_laplace_top` of its first row over the (k-1)-minors of
-    its other rows."""
-    prev = [[1]]  # per row set, its minors by column set
-    for k in range(1, min(m, p) + 1):
-        expansions = _expansions(p, k)
-        table, values = [], []
-        for first, rest in _split_row_sets(m, k):
-            out = _laplace_top(rows[first], prev[rest], expansions)
-            table.append(out)
-            values += out
-        yield values
+    A k-minor is the :func:`_expansions` kernel of its first row over the
+    (k-1)-minors of its other rows. A wide matrix is expanded as its transpose
+    and each size read back by row set, so no kernel spans more than min(m, p)
+    columns."""
+    wide = p > m
+    if wide:
+        rows, m, p = tuple(zip(*rows)), p, m
+    prev: list[list[int]] = [[1]]  # per row set, its minors by column set
+    for k in range(1, p + 1):
+        kernel = _expansions(p, k)
+        table = [kernel(rows[first], prev[rest]) for first, rest in _split_row_sets(m, k)]
+        yield list(chain.from_iterable(zip(*table) if wide else table))
         prev = table
 
 
@@ -412,8 +411,8 @@ def _row_mask(rows: Iterable[int]) -> int:
 @cache
 def _top_row_plan(m: int, p: int, i: int) -> tuple[tuple[int, int, Any, int], ...]:
     """Per row set R of rows i..m with top row i and at most p rows: (the mask of R,
-    the mask of R - {i}, the :func:`_expansions` of its size, the bit of its first
-    minor in :func:`iter_minor_indices` order), by size, then rows."""
+    the mask of R - {i}, the :func:`_expansions` kernel of its size, the bit of its
+    first minor in :func:`iter_minor_indices` order), by size, then rows."""
     plan = []
     for k in range(1, min(m - i + 1, p) + 1):
         first = sum(comb(m, j) * comb(p, j) for j in range(1, k))
@@ -427,11 +426,11 @@ def _top_row_plan(m: int, p: int, i: int) -> tuple[tuple[int, int, Any, int], ..
 def _add_top_row(tables: dict[int, list[int]], top: Sequence[int], m: int, p: int, i: int) -> Any:
     """Add row ``top``, row i of an integer m x p matrix, to ``tables``, which maps
     the mask of each row set within rows i+1..m (0 to [1]) to its minors by column
-    set: each row set with top row i gets its table by :func:`_laplace_top`.
-    Returns the :func:`_top_row_plan` of the tables added."""
+    set: each row set with top row i gets its table by its :func:`_expansions`
+    kernel. Returns the :func:`_top_row_plan` of the tables added."""
     plan = _top_row_plan(m, p, i)
-    for rows, rest, expansions, _ in plan:
-        tables[rows] = _laplace_top(top, tables[rest], expansions)
+    for rows, rest, kernel, _ in plan:
+        tables[rows] = kernel(top, tables[rest])
     return plan
 
 
@@ -544,7 +543,13 @@ def parse_rational(text: str) -> Fraction:
     text = str(text).strip()
     if "e" in text.lower():
         raise DomainError(f"exponent notation is not accepted in {text!r}")
+    # ASCII -?digits(/digits)? skips Fraction's regular expression; where a
+    # part is empty, int raises ValueError as Fraction would
+    numerator, slash, denominator = text.partition("/")
+    digits = numerator.removeprefix("-") + denominator
     try:
+        if digits.isascii() and digits.isdigit():
+            return Fraction(int(numerator), int(denominator) if slash else 1)
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"bad rational literal {text!r}") from exc

@@ -25,9 +25,12 @@ unknown vertex or a name that is not a string as it reads them.
 lindstrom``: it walks each needed source's paths (:func:`_paths`) and grows
 path-family states one row at a time (:func:`_extend`). ``verify all`` runs
 the same two kernels row by row from the bottom up on a :class:`GridNetwork`,
-numbered by grid cell, as its diagram walk fixes each row. Neither shares
-code with the restoration, so comparing the counts with the restored
-unit-weight witness, as ``verify all`` does, checks the identity. The path
+numbered by grid cell, as its diagram walk fixes each row. A diagram's
+network is planar, so the walk counts only the order-preserving families and
+a family that is not disjoint shows in its counts instead of cancelling; a
+JSON network may be any DAG, so ``network lindstrom`` keeps the signed sum.
+Neither shares code with the restoration, so comparing the counts with the
+restored unit-weight witness, as ``verify all`` does, checks the identity. The path
 matrix serves ``network path-matrix``; a diagram's is charged to its guard
 before its network is built (:func:`diagram_path_matrix`).
 """
@@ -331,20 +334,28 @@ def _paths(
 
 
 def _extend(states: Iterable[tuple[tuple[int, int, int], Weight]], row: int,
-            found: Sequence[Path]) -> dict[tuple[int, int, int], Weight]:
+            found: Sequence[Path], planar: bool = False) -> dict[tuple[int, int, int], Weight]:
     """The states (row set, column set, vertex mask) -> signed weight grown by one
     path of ``found`` from the row with bit ``row``, a row they do not hold:
     each path that misses a state's vertices, times its weight, the sign
-    flipped once per taken column in the path's sign mask (see :func:`_paths`)."""
+    flipped once per taken column in the path's sign mask (see :func:`_paths`).
+    ``planar`` is for a planar network with its sources and sinks in boundary
+    order, where only the order-preserving pairing has disjoint families
+    (Lindström–Gessel–Viennot): a path with a taken column in its sign mask is
+    skipped instead, so every count is a plain sum, and a family that is not
+    disjoint would show in it rather than cancel against a crossed pairing."""
     grown: dict[tuple[int, int, int], Weight] = {}
     for (rows, cols, used), weight in states:
         for col, sign_mask, vertices, path_weight in found:
             if used & vertices:  # also when col is taken: its sink is in both
                 continue
-            key = (rows | row, cols | col, used | vertices)
             value = weight * path_weight
-            if (cols & sign_mask).bit_count() & 1:
-                value = -value
+            if crossed := cols & sign_mask:
+                if planar:
+                    continue
+                if crossed.bit_count() & 1:
+                    value = -value
+            key = (rows | row, cols | col, used | vertices)
             grown[key] = grown.get(key, 0) + value
     return grown
 

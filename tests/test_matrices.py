@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import oracles
-from tnncells import guards
+from tnncells import guards, matrices
 from tnncells.cauchon import tnn_test
 from tnncells.cells import cell_of
 from tnncells.errors import DomainError, ResourceGuardError
@@ -314,6 +314,47 @@ def test_most_negative_names_the_first_minor_on_ties():
     )
 
 
+@pytest.mark.parametrize("p", range(1, 8))
+def test_generated_kernels_match_leibniz(p):
+    # kernel(top, sub) is every k-minor of ``top`` above k - 1 rows whose
+    # (k-1)-minors are ``sub``, by column set
+    rng = random.Random(p)
+    for k in range(1, p + 1):
+        kernel = matrices._expansions(p, k)
+        for _ in range(3):
+            rows = [[rng.choice([0, rng.randint(-9, 9)]) for _ in range(p)] for _ in range(k)]
+            below = tuple(range(2, k + 1))
+            sub = [oracles.leibniz_minor(rows, below, cols) if below else 1
+                   for cols in combinations(range(1, p + 1), k - 1)]
+            want = [oracles.leibniz_minor(rows, range(1, k + 1), cols)
+                    for cols in combinations(range(1, p + 1), k)]
+            assert kernel(rows[0], sub) == want, (p, k, rows)
+
+
+@pytest.mark.parametrize("m, p", [(1, 40), (2, 30), (3, 12), (12, 3)])
+def test_wide_and_tall_tables_keep_the_minor_order(m, p):
+    # a wide matrix is expanded as its transpose and read back by row set
+    rng = random.Random(m * p)
+    for _ in range(4):
+        rows = [[rng.randint(-2, 3) for _ in range(p)] for _ in range(m)]
+        listing = all_minors(Matrix(rows))
+        assert [ix for ix, _ in listing] == list(iter_minor_indices(m, p))
+        assert [value for _, value in listing] == [
+            oracles.leibniz_minor(rows, ix.rows, ix.cols) for ix, _ in listing]
+        want = oracles.leibniz_witness(rows)
+        got = scan_int_minors(rows, m, p, 1).negative
+        assert got == (want and (MinorIndex(*want[0]), want[1]))
+
+
+def test_kernels_span_the_shorter_side(monkeypatch):
+    spans = []
+    compile_kernel = matrices._expansions
+    monkeypatch.setattr(matrices, "_expansions", lambda p, k: spans.append(p) or compile_kernel(p, k))
+    rows = [[1] * 400, list(range(1, 401))]
+    assert scan_int_minors(rows, 2, 400, 1).negative is None
+    assert spans and max(spans) <= 2
+
+
 def _tnn_product(rng, m, p, steps):
     """[I 0] or its transpose times random elementary bidiagonal factors on
     either side, with positive weights: a TNN m x p matrix, the more zero
@@ -469,6 +510,27 @@ class TestSerialization:
     def test_exponents_and_junk_are_refused(self, text):
         with pytest.raises(DomainError):
             parse_rational(text)
+
+    @given(st.text(st.sampled_from("0123456789-+/._ \t²٣"), max_size=8)
+           | st.from_regex(r"-?[0-9]+(/[0-9]+)?", fullmatch=True))
+    @example("3/-4")
+    @example("+3")
+    @example("1_0")
+    @example("²")
+    @example("-0/7")
+    @example("-/3")
+    @example("3/")
+    @example("4" * 5000)
+    def test_literals_parse_as_fraction_parses_them(self, text):
+        # the fast path for -?digits(/digits)? must not change a result or an error
+        try:
+            want = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(DomainError):
+                parse_rational(text)
+        else:
+            got = parse_rational(text)
+            assert type(got) is Fraction and got == want
 
     def test_bad_json_rejected(self):
         with pytest.raises(DomainError):

@@ -13,7 +13,7 @@ from itertools import islice
 import pytest
 from click.testing import CliRunner
 
-from tnncells import cauchon, cells, diagrams, matrices, permutations
+from tnncells import cauchon, cells, diagrams, matrices, networks, permutations
 from tnncells.cli import main
 from tnncells.diagrams import CauchonDiagram, enumerate_diagrams
 
@@ -117,12 +117,23 @@ def test_a_mirrored_pipe_dream_index_is_a_mismatch(monkeypatch):
 
 
 def test_a_wrong_laplace_sign_fails_cells_verify(monkeypatch):
-    """Adding the Laplace expansion's minus terms turns every witness minor
-    into a permanent: the zero minors of 560 of the 1,066 3x4 cells change."""
-    mutant = _mutated(matrices, "_laplace_top", "total -= top[c] * sub[rest]",
-                      "total += top[c] * sub[rest]")
-    monkeypatch.setattr(matrices, "_laplace_top", mutant)
-    result = _verify("cells", "verify", "3", "4")
+    """Generating the Laplace expansion's minus terms as plus terms turns every
+    witness minor into a permanent: the zero minors of 560 of the 1,066 3x4
+    cells change. The walk's row plans keep the kernels they were built with,
+    so the kernel caches are emptied around the patch: a cached kernel would
+    hide the mutant, and a mutant kernel left cached would leak into later
+    tests."""
+    caches = (matrices._expansions, matrices._top_row_plan)
+    mutant = _mutated(matrices, "_expansions", "'+-'[j % 2]", "'++'[j % 2]")
+    for cached in caches:
+        cached.cache_clear()
+    try:
+        monkeypatch.setattr(matrices, "_expansions", mutant)
+        result = _verify("cells", "verify", "3", "4")
+    finally:
+        monkeypatch.undo()
+        for cached in caches:
+            cached.cache_clear()
     assert result.exit_code == 1, result.output
     assert len(json.loads(result.output)["mismatches"]) == 560
 
@@ -152,6 +163,21 @@ def test_lindstrom_check_catches_a_wrong_step_sign(monkeypatch):
     assert result.exit_code == 1
     assert json.loads(result.output)["checks"][1] == {
         "name": "lindstrom", "ok": False, "detail": "3690/4370 minors match path counts"}
+
+
+def test_lindstrom_check_catches_a_missing_disjointness_test(monkeypatch):
+    """Testing only that a path's column is free, not that it misses the
+    family's vertices, counts crossing families. The walk's networks are
+    planar with sources and sinks in boundary order, so it skips a path that
+    would cross a taken column rather than counting it with a sign; a signed
+    sum would cancel the crossing families and hide this mutant."""
+    mutant = _mutated(networks, "_extend", "used & vertices", "cols & col")
+    monkeypatch.setattr(cells, "_extend", mutant)
+    assert cells.unifying_check(3, 4, lindstrom=True).lindstrom == (36244, 4868)
+    result = _verify("verify", "all", "--m", "3", "--p", "4")
+    assert result.exit_code == 1
+    assert json.loads(result.output)["checks"][1] == {
+        "name": "lindstrom", "ok": False, "detail": "31376/36244 minors match path counts"}
 
 
 def test_lindstrom_check_counts_only_minors_that_differ(monkeypatch):

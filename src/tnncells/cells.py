@@ -34,7 +34,7 @@ from typing import Any, Iterator
 from . import guards
 from .diagrams import CauchonDiagram, enumerate_diagrams, poly_bernoulli
 from .errors import ConsistencyError, DomainError
-from .matrices import Matrix, MinorFamily, _add_top_row, scan_int_minors, scan_minors, subsets
+from .matrices import Matrix, MinorFamily, _top_row_plan, scan_int_minors, scan_minors, subsets
 from .networks import GridNetwork, _extend, _paths
 from .permutations import (
     Permutation, _necklace_mask, is_restricted, minor_family, pipe_dream, pipe_dream_suffix,
@@ -269,9 +269,9 @@ class _Walk:
 
     A node fixes one seed row i under the rows its path fixed (``seeds``). It
     restores witness row i from them (:func:`~tnncells.cauchon.witness_row`),
-    adds the minor tables with top row i by Laplace along it, and ORs their
-    zero bits into its parent's mask; it left-multiplies its parent's pipe
-    dream suffix by row i. With a network it also walks the paths from source
+    adds the minor tables with top row i by Laplace along it, ORing each one's
+    zero bits into its parent's mask as it is built; it left-multiplies its
+    parent's pipe dream suffix by row i. With a network it also walks the paths from source
     i on rows i..m, extends its parent's disjoint path-family states by them
     (:func:`~tnncells.networks._extend` with ``planar``: a family that is not
     disjoint cannot cancel in the count),
@@ -289,7 +289,7 @@ class _Walk:
         self.m, self.p = m, p
         self.seeds: list[tuple[int, ...]] = [()] * (m + 2)
         self.rows: list[list[int]] = [[]] * (m + 2)  # witness rows, scanned on a negative
-        self.tables: dict[int, list[int]] = {0: [1]}  # by row set mask, see _add_top_row
+        self.tables: dict[int, list[int]] = {0: [1]}  # by row set mask, see _top_row_plan
         self.zeros, self.negative = [0] * (m + 2), [False] * (m + 2)
         self.inverse = [tuple(range(1, m + p + 1))] * (m + 2)
         self.terms: dict[tuple[int, int], list[int]] = {}  # necklace terms, see _necklace_mask
@@ -307,10 +307,11 @@ class _Walk:
         m, p, tables = self.m, self.p, self.tables
         self.seeds[i] = seed
         self.rows[i] = row = witness_row(seed, self.seeds[i + 1:m + 1])
-        plan = _add_top_row(tables, row, m, p, i)
+        plan = _top_row_plan(m, p, i)
         zeros, negative = self.zeros[i + 1], self.negative[i + 1]
-        for rows, _, _, bit in plan:
-            for j, value in enumerate(tables[rows], bit):
+        for rows, rest, kernel, bit in plan:
+            tables[rows] = table = kernel(row, tables[rest])
+            for j, value in enumerate(table, bit):
                 if not value:
                     zeros |= 1 << j
                 elif value < 0:

@@ -56,10 +56,10 @@ EXPONENT_LIMIT = 100
 NESTING_LIMIT = 100
 
 # Vertices the walks visit plus (partial family, path) pairs tried in one
-# count of disjoint path families. All minors of the all-white 5x5 network
-# take about 91,000 in one call; the full minor of the all-white 6x6 network
-# is refused within a second. One path matrix is charged the vertices and
-# edges from each source on: 1,805 at 10x10 all-white, 976,315 at 86x86.
+# count of disjoint path families. The full minor of the all-white 5x5
+# network takes 35,713; that of the all-white 6x6 network is refused within a
+# second. One path matrix is charged the vertices and edges from each source
+# on: 1,805 at 10x10 all-white, 976,315 at 86x86.
 PATH_STEP_LIMIT = 1_000_000
 
 # A bound on the grid of one minor family, counted as the bits of its mask

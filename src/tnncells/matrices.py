@@ -423,17 +423,6 @@ def _top_row_plan(m: int, p: int, i: int) -> tuple[tuple[int, int, Any, int], ..
     return tuple(plan)
 
 
-def _add_top_row(tables: dict[int, list[int]], top: Sequence[int], m: int, p: int, i: int) -> Any:
-    """Add row ``top``, row i of an integer m x p matrix, to ``tables``, which maps
-    the mask of each row set within rows i+1..m (0 to [1]) to its minors by column
-    set: each row set with top row i gets its table by its :func:`_expansions`
-    kernel. Returns the :func:`_top_row_plan` of the tables added."""
-    plan = _top_row_plan(m, p, i)
-    for rows, rest, kernel, _ in plan:
-        tables[rows] = kernel(top, tables[rest])
-    return plan
-
-
 @cache
 def _minor_keys(m: int, p: int, k: int) -> tuple[MinorIndex, ...]:
     """The k-minors of the m x p grid in :func:`iter_minor_indices` order."""

@@ -21,14 +21,15 @@ vertices as it walks the grid; :meth:`PlanarNetwork.from_json` orders a named
 network's vertices with one pass of ``graphlib``, and refuses a cycle, an
 unknown vertex or a name that is not a string as it reads them.
 
-:func:`nonintersecting_counts` counts disjoint path families for ``network
-lindstrom``: it walks each needed source's paths (:func:`_paths`) and grows
-path-family states one row at a time (:func:`_extend`). ``verify all`` runs
-the same two kernels row by row from the bottom up on a :class:`GridNetwork`,
-numbered by grid cell, as its diagram walk fixes each row. A diagram's
-network is planar, so the walk counts only the order-preserving families and
-a family that is not disjoint shows in its counts instead of cancelling; a
-JSON network may be any DAG, so ``network lindstrom`` keeps the signed sum.
+:func:`nonintersecting_count` counts the disjoint path families of one minor
+for ``network lindstrom``: it walks the paths from each of the minor's
+sources (:func:`_paths`) and grows path-family states one row at a time
+(:func:`_extend`). ``verify all`` runs the same two kernels row by row from
+the bottom up on a :class:`GridNetwork`, numbered by grid cell, as its
+diagram walk fixes each row. A diagram's network is planar, so the walk
+counts only the order-preserving families and a family that is not disjoint
+shows in its counts instead of cancelling; a JSON network may be any DAG, so
+``network lindstrom`` keeps the signed sum.
 Neither shares code with the restoration, so comparing the counts with the
 restored unit-weight witness, as ``verify all`` does, checks the identity. The path
 matrix serves ``network path-matrix``; a diagram's is charged to its guard
@@ -40,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
-from functools import lru_cache
 from itertools import accumulate, pairwise
 from operator import add
 from typing import Any, Iterable, Sequence
@@ -269,42 +269,31 @@ def _ensure_path_steps(steps: int) -> None:
     guards.ensure(steps, guards.PATH_STEP_LIMIT, "steps of one path matrix")
 
 
-def nonintersecting_counts(network: PlanarNetwork, indices: Iterable[MinorIndex]) -> list[Weight]:
-    """Signed weighted counts of vertex-disjoint path families, one per minor
-    in the order of ``indices``: ``int`` when every edge weight is integral,
-    else ``Fraction``.
+def nonintersecting_count(network: PlanarNetwork, index: MinorIndex) -> Weight:
+    """The signed weighted count of vertex-disjoint path families of the minor
+    ``index``: ``int`` when every edge weight is integral, else ``Fraction``.
 
-    Each row of some minor is walked once from its source by :func:`_paths`.
-    States (row set, column set, vertex mask) -> signed weight then grow one
-    needed row at a time, in increasing order, by :func:`_extend`; a state may
-    leave the row out only when some requested minor does. (The diagram walk
-    of ``verify all`` shares both kernels but adds rows from the bottom up;
-    here that order would grow more states for a batch of all minors, 203,002
-    steps against 90,578 on the all-white 5x5 network.) [R|C] sums the
-    states with row set R and column set C: every pairing with its sign, the
+    Each row of the minor is walked once from its source to the minor's sinks
+    by :func:`_paths`. States (row set, column set, vertex mask) -> signed
+    weight then grow one row at a time, in increasing order, by
+    :func:`_extend`, and their sum is every pairing with its sign: the
     determinant identity on any DAG and, on planar networks, the plain
     weighted count. One budget of ``guards.PATH_STEP_LIMIT`` steps covers the
     call: one per vertex walked, all walks first, then len(states) x
     len(paths) per row, charged before the extension runs.
     """
-    minors, columns, shared = _minor_plan(tuple(indices), network.m, network.p)
-    limit, spent = guards.PATH_STEP_LIMIT, 0
-    paths = []
-    for r, wanted in columns:
-        found, spent = _paths(network, network.sources[r - 1], wanted, spent)
+    if not index.fits(network.m, network.p):
+        raise DomainError(f"{index} does not fit a {network.m}x{network.p} network")
+    cols, spent, paths = sum(1 << a for a in index.cols), 0, []
+    for r in index.rows:
+        found, spent = _paths(network, network.sources[r - 1], cols, spent)
         paths.append((1 << r, found))
-
     states: dict[tuple[int, int, int], Weight] = {(0, 0, 0): 1}
     for row, found in paths:
         spent += len(states) * len(found)
-        guards.ensure(spent, limit, "steps of one path family count")
-        grown = _extend(states.items(), row, found)
-        states = grown if shared & row else states | grown
-
-    totals: dict[tuple[int, int], Weight] = {}
-    for (rows, cols, _), weight in states.items():
-        totals[rows, cols] = totals.get((rows, cols), 0) + weight
-    return [totals.get(minor, 0) for minor in minors]
+        guards.ensure(spent, guards.PATH_STEP_LIMIT, "steps of one path family count")
+        states = _extend(states.items(), row, found)
+    return sum(states.values())
 
 
 Path = tuple[int, int, int, Weight]  # (sink bit, sign mask, vertex mask, weight)
@@ -392,24 +381,3 @@ class GridNetwork:
         out_edges[tail] = down
         return source, tuple(heads)
 
-
-@lru_cache(maxsize=16)
-def _minor_plan(
-    indices: tuple[MinorIndex, ...], m: int, p: int
-) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], int]:
-    """The masks :func:`nonintersecting_counts` needs of its indices on an m x p
-    network: each minor's (row set, column set), each needed row, in
-    increasing order, with its minors' columns, and the rows every minor uses,
-    which no state may leave out. A misfit raises DomainError, never cached."""
-    minors = []
-    columns: dict[int, int] = {}
-    shared = -1
-    for ix in indices:
-        if not ix.fits(m, p):
-            raise DomainError(f"{ix} does not fit a {m}x{p} network")
-        rows, cols = sum(1 << r for r in ix.rows), sum(1 << a for a in ix.cols)
-        minors.append((rows, cols))
-        for r in ix.rows:
-            columns[r] = columns.get(r, 0) | cols
-        shared &= rows
-    return tuple(minors), tuple(sorted(columns.items())), shared

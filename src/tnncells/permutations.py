@@ -55,7 +55,7 @@ from operator import or_
 from typing import Any, Iterator, Sequence
 
 from . import guards
-from .diagrams import CauchonDiagram
+from .diagrams import CauchonDiagram, enumerate_diagrams
 from .errors import DomainError
 from .matrices import MinorFamily
 
@@ -206,39 +206,18 @@ def is_restricted(w: Permutation, m: int, p: int) -> bool:
 
 
 def enumerate_restricted(m: int, p: int) -> Iterator[Permutation]:
-    """All of S(m, p) in lexicographic one-line order.
-
-    Positions are filled left to right from their windows [i - p, i + m].
-    Value i - p leaves every later window at position i, so it is forced
-    there when still unused; then every branch completes. The enumeration
-    guard is checked when the call is made.
-    """
+    """All of S(m, p) in lexicographic one-line order: the sorted pipe dreams
+    of the m x p diagrams, which :func:`pipe_dream` maps one to one onto S(m, p)
+    (see the module docstring). The sizes and the enumeration guard are checked
+    when the call is made; the diagrams are enumerated at the first item."""
     if m < 1 or p < 1:
         raise DomainError("sizes must be at least 1")
     guards.ensure_enumerable(m, p, what="restricted permutation enumeration")
-    n = m + p
-    images: list[int] = []
-    used = [False] * (n + 1)
 
-    def walk(i: int) -> Iterator[Permutation]:
-        if i > n:
-            yield Permutation(tuple(images))
-            return
-        expiring = i - p
-        if expiring >= 1 and not used[expiring]:
-            candidates: Sequence[int] = (expiring,)
-        else:
-            candidates = range(max(1, i - p), min(n, i + m) + 1)
-        for w in candidates:
-            if used[w]:
-                continue
-            used[w] = True
-            images.append(w)
-            yield from walk(i + 1)
-            images.pop()
-            used[w] = False
+    def stream() -> Iterator[Permutation]:
+        yield from sorted(map(pipe_dream, enumerate_diagrams(m, p)))
 
-    return walk(1)
+    return stream()
 
 
 # ---------------------------------------------------------------------------

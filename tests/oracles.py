@@ -11,7 +11,6 @@ from itertools import permutations as iter_perms
 
 from tnncells import guards
 from tnncells.diagrams import CauchonDiagram, enumerate_diagrams
-from tnncells.permutations import enumerate_restricted
 from tnncells.quantum import QPoly
 from tnncells.scalars import LaurentQ, MPoly, add_terms, evaluate_expression, int_const
 
@@ -112,8 +111,12 @@ def count_diagrams(m, p):
 
 
 def count_restricted(m, p):
-    """The number of restricted permutations of S(m, p), by enumerating them."""
-    return sum(1 for _ in enumerate_restricted(m, p))
+    """The number of restricted permutations of S(m, p): the permutations w of
+    1..m+p with -p <= w(i) - i <= m for every i, by trying them all."""
+    return sum(
+        all(-p <= x - i <= m for i, x in enumerate(images, 1))
+        for images in iter_perms(range(1, m + p + 1))
+    )
 
 
 def first_bad_black_cell(m, p, black):

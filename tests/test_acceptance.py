@@ -31,10 +31,9 @@ from tnncells.matrices import (
     MinorIndex,
     all_minors,
     initial_minors,
-    iter_minor_indices,
     scan_minors,
 )
-from tnncells.networks import nonintersecting_counts, path_matrix, postnikov_network
+from tnncells.networks import nonintersecting_count, path_matrix, postnikov_network
 from tnncells.permutations import (
     enumerate_restricted,
     inverse_pipe_dream,
@@ -203,12 +202,10 @@ def test_criterion_08_lindstrom_sweep():
     mismatches = 0
     grids = [(m, p) for m in range(1, 4) for p in range(1, 4)] + [(3, 4), (4, 3)]
     for m, p in grids:
-        indices = list(iter_minor_indices(m, p))
         for d in enumerate_diagrams(m, p):
             net = postnikov_network(d)
-            counts = nonintersecting_counts(net, indices)
-            minors = all_minors(path_matrix(net))  # in the order of indices
-            mismatches += sum(value != count for (_, value), count in zip(minors, counts))
+            mismatches += sum(value != nonintersecting_count(net, ix)
+                              for ix, value in all_minors(path_matrix(net)))
     elapsed = time.perf_counter() - t0
     report(8, "path-matrix minors = disjoint path counts to 3x3, 3x4, 4x3",
            mismatches == 0 and elapsed < 60.0)

@@ -15,7 +15,7 @@ from tnncells.matrices import MinorIndex, all_minors, iter_minor_indices
 from tnncells.networks import (
     PlanarNetwork,
     dot_id,
-    nonintersecting_counts,
+    nonintersecting_count,
     path_matrix,
     postnikov_network,
     sink_id,
@@ -25,12 +25,6 @@ from tnncells.scalars import MPoly
 
 
 DEMO = CauchonDiagram.from_ascii(".#.\n##.\n...")
-
-
-def count_one(net, ix):
-    """The count for one minor alone, as ``network lindstrom`` asks for it."""
-    [count] = nonintersecting_counts(net, [ix])
-    return count
 
 
 def named_network(m, p, names, edges):
@@ -107,7 +101,7 @@ def test_path_matrix_entries_match_exhaustive_walks():
 def test_lindstrom_identity_on_demo():
     net = postnikov_network(DEMO)
     for ix, value in all_minors(path_matrix(net)):
-        assert value == count_one(net, ix), ix
+        assert value == nonintersecting_count(net, ix), ix
 
 
 @given(st.data())
@@ -118,40 +112,25 @@ def test_lindstrom_identity_random_diagrams(data):
     net = postnikov_network(d)
     minors = dict(all_minors(path_matrix(net)))
     ix = data.draw(st.sampled_from(list(minors)))
-    assert minors[ix] == count_one(net, ix)
+    assert minors[ix] == nonintersecting_count(net, ix)
 
 
 def test_nonintersecting_count_demo_values():
     net = postnikov_network(DEMO)
-    assert count_one(net, MinorIndex.parse("[1,2|1,2]")) == 1
-    assert count_one(net, MinorIndex.parse("[1,2|2,3]")) == 0
-    assert count_one(net, MinorIndex.parse("[1,2,3|1,2,3]")) == 0
+    assert nonintersecting_count(net, MinorIndex.parse("[1,2|1,2]")) == 1
+    assert nonintersecting_count(net, MinorIndex.parse("[1,2|2,3]")) == 0
+    assert nonintersecting_count(net, MinorIndex.parse("[1,2,3|1,2,3]")) == 0
 
 
-def test_batched_counts_match_the_family_oracle():
+def test_counts_match_the_family_oracle():
     for m in range(1, 4):
         for p in range(1, 4):
             indices = list(iter_minor_indices(m, p))
             for d in enumerate_diagrams(m, p):
                 net = postnikov_network(d)
-                counts = nonintersecting_counts(net, indices)
-                assert len(counts) == len(indices)
-                for ix, count in zip(indices, counts):
+                for ix in indices:
                     expect = oracles.disjoint_family_count(net, ix)
-                    assert count == expect, (d.to_ascii(), ix)
-                    assert count_one(net, ix) == expect, (d.to_ascii(), ix)
-
-
-def test_batched_counts_match_single_minor_counts():
-    # the batch's states may leave rows out; one minor alone grows only its
-    # own families, restricted to its own columns
-    for m, p in [(3, 4), (4, 3)]:
-        indices = list(iter_minor_indices(m, p))
-        for d in enumerate_diagrams(m, p):
-            net = postnikov_network(d)
-            counts = nonintersecting_counts(net, indices)
-            for ix, count in zip(indices, counts):
-                assert count_one(net, ix) == count, (d.to_ascii(), ix)
+                    assert nonintersecting_count(net, ix) == expect, (d.to_ascii(), ix)
 
 
 WEIGHTS = [Fraction(w) for w in ("0", "1", "-1", "2", "1/2", "-3/2")]
@@ -178,26 +157,9 @@ def random_dags(draw):
 @given(random_dags())
 @settings(max_examples=60, deadline=None)
 def test_counts_on_random_dags_match_the_oracle_and_the_minors(net):
-    minors = dict(all_minors(path_matrix(net)))
-    indices = list(iter_minor_indices(net.m, net.p))
-    counts = nonintersecting_counts(net, indices)
-    for ix, count in zip(indices, counts, strict=True):
-        expect = oracles.disjoint_family_count(net, ix)
-        assert count == expect == minors[ix], ix
-        assert count_one(net, ix) == expect, ix
-
-
-@given(st.data())
-@settings(max_examples=60, deadline=None)
-def test_partial_batches_on_random_dags_match_the_oracle(data):
-    # a batch that leaves some rows out of some minors but not of others
-    net = data.draw(random_dags())
-    pool = list(iter_minor_indices(net.m, net.p))
-    indices = data.draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
-    counts = nonintersecting_counts(net, indices)
-    assert len(counts) == len(indices)
-    for ix, count in zip(indices, counts):
-        assert count == oracles.disjoint_family_count(net, ix), ix
+    for ix, value in all_minors(path_matrix(net)):
+        count = nonintersecting_count(net, ix)
+        assert count == oracles.disjoint_family_count(net, ix) == value, ix
 
 
 def test_twisted_pairings_count_with_their_sign():
@@ -211,41 +173,34 @@ def test_twisted_pairings_count_with_their_sign():
     ix = MinorIndex((1, 2), (1, 2))
     for edges, expect in [(crossing, -1), (crossing + hub, -3)]:
         net = named_network(2, 2, [s1, s2, t1, t2, "hub"], edges)
-        assert nonintersecting_counts(net, [ix]) == [expect]
+        assert nonintersecting_count(net, ix) == expect
         assert oracles.disjoint_family_count(net, ix) == expect
         assert dict(all_minors(path_matrix(net)))[ix] == expect
 
 
-def test_batched_step_budget_is_shared_across_minors(monkeypatch):
-    net = postnikov_network(oracles.all_white(3, 3))
-    indices = list(iter_minor_indices(3, 3))
-    nonintersecting_counts(net, indices)
-    monkeypatch.setattr(guards, "PATH_STEP_LIMIT", 100)
-    with pytest.raises(ResourceGuardError):
-        nonintersecting_counts(net, indices)
-
-
-@pytest.mark.parametrize("n, batch, steps", [
-    (3, "all", 201), (4, "all", 3_103), (5, "all", 90_578),
+@pytest.mark.parametrize("n, minor, steps", [
     (3, "full", 144), (4, "full", 1_599), (5, "full", 35_713),
+    (3, "corner", 8), (4, "corner", 43), (5, "corner", 229),
 ])
-def test_step_charges_on_all_white_networks(monkeypatch, n, batch, steps):
-    # one step per vertex walked, then len(states) x len(paths) per row
+def test_step_charges_on_all_white_networks(monkeypatch, n, minor, steps):
+    # one step per vertex walked, then len(states) x len(paths) per row; the
+    # corner minor, the rows and columns from 3 on, keeps only the paths to
+    # its own sinks
     net = postnikov_network(oracles.all_white(n, n))
-    full = MinorIndex(tuple(range(1, n + 1)), tuple(range(1, n + 1)))
-    indices = list(iter_minor_indices(n, n)) if batch == "all" else [full]
+    full = tuple(range(1, n + 1))
+    ix = MinorIndex(full, full) if minor == "full" else MinorIndex(full[2:], full[2:])
     monkeypatch.setattr(guards, "PATH_STEP_LIMIT", steps)
-    nonintersecting_counts(net, indices)
+    nonintersecting_count(net, ix)
     monkeypatch.setattr(guards, "PATH_STEP_LIMIT", steps - 1)
     with pytest.raises(ResourceGuardError, match=f"{steps} exceeds"):
-        nonintersecting_counts(net, indices)
+        nonintersecting_count(net, ix)
 
 
 def test_step_budget_guard(monkeypatch):
     net = postnikov_network(oracles.all_white(3, 3))
     monkeypatch.setattr(guards, "PATH_STEP_LIMIT", 2)
     with pytest.raises(ResourceGuardError):
-        count_one(net, MinorIndex.parse("[1,2,3|1,2,3]"))
+        nonintersecting_count(net, MinorIndex.parse("[1,2,3|1,2,3]"))
 
 
 @pytest.mark.parametrize("n, steps", [(1, 5), (3, 69), (10, 1_805)])
@@ -264,14 +219,14 @@ def test_path_matrix_charges_on_all_white_networks(monkeypatch, n, steps):
 def test_index_must_fit_the_network():
     net = postnikov_network(oracles.all_white(2, 2))
     with pytest.raises(DomainError):
-        count_one(net, MinorIndex.parse("[1,3|1,2]"))
+        nonintersecting_count(net, MinorIndex.parse("[1,3|1,2]"))
 
 
 def test_an_index_answered_on_one_network_must_still_fit_the_next():
-    indices = list(iter_minor_indices(3, 3))
-    nonintersecting_counts(postnikov_network(oracles.all_white(3, 3)), indices)
-    with pytest.raises(DomainError, match="does not fit a 2x2 network"):
-        nonintersecting_counts(postnikov_network(oracles.all_white(2, 2)), indices)
+    ix = MinorIndex.parse("[2,3|1,3]")
+    assert nonintersecting_count(postnikov_network(oracles.all_white(3, 3)), ix) == 2
+    with pytest.raises(DomainError, match=r"\[2,3\|1,3\] does not fit a 2x2 network"):
+        nonintersecting_count(postnikov_network(oracles.all_white(2, 2)), ix)
 
 
 def test_diagram_and_json_networks_agree():
@@ -282,9 +237,10 @@ def test_diagram_and_json_networks_agree():
         for d in enumerate_diagrams(m, p):
             net = postnikov_network(d)
             again = PlanarNetwork.from_json(net.to_json())
-            assert nonintersecting_counts(again, indices) == nonintersecting_counts(
-                net, indices
-            ), d.to_ascii()
+            for ix in indices:
+                assert nonintersecting_count(again, ix) == nonintersecting_count(
+                    net, ix
+                ), (d.to_ascii(), ix)
             assert path_matrix(again).equals(path_matrix(net)), d.to_ascii()
 
 
@@ -303,18 +259,10 @@ def test_json_network_listed_out_of_order():
     }"""))
     assert all(frm < to for frm, to, _ in net.edges)
     assert [[int(x) for x in row] for row in path_matrix(net).rows] == [[1, 2], [0, 1]]
-    indices = list(iter_minor_indices(2, 2))
-    counts = nonintersecting_counts(net, indices)
-    assert counts == [oracles.disjoint_family_count(net, ix) for ix in indices]
-    assert counts[indices.index(MinorIndex((1, 2), (1, 2)))] == 1
-    assert counts[indices.index(MinorIndex((1,), (2,)))] == 2
-
-
-def test_indices_may_come_from_a_generator():
-    net = postnikov_network(DEMO)
-    assert nonintersecting_counts(net, iter_minor_indices(3, 3)) == nonintersecting_counts(
-        net, list(iter_minor_indices(3, 3))
-    )
+    for ix in iter_minor_indices(2, 2):
+        assert nonintersecting_count(net, ix) == oracles.disjoint_family_count(net, ix), ix
+    assert nonintersecting_count(net, MinorIndex((1, 2), (1, 2))) == 1
+    assert nonintersecting_count(net, MinorIndex((1,), (2,))) == 2
 
 
 def named_edges(net):

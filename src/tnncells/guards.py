@@ -95,7 +95,10 @@ WORKER_LIMIT = 64
 
 # Terms one product of exact values may produce. The largest product the 4x4
 # quantum and Poisson checks make, the 4x4 quantum determinant times itself,
-# is charged 3,453; the last product of (a+b+c+d)^9 at 2x2, 12,396.
+# is charged 3,453; the last product of (a+b+c+d)^9 at 2x2, 12,396. The
+# second product of a quantum commutator is charged its pairs plus only the
+# insertion memo entries the first did not make: for the determinant with
+# itself, its 576 pairs alone.
 PRODUCT_TERM_LIMIT = 30_000
 
 

@@ -14,6 +14,9 @@ at a time: X_x goes into a word ending in X_v > X_x by rewriting that pair
 by the relation above. Each rewrite strictly lowers the word in degree-lex
 order, so insertion terminates, and the Ore-extension presentation
 guarantees the basis is honest (tested against leftmost word rewriting).
+The right factor's words are walked as a prefix trie, so a shared prefix
+is inserted once, and the memo of word * X_x lives for one product, or
+for both products of one commutator.
 
 Coefficients are integer Laurent polynomials in q. The parameter is never
 specialized here; the q = 1 limit belongs to the Poisson side.
@@ -178,33 +181,52 @@ class QPoly(ExactValue):
         """The product in normal form: g's letters go into f's words one at a time.
 
         Inside, words are cell indices and coefficients flat ints keyed by
-        (word, q-exponent). Charged a unit per pair of coefficient terms, plus
-        the terms each memo entry on (normal word, letter) sums.
+        (word, q-exponent). g's words are read as a prefix trie, so f times a
+        prefix is formed once for every word of g that starts with it.
+        Charged a unit per pair of coefficient terms, plus the terms each memo
+        entry on (normal word, letter) sums; the memo lives for this call.
         """
+        return self._product(other, {})
+
+    def _product(self, other: "QPoly", memo: dict) -> "QPoly":
+        """``self * other``, reading and filling ``memo`` of word * X_x entries;
+        charged its pairs and only the entries it adds."""
         self._check(other)
         cells, letter, rules = _rewrites(self.m, self.p)
         spent = prod(sum(len(c.terms) for c in h.terms.values()) for h in (self, other))
         guards.ensure(spent, guards.PRODUCT_TERM_LIMIT, "terms of one product")
+        # g's words by letter; a node's None key holds its word's coefficient
+        trie: dict = {}
+        for v, d in other.terms.items():
+            node = trie
+            for x in map(letter.__getitem__, v):
+                node = node.setdefault(x, {})
+            node[None] = d
         start = {(tuple(map(letter.__getitem__, w)), e): k
                  for w, c in self.terms.items() for e, k in c.terms.items()}
-        memo: dict[tuple, dict] = {}
+        # (letter, its node, f times the node's parent prefix), depth first in
+        # g's word order, so memo entries are made, and the budget trips, in
+        # the order of inserting g's words one by one
         flat: dict[tuple, int] = {}
-        for v, d in other.terms.items():
-            terms = start
-            for x in map(letter.__getitem__, v):
-                grown: dict[tuple, int] = {}
-                for (w, e), k in terms.items():
-                    if not w or w[-1] <= x:
-                        key = (w + (x,), e)
-                        grown[key] = grown.get(key, 0) + k
-                        continue
-                    if (w, x) not in memo:
-                        spent = _insert((w, x), rules, memo, spent)
-                    for (u, f), c in memo[w, x].items():
-                        grown[u, e + f] = grown.get((u, e + f), 0) + k * c
-                terms = {key: c for key, c in grown.items() if c}
-            add_terms(flat, (((w, e + f), k * c)
-                             for (w, e), k in terms.items() for f, c in d.terms.items()))
+        stack = [(x, node, start) for x, node in reversed(trie.items())]
+        while stack:
+            x, node, terms = stack.pop()
+            if x is None:
+                add_terms(flat, (((w, e + f), k * c)
+                                 for (w, e), k in terms.items() for f, c in node.terms.items()))
+                continue
+            grown: dict[tuple, int] = {}
+            for (w, e), k in terms.items():
+                if not w or w[-1] <= x:
+                    key = (w + (x,), e)
+                    grown[key] = grown.get(key, 0) + k
+                    continue
+                if (w, x) not in memo:
+                    spent = _insert((w, x), rules, memo, spent)
+                for (u, f), c in memo[w, x].items():
+                    grown[u, e + f] = grown.get((u, e + f), 0) + k * c
+            terms = {key: c for key, c in grown.items() if c}
+            stack += [(y, child, terms) for y, child in reversed(node.items())]
         out: dict[Word, dict[int, int]] = {}
         for (w, e), k in flat.items():
             out.setdefault(tuple(map(cells.__getitem__, w)), {})[e] = k
@@ -250,7 +272,11 @@ class QPoly(ExactValue):
 
 
 def commutator(f: QPoly, g: QPoly) -> QPoly:
-    return f.multiply(g) - g.multiply(f)
+    """fg - gf. Both products share one insertion memo, since word * X_x
+    depends only on the grid, the word and the letter: gf is charged its pairs
+    and only the entries fg did not make."""
+    memo: dict[tuple, dict] = {}
+    return f._product(g, memo) - g._product(f, memo)
 
 
 def quantum_minor(

@@ -1,8 +1,11 @@
 """The q-deformed coordinate ring: rewriting, minors, commutators."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tnncells import guards
 from tnncells.errors import DomainError, ResourceGuardError
 from tnncells.quantum import (
     QPoly,
@@ -40,6 +43,28 @@ def qpoly_strategy(m, p, max_len):
     return st.lists(term, max_size=2).map(lambda ts: sum(
         (product_of(w, m, p).scaled(c) for c, w in ts), QPoly.zero(m, p)
     ))
+
+
+def prefix_sharing_strategy(m, p):
+    """Right factors whose normal words share prefixes. Each term is a prefix
+    of one sorted spine word (the empty prefix, a constant, included), then
+    letters not below the prefix's last one, with a Laurent coefficient."""
+    cell = st.tuples(st.integers(1, m), st.integers(1, p))
+    nonzero = st.integers(-3, 3).filter(bool)
+    coeff = st.dictionaries(st.integers(-2, 2), nonzero, min_size=1, max_size=2).map(LaurentQ)
+    term = st.tuples(st.integers(0, 3), st.lists(cell, max_size=1), coeff)
+
+    def build(spine, terms):
+        spine = sorted(spine)
+        total = QPoly.zero(m, p)
+        for k, tail, c in terms:
+            head = spine[:k]
+            word = tuple(head + sorted(x for x in tail if not head or x >= head[-1]))
+            total += QPoly(m, p, {word: c})
+        return total
+
+    return st.builds(build, st.lists(cell, min_size=1, max_size=3),
+                     st.lists(term, min_size=2, max_size=4))
 
 
 def assert_matches_rewriting(word, m, p):
@@ -115,6 +140,36 @@ class TestNormalForm:
         h = gen(2, 2)
         assert (f * g) * h == f * (g * h)
 
+    @given(qpoly_strategy(2, 3, 3), prefix_sharing_strategy(2, 3))
+    @settings(max_examples=40)
+    def test_right_factors_sharing_prefixes_match_rewriting(self, f, g):
+        assert f.multiply(g) == oracles.rewriting_product(f, g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            "2 + X[1,2]*X[2,1]",
+            "X[1,1] + (q - q^-1)*X[1,1]*X[2,2]",
+            "X[1,1]*X[1,2] + q^2*X[1,1]*X[1,3] - 3*X[1,1]*X[2,1]*X[2,3]",
+            "q^-1 - X[1,3] + q*X[1,3]*X[2,1] + X[1,3]*X[2,1]*X[2,2]",
+        ],
+        ids=["constant-term", "word-and-its-prefix", "shared-prefix", "all-at-once"],
+    )
+    def test_right_factor_trie_shapes_match_rewriting(self, g):
+        f = parse_qpoly("X[2,3]*X[1,2] + q^-1*X[2,2]*X[1,3] + 3", 2, 3)
+        g = parse_qpoly(g, 2, 3)
+        assert f.multiply(g) == oracles.rewriting_product(f, g)
+        assert g.multiply(f) == oracles.rewriting_product(g, f)
+
+    def test_commutator_is_the_difference_of_products(self):
+        sets = [s for k in (1, 2, 3) for s in combinations((1, 2, 3), k)]
+        minors = [quantum_minor(3, 3, rows, cols)
+                  for rows in sets for cols in sets if len(rows) == len(cols)]
+        assert len(minors) == 19
+        for f in minors:
+            for g in minors:
+                assert commutator(f, g) == f.multiply(g) - g.multiply(f)
+
     # Letter insertion only ever rewrites the rightmost out-of-order pair, the
     # one its new letter makes; the oracle rewrites the leftmost one.
     @pytest.mark.parametrize("rewriting", ["leftmost", "rightmost"])
@@ -133,6 +188,37 @@ class TestNormalForm:
         f = QPoly(2, 2, {((1, 1),) * k: coeff for k in range(1, 11)})
         with pytest.raises(ResourceGuardError):
             f.multiply(f)
+
+    @pytest.fixture
+    def charges(self, monkeypatch):
+        """The values passed to the product budget, in the order charged."""
+        seen = []
+        ensure = guards.ensure
+
+        def recording(value, limit, what):
+            if what == "terms of one product":
+                seen.append(value)
+            return ensure(value, limit, what)
+
+        monkeypatch.setattr(guards, "ensure", recording)
+        return seen
+
+    def test_product_charges_match_the_documented_ones(self, charges):
+        # a product is charged its 24 x 24 pairs first, then each memo entry
+        det = quantum_minor(4, 4, (1, 2, 3, 4), (1, 2, 3, 4))
+        det.multiply(det)
+        assert (charges[0], charges[-1]) == (576, 3453)
+        charges.clear()
+        parse_qpoly("(a+b+c+d)^9", 2, 2)
+        assert charges[-1] == 12_396
+
+    def test_commutator_charges_its_second_product_new_entries_only(self, charges):
+        # g*f is det*det again: every entry it reads fg made, so it is
+        # charged its pairs alone
+        det = quantum_minor(4, 4, (1, 2, 3, 4), (1, 2, 3, 4))
+        assert commutator(det, det).is_zero
+        assert charges[0] == 576
+        assert charges[-2:] == [3453, 576]
 
     def test_normal_words_pass_through(self):
         a, d = gen(1, 1), gen(2, 2)

@@ -18,6 +18,17 @@ it; each leaf, one diagram, compares its zero mask with its permutation's
 family, read off necklace terms the walk keeps. The walk keeps only
 mismatches and counts, checks its diagram count by formula, and splits
 across workers by bottom row.
+
+Row 1 has no row above it, so three things are linear in its 0/1 seed row:
+witness row 1, every minor with row 1 and every path-family count from
+source 1. For a row-1 white set S with lowest column low, S's row, minors
+and counts are the sums of those of S - {low} and {low}. If no singleton
+{a} has a negative minor, a row-1 minor of S then vanishes exactly when it
+vanishes for both, so S's zero mask is the AND of theirs, and S is charged
+the path steps the full route would spend. Most leaves have two or more
+white cells in row 1 and are read this way, with no restoration, minor
+kernel or path walk of their own; their permutation route still runs in
+full. :class:`_Walk` proves these and says when it falls back.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from itertools import chain
 from math import comb
-from operator import itemgetter, ne
+from operator import add, itemgetter, ne
 from typing import Any, Iterator
 
 from . import guards
@@ -256,6 +267,12 @@ def _row_pattern(p: int, black: int) -> tuple[tuple[int, ...], int]:
     return seed, black & -(2 << first_white)
 
 
+@lru_cache(maxsize=4096)
+def _white_columns(seed: tuple[int, ...]) -> int:
+    """The white columns of a seed row as a mask, bit a - 1 for column a."""
+    return sum(white << a for a, white in enumerate(seed))
+
+
 @cache
 def _column_positions(p: int) -> dict[int, int]:
     """Each column set as a sink mask (bit a for column a) mapped to its position
@@ -276,13 +293,57 @@ class _Walk:
     (:func:`~tnncells.networks._extend` with ``planar``: a family that is not
     disjoint cannot cancel in the count),
     and compares its new minors with their counts, once on behalf of every
-    diagram above it. The rows above it are those of :func:`_row_patterns`.
+    diagram above it. The rows above it are those of :func:`_row_patterns`,
+    reversed below row 2.
     A leaf, row 1, is one diagram, checked by :meth:`leaf` against the family
     read off its suffix, the inverse of its pipe dream, by
     :func:`~tnncells.permutations._necklace_mask`. That family is an OR of
     necklace terms, one per (i, I_i), which ``terms`` keeps for the walk's
     lifetime: at most n * C(n, m) of them, shared by all its leaves. Per-row
     state is kept by row index, row m + 1 holding the empty path's.
+
+    Row 1 by linearity. Below a row-2 node every set S of the free columns is
+    row 1's white set of one leaf, and :meth:`row_one` visits them in
+    increasing order of S as a mask. For |S| >= 2, with low its lowest column
+    and A = S - {low}, both A and {low} come first and S's seed is the sum of
+    theirs. Three linearities follow, each because no row lies above row 1:
+
+    - Witness row. :func:`~tnncells.cauchon.witness_row` starts from the seed
+      and only adds one entry into another, at pivots read off the seed rows
+      below, which the leaves share: a linear map, so row(S) = row(A) +
+      row({low}).
+    - Minors. Laplace along row 1 makes each minor with row 1 a linear form
+      in witness row 1, whose cofactors lie in rows 2..m and are shared, so
+      it is the sum of A's and {low}'s. The minors without row 1 are the
+      row-2 node's.
+    - Path counts. No source but s_1 enters row 1, and s_1's path runs left
+      along it and turns down at one white dot a of S; from a on it is a path
+      of {a}'s network, with the same vertices below row 1 and the same sink.
+      The row-1 vertices it passes lie on no other path, so a family of S is
+      disjoint, and order-preserving, exactly when the family of {a} with the
+      same other paths is. So each count with source 1 is the sum over a in S
+      of {a}'s, and S's row-1 minors match their counts when every
+      singleton's do.
+
+    The AND rule. If no singleton has a negative minor, then by induction on
+    |S| neither has A, so each row-1 minor of S is a sum of two nonnegative
+    values and vanishes exactly when both do. Each zero mask is the row-2
+    node's mask OR the row's own row-1 zeros, so S's mask is A's AND
+    {low}'s, and S has a negative minor exactly when the row-2 node has one.
+
+    The spend. The walk of s_1's paths in S visits s_1 once, each dot of S
+    once, and below dot a just what it visits in {a}; its paths are the
+    singletons' paths, each tried against the row-2 node's states. So with
+    base = spent[2] + 1, spent(S) = base + the sum over a in S of
+    (spent({a}) - base), that is spent(A) + spent({low}) - base, charged to
+    ``guards.PATH_STEP_LIMIT`` as the full route charges it.
+
+    The fallback. Once a singleton has a negative minor or a minor that
+    differs from its count, the AND rule or the count sum no longer holds,
+    and the node's remaining leaves run :meth:`node` in full, so mismatches
+    and missed minors are the full route's. The empty row and the
+    singletons always run it. Only the restoration route is read this way:
+    every leaf builds its own suffix and necklace family and compares them.
     """
 
     def __init__(self, m: int, p: int, lindstrom: bool) -> None:
@@ -294,10 +355,10 @@ class _Walk:
         self.inverse = [tuple(range(1, m + p + 1))] * (m + 2)
         self.terms: dict[tuple[int, int], list[int]] = {}  # necklace terms, see _necklace_mask
         self.network = GridNetwork(m, p) if lindstrom else None
+        self.spent = [0] * (m + 2)  # path steps, with a network
         if self.network is not None:
             self.heads = [self.network.sinks] * (m + 2)
             self.states: list[list[dict]] = [[{(0, 0, 0): 1}]] * (m + 2)
-            self.spent = [0] * (m + 2)
         self.missed = 0
         self.mismatches: list[tuple[int, dict[str, Any]]] = []
 
@@ -322,10 +383,42 @@ class _Walk:
         if i == 1:
             self.leaf()
             leaves = 1
+        elif i == 2:
+            leaves = self.row_one(list(_row_patterns(p, forced))[::-1])
         else:
             leaves = sum(self.node(i - 1, *above) for above in _row_patterns(p, forced))
         self.missed += missed * leaves
         return leaves
+
+    def row_one(self, rows: list[tuple[tuple[int, ...], int]]) -> int:
+        """Visit a row-2 node's leaves, ``rows`` in increasing order of their set
+        S of white columns, and return their number. The empty row and the
+        singletons run :meth:`node`; a larger S is read off S - {low} and
+        {low} by linearity (see the class docstring) until a singleton has a
+        negative minor or a missed Lindstrom minor, and then runs it too."""
+        read: dict[int, tuple[list[int], int, int]] = {}  # by S: witness row 1, zeros, spent
+        base = self.spent[2] + 1
+        linear = True
+        for seed, forced in rows:
+            white = _white_columns(seed)
+            rest = white & (white - 1)
+            if linear and rest:
+                (row, zeros, steps), (low_row, low_zeros, low_steps) = read[rest], read[white ^ rest]
+                self.seeds[1], self.rows[1] = seed, list(map(add, row, low_row))
+                self.zeros[1], self.negative[1] = zeros & low_zeros, self.negative[2]
+                if self.network is not None:
+                    self.spent[1] = steps + low_steps - base
+                    guards.ensure(self.spent[1], guards.PATH_STEP_LIMIT,
+                                  "steps of one path family count")
+                self.inverse[1] = pipe_dream_suffix(self.inverse[2], self.m, 1, seed)
+                self.leaf()
+            else:
+                missed = self.missed
+                self.node(1, seed, forced)
+                if not rest and white:
+                    linear = linear and not self.negative[1] and self.missed == missed
+            read[white] = self.rows[1], self.zeros[1], self.spent[1]
+        return len(rows)
 
     def _lindstrom(self, i: int, seed: tuple[int, ...], plan: Any) -> int:
         """Extend the path-family states by the paths from source i; the number

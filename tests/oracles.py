@@ -2,14 +2,15 @@
 
 Everything here takes the most literal route available: permutation-sum
 determinants, quantifier scans over fillings, exhaustive path walks.
-None of it shares algorithms with the package.
+None of it shares algorithms with the package, except :class:`FullRowOneWalk`,
+the diagram walk with its one shortcut taken out.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from itertools import permutations as iter_perms
 
-from tnncells import guards
+from tnncells import cells, guards
 from tnncells.diagrams import CauchonDiagram, enumerate_diagrams
 from tnncells.quantum import QPoly
 from tnncells.scalars import LaurentQ, MPoly, add_terms, evaluate_expression, int_const
@@ -436,3 +437,11 @@ def partial_bracket(m, p, f, g):
                        - partial(f, name(v)) * partial(g, name(u)))
             total = total + rule * pairing
     return total
+
+
+class FullRowOneWalk(cells._Walk):
+    """The diagram walk with every row-1 leaf restored, scanned and counted in
+    full: none is read off the singleton leaves by linearity."""
+
+    def row_one(self, rows):
+        return sum(self.node(1, *row) for row in rows)

@@ -8,7 +8,7 @@ import pytest
 import oracles
 from test_mutants import restore_with_the_deletion_sign
 
-from tnncells import cells, permutations
+from tnncells import cells, guards, permutations
 from tnncells.cauchon import ones_TC, restoration, seed_matrix, vanishing_family
 from tnncells.cells import (
     admissible_families,
@@ -17,7 +17,7 @@ from tnncells.cells import (
     unifying_check,
 )
 from tnncells.diagrams import CauchonDiagram, enumerate_diagrams
-from tnncells.errors import ConsistencyError, DomainError
+from tnncells.errors import ConsistencyError, DomainError, ResourceGuardError
 from tnncells.matrices import (
     Matrix,
     MinorFamily,
@@ -227,6 +227,64 @@ def test_the_walk_agrees_with_the_sweep_and_the_pipe_dream(monkeypatch, m, p):
         assert minor_family(pipe_dream(d), m, p).mask == mask, d
         seen.add(black)
     assert len(seen) == len(leaves) == oracles.count_diagrams(m, p)
+
+
+def _recorded_walk(walk_class, m, p):
+    """Each leaf's (witness rows, zero mask, negative flag, path steps) by its
+    seed rows, the minors the walk missed, its mismatches, and how many leaves
+    ran the full node."""
+    leaves, full = {}, []
+
+    class Recorded(walk_class):
+        def node(self, i, seed, forced):
+            full.append(i == 1)
+            return super().node(i, seed, forced)
+
+        def leaf(self):
+            leaves[tuple(self.seeds[1:m + 1])] = (
+                [list(row) for row in self.rows[1:m + 1]], self.zeros[1], self.negative[1],
+                self.spent[1])
+            super().leaf()
+
+    missed, mismatches = 0, []
+    for bottom in cells._row_patterns(p, 0):
+        walk = Recorded(m, p, True)
+        walk.node(m, *bottom)
+        missed += walk.missed
+        mismatches += walk.mismatches
+    return leaves, missed, sorted(mismatches, key=lambda found: found[0]), sum(full)
+
+
+@pytest.mark.parametrize("m, p, mutant", [(3, 4, False), (4, 3, False), (4, 4, False),
+                                          (3, 4, True)])
+def test_row_one_by_linearity_agrees_with_the_full_route(monkeypatch, m, p, mutant):
+    """A leaf with two or more white cells in row 1, read off two leaves before
+    it, has the witness rows, zero mask, negative flag and path steps the full
+    route gives it, and the walk misses the same minors. With the deletion
+    sign, singletons have negative minors, and a node's leaves after its first
+    such singleton take the full route, so the mismatches are the full
+    route's too."""
+    if mutant:
+        restore_with_the_deletion_sign(monkeypatch)
+    leaves, missed, mismatches, full = _recorded_walk(cells._Walk, m, p)
+    want, want_missed, want_mismatches, _ = _recorded_walk(oracles.FullRowOneWalk, m, p)
+    assert len(leaves) == len(want) == oracles.count_diagrams(m, p)
+    for seeds, leaf in want.items():
+        assert leaves[seeds] == leaf, seeds
+    assert (missed, mismatches) == (want_missed, want_mismatches)
+    assert bool(mismatches) == mutant
+    spared, wide = len(leaves) - full, sum(seeds[0].count(1) >= 2 for seeds in want)
+    assert 0 < spared < wide if mutant else spared == wide
+
+
+def test_each_leaf_is_charged_its_path_steps(monkeypatch):
+    """The all-white 3x4 leaf, read by linearity, is charged the 643 path steps
+    the full route spends on it."""
+    monkeypatch.setattr(guards, "PATH_STEP_LIMIT", 642)
+    with pytest.raises(ResourceGuardError, match="643 exceeds the limit of 642"):
+        unifying_check(3, 4, lindstrom=True)
+    monkeypatch.setattr(guards, "PATH_STEP_LIMIT", 643)
+    assert unifying_check(3, 4, lindstrom=True).lindstrom == (36244, 0)
 
 
 def test_the_walk_keeps_its_necklace_terms_and_no_module_does():

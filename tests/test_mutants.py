@@ -8,7 +8,9 @@ function of the diagram walk instead, where the fault is one input.
 
 import inspect
 import json
+import textwrap
 from itertools import islice
+from operator import attrgetter
 
 import pytest
 from click.testing import CliRunner
@@ -19,11 +21,13 @@ from tnncells.diagrams import CauchonDiagram, enumerate_diagrams
 
 
 def _mutated(module, name, old, new):
-    source = inspect.getsource(getattr(module, name))
+    """The function, or with a dotted name the method, ``name`` of ``module``
+    compiled from its source with ``old`` replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(attrgetter(name)(module)))
     assert source.count(old) == 1, (name, old)
     namespace = dict(vars(module))
     exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
-    return namespace[name]
+    return namespace[name.rpartition(".")[2]]
 
 
 def restore_with_the_deletion_sign(monkeypatch):
@@ -180,6 +184,44 @@ def test_lindstrom_check_catches_a_missing_disjointness_test(monkeypatch):
         "name": "lindstrom", "ok": False, "detail": "31376/36244 minors match path counts"}
 
 
+def test_a_witness_row_with_one_pivot_per_row_fails_both_suites(monkeypatch):
+    """Restoring each witness row with only the first pivot of each seed row
+    below it changes rows over a seed row with three or more white cells. The
+    restoration stays a sum of entries, linear in the seed, so the leaves read
+    by linearity see the rows the full route would restore, and the counts
+    are those of the full route."""
+    mutant = _mutated(cauchon, "witness_row", "_pivots(pattern):", "_pivots(pattern)[:1]:")
+    for module in (cauchon, cells):
+        monkeypatch.setattr(module, "witness_row", mutant)
+    for (m, p), found in {(3, 3): (44, 299), (3, 4): (440, 4668)}.items():
+        report = cells.unifying_check(m, p, lindstrom=True)
+        assert (len(report.mismatches), report.lindstrom[1]) == found
+    assert _verify("verify", "all", "--m", "3", "--p", "3").exit_code == 1
+
+
+def test_lindstrom_check_catches_a_row_edge_dropped_between_dots(monkeypatch):
+    """``GridNetwork.add_row`` keeps the source's edge into its row's rightmost
+    white dot but drops every row edge from one white dot to the next, so a
+    path can only turn down at its row's first dot. Restoration never reads
+    the network: the witnesses, and the unifying suite, stay right.
+
+    Blind spot: a leaf with two or more white cells in row 1 is read off the
+    singleton leaves by linearity, with no ``add_row`` on its row 1, and a
+    singleton has one dot, which the mutant leaves as it is. So the mutant's
+    row-1 share goes unseen: of the 1,020 minors the full route misses at
+    3x3, the walk misses 969, and of 9,854 at 3x4, 9,648. Rows 2..m still
+    run ``add_row`` and fail the suite."""
+    mutant = _mutated(networks, "GridNetwork.add_row", "out_edges[tail] = ((tail, v, 1),) + down",
+                      "out_edges[tail] = ((tail, v, 1),) * (tail == source) + down")
+    monkeypatch.setattr(networks.GridNetwork, "add_row", mutant)
+    report = cells.unifying_check(3, 4, lindstrom=True)
+    assert (len(report.mismatches), report.lindstrom) == (0, (36244, 9648))
+    result = _verify("verify", "all", "--m", "3", "--p", "3")
+    assert result.exit_code == 1
+    assert json.loads(result.output)["checks"][1] == {
+        "name": "lindstrom", "ok": False, "detail": "3401/4370 minors match path counts"}
+
+
 def test_lindstrom_check_counts_only_minors_that_differ(monkeypatch):
     """A negated witness entry (1,1) makes [1|1] differ on the 8 diagrams of 2x2
     where it is nonzero, and [1,2|1,2] on the 5 of them where (2,2) is white."""
@@ -201,13 +243,14 @@ def test_lindstrom_check_counts_only_minors_that_differ(monkeypatch):
 
 def test_verify_all_restores_each_witness_row_once_per_node(monkeypatch):
     """The 3x3 walk has 8 + 46 + 230 nodes, where one witness per diagram would
-    restore 230 x 3 = 690 rows."""
+    restore 230 x 3 = 690 rows. It restores 8 + 46 + 145: the other 85 leaves
+    have two or more white cells in row 1 and are read by linearity."""
     calls = []
     real = cells.witness_row
     monkeypatch.setattr(cells, "witness_row", lambda seed, below: calls.append(seed) or real(seed, below))
     result = _verify("verify", "all", "--m", "3", "--p", "3")
     assert result.exit_code == 0, result.output
-    assert len(calls) == 284
+    assert len(calls) == 199
 
 
 def test_a_wrong_diagram_count_fails_both_verifiers(monkeypatch):

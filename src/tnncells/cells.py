@@ -43,7 +43,7 @@ from operator import add, itemgetter, ne
 from typing import Any, Iterator
 
 from . import guards
-from .diagrams import CauchonDiagram, enumerate_diagrams, poly_bernoulli
+from .diagrams import CauchonDiagram, enumerate_diagrams, poly_bernoulli, row_forces
 from .errors import ConsistencyError, DomainError
 from .matrices import Matrix, MinorFamily, _top_row_plan, scan_int_minors, scan_minors, subsets
 from .networks import GridNetwork, _extend, _paths
@@ -235,7 +235,7 @@ def unifying_check(
 def _walk_bottom(
     m: int, p: int, lindstrom: bool, bottom: tuple[tuple[int, ...], int]
 ) -> tuple[int, list[tuple[int, dict[str, Any]]], int]:
-    """Worker: walk the diagrams whose bottom row is ``bottom``, a (seed row,
+    """Worker: walk the diagrams whose bottom row is ``bottom``, a (black mask,
     forced columns) of :func:`_row_patterns`. Returns their count, their
     mismatches keyed by diagram bitmask, and the minors the Lindstrom check
     missed."""
@@ -244,33 +244,24 @@ def _walk_bottom(
     return count, walk.mismatches, walk.missed
 
 
-def _row_patterns(p: int, forced: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Each seed row (1 on white cells) the diagram rule allows below rows whose
-    columns ``forced`` (bit a - 1 for column a) are black, with the columns it
-    forces black in every row above: a black cell with a white cell to its
-    left, and those already forced. Streamed, as a wide grid has 2^p rows."""
+def _row_patterns(p: int, forced: int) -> Iterator[tuple[int, int]]:
+    """Each row's black mask (bit a - 1 for column a) that holds ``forced``, the
+    columns the rows below force, with those it and they force black in every
+    row above (:func:`~tnncells.diagrams.row_forces`). Streamed, as a wide
+    grid has 2^p rows."""
     free, extra = ~forced & ((1 << p) - 1), 0
     while True:
-        seed, forces = _row_pattern(p, forced | extra)
-        yield seed, forced | forces
+        black = forced | extra
+        yield black, forced | row_forces(black)
         if extra == free:
             return
         extra = (extra - free) & free  # the next subset of the free columns
 
 
 @lru_cache(maxsize=4096)
-def _row_pattern(p: int, black: int) -> tuple[tuple[int, ...], int]:
-    """The seed row of the black columns ``black``, and those with a white cell
-    to their left."""
-    seed = tuple(1 - (black >> a & 1) for a in range(p))
-    first_white = seed.index(1) if 1 in seed else p
-    return seed, black & -(2 << first_white)
-
-
-@lru_cache(maxsize=4096)
-def _white_columns(seed: tuple[int, ...]) -> int:
-    """The white columns of a seed row as a mask, bit a - 1 for column a."""
-    return sum(white << a for a, white in enumerate(seed))
+def _seed(p: int, black: int) -> tuple[int, ...]:
+    """The seed row (1 on white cells) of the black mask ``black``."""
+    return tuple(1 - (black >> a & 1) for a in range(p))
 
 
 @cache
@@ -362,11 +353,11 @@ class _Walk:
         self.missed = 0
         self.mismatches: list[tuple[int, dict[str, Any]]] = []
 
-    def node(self, i: int, seed: tuple[int, ...], forced: int) -> int:
-        """Visit the node of seed row i, whose rows above may not whiten the
-        columns ``forced``; returns its leaves."""
+    def node(self, i: int, black: int, forced: int) -> int:
+        """Visit the node of row i with the black mask ``black``, whose rows above
+        may not whiten the columns ``forced``; returns its leaves."""
         m, p, tables = self.m, self.p, self.tables
-        self.seeds[i] = seed
+        self.seeds[i] = seed = _seed(p, black)
         self.rows[i] = row = witness_row(seed, self.seeds[i + 1:m + 1])
         plan = _top_row_plan(m, p, i)
         zeros, negative = self.zeros[i + 1], self.negative[i + 1]
@@ -390,7 +381,7 @@ class _Walk:
         self.missed += missed * leaves
         return leaves
 
-    def row_one(self, rows: list[tuple[tuple[int, ...], int]]) -> int:
+    def row_one(self, rows: list[tuple[int, int]]) -> int:
         """Visit a row-2 node's leaves, ``rows`` in increasing order of their set
         S of white columns, and return their number. The empty row and the
         singletons run :meth:`node`; a larger S is read off S - {low} and
@@ -398,9 +389,9 @@ class _Walk:
         negative minor or a missed Lindstrom minor, and then runs it too."""
         read: dict[int, tuple[list[int], int, int]] = {}  # by S: witness row 1, zeros, spent
         base = self.spent[2] + 1
-        linear = True
-        for seed, forced in rows:
-            white = _white_columns(seed)
+        linear, full = True, (1 << self.p) - 1
+        for black, forced in rows:
+            seed, white = _seed(self.p, black), full ^ black
             rest = white & (white - 1)
             if linear and rest:
                 (row, zeros, steps), (low_row, low_zeros, low_steps) = read[rest], read[white ^ rest]
@@ -414,7 +405,7 @@ class _Walk:
                 self.leaf()
             else:
                 missed = self.missed
-                self.node(1, seed, forced)
+                self.node(1, black, forced)
                 if not rest and white:
                     linear = linear and not self.negative[1] and self.missed == missed
             read[white] = self.rows[1], self.zeros[1], self.spent[1]

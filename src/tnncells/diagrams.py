@@ -6,6 +6,13 @@ cells strictly above it black. The same objects appear elsewhere as
 Le-diagrams, written as 0/1 grids in which 0 marks a black cell; both
 notations are accepted on input and the dot/hash grid is the canonical
 output.
+
+Validation, enumeration and the verifiers' walk read the rule a row at a
+time, on its black mask B (bit a - 1 for column a). Adding 1 to B clears its
+leading run of ones, the black cells with no white cell to their left, so
+B & (B + 1) (:func:`row_forces`) holds the others, which must have no white
+cell above. A coloring is a diagram exactly when each row's forced columns
+are black in every row above it; the walk reads this bottom up.
 """
 
 from __future__ import annotations
@@ -23,20 +30,25 @@ WHITE_CHAR = "."
 BLACK_CHAR = "#"
 
 
+def row_forces(black: int) -> int:
+    """The black cells of a row's mask ``black`` (bit a - 1 for column a) with a
+    white cell to their left, which every row above must have black."""
+    return black & (black + 1)
+
+
 def _first_violation(m: int, p: int, black: frozenset[Cell]) -> Cell | None:
-    """The first black cell in row-major order that breaks the rule, found in one
-    pass over the grid in that order."""
+    """The first black cell in row-major order that breaks the rule: top down,
+    the lowest column a row forces that some row above it leaves white."""
+    rows = [0] * (m + 1)
     for (i, alpha) in black:
         if not (1 <= i <= m and 1 <= alpha <= p):
             raise DomainError(f"cell ({i},{alpha}) outside {m}x{p} grid")
-    above = [True] * p  # per column: are all cells above the current row black?
+        rows[i] |= 1 << alpha - 1
+    above = -1  # the columns black in every row so far
     for i in range(1, m + 1):
-        left = True  # are all cells left of the current one black?
-        for alpha in range(1, p + 1):
-            if (i, alpha) not in black:
-                left = above[alpha - 1] = False
-            elif not (left or above[alpha - 1]):
-                return (i, alpha)
+        if bad := row_forces(rows[i]) & ~above:
+            return (i, (bad & -bad).bit_length())
+        above &= rows[i]
     return None
 
 
@@ -197,35 +209,42 @@ def enumerate_diagrams(m: int, p: int) -> Iterator[CauchonDiagram]:
     Cells are read row-major with the first cell most significant and black
     as 1, so the all-white diagram comes first and the all-black one last.
     ``diagram enum`` prints this order, and the verifiers, which walk the
-    grid from the bottom row up, report their mismatches in it.
-    Backtracking checks each black placement against the one-pass rule
-    check's flags: "all black to the left", carried along the row, and "all
-    black above", kept per column and restored on backtrack. Both are exact,
-    so no completed coloring is rejected and the diagrams are built without
-    re-validation. The enumeration guard is checked when the call is made.
+    grid from the bottom row up, report their mismatches in it. Rows are
+    filled top down, depth first with no recursion, each trying its black
+    masks in ascending order, column 1 the most significant bit, and keeping
+    those whose forced columns are black in every row above: the diagrams
+    need no re-validation. The sizes and guard are checked when called.
     """
     if m < 1 or p < 1:
         raise DomainError("grid sizes must be at least 1")
     guards.ensure_enumerable(m, p, what="diagram enumeration")
-    cells = [(i, a) for i in range(1, m + 1) for a in range(1, p + 1)]
-    black: set[Cell] = set()
-    above = [True] * (p + 1)  # per column: are all cells above the current row black?
 
-    def walk(k: int, left: bool) -> Iterator[CauchonDiagram]:
-        if k == len(cells):
-            yield CauchonDiagram._make(m, p, frozenset(black))
-            return
-        i, alpha = cells[k]
-        left = left or alpha == 1  # nothing is left of a row's first cell
-        was_above, above[alpha] = above[alpha], False
-        yield from walk(k + 1, False)
-        above[alpha] = was_above
-        if left or was_above:
-            black.add((i, alpha))
-            yield from walk(k + 1, left)
-            black.discard((i, alpha))
+    def walk() -> Iterator[CauchonDiagram]:
+        full = (1 << p) - 1
+        rows = [0] * (m + 1)  # each row's black mask; row 0's is never full
+        above = [full] * (m + 1)  # the columns black in every row above row i
+        grid = [[(i, a) for a in range(1, p + 1)] for i in range(m + 1)]  # shared by the diagrams
+        cells: list[list[Cell]] = [[]] * (m + 1)  # the black cells of rows 1..i
+        i = 1
+        while i:
+            black = rows[i]
+            if bad := row_forces(black) & ~above[i]:
+                # so does every mask that agrees with it up to its first bad column
+                rows[i] = black | full & -(bad & -bad)
+            else:
+                cells[i] = cells[i - 1] + [grid[i][a] for a in range(p) if black >> a & 1]
+                if i < m:
+                    above[i + 1] = above[i] & black
+                    i += 1
+                    continue
+                yield CauchonDiagram._make(m, p, frozenset(cells[m]))
+            while rows[i] == full:  # the row's last mask: back up, past row 1 to the end
+                rows[i], i = 0, i - 1
+            # the next mask: the rightmost white column turns black, those right of it white
+            white = 1 << (full ^ rows[i]).bit_length() - 1
+            rows[i] = rows[i] & white - 1 | white
 
-    return walk(0, True)
+    return walk()
 
 
 def poly_bernoulli(m: int, p: int) -> int:

@@ -16,8 +16,10 @@ families obey the determinant identity.
 
 Every network holds one form: its vertex names in a topological order, its
 edges on the names' numbers, each running to a higher number, and its drawing
-points beside the names. :func:`postnikov_network` numbers a diagram's
-vertices as it walks the grid; :meth:`PlanarNetwork.from_json` orders a named
+points beside the names. :meth:`GridNetwork.add_row` draws a diagram's rows
+on the numbering of an all-white grid (row by row the source, then the dots
+right to left; the sinks last), and :func:`postnikov_network` builds a
+diagram's network from them. :meth:`PlanarNetwork.from_json` orders a named
 network's vertices with one pass of ``graphlib``, and refuses a cycle, an
 unknown vertex or a name that is not a string as it reads them.
 
@@ -25,11 +27,11 @@ unknown vertex or a name that is not a string as it reads them.
 for ``network lindstrom``: it walks the paths from each of the minor's
 sources (:func:`_paths`) and grows path-family states one row at a time
 (:func:`_extend`). ``verify all`` runs the same two kernels row by row from
-the bottom up on a :class:`GridNetwork`, numbered by grid cell, as its
-diagram walk fixes each row. A diagram's network is planar, so the walk
-counts only the order-preserving families and a family that is not disjoint
-shows in its counts instead of cancelling; a JSON network may be any DAG, so
-``network lindstrom`` keeps the signed sum.
+the bottom up on a :class:`GridNetwork`, as its diagram walk fixes each row.
+A diagram's network is planar, so the walk counts only the order-preserving
+families and a family that is not disjoint shows in its counts instead of
+cancelling; a JSON network may be any DAG, so ``network lindstrom`` keeps
+the signed sum.
 Neither shares code with the restoration, so comparing the counts with the
 restored unit-weight witness, as ``verify all`` does, checks the identity. The path
 matrix serves ``network path-matrix``; a diagram's is charged to its guard
@@ -41,8 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
-from itertools import accumulate, pairwise
-from operator import add
+from itertools import accumulate, count
 from typing import Any, Iterable, Sequence
 
 from . import guards
@@ -181,48 +182,35 @@ class PlanarNetwork:
 def postnikov_network(diagram: CauchonDiagram) -> PlanarNetwork:
     """Dots on white cells, row edges right-to-left, column edges downward.
 
-    The vertices are numbered as the grid is walked: row by row the source,
-    then the row's white dots right to left; the sinks last. Every edge runs
-    to a higher number, so the walk's order is a topological order. A vertex
-    at (i, a) is drawn at (a, -i): the source s_i at (i, p + 1), the sink t_a
-    at (m + 1, a) and a dot in its cell. The edges are listed rows first.
+    The rows of a :class:`GridNetwork`, added from the bottom up, with the
+    black cells' vertices dropped and the others kept in the grid's order. A
+    vertex at (i, a) is drawn at (a, -i): the source s_i at (i, p + 1), the
+    sink t_a at (m + 1, a) and a dot in its cell. The edges are listed rows
+    first, then columns left to right, each top down.
     """
-    m, p, black = diagram.m, diagram.p, diagram.black
-    names: list[str] = []
-    points: list[tuple[int, int]] = []
-    edges: list[Edge] = []
-    row_out: list[tuple[Edge, ...]] = []  # each vertex's edge along its row, if any
-    sources: list[int] = []
-    columns: list[list[int]] = [[] for _ in range(p)]  # each column's dots, top down
+    m, p, black, w = diagram.m, diagram.p, diagram.black, diagram.p + 1
+    grid = GridNetwork(m, p)
+    heads = grid.sinks  # the columns' top vertices so far
+    for i in range(m, 0, -1):
+        heads = grid.add_row(i, [(i, a) not in black for a in range(1, w)], heads)[1]
+    kept = {}  # grid vertex -> (name, drawing point), in the grid's order
     for i in range(1, m + 1):
-        sources.append(len(names))
-        names.append(source_id(i))
-        points.append((p + 1, -i))
-        row_out.append(())
+        kept[(i - 1) * w] = source_id(i), (w, -i)
         for a in range(p, 0, -1):
             if (i, a) not in black:
-                k = len(names)
-                edges.append(edge := (k - 1, k, 1))  # from the vertex to the right
-                row_out[k - 1] = (edge,)
-                columns[a - 1].append(k)
-                names.append(dot_id(i, a))
-                points.append((a, -i))
-                row_out.append(())
-    sink_bit = [0] * len(names) + [1 << a for a in range(1, p + 1)]
-    column_out: list[tuple[Edge, ...]] = [()] * (len(names) + p)
-    for a, chain in enumerate(columns, 1):  # a fully black column never reaches its sink
-        chain.append(len(names))
-        for frm, to in pairwise(chain):
-            edges.append(edge := (frm, to, 1))
-            column_out[frm] = (edge,)
-        names.append(sink_id(a))
-        points.append((a, -m - 1))
-        row_out.append(())
-    # tuples, not lists: the collector soon stops tracking them, which halves
-    # the build of a large grid's network
-    out_edges = list(map(add, row_out, column_out))
+                kept[i * w - a] = dot_id(i, a), (a, -i)
+    for a in range(1, w):
+        kept[m * w + a - 1] = sink_id(a), (a, -m - 1)
+    number = dict(zip(kept, count()))
+    renumbered = {e: (number[e[0]], number[e[1]], 1) for v in kept for e in grid.out_edges[v]}
+    # by (0 for a row edge, else its column; its tail)
+    listed = sorted(renumbered, key=lambda e: (e[0] // w != e[1] // w and w - e[0] % w, e[0]))
+    names, points = zip(*kept.values())
+    # tuples, which the collector soon stops tracking: a large grid builds faster
+    out_edges = [tuple(map(renumbered.get, grid.out_edges[v])) for v in kept]
     return PlanarNetwork(
-        m, p, tuple(names), tuple(edges), tuple(points), out_edges, sources, sink_bit
+        m, p, names, tuple(map(renumbered.get, listed)), points, out_edges,
+        [number[source] for source in range(0, m * w, w)], [grid.sink_bit[v] for v in kept],
     )
 
 
@@ -350,34 +338,34 @@ def _extend(states: Iterable[tuple[tuple[int, int, int], Weight]], row: int,
 
 
 class GridNetwork:
-    """The network of a diagram's rows from some row i down, numbered by grid
-    cell, for a walk that adds the rows from the bottom up: dot (r, a) is vertex
-    (r - 1) p + a - 1, sink t_a is m p + a - 1 and source s_r is m p + p + r - 1.
-    :func:`_paths` reads its ``out_edges`` and ``sink_bit``. A column's head is
-    its top vertex so far; ``sinks`` are the heads before any row is added."""
+    """The network of a diagram's rows from some row i down, added from the bottom
+    up, numbered as :func:`postnikov_network` numbers an all-white grid: source
+    s_r is (r - 1)(p + 1), dot (r, a) is (r - 1)(p + 1) + p + 1 - a and sink t_a
+    is m(p + 1) + a - 1, so every edge runs to a higher number. :func:`_paths`
+    reads its ``out_edges`` and ``sink_bit``. A column's head is its top vertex
+    so far; ``sinks`` are the heads before any row is added."""
 
     def __init__(self, m: int, p: int) -> None:
-        cells = m * p
+        grid = m * (p + 1)
         self.m, self.p = m, p
-        self.sink_bit = [0] * cells + [1 << a for a in range(1, p + 1)] + [0] * m
+        self.sink_bit = [0] * grid + [1 << a for a in range(1, p + 1)]
         self.out_edges: list[Sequence[Edge]] = [()] * len(self.sink_bit)
-        self.sinks = tuple(range(cells, cells + p))
+        self.sinks = tuple(range(grid, grid + p))
 
     def add_row(self, i: int, seed: Sequence[int], heads: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-        """Give source s_i and row i's white dots (1 in ``seed``) their edges as
-        :func:`postnikov_network` draws them: along the row to the next white dot
-        on the left, then down the column to its head. The edges of rows below
-        stay; rows above are rewritten when the walk reaches them. Returns the
-        source's vertex and the heads with row i's dots on top."""
-        source = self.m * self.p + self.p + i - 1
+        """Give source s_i and row i's white dots (1 in ``seed``) their edges:
+        along the row to the next white dot on the left, then down the column
+        to its head. The edges of rows below stay; rows above are rewritten
+        when the walk reaches them. Returns the source's vertex and the heads
+        with row i's dots on top."""
+        source = (i - 1) * (self.p + 1)
         out_edges, heads = self.out_edges, list(heads)
         tail, down = source, ()
         for a in range(self.p, 0, -1):
             if seed[a - 1]:
-                v = (i - 1) * self.p + a - 1
+                v = source + self.p + 1 - a
                 out_edges[tail] = ((tail, v, 1),) + down
                 down = ((v, heads[a - 1], 1),)
                 heads[a - 1] = tail = v
         out_edges[tail] = down
         return source, tuple(heads)
-

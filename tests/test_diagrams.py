@@ -2,18 +2,20 @@
 
 import re
 import time
-from itertools import product
+from itertools import islice, pairwise, product
 from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from tnncells.cells import _row_patterns
 from tnncells.diagrams import (
     CauchonDiagram,
     enumerate_diagrams,
     is_cauchon,
     poly_bernoulli,
+    row_forces,
 )
 from tnncells.errors import DomainError, ResourceGuardError
 
@@ -78,9 +80,37 @@ def test_enumeration_order_is_ascending_bitmask():
         return sum(1 << (len(cells) - 1 - k)
                    for k, c in enumerate(cells) if c in d.black)
 
-    masks = [mask(d) for d in enumerate_diagrams(2, 2)]
-    assert masks == sorted(masks)
-    assert masks[0] == 0
+    for m, p in [(m, p) for m in range(1, 5) for p in range(1, 5)] + [(2, 5), (5, 2)]:
+        masks = [mask(d) for d in enumerate_diagrams(m, p)]
+        assert all(a < b for a, b in pairwise(masks)), (m, p)
+        assert masks[0] == 0 and masks[-1] == 2 ** (m * p) - 1, (m, p)
+        assert len(masks) == poly_bernoulli(m, p), (m, p)
+
+
+@pytest.mark.parametrize("m, p, second", [(1, 1200, (1, 1200)), (1200, 1, (1200, 1)),
+                                          (40, 30, (40, 1))])
+def test_enumeration_needs_no_recursion(monkeypatch, m, p, second):
+    # one frame per cell would pass the interpreter's recursion limit; the
+    # second diagram's one black cell is the last, row-major, allowed alone
+    monkeypatch.setenv("CAUCHON_GUARD", "2000")
+    first, then = islice(enumerate_diagrams(m, p), 2)
+    assert (first.m, first.p, first.black, then.black) == (m, p, frozenset(), {second})
+
+
+def test_row_rule_reads_alike_top_down_and_bottom_up():
+    # bottom up, the walk's rows hold the columns the rows below force; top
+    # down, a row's forced columns lie in the rows above: on two rows, both
+    # say the upper row holds the lower row's forced columns
+    for p in range(1, 7):
+        rows = range(1 << p)
+        for forced in rows:
+            want = [(black, forced | row_forces(black)) for black in rows if black & forced == forced]
+            assert sorted(_row_patterns(p, forced)) == want, (p, forced)
+        for upper, lower in product(rows, repeat=2):
+            black = frozenset((i, a) for i, row in ((1, upper), (2, lower))
+                              for a in range(1, p + 1) if row >> a - 1 & 1)
+            holds = upper & row_forces(lower) == row_forces(lower)
+            assert holds != oracles.has_bad_black_cell(2, p, black), (p, upper, lower)
 
 
 def test_is_cauchon_examples():

@@ -222,6 +222,41 @@ def test_lindstrom_check_catches_a_row_edge_dropped_between_dots(monkeypatch):
         "name": "lindstrom", "ok": False, "detail": "3401/4370 minors match path counts"}
 
 
+def test_row_edges_run_the_wrong_way_fail_verify_all(monkeypatch):
+    """``GridNetwork.add_row`` running each row's edges left to right, from the
+    source into the leftmost white dot, draws a network whose paths no longer
+    turn down in the order the witness minors count them: 8,184 of the 36,244
+    3x4 minors differ from their path-family counts."""
+    mutant = _mutated(networks, "GridNetwork.add_row", "for a in range(self.p, 0, -1):",
+                      "for a in range(1, self.p + 1):")
+    monkeypatch.setattr(networks.GridNetwork, "add_row", mutant)
+    result = _verify("verify", "all", "--m", "3", "--p", "4")
+    assert result.exit_code == 1
+    assert json.loads(result.output)["checks"][:2] == [
+        {"name": "unifying", "ok": True, "detail": "1066/1066 diagrams agree"},
+        {"name": "lindstrom", "ok": False, "detail": "28060/36244 minors match path counts"}]
+
+
+def test_a_wrong_row_rule_fails_cells_verify_and_diagram_check(monkeypatch):
+    """The row rule off by one, ``black & (black - 1)``, forces a row's black
+    cells past its lowest one instead of those past its leading black run.
+    Validation, enumeration and the walk share the rule, so the walk visits
+    1,044 colorings where 1,066 are expected, 532 of them with a negative
+    witness minor or a family that differs, and ``diagram check`` accepts
+    ``../.#``, whose black cell has a white cell to its left and one above."""
+    mutant = _mutated(diagrams, "row_forces", "black + 1", "black - 1")
+    for module in (diagrams, cells):
+        monkeypatch.setattr(module, "row_forces", mutant)
+    verify = CliRunner().invoke(main, ["cells", "verify", "3", "4"])
+    assert verify.exit_code == 1
+    assert verify.output.startswith("512/1044 agree, 1066 diagrams expected")
+    check = CliRunner().invoke(main, ["diagram", "check", "../.#"])
+    assert (check.exit_code, check.output) == (0, "valid\n")
+    monkeypatch.undo()
+    check = CliRunner().invoke(main, ["diagram", "check", "../.#"])
+    assert (check.exit_code, check.output) == (1, "not a diagram\n")
+
+
 def test_lindstrom_check_counts_only_minors_that_differ(monkeypatch):
     """A negated witness entry (1,1) makes [1|1] differ on the 8 diagrams of 2x2
     where it is nonzero, and [1,2|1,2] on the 5 of them where (2,2) is white."""

@@ -15,7 +15,9 @@ on diagram rows i..m, so a walk node restores row i, adds the minor tables
 with top row i and, for ``verify all``, extends the disjoint path families
 and compares the new minors with their counts, once for every diagram above
 it; each leaf, one diagram, compares its zero mask with its permutation's
-family, read off necklace terms the walk keeps. The walk keeps only
+family, an OR of necklace terms. A node's row fixes a prefix of the pipe
+dream's inverse and with it one more term, so each node ORs that term into
+its parent's, and a leaf adds only the last p of the n. The walk keeps only
 mismatches and counts, checks its diagram count by formula, and splits
 across workers by bottom row.
 
@@ -25,10 +27,12 @@ source 1. For a row-1 white set S with lowest column low, S's row, minors
 and counts are the sums of those of S - {low} and {low}. If no singleton
 {a} has a negative minor, a row-1 minor of S then vanishes exactly when it
 vanishes for both, so S's zero mask is the AND of theirs, and S is charged
-the path steps the full route would spend. Most leaves have two or more
-white cells in row 1 and are read this way, with no restoration, minor
-kernel or path walk of their own; their permutation route still runs in
-full. :class:`_Walk` proves these and says when it falls back.
+the path steps the full route would spend. The empty row's seed is 0, so
+its row and its minors with row 1 are 0, and no path leaves source 1. Most
+leaves have two or more white cells in row 1 or none and are read this way,
+with no restoration, minor kernel or path walk of their own; their
+permutation route still runs in full. :class:`_Walk` proves these and says
+when it falls back.
 """
 
 from __future__ import annotations
@@ -48,7 +52,8 @@ from .errors import ConsistencyError, DomainError
 from .matrices import Matrix, MinorFamily, _top_row_plan, scan_int_minors, scan_minors, subsets
 from .networks import GridNetwork, _extend, _paths
 from .permutations import (
-    Permutation, _necklace_mask, is_restricted, minor_family, pipe_dream, pipe_dream_suffix,
+    Permutation, _necklace_mask, _necklace_step, _necklace_term, is_restricted, minor_family,
+    pipe_dream, pipe_dream_suffix,
 )
 from .cauchon import _ensure_sweep, tnn_test, vanishing_family, witness_row
 
@@ -92,7 +97,7 @@ def admissible_families(m: int, p: int) -> tuple[CellDescriptor, ...]:
 def _admissible_table(m: int, p: int) -> dict[int, CellDescriptor]:
     """The grid's descriptors keyed by the mask of their family."""
     table: dict[int, CellDescriptor] = {}
-    terms: dict[tuple[int, int], list[int]] = {}  # necklace terms, see _necklace_mask
+    terms: dict[tuple[int, int], int] = {}  # necklace terms, see _necklace_term
     for diagram in enumerate_diagrams(m, p):
         w = pipe_dream(diagram)
         family = MinorFamily._from_mask(m, p, _necklace_mask(w.inverse().images, m, p, terms))
@@ -208,7 +213,8 @@ def unifying_check(
     _ensure_sweep(m, p)
     guards.ensure_minor_family(m, p)
     started = time.monotonic()
-    walk = partial(_walk_bottom, m, p, lindstrom)
+    # one necklace term memo for the check; a task sent to a worker takes its own copy
+    walk = partial(_walk_bottom, m, p, lindstrom, {})
     if jobs > 1:
         # the fewer columns a bottom row forces black, the more diagrams lie
         # above it; the largest tasks first keep the workers busy to the end
@@ -233,13 +239,14 @@ def unifying_check(
 
 
 def _walk_bottom(
-    m: int, p: int, lindstrom: bool, bottom: tuple[tuple[int, ...], int]
+    m: int, p: int, lindstrom: bool, terms: dict[tuple[int, int], int],
+    bottom: tuple[int, int],
 ) -> tuple[int, list[tuple[int, dict[str, Any]]], int]:
     """Worker: walk the diagrams whose bottom row is ``bottom``, a (black mask,
-    forced columns) of :func:`_row_patterns`. Returns their count, their
-    mismatches keyed by diagram bitmask, and the minors the Lindstrom check
-    missed."""
-    walk = _Walk(m, p, lindstrom)
+    forced columns) of :func:`_row_patterns`, with the necklace term memo
+    ``terms``. Returns their count, their mismatches keyed by diagram bitmask,
+    and the minors the Lindstrom check missed."""
+    walk = _Walk(m, p, lindstrom, terms)
     count = walk.node(m, *bottom)
     return count, walk.mismatches, walk.missed
 
@@ -265,6 +272,13 @@ def _seed(p: int, black: int) -> tuple[int, ...]:
 
 
 @cache
+def _row_one_minors(m: int, p: int) -> int:
+    """The mask of the m x p grid's minors with row 1."""
+    return sum(((1 << comb(p, rows.bit_count())) - 1) << bit
+               for rows, _, _, bit in _top_row_plan(m, p, 1))
+
+
+@cache
 def _column_positions(p: int) -> dict[int, int]:
     """Each column set as a sink mask (bit a for column a) mapped to its position
     among the sets of its size in :func:`~tnncells.matrices.subsets` order."""
@@ -286,12 +300,23 @@ class _Walk:
     and compares its new minors with their counts, once on behalf of every
     diagram above it. The rows above it are those of :func:`_row_patterns`,
     reversed below row 2.
-    A leaf, row 1, is one diagram, checked by :meth:`leaf` against the family
-    read off its suffix, the inverse of its pipe dream, by
-    :func:`~tnncells.permutations._necklace_mask`. That family is an OR of
-    necklace terms, one per (i, I_i), which ``terms`` keeps for the walk's
-    lifetime: at most n * C(n, m) of them, shared by all its leaves. Per-row
-    state is kept by row index, row m + 1 holding the empty path's.
+    A leaf, row 1, is one diagram, checked by :meth:`leaf` against its
+    permutation's family: the OR over j = 1..n of one necklace term
+    (:func:`~tnncells.permutations._necklace_term`) per (j, I_j), read off
+    its suffix, the inverse of its pipe dream, and built along the path.
+    Per-row state is kept by row index, row m + 1 holding the empty path's.
+
+    The necklace along the walk. Row i's black cells swap entries k and k + 1
+    of the inverse, k = m - i + a, so only entries m - i + 1..m - i + p + 1,
+    and every row above it only entries m - i + 2 and up. So once row i is
+    fixed, entries 1..m - i + 1 are final, and so are I_1..I_{m-i+2}, since
+    I_{j+1} is I_j stepped by entry j
+    (:func:`~tnncells.permutations._necklace_step`). The root holds I_1 = [m]
+    and term 1; node i >= 2 takes the step by entry m - i + 1 and ORs term
+    m - i + 2 into its parent's OR (``necklace`` and ``crowded``), once for
+    every leaf above it; a leaf takes the last p steps from row 2's I_m and
+    ORs terms m + 1..n. ``terms``, the check's memo, builds each (j, I_j)
+    once: at most n * C(n, m) of them.
 
     Row 1 by linearity. Below a row-2 node every set S of the free columns is
     row 1's white set of one leaf, and :meth:`row_one` visits them in
@@ -329,22 +354,34 @@ class _Walk:
     (spent({a}) - base), that is spent(A) + spent({low}) - base, charged to
     ``guards.PATH_STEP_LIMIT`` as the full route charges it.
 
+    The empty row. S = {} has the zero seed, so by the first two linearities
+    witness row 1 and every minor with row 1 are 0: the zero mask is the
+    row-2 node's OR every minor with row 1 (:func:`_row_one_minors`), and the
+    negative flag is the row-2 node's. s_1 has no white dot to turn down at,
+    so its walk visits s_1 alone and finds no path: the leaf is charged
+    spent[2] + 1 steps, every count with source 1 is 0, and it misses no
+    minor. None of this needs the AND rule, so the empty row is read this
+    way even after a fallback.
+
     The fallback. Once a singleton has a negative minor or a minor that
     differs from its count, the AND rule or the count sum no longer holds,
-    and the node's remaining leaves run :meth:`node` in full, so mismatches
-    and missed minors are the full route's. The empty row and the
-    singletons always run it. Only the restoration route is read this way:
-    every leaf builds its own suffix and necklace family and compares them.
+    and the node's remaining leaves with two or more white cells run
+    :meth:`node` in full, so mismatches and missed minors are the full
+    route's. The singletons always run it. Only the restoration route is
+    read this way: every leaf builds its own suffix and finishes its own
+    necklace family, and compares them.
     """
 
-    def __init__(self, m: int, p: int, lindstrom: bool) -> None:
+    def __init__(self, m: int, p: int, lindstrom: bool, terms: dict[tuple[int, int], int]) -> None:
         self.m, self.p = m, p
         self.seeds: list[tuple[int, ...]] = [()] * (m + 2)
         self.rows: list[list[int]] = [[]] * (m + 2)  # witness rows, scanned on a negative
         self.tables: dict[int, list[int]] = {0: [1]}  # by row set mask, see _top_row_plan
         self.zeros, self.negative = [0] * (m + 2), [False] * (m + 2)
         self.inverse = [tuple(range(1, m + p + 1))] * (m + 2)
-        self.terms: dict[tuple[int, int], list[int]] = {}  # necklace terms, see _necklace_mask
+        self.terms = terms  # necklace terms, see _necklace_term
+        self.necklace = [(1 << m) - 1] * (m + 2)  # the last I_j a row fixes; the root's is I_1
+        self.crowded = [_necklace_term(m, p, 1, self.necklace[m + 1], terms)] * (m + 2)  # terms' OR
         self.network = GridNetwork(m, p) if lindstrom else None
         self.spent = [0] * (m + 2)  # path steps, with a network
         if self.network is not None:
@@ -369,7 +406,12 @@ class _Walk:
                 elif value < 0:
                     negative = True
         self.zeros[i], self.negative[i] = zeros, negative
-        self.inverse[i] = pipe_dream_suffix(self.inverse[i + 1], m, i, seed)
+        self.inverse[i] = inverse = pipe_dream_suffix(self.inverse[i + 1], m, i, seed)
+        if i > 1:  # entry j = m - i + 1 of the inverse is final, and so is I_{j+1}
+            j = m - i + 1
+            self.necklace[i] = necklace = _necklace_step(
+                m, m + p, j, self.necklace[i + 1], inverse[j - 1])
+            self.crowded[i] = self.crowded[i + 1] | _necklace_term(m, p, j + 1, necklace, self.terms)
         missed = 0 if self.network is None else self._lindstrom(i, seed, plan)
         if i == 1:
             self.leaf()
@@ -383,30 +425,37 @@ class _Walk:
 
     def row_one(self, rows: list[tuple[int, int]]) -> int:
         """Visit a row-2 node's leaves, ``rows`` in increasing order of their set
-        S of white columns, and return their number. The empty row and the
-        singletons run :meth:`node`; a larger S is read off S - {low} and
-        {low} by linearity (see the class docstring) until a singleton has a
-        negative minor or a missed Lindstrom minor, and then runs it too."""
+        S of white columns, and return their number. The empty row is read by
+        rule and the singletons run :meth:`node`; a larger S is read off
+        S - {low} and {low} by linearity (see the class docstring) until a
+        singleton has a negative minor or a missed Lindstrom minor, and then
+        runs it too."""
         read: dict[int, tuple[list[int], int, int]] = {}  # by S: witness row 1, zeros, spent
         base = self.spent[2] + 1
         linear, full = True, (1 << self.p) - 1
         for black, forced in rows:
             seed, white = _seed(self.p, black), full ^ black
             rest = white & (white - 1)
-            if linear and rest:
-                (row, zeros, steps), (low_row, low_zeros, low_steps) = read[rest], read[white ^ rest]
-                self.seeds[1], self.rows[1] = seed, list(map(add, row, low_row))
-                self.zeros[1], self.negative[1] = zeros & low_zeros, self.negative[2]
+            if not white or linear and rest:
+                if white:
+                    row, zeros, steps = read[rest]
+                    low, low_zeros, low_steps = read[white ^ rest]
+                    row, zeros = list(map(add, row, low)), zeros & low_zeros
+                    steps += low_steps - base
+                else:  # witness row 1 is 0, and so is every minor with row 1
+                    row, steps = [0] * self.p, base
+                    zeros = self.zeros[2] | _row_one_minors(self.m, self.p)
+                self.seeds[1], self.rows[1] = seed, row
+                self.zeros[1], self.negative[1] = zeros, self.negative[2]
                 if self.network is not None:
-                    self.spent[1] = steps + low_steps - base
-                    guards.ensure(self.spent[1], guards.PATH_STEP_LIMIT,
-                                  "steps of one path family count")
+                    self.spent[1] = steps
+                    guards.ensure(steps, guards.PATH_STEP_LIMIT, "steps of one path family count")
                 self.inverse[1] = pipe_dream_suffix(self.inverse[2], self.m, 1, seed)
                 self.leaf()
             else:
                 missed = self.missed
                 self.node(1, black, forced)
-                if not rest and white:
+                if not rest:
                     linear = linear and not self.negative[1] and self.missed == missed
             read[white] = self.rows[1], self.zeros[1], self.spent[1]
         return len(rows)
@@ -432,12 +481,17 @@ class _Walk:
         """Check the diagram the path fixed: Cauchon's theorem, that no witness
         minor is negative, which no deletion sweep can (it undoes any
         restoration), naming the most negative minor of the first size with
-        one, then that its zero minors are its permutation's family, read off
-        the walk's necklace terms. Keep a mismatch with the diagram's bitmask;
+        one, then that its zero minors are its permutation's family: row 2's
+        OR of necklace terms with the last p terms, which row 1 fixes, ORed
+        in. Keep a mismatch with the diagram's bitmask;
         only then is the permutation built, from the suffix, and a permutation
         the walk made outside the window is reported with it."""
-        m, p = self.m, self.p
-        via_permutation = _necklace_mask(self.inverse[1], m, p, self.terms)
+        m, p, inverse = self.m, self.p, self.inverse[1]
+        necklace, via_permutation = self.necklace[2], self.crowded[2]
+        for j in range(m, m + p):
+            necklace = _necklace_step(m, m + p, j, necklace, inverse[j - 1])
+            via_permutation |= _necklace_term(m, p, j + 1, necklace, self.terms)
+        self.crowded[1] = via_permutation
         if self.negative[1]:
             scan = scan_int_minors(self.rows[1:m + 1], m, p, 1)
             problems = ["witness minor {} = {} is negative".format(*scan.negative)]
@@ -447,7 +501,7 @@ class _Walk:
             via_restoration = str(MinorFamily._from_mask(m, p, self.zeros[1]))
         else:
             return
-        w = Permutation(self.inverse[1]).inverse()
+        w = Permutation(inverse).inverse()
         if not is_restricted(w, m, p):
             problems.append(f"permutation {w} violates the window condition for ({m},{p})")
         seeds = self.seeds[1:m + 1]

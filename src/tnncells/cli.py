@@ -20,6 +20,7 @@ import click
 from . import cells as cells_mod
 from . import diagrams as diagrams_mod
 from . import fixtures as fixtures_mod
+from . import guards
 from . import networks as networks_mod
 from . import permutations as perm_mod
 from . import poisson as poisson_mod
@@ -299,6 +300,16 @@ def vanish(diagram_src: str, fmt: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _count_or_guard(m: int, p: int, count_only: bool, fmt: str, what: str) -> None:
+    """Answer ``--count-only`` with the poly-Bernoulli number, which counts the
+    diagrams and, through their pipe dreams, S(m, p); else refuse a listing
+    over ``guards.LISTING_LIMIT`` before any of it is built."""
+    count = diagrams_mod.poly_bernoulli(m, p)
+    if count_only:
+        _emit(fmt, {"m": m, "p": p, "count": count}, str(count))
+    guards.ensure(count, guards.LISTING_LIMIT, what)
+
+
 @main.group()
 def diagram() -> None:
     """Diagram enumeration and validation."""
@@ -312,9 +323,7 @@ def diagram() -> None:
 def diagram_enum(m: int, p: int, count_only: bool, fmt: str) -> None:
     """All diagrams of the grid, in canonical order."""
     stream = diagrams_mod.enumerate_diagrams(m, p)  # checks the sizes and the guard
-    if count_only:
-        count = diagrams_mod.poly_bernoulli(m, p)
-        _emit(fmt, {"m": m, "p": p, "count": count}, str(count))
+    _count_or_guard(m, p, count_only, fmt, "diagrams to list")
     items = list(stream)
     payload = {
         "m": m,
@@ -415,9 +424,7 @@ def perm() -> None:
 def perm_enum(m: int, p: int, count_only: bool, fmt: str) -> None:
     """All restricted permutations in lexicographic order."""
     stream = perm_mod.enumerate_restricted(m, p)  # checks the sizes and the guard
-    if count_only:  # pipe dreams match them one to one with the diagrams
-        count = diagrams_mod.poly_bernoulli(m, p)
-        _emit(fmt, {"m": m, "p": p, "count": count}, str(count))
+    _count_or_guard(m, p, count_only, fmt, "permutations to list")
     items = list(stream)
     payload = {
         "m": m,

@@ -11,7 +11,8 @@ table and family is counted by :func:`ensure_minor_table`, a minor family's
 grid by its size (a bit per minor, plus each row and column set times the
 intervals of its side), a quantum or Poisson grid by its (mp)^2 generator
 pairs before any of its tables is built, a parsed permutation or a diagram's
-pipe dream holds one entry per letter and a network read from JSON one
+pipe dream holds one entry per letter, a listing of diagrams or
+permutations one line per item, and a network read from JSON one
 source or sink per letter, a power in an expression multiplies once per unit
 of its exponent, each parenthesis in an expression costs its reader one
 level of recursion, a count of disjoint path families takes a step per
@@ -87,6 +88,12 @@ PERMUTATION_LETTER_LIMIT = 1_000
 # the semiclassical check of all 4,950 pairs about a second; the 20x20 bracket
 # table would take 0.5 s and 140 MB.
 ALGEBRA_PAIR_LIMIT = 10_000
+
+# Diagrams or permutations one ``diagram enum`` or ``perm enum`` may list,
+# counted by formula before the first is built. The largest grid under the
+# default guard, 1x16 (or 16x1), has 65,536 diagrams, listed in about 2 s and
+# 170 MB.
+LISTING_LIMIT = 1 << 16
 
 # Worker processes one ``--jobs`` may start. The walk of ``cells verify`` and
 # ``verify all`` has one task per bottom-row pattern (32 at 5x5) and never

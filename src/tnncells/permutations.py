@@ -38,7 +38,7 @@ I_n instead would change no verdict. A loop below i' lies in an interval
 above m, so the interval holds all of [m]. Since [m] is the set of the empty
 minor, I_{i'} already has m members there, and no m-set exceeds that. The
 loop step is kept because it holds every I_i to m members, which bounds the
-necklace terms an exhaustive walk meets (see :func:`_necklace_mask`). Oh's
+necklace terms an exhaustive walk meets (see :func:`_necklace_term`). Oh's
 theorem turns the necklace into a rank test on cyclic intervals (see
 :func:`minor_family`). A parsed permutation's letters and a minor family's
 grid are guarded before anything is built.
@@ -49,9 +49,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import comb
-from operator import or_
 from typing import Any, Iterator, Sequence
 
 from . import guards
@@ -312,23 +311,23 @@ def bruhat_leq(u: Permutation, w: Permutation) -> bool:
 
 
 # An exhaustive walk uses about n^3 / 8 tables (42 at 3x4, 64 at 4x4, 125 at
-# 5x5) and one 11x11 call up to 242; each is a list of pointers to k + 2
-# masks per size k.
+# 5x5) and one 11x11 call up to 242; each is one int of a bit per minor.
 @lru_cache(maxsize=1024)
-def _crowded(m: int, p: int, start: int, stop: int, bound: int) -> list[int]:
-    """For the cyclic interval J = [start..stop] of 1..m + p, per row set R of
-    the m x p grid (size by size, in lexicographic order), the mask over the
-    k-subsets C of 1..p, in the same order, of those for which the set S of
-    [R|C] has more than ``bound`` members in J.
+def _crowded(m: int, p: int, start: int, stop: int, bound: int) -> int:
+    """For the cyclic interval J = [start..stop] of 1..m + p, the mask over the
+    m x p grid's minors (bit j for the j-th in size-by-size lexicographic
+    order, as :class:`~tnncells.matrices.MinorFamily` numbers them) of those
+    [R|C] whose set S has more than ``bound`` members in J.
 
     |S ∩ J| = |J ∩ [m]| - |R ∩ flip(J ∩ [m])| + |C ∩ (J - m)|, so the row set
-    fixes how many of C's members J may hold, and the masks are shared among
-    the row sets that fix the same number.
+    fixes how many of C's members J may hold: per size, the column masks are
+    built once for each such number, each row set takes one as its run of
+    bits, and neighbouring runs are joined pairwise, in linear work a level.
     """
     n = m + p
     inside = [int((j - start) % n <= (stop - start) % n) for j in range(1, n + 1)]
     rows, cols = inside[m - 1::-1], inside[m:]  # row r is m + 1 - r, column c is m + c
-    table = []
+    mask = offset = 0  # offset: the bit of the size's first minor
     for k in range(1, min(m, p) + 1):
         at_least = [0] * (k + 2)  # by |C ∩ (J - m)|, then summed from above
         for i, count in enumerate(map(sum, combinations(cols, k))):
@@ -337,8 +336,15 @@ def _crowded(m: int, p: int, start: int, stop: int, bound: int) -> list[int]:
             at_least[count] |= at_least[count + 1]
         first = bound - sum(rows) + 1  # the least |C ∩ (J - m)| that crowds J
         by_shared = [at_least[min(max(first + shared, 0), k + 1)] for shared in range(k + 1)]
-        table += map(by_shared.__getitem__, map(sum, combinations(rows, k)))
-    return table
+        runs, width = list(map(by_shared.__getitem__, map(sum, combinations(rows, k)))), comb(p, k)
+        size = len(runs) * width
+        while len(runs) > 1:
+            runs.append(0)  # a partner for an odd last run; a spare 0 otherwise
+            runs = [low | high << width for low, high in zip(runs[::2], runs[1::2])]
+            width *= 2
+        mask |= runs[0] << offset
+        offset += size
+    return mask
 
 
 def minor_family(w: Permutation, m: int, p: int) -> MinorFamily:
@@ -371,52 +377,56 @@ def minor_family(w: Permutation, m: int, p: int) -> MinorFamily:
 
 
 def _necklace_mask(
-    inverse: Sequence[int], m: int, p: int, terms: dict[tuple[int, int], list[int]]
+    inverse: Sequence[int], m: int, p: int, terms: dict[tuple[int, int], int]
 ) -> int:
     """The family mask of the restricted permutation whose one-line inverse is
-    ``inverse`` (see :func:`minor_family`), which is not checked.
-
-    The mask is the OR over i of one necklace term: per row set, the columns
-    of the minors that crowd some interval J = [i..x] tested against I_i.
-    Only x outside I_i and before I_i's m-th member in the cyclic order from
-    i need testing, since a member of I_i adds one to its count and at most
-    one to S's, and from the m-th member on I_i's count is m; each test is
-    one cached table of :func:`_crowded`. A term depends only on i and I_i,
-    so it is kept in ``terms``, keyed by i and I_i as a bitmask (bit j - 1
-    for j), which the caller owns, passes again for the same grid and drops
-    with its walk; no term is cached beyond it. An exhaustive walk meets at
-    most n * C(n, m) terms: 90 of 245 at 3x4, against 1,066 diagrams, and
-    181 of 560 at 4x4, against 6,902.
-    """
-    n = m + p
-    crowded: list[int] = []
-    necklace = (1 << m) - 1
-    for i, image in enumerate(inverse, 1):
-        term = terms.get((i, necklace))
-        if term is None:
-            term, seen, ring = [], 0, necklace | necklace << n  # bits x - 1 and x + n - 1 both hold x
-            for x in range(i, i + n):
-                if ring >> x - 1 & 1:
-                    seen += 1
-                    if seen == m:
-                        break
-                else:
-                    table = _crowded(m, p, i, (x - 1) % n + 1, seen)
-                    term = list(map(or_, term, table)) if term else table
-            terms[i, necklace] = term
-        if term:
-            crowded = list(map(or_, crowded, term)) if crowded else term
-        if necklace >> i - 1 & 1:  # else i is a loop, and I_{i+1} = I_i
-            necklace = necklace & ~(1 << i - 1) | 1 << (image + m - 1) % n
-    mask = 0
-    for cols, offset in zip(crowded, _row_set_offsets(m, p)):
-        mask |= cols << offset
+    ``inverse`` (see :func:`minor_family`), which is not checked: the OR over
+    i of :func:`_necklace_term`, each I_i one :func:`_necklace_step` from the
+    last, from I_1 = [m]. ``terms`` is the caller's term memo."""
+    n, necklace = m + p, (1 << m) - 1
+    mask = _necklace_term(m, p, 1, necklace, terms)
+    for i in range(1, n):
+        necklace = _necklace_step(m, n, i, necklace, inverse[i - 1])
+        mask |= _necklace_term(m, p, i + 1, necklace, terms)
     return mask
 
 
-@lru_cache(maxsize=64)
-def _row_set_offsets(m: int, p: int) -> tuple[int, ...]:
-    """The bit of each row set's first minor in the m x p grid's mask, size by
-    size, then in lexicographic order."""
-    widths = [comb(p, k) for k in range(1, min(m, p) + 1) for _ in range(comb(m, k))]
-    return tuple(accumulate([0] + widths[:-1]))
+def _necklace_step(m: int, n: int, i: int, necklace: int, image: int) -> int:
+    """I_{i+1} from I_i, the bitmask ``necklace`` (bit j - 1 for j), and
+    ``image``, the inverse's entry i: I_i - {i} ∪ {π(i)}, with
+    π(i) = image + m (mod n), or I_i when i is a loop, outside I_i (see the
+    module docstring)."""
+    if necklace >> i - 1 & 1:
+        return necklace & ~(1 << i - 1) | 1 << (image + m - 1) % n
+    return necklace
+
+
+def _necklace_term(
+    m: int, p: int, i: int, necklace: int, terms: dict[tuple[int, int], int]
+) -> int:
+    """The mask of the minors that crowd some interval J = [i..x] tested
+    against I_i, the m-set ``necklace`` as a bitmask (bit j - 1 for j).
+
+    Only x outside I_i and before I_i's m-th member in the cyclic order from
+    i need testing, since a member of I_i adds one to its count and at most
+    one to S's, and from the m-th member on I_i's count is m; each test is
+    one cached mask of :func:`_crowded`. A term depends only on i and I_i,
+    so it is kept in ``terms``, keyed by (i, necklace), which the caller
+    owns, passes again for the same grid and drops when done; no term is
+    cached beyond it. An exhaustive check meets at most n * C(n, m) terms:
+    90 of 245 at 3x4, against 1,066 diagrams, and 181 of 560 at 4x4,
+    against 6,902.
+    """
+    term = terms.get((i, necklace))
+    if term is None:
+        n, term, seen = m + p, 0, 0
+        ring = necklace | necklace << n  # bits x - 1 and x + n - 1 both hold x
+        for x in range(i, i + n):
+            if ring >> x - 1 & 1:
+                seen += 1
+                if seen == m:
+                    break
+            else:
+                term |= _crowded(m, p, i, (x - 1) % n + 1, seen)
+        terms[i, necklace] = term
+    return term

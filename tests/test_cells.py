@@ -197,24 +197,22 @@ def test_vanishing_family_checks_cauchons_theorem(monkeypatch):
                          + [(2, 5), (5, 2)])
 def test_the_walk_agrees_with_the_sweep_and_the_pipe_dream(monkeypatch, m, p):
     """Each leaf's witness rows are the restoration sweep's unit-weight matrix,
-    its zero mask that matrix's scan, its suffix the pipe dream, and the mask
-    it reads off the walk's necklace terms that pipe dream's family."""
-    leaves, masks = [], []
-    real = cells._necklace_mask
-    monkeypatch.setattr(cells, "_necklace_mask", lambda *args: masks.append(real(*args)) or masks[-1])
+    its zero mask that matrix's scan, its suffix the pipe dream, and the
+    family it ORs from the necklace terms along its path that pipe dream's
+    family."""
+    leaves = []
 
     class Recorded(cells._Walk):
         def leaf(self):
-            leaves.append((self.seeds[1:m + 1], self.rows[1:m + 1], self.inverse[1],
-                           self.zeros[1], self.negative[1]))
             super().leaf()
+            leaves.append((self.seeds[1:m + 1], self.rows[1:m + 1], self.inverse[1],
+                           self.zeros[1], self.negative[1], self.crowded[1]))
             assert not self.mismatches
 
     for bottom in cells._row_patterns(p, 0):
-        Recorded(m, p, False).node(m, *bottom)
+        Recorded(m, p, False, {}).node(m, *bottom)
     seen = set()
-    assert len(masks) == len(leaves)
-    for (seeds, rows, inverse, zeros, negative), mask in zip(leaves, masks):
+    for seeds, rows, inverse, zeros, negative, mask in leaves:
         black = frozenset((i, a) for i, seed in enumerate(seeds, 1)
                           for a, white in enumerate(seed, 1) if not white)
         d = CauchonDiagram(m, p, black)
@@ -248,7 +246,7 @@ def _recorded_walk(walk_class, m, p):
 
     missed, mismatches = 0, []
     for bottom in cells._row_patterns(p, 0):
-        walk = Recorded(m, p, True)
+        walk = Recorded(m, p, True, {})
         walk.node(m, *bottom)
         missed += walk.missed
         mismatches += walk.mismatches
@@ -259,11 +257,12 @@ def _recorded_walk(walk_class, m, p):
                                           (3, 4, True)])
 def test_row_one_by_linearity_agrees_with_the_full_route(monkeypatch, m, p, mutant):
     """A leaf with two or more white cells in row 1, read off two leaves before
-    it, has the witness rows, zero mask, negative flag and path steps the full
-    route gives it, and the walk misses the same minors. With the deletion
-    sign, singletons have negative minors, and a node's leaves after its first
-    such singleton take the full route, so the mismatches are the full
-    route's too."""
+    it, and the leaf with none, read by rule, have the witness rows, zero
+    mask, negative flag and path steps the full route gives them, and the
+    walk misses the same minors. With the deletion sign, singletons have
+    negative minors, and a node's leaves after its first such singleton take
+    the full route, so the mismatches are the full route's too; the empty
+    row is still read by rule."""
     if mutant:
         restore_with_the_deletion_sign(monkeypatch)
     leaves, missed, mismatches, full = _recorded_walk(cells._Walk, m, p)
@@ -273,8 +272,9 @@ def test_row_one_by_linearity_agrees_with_the_full_route(monkeypatch, m, p, muta
         assert leaves[seeds] == leaf, seeds
     assert (missed, mismatches) == (want_missed, want_mismatches)
     assert bool(mismatches) == mutant
-    spared, wide = len(leaves) - full, sum(seeds[0].count(1) >= 2 for seeds in want)
-    assert 0 < spared < wide if mutant else spared == wide
+    spared, empty = len(leaves) - full, sum(seeds[0].count(1) == 0 for seeds in want)
+    wide = sum(seeds[0].count(1) >= 2 for seeds in want)
+    assert empty < spared < empty + wide if mutant else spared == empty + wide
 
 
 def test_each_leaf_is_charged_its_path_steps(monkeypatch):
@@ -289,19 +289,36 @@ def test_each_leaf_is_charged_its_path_steps(monkeypatch):
 
 def test_the_walk_keeps_its_necklace_terms_and_no_module_does():
     """A term is one (i, I_i), so a 4x4 walk holds at most 8 * C(8, 4) = 560 of
-    them, and they die with it: the only caches the permutation route keeps
-    are its interval tables and row set offsets."""
-    walk = cells._Walk(4, 4, False)
+    them, and they die with its memo: the only cache the permutation route
+    keeps is its interval masks."""
+    walk = cells._Walk(4, 4, False, {})
     assert sum(walk.node(4, *bottom) for bottom in cells._row_patterns(4, 0)) == 6902
     assert 0 < len(walk.terms) <= 560
     assert all(1 <= i <= 8 and necklace.bit_count() == 4 for i, necklace in walk.terms)
     cached = {name for name, value in vars(permutations).items() if hasattr(value, "cache_info")}
-    assert cached == {"_crowded", "_row_set_offsets"}
+    assert cached == {"_crowded"}
     before = {name: len(value) for name, value in vars(permutations).items()
               if isinstance(value, (dict, list, set))}
     minor_family(pipe_dream(DEMO), 3, 3)
     assert before == {name: len(value) for name, value in vars(permutations).items()
                       if isinstance(value, (dict, list, set))}
+
+
+def test_one_check_computes_each_necklace_term_once(monkeypatch):
+    """The walks of one check share one term memo, so each (i, I_i) that the
+    1,066 3x4 leaves meet is built once: 90 terms, where a memo per bottom
+    row built 450."""
+    built = []
+    real = cells._necklace_term
+
+    def counted(m, p, i, necklace, terms):
+        if (i, necklace) not in terms:
+            built.append((i, necklace))
+        return real(m, p, i, necklace, terms)
+
+    monkeypatch.setattr(cells, "_necklace_term", counted)
+    assert unifying_check(3, 4).ok
+    assert len(built) == len(set(built)) == 90
 
 
 def test_unifying_check_rectangular():

@@ -19,10 +19,10 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from tnncells import cells, fixtures
+from tnncells import cells, fixtures, guards
 from tnncells.cauchon import ones_TC
 from tnncells.cli import main
-from tnncells.diagrams import CauchonDiagram, enumerate_diagrams
+from tnncells.diagrams import CauchonDiagram, enumerate_diagrams, poly_bernoulli
 from tnncells.matrices import MinorFamily, matrix_to_json
 from tnncells.networks import postnikov_network
 from tnncells.permutations import minor_family, pipe_dream
@@ -634,6 +634,28 @@ def test_count_only_enumerates_nothing(runner, monkeypatch, command):
     result = runner.invoke(main, [command, "enum", "0", "3", "--count-only"])
     assert result.exit_code == 2
     assert "sizes must be at least 1" in result.output
+
+
+@pytest.mark.parametrize("command", ["diagram", "perm"])
+def test_a_listing_is_counted_before_it_is_built(runner, monkeypatch, command):
+    # 40x30 has about 7.7e89 diagrams: refused on its poly-Bernoulli count
+    # before the first is built, while the count itself still answers
+    monkeypatch.setenv("CAUCHON_GUARD", "2000")
+    for fmt in ("text", "json"):
+        result, took = _timed(runner, [command, "enum", "40", "30", "--format", fmt])
+        assert result.exit_code == 3, result.output
+        assert "exceeds the limit of 65536" in result.output
+        assert "Traceback" not in result.output
+        assert took < 2.0
+    result = runner.invoke(main, [command, "enum", "40", "30", "--count-only"])
+    assert (result.exit_code, result.output) == (0, f"{poly_bernoulli(40, 30)}\n")
+
+
+def test_every_grid_under_the_default_guard_may_be_listed():
+    # the largest is 1x16, with 2^16 diagrams
+    counts = [poly_bernoulli(m, p) for m in range(1, guards.DEFAULT_CELL_LIMIT + 1)
+              for p in range(1, guards.DEFAULT_CELL_LIMIT // m + 1)]
+    assert max(counts) == poly_bernoulli(1, 16) == guards.LISTING_LIMIT
 
 
 def _run_process(args, stdin="", address_space=None):

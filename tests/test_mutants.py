@@ -43,37 +43,45 @@ def _verify(*args):
     return CliRunner().invoke(main, [*args, "--format", "json"])
 
 
-COLOOPS_LEFT_OUT_OF_I1 = (
-    "necklace = (1 << m) - 1",
-    "necklace = sum(1 << j - 1 for j in range(1, m + 1) if (inverse[j - 1] + m - 1) % n + 1 != j)",
+COLOOPS_DROPPED_AT_THEIR_STEP = (
+    "_necklace_step",
+    "necklace & ~(1 << i - 1) | 1 << (image + m - 1) % n",
+    "(necklace | 1 << (image + m - 1) % n) & ~(1 << i - 1)",
 )
-PI_SHIFTED_BY_ONE = ("1 << (image + m - 1) % n", "1 << (image + m) % n")
+PI_SHIFTED_BY_ONE = ("_necklace_step", "1 << (image + m - 1) % n", "1 << (image + m) % n")
 
 
-def necklace_mutant(monkeypatch, old, new):
-    """Patch the necklace mask the walk reads each leaf's family from."""
-    monkeypatch.setattr(cells, "_necklace_mask", _mutated(permutations, "_necklace_mask", old, new))
+def necklace_mutant(monkeypatch, name, old, new):
+    """Patch the necklace helper ``name``, which the walk and the family of
+    :func:`~tnncells.permutations.minor_family` both read."""
+    mutant = _mutated(permutations, name, old, new)
+    for module in (permutations, cells):
+        monkeypatch.setattr(module, name, mutant)
 
 
 @pytest.mark.parametrize(
-    "old, new, mismatches",
+    "name, old, new, mismatches",
     [
-        (*COLOOPS_LEFT_OUT_OF_I1, 390),
+        (*COLOOPS_DROPPED_AT_THEIR_STEP, 390),
         (*PI_SHIFTED_BY_ONE, 1065),
-        ("_crowded(m, p, i, (x - 1) % n + 1, seen)",
+        ("_necklace_term", "_crowded(m, p, i, (x - 1) % n + 1, seen)",
          "_crowded(m, p, i, (x - 1) % n + 1, seen + 1)", 1065),
     ],
-    ids=["coloops-left-out-of-I1", "pi-shifted-by-one", "rank-bound-raised-by-one"],
+    ids=["coloops-dropped-at-their-step", "pi-shifted-by-one", "rank-bound-raised-by-one"],
 )
-def test_necklace_mutants_fail_both_verifiers(monkeypatch, old, new, mismatches):
+def test_necklace_mutants_fail_both_verifiers(monkeypatch, name, old, new, mismatches):
     """Each necklace mutant changes the families of hundreds of 3x4 cells.
+    The first removes i after adding π(i) in a step, so a coloop leaves the
+    necklace at its own step: on every diagram through 4x4 it gives the
+    families that leaving the coloops out of I_1 gives, which the walk cannot
+    write, since it builds I_1 before any row fixes a coloop.
 
     Blind spot: dropping the loop branch, so that a loop i joins I_{i+1},
     changes no family (the ``permutations`` module docstring shows why), and
     no verifier can see it. What the branch buys is the bound on the walk's
     necklace terms, which ``test_cells`` pins.
     """
-    necklace_mutant(monkeypatch, old, new)
+    necklace_mutant(monkeypatch, name, old, new)
     report = cells.unifying_check(3, 4)
     assert (report.total, len(report.mismatches)) == (1066, mismatches)
     result = CliRunner().invoke(main, ["cells", "verify", "3", "4", "--format", "json"])
@@ -222,6 +230,28 @@ def test_lindstrom_check_catches_a_row_edge_dropped_between_dots(monkeypatch):
         "name": "lindstrom", "ok": False, "detail": "3401/4370 minors match path counts"}
 
 
+def test_a_black_row_keeping_stale_edges_fails_verify_all(monkeypatch):
+    """``GridNetwork.add_row`` leaving an all-black row's source with the edges
+    the last row added at its height gave it, where it should have none:
+    paths from that source reach sinks, while every witness minor with that
+    top row is 0.
+
+    Blind spot: only an all-black row shows the mutant, and in row 1 that is
+    the empty leaf, which is read by rule with no ``add_row``. So its row-1
+    share goes unseen: of the 184 minors the full route misses at 3x3, the
+    walk misses 98, and of 859 at 3x4, 394. All-black rows 2..m still run
+    ``add_row`` and fail the suite. At 2x2 neither route sees it."""
+    mutant = _mutated(networks, "GridNetwork.add_row", "out_edges[tail] = down\n",
+                      "out_edges[tail] = down or out_edges[tail]\n")
+    monkeypatch.setattr(networks.GridNetwork, "add_row", mutant)
+    report = cells.unifying_check(3, 4, lindstrom=True)
+    assert (len(report.mismatches), report.lindstrom) == (0, (36244, 394))
+    result = _verify("verify", "all", "--m", "3", "--p", "3")
+    assert result.exit_code == 1
+    assert json.loads(result.output)["checks"][1] == {
+        "name": "lindstrom", "ok": False, "detail": "4272/4370 minors match path counts"}
+
+
 def test_row_edges_run_the_wrong_way_fail_verify_all(monkeypatch):
     """``GridNetwork.add_row`` running each row's edges left to right, from the
     source into the leftmost white dot, draws a network whose paths no longer
@@ -278,14 +308,15 @@ def test_lindstrom_check_counts_only_minors_that_differ(monkeypatch):
 
 def test_verify_all_restores_each_witness_row_once_per_node(monkeypatch):
     """The 3x3 walk has 8 + 46 + 230 nodes, where one witness per diagram would
-    restore 230 x 3 = 690 rows. It restores 8 + 46 + 145: the other 85 leaves
-    have two or more white cells in row 1 and are read by linearity."""
+    restore 230 x 3 = 690 rows. It restores 8 + 46 + 99: of the other 131
+    leaves, 85 have two or more white cells in row 1 and are read by
+    linearity, and 46, one per row-2 node, have none and are read by rule."""
     calls = []
     real = cells.witness_row
     monkeypatch.setattr(cells, "witness_row", lambda seed, below: calls.append(seed) or real(seed, below))
     result = _verify("verify", "all", "--m", "3", "--p", "3")
     assert result.exit_code == 0, result.output
-    assert len(calls) == 199
+    assert len(calls) == 153
 
 
 def test_a_wrong_diagram_count_fails_both_verifiers(monkeypatch):
@@ -303,7 +334,7 @@ def test_a_wrong_diagram_count_fails_both_verifiers(monkeypatch):
 
 
 def test_mismatches_come_in_enumeration_order(monkeypatch):
-    necklace_mutant(monkeypatch, *COLOOPS_LEFT_OUT_OF_I1)
+    necklace_mutant(monkeypatch, *COLOOPS_DROPPED_AT_THEIR_STEP)
     report = cells.unifying_check(3, 4)
     order = {black: k for k, black in enumerate(d.black for d in enumerate_diagrams(3, 4))}
     keys = [order[CauchonDiagram.from_json(x["diagram"]).black] for x in report.mismatches]

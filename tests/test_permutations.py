@@ -274,15 +274,13 @@ class TestMinorFamilies:
                     while j != stop:
                         j = j % n + 1
                         interval.add(j)
+                    minors = [(rows, cols) for k in range(1, min(m, p) + 1)
+                              for rows in subsets(m, k) for cols in subsets(p, k)]
                     for bound in range(m + 1):
-                        want = [
-                            sum(1 << c for c, cols in enumerate(subsets(p, k))
-                                if len(interval & (set(range(1, m + 1))
-                                                   - {m + 1 - r for r in rows}
-                                                   | {m + a for a in cols})) > bound)
-                            for k in range(1, min(m, p) + 1)
-                            for rows in subsets(m, k)
-                        ]
+                        want = sum(1 << j for j, (rows, cols) in enumerate(minors)
+                                   if len(interval & (set(range(1, m + 1))
+                                                      - {m + 1 - r for r in rows}
+                                                      | {m + a for a in cols})) > bound)
                         assert _crowded(m, p, start, stop, bound) == want, (
                             m, p, start, stop, bound)
 

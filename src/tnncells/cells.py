@@ -41,7 +41,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
-from itertools import chain
 from math import comb
 from operator import add, itemgetter, ne
 from typing import Any, Iterator
@@ -50,7 +49,7 @@ from . import guards
 from .diagrams import CauchonDiagram, enumerate_diagrams, poly_bernoulli, row_forces
 from .errors import ConsistencyError, DomainError
 from .matrices import Matrix, MinorFamily, _top_row_plan, scan_int_minors, scan_minors, subsets
-from .networks import GridNetwork, _extend, _paths
+from .networks import GridNetwork, _row_step
 from .permutations import (
     Permutation, _necklace_mask, _necklace_step, _necklace_term, is_restricted, minor_family,
     pipe_dream, pipe_dream_suffix,
@@ -293,13 +292,12 @@ class _Walk:
     restores witness row i from them (:func:`~tnncells.cauchon.witness_row`),
     adds the minor tables with top row i by Laplace along it, ORing each one's
     zero bits into its parent's mask as it is built; it left-multiplies its
-    parent's pipe dream suffix by row i. With a network it also walks the paths from source
-    i on rows i..m, extends its parent's disjoint path-family states by them
-    (:func:`~tnncells.networks._extend` with ``planar``: a family that is not
-    disjoint cannot cancel in the count),
-    and compares its new minors with their counts, once on behalf of every
-    diagram above it. The rows above it are those of :func:`_row_patterns`,
-    reversed below row 2.
+    parent's pipe dream suffix by row i. With a network it also adds row i
+    above its parent's disjoint path-family states
+    (:func:`~tnncells.networks._row_step` with ``planar``: a family that is
+    not disjoint cannot cancel in the count), and compares its new minors
+    with their counts, once on behalf of every diagram above it. The rows
+    above it are those of :func:`_row_patterns`, reversed below row 2.
     A leaf, row 1, is one diagram, checked by :meth:`leaf` against its
     permutation's family: the OR over j = 1..n of one necklace term
     (:func:`~tnncells.permutations._necklace_term`) per (j, I_j), read off
@@ -465,11 +463,9 @@ class _Walk:
         of new minors (those of ``plan``) that differ from their counts."""
         network, states = self.network, self.states[i + 1]
         source, self.heads[i] = network.add_row(i, seed, self.heads[i + 1])
-        found, spent = _paths(network, source, -1, self.spent[i + 1], upward=True)
-        spent += sum(map(len, states)) * len(found)
-        guards.ensure(spent, guards.PATH_STEP_LIMIT, "steps of one path family count")
-        new = _extend(chain.from_iterable(map(dict.items, states)), 1 << i, found, planar=True)
-        self.states[i], self.spent[i] = states + [new], spent
+        new, self.spent[i] = _row_step(
+            network, source, 1 << i, -1, states, self.spent[i + 1], planar=True)
+        self.states[i] = states + [new]
         counts = {rows: [0] * len(self.tables[rows]) for rows, *_ in plan}
         position = _column_positions(self.p)
         for (rows, cols, _), weight in new.items():

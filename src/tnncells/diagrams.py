@@ -215,8 +215,7 @@ def enumerate_diagrams(m: int, p: int) -> Iterator[CauchonDiagram]:
     those whose forced columns are black in every row above: the diagrams
     need no re-validation. The sizes and guard are checked when called.
     """
-    if m < 1 or p < 1:
-        raise DomainError("grid sizes must be at least 1")
+    _check_size(m, p)
     guards.ensure_enumerable(m, p, what="diagram enumeration")
 
     def walk() -> Iterator[CauchonDiagram]:

@@ -57,10 +57,10 @@ EXPONENT_LIMIT = 100
 NESTING_LIMIT = 100
 
 # Vertices the walks visit plus (partial family, path) pairs tried in one
-# count of disjoint path families. The full minor of the all-white 5x5
-# network takes 35,713; that of the all-white 6x6 network is refused within a
-# second. One path matrix is charged the vertices and edges from each source
-# on: 1,805 at 10x10 all-white, 976,315 at 86x86.
+# count of disjoint path families, rows added bottom up: the full minor of the
+# all-white network takes 5,958 at 5x5, 65,378 at 6x6 and 923,688 at 7x7, and
+# is refused at 8x8 within a second. One path matrix is charged the vertices
+# and edges from each source on: 1,805 at 10x10 all-white, 976,315 at 86x86.
 PATH_STEP_LIMIT = 1_000_000
 
 # A bound on the grid of one minor family, counted as the bits of its mask

@@ -24,14 +24,14 @@ network's vertices with one pass of ``graphlib``, and refuses a cycle, an
 unknown vertex or a name that is not a string as it reads them.
 
 :func:`nonintersecting_count` counts the disjoint path families of one minor
-for ``network lindstrom``: it walks the paths from each of the minor's
-sources (:func:`_paths`) and grows path-family states one row at a time
-(:func:`_extend`). ``verify all`` runs the same two kernels row by row from
-the bottom up on a :class:`GridNetwork`, as its diagram walk fixes each row.
-A diagram's network is planar, so the walk counts only the order-preserving
-families and a family that is not disjoint shows in its counts instead of
-cancelling; a JSON network may be any DAG, so ``network lindstrom`` keeps
-the signed sum.
+for ``network lindstrom``, and ``verify all`` counts every minor's on a
+:class:`GridNetwork` as its diagram walk fixes each row. Both add rows from
+the bottom up through one step (:func:`_row_step`): it walks the paths from
+the row's source (:func:`_paths`) and grows the path-family states by them
+(:func:`_extend`). A diagram's network is planar, so the walk counts only
+the order-preserving families and a family that is not disjoint shows in its
+counts instead of cancelling; a JSON network may be any DAG, so ``network
+lindstrom`` keeps the signed sum.
 Neither shares code with the restoration, so comparing the counts with the
 restored unit-weight witness, as ``verify all`` does, checks the identity. The path
 matrix serves ``network path-matrix``; a diagram's is charged to its guard
@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
-from itertools import accumulate, count
+from itertools import accumulate, chain, count
 from typing import Any, Iterable, Sequence
 
 from . import guards
@@ -261,40 +261,44 @@ def nonintersecting_count(network: PlanarNetwork, index: MinorIndex) -> Weight:
     """The signed weighted count of vertex-disjoint path families of the minor
     ``index``: ``int`` when every edge weight is integral, else ``Fraction``.
 
-    Each row of the minor is walked once from its source to the minor's sinks
-    by :func:`_paths`. States (row set, column set, vertex mask) -> signed
-    weight then grow one row at a time, in increasing order, by
-    :func:`_extend`, and their sum is every pairing with its sign: the
-    determinant identity on any DAG and, on planar networks, the plain
-    weighted count. One budget of ``guards.PATH_STEP_LIMIT`` steps covers the
-    call: one per vertex walked, all walks first, then len(states) x
-    len(paths) per row, charged before the extension runs.
+    The minor's rows are added in decreasing order by :func:`_row_step`, each
+    above the rows before it, and the states' sum is every pairing with its
+    sign: the determinant identity on any DAG and, on planar networks, the
+    plain weighted count. One budget of ``guards.PATH_STEP_LIMIT`` steps
+    covers the call.
     """
     if not index.fits(network.m, network.p):
         raise DomainError(f"{index} does not fit a {network.m}x{network.p} network")
-    cols, spent, paths = sum(1 << a for a in index.cols), 0, []
-    for r in index.rows:
-        found, spent = _paths(network, network.sources[r - 1], cols, spent)
-        paths.append((1 << r, found))
-    states: dict[tuple[int, int, int], Weight] = {(0, 0, 0): 1}
-    for row, found in paths:
-        spent += len(states) * len(found)
-        guards.ensure(spent, guards.PATH_STEP_LIMIT, "steps of one path family count")
-        states = _extend(states.items(), row, found)
+    cols, spent = sum(1 << a for a in index.cols), 0
+    states: State = {(0, 0, 0): 1}
+    for r in reversed(index.rows):
+        states, spent = _row_step(network, network.sources[r - 1], 1 << r, cols, [states], spent)
     return sum(states.values())
 
 
 Path = tuple[int, int, int, Weight]  # (sink bit, sign mask, vertex mask, weight)
+State = dict[tuple[int, int, int], Weight]  # (row set, column set, vertex mask) -> signed weight
 
 
-def _paths(
-    network: Any, source: int, wanted: int, spent: int, upward: bool = False
-) -> tuple[list[Path], int]:
+def _row_step(network: Any, source: int, row: int, wanted: int, states: Sequence[State],
+              spent: int, planar: bool = False) -> tuple[State, int]:
+    """Add the row with bit ``row`` above every row the ``states`` hold: walk the
+    paths from its vertex ``source`` to the sinks in ``wanted`` (:func:`_paths`),
+    charge len(states) x len(paths) steps to ``guards.PATH_STEP_LIMIT``, grow the
+    states by them (:func:`_extend`); return those and ``spent`` plus the steps."""
+    found, spent = _paths(network, source, wanted, spent)
+    spent += sum(map(len, states)) * len(found)
+    guards.ensure(spent, guards.PATH_STEP_LIMIT, "steps of one path family count")
+    return _extend(chain.from_iterable(map(dict.items, states)), row, found, planar), spent
+
+
+def _paths(network: Any, source: int, wanted: int, spent: int) -> tuple[list[Path], int]:
     """Every path from vertex ``source`` to a sink in the mask ``wanted`` of a
     network's ``out_edges`` and ``sink_bit``, depth first, and ``spent`` plus
     the vertices visited, refused once over ``guards.PATH_STEP_LIMIT``. A
-    path's sign mask holds the sink bits above its own, or, ``upward``, when
-    its row will be added above the rows of the states, those below it."""
+    path's sign mask holds the sink bits below its own: its row is added above
+    the rows of the states, so each taken column below its sink is one
+    inversion of the pairing."""
     out_edges, sink_bit, limit = network.out_edges, network.sink_bit, guards.PATH_STEP_LIMIT
     found = []
     stack: list[tuple[int, int, Weight]] = [(source, 1 << source, 1)]
@@ -304,24 +308,24 @@ def _paths(
         if spent > limit:
             guards.ensure(spent, limit, "steps of one path family count")
         if (sink := sink_bit[v]) & wanted:
-            found.append((sink, sink - 1 if upward else -(sink << 1), used, weight))
+            found.append((sink, sink - 1, used, weight))
         for _, to, w in out_edges[v]:
             stack.append((to, used | 1 << to, weight * w))
     return found, spent
 
 
 def _extend(states: Iterable[tuple[tuple[int, int, int], Weight]], row: int,
-            found: Sequence[Path], planar: bool = False) -> dict[tuple[int, int, int], Weight]:
-    """The states (row set, column set, vertex mask) -> signed weight grown by one
-    path of ``found`` from the row with bit ``row``, a row they do not hold:
-    each path that misses a state's vertices, times its weight, the sign
-    flipped once per taken column in the path's sign mask (see :func:`_paths`).
-    ``planar`` is for a planar network with its sources and sinks in boundary
-    order, where only the order-preserving pairing has disjoint families
-    (Lindström–Gessel–Viennot): a path with a taken column in its sign mask is
-    skipped instead, so every count is a plain sum, and a family that is not
-    disjoint would show in it rather than cancel against a crossed pairing."""
-    grown: dict[tuple[int, int, int], Weight] = {}
+            found: Sequence[Path], planar: bool = False) -> State:
+    """The states grown by one path of ``found`` from the row with bit ``row``,
+    a row above every row they hold: each path that misses a state's
+    vertices, times its weight, the sign flipped once per taken column in the
+    path's sign mask (see :func:`_paths`). ``planar`` is for a planar network
+    with its sources and sinks in boundary order, where only the
+    order-preserving pairing has disjoint families (Lindström–Gessel–Viennot):
+    a path with a taken column in its sign mask is skipped instead, so every
+    count is a plain sum, and a family that is not disjoint would show in it
+    rather than cancel against a crossed pairing."""
+    grown: State = {}
     for (rows, cols, used), weight in states:
         for col, sign_mask, vertices, path_weight in found:
             if used & vertices:  # also when col is taken: its sink is in both

@@ -311,8 +311,9 @@ def bruhat_leq(u: Permutation, w: Permutation) -> bool:
 
 
 # An exhaustive walk uses about n^3 / 8 tables (42 at 3x4, 64 at 4x4, 125 at
-# 5x5) and one 11x11 call up to 242; each is one int of a bit per minor.
-@lru_cache(maxsize=1024)
+# 5x5, 216 at 6x6) and one 11x11 call up to 242; each is one int of a bit per
+# minor, 88 KB at 11x11, so 256 of them hold at most about 23 MB.
+@lru_cache(maxsize=256)
 def _crowded(m: int, p: int, start: int, stop: int, bound: int) -> int:
     """For the cyclic interval J = [start..stop] of 1..m + p, the mask over the
     m x p grid's minors (bit j for the j-th in size-by-size lexicographic

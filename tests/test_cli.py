@@ -826,15 +826,23 @@ def test_json_network_names_must_be_strings(runner, command, text, message):
     assert message in result.output
 
 
-def test_lindstrom_step_budget_on_the_full_6x6_minor():
-    full = "1,2,3,4,5,6"
+def test_lindstrom_step_budget_on_the_full_8x8_minor():
+    full = "1,2,3,4,5,6,7,8"
     proc, took = _run_process(
-        ["network", "lindstrom", "-d", "/".join(["......"] * 6),
+        ["network", "lindstrom", "-d", "/".join(["........"] * 8),
          "--rows", full, "--cols", full]
     )
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
     assert took < 2.0
+
+
+def test_lindstrom_counts_the_full_7x7_minor_within_its_step_budget(runner):
+    # rows added bottom up: 923,688 steps of the 1,000,000
+    full = "1,2,3,4,5,6,7"
+    result = runner.invoke(main, ["network", "lindstrom", "-d", "/".join(["......."] * 7),
+                                  "--rows", full, "--cols", full])
+    assert (result.exit_code, result.output) == (0, "1\n"), result.output
 
 
 def test_cells_of_6x6_reads_the_leibniz_zero_minors():

@@ -87,14 +87,22 @@ def test_enumeration_order_is_ascending_bitmask():
         assert len(masks) == poly_bernoulli(m, p), (m, p)
 
 
-@pytest.mark.parametrize("m, p, second", [(1, 1200, (1, 1200)), (1200, 1, (1200, 1)),
+@pytest.mark.parametrize("m, p, second", [(1, 999, (1, 999)), (999, 1, (999, 1)),
                                           (40, 30, (40, 1))])
 def test_enumeration_needs_no_recursion(monkeypatch, m, p, second):
     # one frame per cell would pass the interpreter's recursion limit; the
-    # second diagram's one black cell is the last, row-major, allowed alone
+    # second diagram's one black cell is the last, row-major, allowed alone;
+    # 1x999 and 999x1 are the largest such grids the letter guard admits
     monkeypatch.setenv("CAUCHON_GUARD", "2000")
     first, then = islice(enumerate_diagrams(m, p), 2)
     assert (first.m, first.p, first.black, then.black) == (m, p, frozenset(), {second})
+
+
+def test_enumeration_refuses_a_grid_past_the_letter_guard_when_called(monkeypatch):
+    # no diagram it would yield could be built: its pipe dream has 1,201 letters
+    monkeypatch.setenv("CAUCHON_GUARD", "2000")
+    with pytest.raises(ResourceGuardError, match="pipe dream letters: 1201 exceeds the limit of 1000"):
+        enumerate_diagrams(1, 1200)
 
 
 def test_row_rule_reads_alike_top_down_and_bottom_up():

@@ -184,12 +184,34 @@ def test_lindstrom_check_catches_a_missing_disjointness_test(monkeypatch):
     would cross a taken column rather than counting it with a sign; a signed
     sum would cancel the crossing families and hide this mutant."""
     mutant = _mutated(networks, "_extend", "used & vertices", "cols & col")
-    monkeypatch.setattr(cells, "_extend", mutant)
+    monkeypatch.setattr(networks, "_extend", mutant)
     assert cells.unifying_check(3, 4, lindstrom=True).lindstrom == (36244, 4868)
     result = _verify("verify", "all", "--m", "3", "--p", "4")
     assert result.exit_code == 1
     assert json.loads(result.output)["checks"][1] == {
         "name": "lindstrom", "ok": False, "detail": "31376/36244 minors match path counts"}
+
+
+def test_a_flipped_path_sign_rule_fails_both_path_counts(monkeypatch):
+    """The sign mask of a path holding the sinks above its own, where its row is
+    added above the rows of the states: the walk then skips the
+    order-preserving paths and keeps crossing ones, and ``network lindstrom``
+    counts the crossing pairing of two sources with the sign of the straight
+    one."""
+    mutant = _mutated(networks, "_paths", "sink - 1", "-(sink << 1)")
+    monkeypatch.setattr(networks, "_paths", mutant)
+    result = _verify("verify", "all", "--m", "3", "--p", "3")
+    assert result.exit_code == 1
+    assert json.loads(result.output)["checks"][1] == {
+        "name": "lindstrom", "ok": False, "detail": "3706/4370 minors match path counts"}
+    crossing = json.dumps({"m": 2, "p": 2, "edges": [{"from": "s1", "to": "t2"},
+                                                     {"from": "s2", "to": "t1"}]})
+    count = ["network", "lindstrom", "-n", crossing, "--rows", "1,2", "--cols", "1,2"]
+    result = CliRunner().invoke(main, count)
+    assert (result.exit_code, result.output) == (0, "1\n")
+    monkeypatch.undo()
+    result = CliRunner().invoke(main, count)
+    assert (result.exit_code, result.output) == (0, "-1\n")
 
 
 def test_a_witness_row_with_one_pivot_per_row_fails_both_suites(monkeypatch):

@@ -179,13 +179,13 @@ def test_twisted_pairings_count_with_their_sign():
 
 
 @pytest.mark.parametrize("n, minor, steps", [
-    (3, "full", 144), (4, "full", 1_599), (5, "full", 35_713),
-    (3, "corner", 8), (4, "corner", 43), (5, "corner", 229),
+    (3, "full", 114), (4, "full", 718), (5, "full", 5_958), (6, "full", 65_378),
+    (3, "corner", 8), (4, "corner", 42), (5, "corner", 199),
 ])
 def test_step_charges_on_all_white_networks(monkeypatch, n, minor, steps):
-    # one step per vertex walked, then len(states) x len(paths) per row; the
-    # corner minor, the rows and columns from 3 on, keeps only the paths to
-    # its own sinks
+    # rows added bottom up, each charged one step per vertex its walk visits,
+    # then len(states) x len(paths); the corner minor, the rows and columns
+    # from 3 on, keeps only the paths to its own sinks
     net = postnikov_network(oracles.all_white(n, n))
     full = tuple(range(1, n + 1))
     ix = MinorIndex(full, full) if minor == "full" else MinorIndex(full[2:], full[2:])

@@ -23,10 +23,11 @@ eliminations, may rewrite (m*p)^2 entries, one ``--jobs`` may start a
 bounded number of worker processes, and one product of exact values
 or Poisson bracket produces |f|*|g| term pairs (in the quantum product,
 pairs of coefficient terms, plus the terms each memo entry of its letter
-insertions sums). The product budget
-is checked before the pairs are formed and again as the insertion memo grows,
-so a product over budget stops early. The expression reader checks its
-limits on a first, zero-valued read, before it evaluates anything.
+insertions sums, plus the terms of each entry its main loop reads). The
+product budget is checked before the pairs are formed, again as the
+insertion memo grows and at each read, so a product over budget stops
+early. The expression reader checks its limits on a first, zero-valued
+read, before it evaluates anything.
 """
 
 from __future__ import annotations
@@ -100,13 +101,21 @@ LISTING_LIMIT = 1 << 16
 # starts more workers than tasks; each worker is a whole Python process.
 WORKER_LIMIT = 64
 
-# Terms one product of exact values may produce. The largest product the 4x4
-# quantum and Poisson checks make, the 4x4 quantum determinant times itself,
-# is charged 3,453; the last product of (a+b+c+d)^9 at 2x2, 12,396. The
-# second product of a quantum commutator is charged its pairs plus only the
-# insertion memo entries the first did not make: for the determinant with
-# itself, its 576 pairs alone.
-PRODUCT_TERM_LIMIT = 30_000
+# Terms one product of exact values may produce. A quantum product is charged
+# its pairs of coefficient terms, the terms each insertion memo entry sums, and
+# the terms of the entry each of its (word, q-exponent) terms reads; an entry
+# is keyed on the letters above the inserted one, so one entry is read for
+# every prefix. Charges: the 4x4 quantum determinant times itself, the largest
+# product of the 4x4 quantum and Poisson checks, 4,116; the second product of
+# its commutator with itself, which reads the first's entries, 576 pairs plus
+# 2,674 read; the last product of (a+b+c+d)^k at 2x2, 21,602 at k = 9, 36,541
+# at 10, 58,909 at 11 and 90,941 at 12, the first power refused; the last of
+# (d*a)^36, 66,139, and of (d*a)^37, 71,705, refused; d^19 * a^19, 63,054, and
+# d^20 * a^20, 77,588, refused. Of the products measured, the slowest
+# admitted, the last of (d*a)^36, takes about 0.38 s on a 2-vCPU host.
+# Commutative products and Poisson brackets are charged their |f| * |g| pairs
+# against the same limit.
+PRODUCT_TERM_LIMIT = 70_000
 
 
 def cell_limit() -> int:

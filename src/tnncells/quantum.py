@@ -14,9 +14,19 @@ at a time: X_x goes into a word ending in X_v > X_x by rewriting that pair
 by the relation above. Each rewrite strictly lowers the word in degree-lex
 order, so insertion terminates, and the Ore-extension presentation
 guarantees the basis is honest (tested against leftmost word rewriting).
-The right factor's words are walked as a prefix trie, so a shared prefix
-is inserted once, and the memo of word * X_x lives for one product, or
-for both products of one commutator.
+
+Inserting X_x never moves the letters of the word up to x. A rewrite of
+X_v X_y with v > y makes only letters >= y: X_y and X_v themselves, or, when
+it straightens, X_s X_t with s = (i, g) and t = (k, a) for y = (i, a) and
+v = (k, g), i < k and a < g, so s > y and t > y. Inserting X_x into the
+suffix of letters above x only ever rewrites pairs of letters >= x, so by
+induction on the rewrites every word of (suffix above x) * X_x has letters
+>= x only, and word * X_x is the word's prefix of letters <= x followed by
+that product, in normal form and with the same coefficients. The memo of
+insertions is therefore keyed on (suffix above x, x), and one entry serves
+every prefix. The right factor's words are walked as a prefix trie, so a
+shared prefix is inserted once, and the memo lives for one product, or for
+both products of one commutator.
 
 Coefficients are integer Laurent polynomials in q. The parameter is never
 specialized here; the q = 1 limit belongs to the Poisson side.
@@ -24,6 +34,7 @@ specialized here; the q = 1 limit belongs to the Poisson side.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -66,33 +77,42 @@ def _rewrites(m: int, p: int) -> tuple[tuple[Gen, ...], dict[Gen, int], tuple]:
 
 
 def _insert(key: tuple, rules: tuple, memo: dict, spent: int) -> int:
-    """Memoise word * X_x for ``key = (word, x)`` as {(normal word, q-exponent): int}.
+    """Memoise suffix * X_x for ``key = (suffix, x)``, every letter of suffix
+    above x, as {(normal word, q-exponent): int}.
 
-    For word = head + (v,) with v > x, X_v X_x is rewritten by its rule and v
-    goes back on the right of head * X_x: no rewrite makes a letter larger
-    than its pair. A stack fills what an entry needs first, so long chains
-    need no recursion. Adds the terms each entry sums to ``spent``, checked
-    against the product budget, and returns it.
+    For suffix = head + (v,), X_v X_x is rewritten by its rule and v goes back
+    on the right of head * X_x: no rewrite makes a letter larger than its
+    pair. A straightening term head * X_s * X_t splits each lookup at its
+    letter, as the product does: head * X_s is head's letters up to s, the
+    lead, followed by the entry of the rest, and the same for each of its
+    words times X_t (the module docstring proves the prefix never moves). A
+    stack fills what an entry needs first, so long chains need no recursion.
+    Adds the terms each entry sums to ``spent``, checked against the product
+    budget, and returns it.
     """
+    limit = guards.PRODUCT_TERM_LIMIT
     stack = [key]
     while stack:
         key = stack[-1]
-        word, x = key
         if key in memo:
             stack.pop()
             continue
-        if not word or word[-1] <= x:
-            memo[stack.pop()] = {(word + (x,), 0): 1}
+        word, x = key
+        if not word:
+            memo[stack.pop()] = {((x,), 0): 1}
             continue
         head, v = word[:-1], word[-1]
         shift, pair = rules[v][x]
         needs = [] if (head, x) in memo else [(head, x)]
         if pair is not None:
             s, t = pair
-            if (head, s) not in memo:
-                needs.append((head, s))
+            cut = bisect_right(head, s)
+            pre, above = head[:cut], (head[cut:], s)
+            if above not in memo:
+                needs.append(above)
             else:
-                needs += [(u, t) for u, _ in memo[head, s] if (u, t) not in memo]
+                rests = ((u[bisect_right(u, t):], t) for u, _ in memo[above])
+                needs += [rest for rest in rests if rest not in memo]
         if needs:
             stack += needs
             continue
@@ -100,15 +120,17 @@ def _insert(key: tuple, rules: tuple, memo: dict, spent: int) -> int:
         out = {(u + (v,), e + shift): c for (u, e), c in memo[head, x].items()}
         spent += len(out)
         if pair is not None:
-            for (u, e), c in memo[head, s].items():
-                tail = memo[u, t]
+            for (u, e), c in memo[above].items():
+                cut = bisect_right(u, t)
+                lead, tail = pre + u[:cut], memo[u[cut:], t]
                 spent += len(tail)
                 add_terms(out, (
-                    ((w, e + f + de), sign * c * d)
+                    ((lead + w, e + f + de), sign * c * d)
                     for (w, f), d in tail.items() for de, sign in ((1, -1), (-1, 1))
                 ))
         memo[key] = out
-        guards.ensure(spent, guards.PRODUCT_TERM_LIMIT, "terms of one product")
+        if spent > limit:
+            guards.ensure(spent, limit, "terms of one product")
     return spent
 
 
@@ -184,17 +206,25 @@ class QPoly(ExactValue):
         (word, q-exponent). g's words are read as a prefix trie, so f times a
         prefix is formed once for every word of g that starts with it.
         Charged a unit per pair of coefficient terms, plus the terms each memo
-        entry on (normal word, letter) sums; the memo lives for this call.
+        entry on (suffix above the letter, letter) sums, plus the terms of the
+        entry each (word, q-exponent) term reads; the memo lives for this call.
         """
         return self._product(other, {})
 
     def _product(self, other: "QPoly", memo: dict) -> "QPoly":
-        """``self * other``, reading and filling ``memo`` of word * X_x entries;
-        charged its pairs and only the entries it adds."""
+        """``self * other``, reading and filling ``memo`` of suffix * X_x entries.
+
+        A word w times X_x is w's letters up to x, the prefix, followed by the
+        entry of (the rest of w, x): inserting X_x makes only letters >= x, so
+        the prefix never moves (the module docstring has the proof). Charged
+        its pairs, the entries it adds, and the length of each entry it reads,
+        each read checked at once, so a product whose entries are all made
+        already is still bounded by its reads."""
         self._check(other)
         cells, letter, rules = _rewrites(self.m, self.p)
+        limit = guards.PRODUCT_TERM_LIMIT
         spent = prod(sum(len(c.terms) for c in h.terms.values()) for h in (self, other))
-        guards.ensure(spent, guards.PRODUCT_TERM_LIMIT, "terms of one product")
+        guards.ensure(spent, limit, "terms of one product")
         # g's words by letter; a node's None key holds its word's coefficient
         trie: dict = {}
         for v, d in other.terms.items():
@@ -217,14 +247,23 @@ class QPoly(ExactValue):
                 continue
             grown: dict[tuple, int] = {}
             for (w, e), k in terms.items():
-                if not w or w[-1] <= x:
+                cut = bisect_right(w, x)
+                if cut == len(w):
                     key = (w + (x,), e)
                     grown[key] = grown.get(key, 0) + k
                     continue
-                if (w, x) not in memo:
-                    spent = _insert((w, x), rules, memo, spent)
-                for (u, f), c in memo[w, x].items():
-                    grown[u, e + f] = grown.get((u, e + f), 0) + k * c
+                above = (w[cut:], x)
+                entry = memo.get(above)
+                if entry is None:
+                    spent = _insert(above, rules, memo, spent)
+                    entry = memo[above]
+                pre = w[:cut]
+                spent += len(entry)
+                if spent > limit:
+                    guards.ensure(spent, limit, "terms of one product")
+                for (u, f), c in entry.items():
+                    key = (pre + u, e + f)
+                    grown[key] = grown.get(key, 0) + k * c
             terms = {key: c for key, c in grown.items() if c}
             stack += [(y, child, terms) for y, child in reversed(node.items())]
         out: dict[Word, dict[int, int]] = {}
@@ -272,9 +311,10 @@ class QPoly(ExactValue):
 
 
 def commutator(f: QPoly, g: QPoly) -> QPoly:
-    """fg - gf. Both products share one insertion memo, since word * X_x
-    depends only on the grid, the word and the letter: gf is charged its pairs
-    and only the entries fg did not make."""
+    """fg - gf. Both products share one insertion memo, since suffix * X_x
+    depends only on the grid, the suffix and the letter, and a word's prefix of
+    letters up to x never moves: gf is charged its pairs, the entries fg did
+    not make and every entry it reads."""
     memo: dict[tuple, dict] = {}
     return f._product(g, memo) - g._product(f, memo)
 

@@ -900,16 +900,26 @@ def test_family_and_permutation_budgets(args, stdin, code, seconds):
         ["poisson", "bracket", "((a+b+c+d)^9)^9", "b"],
         ["quantum", "nf", "((a+b+c+d)^9)^9"],
         ["quantum", "nf", "d^35*a^35"],
+        # its insertion memo stays small, since one entry on the letters above
+        # a serves every prefix of d's; the budget is spent reading it
+        ["quantum", "nf", "d^60*a^60"],
     ],
     ids=["poisson-bracket", "quantum-nf", "poisson-bracket-sum-power",
          "poisson-bracket-nested-power", "quantum-nf-nested-power",
-         "quantum-nf-long-chain"],
+         "quantum-nf-long-chain", "quantum-nf-memo-reads"],
 )
 def test_huge_powers_exit_3(args):
     proc, took = _run_process(args)
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
     assert took < 2.0
+
+
+def test_a_power_inside_the_product_budget_exits_0():
+    # its last product is charged 36,541 of the 70,000 units
+    proc, _ = _run_process(["quantum", "nf", "(a+b+c+d)^10"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("a*a*a*a*a*a*a*a*a*a + ")
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ from operator import attrgetter
 import pytest
 from click.testing import CliRunner
 
-from tnncells import cauchon, cells, diagrams, matrices, networks, permutations
+from tnncells import cauchon, cells, diagrams, matrices, networks, permutations, quantum
 from tnncells.cli import main
 from tnncells.diagrams import CauchonDiagram, enumerate_diagrams
 
@@ -353,6 +353,38 @@ def test_a_wrong_diagram_count_fails_both_verifiers(monkeypatch):
     verify = CliRunner().invoke(main, ["cells", "verify", "2", "2"])
     assert verify.exit_code == 1
     assert verify.output.startswith("7/7 agree, 14 diagrams expected")
+
+
+@pytest.mark.parametrize(
+    "name, old, new, failing",
+    [
+        ("QPoly._product", "pre + u", "u", ["quantum-determinant-central"]),
+        ("_insert", "lead + w", "w",
+         ["quantum-relations", "quantum-determinant-central", "semiclassical"]),
+        ("_insert", "((1, -1), (-1, 1))", "((1, 1), (-1, -1))",
+         ["quantum-relations", "quantum-determinant-central", "semiclassical"]),
+    ],
+    ids=["prefix-dropped-in-the-product", "lead-dropped-in-straightening",
+         "straightening-sign-flipped"],
+)
+def test_quantum_product_mutants_fail_verify_all(monkeypatch, name, old, new, failing):
+    """The insertion memo is keyed on a word's letters above the inserted one,
+    so the product puts the word's prefix back in front of each entry it
+    reads, and a straightening term puts its own lead back in front of the
+    entry of the rest. Dropping either, or flipping the sign of the
+    straightening term, fails a ``verify all --m 2 --p 2`` suite, and the 3x3
+    quantum determinant no longer commutes with X[1,1] under ``quantum comm``,
+    as CI runs it. The prefix is empty in every product of generators, so
+    the defining relations cannot see the first mutant."""
+    owner, _, attr = name.rpartition(".")
+    monkeypatch.setattr(getattr(quantum, owner) if owner else quantum, attr,
+                        _mutated(quantum, name, old, new))
+    every = _verify("verify", "all", "--m", "2", "--p", "2")
+    assert every.exit_code == 1
+    assert [c["name"] for c in json.loads(every.output)["checks"] if not c["ok"]] == failing
+    det = str(quantum.quantum_minor(3, 3, (1, 2, 3), (1, 2, 3)))
+    comm = _verify("quantum", "comm", det, "X[1,1]", "--m", "3", "--p", "3")
+    assert (comm.exit_code, json.loads(comm.output)["zero"]) == (0, False)
 
 
 def test_mismatches_come_in_enumeration_order(monkeypatch):

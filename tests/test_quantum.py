@@ -161,10 +161,31 @@ class TestNormalForm:
         assert f.multiply(g) == oracles.rewriting_product(f, g)
         assert g.multiply(f) == oracles.rewriting_product(g, f)
 
+    @staticmethod
+    def all_minors(n):
+        sets = [s for k in range(n + 1) for s in combinations(range(1, n + 1), k)]
+        return [quantum_minor(n, n, rows, cols)
+                for rows in sets for cols in sets if len(rows) == len(cols)]
+
+    def test_minor_products_match_rewriting(self):
+        # the memo is keyed on the letters above the inserted one, so a word's
+        # prefix must come back unchanged in front of every entry it reads:
+        # all 400 products of two 3x3 minors, the empty minor included, and
+        # each of the 70 4x4 minors times the 4x4 determinant, on both sides
+        minors = self.all_minors(3)
+        assert len(minors) == 20
+        for f in minors:
+            for g in minors:
+                assert f.multiply(g) == oracles.rewriting_product(f, g)
+        minors = self.all_minors(4)
+        det = minors[-1]
+        assert len(minors) == 70 and len(det.terms) == 24
+        for f in minors:
+            assert f.multiply(det) == oracles.rewriting_product(f, det)
+            assert det.multiply(f) == oracles.rewriting_product(det, f)
+
     def test_commutator_is_the_difference_of_products(self):
-        sets = [s for k in (1, 2, 3) for s in combinations((1, 2, 3), k)]
-        minors = [quantum_minor(3, 3, rows, cols)
-                  for rows in sets for cols in sets if len(rows) == len(cols)]
+        minors = self.all_minors(3)[1:]
         assert len(minors) == 19
         for f in minors:
             for g in minors:
@@ -189,36 +210,32 @@ class TestNormalForm:
         with pytest.raises(ResourceGuardError):
             f.multiply(f)
 
-    @pytest.fixture
-    def charges(self, monkeypatch):
-        """The values passed to the product budget, in the order charged."""
-        seen = []
-        ensure = guards.ensure
+    @staticmethod
+    def assert_charged(monkeypatch, units, run):
+        """``run()`` fits a product budget of ``units`` and trips one unit less."""
+        monkeypatch.setattr(guards, "PRODUCT_TERM_LIMIT", units)
+        run()
+        monkeypatch.setattr(guards, "PRODUCT_TERM_LIMIT", units - 1)
+        with pytest.raises(ResourceGuardError, match=f"product: {units} exceeds"):
+            run()
 
-        def recording(value, limit, what):
-            if what == "terms of one product":
-                seen.append(value)
-            return ensure(value, limit, what)
-
-        monkeypatch.setattr(guards, "ensure", recording)
-        return seen
-
-    def test_product_charges_match_the_documented_ones(self, charges):
-        # a product is charged its 24 x 24 pairs first, then each memo entry
+    def test_product_charges_match_the_documented_ones(self, monkeypatch):
+        # a product is charged its 24 x 24 pairs, the terms each memo entry
+        # sums and the terms of each entry its main loop reads
         det = quantum_minor(4, 4, (1, 2, 3, 4), (1, 2, 3, 4))
-        det.multiply(det)
-        assert (charges[0], charges[-1]) == (576, 3453)
-        charges.clear()
-        parse_qpoly("(a+b+c+d)^9", 2, 2)
-        assert charges[-1] == 12_396
+        self.assert_charged(monkeypatch, 4_116, lambda: det.multiply(det))
+        self.assert_charged(monkeypatch, 21_602, lambda: parse_qpoly("(a+b+c+d)^9", 2, 2))
 
-    def test_commutator_charges_its_second_product_new_entries_only(self, charges):
+    def test_commutator_charges_its_second_product_its_pairs_and_reads(self, monkeypatch):
         # g*f is det*det again: every entry it reads fg made, so it is
-        # charged its pairs alone
+        # charged its 576 pairs and the 2,674 terms of the entries it reads
         det = quantum_minor(4, 4, (1, 2, 3, 4), (1, 2, 3, 4))
         assert commutator(det, det).is_zero
-        assert charges[0] == 576
-        assert charges[-2:] == [3453, 576]
+        memo: dict = {}
+        det._product(det, memo)
+        entries = len(memo)
+        self.assert_charged(monkeypatch, 576 + 2_674, lambda: det._product(det, memo))
+        assert len(memo) == entries
 
     def test_normal_words_pass_through(self):
         a, d = gen(1, 1), gen(2, 2)

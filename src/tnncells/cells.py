@@ -38,7 +38,6 @@ when it falls back.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from math import comb
@@ -200,8 +199,11 @@ def unifying_check(
     :func:`~tnncells.diagrams.poly_bernoulli`. With ``lindstrom``, as ``verify
     all`` asks, the walk also compares every minor with its network's
     path-family count. ``jobs`` workers split the walk by bottom row, one task
-    per pattern, and return only counts and mismatches; mismatches are
-    reported in :func:`~tnncells.diagrams.enumerate_diagrams` order."""
+    per pattern, and return only counts and mismatches, in any order;
+    mismatches are reported in :func:`~tnncells.diagrams.enumerate_diagrams`
+    order. The pool's modules load only when ``jobs`` is above 1, and the
+    first task to raise (a guard trip, a consistency failure) ends every
+    worker at once: leaving the pool's block terminates it."""
     guards.ensure_enumerable(m, p, what="unifying check")
     if m < 1 or p < 1:
         raise DomainError("grid sizes must be at least 1")
@@ -215,11 +217,13 @@ def unifying_check(
     # one necklace term memo for the check; a task sent to a worker takes its own copy
     walk = partial(_walk_bottom, m, p, lindstrom, {})
     if jobs > 1:
+        from multiprocessing import Pool  # here, as a one-worker run never needs it
+
         # the fewer columns a bottom row forces black, the more diagrams lie
         # above it; the largest tasks first keep the workers busy to the end
         tasks = sorted(_row_patterns(p, 0), key=lambda task: task[1].bit_count())
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            results = list(pool.map(walk, tasks))
+        with Pool(min(jobs, len(tasks))) as pool:
+            results = list(pool.imap_unordered(walk, tasks))
     else:
         results = map(walk, _row_patterns(p, 0))
     total = missed = 0

@@ -1,7 +1,9 @@
 """Admissible families, cell classification, and the three-route cross-check."""
 
+import multiprocessing
 import random
 import re
+import time
 
 import pytest
 
@@ -132,6 +134,17 @@ def test_unifying_check_parallel_matches_serial():
     parallel = unifying_check(2, 2, jobs=2)
     assert serial.ok and parallel.ok
     assert serial.total == parallel.total
+
+
+def test_a_guard_trip_in_one_worker_ends_them_all(monkeypatch):
+    """At 5x6 one task trips the path step budget at once; the other worker,
+    mid-walk, is ended then rather than waited for."""
+    monkeypatch.setenv("CAUCHON_GUARD", "30")
+    started = time.monotonic()
+    with pytest.raises(ResourceGuardError, match="steps of one path family count"):
+        unifying_check(5, 6, jobs=2, lindstrom=True)
+    assert time.monotonic() - started < 10
+    assert multiprocessing.active_children() == []
 
 
 def _drop_first(diagrams):

@@ -4,6 +4,7 @@ import contextlib
 import gc
 import io
 import json
+import multiprocessing
 import os
 import resource
 import subprocess
@@ -19,7 +20,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from tnncells import cells, fixtures, guards
+from tnncells import fixtures, guards
 from tnncells.cauchon import ones_TC
 from tnncells.cli import main
 from tnncells.diagrams import CauchonDiagram, enumerate_diagrams, poly_bernoulli
@@ -410,6 +411,8 @@ def test_verify_all(runner):
     assert payload["passed"] == payload["total"]
 
 
+# unifying_check imports multiprocessing.Pool inside its jobs > 1 branch, so a
+# stand-in set on the multiprocessing module is the pool it starts
 class _NoPool:
     def __init__(self, *args, **kwargs):
         raise AssertionError("no worker process may start")
@@ -428,7 +431,7 @@ class _NoPool:
 def test_jobs_out_of_range_are_refused_before_a_worker_starts(
     runner, monkeypatch, command, jobs, code, message
 ):
-    monkeypatch.setattr(cells, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.setattr(multiprocessing, "Pool", _NoPool)
     result = runner.invoke(main, [*command, "--jobs", jobs])
     assert result.exit_code == code, result.output
     assert message in result.output
@@ -438,8 +441,8 @@ def test_workers_never_outnumber_the_bottom_rows(runner, monkeypatch):
     started = []
 
     class InProcessPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
+        def __init__(self, processes):
+            started.append(processes)
 
         def __enter__(self):
             return self
@@ -447,13 +450,38 @@ def test_workers_never_outnumber_the_bottom_rows(runner, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
+        def imap_unordered(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cells, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
     result = runner.invoke(main, ["cells", "verify", "2", "2", "--jobs", "64"])
     assert result.exit_code == 0, result.output
     assert started == [4]  # one task per bottom row of the 2x2 grid
+
+
+def test_one_worker_never_loads_the_pool():
+    """A fresh process that classifies a fixture and runs verify all in one
+    worker imports nothing of multiprocessing or concurrent.futures."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    program = (
+        "import sys\n"
+        "from tnncells.cli import main\n"
+        f"for args in (['cells', 'of', {str(src / 'tnncells' / 'data' / 'tnn_4x4.json')!r}],\n"
+        "             ['verify', 'all', '--m', '2', '--p', '2']):\n"
+        "    try:\n"
+        "        main(args)\n"
+        "    except SystemExit as exc:\n"
+        "        assert not exc.code, (args, exc.code)\n"
+        "print('loaded:', *sorted(name for name in sys.modules\n"
+        "                         for package in ('multiprocessing', 'concurrent.futures')\n"
+        "                         if name == package or name.startswith(package + '.')), file=sys.stderr)\n"
+    )
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "loaded:"
 
 
 def test_verify_all_in_two_workers_reports_as_in_one(runner):

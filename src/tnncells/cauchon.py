@@ -32,6 +32,10 @@ The sweeps stay for ``restore``, ``delete``, :func:`tnn_test` and
 :func:`symbolic_TC`, and the tests compare the two kernels on every diagram
 through 4x4. A witness
 minor that is negative breaks Cauchon's theorem (see :func:`vanishing_family`).
+
+Every sweep, and the witness, is charged by :func:`guards.ensure_sweep`
+before it starts; ``tnn-check`` asks the same guard whether to run
+:func:`tnn_test` at all.
 """
 
 from __future__ import annotations
@@ -112,19 +116,12 @@ def _sweep(working: tuple, m: int, p: int, sign: int) -> Iterator[tuple[StepInde
     """Run one sweep on an m x p matrix's working (rows, step, reader), editing
     the rows in place: plus steps from (1,1) up to (m,p), minus steps the other
     way. Yield (step, rows, reader) after each step; the guard is checked first."""
-    _ensure_sweep(m, p)
+    guards.ensure_sweep(m, p)
     steps = step_indices(m, p)
     rows, apply, read = working
     for j, beta in steps if sign > 0 else reversed(steps):
         apply(rows, j, beta, sign)
         yield (j, beta), rows, read
-
-
-def _ensure_sweep(m: int, p: int) -> None:
-    """Charge a sweep's m*p steps, each rewriting at most the m*p entries of the
-    matrix, before the first; the unit-weight witness, restored row by row in
-    about (m*p)^2 / 4 additions, is charged the same."""
-    guards.ensure((m * p) ** 2, guards.SWEEP_WORK_LIMIT, "entries one sweep rewrites")
 
 
 def deleting_stages(matrix: Matrix) -> Iterator[tuple[StepIndex, Matrix]]:
@@ -259,7 +256,7 @@ def _witness_rows(diagram: CauchonDiagram) -> list[list[int]]:
     """The integer rows of :func:`ones_TC`, each restored by :func:`witness_row`
     from the bottom row up: the diagram walk along one path, charged as a sweep
     before the first row."""
-    _ensure_sweep(diagram.m, diagram.p)
+    guards.ensure_sweep(diagram.m, diagram.p)
     rows: list[list[int]] = []
     below: list[tuple[int, ...]] = []
     for i in range(diagram.m, 0, -1):

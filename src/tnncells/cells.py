@@ -46,14 +46,14 @@ from typing import Any, Iterator
 
 from . import guards
 from .diagrams import CauchonDiagram, enumerate_diagrams, poly_bernoulli, row_forces
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, require_grid
 from .matrices import Matrix, MinorFamily, _top_row_plan, scan_int_minors, scan_minors, subsets
 from .networks import GridNetwork, _row_step
 from .permutations import (
     Permutation, _necklace_mask, _necklace_step, _necklace_term, is_restricted, minor_family,
     pipe_dream, pipe_dream_suffix,
 )
-from .cauchon import _ensure_sweep, tnn_test, vanishing_family, witness_row
+from .cauchon import tnn_test, vanishing_family, witness_row
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,9 @@ def admissible_families(m: int, p: int) -> tuple[CellDescriptor, ...]:
     the exhaustive agreement with the restoration route is the job of
     :func:`unifying_check`. Distinctness across descriptors is still
     asserted here because admissibility testing relies on it. Each grid is
-    built once per process; the guard is checked on every call.
+    built once per process; the sizes and the guard are checked on every call.
     """
+    require_grid(m, p)
     guards.ensure_enumerable(m, p, what="cell enumeration")
     return tuple(_admissible_table(m, p).values())
 
@@ -204,14 +205,13 @@ def unifying_check(
     order. The pool's modules load only when ``jobs`` is above 1, and the
     first task to raise (a guard trip, a consistency failure) ends every
     worker at once: leaving the pool's block terminates it."""
+    require_grid(m, p)
     guards.ensure_enumerable(m, p, what="unifying check")
-    if m < 1 or p < 1:
-        raise DomainError("grid sizes must be at least 1")
     if jobs < 1:
         raise DomainError(f"jobs must be at least 1, got {jobs}")
     guards.ensure(jobs, guards.WORKER_LIMIT, "worker processes")
     guards.ensure_minor_table(m, p)
-    _ensure_sweep(m, p)
+    guards.ensure_sweep(m, p)
     guards.ensure_minor_family(m, p)
     started = time.monotonic()
     # one necklace term memo for the check; a task sent to a worker takes its own copy

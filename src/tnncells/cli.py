@@ -26,7 +26,7 @@ from . import permutations as perm_mod
 from . import poisson as poisson_mod
 from . import quantum as quantum_mod
 from . import cauchon as cauchon_mod
-from .errors import ConsistencyError, DomainError, ResourceGuardError, parse_json
+from .errors import ConsistencyError, DomainError, ResourceGuardError, parse_json, require_grid
 from .matrices import (
     Matrix,
     MinorFamily,
@@ -180,19 +180,26 @@ def tp_check(matrix: str, fmt: str) -> None:
 
 @main.command(name="tnn-check")
 @click.argument("matrix")
-@click.option(
-    "--method",
-    type=click.Choice(["deletion", "bruteforce", "both"]),
-    default="both",
-    help="Deleting derivations, the all-minors scan, or both with cross-check.",
-)
 @format_option
-def tnn_check(matrix: str, method: str, fmt: str) -> None:
-    """Total nonnegativity, by algorithm and by brute force."""
+def tnn_check(matrix: str, fmt: str) -> None:
+    """Total nonnegativity, by deleting derivations and by the all-minors scan.
+
+    A route runs when its guard admits the matrix; two that run must agree. A
+    matrix neither guard admits exits 3 on the sweep guard's refusal."""
     M = _matrix_arg(matrix)
+    refused: dict[str, ResourceGuardError] = {}
+    for route, guard in (("deletion", guards.ensure_sweep),
+                         ("bruteforce", guards.ensure_minor_table)):
+        try:
+            guard(M.m, M.p)
+        except ResourceGuardError as exc:
+            refused[route] = exc
+    if len(refused) == 2:
+        raise refused["deletion"]
+    method = "bruteforce" if "deletion" in refused else "deletion" if refused else "both"
     payload: dict[str, Any] = {"m": M.m, "p": M.p, "method": method}
     verdicts = []
-    if method in ("deletion", "both"):
+    if method != "bruteforce":
         result = cauchon_mod.tnn_test(M)
         verdicts.append(result.is_tnn)
         payload["deletion"] = {
@@ -200,7 +207,7 @@ def tnn_check(matrix: str, method: str, fmt: str) -> None:
             "final": matrix_to_json(result.final),
             "diagram": result.diagram.to_json() if result.diagram else None,
         }
-    if method in ("bruteforce", "both"):
+    if method != "deletion":
         witness = scan_minors(M).negative  # (minor, value), or None when TNN
         verdicts.append(witness is None)
         payload["bruteforce"] = {
@@ -214,13 +221,14 @@ def tnn_check(matrix: str, method: str, fmt: str) -> None:
     payload["tnn"] = verdict
     if verdict:
         text = "totally nonnegative"
-        if "deletion" in payload and result.diagram:
+        if method != "bruteforce" and result.diagram:
             text += "\n" + result.diagram.to_ascii()
     else:
         text = "not totally nonnegative"
-        bf = payload.get("bruteforce")
-        if bf and bf["witness"]:
-            text += f": minor {bf['witness']} = {bf['witness_value']}"
+        if method != "deletion":  # the routes agree, so the scan found a witness
+            text += f": minor {witness[0]} = {witness[1]}"
+    for route, exc in refused.items():
+        text += f"\n{route} not run: {exc}"
     _emit(fmt, payload, text, _verdict_code(verdict))
 
 
@@ -453,6 +461,7 @@ def perm_pipedream(diagram_src: str, fmt: str) -> None:
 @format_option
 def perm_inverse_pipedream(w: str, m: int, p: int, fmt: str) -> None:
     """The diagram whose pipes trace to the given permutation."""
+    require_grid(m, p)
     perm_value = perm_mod.parse_permutation(w, m + p)
     diagram = perm_mod.inverse_pipe_dream(perm_value, m, p)
     _emit(fmt, diagram.to_json(), diagram.to_ascii())
@@ -465,6 +474,7 @@ def perm_inverse_pipedream(w: str, m: int, p: int, fmt: str) -> None:
 @format_option
 def perm_mw(w: str, m: int, p: int, fmt: str) -> None:
     """The minor family attached to a restricted permutation."""
+    require_grid(m, p)
     perm_value = perm_mod.parse_permutation(w, m + p)
     family = perm_mod.minor_family(perm_value, m, p)
     _emit(fmt, family.to_json, lambda: _listing(family))

@@ -22,7 +22,7 @@ from math import factorial
 from typing import Any, Iterator
 
 from . import guards
-from .errors import DomainError, json_int, parse_json
+from .errors import DomainError, json_int, parse_json, require_grid
 
 Cell = tuple[int, int]
 
@@ -54,8 +54,7 @@ def _first_violation(m: int, p: int, black: frozenset[Cell]) -> Cell | None:
 
 def is_cauchon(m: int, p: int, black: Any) -> bool:
     """Does the coloring satisfy the all-left-black or all-above-black rule?"""
-    if m < 1 or p < 1:
-        raise DomainError("grid sizes must be at least 1")
+    require_grid(m, p)
     if not isinstance(black, frozenset):  # a frozenset is read as it is
         black = frozenset((int(i), int(a)) for i, a in black)
     return _first_violation(m, p, black) is None
@@ -98,8 +97,7 @@ def parse_grid(text: str) -> tuple[int, int, Iterator[Cell]]:
 def _check_size(m: int, p: int) -> None:
     """The checks a grid size passes before any cell is read: every diagram's
     pipe dream is a permutation of m + p letters."""
-    if m < 1 or p < 1:
-        raise DomainError("grid sizes must be at least 1")
+    require_grid(m, p)
     guards.ensure(m + p, guards.PERMUTATION_LETTER_LIMIT, "pipe dream letters")
 
 

@@ -1,4 +1,4 @@
-"""Error types shared across the package, and the JSON readers that raise them."""
+"""Error types shared across the package, and the size check and JSON readers that raise them."""
 
 import json
 from typing import Any
@@ -18,6 +18,12 @@ class ConsistencyError(RuntimeError):
     Raised by cross-validating operations; a ConsistencyError is always a bug
     (or a counterexample), never a user error.
     """
+
+
+def require_grid(m: int, p: int) -> None:
+    """Refuse an m x p grid with a side below 1, before any guard counts it."""
+    if m < 1 or p < 1:
+        raise DomainError("grid sizes must be at least 1")
 
 
 def json_int(value: Any, what: str) -> int:

@@ -18,8 +18,8 @@ of its exponent, each parenthesis in an expression costs its reader one
 level of recursion, a count of disjoint path families takes a step per
 vertex its walks visit and per (partial family, path) pair it tries, a path
 matrix a step per vertex and edge each source's propagation may visit, a
-restoration or deleting-derivations sweep, or the initial minors'
-eliminations, may rewrite (m*p)^2 entries, one ``--jobs`` may start a
+restoration or deleting-derivations sweep (:func:`ensure_sweep`), or the initial
+minors' eliminations, may rewrite (m*p)^2 entries, one ``--jobs`` may start a
 bounded number of worker processes, and one product of exact values
 or Poisson bracket produces |f|*|g| term pairs (in the quantum product,
 pairs of coefficient terms, plus the terms each memo entry of its letter
@@ -148,6 +148,13 @@ def ensure_enumerable(m: int, p: int, *, what: str = "enumeration") -> None:
             f"{what} for a {m}x{p} grid exceeds the guard (m*p = {m * p} > {limit}); "
             f"set {GUARD_ENV_VAR} to raise the limit"
         )
+
+
+def ensure_sweep(m: int, p: int) -> None:
+    """Refuse an m x p sweep whose m*p steps, each rewriting at most the m*p entries
+    of the matrix, may rewrite over SWEEP_WORK_LIMIT; the unit-weight witness,
+    restored row by row in about (m*p)^2 / 4 additions, is charged the same."""
+    ensure((m * p) ** 2, SWEEP_WORK_LIMIT, "entries one sweep rewrites")
 
 
 @cache

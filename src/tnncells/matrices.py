@@ -44,7 +44,7 @@ from math import comb, lcm
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import guards
-from .errors import DomainError, json_int, parse_json
+from .errors import DomainError, json_int, parse_json, require_grid
 
 # ---------------------------------------------------------------------------
 # Minor indexing
@@ -138,14 +138,15 @@ class MinorFamily:
     also the order of the minor tables. Within size k, the minor
     on the i-th row set and j-th column set (positions in :func:`subsets`) is
     bit ``offset + i * comb(p, k) + j``. Members are decoded from the mask
-    only when asked for. The public constructor validates its members and
-    guards the grid's minor count; code that built a mask itself uses
-    ``_from_mask``.
+    only when asked for. The public constructor checks the grid's sizes,
+    guards its minor count and validates its members; code that built a mask
+    itself uses ``_from_mask``.
     """
 
     __slots__ = ("m", "p", "mask")
 
     def __init__(self, m: int, p: int, members: Iterable[MinorIndex]) -> None:
+        require_grid(m, p)
         guards.ensure_minor_table(m, p)
         mask = 0
         for ix in members:

@@ -55,7 +55,7 @@ from typing import Any, Iterator, Sequence
 
 from . import guards
 from .diagrams import CauchonDiagram, enumerate_diagrams
-from .errors import DomainError
+from .errors import DomainError, require_grid
 from .matrices import MinorFamily
 
 
@@ -209,8 +209,7 @@ def enumerate_restricted(m: int, p: int) -> Iterator[Permutation]:
     of the m x p diagrams, which :func:`pipe_dream` maps one to one onto S(m, p)
     (see the module docstring). The sizes and the enumeration guard are checked
     when the call is made; the diagrams are enumerated at the first item."""
-    if m < 1 or p < 1:
-        raise DomainError("sizes must be at least 1")
+    require_grid(m, p)
     guards.ensure_enumerable(m, p, what="restricted permutation enumeration")
 
     def stream() -> Iterator[Permutation]:
@@ -257,9 +256,8 @@ def inverse_pipe_dream(w: Permutation, m: int, p: int) -> CauchonDiagram:
     inverse: at cell (i, a) with k = m - i + a, swapping values k and k + 1
     of w is swapping entries k and k + 1 of its inverse.
     """
+    require_grid(m, p)
     guards.ensure(w.n, guards.PERMUTATION_LETTER_LIMIT, "permutation letters")
-    if m < 1 or p < 1:
-        raise DomainError("sizes must be at least 1")
     if w.n != m + p:
         raise DomainError(f"{w} is not a permutation of 1..{m + p}")
     position = list(w.inverse().images)
@@ -364,8 +362,7 @@ def minor_family(w: Permutation, m: int, p: int) -> MinorFamily:
 
     The grid's size is checked against the guard first.
     """
-    if m < 1 or p < 1:
-        raise DomainError("sizes must be at least 1")
+    require_grid(m, p)
     guards.ensure_minor_family(m, p)
     if w.n != m + p:
         raise DomainError(f"{w} is not a permutation of 1..{m + p}")

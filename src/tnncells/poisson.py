@@ -199,6 +199,8 @@ class ExpPoly(ExactValue):
 
     __slots__ = ("terms",)
 
+    _scalars = (int, Fraction)
+
     def __init__(self, terms: Mapping[tuple[Fraction, int], Fraction | int]):
         clean: dict[tuple[Fraction, int], Fraction] = {}
         for (lam, degree), coeff in terms.items():
@@ -221,12 +223,8 @@ class ExpPoly(ExactValue):
     def exponential(cls, lam: Fraction) -> "ExpPoly":
         return cls({(lam, 0): 1})
 
-    def _coerce(self, other: Any) -> "ExpPoly":
-        if isinstance(other, ExpPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ExpPoly.const(other)
-        return NotImplemented  # type: ignore[return-value]
+    def _scalar(self, value: Fraction | int) -> "ExpPoly":
+        return ExpPoly.const(value)
 
     @staticmethod
     def _combine(k1: tuple[Fraction, int], k2: tuple[Fraction, int]) -> tuple:
@@ -251,9 +249,6 @@ class ExpPoly(ExactValue):
             )
             chunks.append(f"({poly})" if lam == 0 else f"({poly})*exp({lam}*t)")
         return " + ".join(chunks)
-
-    def __repr__(self) -> str:
-        return f"ExpPoly({self})"
 
 
 def parse_path_entry(text: str) -> ExpPoly:

@@ -43,7 +43,7 @@ from math import factorial, prod
 from typing import Any, Iterable
 
 from . import guards
-from .errors import DomainError
+from .errors import DomainError, require_grid
 from .permutations import inversion_count
 from .scalars import ExactValue, LaurentQ, _signed_sum, add_terms, evaluate_expression, int_const
 
@@ -56,8 +56,7 @@ _TWO_BY_TWO_ALIASES = {"a": (1, 1), "b": (1, 2), "c": (2, 1), "d": (2, 2)}
 def _check_grid(m: int, p: int) -> None:
     """Refuse sizes below 1, and a grid over the algebra guard before any of
     its per-grid tables is built."""
-    if m < 1 or p < 1:
-        raise DomainError("sizes must be at least 1")
+    require_grid(m, p)
     guards.ensure((m * p) ** 2, guards.ALGEBRA_PAIR_LIMIT, f"generator pairs of the {m}x{p} grid")
 
 
@@ -145,6 +144,7 @@ class QPoly(ExactValue):
     __slots__ = ("m", "p", "terms")
 
     _context = ("m", "p")
+    _scalars = (int, LaurentQ)
 
     def __init__(self, m: int, p: int, terms: dict[Word, LaurentQ]):
         clean: dict[Word, LaurentQ] = {}
@@ -182,17 +182,8 @@ class QPoly(ExactValue):
 
     # -- ring structure -----------------------------------------------------------
 
-    def _check(self, other: "QPoly") -> None:
-        if (self.m, self.p) != (other.m, other.p):
-            raise DomainError("mixed ambient grid sizes")
-
-    def _coerce(self, other: Any) -> "QPoly":
-        if isinstance(other, QPoly):
-            self._check(other)
-            return other
-        if isinstance(other, (int, LaurentQ)):
-            return QPoly.const(self.m, self.p, other)
-        return NotImplemented  # type: ignore[return-value]
+    def _scalar(self, value: LaurentQ | int) -> "QPoly":
+        return QPoly.const(self.m, self.p, value)
 
     def scaled(self, coeff: LaurentQ | int) -> "QPoly":
         if not coeff:
@@ -220,7 +211,7 @@ class QPoly(ExactValue):
         its pairs, the entries it adds, and the length of each entry it reads,
         each read checked at once, so a product whose entries are all made
         already is still bounded by its reads."""
-        self._check(other)
+        self._check_ring(other)
         cells, letter, rules = _rewrites(self.m, self.p)
         limit = guards.PRODUCT_TERM_LIMIT
         spent = prod(sum(len(c.terms) for c in h.terms.values()) for h in (self, other))
@@ -300,9 +291,6 @@ class QPoly(ExactValue):
 
     def __str__(self) -> str:
         return self.to_str()
-
-    def __repr__(self) -> str:
-        return f"QPoly({self.to_str()})"
 
 
 # ---------------------------------------------------------------------------

@@ -80,16 +80,37 @@ class ExactValue:
     A subclass declares a ``terms`` slot (key -> nonzero coefficient) and the
     slots named in ``_context``, which fix the ring an element lives in
     (a variable tuple, a grid size); elements interoperate only within one
-    ring. It supplies ``_coerce``, which returns the other operand as an
-    element of the same ring or NotImplemented, and ``_combine``, the key of
-    the product of two terms, for the commutative product. Reflected
-    operators serve scalars (ints, coefficients), which are central.
-    Negative powers invert through ``_inverse``, which refuses by default.
+    ring. It names the types of its scalars in ``_scalars`` and lifts one into
+    the ring with ``_scalar``, and supplies ``_combine``, the key of the
+    product of two terms, for the commutative product. Reflected operators
+    serve scalars (ints, coefficients), which are central. Negative powers
+    invert through ``_inverse``, which refuses by default.
     """
 
     __slots__ = ()
 
     _context: tuple[str, ...] = ()
+    _scalars: tuple[type, ...] = (int,)
+
+    def _ring(self) -> tuple:
+        return tuple(getattr(self, slot) for slot in self._context)
+
+    def _check_ring(self, other: Any) -> None:
+        if self._context and self._ring() != other._ring():
+            raise DomainError(f"mixed rings: {type(self).__name__} over "
+                              f"{self._ring()} and over {other._ring()}")
+
+    def _coerce(self, other: Any) -> Any:
+        """``other`` in this ring: itself over the same ring, a lifted scalar, or NotImplemented."""
+        if type(other) is type(self):
+            self._check_ring(other)
+            return other
+        if isinstance(other, self._scalars):
+            return self._scalar(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
 
     def _new(self, terms: dict) -> Any:
         """An element of this ring with trusted terms: valid keys, no zeros."""
@@ -114,13 +135,10 @@ class ExactValue:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        return self.terms == other.terms and all(
-            getattr(self, slot) == getattr(other, slot) for slot in self._context
-        )
+        return self.terms == other.terms and self._ring() == other._ring()
 
     def __hash__(self) -> int:
-        ring = tuple(getattr(self, slot) for slot in self._context)
-        return hash((ring, frozenset(self.terms.items())))
+        return hash((self._ring(), frozenset(self.terms.items())))
 
     def __add__(self, other: Any) -> Any:
         other = self._coerce(other)
@@ -233,16 +251,8 @@ class MPoly(ExactValue):
 
     # -- ring structure ------------------------------------------------------
 
-    def _coerce(self, other: Any) -> "MPoly":
-        if isinstance(other, MPoly):
-            if self.names != other.names:
-                raise DomainError(
-                    f"mixed variable universes {self.names} and {other.names}"
-                )
-            return other
-        if isinstance(other, int):
-            return MPoly.const(self.names, other)
-        return NotImplemented  # type: ignore[return-value]
+    def _scalar(self, value: int) -> "MPoly":
+        return MPoly.const(self.names, value)
 
     @staticmethod
     def _combine(e1: tuple[int, ...], e2: tuple[int, ...]) -> tuple[int, ...]:
@@ -316,9 +326,6 @@ class MPoly(ExactValue):
             chunks.append((coeff, body))
         return _signed_sum(chunks)
 
-    def __repr__(self) -> str:
-        return f"MPoly({self})"
-
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials in q
@@ -356,12 +363,8 @@ class LaurentQ(ExactValue):
     ONE: "LaurentQ"
     Q_MINUS_QINV: "LaurentQ"
 
-    def _coerce(self, other: Any) -> "LaurentQ":
-        if isinstance(other, LaurentQ):
-            return other
-        if isinstance(other, int):
-            return LaurentQ.const(other)
-        return NotImplemented  # type: ignore[return-value]
+    def _scalar(self, value: int) -> "LaurentQ":
+        return LaurentQ.const(value)
 
     _combine = staticmethod(add)
 
@@ -407,9 +410,6 @@ class LaurentQ(ExactValue):
                 body = q if abs(c) == 1 else f"{abs(c)}*{q}"
             chunks.append((c, body))
         return _signed_sum(chunks)
-
-    def __repr__(self) -> str:
-        return f"LaurentQ({self})"
 
 
 LaurentQ.ZERO = LaurentQ({})

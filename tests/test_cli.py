@@ -739,32 +739,111 @@ def _pascal_csv(n):
 
 
 @pytest.mark.parametrize(
-    "args, n, codes",
+    "args, n, codes, shown",
     [
-        (["tnn-check", "-"], 12, {3}),
-        (["minors", "-"], 12, {3}),
-        (["cells", "of", "-"], 12, {3}),
-        (["tnn-check", "-"], 6, {0, 1}),
+        # past the minor table, tnn-check answers by deletion alone
+        (["tnn-check", "--format", "json", "-"], 12, {0}, '"method": "deletion"'),
+        (["minors", "-"], 12, {3}, ""),
+        (["cells", "of", "-"], 12, {3}, ""),
+        (["tnn-check", "-"], 6, {0, 1}, ""),
     ],
     ids=["tnn-check-12", "minors-12", "cells-of-12", "tnn-check-6"],
 )
-def test_minor_table_budget(args, n, codes):
+def test_minor_table_budget(args, n, codes, shown):
     proc, took = _run_process(args, _pascal_csv(n))
     assert proc.returncode in codes, proc.stderr
+    assert shown in proc.stdout
     assert "Traceback" not in proc.stdout + proc.stderr
     assert took < 2.0
 
 
 @pytest.mark.parametrize(
     "args",
-    [["tnn-check", "--method", "deletion", "-"], ["delete", "-"], ["restore", "-"]],
+    [["tnn-check", "-"], ["delete", "-"], ["restore", "-"]],
     ids=["tnn-check-deletion", "delete", "restore"],
 )
 def test_sweep_budget(args):
+    # 40x40 is past the sweep guard and the minor table: tnn-check exits on the first
     proc, took = _run_process(args, _pascal_csv(40))
     assert proc.returncode == 3, proc.stderr
+    assert "entries one sweep rewrites" in proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
     assert took < 1.0
+
+
+def _never_started(*args):
+    raise AssertionError("a route its guard refused was started")
+
+
+def test_tnn_check_runs_deletion_alone_past_the_minor_table(runner, monkeypatch):
+    from tnncells import cli
+
+    monkeypatch.setattr(cli, "scan_minors", _never_started)
+    bad = _pascal_csv(12).replace("1", "0", 1)  # [1,2|1,2] = 0*2 - 1*1 < 0
+    result = runner.invoke(main, ["tnn-check", "-", "--format", "json"], input=bad)
+    assert result.exit_code == 1, result.output
+    payload = json.loads(result.output)
+    assert (payload["method"], payload["tnn"]) == ("deletion", False)
+    assert list(payload) == ["m", "p", "method", "deletion", "tnn"]
+    assert not payload["deletion"]["tnn"]
+    result = runner.invoke(main, ["tnn-check", "-"], input=bad)
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [
+        "not totally nonnegative",
+        "bruteforce not run: minors of the 12x12 grid: 297925 exceeds the limit of 184755",
+    ]
+
+
+def test_tnn_check_scans_a_wide_matrix_past_the_sweep_guard(runner, monkeypatch):
+    from tnncells import cauchon
+
+    monkeypatch.setattr(cauchon, "tnn_test", _never_started)
+    row = ",".join(["1"] * 500 + ["-3"] + ["1"] * 500)  # 1x1001: 1,002,001 sweep entries
+    result = runner.invoke(main, ["tnn-check", "-", "--format", "json"], input=row)
+    assert result.exit_code == 1, result.output
+    payload = json.loads(result.output)
+    assert payload["method"] == "bruteforce"
+    assert payload["bruteforce"] == {"tnn": False, "witness": "[1|501]", "witness_value": "-3"}
+    result = runner.invoke(main, ["tnn-check", "-"], input=row)
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [
+        "not totally nonnegative: minor [1|501] = -3",
+        "deletion not run: entries one sweep rewrites: 1002001 exceeds the limit of 1000000",
+    ]
+
+
+def test_tnn_check_runs_both_routes_when_both_guards_admit(runner):
+    result = runner.invoke(main, ["tnn-check", "-", "--format", "json"], input=_pascal_csv(6))
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert payload["method"] == "both"
+    assert payload["deletion"]["tnn"] and payload["bruteforce"]["tnn"]
+
+
+def test_tnn_check_has_no_method_option(runner):
+    result = runner.invoke(main, ["tnn-check", "--method", "both", "-"], input="1,1\n1,2\n")
+    assert result.exit_code == 2
+    assert "No such option" in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["cells", "verify", "--", "-5", "-5"],
+        ["verify", "all", "--m", "-5", "--p", "-5"],
+        ["cells", "enum", "--", "-5", "-5"],
+        ["cells", "admissible", "-f", '{"m": -5, "p": -5, "members": []}'],
+        ["perm", "mw", "1", "--m", "-5", "--p", "-5"],
+        ["perm", "inverse-pipedream", "1", "--m", "-5", "--p", "-5"],
+    ],
+    ids=["cells-verify", "verify-all", "cells-enum", "cells-admissible", "perm-mw",
+         "perm-inverse-pipedream"],
+)
+def test_negative_sizes_are_domain_errors_before_any_guard(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "grid sizes must be at least 1" in result.output
+    assert "Traceback" not in result.output
 
 
 def test_huge_json_diagram_is_refused_before_a_cell_is_read(runner):

@@ -119,6 +119,19 @@ def test_values_of_different_rings_are_unequal():
     assert QPoly.one(2, 2) != QPoly.one(2, 3)
 
 
+def test_one_coercion_checks_the_ring_and_lifts_only_the_rings_scalars():
+    for op in (lambda f, g: f + g, lambda f, g: f * g):
+        with pytest.raises(DomainError, match="mixed rings"):
+            op(QPoly.one(2, 2), QPoly.one(2, 3))
+    assert QPoly.one(2, 2) + LaurentQ.ONE == QPoly.const(2, 2, 2)
+    assert ExpPoly.const(1) + Fraction(1, 2) == ExpPoly.const(Fraction(3, 2))
+    for value in (LaurentQ.ONE, MPoly.one(NAMES), QPoly.one(2, 2)):
+        with pytest.raises(TypeError):
+            value + Fraction(1, 2)
+    assert repr(LaurentQ.Q_MINUS_QINV) == "LaurentQ(q - q^-1)"
+    assert repr(QPoly.generator(2, 2, 1, 1)) == "QPoly(a)"
+
+
 @given(poly_strategy(), st.integers(-4, 4), st.integers(-4, 4))
 def test_mpoly_evaluation_is_a_homomorphism(f, x, y):
     g = MPoly.var(NAMES, "x") - MPoly.const(NAMES, 7)

@@ -20,10 +20,10 @@ vertex its walks visit and per (partial family, path) pair it tries, a path
 matrix a step per vertex and edge each source's propagation may visit, a
 restoration or deleting-derivations sweep (:func:`ensure_sweep`), or the initial
 minors' eliminations, may rewrite (m*p)^2 entries, one ``--jobs`` may start a
-bounded number of worker processes, and one product of exact values
-or Poisson bracket produces |f|*|g| term pairs (in the quantum product,
-pairs of coefficient terms, plus the terms each memo entry of its letter
-insertions sums, plus the terms of each entry its main loop reads). The
+bounded number of worker processes, one commutative product of exact values
+or Poisson bracket produces |f|*|g| term pairs, and one quantum product is
+charged its pairs of coefficient terms, plus the terms each memo entry of its
+letter insertions sums, plus the terms of each entry its main loop reads. The
 product budget is checked before the pairs are formed, again as the
 insertion memo grows and at each read, so a product over budget stops
 early. The expression reader checks its limits on a first, zero-valued
@@ -112,10 +112,18 @@ WORKER_LIMIT = 64
 # at 10, 58,909 at 11 and 90,941 at 12, the first power refused; the last of
 # (d*a)^36, 66,139, and of (d*a)^37, 71,705, refused; d^19 * a^19, 63,054, and
 # d^20 * a^20, 77,588, refused. Of the products measured, the slowest
-# admitted, the last of (d*a)^36, takes about 0.38 s on a 2-vCPU host.
-# Commutative products and Poisson brackets are charged their |f| * |g| pairs
-# against the same limit.
+# admitted, the last of (d*a)^36, takes about 0.38 s on a 2-vCPU host. The
+# two products of a commutator add their terms into one table, where shared
+# terms cancel; the table costs no units, so each product is charged as above.
 PRODUCT_TERM_LIMIT = 70_000
+
+# Terms one commutative product (``ExactValue.__mul__``: MPoly, LaurentQ and
+# ExpPoly) or one Poisson bracket may produce, charged its |f| * |g| pairs of
+# terms. A pair is not a quantum unit, so it has its own limit, the product
+# budget's value before quantum memo reads were charged: ``poisson bracket
+# '(a+b+c+d)^100' b`` makes 34 products of the power, the last 28,560 pairs,
+# and is refused at the 35th, 31,080, after 0.3-0.6 s on a 2-vCPU host.
+COMMUTATIVE_TERM_LIMIT = 30_000
 
 
 def cell_limit() -> int:

@@ -89,7 +89,8 @@ def bracket(m: int, p: int, f: MPoly, g: MPoly) -> MPoly:
     names = coordinate_names(m, p)
     if f.names != names or g.names != names:
         raise DomainError(f"operands must live in the {m}x{p} coordinate ring")
-    guards.ensure(len(f.terms) * len(g.terms), guards.PRODUCT_TERM_LIMIT, "terms of one product")
+    guards.ensure(len(f.terms) * len(g.terms), guards.COMMUTATIVE_TERM_LIMIT,
+                  "terms of one product")
     table = _bracket_table(m, p)
     right = [(B, d, [(v, b) for v, b in enumerate(B) if b]) for B, d in g.terms.items()]
     total: dict[tuple[int, ...], int] = {}

@@ -28,6 +28,12 @@ every prefix. The right factor's words are walked as a prefix trie, so a
 shared prefix is inserted once, and the memo lives for one product, or for
 both products of one commutator.
 
+A product adds its terms, times a sign, into a flat table keyed by (word,
+q-exponent) with int values, and the table becomes a QPoly once, at the end.
+A commutator adds fg with +1 and gf with -1 into one table, so the terms the
+two products share cancel as ints (every term of [D_q, D_q] does) and only
+the terms that survive are built into coefficients.
+
 Coefficients are integer Laurent polynomials in q. The parameter is never
 specialized here; the q = 1 limit belongs to the Poisson side.
 """
@@ -198,21 +204,28 @@ class QPoly(ExactValue):
         prefix is formed once for every word of g that starts with it.
         Charged a unit per pair of coefficient terms, plus the terms each memo
         entry on (suffix above the letter, letter) sums, plus the terms of the
-        entry each (word, q-exponent) term reads; the memo lives for this call.
+        entry each (word, q-exponent) term reads; the memo and the term table
+        live for this call.
         """
-        return self._product(other, {})
+        table: dict[tuple, int] = {}
+        self._product(other, {}, table, 1)
+        return self._from_table(table)
 
-    def _product(self, other: "QPoly", memo: dict) -> "QPoly":
-        """``self * other``, reading and filling ``memo`` of suffix * X_x entries.
+    def _product(self, other: "QPoly", memo: dict, table: dict, sign: int) -> None:
+        """Add ``sign * self * other`` into ``table``, reading and filling
+        ``memo`` of suffix * X_x entries.
 
-        A word w times X_x is w's letters up to x, the prefix, followed by the
-        entry of (the rest of w, x): inserting X_x makes only letters >= x, so
-        the prefix never moves (the module docstring has the proof). Charged
-        its pairs, the entries it adds, and the length of each entry it reads,
-        each read checked at once, so a product whose entries are all made
-        already is still bounded by its reads."""
+        ``table`` maps (word of cell indices, q-exponent) to a nonzero int, and
+        a term that cancels leaves it, so one table can hold fg - gf with only
+        the surviving terms. A word w times X_x is w's letters up to x, the
+        prefix, followed by the entry of (the rest of w, x): inserting X_x
+        makes only letters >= x, so the prefix never moves (the module
+        docstring has the proof). Charged its pairs, the entries it adds, and
+        the length of each entry it reads, each read checked at once, so a
+        product whose entries are all made already is still bounded by its
+        reads."""
         self._check_ring(other)
-        cells, letter, rules = _rewrites(self.m, self.p)
+        _, letter, rules = _rewrites(self.m, self.p)
         limit = guards.PRODUCT_TERM_LIMIT
         spent = prod(sum(len(c.terms) for c in h.terms.values()) for h in (self, other))
         guards.ensure(spent, limit, "terms of one product")
@@ -223,18 +236,17 @@ class QPoly(ExactValue):
             for x in map(letter.__getitem__, v):
                 node = node.setdefault(x, {})
             node[None] = d
-        start = {(tuple(map(letter.__getitem__, w)), e): k
+        start = {(tuple(map(letter.__getitem__, w)), e): sign * k
                  for w, c in self.terms.items() for e, k in c.terms.items()}
         # (letter, its node, f times the node's parent prefix), depth first in
         # g's word order, so memo entries are made, and the budget trips, in
         # the order of inserting g's words one by one
-        flat: dict[tuple, int] = {}
         stack = [(x, node, start) for x, node in reversed(trie.items())]
         while stack:
             x, node, terms = stack.pop()
             if x is None:
-                add_terms(flat, (((w, e + f), k * c)
-                                 for (w, e), k in terms.items() for f, c in node.terms.items()))
+                add_terms(table, (((w, e + f), k * c)
+                                  for (w, e), k in terms.items() for f, c in node.terms.items()))
                 continue
             grown: dict[tuple, int] = {}
             for (w, e), k in terms.items():
@@ -257,8 +269,13 @@ class QPoly(ExactValue):
                     grown[key] = grown.get(key, 0) + k * c
             terms = {key: c for key, c in grown.items() if c}
             stack += [(y, child, terms) for y, child in reversed(node.items())]
+
+    def _from_table(self, table: dict) -> "QPoly":
+        """The element of this ring whose terms ``table`` holds, as
+        :meth:`_product` fills it: a LaurentQ per word, built once."""
+        cells = _rewrites(self.m, self.p)[0]
         out: dict[Word, dict[int, int]] = {}
-        for (w, e), k in flat.items():
+        for (w, e), k in table.items():
             out.setdefault(tuple(map(cells.__getitem__, w)), {})[e] = k
         return self._new({w: LaurentQ.ONE._new(c) for w, c in out.items()})
 
@@ -299,12 +316,17 @@ class QPoly(ExactValue):
 
 
 def commutator(f: QPoly, g: QPoly) -> QPoly:
-    """fg - gf. Both products share one insertion memo, since suffix * X_x
-    depends only on the grid, the suffix and the letter, and a word's prefix of
-    letters up to x never moves: gf is charged its pairs, the entries fg did
-    not make and every entry it reads."""
+    """fg - gf, added up in one term table: fg goes in with sign +1 and gf
+    with -1, so the terms they share cancel as ints and only the survivors
+    become coefficients. Both products share one insertion memo, since
+    suffix * X_x depends only on the grid, the suffix and the letter, and a
+    word's prefix of letters up to x never moves: gf is charged its pairs, the
+    entries fg did not make and every entry it reads."""
     memo: dict[tuple, dict] = {}
-    return f._product(g, memo) - g._product(f, memo)
+    table: dict[tuple, int] = {}
+    f._product(g, memo, table, 1)
+    g._product(f, memo, table, -1)
+    return f._from_table(table)
 
 
 def quantum_minor(

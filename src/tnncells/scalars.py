@@ -154,7 +154,7 @@ class ExactValue:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        guards.ensure(len(self.terms) * len(other.terms), guards.PRODUCT_TERM_LIMIT,
+        guards.ensure(len(self.terms) * len(other.terms), guards.COMMUTATIVE_TERM_LIMIT,
                       "terms of one product")
         combine = self._combine
         return self._new(add_terms({}, (

@@ -15,7 +15,7 @@ from operator import attrgetter
 import pytest
 from click.testing import CliRunner
 
-from tnncells import cauchon, cells, diagrams, matrices, networks, permutations, quantum
+from tnncells import cauchon, cells, diagrams, matrices, networks, permutations, poisson, quantum
 from tnncells.cli import main
 from tnncells.diagrams import CauchonDiagram, enumerate_diagrams
 
@@ -363,9 +363,11 @@ def test_a_wrong_diagram_count_fails_both_verifiers(monkeypatch):
          ["quantum-relations", "quantum-determinant-central", "semiclassical"]),
         ("_insert", "((1, -1), (-1, 1))", "((1, 1), (-1, -1))",
          ["quantum-relations", "quantum-determinant-central", "semiclassical"]),
+        ("commutator", "g._product(f, memo, table, -1)", "g._product(f, memo, table, 1)",
+         "coefficient 1 + q^-1 of ((1, 1), (1, 2)) is not divisible by q - 1"),
     ],
     ids=["prefix-dropped-in-the-product", "lead-dropped-in-straightening",
-         "straightening-sign-flipped"],
+         "straightening-sign-flipped", "second-product-added-in-the-commutator"],
 )
 def test_quantum_product_mutants_fail_verify_all(monkeypatch, name, old, new, failing):
     """The insertion memo is keyed on a word's letters above the inserted one,
@@ -374,14 +376,25 @@ def test_quantum_product_mutants_fail_verify_all(monkeypatch, name, old, new, fa
     entry of the rest. Dropping either, or flipping the sign of the
     straightening term, fails a ``verify all --m 2 --p 2`` suite, and the 3x3
     quantum determinant no longer commutes with X[1,1] under ``quantum comm``,
-    as CI runs it. The prefix is empty in every product of generators, so
-    the defining relations cannot see the first mutant."""
+    as CI runs it. Adding gf into the commutator's term table with +1, not
+    -1, makes [X, X'] of two generators in a row fg + gf, which (q - 1) does
+    not divide: the semiclassical suite raises a consistency failure, and
+    ``verify all`` exits 1 with its message instead of a report. The prefix
+    is empty in every product of generators, so the defining relations cannot
+    see the first mutant, and they take no commutator, so they cannot see the
+    last."""
     owner, _, attr = name.rpartition(".")
-    monkeypatch.setattr(getattr(quantum, owner) if owner else quantum, attr,
-                        _mutated(quantum, name, old, new))
+    target = getattr(quantum, owner) if owner else quantum
+    mutant = _mutated(quantum, name, old, new)
+    monkeypatch.setattr(target, attr, mutant)
+    if target is quantum and hasattr(poisson, attr):  # poisson imports commutator by name
+        monkeypatch.setattr(poisson, attr, mutant)
     every = _verify("verify", "all", "--m", "2", "--p", "2")
     assert every.exit_code == 1
-    assert [c["name"] for c in json.loads(every.output)["checks"] if not c["ok"]] == failing
+    if isinstance(failing, str):  # a broken invariant ends the run before its report
+        assert every.output == f"consistency failure: {failing}\n"
+    else:
+        assert [c["name"] for c in json.loads(every.output)["checks"] if not c["ok"]] == failing
     det = str(quantum.quantum_minor(3, 3, (1, 2, 3), (1, 2, 3)))
     comm = _verify("quantum", "comm", det, "X[1,1]", "--m", "3", "--p", "3")
     assert (comm.exit_code, json.loads(comm.output)["zero"]) == (0, False)

@@ -6,7 +6,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tnncells.errors import DomainError
+from tnncells import guards
+from tnncells.errors import DomainError, ResourceGuardError
 from tnncells.poisson import (
     ExpPoly,
     FlowPath,
@@ -209,3 +210,18 @@ class TestFlows:
 def test_parse_poisson_rejects_fractional_coefficients():
     with pytest.raises(DomainError):
         parse_poisson("1/2 * a", 2, 2)
+
+
+def test_commutative_products_have_their_own_limit(monkeypatch):
+    # (a+b+c+d)^34 has 7,770 terms, so times a+b+c+d it forms 31,080 pairs:
+    # over the commutative limit of 30,000, inside the quantum one, and the
+    # quantum limit moves neither the product nor the bracket
+    power = parse_poisson("(a+b+c+d)^34", 2, 2)
+    total, b = parse_poisson("a+b+c+d", 2, 2), parse_poisson("b", 2, 2)
+    monkeypatch.setattr(guards, "PRODUCT_TERM_LIMIT", 10**9)
+    for run in (lambda: power * total, lambda: bracket(2, 2, power, total)):
+        with pytest.raises(ResourceGuardError, match="product: 31080 exceeds the limit of 30000"):
+            run()
+    monkeypatch.setattr(guards, "PRODUCT_TERM_LIMIT", 1)
+    assert len((power * b).terms) == len(power.terms)
+    assert not bracket(2, 2, power, b).is_zero

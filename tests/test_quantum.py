@@ -191,6 +191,32 @@ class TestNormalForm:
             for g in minors:
                 assert commutator(f, g) == f.multiply(g) - g.multiply(f)
 
+    def test_commutator_matches_the_rewriting_difference(self):
+        # fg and -gf add up in one term table, checked against two products
+        # of the leftmost rewriting oracle: every pair of 3x3 minors, the 4x4
+        # determinant against each 4x4 minor (each zero: it is central), and
+        # 4x4 pairs of 2x2 and 3x3 minors that do not commute
+        def expected(f, g):
+            return oracles.rewriting_product(f, g) - oracles.rewriting_product(g, f)
+
+        minors = self.all_minors(3)
+        for f in minors:
+            for g in minors:
+                assert commutator(f, g) == expected(f, g)
+        minors = self.all_minors(4)
+        det = minors[-1]
+        for f in minors:
+            assert commutator(det, f).is_zero and expected(det, f).is_zero
+        for (rows, cols), (rows2, cols2) in [
+            (((1, 2), (1, 2)), ((2, 3), (2, 3))),
+            (((1, 2), (2, 3)), ((1, 2, 3), (1, 2, 4))),
+            (((1, 3), (1, 3)), ((2, 3, 4), (2, 3, 4))),
+            (((1, 2, 3), (1, 2, 3)), ((2, 3, 4), (2, 3, 4))),
+        ]:
+            f, g = quantum_minor(4, 4, rows, cols), quantum_minor(4, 4, rows2, cols2)
+            comm = commutator(f, g)
+            assert not comm.is_zero and comm == expected(f, g)
+
     # Letter insertion only ever rewrites the rightmost out-of-order pair, the
     # one its new letter makes; the oracle rewrites the leftmost one.
     @pytest.mark.parametrize("rewriting", ["leftmost", "rightmost"])
@@ -232,9 +258,9 @@ class TestNormalForm:
         det = quantum_minor(4, 4, (1, 2, 3, 4), (1, 2, 3, 4))
         assert commutator(det, det).is_zero
         memo: dict = {}
-        det._product(det, memo)
+        det._product(det, memo, {}, 1)
         entries = len(memo)
-        self.assert_charged(monkeypatch, 576 + 2_674, lambda: det._product(det, memo))
+        self.assert_charged(monkeypatch, 576 + 2_674, lambda: det._product(det, memo, {}, 1))
         assert len(memo) == entries
 
     def test_normal_words_pass_through(self):

@@ -192,6 +192,20 @@ class UnifyingReport:
         }
 
 
+def check_walk(m: int, p: int, jobs: int) -> None:
+    """Refuse what :func:`unifying_check` cannot take before it starts: sizes
+    or a worker count below 1 (DomainError), and a grid or worker count over
+    its guards."""
+    require_grid(m, p)
+    guards.ensure_enumerable(m, p, what="unifying check")
+    if jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {jobs}")
+    guards.ensure(jobs, guards.WORKER_LIMIT, "worker processes")
+    guards.ensure_minor_table(m, p)
+    guards.ensure_sweep(m, p)
+    guards.ensure_minor_family(m, p)
+
+
 def unifying_check(
     m: int, p: int, *, jobs: int = 1, lindstrom: bool = False
 ) -> UnifyingReport:
@@ -205,14 +219,7 @@ def unifying_check(
     order. The pool's modules load only when ``jobs`` is above 1, and the
     first task to raise (a guard trip, a consistency failure) ends every
     worker at once: leaving the pool's block terminates it."""
-    require_grid(m, p)
-    guards.ensure_enumerable(m, p, what="unifying check")
-    if jobs < 1:
-        raise DomainError(f"jobs must be at least 1, got {jobs}")
-    guards.ensure(jobs, guards.WORKER_LIMIT, "worker processes")
-    guards.ensure_minor_table(m, p)
-    guards.ensure_sweep(m, p)
-    guards.ensure_minor_family(m, p)
+    check_walk(m, p, jobs)
     started = time.monotonic()
     # one necklace term memo for the check; a task sent to a worker takes its own copy
     walk = partial(_walk_bottom, m, p, lindstrom, {})

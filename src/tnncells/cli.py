@@ -12,8 +12,9 @@ from __future__ import annotations
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import click
 
@@ -736,46 +737,63 @@ def verify() -> None:
 @format_option
 def verify_all(m: int, p: int, jobs: int, fmt: str) -> None:
     """Run every cross-check suite at one grid size."""
+    cells_mod.check_walk(m, p, jobs)
     checks: list[dict[str, Any]] = []
 
     def check(name: str, ok: bool, detail: str) -> None:
         checks.append({"name": name, "ok": ok, "detail": detail})
 
-    report = cells_mod.unifying_check(m, p, jobs=jobs, lindstrom=True)
-    detail = f"{report.agreements}/{report.total} diagrams agree"
-    if report.total != report.expected:
-        detail += f", {report.expected} expected"
-    check("unifying", report.ok, detail)
+    @contextmanager
+    def suite(*names: str) -> Iterator[None]:
+        """The arguments are checked before any suite runs, so a
+        ConsistencyError or DomainError a suite raises is a fault of the
+        program: each of its checks fails with the message, and the other
+        suites still run. A suite adds its checks after all its work."""
+        try:
+            yield
+        except (ConsistencyError, DomainError) as exc:
+            for name in names:
+                check(name, False, f"{type(exc).__name__}: {exc}")
 
-    checked, mismatched = report.lindstrom
-    check(
-        "lindstrom",
-        mismatched == 0,
-        f"{checked - mismatched}/{checked} minors match path counts",
-    )
-
-    bad_relations = quantum_mod.defining_relations_hold(m, p)
-    check(
-        "quantum-relations",
-        not bad_relations,
-        f"{len(bad_relations)} broken generator pairs",
-    )
-    if (m, p) == (2, 2):
-        central = quantum_mod.is_central_2x2_determinant()
+    with suite("unifying", "lindstrom"):
+        report = cells_mod.unifying_check(m, p, jobs=jobs, lindstrom=True)
+        detail = f"{report.agreements}/{report.total} diagrams agree"
+        if report.total != report.expected:
+            detail += f", {report.expected} expected"
+        checked, mismatched = report.lindstrom
+        check("unifying", report.ok, detail)
         check(
-            "quantum-determinant-central",
-            central,
-            "D_q commutes with a,b,c,d" if central else "not central",
+            "lindstrom",
+            mismatched == 0,
+            f"{checked - mismatched}/{checked} minors match path counts",
         )
 
-    verdicts = [ok for _, _, ok in poisson_mod.semiclassical_pairs(m, p)]
-    check("semiclassical", all(verdicts), f"{sum(verdicts)}/{len(verdicts)} pairs agree")
+    with suite("quantum-relations"):
+        bad_relations = quantum_mod.defining_relations_hold(m, p)
+        check(
+            "quantum-relations",
+            not bad_relations,
+            f"{len(bad_relations)} broken generator pairs",
+        )
+    if (m, p) == (2, 2):
+        with suite("quantum-determinant-central"):
+            central = quantum_mod.is_central_2x2_determinant()
+            check(
+                "quantum-determinant-central",
+                central,
+                "D_q commutes with a,b,c,d" if central else "not central",
+            )
+
+    with suite("semiclassical"):
+        verdicts = [ok for _, _, ok in poisson_mod.semiclassical_pairs(m, p)]
+        check("semiclassical", all(verdicts), f"{sum(verdicts)}/{len(verdicts)} pairs agree")
 
     for name in fixtures_mod.FLOW_NAMES:
-        path = fixtures_mod.load_flow(name)
-        hamiltonian = poisson_mod.parse_poisson("a", path.m, path.p)
-        flow_report = poisson_mod.verify_flow(path, hamiltonian)
-        check(f"flow:{name}", flow_report.symbolic_zero, str(flow_report))
+        with suite(f"flow:{name}"):
+            path = fixtures_mod.load_flow(name)
+            hamiltonian = poisson_mod.parse_poisson("a", path.m, path.p)
+            flow_report = poisson_mod.verify_flow(path, hamiltonian)
+            check(f"flow:{name}", flow_report.symbolic_zero, str(flow_report))
 
     passed = sum(1 for c in checks if c["ok"])
     all_ok = passed == len(checks)

@@ -13,6 +13,15 @@ q = 1 must match the bracket on the corresponding coordinates, and
 :func:`semiclassical_check` verifies exactly that, treating a failed exact
 division by (q - 1) as a broken invariant rather than bad input.
 
+The bracket runs on packed exponent keys, the layout of sparse polynomial
+arithmetic (Monagan and Pearce, ISSAC 2009): each exponent vector becomes one int, a signed slot of ``width``
+bits per coordinate, so its inner loop adds ints and hashes ints, and only
+the result's keys are unpacked into tuples. The slot width follows the
+largest exponent magnitude ``top`` of the two operands: every result
+exponent is A_u + B_u + shift_u with |shift_u| <= 1, of magnitude at most
+2 top + 1, and 2^(width - 1) > 2 top + 1 keeps it inside its slot. ``MPoly``
+keeps its tuple keys everywhere else.
+
 Hamiltonian paths are checked in a small closed-form function ring: sums
 p(t) * e^(l*t) with rational l and rational polynomial p. Distinct
 exponentials are linearly independent over polynomials, so a zero residual
@@ -26,7 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, groupby
-from operator import add
+from operator import mul
+from struct import Struct
 from typing import Any, Mapping
 
 from . import guards
@@ -51,7 +61,10 @@ def coordinate_names(m: int, p: int) -> tuple[str, ...]:
     )
 
 
+@lru_cache(maxsize=None)
 def coordinate(m: int, p: int, i: int, a: int) -> MPoly:
+    """Y[i,a] in the m x p coordinate ring: one shared value per coordinate,
+    as an MPoly never changes."""
     if not (1 <= i <= m and 1 <= a <= p):
         raise DomainError(f"coordinate Y[{i},{a}] outside {m}x{p}")
     return MPoly.var(coordinate_names(m, p), coordinate_name(i, a))
@@ -81,31 +94,84 @@ def _bracket_table(m: int, p: int) -> tuple[tuple[Any, ...], ...]:
     return tuple(map(tuple, table))
 
 
+@lru_cache(maxsize=32)
+def _packed_table(m: int, p: int, bits: int) -> tuple[Any, ...]:
+    """The bracket table on packed exponent keys, for results whose
+    exponents have magnitudes below 2^bits: ``(table, weights, split, bias,
+    length)``.
+
+    A slot is a signed integer of ``width`` bits, the fewest of 8, 16, 32
+    and 64 (whole bytes past 64) with 2^(width - 1) >= 2^bits, and exponent
+    vector E packs to the key sum(E_u * weights[u]), weights[u] = 2^(width u).
+    While every |E_u| < 2^(width - 1), adding ``bias``, 2^(width - 1) in
+    every slot, leaves each slot in [0, 2^width) with no carry into the
+    next, and XOR with ``bias`` then makes each slot the two's complement of
+    E_u: the key's ``length`` little-endian bytes ``split`` back into E.
+    Entries are ``(c, shift)`` as in :func:`_bracket_table`, with the shift
+    packed, and 0 for None."""
+    n = m * p
+    formats = {1: "b", 2: "h", 4: "i", 8: "q"}  # struct's signed integers by size
+    size = (bits + 8) // 8
+    size = next((s for s in formats if s >= size), size)
+    weights = tuple(1 << 8 * size * u for u in range(n))
+    if size in formats:
+        split = Struct(f"<{n}{formats[size]}").unpack
+    else:  # exponents past 2^61
+        def split(data: bytes) -> tuple[int, ...]:
+            return tuple(int.from_bytes(data[k:k + size], "little", signed=True)
+                         for k in range(0, n * size, size))
+    table = tuple(
+        tuple(entry and (entry[0], sum(map(mul, entry[1] or (), weights))) for entry in row)
+        for row in _bracket_table(m, p)
+    )
+    return table, weights, split, sum(weights) << 8 * size - 1, n * size
+
+
 def bracket(m: int, p: int, f: MPoly, g: MPoly) -> MPoly:
-    """{f, g}, one pair of monomials at a time: by bilinearity and Leibniz,
-    {c Y^A, d Y^B} sums c d A_u B_v {Y_u, Y_v} Y^(A + B - e_u - e_v) over the
-    u, v with A_u, B_v nonzero, for exponents of either sign. It is charged
-    one unit per pair of terms, as a product."""
+    """{f, g} by bilinearity and Leibniz: {c Y^A, d Y^B} sums
+    c d A_u B_v {Y_u, Y_v} Y^(A + B - e_u - e_v) over the u, v with A_u, B_v
+    nonzero, for exponents of either sign. The sum is taken one u at a time,
+    as the product of two term lists: the terms c A_u Y^A of f with A_u
+    nonzero, against the terms d B_v {Y_u, Y_v} Y^(B - e_u - e_v) of g with
+    B_v nonzero, their shifts read off the bracket table. It is charged one
+    unit per pair of terms, as a product.
+
+    Exponent vectors are packed into ints once per call, one signed slot per
+    coordinate (see :func:`_packed_table`), so the inner loop adds ints and
+    keys its sums on them. With every |A_u|, |B_u| at most ``top``, a slot
+    of the result has |A_u + B_u + shift_u| <= 2 top + 1, as |shift_u| <= 1;
+    the slots are wide enough to hold that, so none spills into the next.
+    Only the keys that survive are unpacked."""
     names = coordinate_names(m, p)
     if f.names != names or g.names != names:
         raise DomainError(f"operands must live in the {m}x{p} coordinate ring")
     guards.ensure(len(f.terms) * len(g.terms), guards.COMMUTATIVE_TERM_LIMIT,
                   "terms of one product")
-    table = _bracket_table(m, p)
-    right = [(B, d, [(v, b) for v, b in enumerate(B) if b]) for B, d in g.terms.items()]
-    total: dict[tuple[int, ...], int] = {}
-    for A, c in f.terms.items():
-        left = [(table[u], c * a) for u, a in enumerate(A) if a]
-        for B, d, support in right:
-            AB = tuple(map(add, A, B))
-            for row, ca in left:
-                for v, b in support:
-                    entry = row[v]
-                    if entry is not None:
-                        coeff, shift = entry
-                        key = AB if shift is None else tuple(map(add, AB, shift))
-                        total[key] = total.get(key, 0) + ca * d * b * coeff
-    return MPoly.zero(names)._new({e: c for e, c in total.items() if c})
+    f_terms = [(c, [(u, a) for u, a in enumerate(A) if a]) for A, c in f.terms.items()]
+    g_terms = [(d, [(v, b) for v, b in enumerate(B) if b]) for B, d in g.terms.items()]
+    top = 0  # the largest exponent magnitude of either operand
+    for _, support in f_terms + g_terms:
+        for _, e in support:
+            if e > top or -e > top:
+                top = abs(e)
+    table, weights, split, bias, length = _packed_table(m, p, (2 * top + 1).bit_length())
+    by_u: dict[int, list[tuple[int, int]]] = {}  # u -> (packed A, c A_u) with A_u != 0
+    for c, support in f_terms:
+        A = sum([a * weights[u] for u, a in support])
+        for u, a in support:
+            by_u.setdefault(u, []).append((A, c * a))
+    right = [(sum([b * weights[v] for v, b in support]), d, support) for d, support in g_terms]
+    total: dict[int, int] = {}
+    for u, left in by_u.items():
+        row = table[u]
+        terms = [(B + entry[1], d * b * entry[0]) for B, d, support in right
+                 for v, b in support if (entry := row[v])]
+        for A, ca in left:
+            for B, db in terms:
+                key = A + B
+                total[key] = total.get(key, 0) + ca * db
+    return f._new({split(((key + bias) ^ bias).to_bytes(length, "little")): c
+                   for key, c in total.items() if c})
 
 
 def jacobi_check(m: int, p: int, f: MPoly, g: MPoly, h: MPoly) -> MPoly:

@@ -356,20 +356,21 @@ def test_a_wrong_diagram_count_fails_both_verifiers(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name, old, new, failing",
+    "name, old, new, failing, raised",
     [
-        ("QPoly._product", "pre + u", "u", ["quantum-determinant-central"]),
+        ("QPoly._product", "pre + u", "u", ["quantum-determinant-central"], None),
         ("_insert", "lead + w", "w",
-         ["quantum-relations", "quantum-determinant-central", "semiclassical"]),
+         ["quantum-relations", "quantum-determinant-central", "semiclassical"], None),
         ("_insert", "((1, -1), (-1, 1))", "((1, 1), (-1, -1))",
-         ["quantum-relations", "quantum-determinant-central", "semiclassical"]),
+         ["quantum-relations", "quantum-determinant-central", "semiclassical"], None),
         ("commutator", "g._product(f, memo, table, -1)", "g._product(f, memo, table, 1)",
+         ["quantum-determinant-central", "semiclassical"],
          "coefficient 1 + q^-1 of ((1, 1), (1, 2)) is not divisible by q - 1"),
     ],
     ids=["prefix-dropped-in-the-product", "lead-dropped-in-straightening",
          "straightening-sign-flipped", "second-product-added-in-the-commutator"],
 )
-def test_quantum_product_mutants_fail_verify_all(monkeypatch, name, old, new, failing):
+def test_quantum_product_mutants_fail_verify_all(monkeypatch, name, old, new, failing, raised):
     """The insertion memo is keyed on a word's letters above the inserted one,
     so the product puts the word's prefix back in front of each entry it
     reads, and a straightening term puts its own lead back in front of the
@@ -378,11 +379,11 @@ def test_quantum_product_mutants_fail_verify_all(monkeypatch, name, old, new, fa
     quantum determinant no longer commutes with X[1,1] under ``quantum comm``,
     as CI runs it. Adding gf into the commutator's term table with +1, not
     -1, makes [X, X'] of two generators in a row fg + gf, which (q - 1) does
-    not divide: the semiclassical suite raises a consistency failure, and
-    ``verify all`` exits 1 with its message instead of a report. The prefix
-    is empty in every product of generators, so the defining relations cannot
-    see the first mutant, and they take no commutator, so they cannot see the
-    last."""
+    not divide: the semiclassical suite raises a consistency failure, which
+    fails that suite with the message as its detail, and the determinant is
+    no longer central. The prefix is empty in every product of generators,
+    so the defining relations cannot see the first mutant, and they take no
+    commutator, so they cannot see the last."""
     owner, _, attr = name.rpartition(".")
     target = getattr(quantum, owner) if owner else quantum
     mutant = _mutated(quantum, name, old, new)
@@ -391,13 +392,56 @@ def test_quantum_product_mutants_fail_verify_all(monkeypatch, name, old, new, fa
         monkeypatch.setattr(poisson, attr, mutant)
     every = _verify("verify", "all", "--m", "2", "--p", "2")
     assert every.exit_code == 1
-    if isinstance(failing, str):  # a broken invariant ends the run before its report
-        assert every.output == f"consistency failure: {failing}\n"
-    else:
-        assert [c["name"] for c in json.loads(every.output)["checks"] if not c["ok"]] == failing
+    checks = {c["name"]: c for c in json.loads(every.output)["checks"]}
+    assert [n for n, c in checks.items() if not c["ok"]] == failing
+    if raised is not None:
+        assert checks["semiclassical"]["detail"] == f"ConsistencyError: {raised}"
     det = str(quantum.quantum_minor(3, 3, (1, 2, 3), (1, 2, 3)))
     comm = _verify("quantum", "comm", det, "X[1,1]", "--m", "3", "--p", "3")
     assert (comm.exit_code, json.loads(comm.output)["zero"]) == (0, False)
+
+
+NONNEGATIVE_POWERS_ONLY = "DomainError: ExpPoly admits nonnegative powers only"
+BRACKET_ON_WIDE_SLOTS = "99*Y[1,1]^200*Y[1,2]*Y[2,2] - 200*Y[1,1]^199*Y[1,2]^2*Y[2,1]"
+
+
+@pytest.mark.parametrize(
+    "name, old, new, failing, wide",
+    [
+        ("bracket", "(B + entry[1], ", "(B - entry[1], ",
+         {"semiclassical": "5/6 pairs agree", "flow:flow_linear_2x2": NONNEGATIVE_POWERS_ONLY,
+          "flow:flow_exponential_2x2": NONNEGATIVE_POWERS_ONLY},
+         "-200*Y[1,1]^201*Y[2,1]^-1*Y[2,2]^2 + 99*Y[1,1]^200*Y[1,2]*Y[2,2]"),
+        ("_packed_table", "size = (bits + 8) // 8", "size = (bits + 7) // 8", {},
+         "99*Y[1,1]^-56*Y[1,2]^2*Y[2,2] - 200*Y[1,1]^-57*Y[1,2]^3*Y[2,1]"),
+        ("_packed_table", '{1: "b", 2: "h", 4: "i", 8: "q"}', '{1: "B", 2: "H", 4: "I", 8: "Q"}',
+         {}, BRACKET_ON_WIDE_SLOTS),
+    ],
+    ids=["packed-shift-with-the-wrong-sign", "slot-one-bit-short", "slots-read-unsigned"],
+)
+def test_packed_bracket_mutants(monkeypatch, name, old, new, failing, wide):
+    """The bracket keys its sums on packed exponent vectors, one signed slot
+    per coordinate. Subtracting the packed straightening shift, where it is
+    added, turns {a, d} = 2bc into 2a^2d^2/(bc): the semiclassical suite of
+    ``verify all --m 2 --p 2`` fails, and each flow suite raises as it
+    evaluates the bracket's negative powers along its path, so it fails with
+    that message and the other suites still run.
+
+    Blind spots: ``verify all`` brackets only small nonnegative exponents,
+    so two mutants pass all seven suites. A slot one bit short of 2 top + 1
+    spills the 200 of a^100 * a^100 into its neighbour, which CI's pinned
+    ``poisson bracket 'a^100*d' 'a^100*b'`` shows; slots read back unsigned
+    change only negative exponents, which no suite and no CI line has. The
+    slot-boundary tests of ``test_poisson`` fail on both, and its Laurent
+    oracle tests on the second."""
+    mutant = _mutated(poisson, name, old, new)
+    monkeypatch.setattr(poisson, name, mutant)
+    every = _verify("verify", "all", "--m", "2", "--p", "2")
+    assert every.exit_code == (1 if failing else 0)
+    checks = json.loads(every.output)["checks"]
+    assert {c["name"]: c["detail"] for c in checks if not c["ok"]} == failing
+    result = CliRunner().invoke(main, ["poisson", "bracket", "a^100*d", "a^100*b"])
+    assert (result.exit_code, result.output) == (0, wide + "\n")
 
 
 def test_mismatches_come_in_enumeration_order(monkeypatch):

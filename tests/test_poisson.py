@@ -1,5 +1,6 @@
 """Bracket table, Jacobi identity, q -> 1 limits, and flow verification."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -74,6 +75,55 @@ class TestBracketTable:
         # Laurent exponents too: verify_flow brackets any Hamiltonian
         f, g = (data.draw(poly_strategy(m, p, low=-2)) for _ in range(2))
         assert bracket(m, p, f, g) == oracles.partial_bracket(m, p, f, g)
+
+    @pytest.mark.parametrize("m, p", [(3, 3), (4, 4)])
+    def test_bracket_matches_partial_derivatives_at_slot_boundaries(self, m, p):
+        # bracket packs each exponent vector into one int, one signed slot a
+        # coordinate, sized for the largest exponent of either operand.
+        # {Y_u^e, Y_u^e Y_x} = e Y_u^2e Y_x for u, x in one row, so a result
+        # slot reaches 2e: each e on either side of a power of two checks the
+        # slot width, 2^62 the slots past 64 bits, and each negative e the
+        # sign of a slot
+        names = coordinate_names(m, p)
+        rng = random.Random(m * p)
+        zero, const = MPoly.zero(names), MPoly.const(names, 7)
+
+        def laurent(low, high):
+            return MPoly(names, {tuple(rng.choices(range(low, high + 1), k=len(names))):
+                                 rng.choice((-3, -1, 2, 5))})
+
+        def monomial(coeff, *slots):
+            exps = [0] * len(names)
+            for u, e in slots:
+                exps[u] += e
+            return MPoly(names, {tuple(exps): coeff})
+
+        powers = [2**k - 1 for k in range(1, 9)] + [2**k for k in range(1, 9)]
+        for e in powers + [-e for e in powers] + [2**40, 2**62]:
+            row = rng.randrange(m) * p
+            u, x = (row + a for a in rng.sample(range(p), 2))
+            w = rng.choice([s for s in range(len(names)) if s != u])
+            f = monomial(3, (u, e)) + monomial(-2, (w, e)) + laurent(-2, 2)
+            g = monomial(5, (u, e), (x, 1)) + const
+            expected = oracles.partial_bracket(m, p, f, g)
+            assert bracket(m, p, f, g) == expected, e
+            assert bracket(m, p, g, f) == -expected, e
+            assert (u, 2 * e) in {(s, a) for exps in expected.terms for s, a in enumerate(exps)}
+        for g in (zero, const):
+            assert bracket(m, p, f, g).is_zero and bracket(m, p, g, f).is_zero
+        for _ in range(8):  # Laurent polynomials in every coordinate
+            f, g = (laurent(-3, 3) + laurent(-3, 3) + laurent(0, 2) for _ in range(2))
+            assert bracket(m, p, f, g) == oracles.partial_bracket(m, p, f, g)
+
+    def test_jacobi_identity_of_4x4_minors(self):
+        cells = [[coordinate(4, 4, i, a) for a in range(1, 5)] for i in range(1, 5)]
+        f = oracles.leibniz_minor(cells, (1, 2, 4), (1, 3, 4))
+        g = oracles.leibniz_minor(cells, (2, 3), (2, 4))
+        h = oracles.leibniz_minor(cells, (1, 2), (1, 2))
+        assert not any(bracket(4, 4, x, y).is_zero for x, y in ((f, g), (g, h), (h, f)))
+        assert jacobi_check(4, 4, f, g, h).is_zero
+        det = oracles.leibniz_minor(cells, (1, 2, 3, 4), (1, 2, 3, 4))
+        assert bracket(4, 4, det, f).is_zero  # the determinant is a Casimir
 
     def test_jacobi_identity_generators_2x3(self):
         gens = [coordinate(2, 3, i, a) for i in (1, 2) for a in (1, 2, 3)]
